@@ -9,9 +9,12 @@ one JSON line per command and reads one JSON line back:
   ``trace`` the layer wrappers go in *after* start, so forked mesh peers
   inherit none of them, and the mesh coordinator gets a tracer whose
   spans are totalled per name;
-* ``{"op": "stop"}`` answers the server stats, the mesh coordinator's
-  registry snapshot and telemetry, and (traced) the ledger and span
+* ``{"op": "stop"}`` answers the server stats, the peak RSS of this
+  process and of each mesh peer, the mesh coordinator's registry
+  snapshot and telemetry, and (traced) the ledger and span
   totals, then drains the gateway and removes the wrappers;
+* ``{"op": "settle"}`` answers once the backend is idle (every mesh job,
+  checkpoint barriers included, has run);
 * ``{"op": "exit"}`` ends the process.
 
 Run directly only by the benchmark: ``python3 perfbench/gateway_child.py``.
@@ -21,11 +24,13 @@ from __future__ import annotations
 
 import contextlib
 import json
+import resource
 import socket
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SETTLE_TIMEOUT_S = 60.0
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from repro.api.backends import ServiceSpec  # noqa: E402
@@ -33,6 +38,14 @@ from repro.gateway import GatewayConfig, serve_gateway  # noqa: E402
 from repro.obs.trace import Tracer  # noqa: E402
 
 from perfbench.ledger import Ledger, SpanTotals, install_gateway_layers  # noqa: E402
+
+
+def peak_rss_kb(pid: int) -> int:
+    """A live process's peak resident set (``VmHWM``), in KiB."""
+    for line in Path(f"/proc/{pid}/status").read_text().splitlines():
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1])
+    raise RuntimeError(f"no VmHWM for process {pid}")
 
 
 class GatewayPass:
@@ -56,8 +69,29 @@ class GatewayPass:
             self.stack.callback(self.ledger.uninstall)
             install_gateway_layers(self.ledger, self.server)
 
+    def rss_kb(self) -> dict:
+        """Peak RSS of this process and of every mesh peer still serving
+        (each peer is read before teardown, since teardown reaps it)."""
+        peers = getattr(self.server.backend, "workers", None) or []
+        return {
+            "gateway": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+            "peers": [peak_rss_kb(proc.pid) for proc in peers],
+        }
+
+    def settle(self) -> dict:
+        """Wait until the mesh coordinator has run every job submitted to
+        it: family deliveries (each waits for its peer's reply) and
+        checkpoint barriers. Other backends finish a request's work
+        before answering it, so there is nothing to wait for."""
+        coordinator = getattr(self.server.backend, "coordinator", None)
+        if coordinator is not None and not coordinator._scheduler.drain(
+            timeout=SETTLE_TIMEOUT_S
+        ):
+            return {"error": f"mesh still busy after {SETTLE_TIMEOUT_S} s"}
+        return {}
+
     def stop(self) -> dict:
-        out = {"stats": dict(self.server.stats)}
+        out = {"stats": dict(self.server.stats), "rss_kb": self.rss_kb()}
         coordinator = getattr(self.server.backend, "coordinator", None)
         if coordinator is not None:
             out["mesh"] = {
@@ -90,6 +124,8 @@ def main() -> int:
             if op == "start":
                 current = GatewayPass(msg)
                 reply = {"address": list(current.server.address)}
+            elif op == "settle":
+                reply = current.settle()
             elif op == "stop":
                 reply, current = current.stop(), None
             elif op == "exit":

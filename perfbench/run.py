@@ -38,11 +38,25 @@ def _percentile(values, q: float) -> float:
     return float(np.percentile(np.asarray(values, dtype=np.float64), q))
 
 
-def _peak_rss_mb() -> float:
-    """Peak RSS of this process plus the largest reaped descendant."""
-    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return (own + children) / 1024.0
+def _peak_rss_mb(passes) -> dict:
+    """Peak RSS in MB of every process that serves a pass: this one (the
+    reference replay runs in a process of its own and is left out), plus,
+    for a gateway workload, the largest sum over passes of the gateway
+    process and each of its mesh peers."""
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    service = [
+        (p.child["rss_kb"]["gateway"], p.child["rss_kb"]["peers"])
+        for p in passes
+        if p.child
+    ]
+    gateway, peers = max(service, key=lambda gp: gp[0] + sum(gp[1]), default=(0, []))
+    peers = [kb / 1024.0 for kb in peers]
+    return {
+        "total": own + gateway / 1024.0 + sum(peers),
+        "client": own,
+        "gateway": gateway / 1024.0,
+        "peers": peers,
+    }
 
 
 def _git_commit() -> str:
@@ -68,7 +82,7 @@ def _git_commit() -> str:
 # ---------------------------------------------------------------------- #
 
 
-def end_to_end_metrics(passes, rss_mb: float, attempted: int, failed: int) -> dict:
+def end_to_end_metrics(passes, rss_mb: dict, attempted: int, failed: int) -> dict:
     """The end-to-end metrics. Every timing is a median over passes, so a
     slow stretch of the host moves at most the passes it overlapped."""
 
@@ -84,7 +98,7 @@ def end_to_end_metrics(passes, rss_mb: float, attempted: int, failed: int) -> di
         "window_latency_p50_ms": (over_passes(lambda p: p.window_ms, 50), "ms"),
         "window_latency_p99_ms": (over_passes(lambda p: p.window_ms, 99), "ms"),
         "setup_s": (over_passes(lambda p: p.setup_s), "s"),
-        "peak_rss_mb": (rss_mb, "MB"),
+        "peak_rss_mb": (rss_mb["total"], "MB"),
         "success_rate": ((attempted - failed) / attempted, "ratio"),
     }
     return {k: {"value": v, "unit": u} for k, (v, u) in values.items()}
@@ -300,6 +314,25 @@ def print_table(name: str, ledger: dict, metrics: dict) -> None:
         print(f"  {key} = {metrics[key]['value']:.4f}")
 
 
+def _settle_record(passes) -> dict | None:
+    """Per untraced pass (median): the waits for an idle mesh a gateway
+    stream ends its chunks with, and the mesh checkpoints those waits
+    cover, both in raw seconds."""
+    mesh = [p.child["mesh"] for p in passes if p.child and "mesh" in p.child]
+    if not mesh:
+        return None
+    checkpoints = [
+        m["registry"]["histograms"].get("mesh.checkpoint.seconds", {"count": 0, "mean": 0.0})
+        for m in mesh
+    ]
+    return {
+        "settles": statistics.median(len(p.settle_s) for p in passes),
+        "settle_s": statistics.median(sum(p.settle_s) for p in passes),
+        "checkpoints": statistics.median(c["count"] for c in checkpoints),
+        "checkpoint_s": statistics.median(c["count"] * c["mean"] for c in checkpoints),
+    }
+
+
 # ---------------------------------------------------------------------- #
 # the run                                                                  #
 # ---------------------------------------------------------------------- #
@@ -316,11 +349,11 @@ def run_workload(workload, seed: int, seconds: float, trace: bool) -> dict:
         engine_pass,
         gateway_pass,
         mismatch_count,
-        reference_decisions,
+        reference_apart,
     )
 
     plan = build_plan(workload, seed)
-    reference = reference_decisions(plan)
+    reference = reference_apart(plan)
     # the inputs and the reference live for the whole run: keep the
     # collector from rescanning them inside every timed pass
     gc.collect()
@@ -355,11 +388,12 @@ def run_workload(workload, seed: int, seconds: float, trace: bool) -> dict:
         if child is not None:
             child.close()
     failed = sum(failures.values())
+    rss_mb = _peak_rss_mb(plain + traced)
     if trace:
         metrics, ledger = per_layer_metrics(plain, traced)
         print_table(workload.name, ledger, metrics)
     else:
-        metrics = end_to_end_metrics(plain, _peak_rss_mb(), attempted, failed)
+        metrics = end_to_end_metrics(plain, rss_mb, attempted, failed)
     record = {
         "workload": workload.name,
         "seed": seed,
@@ -388,6 +422,8 @@ def run_workload(workload, seed: int, seconds: float, trace: bool) -> dict:
             "task": statistics.median(len(p.task_ms) for p in plain),
             "window": statistics.median(len(p.window_ms) for p in plain),
         },
+        "peak_rss_mb": rss_mb,
+        "settle": _settle_record(plain),
         "error_rate": failed / attempted,
         "failures": dict(failures),
         "problems": problems[:20],

@@ -75,9 +75,6 @@ def _snapshot():
 
 def test_benchmark_json_declares_every_workload():
     assert [w["name"] for w in BENCHMARK["workloads"]] == list(WORKLOADS)
-    assert [w["why"] for w in BENCHMARK["workloads"]] == [
-        w.why for w in WORKLOADS.values()
-    ]
     assert BENCHMARK["paths"] == ["perfbench"]
     assert "setup_s" in _names("end_to_end")
 
@@ -89,7 +86,16 @@ def test_workload_runs_small_and_prints_declared_metrics(name, capsys):
     assert result["failed"] == 0 and result["attempted"] > 0
     assert set(result["metrics"]) == _names("end_to_end")
     assert all(m["value"] > 0 for m in result["metrics"].values())
-    assert "record: " in capsys.readouterr().out
+    out = capsys.readouterr().out
+    record = json.loads(out.split("record: ", 1)[1].splitlines()[0])
+    rss = record["peak_rss_mb"]
+    assert rss["total"] == result["metrics"]["peak_rss_mb"]["value"]
+    if WORKLOADS[name].in_process:
+        assert rss["peers"] == [] and record["settle"] is None
+    else:
+        # every serving process counts, and every stream chunk is settled
+        assert len(rss["peers"]) == 2 and min(rss["peers"]) > 0 and rss["gateway"] > 0
+        assert record["settle"]["settles"] >= 1
 
 
 @pytest.mark.parametrize("name", list(WORKLOADS))

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import subprocess
 import sys
+import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from time import perf_counter
@@ -42,6 +44,7 @@ __all__ = [
     "engine_pass",
     "gateway_pass",
     "mismatch_count",
+    "reference_apart",
     "reference_decisions",
     "stream_requests",
 ]
@@ -69,7 +72,6 @@ class Workload:
     """
 
     name: str
-    why: str
     config: LoadConfig
     window: int
     depth: int = 1
@@ -98,10 +100,6 @@ WORKLOADS = {
     for w in (
         Workload(
             name="engine-bulk",
-            why=(
-                "in-process sharded engine fed 512-event windows: routing, "
-                "cohort buffering and the privacy/matching kernels, no socket"
-            ),
             config=LoadConfig(
                 workload="gaussian",
                 n_workers=10000,
@@ -113,10 +111,6 @@ WORKLOADS = {
         ),
         Workload(
             name="mesh-stream",
-            why=(
-                "hotspot taxi day streamed as bin1 rows to a gateway over a "
-                "2-peer mesh with delta checkpoints: the full distributed path"
-            ),
             config=LoadConfig(
                 workload="taxi",
                 n_workers=10000,
@@ -174,6 +168,31 @@ def reference_decisions(plan: Plan) -> list[tuple[int, int | None]]:
             if isinstance(response, TaskDecision):
                 decisions.append((response.task_id, response.worker_id))
         return decisions
+
+
+def reference_apart(plan: Plan) -> list[tuple[int, int | None]]:
+    """:func:`reference_decisions` computed in a forked process, so the
+    reference's memory never counts toward this process's peak RSS."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as out:
+                pickle.dump(reference_decisions(plan), out)
+            status = 0
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as inp:
+        data = inp.read()
+    _, status = os.waitpid(pid, 0)
+    if status != 0:
+        raise RuntimeError(f"reference process failed (wait status {status})")
+    return pickle.loads(data)
 
 
 def check_pass(plan: Plan, reference, decisions, report) -> list[str]:
@@ -304,6 +323,7 @@ class PassResult:
     task_ms: list
     window_ms: list
     errors: dict
+    settle_s: list
     report: object = None
     ledger: dict | None = None
     child: dict | None = None
@@ -318,7 +338,9 @@ class PassResult:
         return len(self.decisions) / self.raw_wall_s
 
 
-def stream_requests(client, requests, window: int, depth: int, clock: HostClock) -> dict:
+def stream_requests(
+    client, requests, window: int, depth: int, clock: HostClock, settle=None
+) -> dict:
     """Stream ``requests`` in windows and time every one of them.
 
     A request's latency runs from when the client pulls it off the
@@ -327,7 +349,11 @@ def stream_requests(client, requests, window: int, depth: int, clock: HostClock)
     flight, so a probe never competes with the service for a CPU: a
     serial stream (``depth == 1``) is probed before every window, and a
     pipelined one is sent as streams of ``DRAIN_EVERY_WINDOWS`` windows,
-    each drained before the probe and the next. A structured error ends
+    each drained before the probe and the next. A service in other
+    processes can still be busy after its last answer (a mesh runs its
+    checkpoint barriers and worker registrations behind the answers), so
+    every stream ends in ``settle()``, when given, which returns once the
+    service is idle; the wait is serving time. A structured error ends
     the replay; the requests it left unanswered count as failed, under
     the error's code.
     """
@@ -344,6 +370,7 @@ def stream_requests(client, requests, window: int, depth: int, clock: HostClock)
     decisions = []
     errors = {}
     answered = 0
+    settle_s = []
     start = perf_counter()
     try:
         for lo in range(0, n, chunk):
@@ -354,6 +381,10 @@ def stream_requests(client, requests, window: int, depth: int, clock: HostClock)
                 answered = i + 1
                 if type(response) is TaskDecision:
                     decisions.append((response.task_id, response.worker_id))
+            if settle is not None:
+                began = perf_counter()
+                settle()
+                settle_s.append(perf_counter() - began)
     except ApiError as exc:
         print(f"perfbench: stream stopped by {exc!r}", file=sys.stderr)
         errors[exc.code] = n - answered
@@ -369,6 +400,7 @@ def stream_requests(client, requests, window: int, depth: int, clock: HostClock)
         "raw_wall_s": clock.span(start, end, scaled=False),
         "attempted": n,
         "errors": errors,
+        "settle_s": settle_s,
         "decisions": decisions,
         "task_ms": clock.scaled_ms([pulled[i] for i in tasks], [done[i] for i in tasks]),
         "window_ms": clock.scaled_ms([pulled[j] for j in lasts], [done[j] for j in lasts]),
@@ -426,6 +458,10 @@ class GatewayChild:
             raise RuntimeError(f"gateway process: {reply['error']}")
         return reply
 
+    def settle(self) -> None:
+        """Return once the gateway's backend has no work left in flight."""
+        self.request(op="settle")
+
     def close(self) -> None:
         if self.proc.poll() is None:
             try:
@@ -469,10 +505,18 @@ def gateway_pass(plan: Plan, traced: bool, child: GatewayChild) -> PassResult:
         client.open()
         client.flush()
         setup_end = perf_counter()
+        settle = child.settle
         if ledger is not None:
             install_client_layers(ledger)
+
+            def settle():
+                # the client blocks on the mesh here: part of its blocking path
+                ledger.timed("mesh.coordinator.settle", child.settle, (), {}, wait=True)
+
         try:
-            replay = stream_requests(client, plan.requests, wl.window, wl.depth, clock)
+            replay = stream_requests(
+                client, plan.requests, wl.window, wl.depth, clock, settle=settle
+            )
         finally:
             if ledger is not None:
                 ledger.uninstall()
