@@ -14,8 +14,8 @@ repo has grown, behind one seeding convention
   client-side mechanism/ledger bundle, no sharding. Simplest, and the
   ground truth the others are checked against;
 * :class:`ShardedBackend` — the single-process
-  :class:`~repro.service.engine.ShardedAssignmentEngine` in keyed-seed
-  mode;
+  :class:`~repro.service.engine.ShardedAssignmentEngine`; each
+  register/submit run of a batch is one engine ingest call;
 * :class:`ClusterBackend` — the multiprocess
   :class:`~repro.cluster.coordinator.ClusterCoordinator`; batches
   dispatch contiguous register/submit runs as single event chunks.
@@ -159,9 +159,10 @@ class ServiceSpec:
 class BackendBase:
     """Shared lifecycle + request dispatch for every backend.
 
-    Subclasses implement the four verb methods; ``batch`` defaults to the
-    equivalent call sequence and may be overridden for transport-level
-    batching. ``open()``/``close()`` bracket the expensive state.
+    Subclasses implement the four verb methods. ``batch`` hands every
+    contiguous register/submit run to :meth:`handle_run`, which defaults
+    to the per-verb calls and may be overridden to ingest a run at once.
+    ``open()``/``close()`` bracket the expensive state.
     """
 
     name = "abstract"
@@ -276,8 +277,43 @@ class BackendBase:
         raise ValidationFailed(f"unhandled request type: {request!r}")
 
     def batch(self, request: Batch) -> BatchResult:
-        """Default batch: the equivalent sequential call sequence."""
-        return BatchResult(items=tuple(self.handle(item) for item in request.items))
+        """Serve a batch in order, one :meth:`handle_run` call per run.
+
+        Each contiguous run of register/submit verbs (stream envelopes
+        unwrapped) goes to :meth:`handle_run` whole; any other item
+        splits the run and is served by :meth:`handle` once everything
+        before it is. Responses come back in item order, re-wrapped under
+        their envelope's ``seq``. A failure raises at once: the items
+        before it stay applied and none after it run.
+        """
+        responses: list = []
+        seqs: list = []
+        run: list = []
+
+        def serve_run() -> None:
+            if run:
+                responses.extend(map(rewrap, seqs, self.handle_run(run)))
+                seqs.clear()
+                run.clear()
+
+        for item in request.items:
+            seq, verb = unwrap(item)
+            if isinstance(verb, (RegisterWorker, SubmitTask)):
+                seqs.append(seq)
+                run.append(verb)
+                continue
+            serve_run()
+            responses.append(rewrap(seq, self.handle(verb)))
+        serve_run()
+        return BatchResult(items=tuple(responses))
+
+    def handle_run(self, verbs: list) -> list:
+        """Serve a run of register/submit verbs; one response per verb.
+
+        Defaults to one :meth:`handle` call per verb. Backends that can
+        ingest a chunk at once override it.
+        """
+        return [self.handle(verb) for verb in verbs]
 
 
 #: The duck-typed contract middleware and the client program against.
@@ -374,6 +410,16 @@ class InProcessBackend(BackendBase):
 class ShardedBackend(BackendBase):
     """The single-process sharded engine behind the API contract.
 
+    Routing is per window, not per event: :meth:`BackendBase.batch` hands
+    each contiguous register/submit run of a batch (a stream window,
+    split only by ``Flush``/``GetReport``) to :meth:`handle_run`, which
+    reads ids, locations and times straight off the verbs into one
+    :meth:`~repro.service.engine.ShardedAssignmentEngine.ingest` call —
+    one vectorized routing pass for the run. The engine applies the run
+    in stream order under the per-event cut-point rule, so a window's
+    decisions, reports and failures are exactly those of one call per
+    request. A single call is a run of one.
+
     Hands out per-shard ordering keys: shards share nothing but the
     engine's id registry and clock (both internally locked, both
     commutative), so a scheduler may run different shards' requests on
@@ -403,21 +449,35 @@ class ShardedBackend(BackendBase):
             budget_capacity=spec.budget_capacity,
             batch_size=spec.batch_size,
             seed=spec.seed,
-            seeding="keyed",
         )
         # from here on, ordering keys come from the engine's own router —
         # agreement by identity, not by two constructors staying in sync
         self._route_map = self.engine.shard_map
 
     def register_worker(self, req: RegisterWorker) -> WorkerRegistered:
-        self.engine.observe_time(req.time)
-        self.engine.register_worker(req.worker_id, req.location)
-        return WorkerRegistered(worker_id=int(req.worker_id))
+        return self.handle_run([req])[0]
 
     def submit_task(self, req: SubmitTask) -> TaskDecision:
-        self.engine.observe_time(req.time)
-        worker = self.engine.submit_task(req.task_id, req.location)
-        return TaskDecision(task_id=int(req.task_id), worker_id=worker)
+        return self.handle_run([req])[0]
+
+    def handle_run(self, verbs: list) -> list:
+        """One :meth:`~repro.service.engine.ShardedAssignmentEngine.ingest`
+        call for the whole run: one routing pass, stream-order cut points."""
+        is_task = [isinstance(v, SubmitTask) for v in verbs]
+        decisions = iter(
+            self.engine.ingest(
+                [v.task_id if t else v.worker_id for v, t in zip(verbs, is_task)],
+                [v.location for v in verbs],
+                is_task,
+                [v.time for v in verbs],
+            )
+        )
+        return [
+            TaskDecision(task_id=int(v.task_id), worker_id=next(decisions))
+            if t
+            else WorkerRegistered(worker_id=int(v.worker_id))
+            for v, t in zip(verbs, is_task)
+        ]
 
     def flush(self, req: Flush) -> Flushed:
         self.engine.flush()
@@ -442,10 +502,11 @@ class ClusterBackend(BackendBase):
     """The multiprocess cluster runtime behind the API contract.
 
     Per-call mode works (each submit rendezvouses on its result), but the
-    adapter earns its keep in batch/stream mode: contiguous
-    register/submit runs inside a :class:`~repro.api.messages.Batch` are
-    dispatched as single event chunks through the coordinator's
-    vectorized router, and task outcomes are collected once per batch.
+    adapter earns its keep in batch/stream mode: each contiguous
+    register/submit run inside a :class:`~repro.api.messages.Batch` is
+    dispatched as a single event chunk through the coordinator's
+    vectorized router (:meth:`handle_run`), and its task outcomes are
+    collected once the whole run is on the wire.
 
     Extra knobs beyond the spec are transport-level only (process count,
     chunking, checkpoint cadence, balancer) — they shift *where* work
@@ -519,15 +580,27 @@ class ClusterBackend(BackendBase):
     _event = staticmethod(_service_event)
 
     def register_worker(self, req: RegisterWorker) -> WorkerRegistered:
-        with self._lock:
-            self.coordinator.process([self._event(req)])
-        return WorkerRegistered(worker_id=int(req.worker_id))
+        return self.handle_run([req])[0]
 
     def submit_task(self, req: SubmitTask) -> TaskDecision:
+        return self.handle_run([req])[0]
+
+    def handle_run(self, verbs: list) -> list:
+        """Dispatch the run as one event chunk, then collect its task
+        outcomes.
+
+        The lock brackets only the dispatch; task rendezvous happen
+        through :meth:`_await_result`, so concurrent batches for other
+        shards keep flowing while this one waits on its workers.
+        """
         with self._lock:
-            self.coordinator.process([self._event(req)])
-        worker = self._await_result(req.task_id)
-        return TaskDecision(task_id=int(req.task_id), worker_id=worker)
+            self.coordinator.process([self._event(v) for v in verbs])
+        return [
+            TaskDecision(task_id=int(v.task_id), worker_id=self._await_result(v.task_id))
+            if isinstance(v, SubmitTask)
+            else WorkerRegistered(worker_id=int(v.worker_id))
+            for v in verbs
+        ]
 
     def flush(self, req: Flush) -> Flushed:
         with self._lock:
@@ -584,50 +657,6 @@ class ClusterBackend(BackendBase):
         finally:
             with self._lock:
                 self._waiters -= 1
-
-    def batch(self, request: Batch) -> BatchResult:
-        """Dispatch contiguous register/submit runs as single event chunks.
-
-        Stream envelopes are unwrapped for dispatch and their responses
-        re-wrapped with the same ``seq`` (the :mod:`repro.runtime`
-        envelope plumbing), so streaming windows get the chunked fast
-        path too. The lock brackets each dispatch run; task rendezvous
-        happen through :meth:`_await_result` so concurrent batches for
-        other shards keep flowing while this one waits on its workers.
-        """
-        responses: list = []
-        pending_events: list = []
-        task_slots: dict[int, tuple[int, int | None]] = {}
-
-        def dispatch_run() -> None:
-            if pending_events:
-                with self._lock:
-                    self.coordinator.process(list(pending_events))
-                pending_events.clear()
-
-        for item in request.items:
-            seq, verb = unwrap(item)
-            if isinstance(verb, (RegisterWorker, SubmitTask)):
-                pending_events.append(self._event(verb))
-                if isinstance(verb, RegisterWorker):
-                    response = WorkerRegistered(worker_id=int(verb.worker_id))
-                else:
-                    task_slots[len(responses)] = (int(verb.task_id), seq)
-                    responses.append(None)  # resolved after dispatch
-                    continue
-            else:
-                # barrier verbs split the run: everything before them must
-                # be on the wire before the barrier executes
-                dispatch_run()
-                response = self.handle(verb)
-            responses.append(rewrap(seq, response))
-        dispatch_run()
-        for slot, (task_id, seq) in task_slots.items():
-            decision = TaskDecision(
-                task_id=task_id, worker_id=self._await_result(task_id)
-            )
-            responses[slot] = rewrap(seq, decision)
-        return BatchResult(items=tuple(responses))
 
 
 class MeshBackend(BackendBase):
@@ -775,8 +804,9 @@ class MeshBackend(BackendBase):
     def batch(self, request: Batch) -> BatchResult:
         """Contiguous register/submit runs dispatch as single chunks.
 
-        Same shape as the cluster's batch path, minus the lock: the
-        coordinator journals and schedules internally, and rendezvous
+        Every run of the batch is on the wire before the first task
+        outcome is awaited. No lock: the coordinator journals and
+        schedules internally, and rendezvous
         (:meth:`~repro.mesh.coordinator.MeshCoordinator.result_of`)
         block on a condition the peer readers signal — no reply pump to
         share, so concurrent batches need no coordination here.

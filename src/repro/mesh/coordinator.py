@@ -479,6 +479,12 @@ class MeshCoordinator:
             peers = list(self._peers.values())
             listener = self._listener
         if listener is not None:
+            # close() alone does not wake an acceptor parked in accept();
+            # shutdown does. The listener may already be shut down.
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             listener.close()  # acceptor's accept() raises and exits
         for peer in peers:
             peer.shutdown()

@@ -3,23 +3,36 @@
 :class:`ShardedAssignmentEngine` is the subsystem's front door. It owns a
 :class:`~repro.service.sharding.ShardMap` over the service region and one
 :class:`~repro.service.shard.ShardServer` per cell, and consumes timed
-worker/task events (usually via a
-:class:`~repro.service.events.RequestQueue`):
+worker/task events through one ingest path,
+:meth:`ShardedAssignmentEngine.ingest`. A chunk of events (an API
+stream window, a slice of a :class:`~repro.service.events.RequestQueue`,
+a worker wave, or a single call) is routed with one vectorized
+:meth:`~repro.service.sharding.ShardMap.shard_of_many` pass, then
+applied in stream order:
 
-* **worker arrivals** are routed to their shard and *buffered*; a shard's
-  buffer is flushed through the vectorized batch-obfuscation path when it
-  reaches ``batch_size``, when a task for that shard arrives (so no
-  matchable worker is ever invisible to a later task), or at end of
-  stream. Batching amortizes the per-report Python overhead — see
-  ``benchmarks/bench_service_throughput.py`` for the measured gap;
+* **worker arrivals** join their shard's pending cohort; a cohort is
+  flushed through the vectorized batch-obfuscation path when it reaches
+  ``batch_size``, when a task for that shard arrives (so no matchable
+  worker is ever invisible to a later task), or at end of stream.
+  Batching amortizes the per-report Python overhead;
 * **task arrivals** flush their shard's pending cohort and are matched
   immediately by the shard's Algorithm-4 server.
 
+The cut points depend only on stream order, never on where a chunk
+ends, so any chunking of a stream — one event per call included —
+yields bit-identical assignments; the distributed coordinators'
+:class:`~repro.cluster.dispatch.FamilyJournal` applies the same rule.
+``register_worker``, ``register_workers``, ``submit_task`` and
+``process`` are thin callers of :meth:`ingest`.
+Shard RNG streams are keyed (:func:`~repro.utils.keyed_shard_seed` on
+``"s<i>"``), the convention every backend shares.
+
 The engine is deliberately synchronous and single-process: shards share
-nothing, so lifting them onto threads/processes/hosts later is a transport
-problem, not an algorithmic one — :mod:`repro.cluster` is exactly that
-lift, running the same shards across worker processes with snapshot
-checkpoints, crash failover and hot-shard balancing.
+nothing, so lifting them onto threads/processes/hosts is a transport
+problem, not an algorithmic one — :mod:`repro.cluster` and
+:mod:`repro.mesh` are exactly that lift, running the same shards across
+worker processes with snapshot checkpoints, crash failover and hot-shard
+balancing.
 
 Concurrency contract: the engine itself never spawns threads, but it may
 be *driven* by several (the :mod:`repro.runtime` scheduler runs requests
@@ -39,13 +52,14 @@ from __future__ import annotations
 
 import threading
 import time
+from itertools import islice
 
 import numpy as np
 
 from ..geometry.box import Box
 from ..geometry.points import as_points
-from ..utils import ensure_rng, keyed_shard_seed, spawn_rng
-from .events import RequestQueue, WorkerArrival
+from ..utils import keyed_shard_seed
+from .events import RequestQueue, TaskArrival
 from .metrics import ServiceReport, build_report
 from .shard import ShardServer
 from .sharding import ShardMap
@@ -72,15 +86,10 @@ class ShardedAssignmentEngine:
         Worker-cohort buffer size per shard; ``1`` degenerates to
         per-worker (loop) obfuscation.
     seed:
-        Root seed; each shard gets an independent child stream.
-    seeding:
-        How per-shard streams derive from ``seed``: ``"spawn"`` (default,
-        sequential child generators — the engine's historical behavior)
-        or ``"keyed"`` (``keyed_shard_seed(seed, f"s{i}")``, the cluster
-        coordinator's convention). Keyed seeding makes a ``(1,1)``-or-any
-        lattice engine grow bit-identical shard streams to a cluster run
-        with the same root seed, which the API layer's backend
-        conformance suite relies on; it requires an integer ``seed``.
+        Integer root seed. Shard ``i`` draws from
+        ``keyed_shard_seed(seed, f"s{i}")``, the convention every
+        backend shares, so an engine grows bit-identical shard streams
+        to a cluster or mesh run with the same root seed.
     """
 
     def __init__(
@@ -91,24 +100,14 @@ class ShardedAssignmentEngine:
         epsilon: float = 0.5,
         budget_capacity: float = 2.0,
         batch_size: int = 256,
-        seed: int | np.random.Generator | None = None,
-        seeding: str = "spawn",
+        seed: int = 0,
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if seeding not in ("spawn", "keyed"):
-            raise ValueError(f"seeding must be 'spawn' or 'keyed', got {seeding!r}")
+        if not isinstance(seed, int):
+            raise ValueError(f"seed must be an int (keyed shard seeding), got {seed!r}")
         self.shard_map = ShardMap(region, *shards)
         self.batch_size = batch_size
-        if seeding == "keyed":
-            if not isinstance(seed, int):
-                raise ValueError("keyed seeding needs an integer root seed")
-            shard_seeds = [
-                keyed_shard_seed(seed, f"s{i}")
-                for i in range(self.shard_map.n_shards)
-            ]
-        else:
-            shard_seeds = spawn_rng(ensure_rng(seed), self.shard_map.n_shards)
         self.shards = [
             ShardServer(
                 shard_id,
@@ -116,9 +115,9 @@ class ShardedAssignmentEngine:
                 grid_nx=grid_nx,
                 epsilon=epsilon,
                 budget_capacity=budget_capacity,
-                seed=shard_seed,
+                seed=keyed_shard_seed(seed, f"s{shard_id}"),
             )
-            for shard_id, shard_seed in enumerate(shard_seeds)
+            for shard_id in range(self.shard_map.n_shards)
         ]
         self._pending: list[tuple[list[int], list]] = [
             ([], []) for _ in self.shards
@@ -146,68 +145,77 @@ class ShardedAssignmentEngine:
     # ingestion                                                           #
     # ------------------------------------------------------------------ #
 
+    def ingest(self, ids, locations, is_task, times=None) -> list[int | None]:
+        """Apply a chunk of worker/task arrivals in stream order.
+
+        Row ``i`` is a task arrival when ``is_task[i]`` is true (``ids[i]``
+        is then its task id), else a worker arrival (``ids[i]`` is its
+        worker id). The whole chunk is routed with one
+        :meth:`~repro.service.sharding.ShardMap.shard_of_many` pass; then,
+        event by event, a worker joins its shard's pending cohort (flushed
+        at ``batch_size``) and a task flushes its own shard's cohort and is
+        matched. ``times``, a sequence parallel to ``ids``, advances the
+        simulation clock to the latest event applied.
+
+        Returns every task's decision (worker id or ``None``) in stream
+        order. A worker id the engine has seen before raises
+        ``ValueError`` at its event: the events before it stay applied
+        and none after it run, exactly as if each event had been its own
+        call.
+        """
+        locs = as_points(locations)
+        if not len(ids) == len(is_task) == len(locs):
+            raise ValueError("need one id and one kind per location")
+        owners = self.shard_map.shard_of_many(locs).tolist()
+        decisions: list[int | None] = []
+        applied = 0
+        try:
+            for shard_id, location, event_id, task in zip(
+                owners, locs.tolist(), ids, is_task
+            ):
+                applied += 1
+                event_id = int(event_id)
+                if task:
+                    self.flush(shard_id)
+                    worker = self.shards[shard_id].submit_task(event_id, location)
+                    decisions.append(worker)
+                    if worker is not None:
+                        with self._shared_lock:
+                            self._assignments.append((event_id, worker))
+                    continue
+                with self._shared_lock:
+                    if event_id in self._known_workers:
+                        raise ValueError(
+                            f"worker id already registered with the engine: {event_id}"
+                        )
+                    self._known_workers.add(event_id)
+                cohort_ids, cohort_locs = self._pending[shard_id]
+                cohort_ids.append(event_id)
+                cohort_locs.append(location)
+                if len(cohort_ids) >= self.batch_size:
+                    self.flush(shard_id)
+        finally:
+            if times is not None and applied:
+                # max commutes, so shards ingesting on different threads
+                # leave the clock where a serial replay would
+                latest = float(max(times[:applied]))
+                with self._shared_lock:
+                    if latest > self.now:
+                        self.now = latest
+        return decisions
+
     def register_worker(self, worker_id: int, location) -> None:
         """Buffer one worker arrival on its shard's pending cohort."""
-        worker_id = int(worker_id)
-        self._claim_ids([worker_id])
-        shard_id = self.shard_map.shard_of(location)
-        ids, locs = self._pending[shard_id]
-        ids.append(worker_id)
-        locs.append(np.asarray(location, dtype=np.float64))
-        if len(ids) >= self.batch_size:
-            self.flush(shard_id)
+        self.ingest([worker_id], [location], [False])
 
     def register_workers(self, worker_ids, locations) -> None:
-        """Route and buffer a whole worker wave (vectorized routing)."""
-        locs = as_points(locations)
-        ids = np.asarray(worker_ids, dtype=np.int64)
-        if len(ids) != len(locs):
-            raise ValueError("need one worker id per location")
-        self._claim_ids(int(w) for w in ids)
-        owners = self.shard_map.shard_of_many(locs)
-        for shard_id in np.unique(owners):
-            mask = owners == shard_id
-            pend_ids, pend_locs = self._pending[shard_id]
-            pend_ids.extend(int(w) for w in ids[mask])
-            pend_locs.extend(locs[mask])
-            if len(pend_ids) >= self.batch_size:
-                self.flush(int(shard_id))
+        """Route and buffer a whole worker wave (one routing pass)."""
+        ids = list(worker_ids)
+        self.ingest(ids, locations, [False] * len(ids))
 
     def submit_task(self, task_id: int, location) -> int | None:
         """Route and match one task; flushes its shard's pending cohort."""
-        shard_id = self.shard_map.shard_of(location)
-        self.flush(shard_id)
-        worker = self.shards[shard_id].submit_task(int(task_id), location)
-        if worker is not None:
-            with self._shared_lock:
-                self._assignments.append((int(task_id), worker))
-        return worker
-
-    def observe_time(self, t: float) -> None:
-        """Advance the simulation clock to ``t`` if it is later.
-
-        The thread-safe way to stamp event times when requests for
-        different shards execute concurrently: max is commutative, so any
-        interleaving yields the same final clock as serial replay.
-        """
-        t = float(t)
-        with self._shared_lock:
-            if t > self.now:
-                self.now = t
-
-    def _claim_ids(self, worker_ids) -> None:
-        """Reserve worker ids engine-wide; rejects any already seen."""
-        ids = list(worker_ids)
-        with self._shared_lock:
-            dupes = [w for w in ids if w in self._known_workers]
-            if len(set(ids)) != len(ids):
-                dupes.extend([w for w in set(ids) if ids.count(w) > 1])
-            if dupes:
-                raise ValueError(
-                    f"worker ids already registered with the engine: "
-                    f"{sorted(set(dupes))[:5]}"
-                )
-            self._known_workers.update(ids)
+        return self.ingest([task_id], [location], [True])[0]
 
     def flush(self, shard_id: int | None = None) -> None:
         """Push pending worker cohorts through batch obfuscation.
@@ -265,23 +273,28 @@ class ShardedAssignmentEngine:
     # event-driven operation                                              #
     # ------------------------------------------------------------------ #
 
+    #: Events :meth:`process` routes per :meth:`ingest` call; bounds the
+    #: memory a long stream holds, never changes a decision.
+    PROCESS_CHUNK = 4096
+
     def process(self, events) -> None:
         """Drain an event stream, advancing the simulation clock.
 
         Accepts any iterable of events — typically a
-        :class:`~repro.service.events.RequestQueue` — and dispatches each
-        to :meth:`register_worker` / :meth:`submit_task`. Remaining worker
-        buffers are flushed when the stream ends.
+        :class:`~repro.service.events.RequestQueue` — and feeds it to
+        :meth:`ingest` in chunks of :attr:`PROCESS_CHUNK`. Remaining
+        worker buffers are flushed when the stream ends.
         """
         if not isinstance(events, RequestQueue):
             events = RequestQueue(events)
-        for event in events:
-            with self._shared_lock:
-                self.now = event.time
-            if isinstance(event, WorkerArrival):
-                self.register_worker(event.worker_id, event.location)
-            else:
-                self.submit_task(event.task_id, event.location)
+        while chunk := list(islice(events, self.PROCESS_CHUNK)):
+            is_task = [isinstance(e, TaskArrival) for e in chunk]
+            self.ingest(
+                [e.task_id if t else e.worker_id for e, t in zip(chunk, is_task)],
+                [e.location for e in chunk],
+                is_task,
+                [e.time for e in chunk],
+            )
         self.flush()
 
     def run(self, events) -> ServiceReport:

@@ -237,7 +237,6 @@ class LoadGenerator:
             budget_capacity=spec.budget_capacity,
             batch_size=spec.batch_size,
             seed=spec.seed,
-            seeding="keyed",
         )
 
     def make_engine(self, region: Box) -> ShardedAssignmentEngine:

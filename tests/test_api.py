@@ -324,9 +324,7 @@ class TestBackendFactoryAndSpec:
         from repro.service.engine import ShardedAssignmentEngine
         from repro.service.shard import ShardServer
 
-        engine = ShardedAssignmentEngine(
-            REGION, shards=(2, 1), grid_nx=4, seed=13, seeding="keyed"
-        )
+        engine = ShardedAssignmentEngine(REGION, shards=(2, 1), grid_nx=4, seed=13)
         for i, shard in enumerate(engine.shards):
             # exactly what a cluster worker builds from its shard spec
             ref = ShardServer(
@@ -337,9 +335,7 @@ class TestBackendFactoryAndSpec:
             )
             assert shard.tree.paths.tolist() == ref.tree.paths.tolist()
         with pytest.raises(ValueError):
-            ShardedAssignmentEngine(REGION, seed=None, seeding="keyed")
-        with pytest.raises(ValueError):
-            ShardedAssignmentEngine(REGION, seed=0, seeding="psychic")
+            ShardedAssignmentEngine(REGION, seed=None)
 
 
 class TestDeprecationShims:

@@ -381,6 +381,15 @@ class TestCoordinatorHandshake:
         answer = _exchange_hello(coordinator.address, hello)
         assert answer["body"]["code"] == "unsupported-version"
 
+    def test_close_wakes_the_parked_acceptor(self):
+        coordinator = MeshCoordinator(REGION, shards=(2, 2), expected_workers=1)
+        coordinator.listen()
+        time.sleep(0.5)  # the acceptor thread is parked in accept()
+        began = time.monotonic()
+        coordinator.close()
+        assert time.monotonic() - began < 1.0
+        assert not coordinator._acceptor.is_alive()
+
     def test_rejections_leave_the_coordinator_serving(self, coordinator):
         _exchange_hello(coordinator.address, hello_doc())
         _exchange_hello(coordinator.address, {"schema": None})

@@ -1,8 +1,24 @@
 """Tests for repro.service: sharding, events, shard servers, engine, loadgen."""
 
+import sys
+import threading
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from repro.api import (
+    ApiError,
+    AssignmentClient,
+    Flush,
+    GetReport,
+    RegisterWorker,
+    ReportResult,
+    ServiceSpec,
+    SubmitTask,
+    TaskDecision,
+    make_backend,
+)
 from repro.crowdsourcing.server import publish_tree
 from repro.geometry import Box
 from repro.privacy import BudgetExceededError, PrivacyBudgetLedger, TreeMechanism
@@ -386,6 +402,244 @@ class TestEngine:
         d = report.to_dict()
         assert len(d["shards"]) == 4
         assert d["tasks_total"] == 40
+
+
+#: Cohort size of the parity runs: small, so cuts land inside windows.
+PARITY_BATCH = 5
+#: Lattice edges, region corners and points outside the region.
+AWKWARD_LOCATIONS = [
+    (100.0, 37.0),
+    (64.0, 100.0),
+    (100.0, 100.0),
+    (0.0, 0.0),
+    (200.0, 200.0),
+    (-30.0, 120.0),
+    (250.0, -40.0),
+    (130.0, 999.0),
+]
+
+
+def _parity_spec():
+    return ServiceSpec(
+        region=REGION, shards=(2, 2), grid_nx=4, batch_size=PARITY_BATCH, seed=3
+    )
+
+
+def _interleaving(seed: int, n: int = 320) -> list:
+    """A seeded random mix of registrations and tasks, with flushes,
+    mid-stream reports and awkward locations sprinkled in."""
+    rng = np.random.default_rng(seed)
+    requests = []
+    t = 0.0
+    n_workers = n_tasks = 0
+    for _ in range(n):
+        t += float(rng.exponential(0.5))
+        if rng.random() < 0.15:
+            loc = AWKWARD_LOCATIONS[rng.integers(len(AWKWARD_LOCATIONS))]
+        else:
+            loc = tuple(float(v) for v in rng.uniform(0.0, 200.0, size=2))
+        roll = rng.random()
+        if roll < 0.02:
+            requests.append(Flush())
+        elif roll < 0.04:
+            requests.append(GetReport())
+        elif roll < 0.64:
+            requests.append(RegisterWorker(worker_id=n_workers, location=loc, time=t))
+            n_workers += 1
+        else:
+            requests.append(SubmitTask(task_id=n_tasks, location=loc, time=t))
+            n_tasks += 1
+    return requests
+
+
+def _report_facts(report) -> list:
+    """Every report field a replay must reproduce exactly: all but the
+    wall-clock latencies (as reprs, so NaN equals NaN)."""
+    facts = [report.sim_duration, report.mean_reported_distance]
+    for shard in report.shards:
+        facts.extend(
+            getattr(shard, f.name)
+            for f in fields(shard)
+            if not f.name.startswith("latency_")
+        )
+    return [repr(v) for v in facts]
+
+
+def _outcome(responses) -> list:
+    """Decisions and mid-stream report facts, in stream order."""
+    out = []
+    for response in responses:
+        if isinstance(response, TaskDecision):
+            out.append((response.task_id, response.worker_id))
+        elif isinstance(response, ReportResult):
+            out.append(_report_facts(response.report))
+    return out
+
+
+def _per_call(requests):
+    """The per-call path: one client call per request, stopping at the
+    first error. Returns (outcome, error, final report facts)."""
+    with AssignmentClient(make_backend("sharded", _parity_spec())) as client:
+        responses, error = [], None
+        for request in requests:
+            try:
+                responses.append(client.call(request))
+            except ApiError as exc:
+                error = exc
+                break
+        return _outcome(responses), error, _report_facts(client.report())
+
+
+def _windowed(requests, window: int):
+    """The same requests streamed in windows of ``window``."""
+    with AssignmentClient(make_backend("sharded", _parity_spec())) as client:
+        responses, error = [], None
+        try:
+            for response in client.stream(requests, window=window):
+                responses.append(response)
+        except ApiError as exc:
+            error = exc
+        return _outcome(responses), error, _report_facts(client.report())
+
+
+class TestChunkedIngestParity:
+    """A window ingests as one routing pass; its decisions, reports and
+    failures must be exactly those of one call per request."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "window", [1, PARITY_BATCH - 1, PARITY_BATCH + 1, 512]
+    )
+    def test_windows_match_per_call_path(self, seed, window):
+        requests = _interleaving(seed)
+        reference, ref_error, ref_final = _per_call(requests)
+        assert ref_error is None
+        outcome, error, final = _windowed(requests, window)
+        assert error is None
+        assert outcome == reference
+        assert final == ref_final
+        # the stream really exercised what it claims to
+        decisions = [o for o in reference if isinstance(o, tuple)]
+        assert any(worker is not None for _, worker in decisions)
+        assert any(isinstance(o, list) for o in reference)
+
+    @pytest.mark.parametrize("window", [1, 3, 512])
+    def test_duplicate_worker_mid_window_fails_like_per_call(self, window):
+        requests = [
+            RegisterWorker(worker_id=0, location=(20.0, 20.0), time=1.0),
+            RegisterWorker(worker_id=1, location=(180.0, 20.0), time=2.0),
+            SubmitTask(task_id=0, location=(25.0, 25.0), time=3.0),
+            RegisterWorker(worker_id=2, location=(20.0, 180.0), time=4.0),
+            RegisterWorker(worker_id=1, location=(30.0, 30.0), time=5.0),
+            RegisterWorker(worker_id=3, location=(30.0, 30.0), time=6.0),
+            SubmitTask(task_id=1, location=(175.0, 25.0), time=7.0),
+        ]
+        reference, ref_error, ref_final = _per_call(requests)
+        assert ref_error is not None
+        outcome, error, final = _windowed(requests, window)
+        assert (type(error), error.code, error.message) == (
+            type(ref_error),
+            ref_error.code,
+            ref_error.message,
+        )
+        # the events before the duplicate stay applied (workers 0-2 and
+        # its clock), nothing after it runs (worker 3, task 1)
+        assert final == ref_final
+        assert outcome == reference[: len(outcome)]
+
+    def test_register_workers_applies_up_to_the_duplicate(self):
+        engine = ShardedAssignmentEngine(
+            REGION, shards=(2, 1), grid_nx=6, batch_size=100, seed=0
+        )
+        with pytest.raises(ValueError, match="already registered"):
+            engine.register_workers(
+                [1, 2, 1, 3],
+                [(10.0, 10.0), (190.0, 10.0), (20.0, 20.0), (30.0, 30.0)],
+            )
+        pending = [engine.export_pending(s)[0] for s in range(engine.n_shards)]
+        assert pending == [[1], [2]]
+        engine.register_worker(3, (30.0, 30.0))  # never claimed
+        with pytest.raises(ValueError, match="already registered"):
+            engine.register_worker(2, (40.0, 40.0))
+
+    def test_chunking_never_moves_a_cohort_cut(self):
+        events = [
+            WorkerArrival(time=float(i), worker_id=i, location=(10.0 + i, 10.0))
+            for i in range(7)
+        ] + [TaskArrival(time=7.0, task_id=0, location=(10.0, 10.0))]
+        whole = ShardedAssignmentEngine(
+            REGION, shards=(1, 1), grid_nx=6, batch_size=3, seed=0
+        )
+        whole.process(events)
+        single = ShardedAssignmentEngine(
+            REGION, shards=(1, 1), grid_nx=6, batch_size=3, seed=0
+        )
+        for event in events[:-1]:
+            single.register_worker(event.worker_id, event.location)
+        single.submit_task(0, events[-1].location)
+        single.flush()
+        # cohorts cut at 3, 3, then the task's flush takes the last one
+        for engine in (whole, single):
+            assert engine.shards[0].metrics.cohorts_flushed == 3
+        assert whole.assignments == single.assignments
+        assert whole.now == 7.0
+
+
+class TestIngestThreads:
+    def test_concurrent_shard_ingest_loses_no_update(self):
+        """One thread per shard (the scheduler's per-key contract), more
+        threads than cores and a short switch interval: the shared id
+        registry, clock and assignment log lose nothing, and each id
+        contested across shards registers exactly once."""
+        engine = ShardedAssignmentEngine(
+            REGION, shards=(4, 2), grid_nx=4, batch_size=3, seed=0
+        )
+        per_thread = 60
+        start = threading.Barrier(engine.n_shards)
+        decisions, won, failed = [], [], []
+
+        def drive(sid):
+            box = engine.shard_map.shard_box(sid)
+            here = ((box.xmin + box.xmax) / 2, (box.ymin + box.ymax) / 2)
+            start.wait()
+            for i in range(per_thread):
+                event = sid * per_thread + i
+                decisions.extend(
+                    engine.ingest(
+                        [event, event],
+                        [here, here],
+                        [False, True],
+                        [event * 0.5, event * 0.5 + 0.25],
+                    )
+                )
+                try:  # every shard races for the same id
+                    engine.register_worker(10**6 + i, here)
+                    won.append(i)
+                except ValueError:
+                    failed.append(i)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=drive, args=(sid,), daemon=True)
+                for sid in range(engine.n_shards)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads)
+        n_events = engine.n_shards * per_thread
+        # every task finds the worker registered just before it
+        assert len(decisions) == n_events and None not in decisions
+        assert sorted(task for task, _ in engine.assignments) == list(range(n_events))
+        assert sorted(won) == list(range(per_thread))
+        assert len(failed) == (engine.n_shards - 1) * per_thread
+        assert engine.now == (n_events - 1) * 0.5 + 0.25
+        assert engine.report().workers_registered == n_events + per_thread
 
 
 class TestLoadGenerator:
