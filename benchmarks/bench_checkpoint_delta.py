@@ -52,7 +52,7 @@ except ImportError:
 
 WORKER_COUNTS = (1_000, 10_000, 20_000)
 #: Per-barrier churn while at steady state: registrations + tasks that
-#: land between two checkpoints (the cluster default is one barrier per
+#: land between two checkpoints (the mesh default is one barrier per
 #: few thousand events; 64+32 keeps the delta honest, not degenerate).
 CHURN_WORKERS = 64
 CHURN_TASKS = 32

@@ -11,8 +11,8 @@ shard lattice and seeds) against
 Setup (worker spawn, handshakes, HST builds) stays outside the timed
 window; the clock measures serving only. Checkpointing is disabled so
 the number is pure routing + matching + wire throughput — compared with
-``bench_cluster_scaling.py`` the delta is exactly the cost of moving
-each dispatch across a socket instead of a pipe.
+the engine, the delta is the cost of moving each dispatch across a
+socket to another process.
 
 The emitted ``BENCH`` JSON records ``cpu_count`` next to the speedups:
 scaling is physically bounded by the cores the container actually has —

@@ -1,13 +1,13 @@
 """Pipeline throughput: shard-aware scheduling vs the serial gateway.
 
-The question this answers: with a multiprocess cluster behind the TCP
-gateway, does the :mod:`repro.runtime` pipelined execution core actually
+The question this answers: with a worker mesh behind the TCP gateway,
+does the :mod:`repro.runtime` pipelined execution core actually
 buy remote throughput over the strictly serial dispatch loop it
 replaced?
 
 Setup — identical for both runs except the dispatch discipline:
 
-* one gateway over a **cluster** backend (worker processes = one per
+* one gateway over a **mesh** backend (worker processes = one per
   shard family, capped by the box);
 * one client connection per shard family, each replaying that family's
   substream of one fixed workload in stream windows (per-shard
@@ -148,11 +148,11 @@ def _replay_connections(address, spec, substreams, *, depth: int) -> dict:
     }
 
 
-def _run_gateway(spec, substreams, *, pipeline: bool, n_procs: int) -> dict:
+def _run_gateway(spec, substreams, *, pipeline: bool, n_peers: int) -> dict:
     config = GatewayConfig(
         spec=spec,
-        backend="cluster",
-        backend_kwargs={"n_procs": n_procs, "chunk_size": WINDOW},
+        backend="mesh",
+        backend_kwargs={"n_peers": n_peers, "chunk_size": WINDOW},
         pipeline=pipeline,
     )
     depth = DEPTH if pipeline else 1
@@ -172,9 +172,9 @@ def _run_gateway(spec, substreams, *, pipeline: bool, n_procs: int) -> dict:
 
 def run_benchmark(config: LoadConfig = CONFIG) -> dict:
     spec, substreams = _plan(config)
-    n_procs = max(2, min(len(substreams), os.cpu_count() or 1))
-    serial = _run_gateway(spec, substreams, pipeline=False, n_procs=n_procs)
-    pipelined = _run_gateway(spec, substreams, pipeline=True, n_procs=n_procs)
+    n_peers = max(2, min(len(substreams), os.cpu_count() or 1))
+    serial = _run_gateway(spec, substreams, pipeline=False, n_peers=n_peers)
+    pipelined = _run_gateway(spec, substreams, pipeline=True, n_peers=n_peers)
     parity = serial.pop("per_shard_pairs") == pipelined.pop("per_shard_pairs")
     ratio = (
         pipelined["throughput_tasks_per_s"] / serial["throughput_tasks_per_s"]
@@ -192,7 +192,7 @@ def run_benchmark(config: LoadConfig = CONFIG) -> dict:
             "window": WINDOW,
             "depth": DEPTH,
             "connections": len(substreams),
-            "cluster_procs": n_procs,
+            "mesh_peers": n_peers,
         },
         "parity": parity,
         "serial": serial,
@@ -218,8 +218,8 @@ def test_pipelined_replay_is_bit_identical_to_serial_gateway():
     identical under both dispatch disciplines, and both match the
     in-process sharded engine."""
     spec, substreams = _plan(_SMALL)
-    serial = _run_gateway(spec, substreams, pipeline=False, n_procs=2)
-    pipelined = _run_gateway(spec, substreams, pipeline=True, n_procs=2)
+    serial = _run_gateway(spec, substreams, pipeline=False, n_peers=2)
+    pipelined = _run_gateway(spec, substreams, pipeline=True, n_peers=2)
     assert serial["per_shard_pairs"] == pipelined["per_shard_pairs"]
     assert serial["assigned"] == pipelined["assigned"] > 0
     assert serial["workers_registered"] == _SMALL.n_workers

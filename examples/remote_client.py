@@ -1,7 +1,7 @@
 """Remote-client demo: the assignment service across a real TCP socket.
 
 Stands up a loopback :class:`repro.gateway.GatewayServer` (here over the
-sharded engine; swap ``--backend cluster`` for the process pool), then
+sharded engine; swap ``--backend mesh`` for worker processes), then
 talks to it exactly the way an in-process caller would — the same
 :class:`repro.api.AssignmentClient`, now handed a
 :class:`repro.gateway.RemoteBackend` transport:
@@ -54,7 +54,7 @@ def main() -> int:
     parser.add_argument("--workers", type=int, default=400)
     parser.add_argument("--tasks", type=int, default=200)
     parser.add_argument(
-        "--backend", choices=("sharded", "cluster"), default="sharded"
+        "--backend", choices=("sharded", "mesh"), default="sharded"
     )
     parser.add_argument(
         "--pipeline",
@@ -70,7 +70,7 @@ def main() -> int:
     generator = LoadGenerator(config)
     region, events, _, _ = generator.build_events()
     spec: ServiceSpec = generator.service_spec(region)
-    backend_kwargs = {"n_procs": 2} if args.backend == "cluster" else {}
+    backend_kwargs = {"n_peers": 2} if args.backend == "mesh" else {}
 
     gateway = GatewayConfig(
         spec=spec, backend=args.backend, backend_kwargs=backend_kwargs

@@ -16,7 +16,11 @@ gateway wire form:
    checkpoint snapshots and replays the op journal;
 3. **Parity** — the same stream replayed on the single-process sharded
    engine, asserting the sockets, the pipelined dispatch *and the
-   crash* changed nothing about who got assigned to whom.
+   crash* changed nothing about who got assigned to whom;
+4. **A hot-cell split** — demand concentrated in one corner of one
+   cell, replayed with the hot-shard balancer on: the coordinator
+   splits the hot cell into a finer sub-lattice mid-stream while the
+   parent shard keeps serving its pre-split worker pool.
 
 Usage::
 
@@ -28,9 +32,15 @@ from __future__ import annotations
 
 import argparse
 
-from repro.api import AssignmentClient, TaskDecision, make_backend
-from repro.api.conformance import check_parity, run_backend
-from repro.api.conformance import BackendRun
+from repro.api import AssignmentClient, ServiceSpec, TaskDecision, make_backend
+from repro.api.conformance import (
+    BackendRun,
+    build_conformance_stream,
+    check_parity,
+    run_backend,
+)
+from repro.cluster import BalancerConfig
+from repro.geometry import Box
 from repro.service import LoadConfig, LoadGenerator
 
 
@@ -97,6 +107,37 @@ def run_mesh(spec, requests, *, peers: int, kill: bool) -> tuple[BackendRun, int
     return run, failovers
 
 
+def hot_split(args) -> bool:
+    """Stream demand concentrated in one cell through a balanced mesh."""
+    spec = ServiceSpec(
+        region=Box.square(200.0), shards=(2, 2), grid_nx=8, batch_size=32, seed=1
+    )
+    # every request lands in the bottom-left quarter of cell s0
+    requests = build_conformance_stream(
+        Box(0.0, 0.0, 50.0, 50.0), args.workers, args.tasks, seed=args.seed
+    )
+    backend = make_backend(
+        "mesh",
+        spec,
+        n_peers=args.peers,
+        spawn="cli",
+        chunk_size=32,
+        checkpoint_every=64,
+        balancer=BalancerConfig(window=64, min_tasks=16, split_share=0.5),
+    )
+    run = run_backend(backend, requests, window=16)
+    splits = backend.coordinator.cell_splits
+    sub_shards = sorted(
+        str(s.shard_id) for s in run.report.shards if "/" in str(s.shard_id)
+    )
+    answered = len(run.assignments) + len(run.unassigned)
+    print(
+        f"  cell splits={splits}  sub-shards={sub_shards}  "
+        f"answered={answered}/{args.tasks}  assigned={len(run.assignments)}"
+    )
+    return splits >= 1 and answered == args.tasks
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workers", type=int, default=400)
@@ -137,6 +178,11 @@ def main() -> int:
     print(f"PARITY OK: the socket hop{crashed} changed nothing")
     if kill and failovers < 1:
         print("FAILED: the kill was never detected")
+        return 1
+
+    print("== hot-cell split: all demand in one corner, balancer on ==")
+    if not hot_split(args):
+        print("FAILED: the hot cell never split, or a task went unanswered")
         return 1
     return 0
 

@@ -16,15 +16,18 @@ Public API tour:
   engine with batched cohort obfuscation, a request queue, per-shard
   telemetry/budget audit and a load generator
   (``python -m repro.service --smoke``).
-* :mod:`repro.cluster` — the cluster layer: the same shards across a
-  pool of worker processes, with versioned shard snapshots, crash
-  failover, shard migration and hot-cell splitting
-  (``python -m repro.cluster --smoke``).
+* :mod:`repro.cluster` — the shard-family core: versioned base +
+  delta shard snapshots, the per-family op journal, the worker-side
+  shard host, hot-cell split routing and the hot-shard balancer.
+* :mod:`repro.mesh` — the distributed layer: the same shards across
+  worker processes that dial a coordinator over sockets, with
+  checkpoints, crash failover, hot-cell splitting and family migration
+  (``python -m repro.mesh --smoke``).
 * :mod:`repro.runtime` — the execution core: the shard-aware
   :class:`~repro.runtime.PipelineScheduler` (ordering keys from shard
   routing, FIFO per key, global barriers) and stream-window
-  re-sequencing, shared by the gateway, the API client and the cluster
-  backend so pipelined serving stays bit-identical to serial replay.
+  re-sequencing, shared by the gateway, the API client and the mesh
+  coordinator so pipelined serving stays bit-identical to serial replay.
 * :mod:`repro.experiments` — per-figure sweeps; also a CLI
   (``python -m repro.experiments``).
 

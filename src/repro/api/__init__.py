@@ -3,9 +3,10 @@
 The repo grew three front doors to the paper's single online-assignment
 mechanism — :class:`~repro.crowdsourcing.server.MatchingServer`
 (per-report calls), :class:`~repro.service.engine.ShardedAssignmentEngine`
-(event streams) and :class:`~repro.cluster.coordinator.ClusterCoordinator`
-(process pool) — each with its own registration, submit and report
-conventions. This package is the one stable surface over all of them:
+(event streams) and :class:`~repro.mesh.coordinator.MeshCoordinator`
+(worker processes over sockets) — each with its own registration,
+submit and report conventions. This package is the one stable surface
+over all of them:
 
 * **messages** — typed request/response dataclasses
   (:class:`RegisterWorker`, :class:`SubmitTask`, :class:`Flush`,
@@ -13,7 +14,7 @@ conventions. This package is the one stable surface over all of them:
   dict wire form (:func:`to_wire`/:func:`from_wire`);
 * **backends** — a common contract with three adapters
   (:class:`InProcessBackend`, :class:`ShardedBackend`,
-  :class:`ClusterBackend`) that pass one conformance suite: same spec,
+  :class:`MeshBackend`) that pass one conformance suite: same spec,
   same stream, bit-identical assignments. Every backend also answers
   :meth:`~repro.api.backends.BackendBase.ordering_key`, the shard-derived
   scheduling contract the :mod:`repro.runtime` pipeline executes under;
@@ -46,7 +47,6 @@ from .backends import (
     GLOBAL_ORDERING_KEY,
     Backend,
     BackendBase,
-    ClusterBackend,
     InProcessBackend,
     MeshBackend,
     ServiceSpec,
@@ -102,7 +102,6 @@ __all__ = [
     "BackendUnavailable",
     "Batch",
     "BatchResult",
-    "ClusterBackend",
     "ErrorInfo",
     "GLOBAL_ORDERING_KEY",
     "ErrorMapper",

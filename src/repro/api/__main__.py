@@ -3,9 +3,9 @@
 Runs one deterministic request stream through every backend behind the
 versioned client API and checks that assignments and reports agree
 bit-for-bit — first on the unsharded ``(1, 1)`` case (in-process
-reference vs engine vs cluster vs a remote client over a loopback
-gateway socket vs a worker mesh over loopback sockets), then on a
-``(2, 2)`` lattice (engine vs cluster vs remote vs mesh), and finally a
+reference vs engine vs a remote client over a loopback gateway socket
+vs a worker mesh over loopback sockets), then on a ``(2, 2)`` lattice
+(engine vs remote vs mesh), and finally a
 failover leg that SIGKILLs a mesh worker mid-stream and demands the
 answers still match. The remote leg appears twice — once negotiating
 ``codec:bin1`` and once withholding the offer so the session stays on
@@ -21,7 +21,7 @@ Examples::
     python -m repro.api --smoke --json
     python -m repro.api --smoke --pipeline 4   # windows in flight on the
                                                # remote run; parity must hold
-    python -m repro.api --workers 200 --tasks 120 --procs 4
+    python -m repro.api --workers 200 --tasks 120
 """
 
 from __future__ import annotations
@@ -55,9 +55,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--workers", type=int, default=80)
     parser.add_argument("--tasks", type=int, default=60)
-    parser.add_argument(
-        "--procs", type=int, default=2, help="cluster worker process count"
-    )
     parser.add_argument("--grid", type=int, default=6)
     parser.add_argument("--epsilon", type=float, default=0.5)
     parser.add_argument("--batch-size", type=int, default=16)
@@ -79,12 +76,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     region = Box.square(200.0)
-    cluster_kwargs = {
-        "cluster": {
-            "n_procs": max(1, args.procs),
-            "chunk_size": 21,  # deliberately odd: chunk joints must not matter
-            "checkpoint_every": 64,  # parity must survive checkpoint barriers
-        },
+    backend_kwargs = {
         # the remote runs serve the engine over a real loopback socket,
         # so the parity gate also covers the framed wire path — once per
         # codec: the bin1 session and the json-only session must be
@@ -92,15 +84,15 @@ def main(argv: list[str] | None = None) -> int:
         "remote": {"backend": "sharded"},
         "remote-json": {"backend": "sharded"},
         # the mesh runs spawn worker processes that dial the coordinator
-        # over loopback sockets — same odd chunk and checkpoint cadence;
-        # the mixed leg alternates peers between bin1 and json frames
+        # over loopback sockets, with a deliberately odd chunk size (chunk
+        # joints must not matter) and checkpoint barriers mid-stream; the
+        # mixed leg alternates peers between bin1 and json frames
         "mesh": {"n_peers": 2, "chunk_size": 21, "checkpoint_every": 64},
         "mesh-mixed": {"n_peers": 2, "chunk_size": 21, "checkpoint_every": 64},
     }
     backend_kinds = (
         "inprocess",
         "sharded",
-        "cluster",
         "remote",
         "remote-json",
         "mesh",
@@ -124,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
             backend_kinds,
             requests=stream,
             pipeline=max(1, args.pipeline),
-            backend_kwargs=cluster_kwargs,
+            backend_kwargs=backend_kwargs,
         )
         outcomes.append((shards, result))
 

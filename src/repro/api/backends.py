@@ -16,20 +16,17 @@ repo has grown, behind one seeding convention
 * :class:`ShardedBackend` — the single-process
   :class:`~repro.service.engine.ShardedAssignmentEngine`; each
   register/submit run of a batch is one engine ingest call;
-* :class:`ClusterBackend` — the multiprocess
-  :class:`~repro.cluster.coordinator.ClusterCoordinator`; batches
-  dispatch contiguous register/submit runs as single event chunks.
+* :class:`MeshBackend` — the distributed worker mesh: standalone worker
+  processes dialed in over loopback sockets behind a
+  :class:`~repro.mesh.coordinator.MeshCoordinator`; batches dispatch
+  contiguous register/submit runs as single event chunks.
 
 Backends are cheap to construct and expensive to ``open()`` (HST builds,
 process spawns) — the :class:`~repro.api.client.AssignmentClient` context
-manager drives that lifecycle.
-
-Two further adapters live with their transports and join the same
-conformance matrix: :class:`~repro.gateway.RemoteBackend` (kind
-``"remote"``) speaks the wire form over a TCP gateway, and
-:class:`MeshBackend` (kind ``"mesh"``) drives the multi-host worker
-mesh — standalone worker processes dialed in over loopback sockets
-behind a :class:`~repro.mesh.coordinator.MeshCoordinator`.
+manager drives that lifecycle. A fourth adapter lives with its transport
+and joins the same conformance matrix:
+:class:`~repro.gateway.RemoteBackend` (kind ``"remote"``) speaks the
+wire form over a TCP gateway.
 
 **Ordering keys.** Every backend answers
 :meth:`BackendBase.ordering_key`, the contract the
@@ -37,21 +34,18 @@ behind a :class:`~repro.mesh.coordinator.MeshCoordinator`.
 with different keys may run concurrently, requests with equal keys stay
 FIFO, and ``None`` is a global barrier. The key *is* the backend's shard
 routing — in-process serves one tree so everything shares one key; the
-sharded engine and the cluster key by lattice cell (cluster: shard
-*family*, the colocation unit) — which is what makes pipelined execution
+sharded engine and the mesh key by lattice cell (mesh: shard *family*,
+the colocation unit) — which is what makes pipelined execution
 bit-identical to serial dispatch: a shard can never observe its own
 requests out of order, and barrier verbs (``Flush``/``GetReport``)
 still see a quiesced world. Backends that hand out concurrent keys are
 correspondingly safe to *call* concurrently under that discipline: the
 sharded engine guards its cross-shard registry/clock internally, and the
-cluster adapter serializes coordinator access on an internal lock while
-rendezvous for different shards' results interleave.
+mesh coordinator journals and schedules under its own locks.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +78,6 @@ __all__ = [
     "GLOBAL_ORDERING_KEY",
     "InProcessBackend",
     "ShardedBackend",
-    "ClusterBackend",
     "MeshBackend",
     "BACKEND_KINDS",
     "make_backend",
@@ -100,8 +93,8 @@ GLOBAL_ORDERING_KEY = "global"
 class ServiceSpec:
     """Everything needed to stand up an assignment service, backend-agnostic.
 
-    One spec drives all three backends (the cluster adds transport knobs
-    of its own); given equal specs and equal input they serve equal
+    One spec drives every backend (the mesh adds transport knobs of its
+    own); given equal specs and equal input they serve equal
     assignments.
     """
 
@@ -498,167 +491,6 @@ def _service_event(req):
     return TaskArrival(time=req.time, task_id=req.task_id, location=req.location)
 
 
-class ClusterBackend(BackendBase):
-    """The multiprocess cluster runtime behind the API contract.
-
-    Per-call mode works (each submit rendezvouses on its result), but the
-    adapter earns its keep in batch/stream mode: each contiguous
-    register/submit run inside a :class:`~repro.api.messages.Batch` is
-    dispatched as a single event chunk through the coordinator's
-    vectorized router (:meth:`handle_run`), and its task outcomes are
-    collected once the whole run is on the wire.
-
-    Extra knobs beyond the spec are transport-level only (process count,
-    chunking, checkpoint cadence, balancer) — they shift *where* work
-    runs, never *what* gets assigned.
-
-    Ordering keys are shard *families* (base lattice cells — the
-    coordinator's colocation and journal unit, stable across hot-cell
-    splits), and the adapter is safe to call concurrently under the
-    scheduler's per-key FIFO: the single-threaded coordinator only ever
-    runs under ``_lock``, held for dispatch and short reply-pump steps —
-    never across a result rendezvous — so while one shard's tasks wait
-    on their worker process, other shards keep dispatching and the pool
-    genuinely works in parallel.
-    """
-
-    name = "cluster"
-
-    def __init__(
-        self,
-        spec: ServiceSpec,
-        *,
-        n_procs: int = 2,
-        chunk_size: int = 256,
-        checkpoint_every: int = 8192,
-        rebase_every: int = 8,
-        balancer=None,
-        tracer=None,
-    ) -> None:
-        super().__init__(spec)
-        self.n_procs = int(n_procs)
-        self.chunk_size = int(chunk_size)
-        self.checkpoint_every = int(checkpoint_every)
-        self.rebase_every = int(rebase_every)
-        self.balancer = balancer
-        self.tracer = tracer
-        # held only for bounded coordinator steps — dispatch, one pump
-        # round (a sole waiter's blocking pump is capped at
-        # _SOLE_WAIT_S) — never across a whole rendezvous
-        self._lock = threading.Lock()
-        self._waiters = 0  # rendezvous in progress; guarded-by: _lock
-        self._route_map = ShardMap(spec.region, *spec.shards)
-        self._route_map.shard_of((spec.region.xmin, spec.region.ymin))
-
-    def _open(self) -> None:
-        from ..cluster.coordinator import ClusterCoordinator
-
-        spec = self.spec
-        self.coordinator = ClusterCoordinator(
-            spec.region,
-            shards=spec.shards,
-            n_workers=self.n_procs,
-            grid_nx=spec.grid_nx,
-            epsilon=spec.epsilon,
-            budget_capacity=spec.budget_capacity,
-            batch_size=spec.batch_size,
-            chunk_size=self.chunk_size,
-            checkpoint_every=self.checkpoint_every,
-            rebase_every=self.rebase_every,
-            balancer=self.balancer,
-            seed=spec.seed,
-            tracer=self.tracer,
-        )
-        # family keys come from the coordinator's own base lattice (the
-        # colocation/journal unit, stable across hot-cell splits)
-        self._route_map = self.coordinator.shard_map
-        self.coordinator.start()
-
-    def _close(self) -> None:
-        self.coordinator.close()
-
-    _event = staticmethod(_service_event)
-
-    def register_worker(self, req: RegisterWorker) -> WorkerRegistered:
-        return self.handle_run([req])[0]
-
-    def submit_task(self, req: SubmitTask) -> TaskDecision:
-        return self.handle_run([req])[0]
-
-    def handle_run(self, verbs: list) -> list:
-        """Dispatch the run as one event chunk, then collect its task
-        outcomes.
-
-        The lock brackets only the dispatch; task rendezvous happen
-        through :meth:`_await_result`, so concurrent batches for other
-        shards keep flowing while this one waits on its workers.
-        """
-        with self._lock:
-            self.coordinator.process([self._event(v) for v in verbs])
-        return [
-            TaskDecision(task_id=int(v.task_id), worker_id=self._await_result(v.task_id))
-            if isinstance(v, SubmitTask)
-            else WorkerRegistered(worker_id=int(v.worker_id))
-            for v in verbs
-        ]
-
-    def flush(self, req: Flush) -> Flushed:
-        with self._lock:
-            self.coordinator.flush()
-        return Flushed()
-
-    def get_report(self, req: GetReport) -> ReportResult:
-        with self._lock:
-            return ReportResult(
-                report=self.coordinator.report(wall_seconds=req.wall_seconds)
-            )
-
-    #: Sole-waiter pipe wait per lock hold: long enough to be
-    #: event-driven (a reply wakes it instantly), short enough that a
-    #: dispatcher arriving for another shard stalls at most this long.
-    _SOLE_WAIT_S = 0.002
-
-    def _await_result(self, task_id: int) -> int | None:
-        """Rendezvous on one task outcome without monopolizing the lock.
-
-        A *sole* waiter parks on the reply pipes like the coordinator's
-        own blocking :meth:`~repro.cluster.coordinator
-        .ClusterCoordinator.result_of` — event-driven, no polling
-        latency for the plain serial client — but in lock holds capped
-        at :attr:`_SOLE_WAIT_S` so a dispatcher for another shard is
-        never stalled a whole pump interval. When several threads wait
-        at once (the pipelined gateway) each takes non-blocking pump
-        steps with the lock released between them, so rendezvous for
-        different shards interleave instead of queueing behind one long
-        pipe wait.
-        """
-        task_id = int(task_id)
-        coord = self.coordinator
-        deadline = time.monotonic() + coord.liveness_timeout
-        with self._lock:
-            self._waiters += 1
-        try:
-            while True:
-                with self._lock:
-                    if coord.result_ready(task_id):
-                        return coord.result_of(task_id)
-                    sole = self._waiters == 1
-                    if coord.poll(block=sole, timeout=self._SOLE_WAIT_S):
-                        deadline = time.monotonic() + coord.liveness_timeout
-                        continue
-                if time.monotonic() > deadline:
-                    from ..cluster.coordinator import ClusterError
-
-                    raise ClusterError(
-                        f"timed out waiting for result of task {task_id}"
-                    )
-                if not sole:
-                    time.sleep(0.0005)
-        finally:
-            with self._lock:
-                self._waiters -= 1
-
-
 class MeshBackend(BackendBase):
     """The multi-host worker mesh behind the API contract.
 
@@ -669,12 +501,19 @@ class MeshBackend(BackendBase):
     they shift *where* work runs, never *what* gets assigned, so the
     mesh serves bit-identical assignments to every other backend.
 
-    Unlike the cluster adapter there is no backend-side lock: the mesh
-    coordinator is internally thread-safe and dispatches per shard
-    family on its own :class:`~repro.runtime.PipelineScheduler`, so
-    concurrent calls for different families genuinely overlap and only
-    barrier verbs quiesce the mesh. Ordering keys are shard families,
-    same as the cluster.
+    ``balancer`` (a :class:`~repro.cluster.balancer.BalancerConfig`)
+    lets the coordinator split hot cells and migrate hot families
+    between peers. A migration only moves shards; a split re-lattices a
+    cell, so a balanced run matches other balanced runs of the same
+    stream (any peer count, checkpoint cadence or failover), not an
+    unbalanced one.
+
+    There is no backend-side lock: the mesh coordinator is internally
+    thread-safe and dispatches per shard family on its own
+    :class:`~repro.runtime.PipelineScheduler`, so concurrent calls for
+    different families genuinely overlap and only barrier verbs quiesce
+    the mesh. Ordering keys are shard families (base lattice cells,
+    stable across hot-cell splits).
     """
 
     name = "mesh"
@@ -687,6 +526,7 @@ class MeshBackend(BackendBase):
         chunk_size: int = 256,
         checkpoint_every: int = 8192,
         rebase_every: int = 8,
+        balancer=None,
         spawn: str = "fork",
         host: str = "127.0.0.1",
         port: int = 0,
@@ -701,6 +541,7 @@ class MeshBackend(BackendBase):
         self.chunk_size = int(chunk_size)
         self.checkpoint_every = int(checkpoint_every)
         self.rebase_every = int(rebase_every)
+        self.balancer = balancer
         self.spawn = spawn
         # per-worker codec offers, cycled by worker index; empty means
         # every worker offers the default (bin1). A mixed tuple like
@@ -729,21 +570,28 @@ class MeshBackend(BackendBase):
             chunk_size=self.chunk_size,
             checkpoint_every=self.checkpoint_every,
             rebase_every=self.rebase_every,
+            balancer=self.balancer,
             seed=spec.seed,
             host=self.host,
             port=self.port,
             tracer=self.tracer,
         )
-        address = self.coordinator.listen()
-        spawner = spawn_cli_worker if self.spawn == "cli" else spawn_local_worker
         self.workers = []
-        for i in range(self.n_peers):
-            kwargs = {}
-            if self.worker_codecs:
-                kwargs["codec"] = self.worker_codecs[i % len(self.worker_codecs)]
-            self.workers.append(spawner(address, name=f"mesh-w{i}", **kwargs))
-        self._route_map = self.coordinator.shard_map
-        self.coordinator.start()
+        try:
+            address = self.coordinator.listen()
+            spawner = spawn_cli_worker if self.spawn == "cli" else spawn_local_worker
+            for i in range(self.n_peers):
+                kwargs = {}
+                if self.worker_codecs:
+                    kwargs["codec"] = self.worker_codecs[i % len(self.worker_codecs)]
+                self.workers.append(spawner(address, name=f"mesh-w{i}", **kwargs))
+            self._route_map = self.coordinator.shard_map
+            self.coordinator.start()
+        except BaseException:
+            # close() only tears down what a finished open() built; a
+            # half-open mesh would leak its listener, threads and workers
+            self._close()
+            raise
 
     def _close(self) -> None:
         self.coordinator.close()
@@ -843,15 +691,14 @@ class MeshBackend(BackendBase):
         return BatchResult(items=tuple(responses))
 
 
-BACKEND_KINDS = ("inprocess", "sharded", "cluster", "remote", "mesh")
+BACKEND_KINDS = ("inprocess", "sharded", "remote", "mesh")
 
 
 def make_backend(kind: str, spec: ServiceSpec, **kwargs) -> BackendBase:
     """Construct a backend by kind name.
 
-    ``kwargs`` are forwarded to the backend constructor: the cluster
-    takes ``n_procs``/``chunk_size``/``checkpoint_every``/``balancer``,
-    the mesh takes ``n_peers``/``chunk_size``/``checkpoint_every``/
+    ``kwargs`` are forwarded to the backend constructor: the mesh takes
+    ``n_peers``/``chunk_size``/``checkpoint_every``/``balancer``/
     ``spawn``, ``remote`` requires ``address=(host, port)`` of a running
     :class:`~repro.gateway.GatewayServer` (plus optional timeouts); the
     others take none.
@@ -860,8 +707,6 @@ def make_backend(kind: str, spec: ServiceSpec, **kwargs) -> BackendBase:
         return InProcessBackend(spec, **kwargs)
     if kind == "sharded":
         return ShardedBackend(spec, **kwargs)
-    if kind == "cluster":
-        return ClusterBackend(spec, **kwargs)
     if kind == "mesh":
         return MeshBackend(spec, **kwargs)
     if kind == "remote":

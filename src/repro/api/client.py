@@ -8,15 +8,15 @@ examples, a future network frontend) program against. It owns:
   before reaching the backend (see :mod:`repro.api.middleware`);
 * the **backend lifecycle** — ``with AssignmentClient(backend) as c:``
   opens the backend (HST builds, process spawns) on entry and closes it
-  (reaping cluster workers) on exit;
+  (reaping mesh worker processes) on exit;
 * three **calling modes**:
 
   - *sync*: :meth:`register_worker` / :meth:`submit_task` /
     :meth:`flush` / :meth:`report` — one request, one response;
   - *batched*: :meth:`call_batch` — one
     :class:`~repro.api.messages.Batch` through the chain, per-item
-    responses in order (the cluster turns contiguous runs into single
-    dispatch chunks);
+    responses in order (the sharded engine and the mesh turn contiguous
+    runs into single ingest or dispatch chunks);
   - *streaming*: :meth:`stream` — wraps an arbitrary request iterable in
     sequence-numbered envelopes, windows them into batches, and yields
     responses lazily in stream order. Over a transport that supports it
@@ -173,7 +173,7 @@ class AssignmentClient:
         Requests are wrapped in sequence-numbered
         :class:`~repro.api.messages.StreamEnvelope`\\ s and shipped in
         windows of ``window`` (default :attr:`stream_window`) as batches,
-        so backends with transport-level batching (the cluster) see
+        so backends with transport-level batching (the mesh) see
         chunks, not single calls. Responses are unwrapped from their
         result envelopes, reordered by ``seq`` if a backend answered out
         of order, and yielded as each window completes — the stream needs

@@ -4,7 +4,7 @@ The API's central promise is that a caller can swap backends without the
 *assignments* changing: same :class:`~repro.api.backends.ServiceSpec`,
 same request stream, bit-identical ``(task, worker)`` decisions and
 matching report counters, whether the stream is served by one matcher in
-process, a sharded engine, or a pool of worker processes. This module is
+process, a sharded engine, or a mesh of worker processes. This module is
 the executable form of that promise — the pytest suite parametrizes over
 it and ``python -m repro.api --smoke`` runs it in CI.
 
@@ -165,6 +165,7 @@ def run_mesh_failover(
     checkpoint_every: int = 64,
     rebase_every: int = 8,
     worker_codecs: tuple = (),
+    balancer=None,
     stats: dict | None = None,
 ) -> tuple[BackendRun, int]:
     """Drive the stream through a mesh and SIGKILL a worker mid-stream.
@@ -177,11 +178,14 @@ def run_mesh_failover(
     the peers like :class:`~repro.api.backends.MeshBackend` — a mixed
     tuple makes the SIGKILL leg cross codec boundaries too: the killed
     peer's journal may replay onto a successor speaking the other wire.
+    ``balancer`` passes through to the mesh, so a kill can land after
+    hot-cell splits and migrations.
 
     A ``stats`` dict, when given, is filled before teardown with the
     checkpoint-chain telemetry of the run — ``max_chain_len``,
     ``delta_checkpoints``, ``base_checkpoints``, ``rebase_total``,
-    ``compacted_ops`` — so failover legs can assert the recovery really
+    ``compacted_ops`` — plus the balancer's ``cell_splits`` and
+    ``migrations``, so failover legs can assert the recovery really
     composed base+delta chains rather than full snapshots.
     """
     from .backends import MeshBackend
@@ -197,6 +201,7 @@ def run_mesh_failover(
         checkpoint_every=checkpoint_every,
         rebase_every=rebase_every,
         worker_codecs=worker_codecs,
+        balancer=balancer,
     )
     pairs: list = []
     misses: list = []
@@ -235,6 +240,8 @@ def run_mesh_failover(
             stats["compacted_ops"] = counters.get(
                 "mesh.journal.compacted_ops", 0
             )
+            stats["cell_splits"] = coord.cell_splits
+            stats["migrations"] = coord.migrations
     run = BackendRun(
         name="mesh-failover",
         assignments=tuple(pairs),
@@ -245,7 +252,7 @@ def run_mesh_failover(
 
 
 def _shard_key(shard_id) -> str:
-    """Engine lattice ids and cluster routing keys on one footing."""
+    """Engine lattice ids and mesh routing keys on one footing."""
     return shard_id if isinstance(shard_id, str) else f"s{shard_id}"
 
 
@@ -344,7 +351,7 @@ class ConformanceReport:
 
 def run_conformance(
     spec: ServiceSpec,
-    backend_kinds=("inprocess", "sharded", "cluster", "remote", "mesh"),
+    backend_kinds=("inprocess", "sharded", "remote", "mesh"),
     *,
     requests=None,
     window: int = 32,
@@ -363,7 +370,7 @@ def run_conformance(
     coordinator over loopback sockets — the full multi-host wire path —
     and ``mesh-mixed`` alternates its peers between bin1 and json so
     both codecs serve shards of one run. ``backend_kwargs`` maps any
-    backend kind to its extras (e.g. cluster ``n_procs``/``chunk_size``).
+    backend kind to its extras (e.g. mesh ``n_peers``/``chunk_size``).
     ``pipeline`` applies to every run — only transports that negotiated
     the capability actually pipeline (the remote cells), everything else
     is its serial control.

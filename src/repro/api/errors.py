@@ -6,7 +6,7 @@ below), a human-readable message, and a ``retryable`` hint — so callers
 branch on codes, not on whichever Python exception a backend happened to
 raise. The :class:`~repro.api.middleware.ErrorMapper` middleware performs
 the mapping from raw backend exceptions; backends themselves stay free to
-raise their native ``ValueError``/``RuntimeError``/``ClusterError``.
+raise their native ``ValueError``/``RuntimeError``/``MeshError``.
 """
 
 from __future__ import annotations
@@ -114,14 +114,10 @@ def map_exception(exc: Exception) -> ApiError:
         return exc
     detail = f"{type(exc).__name__}: {exc}"
     try:
-        from ..cluster.coordinator import ClusterError
-    except Exception:  # pragma: no cover - cluster always importable here
-        ClusterError = ()
-    try:
         from ..mesh.coordinator import MeshError
     except Exception:  # pragma: no cover - mesh always importable here
         MeshError = ()
-    if isinstance(exc, (ClusterError, MeshError)):
+    if isinstance(exc, MeshError):
         return BackendUnavailable(str(exc), detail=detail)
     if isinstance(exc, (ValueError, TypeError, KeyError, IndexError)):
         return RequestRejected(str(exc), detail=detail)

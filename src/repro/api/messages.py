@@ -168,7 +168,7 @@ class Batch:
     """An ordered group of requests answered by one :class:`BatchResult`.
 
     Backends may execute a batch more efficiently than the equivalent
-    call sequence (the cluster dispatches contiguous register/submit runs
+    call sequence (the mesh dispatches contiguous register/submit runs
     as single event chunks) but must preserve per-item semantics and
     order.
     """

@@ -1,29 +1,26 @@
-"""repro.cluster — parallel multi-worker runtime for the serving layer.
+"""repro.cluster — the shard-family core the worker mesh runs on.
 
-Where :mod:`repro.service` runs every shard in one process, this package
-runs the same shards across a pool of ``multiprocessing`` workers:
+A *shard family* is one base lattice cell plus any sub-shards a hot-cell
+split carved out of it; it is the unit of placement, journaling,
+checkpointing and migration. The distributed coordinator
+(:class:`~repro.mesh.coordinator.MeshCoordinator`) is built from these
+pieces:
 
 * :mod:`repro.cluster.snapshot` — versioned JSON snapshots of a shard's
   full state (HST, privacy ledger, matcher, metrics, RNG stream, pending
-  cohort buffer) with a bit-exact replay guarantee;
-* :class:`ShardHost` / ``worker_main`` — the worker-process side: shards
-  behind a command queue;
+  cohort buffer), as base + delta chains with a bit-exact replay
+  guarantee;
+* :class:`~repro.cluster.dispatch.FamilyJournal` — routes event chunks
+  into per-family op journals (merged worker cohorts, task fallback
+  chains) with absolute cursors for delivery, replay and compaction;
+* :class:`ShardHost` — the shards one worker process serves;
 * :class:`ClusterRouter` — lattice routing with one level of hot-cell
   refinement (split cells route to sub-shards, the parent drains);
-* :class:`HotShardBalancer` — throughput-driven shard migration and
-  hot-cell splitting;
-* :class:`ClusterCoordinator` — placement, chunked event routing,
-  checkpointing, crash failover and the aggregated
-  :class:`~repro.service.metrics.ServiceReport`.
-
-CLI::
-
-    python -m repro.cluster --smoke
-    python -m repro.cluster --procs 4 --tasks 4000 --balance --json
+* :class:`HotShardBalancer` — throughput-driven hot-cell splitting and
+  family migration.
 """
 
 from .balancer import BalancerConfig, ClusterRouter, HotShardBalancer
-from .coordinator import ClusterCoordinator, ClusterError
 from .snapshot import (
     SNAPSHOT_FORMAT,
     SNAPSHOT_VERSION,
@@ -41,8 +38,6 @@ from .worker import ShardHost
 
 __all__ = [
     "BalancerConfig",
-    "ClusterCoordinator",
-    "ClusterError",
     "ClusterRouter",
     "HotShardBalancer",
     "SNAPSHOT_FORMAT",

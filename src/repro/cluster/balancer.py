@@ -191,15 +191,13 @@ class HotShardBalancer:
             self._counts[fam] = self._counts.get(fam, 0) + 1
             self._tasks += 1
 
-    def decide(
-        self, router: ClusterRouter, ownership: dict[int, int], n_workers: int
-    ) -> list[tuple]:
+    def decide(self, router: ClusterRouter, ownership: dict, owners: list) -> list[tuple]:
         """Actions for the window just ended; resets the window.
 
         Returns at most one action — ``("split", base_id)`` or
-        ``("migrate", base_id, dst_worker)`` — applied by the coordinator
-        at a checkpoint barrier. ``ownership`` maps family id to worker
-        index.
+        ``("migrate", base_id, dst_owner)``. ``ownership`` maps family id
+        to its owner and ``owners`` lists every owner that may take a
+        family; ties break on position in that list.
         """
         counts, tasks = self._counts, self._tasks
         self._counts, self._tasks, self.events_seen = {}, 0, 0
@@ -212,14 +210,17 @@ class HotShardBalancer:
             and not router.is_split(hot_fam)
         ):
             return [("split", hot_fam)]
-        if n_workers < 2:
+        if len(owners) < 2:
             return []
-        loads = [0] * n_workers
+        rank = {w: i for i, w in enumerate(owners)}
+        loads = dict.fromkeys(owners, 0)
         for fam, n in counts.items():
-            loads[ownership[fam]] += n
-        busiest = min(range(n_workers), key=lambda w: (-loads[w], w))
-        coolest = min(range(n_workers), key=lambda w: (loads[w], w))
-        if loads[busiest] * n_workers < self.config.migrate_imbalance * tasks:
+            # an owner missing from the list (a peer lost since) has no load
+            if ownership[fam] in loads:
+                loads[ownership[fam]] += n
+        busiest = min(owners, key=lambda w: (-loads[w], rank[w]))
+        coolest = min(owners, key=lambda w: (loads[w], rank[w]))
+        if loads[busiest] * len(owners) < self.config.migrate_imbalance * tasks:
             return []
         movable = [
             f for f, w in ownership.items() if w == busiest and counts.get(f)
@@ -228,7 +229,7 @@ class HotShardBalancer:
             return []
         hot = min(movable, key=lambda f: (-counts[f], f))
         # moving the whole hot family must actually help, not just swap
-        # the imbalance to the target worker
+        # the imbalance to the target owner
         if loads[coolest] + counts[hot] >= loads[busiest]:
             return []
         return [("migrate", hot, coolest)]

@@ -1,15 +1,13 @@
 """The family dispatch core: routing absorption and op journals.
 
-Both distributed runtimes — the multiprocess
-:class:`~repro.cluster.coordinator.ClusterCoordinator` and the
-multi-host :class:`~repro.mesh.coordinator.MeshCoordinator` — turn the
-service event stream into the same per-family op sequences: merged
-worker-cohort ops (consecutive arrivals for one shard collapse into a
-single ``["w", key, ids, locations]``, kept open until a task can
-observe that shard) and task ops carrying the full routing fallback
-chain. :class:`FamilyJournal` is that shared core, factored out so the
-two coordinators cannot drift: identical cohort cut points are exactly
-what makes their assignments bit-identical to the engine's.
+The :class:`~repro.mesh.coordinator.MeshCoordinator` turns the service
+event stream into per-family op sequences: merged worker-cohort ops
+(consecutive arrivals for one shard collapse into a single
+``["w", key, ids, locations]``, kept open until a task can observe that
+shard) and task ops carrying the full routing fallback chain.
+:class:`FamilyJournal` is that core. Its cohort cut points are the
+engine's per-event rule, which is what makes mesh assignments
+bit-identical to the engine's.
 
 The journal doubles as the replay log. Every op is appended before it
 is sent, and the send cursor counts in *absolute* stream positions, so
@@ -17,12 +15,11 @@ the two recovery disciplines both fall out of cursor arithmetic:
 
 * **failover** rewinds a family's cursor to its checkpoint base — the
   retained suffix replays against a restored snapshot;
-* **checkpoint** truncates ops up to a high-water mark. The cluster's
-  synchronous barrier truncates everything; the mesh's barrier runs
-  *behind* a pipelined scheduler while the caller keeps appending, so it
-  truncates only up to the positions captured when the barrier was
-  submitted — later ops keep their meaning because positions never
-  renumber.
+* **checkpoint** truncates ops up to a high-water mark. The mesh's
+  barrier runs *behind* a pipelined scheduler while the caller keeps
+  appending, so it truncates only up to the positions captured when the
+  barrier ran — later ops keep their meaning because positions never
+  renumber. A migration truncates its one family the same way.
 """
 
 from __future__ import annotations
@@ -89,7 +86,7 @@ class FamilyJournal:
                 wid = int(event.worker_id)
                 if wid in self.known_workers:
                     raise ValueError(
-                        f"worker id already registered with the cluster: {wid}"
+                        f"worker id already registered with the mesh: {wid}"
                     )
                 self.known_workers.add(wid)
                 op = open_w.get(primary)
@@ -131,6 +128,11 @@ class FamilyJournal:
     def end(self, fam: int) -> int:
         """Absolute position one past the last journaled op of ``fam``."""
         return self._base[fam] + len(self._ops[fam])
+
+    def sent(self, fam: int) -> int:
+        """Absolute position of the next op of ``fam`` to send: once its
+        deliveries have returned, everything before it is applied."""
+        return self._sent[fam]
 
     def ends(self) -> dict[int, int]:
         """Every family's :meth:`end` — the high-water marks a deferred
@@ -179,10 +181,9 @@ class FamilyJournal:
     def compact(self, marks: dict[int, int] | None = None) -> dict:
         """Truncate every family to its mark, reporting what was dropped.
 
-        The checkpoint-barrier form of :meth:`truncate`, shared by the
-        cluster and mesh coordinators: ``marks`` is the :meth:`ends`
-        capture from barrier submit time (``None`` compacts everything
-        journaled — the synchronous cluster barrier). Returns
+        The checkpoint-barrier form of :meth:`truncate`: ``marks`` is
+        the :meth:`ends` capture the barrier took (``None`` compacts
+        everything journaled). Returns
         ``{"dropped": n, "retained": m}`` op counts so the caller can
         feed its checkpoint telemetry.
         """
@@ -196,10 +197,3 @@ class FamilyJournal:
             "dropped": dropped,
             "retained": sum(len(ops) for ops in self._ops.values()),
         }
-
-    def reset(self, fam: int) -> None:
-        """Forget a family's journal entirely (its state was just
-        re-snapshotted, e.g. after a migration)."""
-        self._base[fam] = self.end(fam)
-        self._ops[fam].clear()
-        self._sent[fam] = self._base[fam]

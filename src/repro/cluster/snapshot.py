@@ -1,4 +1,4 @@
-"""Versioned shard-state snapshots: the cluster's checkpoint wire format.
+"""Versioned shard-state snapshots: the mesh's checkpoint wire format.
 
 A v3 snapshot document comes in two kinds:
 
@@ -110,7 +110,7 @@ def snapshot_shard(shard: ShardServer, pending=None, *, checkpoint=None) -> dict
     """Freeze one shard (and its pending cohort buffer) into a base doc.
 
     ``pending`` is the shard's un-flushed ``(worker_ids, locations)``
-    cohort buffer as kept by the engine or a cluster worker; ``None``
+    cohort buffer as kept by the engine or a mesh worker; ``None``
     means the buffer is empty. ``checkpoint`` is the barrier id the
     coordinator assigned (``None`` for ad-hoc snapshots); deltas chain
     onto it via their ``parent`` field.

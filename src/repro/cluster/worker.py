@@ -1,65 +1,35 @@
-"""Cluster worker process: a :class:`ShardHost` behind a command queue.
+"""The worker side of a shard family: a :class:`ShardHost`.
 
-Each worker process owns a disjoint set of shards (keyed by routing key,
-e.g. ``"s3"`` or the split sub-shard ``"s3/1"``) and drives them exactly
-like the single-process engine drives its shard list: worker arrivals are
+One host owns a disjoint set of shards (keyed by routing key, e.g.
+``"s3"`` or the split sub-shard ``"s3/1"``) and drives them exactly like
+the single-process engine drives its shard list: worker arrivals are
 buffered per shard and flushed through the vectorized batch-obfuscation
 path; task arrivals flush their shard and match immediately.
 
-The process speaks a small pickled-tuple protocol: commands arrive on a
-queue, replies leave on a private pipe (whose closure doubles as the
-worker's death signal):
-
-===========  ======================================  =====================
-command      payload                                 reply
-===========  ======================================  =====================
-``create``   ``(key, spec)``                         ``("ready", ...)``
-``load``     ``(key, snapshot-or-chain)``            ``("ready", ...)``
-``preload``  ``(key, docs)``                         ``("staged", ...)``
-``commit``   ``(key, docs)``                         ``("ready", ...)``
-``drop``     ``(key,)``                              —
-``events``   ``(seq, ops)``                          ``("done", ..., results)``
-``snapshot`` ``(key[, req])``                        ``("snapshot", ...)``
-``flush``    ``()``                                  ``("flushed", ...)``
-``report``   ``()``                                  ``("report", ...)``
-``crash``    ``()``                                  *process exits* (tests)
-``stop``     ``()``                                  *process exits*
-===========  ======================================  =====================
-
-``ops`` entries are either a merged worker-cohort op
-``("w", key, ids, locations)`` or a task op
-``("t", keys, task_id, location)`` whose ``keys`` is the routing
-fallback chain (sub-shard first, then its split parent). Any exception
-escapes as an ``("error", ...)`` reply so the coordinator can surface it
-instead of hanging on a silent worker death.
-
-``snapshot``'s optional ``req`` dict carries the delta-checkpoint
-coordinates (``mode``/``checkpoint``/``parent``); a bare ``(key,)``
-command still answers a full base document. ``preload``/``commit`` are
-the hot-shard migration handshake: the destination stages the (large)
-base + delta chain while the source keeps serving, then installs
-chain + final delta in one step at cut-over.
+A mesh worker process (:mod:`repro.mesh.worker`) serves one host behind
+the :mod:`repro.mesh.protocol` ops. ``ops`` entries handed to
+:meth:`ShardHost.apply` are either a merged worker-cohort op
+``["w", key, ids, locations]`` or a task op
+``["t", keys, task_id, location]`` whose ``keys`` is the routing
+fallback chain (sub-shard first, then its split parent).
 """
 
 from __future__ import annotations
 
-import os
 import time
-import traceback
 
 from ..geometry.box import Box
 from ..service.shard import ShardServer
 from .snapshot import delta_snapshot, restore_chain, restore_shard, snapshot_shard
 
-__all__ = ["ShardHost", "worker_main"]
+__all__ = ["ShardHost"]
 
 
 class ShardHost:
-    """In-process container for the shards one cluster worker serves.
+    """In-process container for the shards one worker serves.
 
-    This is the cluster-side mirror of the engine's shard list + pending
-    buffers; it is also usable standalone (the smoke CLI with one worker
-    degenerates to a ``ShardHost`` behind a queue).
+    The worker-side mirror of the engine's shard list + pending buffers;
+    it is also usable standalone.
     """
 
     def __init__(self, batch_size: int = 256) -> None:
@@ -71,8 +41,6 @@ class ShardHost:
         # per-shard delta-checkpoint cursors: checkpoint id -> the
         # pure-value cursor taken when that checkpoint was answered
         self.cursors: dict[str, dict[int, dict]] = {}
-        # migration staging area: chains preloaded but not yet committed
-        self.staged: dict[str, list[dict]] = {}
 
     # ------------------------------------------------------------------ #
     # shard lifecycle                                                     #
@@ -117,33 +85,6 @@ class ShardHost:
         self.cursors[key] = (
             {tip: shard.checkpoint_cursor()} if tip is not None else {}
         )
-
-    def preload(self, key: str, docs) -> None:
-        """Stage a snapshot chain for a shard migrating here.
-
-        The bulky base (and any deltas so far) land while the source
-        still serves the shard; :meth:`commit` later installs staged +
-        final docs in one step, so the stop-the-world window only ever
-        carries one small delta.
-        """
-        if key in self.shards:
-            raise ValueError(f"shard {key!r} already hosted")
-        self.staged[key] = list(docs)
-
-    def commit(self, key: str, docs) -> None:
-        """Install a migrating shard from its staged chain + final docs.
-
-        A ``docs`` list starting with a base document replaces the stage
-        entirely — the coordinator ships the whole chain again when the
-        stage can't be trusted (this process restarted after the preload)
-        or the final barrier rebased.
-        """
-        staged = self.staged.pop(key, [])
-        docs = list(docs)
-        if docs and docs[0].get("kind", "base") == "base":
-            self.load(key, docs)
-        else:
-            self.load(key, staged + docs)
 
     def drop(self, key: str) -> None:
         """Forget a shard (it has been migrated elsewhere)."""
@@ -195,8 +136,8 @@ class ShardHost:
 
         Workers are appended (and the threshold checked) one at a time,
         exactly like the engine's per-event path — not per transport op —
-        so both runtimes cut cohorts at identical points in the stream
-        and their obfuscation draws stay bit-identical.
+        so the mesh and the engine cut cohorts at identical points in the
+        stream and their obfuscation draws stay bit-identical.
         """
         for wid, loc in zip(worker_ids, locations):
             ids, locs = self.pending[key]
@@ -263,9 +204,9 @@ class ShardHost:
         """Frozen metrics per hosted shard, with pooled raw samples.
 
         Raw latency samples ride along so the coordinator can compute
-        cluster-wide quantiles from the pooled samples rather than
+        service-wide quantiles from the pooled samples rather than
         averaging per-shard quantiles; distances travel as exact
-        ``(total, count)`` aggregates only — the cluster-wide mean needs
+        ``(total, count)`` aggregates only — the service-wide mean needs
         nothing more.
         """
         return {
@@ -279,72 +220,3 @@ class ShardHost:
             for key, shard in self.shards.items()
         }
 
-
-def worker_main(
-    worker_idx: int, incarnation: int, cmd_q, res_conn, batch_size: int
-) -> None:
-    """Entry point of one cluster worker process.
-
-    ``res_conn`` is this worker's private reply pipe; sends happen in the
-    command loop itself (no feeder thread), so a crash between commands
-    can never leave a half-written frame, and the pipe's write end dying
-    with the process is what tells the coordinator this worker is gone.
-
-    ``incarnation`` counts restarts of this worker slot; every reply
-    carries it so the coordinator can tell replies of a crashed process
-    apart from those of its replacement (task results are accepted from
-    either — they are deduplicated — but barrier acknowledgements only
-    count from the current incarnation).
-    """
-    host = ShardHost(batch_size)
-    me = (worker_idx, incarnation)
-    while True:
-        msg = cmd_q.get()
-        op = msg[0]
-        try:
-            if op == "events":
-                _, seq, ops = msg
-                results = host.apply(ops)
-                res_conn.send(("done", *me, seq, results))
-            elif op == "create":
-                _, key, spec = msg
-                host.create(key, spec)
-                res_conn.send(("ready", *me, key))
-            elif op == "load":
-                _, key, snapshot = msg
-                host.load(key, snapshot)
-                res_conn.send(("ready", *me, key))
-            elif op == "preload":
-                _, key, docs = msg
-                host.preload(key, docs)
-                res_conn.send(("staged", *me, key))
-            elif op == "commit":
-                _, key, docs = msg
-                host.commit(key, docs)
-                res_conn.send(("ready", *me, key))
-            elif op == "drop":
-                host.drop(msg[1])
-            elif op == "snapshot":
-                key = msg[1]
-                req = msg[2] if len(msg) > 2 else {}
-                res_conn.send(("snapshot", *me, key, host.snapshot(key, **req)))
-            elif op == "flush":
-                host.flush()
-                res_conn.send(("flushed", *me))
-            elif op == "report":
-                res_conn.send(("report", *me, host.report()))
-            elif op == "crash":
-                # test hook: die the hard way, exactly like a SIGKILLed
-                # container — no cleanup, no goodbye message
-                os._exit(17)
-            elif op == "stop":
-                res_conn.close()
-                return
-            else:
-                raise ValueError(f"unknown command {op!r}")
-        except Exception:
-            try:
-                res_conn.send(("error", *me, traceback.format_exc()))
-            finally:
-                res_conn.close()
-            return

@@ -3,7 +3,7 @@
 The network layer the API package was built for: :mod:`repro.api`'s
 schema-versioned wire form (``to_wire``/``from_wire``) framed as
 length-prefixed JSON over asyncio TCP, with any backend — in-process,
-sharded engine, or multiprocess cluster — behind it. Nothing backend
+sharded engine, or worker mesh — behind it. Nothing backend
 changes; the conformance suite proves a remote client gets bit-identical
 assignments to an in-process one.
 

@@ -10,7 +10,7 @@ server until interrupted.
 Examples::
 
     python -m repro.gateway --smoke
-    python -m repro.gateway --smoke --backend cluster --procs 2 --json
+    python -m repro.gateway --smoke --backend mesh --procs 2 --json
     python -m repro.gateway --serve --port 7713 --shards 2 2
     python -m repro.gateway --serve --no-pipeline --max-in-flight 8
 """
@@ -40,9 +40,9 @@ def _spec(args, shards) -> ServiceSpec:
 
 
 def _server_kwargs(args) -> dict:
-    if args.backend == "cluster":
+    if args.backend == "mesh":
         return {
-            "n_procs": max(1, args.procs),
+            "n_peers": max(1, args.procs),
             "chunk_size": 21,  # deliberately odd: chunk joints must not matter
             "checkpoint_every": 64,  # parity must survive checkpoint barriers
         }
@@ -159,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=("inprocess", "sharded", "cluster"),
+        choices=("inprocess", "sharded", "mesh"),
         default="sharded",
         help="what the gateway serves (smoke forces (1,1) specs for inprocess)",
     )
@@ -169,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=int, default=80)
     parser.add_argument("--tasks", type=int, default=60)
     parser.add_argument(
-        "--procs", type=int, default=2, help="cluster worker process count"
+        "--procs", type=int, default=2, help="mesh worker process count"
     )
     parser.add_argument("--grid", type=int, default=6)
     parser.add_argument("--epsilon", type=float, default=0.5)

@@ -81,7 +81,7 @@ class RemoteBackend(BackendBase):
         The gateway's ``(host, port)``.
     connect_timeout / call_timeout:
         Socket deadlines for connecting and for each request round trip.
-        A cluster-served flush barrier can legitimately take a while, so
+        A mesh-served flush barrier can legitimately take a while, so
         the call deadline is generous by default.
     pipeline:
         Whether to *offer* the ``pipeline`` feature in the handshake.
@@ -239,7 +239,7 @@ class RemoteBackend(BackendBase):
         wholesale: every request — batches and stream envelopes included
         — is a single ``to_wire`` document on the socket, and the
         server's backend applies its own transport-level batching (a
-        cluster-served batch still gets chunked dispatch).
+        mesh-served batch still gets chunked dispatch).
 
         Once the connection has been lost (reset, drain, frame damage)
         every further call fails with the same retryable

@@ -3,7 +3,7 @@
 :class:`GatewayServer` listens on a TCP socket, performs the
 :mod:`~repro.gateway.protocol` handshake per connection, and serves
 framed :mod:`repro.api` wire documents against any configured backend —
-in-process, sharded or cluster — through the same middleware chain the
+in-process, sharded or mesh — through the same middleware chain the
 in-process :class:`~repro.api.client.AssignmentClient` uses. Design
 points:
 
@@ -104,7 +104,7 @@ class GatewayConfig:
 
     ``backend``/``backend_kwargs`` name what the gateway serves (any
     :func:`~repro.api.backends.make_backend` kind plus its transport
-    knobs — e.g. ``{"n_procs": 4}`` for a cluster). ``rate``/``burst``
+    knobs — e.g. ``{"n_peers": 4}`` for a mesh). ``rate``/``burst``
     enable server-side token-bucket admission control when ``rate`` is
     set. ``port=0`` binds an ephemeral port, published as
     :attr:`GatewayServer.address` once the listener is up.
@@ -181,7 +181,7 @@ class GatewayConfig:
         """JSON-ready form (deployment/run-config files).
 
         ``backend_kwargs`` must hold JSON-pure values for this to round
-        trip (the cluster's numeric knobs do; a live ``balancer`` object
+        trip (the mesh's numeric knobs do; a live ``balancer`` object
         does not and belongs to code-constructed configs only).
         """
         return {
@@ -244,7 +244,7 @@ class GatewayServer:
         already-constructed ``backend`` is supplied.
     backend:
         An optional prebuilt backend instance (tests hand the server a
-        :class:`~repro.api.backends.ClusterBackend` they keep a handle
+        :class:`~repro.api.backends.MeshBackend` they keep a handle
         on for fault injection). The server owns its lifecycle either
         way: ``open()`` on start, ``close()`` on stop.
     middleware:
@@ -345,7 +345,7 @@ class GatewayServer:
         Pipelined connections flush every outstanding response before
         their goodbye (see the session loops). Safe to call whether or
         not :meth:`start` completed — a server whose startup failed (or
-        never ran) must still close its backend (a half-opened cluster
+        never ran) must still close its backend (a half-opened mesh
         holds worker processes) and reap the scheduler pool.
         """
         if self._stopped:
@@ -711,7 +711,7 @@ class GatewayServer:
         Emits the queue-wait span retroactively (submit → now), then
         runs the handler under a ``scheduler.execute`` span — whose
         context becomes the thread-local current context, which is how
-        a mesh/cluster backend underneath picks up its parent without
+        a mesh backend underneath picks up its parent without
         the Backend interface knowing about tracing.
         """
         kind = type(request).kind

@@ -45,7 +45,7 @@ def hst_from_dict(payload: dict, *, validate: bool = True) -> HST:
     """Reconstruct a published tree; validates structure and ranges.
 
     ``validate=False`` skips the O(N) leaf-uniqueness re-check for trusted
-    payloads — the cluster failover path restores shard snapshots this
+    payloads — the mesh failover path restores shard snapshots this
     process wrote itself and cannot afford the re-validation per restore.
     Structure/range checks in ``HST.__post_init__`` always run.
     """

@@ -1,6 +1,6 @@
 """RL1xx — determinism: no unsanctioned entropy on deterministic paths.
 
-The bit-exact restore+replay guarantee (cluster snapshots, mesh
+The bit-exact restore+replay guarantee (shard snapshots, mesh
 failover, cross-backend conformance) holds only while every RNG in the
 deterministic serving stack derives from the keyed seeding convention
 (:func:`repro.utils.keyed_shard_seed`) and no decision reads the wall

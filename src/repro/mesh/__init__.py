@@ -1,29 +1,30 @@
-"""repro.mesh — a multi-host worker mesh behind a non-blocking coordinator.
+"""repro.mesh — the distributed worker mesh behind a non-blocking coordinator.
 
-The cluster runtime (:mod:`repro.cluster`) proves the paper's assignment
-mechanism survives being cut into shard families, snapshotted, killed
-and replayed — but its workers are ``multiprocessing`` children of the
-coordinator. This package takes the same worker core across a *socket*
-boundary: workers are standalone processes (``python -m repro.mesh
---worker --connect HOST:PORT``) that dial a coordinator, negotiate the
-``role:mesh-worker`` handshake over the gateway wire form, and serve
-shard families via :mod:`repro.mesh.protocol` ops.
+The paper's assignment mechanism survives being cut into shard families,
+snapshotted, killed and replayed (:mod:`repro.cluster` holds that
+shard-family core). This package runs those families across worker
+*processes*: standalone workers (``python -m repro.mesh --worker
+--connect HOST:PORT``, or forked locally by
+:func:`~repro.mesh.worker.spawn_local_worker`) dial a coordinator,
+negotiate the ``role:mesh-worker`` handshake over the gateway wire form,
+and serve shard families via :mod:`repro.mesh.protocol` ops.
 
 The pieces:
 
 * :mod:`~repro.mesh.protocol` — the sans-IO op/reply vocabulary
   (``repro.mesh`` v1 documents in gateway frames, seq-matched so ops
   pipeline per connection);
-* :mod:`~repro.mesh.worker` — one process: an unchanged cluster
+* :mod:`~repro.mesh.worker` — one process: a
   :class:`~repro.cluster.worker.ShardHost` serving ops FIFO off a
   socket, failing loudly then exiting;
 * :mod:`~repro.mesh.coordinator` — :class:`MeshCoordinator`: accepts
   peers, places shard families across them, dispatches per-family
   through the :class:`~repro.runtime.PipelineScheduler` (no global
-  dispatch lock; only flush/report/checkpoint are barriers), and on a
-  dead connection restores the lost families onto survivors from
-  checkpoint snapshots plus journal replay — bit-identical to the
-  local cluster by construction.
+  dispatch lock; only flush/report/checkpoint are barriers), splits hot
+  cells and migrates hot families when given a balancer, and on a dead
+  connection restores the lost families onto survivors from checkpoint
+  snapshots plus journal replay — bit-identical to the single-process
+  engine by construction.
 
 The serving adapter is :class:`repro.api.backends.MeshBackend`
 (``make_backend("mesh", spec)``), which joins the cross-backend

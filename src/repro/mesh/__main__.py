@@ -12,7 +12,9 @@ assignments and reports against the single-process sharded engine —
 once with both peers on the default bin1 wire and once with the peers
 split across bin1 and json frames — then repeats the run with a worker
 SIGKILLed mid-stream on that same mixed-codec mesh and asserts the
-failover changed nothing::
+failover changed nothing. A balancer leg streams demand concentrated in
+one cell through a mesh with hot-shard balancing on: the cell must
+split, and a SIGKILL after the split must not change one answer::
 
     python -m repro.mesh --smoke
 """
@@ -125,6 +127,8 @@ def _run_smoke(args) -> int:
     for problem in fail_problems:
         print(f"  - {problem}", file=sys.stderr)
 
+    balance_problems = _run_balancer_leg(spec)
+
     delta_problems: list[str] = []
     if args.delta_failover:
         # delta-failover leg: checkpoint often enough that the kill
@@ -173,12 +177,65 @@ def _run_smoke(args) -> int:
         or mixed_problems
         or trace_problems
         or fail_problems
+        or balance_problems
         or delta_problems
     ):
         print("[repro.mesh smoke] FAILED", file=sys.stderr)
         return 1
     print("[repro.mesh smoke] OK", file=sys.stderr)
     return 0
+
+
+def _run_balancer_leg(spec) -> list[str]:
+    """Balancer leg: a hot cell splits, and a SIGKILL changes nothing.
+
+    Every request lands in one quarter of cell ``s0``, so the balancer
+    splits that cell mid-stream. The split run is then repeated with a
+    worker SIGKILLed two thirds of the way in; both runs must give the
+    same answers and the same shard set.
+    """
+    from ..api.conformance import (
+        build_conformance_stream,
+        check_parity,
+        run_mesh_failover,
+    )
+    from ..cluster.balancer import BalancerConfig
+    from ..geometry import Box
+
+    requests = build_conformance_stream(
+        Box(0.0, 0.0, 50.0, 50.0), n_workers=300, n_tasks=200, seed=3
+    )
+    knobs = dict(
+        n_peers=2,
+        spawn="cli",
+        chunk_size=64,
+        checkpoint_every=96,
+        window=64,
+        balancer=BalancerConfig(window=128, min_tasks=32, split_share=0.5),
+    )
+    runs, splits, failovers = [], [], []
+    for kill_after in (len(requests) + 1, (2 * len(requests)) // 3):
+        stats: dict = {}
+        run, lost = run_mesh_failover(
+            spec, requests, kill_after=kill_after, stats=stats, **knobs
+        )
+        runs.append(run)
+        splits.append(stats["cell_splits"])
+        failovers.append(lost)
+    problems = check_parity(runs)
+    if min(splits) < 1:
+        problems.append(f"the hot cell never split (cell_splits {splits})")
+    if failovers[1] < 1:
+        problems.append("killed worker was never detected (failovers == 0)")
+    print(
+        f"[repro.mesh smoke] balancer leg: cell splits {splits}, "
+        f"failovers {failovers}, {len(runs[0].assignments)} assignments, "
+        f"{'OK' if not problems else 'FAILED'}",
+        file=sys.stderr,
+    )
+    for problem in problems:
+        print(f"  - {problem}", file=sys.stderr)
+    return problems
 
 
 def _run_traced_leg(spec, requests, reference, trace_path: str) -> list[str]:

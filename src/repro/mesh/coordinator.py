@@ -1,15 +1,14 @@
 """The mesh coordinator: worker peers on sockets, dispatch on keys.
 
-:class:`MeshCoordinator` is the multi-host sibling of the multiprocess
-:class:`~repro.cluster.coordinator.ClusterCoordinator`. It keeps the
-engine's event contract (``process``/``flush``/``report``/``run``) but
-its workers are independent processes — possibly on other machines —
+:class:`MeshCoordinator` is the repo's distributed coordinator. It keeps
+the engine's event contract (``process``/``flush``/``report``/``run``)
+but its workers are independent processes — possibly on other machines —
 that dialed in over the gateway wire and hold shard families behind
 :mod:`repro.mesh.protocol` ops.
 
-What is deliberately *different* from the cluster coordinator:
+How it works:
 
-* **no single dispatch lock.** Event chunks are absorbed into the shared
+* **no single dispatch lock.** Event chunks are absorbed into the
   :class:`~repro.cluster.dispatch.FamilyJournal` and then delivered by
   per-family jobs on a :class:`~repro.runtime.PipelineScheduler` — the
   same keyed-FIFO/barrier core the gateway schedules requests on.
@@ -29,11 +28,21 @@ What is deliberately *different* from the cluster coordinator:
   own worker processes; when a connection dies mid-stream the dead
   peer's families are handed to the surviving peer with the lightest
   load, restored from their last checkpoint snapshots (JSON-pure, they
-  cross the wire unchanged) and replayed from the journal — the same
-  snapshot+replay discipline the cluster proves bit-deterministic.
-  Duplicate task results from the dead peer deduplicate (first write
-  wins). A second death during recovery just repeats the handling on
-  the next survivor; only losing *every* peer is fatal.
+  cross the wire unchanged) and replayed from the journal — snapshot
+  restore plus replay is bit-deterministic. Duplicate task results from
+  the dead peer deduplicate (first write wins). A second death during
+  recovery just repeats the handling on the next survivor; only losing
+  *every* peer is fatal;
+* **hot-shard balancing** (``balancer=``). A
+  :class:`~repro.cluster.balancer.HotShardBalancer` counts routed tasks
+  per family and decides at the chunk end where its window fills. A
+  *split* re-lattices a hot cell on the spot (later events route to its
+  sub-shards, created lazily by the next delivery; the parent drains its
+  old pool). A *migration* is a job keyed by the family: it settles the
+  family, cuts that family's checkpoint, flips ownership and drops the
+  shards on the old peer; the next delivery restores them on the new
+  peer from the chain, exactly as failover does. Only that family's
+  queue waits.
 
 Telemetry rides the existing reservoir machinery
 (:class:`~repro.service.metrics.SampleReservoir`): per-peer dispatch
@@ -53,7 +62,13 @@ from concurrent.futures import TimeoutError as FutureTimeout
 
 from ..api.errors import ValidationFailed, map_exception
 from ..api.messages import to_wire
-from ..cluster.balancer import ClusterRouter, family_of, key_order
+from ..cluster.balancer import (
+    BalancerConfig,
+    ClusterRouter,
+    HotShardBalancer,
+    family_of,
+    key_order,
+)
 from ..cluster.dispatch import FamilyJournal
 from ..gateway.protocol import (
     BIN1_CODEC,
@@ -275,9 +290,10 @@ class MeshCoordinator:
     Parameters
     ----------
     region, shards, grid_nx, epsilon, budget_capacity, batch_size, seed:
-        Same meaning as on the cluster coordinator; shard seeds derive
-        per routing key (:func:`~repro.utils.keyed_shard_seed`) so mesh,
-        cluster and engine grow bit-identical shard streams.
+        Same meaning as on
+        :class:`~repro.service.engine.ShardedAssignmentEngine`; shard
+        seeds derive per routing key (:func:`~repro.utils.keyed_shard_seed`)
+        so mesh and engine grow bit-identical shard streams.
     expected_workers:
         Peers :meth:`start` waits for before placing families. Workers
         may keep joining later; they receive families only on failover.
@@ -290,6 +306,10 @@ class MeshCoordinator:
         this many deltas chained onto it, the next barrier requests a
         fresh base (rebase) instead of another delta; ``0`` makes every
         barrier a full snapshot.
+    balancer:
+        A :class:`~repro.cluster.balancer.BalancerConfig` to split hot
+        cells and migrate hot families between peers, or ``None`` to
+        leave placement static.
     host, port:
         Listen address; port ``0`` picks a free port (see ``address``).
     dispatch_workers:
@@ -309,6 +329,7 @@ class MeshCoordinator:
         chunk_size: int = 256,
         checkpoint_every: int = 8192,
         rebase_every: int = 8,
+        balancer: BalancerConfig | None = None,
         seed: int = 0,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -357,7 +378,8 @@ class MeshCoordinator:
         self._journal = FamilyJournal(self.router)
         #: family id -> peer name
         self.ownership: dict[int, str] = {}  # guarded-by: _state, _wake
-        self._installed: dict[int, bool] = {}  # guarded-by: _state, _wake
+        #: shard key -> the peer it is created or restored on
+        self._installed: dict[str, str] = {}  # guarded-by: _state, _wake
         self._specs: dict[str, dict] = {}  # guarded-by: _state, _wake
         #: key -> [base doc, delta doc, ...] chain (see cluster.snapshot)
         self._checkpoints: dict[str, list[dict]] = {}  # guarded-by: _state, _wake
@@ -371,6 +393,13 @@ class MeshCoordinator:
         self.now = 0.0  # guarded-by: _state, _wake
         self.failovers = 0  # guarded-by: _state, _wake
         self.rejected_handshakes = 0  # guarded-by: _state, _wake
+        self._balancer = (  # guarded-by: _state, _wake
+            HotShardBalancer(balancer) if balancer else None
+        )
+        #: family -> destination of a migration scheduled but not run
+        self._moving: dict[int, str] = {}  # guarded-by: _state, _wake
+        self.migrations = 0  # guarded-by: _state, _wake
+        self.cell_splits = 0  # guarded-by: _state, _wake
 
         self._scheduler = PipelineScheduler(
             max_workers=dispatch_workers, name="repro-mesh"
@@ -432,10 +461,11 @@ class MeshCoordinator:
     def start(self) -> None:
         """Wait for the expected peers, place families, build all shards.
 
-        Untimed setup, exactly like the cluster's :meth:`start`: HST
-        construction happens before any measured serving window.
+        Untimed setup: HST construction happens before any measured
+        serving window.
         """
         if self._started:
+            self._check_failure()  # a closed or failed mesh refuses work
             return
         self.listen()
         with self._wake:
@@ -460,7 +490,6 @@ class MeshCoordinator:
             # ... the rest spread round-robin in join order
             for fam in range(n_fams):
                 self.ownership.setdefault(fam, order[fam % len(order)])
-                self._installed.setdefault(fam, False)
             for key in self.router.keys():
                 self._specs[key] = self._spec_for(key)
             self._started = True
@@ -665,7 +694,10 @@ class MeshCoordinator:
         with self._state:
             for event in chunk:
                 self.now = max(self.now, float(event.time))
-            touched = self._journal.absorb(chunk)
+            balancer = self._balancer
+            touched = self._journal.absorb(
+                chunk, observe=balancer.observe if balancer else None
+            )
             # submit-time high-water marks: a family job never delivers
             # ops journaled after it was scheduled
             marks = {fam: self._journal.end(fam) for fam in touched}
@@ -676,12 +708,42 @@ class MeshCoordinator:
             )
             if do_checkpoint:
                 self._events_since_checkpoint = 0
+            # the balancer decides at the chunk end where its window
+            # fills, so a seeded stream splits at the same event
+            moves = self._rebalance() if balancer and balancer.window_full else []
         for fam in sorted(touched):
             self._scheduler.submit(
                 fam, self._family_job, fam, marks[fam], ctx, queued_perf
             )
         if do_checkpoint:
             self._scheduler.submit(None, self._guard, self._checkpoint_job)
+        for fam, dst, upto in moves:
+            self._scheduler.submit(fam, self._survive, self._migrate, fam, dst, upto)
+
+    def _rebalance(self) -> list[tuple[int, str, int]]:  # guarded-by: _state
+        """Apply the balancer's verdict on the window that just closed.
+
+        The caller holds ``_state``. A split re-lattices the cell at once:
+        later events route to its sub-shards, which the next delivery to
+        the family creates. A migration comes back as ``(family,
+        destination, journal mark)`` for the caller to schedule; the
+        balancer sees it as done, so its next verdict does not depend on
+        how far the job has got.
+        """
+        owners = [n for n in self._join_order if n in self._alive]
+        placement = {**self.ownership, **self._moving}
+        moves = []
+        for action in self._balancer.decide(self.router, placement, owners):
+            if action[0] == "split":
+                split_nx = self._balancer.config.split_nx
+                for key in self.router.split(action[1], split_nx):
+                    self._specs[key] = self._spec_for(key)
+                self.cell_splits += 1
+            else:
+                _, fam, dst = action
+                self._moving[fam] = dst
+                moves.append((fam, dst, self._journal.end(fam)))
+        return moves
 
     def result_of(self, task_id: int) -> int | None:
         """Block until ``task_id`` has an outcome; the worker id or None."""
@@ -757,18 +819,27 @@ class MeshCoordinator:
                 if self._failure is not None or self._closed:
                     return
                 peer = self._peers[self.ownership[fam]]
-            try:
-                self._deliver(fam, peer, upto, ctx, queued_perf)
+            if self._survive(self._deliver, fam, peer, upto, ctx, queued_perf):
                 return
-            except PeerLost as lost:
-                try:
-                    self._handle_peer_loss(lost.peer)
-                except Exception as exc:
-                    self._fail(exc)
-                    return
+
+    def _survive(self, fn, *args) -> bool:
+        """Run one family-keyed step; False if a peer loss cut it short.
+
+        A lost peer is failed over before returning, so the caller may
+        retry on the family's new owner. Any other error (or losing the
+        last peer) poisons the coordinator.
+        """
+        try:
+            fn(*args)
+        except PeerLost as lost:
+            try:
+                self._handle_peer_loss(lost.peer)
+                return False
             except Exception as exc:
                 self._fail(exc)
-                return
+        except Exception as exc:
+            self._fail(exc)
+        return True
 
     def _deliver(
         self,
@@ -824,26 +895,26 @@ class MeshCoordinator:
             peer.configured = True
 
     def _ensure_installed(self, fam: int, peer: MeshPeer) -> None:
-        """Create or restore a family's shards on their (new) owner."""
+        """Create or restore the family's shards that ``peer`` lacks.
+
+        That is every shard after a failover or a migration (restored
+        from its chain, or built from spec if it has none) and the new
+        sub-shards after a split.
+        """
         with self._state:
-            if self._installed.get(fam) and self.ownership[fam] == peer.name:
-                return
             plan = [
-                (key, list(self._checkpoints[key]))
+                ("load", {"key": key, "snapshots": list(self._checkpoints[key])})
                 if key in self._checkpoints
-                else (key, None)
+                else ("create", {"key": key, "spec": self._specs[key]})
                 for key in self.router.family_keys(fam)
+                if self._installed.get(key) != peer.name
             ]
-        for key, chain in plan:
-            if chain is not None:
-                peer.call(
-                    "load", {"key": key, "snapshots": chain}, packed=True
-                )
-            else:
-                peer.call("create", {"key": key, "spec": self._specs[key]})
+        for op, body in plan:
+            peer.call(op, body, packed=op == "load")
         with self._state:
             if self.ownership[fam] == peer.name and not peer.dead:
-                self._installed[fam] = True
+                for _op, body in plan:
+                    self._installed[body["key"]] = peer.name
 
     # ------------------------------------------------------------------ #
     # barriers                                                            #
@@ -872,7 +943,7 @@ class MeshCoordinator:
             except PeerLost as lost:
                 self._handle_peer_loss(lost.peer)
 
-    def _checkpoint_reqs(self) -> dict[str, dict]:  # guarded-by: _state
+    def _checkpoint_reqs(self, keys) -> dict[str, dict]:  # guarded-by: _state
         """Per-key snapshot request bodies for one barrier attempt.
 
         The caller holds ``_state`` (ids are drawn from ``_ckpt_seq``).
@@ -883,7 +954,7 @@ class MeshCoordinator:
         re-asking the same parent with a new id is always answerable.
         """
         reqs: dict[str, dict] = {}
-        for key in self.router.keys():
+        for key in keys:
             self._ckpt_seq += 1
             chain = self._checkpoints.get(key)
             if chain and len(chain) <= self.rebase_every:
@@ -920,27 +991,32 @@ class MeshCoordinator:
             self._checkpoints[key] = [doc]
             self._snapshot_bytes.record(size)
 
+    def _snapshot(self, peer: MeshPeer, key: str, req: dict) -> dict:
+        reply = peer.call("snapshot", {"key": key, **req})
+        snap = reply.get("snapshot")
+        if not isinstance(snap, dict):
+            raise MeshError(f"malformed snapshot reply from {peer.name!r}")
+        return snap
+
     def _checkpoint_job(self) -> None:
         t0 = time.perf_counter()
         with self._state:
+            # the keys are captured with the marks: settling installs
+            # exactly these, and a split made while this barrier runs
+            # must not add a shard its owner has not created yet
             marks = self._journal.ends()
+            keys = self.router.keys()
         while True:
             self._check_failure()
             snaps: dict[str, dict] = {}
             try:
                 self._settle(marks)
                 with self._state:
-                    reqs = self._checkpoint_reqs()
-                for key in self.router.keys():
+                    reqs = self._checkpoint_reqs(keys)
+                for key in keys:
                     with self._state:
                         peer = self._peers[self.ownership[family_of(key)]]
-                    reply = peer.call("snapshot", {"key": key, **reqs[key]})
-                    snap = reply.get("snapshot")
-                    if not isinstance(snap, dict):
-                        raise MeshError(
-                            f"malformed snapshot reply from {peer.name!r}"
-                        )
-                    snaps[key] = snap
+                    snaps[key] = self._snapshot(peer, key, reqs[key])
                     hook = self._test_mid_checkpoint
                     if hook is not None:
                         hook(key)
@@ -958,6 +1034,48 @@ class MeshCoordinator:
             "mesh.journal.compacted_ops", stats["dropped"]
         )
         self._checkpoint_s.record(time.perf_counter() - t0)
+
+    def _migrate(self, fam: int, dst: str, upto: int) -> None:
+        """Move one family to peer ``dst`` (a job keyed by the family).
+
+        Settles the family up to at least ``upto``, cuts its checkpoint,
+        truncates its journal at that cut, flips its ownership and drops
+        its shards on the old owner. The next delivery installs them on
+        ``dst`` from those chains, exactly as failover does. A failover
+        that moved the family first (or took ``dst``) wins and the
+        migration is dropped.
+        """
+        try:
+            with self._state:
+                src = self.ownership[fam]
+                if self._failure is not None or self._closed:
+                    return
+                if src == dst or dst not in self._alive:
+                    return
+                peer = self._peers[src]
+                keys = self.router.family_keys(fam)
+            self._deliver(fam, peer, upto)
+            with self._state:
+                reqs = self._checkpoint_reqs(keys)
+                # the snapshots hold every op sent, which runs past upto
+                # when a dispatcher on another thread delivered first
+                cut = self._journal.sent(fam)
+            snaps = {key: self._snapshot(peer, key, reqs[key]) for key in keys}
+            with self._state:
+                if self.ownership[fam] != src or dst not in self._alive:
+                    return
+                for key in keys:
+                    self._absorb_snapshot(key, snaps[key])
+                    self._installed.pop(key, None)  # dropped on src below
+                self._journal.truncate(fam, cut)
+                self.ownership[fam] = dst
+                self.migrations += 1
+        finally:
+            with self._state:
+                if self._moving.get(fam) == dst:
+                    del self._moving[fam]
+        for key in keys:
+            peer.call("drop", {"key": key})
 
     def _report_job(self, flush: bool) -> dict[str, dict]:
         with self._state:
@@ -992,9 +1110,9 @@ class MeshCoordinator:
         """Reassign a dead peer's families; idempotent per peer.
 
         Each family goes to the surviving peer with the fewest families
-        (ties break by join order), gets flagged for reinstall from its
-        last checkpoint, and has its journal cursor rewound — the next
-        delivery replays everything since that checkpoint. Raises
+        (ties break by join order) and has its journal cursor rewound:
+        the next delivery reinstalls its shards there from their last
+        checkpoint and replays everything since. Raises
         :class:`MeshError` when no peer survives.
         """
         hook = None
@@ -1023,7 +1141,6 @@ class MeshCoordinator:
                     dst = min(survivors, key=lambda s: (load[s], rank[s]))
                     load[dst] += 1
                     self.ownership[fam] = dst
-                    self._installed[fam] = False
                     self._journal.rewind(fam)
                 hook = self._test_on_failover
             elif not self._alive:

@@ -11,10 +11,10 @@ granting the role. Everything after the handshake is this schema:
 gateway's framing, handshake and error taxonomy wholesale instead of
 inventing a second wire layer.
 
-Coordinator → worker *ops* mirror the cluster worker's command loop
-(:mod:`repro.cluster.worker`), with every payload JSON-pure — shard
-snapshots already are (:mod:`repro.cluster.snapshot`), which is what
-lets checkpoints cross host boundaries unchanged:
+Coordinator → worker *ops* drive a
+:class:`~repro.cluster.worker.ShardHost`, with every payload JSON-pure —
+shard snapshots already are (:mod:`repro.cluster.snapshot`), which is
+what lets checkpoints cross host boundaries unchanged:
 
 =============  ==========================  ===============================
 op             body                        reply body

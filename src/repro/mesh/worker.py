@@ -4,10 +4,10 @@ One worker process dials the coordinator, introduces itself with a
 gateway ``hello`` whose feature list carries ``role:mesh-worker`` (plus
 ``family:<id>`` advertisements when it already holds shard state), and
 then serves :mod:`repro.mesh.protocol` ops over the same length-prefixed
-JSON frames the gateway uses. The serving core is the *unchanged*
-cluster :class:`~repro.cluster.worker.ShardHost` — the mesh changes the
-transport under a worker, never its shard semantics, which is what keeps
-mesh assignments bit-identical to the local cluster's.
+JSON frames the gateway uses. The serving core is a
+:class:`~repro.cluster.worker.ShardHost`, which drives its shards with
+the engine's own cohort rule — that is what keeps mesh assignments
+bit-identical to the single-process engine's.
 
 The loop is single-threaded and strictly FIFO over the socket: ops are
 applied in arrival order and replies carry the op's ``seq`` back. That
@@ -16,11 +16,11 @@ FIFO is a correctness lever, not a simplification — a ``snapshot`` or
 coordinator's barrier ordering holds on the worker without any
 worker-side locking.
 
-Failure discipline mirrors the cluster worker: any exception while
-serving an op answers a structured ``fail`` document (stable api error
-codes) and then the process exits — a broken worker is indistinguishable
-from a dead one on purpose, so the coordinator has exactly one recovery
-path (snapshot restore + journal replay onto a surviving peer).
+Failure discipline: any exception while serving an op answers a
+structured ``fail`` document (stable api error codes) and then the
+process exits — a broken worker is indistinguishable from a dead one on
+purpose, so the coordinator has exactly one recovery path (snapshot
+restore + journal replay onto a surviving peer).
 """
 
 from __future__ import annotations

@@ -11,14 +11,15 @@ re-implemented per layer:
 * :class:`SequenceReorderer` / :func:`unwrap` / :func:`rewrap` — the
   stream-window bookkeeping (sequence-numbered envelopes in, in-order
   responses out) used by the client's pipelined stream mode and the
-  cluster backend's chunked batch dispatch.
+  backends' chunked batch dispatch.
 
 Consumers: :class:`repro.gateway.GatewayServer` schedules every framed
 request through a :class:`PipelineScheduler` keyed by
 ``backend.ordering_key(request)``; :class:`repro.api.AssignmentClient`
 pipelines stream windows over transports that support it; the
-:class:`repro.api.backends.ClusterBackend` batch path shares the
-envelope plumbing.
+backends' batch paths share the envelope plumbing; and
+:class:`repro.mesh.MeshCoordinator` delivers each shard family's ops as
+jobs keyed by the family, with checkpoints as barriers.
 """
 
 from .scheduler import PipelineScheduler, default_worker_count

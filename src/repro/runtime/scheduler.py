@@ -16,7 +16,7 @@ For the assignment service the key is the backend's shard routing
 state, so per-key FIFO means each shard server consumes exactly the
 per-shard subsequence it would have seen from a serial dispatch loop —
 same cohort buffers, same RNG draws, same assignments. Barrier verbs
-(``Flush``/``GetReport``, cluster checkpoints) map to ``None`` and keep
+(``Flush``/``GetReport``, mesh checkpoints) map to ``None`` and keep
 their observe-everything semantics.
 
 Ordering is tracked with dependency chaining, not queue polling: each
@@ -55,7 +55,7 @@ __all__ = ["PipelineScheduler", "default_worker_count"]
 
 def default_worker_count() -> int:
     """Pool size when the caller does not choose: enough threads that a
-    few shards' worth of work can overlap (cluster-served jobs spend
+    few shards' worth of work can overlap (mesh-served jobs spend
     their time waiting on worker processes, so this may exceed the local
     core count without oversubscribing anything)."""
     return min(8, max(4, os.cpu_count() or 1))

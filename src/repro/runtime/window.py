@@ -1,7 +1,7 @@
 """Stream-window plumbing shared by every pipelined layer.
 
 Three small pieces that used to be re-implemented (or open-coded) in the
-client's stream drain, the cluster backend's chunked batch dispatch and
+client's stream drain, the backends' chunked batch dispatch and
 the gateway tests:
 
 * :func:`unwrap` / :func:`rewrap` — take a request out of its

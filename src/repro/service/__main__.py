@@ -1,12 +1,13 @@
 """Command-line load generator for the serving layer.
 
 Replays a timed workload through the versioned client API
-(:mod:`repro.api`) against the in-process or sharded-engine backend
-(``python -m repro.cluster`` is the cluster counterpart).
+(:mod:`repro.api`) against the in-process backend, the sharded engine,
+or a worker mesh of two forked peer processes.
 
 Examples::
 
     python -m repro.service --smoke
+    python -m repro.service --smoke --backend mesh
     python -m repro.service --workload taxi --shards 3 3 --workers 4000 \
         --tasks 2000 --rate 100 --arrival bursty
     python -m repro.service --backend inprocess --shards 1 1 --json
@@ -33,10 +34,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=("sharded", "inprocess"),
+        choices=("sharded", "inprocess", "mesh"),
         default="sharded",
         help="assignment backend behind the API client (default sharded; "
-        "inprocess needs --shards 1 1)",
+        "inprocess needs --shards 1 1; mesh forks two worker processes)",
     )
     parser.add_argument(
         "--workload", choices=("gaussian", "taxi"), default="gaussian"

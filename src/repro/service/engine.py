@@ -20,7 +20,7 @@ applied in stream order:
 
 The cut points depend only on stream order, never on where a chunk
 ends, so any chunking of a stream — one event per call included —
-yields bit-identical assignments; the distributed coordinators'
+yields bit-identical assignments; the mesh coordinator's
 :class:`~repro.cluster.dispatch.FamilyJournal` applies the same rule.
 ``register_worker``, ``register_workers``, ``submit_task`` and
 ``process`` are thin callers of :meth:`ingest`.
@@ -29,10 +29,10 @@ Shard RNG streams are keyed (:func:`~repro.utils.keyed_shard_seed` on
 
 The engine is deliberately synchronous and single-process: shards share
 nothing, so lifting them onto threads/processes/hosts is a transport
-problem, not an algorithmic one — :mod:`repro.cluster` and
-:mod:`repro.mesh` are exactly that lift, running the same shards across
-worker processes with snapshot checkpoints, crash failover and hot-shard
-balancing.
+problem, not an algorithmic one — :mod:`repro.mesh` is exactly that
+lift, running the same shards across worker processes with snapshot
+checkpoints, crash failover and hot-shard balancing, on the shard-family
+core in :mod:`repro.cluster`.
 
 Concurrency contract: the engine itself never spawns threads, but it may
 be *driven* by several (the :mod:`repro.runtime` scheduler runs requests
@@ -89,7 +89,7 @@ class ShardedAssignmentEngine:
         Integer root seed. Shard ``i`` draws from
         ``keyed_shard_seed(seed, f"s{i}")``, the convention every
         backend shares, so an engine grows bit-identical shard streams
-        to a cluster or mesh run with the same root seed.
+        to a mesh run with the same root seed.
     """
 
     def __init__(

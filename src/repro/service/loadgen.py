@@ -14,19 +14,17 @@ come from the :mod:`repro.workloads.arrival` processes (``poisson``,
 ``uniform`` or ``bursty``).
 
 Replays go through :class:`repro.api.AssignmentClient`, so one generator
-drives any backend — in-process, sharded engine, or cluster — and the
-assignment outcomes come back as typed responses. Because the generator —
-unlike the server — knows every true coordinate, it closes the loop on
-quality: it joins the replied ``(task, worker)`` decisions back to the
-true locations and adds the mean *true* assignment distance to the
-report. The pre-API entry points (``run(engine=...)``,
-:meth:`LoadGenerator.make_engine`) survive as deprecation shims.
+drives any backend — in-process, sharded engine, or worker mesh — and
+the assignment outcomes come back as typed responses. Because the
+generator — unlike the server — knows every true coordinate, it closes
+the loop on quality: it joins the replied ``(task, worker)`` decisions
+back to the true locations and adds the mean *true* assignment distance
+to the report.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,8 +38,7 @@ from ..workloads.arrival import (
 )
 from ..workloads.synthetic import SyntheticConfig, gaussian_workload
 from ..workloads.taxi import ChengduTaxiDataset
-from .engine import ShardedAssignmentEngine
-from .events import RequestQueue, TaskArrival, WorkerArrival, merge_event_streams
+from .events import TaskArrival, WorkerArrival, merge_event_streams
 from .metrics import ServiceReport
 
 __all__ = ["LoadConfig", "LoadGenerator"]
@@ -227,60 +224,18 @@ class LoadGenerator:
         report = client.report(wall_seconds=wall)
         return _audit_true_distance(report, pairs, workers, tasks)
 
-    def _build_engine(self, region: Box) -> ShardedAssignmentEngine:
-        spec = self.service_spec(region)
-        return ShardedAssignmentEngine(
-            region,
-            shards=spec.shards,
-            grid_nx=spec.grid_nx,
-            epsilon=spec.epsilon,
-            budget_capacity=spec.budget_capacity,
-            batch_size=spec.batch_size,
-            seed=spec.seed,
-        )
-
-    def make_engine(self, region: Box) -> ShardedAssignmentEngine:
-        """Deprecated: construct backends via :func:`repro.api.make_backend`."""
-        warnings.warn(
-            "LoadGenerator.make_engine is deprecated; build a backend with "
-            "repro.api.make_backend('sharded', generator.service_spec(region)) "
-            "and drive it through an AssignmentClient",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._build_engine(region)
-
     def run(
-        self,
-        engine: ShardedAssignmentEngine | None = None,
-        *,
-        backend: str = "sharded",
-        backend_kwargs: dict | None = None,
+        self, *, backend: str = "sharded", backend_kwargs: dict | None = None
     ) -> ServiceReport:
         """Replay the stream and return a quality-audited report.
 
         The replay goes through :class:`repro.api.AssignmentClient` over
         a freshly built backend of ``backend`` kind (``"inprocess"``,
-        ``"sharded"`` or ``"cluster"``; ``backend_kwargs`` reach the
+        ``"sharded"`` or ``"mesh"``; ``backend_kwargs`` reach the
         backend constructor). Backend construction (HST builds, process
         spawns) happens *outside* the timed window, mirroring the paper's
         running-time discipline: the clock measures serving, not setup.
-
-        Passing an explicit ``engine`` is the deprecated pre-API calling
-        convention; it still works but warns.
         """
-        if engine is not None:
-            warnings.warn(
-                "LoadGenerator.run(engine=...) is deprecated; pass "
-                "backend='sharded' (or use LoadGenerator.replay with an "
-                "AssignmentClient over any backend) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            region, events, workers, tasks = self.build_events()
-            report = engine.run(RequestQueue(events))
-            return _audit_true_distance(report, engine.assignments, workers, tasks)
-
         from ..api import AssignmentClient, make_backend
 
         plan = self.build_events()

@@ -49,7 +49,7 @@ class SampleReservoir:
     Replacement draws come from an internal splitmix64 counter rather than
     a shared RNG: the state is one integer, trivially serialized, and a
     restored reservoir replays the same replacement decisions — the
-    property the cluster's bit-exact snapshot/replay guarantee needs.
+    property the mesh's bit-exact snapshot/replay guarantee needs.
 
     Delta checkpoints lean on the write pattern: below capacity the value
     list is append-only, and past capacity the only mutations are rare
@@ -216,7 +216,7 @@ def percentile(samples, q: float) -> float:
     """``q``-th percentile of ``samples``; NaN when there are none.
 
     The quantile helper every aggregator in the serving stack shares
-    (engine report, cluster report). Quantiles must always be computed
+    (engine report, mesh report). Quantiles must always be computed
     from pooled raw samples — per-shard quantiles don't average.
     """
     if not len(samples):
@@ -244,7 +244,7 @@ class ShardMetrics:
     """Mutable per-shard recorder filled while the shard serves traffic.
 
     ``shard_id`` is an ``int`` for the single-process engine's lattice
-    cells and a ``str`` key (e.g. ``"s3/1"``) for cluster shards, which can
+    cells and a ``str`` key (e.g. ``"s3/1"``) for mesh shards, which can
     be split into sub-shards at runtime.
 
     Raw latency/distance samples live in bounded
@@ -529,7 +529,7 @@ def build_report(
     raw samples.
 
     The one aggregation path shared by the single-process engine and the
-    cluster coordinator, so both report identical quantile semantics.
+    mesh coordinator, so both report identical quantile semantics.
     ``distance_stats`` is an optional exact ``(total, count)`` over *all*
     reported distances; when given, the mean comes from it rather than
     from the (reservoir-retained) pooled samples, so the aggregate mean

@@ -139,7 +139,7 @@ class ShardServer:
 
         Returns the assigned (global) worker id or ``None``; wall-clock
         matching latency and the reported assignment distance go into
-        :attr:`metrics`. Two knobs serve the cluster's split-shard
+        :attr:`metrics`. Two knobs serve the mesh's split-shard
         fallback chain, which tries several shards for one task:
         ``record_miss=False`` suppresses the unassigned metric on an
         empty pool (the miss is recorded once, on the primary, only when
@@ -180,7 +180,7 @@ class ShardServer:
     def export_state(self) -> dict:
         """JSON-ready dump of everything this shard is.
 
-        The raw parts behind the cluster's versioned snapshot wire format
+        The raw parts behind the versioned snapshot wire format
         (:mod:`repro.cluster.snapshot`): the published tree (via
         :func:`~repro.hst.serialize.hst_to_dict`), the privacy ledger, the
         matcher state, the metrics recorder, and the client-side RNG

@@ -10,7 +10,7 @@ service must not derive their randomness from placement, spawn order or
 shard count — otherwise two deployments of the same spec diverge.
 :func:`keyed_shard_seed` is the repo-wide convention: a shard's RNG seed
 is a pure function of ``(root seed, routing key)`` and nothing else. The
-cluster coordinator, the sharded engine, the API's in-process backend
+mesh coordinator, the sharded engine, the API's in-process backend
 and any gateway-served deployment all call it with the same keys
 (``"s0"``, ``"s3"``, split sub-shards ``"s3/1"``, ...),
 which is what makes cross-backend — and cross-*process*, over a socket —
@@ -57,7 +57,7 @@ def keyed_shard_seed(seed: int, key: str) -> int:
     key (``"s3"``, ``"s3/1"``, ...).
 
     The one seeding convention every assignment backend shares: the
-    cluster coordinator derives worker-process shard specs with it, the
+    mesh coordinator derives worker-process shard specs with it, the
     sharded engine seeds every shard with it, and the API layer's
     in-process backend seeds its single region tree with
     ``keyed_shard_seed(seed, "s0")``. Because the seed depends only on

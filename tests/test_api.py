@@ -302,7 +302,7 @@ class TestBackendFactoryAndSpec:
     def test_make_backend_kinds(self):
         assert make_backend("inprocess", small_spec()).name == "inprocess"
         assert make_backend("sharded", small_spec()).name == "sharded"
-        assert make_backend("cluster", small_spec()).name == "cluster"
+        assert make_backend("mesh", small_spec()).name == "mesh"
         with pytest.raises(ValueError):
             make_backend("quantum", small_spec())
 
@@ -326,7 +326,7 @@ class TestBackendFactoryAndSpec:
 
         engine = ShardedAssignmentEngine(REGION, shards=(2, 1), grid_nx=4, seed=13)
         for i, shard in enumerate(engine.shards):
-            # exactly what a cluster worker builds from its shard spec
+            # exactly what a mesh worker builds from its shard spec
             ref = ShardServer(
                 f"s{i}",
                 engine.shard_map.shard_box(i),
@@ -339,24 +339,6 @@ class TestBackendFactoryAndSpec:
 
 
 class TestDeprecationShims:
-    def test_make_engine_warns_but_works(self):
-        generator = LoadGenerator(
-            LoadConfig(n_workers=20, n_tasks=5, shards=(1, 1), grid_nx=4, seed=0)
-        )
-        with pytest.warns(DeprecationWarning):
-            engine = generator.make_engine(REGION)
-        assert engine.n_shards == 1
-
-    def test_run_with_engine_warns_but_works(self):
-        config = LoadConfig(n_workers=40, n_tasks=10, shards=(1, 1), grid_nx=4, seed=0)
-        generator = LoadGenerator(config)
-        region, *_ = generator.build_events()
-        with pytest.warns(DeprecationWarning):
-            engine = generator.make_engine(region)
-        with pytest.warns(DeprecationWarning):
-            report = generator.run(engine)
-        assert report.tasks_total == 10
-
     def test_api_path_is_warning_free(self):
         config = LoadConfig(n_workers=40, n_tasks=10, shards=(1, 1), grid_nx=4, seed=0)
         with warnings.catch_warnings():

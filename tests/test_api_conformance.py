@@ -4,10 +4,10 @@ The acceptance gate of the API redesign: the same
 :class:`~repro.api.ServiceSpec` and request stream must produce
 bit-identical ``(task, worker)`` assignments — and matching report
 counters/audit values — whether served by the in-process reference, the
-sharded engine, the multiprocess cluster (including across cluster
-checkpoint barriers and odd dispatch-chunk boundaries), a remote
-client speaking the framed wire protocol over a real loopback socket,
-or a worker mesh of standalone processes dialed in over loopback.
+sharded engine, a remote client speaking the framed wire protocol over
+a real loopback socket, or a worker mesh of standalone processes dialed
+in over loopback (including across mesh checkpoint barriers and odd
+dispatch-chunk boundaries).
 """
 
 
@@ -23,14 +23,9 @@ from repro.geometry import Box
 
 REGION = Box.square(200.0)
 
-CLUSTER_KWARGS = {
-    "cluster": {
-        # deliberately awkward transport shape: odd chunk size, frequent
-        # checkpoints — parity must not depend on either
-        "n_procs": 2,
-        "chunk_size": 7,
-        "checkpoint_every": 16,
-    },
+MESH_KWARGS = {
+    # deliberately awkward transport shape: odd chunk size, frequent
+    # checkpoints — parity must not depend on either
     "mesh": {"n_peers": 2, "chunk_size": 7, "checkpoint_every": 16},
 }
 
@@ -46,12 +41,11 @@ class TestConformance:
         result = run_conformance(
             spec_for((1, 1)),
             requests=build_conformance_stream(REGION, 60, 45, seed=7),
-            backend_kwargs=CLUSTER_KWARGS,
+            backend_kwargs=MESH_KWARGS,
         )
         assert [run.name for run in result.runs] == [
             "inprocess",
             "sharded",
-            "cluster",
             "remote-bin1",
             "mesh",
         ]
@@ -62,20 +56,19 @@ class TestConformance:
         result = run_conformance(
             spec_for((2, 2)),
             requests=build_conformance_stream(REGION, 80, 60, seed=3),
-            backend_kwargs=CLUSTER_KWARGS,
+            backend_kwargs=MESH_KWARGS,
         )
         assert [run.name for run in result.runs] == [
             "sharded",
-            "cluster",
             "remote-bin1",
             "mesh",
         ]
         assert result.ok, "\n".join(result.problems)
 
-    def test_remote_over_cluster_matches_with_barriers(self):
+    def test_remote_over_mesh_matches_with_barriers(self):
         """The hardest deployment shape: a remote client over loopback,
-        the gateway serving the multiprocess cluster with odd chunk
-        joints and frequent checkpoint barriers. Still bit-identical."""
+        the gateway serving a worker mesh with odd chunk joints and
+        checkpoint barriers mid-stream. Still bit-identical."""
         spec = spec_for((2, 2))
         stream = build_conformance_stream(REGION, 60, 45, seed=13)
         local = run_backend(
@@ -85,10 +78,10 @@ class TestConformance:
             spec,
             stream,
             window=16,
-            backend="cluster",
-            backend_kwargs=CLUSTER_KWARGS["cluster"],
+            backend="mesh",
+            backend_kwargs={"n_peers": 2, "chunk_size": 21, "checkpoint_every": 64},
         )
-        assert check_parity([local, remote]) == [], "remote-over-cluster diverged"
+        assert check_parity([local, remote]) == [], "remote-over-mesh diverged"
 
     def test_inprocess_skipped_on_lattice_specs(self):
         result = run_conformance(
@@ -105,8 +98,8 @@ class TestConformance:
         )
         stream = build_conformance_stream(REGION, 10, 30, seed=5)
         runs = [
-            run_backend(make_backend(kind, spec, **CLUSTER_KWARGS.get(kind, {})), stream)
-            for kind in ("inprocess", "sharded", "cluster")
+            run_backend(make_backend(kind, spec, **MESH_KWARGS.get(kind, {})), stream)
+            for kind in ("inprocess", "sharded", "mesh")
         ]
         assert runs[0].unassigned  # the scenario actually exercises misses
         assert check_parity(runs) == []

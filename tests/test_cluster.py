@@ -1,4 +1,8 @@
-"""Tests for repro.cluster: snapshots, router, balancer, coordinator."""
+"""Tests for repro.cluster: snapshots, shard host, router, balancer.
+
+The coordinator that runs these pieces is the mesh's; its tests live in
+``tests/test_mesh.py``.
+"""
 
 import json
 
@@ -7,7 +11,6 @@ import pytest
 
 from repro.cluster import (
     BalancerConfig,
-    ClusterCoordinator,
     ClusterRouter,
     HotShardBalancer,
     ShardHost,
@@ -16,14 +19,8 @@ from repro.cluster import (
     snapshot_shard,
     snapshot_to_json,
 )
-from repro.cluster.__main__ import main as cluster_main
 from repro.geometry import Box
-from repro.service import LoadConfig, LoadGenerator, ShardMap, ShardServer
-from repro.service.events import (
-    TaskArrival,
-    WorkerArrival,
-    merge_event_streams,
-)
+from repro.service import ShardMap, ShardServer
 
 REGION = Box.square(200.0)
 
@@ -245,7 +242,7 @@ class TestHotShardBalancer:
         )
         self._observe(balancer, "s2", 80)
         self._observe(balancer, "s1", 20)
-        assert balancer.decide(router, {0: 0, 1: 1, 2: 0, 3: 1}, 2) == [
+        assert balancer.decide(router, {0: 0, 1: 1, 2: 0, 3: 1}, [0, 1]) == [
             ("split", 2)
         ]
 
@@ -260,14 +257,30 @@ class TestHotShardBalancer:
         self._observe(balancer, "s0", 45)
         self._observe(balancer, "s2", 40)
         self._observe(balancer, "s1", 15)
-        actions = balancer.decide(router, ownership, 2)
+        actions = balancer.decide(router, ownership, [0, 1])
         assert actions == [("migrate", 0, 1)]
+
+    def test_migrate_decision_prefers_an_idle_owner(self):
+        """Owners are whatever the coordinator names its peers; an owner
+        listed with no family (a late joiner) is the coolest of all."""
+        router = ClusterRouter(ShardMap(REGION, 2, 2))
+        balancer = HotShardBalancer(
+            BalancerConfig(
+                window=100, min_tasks=10, split_share=0.99, migrate_imbalance=1.3
+            )
+        )
+        ownership = {0: "w0", 1: "w1", 2: "w0", 3: "w1"}
+        self._observe(balancer, "s0", 45)
+        self._observe(balancer, "s2", 40)
+        self._observe(balancer, "s1", 15)
+        actions = balancer.decide(router, ownership, ["w0", "w1", "w2"])
+        assert actions == [("migrate", 0, "w2")]
 
     def test_quiet_window_decides_nothing(self):
         router = ClusterRouter(ShardMap(REGION, 2, 2))
         balancer = HotShardBalancer(BalancerConfig(window=100, min_tasks=50))
         self._observe(balancer, "s0", 10)
-        assert balancer.decide(router, {0: 0, 1: 0, 2: 0, 3: 0}, 1) == []
+        assert balancer.decide(router, {0: 0, 1: 0, 2: 0, 3: 0}, [0]) == []
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="min_tasks"):
@@ -283,219 +296,5 @@ class TestHotShardBalancer:
         balancer = HotShardBalancer(BalancerConfig(window=10, min_tasks=5))
         self._observe(balancer, "s0", 10)
         assert balancer.window_full
-        balancer.decide(ClusterRouter(ShardMap(REGION, 2, 2)), {0: 0}, 1)
+        balancer.decide(ClusterRouter(ShardMap(REGION, 2, 2)), {0: 0}, [0])
         assert not balancer.window_full
-
-
-def _small_stream(seed=3, n_workers=600, n_tasks=300):
-    config = LoadConfig(
-        n_workers=n_workers, n_tasks=n_tasks, shards=(2, 2), grid_nx=6, seed=seed
-    )
-    region, events, workers, tasks = LoadGenerator(config).build_events()
-    return config, region, events
-
-
-class TestCoordinator:
-    def test_end_to_end_accounts_for_every_event(self):
-        config, region, events = _small_stream()
-        coordinator = ClusterCoordinator(
-            region, shards=(2, 2), n_workers=2, grid_nx=6, seed=7
-        )
-        with coordinator:
-            report = coordinator.run(events)
-            pairs = coordinator.assignments
-        assert report.tasks_total == config.n_tasks
-        assert coordinator.tasks_answered == config.n_tasks
-        assert report.workers_registered == config.n_workers
-        assert report.tasks_assigned == len(pairs) > 0
-        # no worker consumed twice, cluster-wide
-        assigned_workers = [w for _, w in pairs]
-        assert len(set(assigned_workers)) == len(assigned_workers)
-
-    def test_crash_failover_completes_with_no_lost_tasks(self):
-        """Acceptance gate: a worker crash mid-stream triggers a
-        restore-from-snapshot and the stream still answers every task."""
-        config, region, events = _small_stream(seed=11)
-        half = len(events) // 2
-        coordinator = ClusterCoordinator(
-            region,
-            shards=(2, 2),
-            n_workers=2,
-            grid_nx=6,
-            chunk_size=64,
-            checkpoint_every=128,
-            seed=5,
-        )
-        with coordinator:
-            coordinator.process(events[:half])
-            coordinator.checkpoint()
-            coordinator.inject_crash(0)
-            coordinator.process(events[half:])
-            report = coordinator.report()
-        assert coordinator.failovers >= 1
-        assert coordinator.tasks_answered == config.n_tasks
-        assert report.tasks_total == config.n_tasks
-        assert report.workers_registered == config.n_workers
-
-    def test_concurrent_crashes_fail_over_exactly_once_each(self):
-        """Both workers dying in one poll window must produce exactly two
-        failovers — a reentrant failover must not re-kill the replacement
-        whose connection replaced the stale one mid-iteration."""
-        config, region, events = _small_stream(seed=21)
-        half = len(events) // 2
-        coordinator = ClusterCoordinator(
-            region,
-            shards=(2, 2),
-            n_workers=2,
-            grid_nx=6,
-            chunk_size=64,
-            checkpoint_every=128,
-            seed=13,
-        )
-        with coordinator:
-            coordinator.process(events[:half])
-            coordinator.checkpoint()
-            coordinator.inject_crash(0)
-            coordinator.inject_crash(1)
-            coordinator.process(events[half:])
-            report = coordinator.report()
-        assert coordinator.failovers == 2
-        assert coordinator.tasks_answered == config.n_tasks
-        assert report.tasks_total == config.n_tasks
-
-    def test_closed_coordinator_refuses_to_restart(self):
-        """Shard state dies with the pool — using a closed coordinator
-        must fail loudly, not silently serve from fresh empty shards."""
-        from repro.cluster import ClusterError
-
-        _, region, events = _small_stream(n_workers=100, n_tasks=40)
-        coordinator = ClusterCoordinator(
-            region, shards=(2, 2), n_workers=1, grid_nx=6, seed=0
-        )
-        with coordinator:
-            report = coordinator.run(events)
-        assert report.tasks_total == 40
-        assert coordinator.tasks_answered == 40  # plain reads still fine
-        with pytest.raises(ClusterError, match="closed"):
-            coordinator.report()
-        with pytest.raises(ClusterError, match="closed"):
-            coordinator.process(events)
-
-    def test_duplicate_worker_ids_rejected_cluster_wide(self):
-        _, region, _ = _small_stream()
-        coordinator = ClusterCoordinator(
-            region, shards=(2, 2), n_workers=1, grid_nx=6, seed=0
-        )
-        events = [
-            WorkerArrival(time=0.0, worker_id=1, location=(10.0, 10.0)),
-            WorkerArrival(time=1.0, worker_id=1, location=(190.0, 190.0)),
-        ]
-        with coordinator:
-            with pytest.raises(ValueError, match="already registered"):
-                coordinator.process(events)
-
-    def test_hot_cell_split_serves_parent_pool(self):
-        """All traffic in one cell: the cell splits, new registrations go
-        to sub-shards, and tasks still drain the pre-split parent pool."""
-        rng = np.random.default_rng(0)
-        n_w, n_t = 400, 300
-        w = rng.uniform(0, 100, size=(n_w, 2)) * [0.5, 0.5]  # all in s0
-        t = rng.uniform(0, 100, size=(n_t, 2)) * [0.5, 0.5]
-        events = merge_event_streams(
-            [
-                WorkerArrival(time=0.0, worker_id=i, location=l)
-                for i, l in enumerate(w)
-            ],
-            [
-                TaskArrival(time=1.0 + 0.01 * i, task_id=i, location=l)
-                for i, l in enumerate(t)
-            ],
-        )
-        coordinator = ClusterCoordinator(
-            REGION,
-            shards=(2, 2),
-            n_workers=2,
-            grid_nx=6,
-            chunk_size=64,
-            checkpoint_every=0,
-            balancer=BalancerConfig(window=128, min_tasks=32, split_share=0.5),
-            seed=1,
-        )
-        with coordinator:
-            report = coordinator.run(events)
-        assert coordinator.cell_splits >= 1
-        assert coordinator.tasks_answered == n_t
-        assert report.tasks_assigned == n_t  # parent pool kept serving
-        keys = {s.shard_id for s in report.shards}
-        assert any("/" in str(k) for k in keys)
-
-    def test_imbalance_triggers_migration(self):
-        rng = np.random.default_rng(0)
-        # traffic only on the west cells (s0, s2) — both on worker 0
-        w = np.column_stack(
-            [rng.uniform(0, 100, 500), rng.uniform(0, 200, 500)]
-        )
-        t = np.column_stack(
-            [rng.uniform(0, 100, 400), rng.uniform(0, 200, 400)]
-        )
-        events = merge_event_streams(
-            [
-                WorkerArrival(time=0.0, worker_id=i, location=l)
-                for i, l in enumerate(w)
-            ],
-            [
-                TaskArrival(time=1.0 + 0.01 * i, task_id=i, location=l)
-                for i, l in enumerate(t)
-            ],
-        )
-        coordinator = ClusterCoordinator(
-            REGION,
-            shards=(2, 2),
-            n_workers=2,
-            grid_nx=6,
-            chunk_size=64,
-            checkpoint_every=0,
-            balancer=BalancerConfig(
-                window=128, min_tasks=32, split_share=0.95, migrate_imbalance=1.3
-            ),
-            seed=1,
-        )
-        with coordinator:
-            report = coordinator.run(events)
-        assert coordinator.migrations >= 1
-        assert coordinator.tasks_answered == 400
-        assert report.tasks_total == 400
-        # the two hot families no longer share a worker
-        assert coordinator.ownership[0] != coordinator.ownership[2]
-
-
-class TestClusterCli:
-    def test_smoke_flag_meets_acceptance_gates(self, capsys):
-        code = cluster_main(
-            ["--smoke", "--workers", "400", "--tasks", "150", "--grid", "6"]
-        )
-        captured = capsys.readouterr()
-        assert code == 0, captured.err
-        assert "throughput" in captured.out
-        assert "cluster" in captured.out
-        assert "OK" in captured.err
-
-    def test_json_output_carries_cluster_block(self, capsys):
-        code = cluster_main(
-            [
-                "--workers",
-                "300",
-                "--tasks",
-                "100",
-                "--grid",
-                "6",
-                "--procs",
-                "1",
-                "--json",
-            ]
-        )
-        assert code == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["tasks_total"] == 100
-        assert data["cluster"]["n_workers"] == 1
-        assert data["cluster"]["failovers"] == 0

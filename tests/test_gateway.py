@@ -1,7 +1,7 @@
 """Gateway hardening: protocol, lifecycle, faults, remote parity.
 
 The seam this suite covers only exists once bytes cross a socket: frame
-damage, version skew, half-dead clients, a SIGKILLed cluster worker
+damage, version skew, half-dead clients, a SIGKILLed mesh worker
 *behind* the gateway. Everything must surface as stable
 :mod:`repro.api.errors` codes over the wire — never as a wedged server —
 and assignments must stay bit-identical to the in-process backends.
@@ -17,7 +17,7 @@ from repro.api import (
     AssignmentClient,
     BackendUnavailable,
     Batch,
-    ClusterBackend,
+    MeshBackend,
     RegisterWorker,
     RequestRejected,
     ServiceSpec,
@@ -782,17 +782,17 @@ class TestPipelinedDrain:
         assert len(got) < 350  # and nowhere near complete
 
 
-class TestClusterBehindGateway:
+class TestMeshBehindGateway:
     def test_sigkill_worker_behind_gateway_recovers_bit_exact(self):
-        """SIGKILL a cluster worker mid-stream *behind* the gateway: the
-        PR-2 restore+replay path must kick in and the remote client's
-        total answer stream must stay bit-identical to a clean sharded
-        run — no lost tasks, no duplicated replies."""
+        """SIGKILL a mesh worker mid-stream *behind* the gateway: the
+        restore+replay path must kick in and the remote client's total
+        answer stream must stay bit-identical to a clean sharded run —
+        no lost tasks, no duplicated replies."""
         spec = small_spec(seed=11)
         stream = build_conformance_stream(REGION, 60, 45, seed=7)
         half = len(stream) // 2
-        backend = ClusterBackend(spec, n_procs=2, chunk_size=7, checkpoint_every=32)
-        config = GatewayConfig(spec=spec, backend="cluster")
+        backend = MeshBackend(spec, n_peers=2, chunk_size=7, checkpoint_every=32)
+        config = GatewayConfig(spec=spec, backend="mesh")
         decisions = []
         with serve_gateway(config, backend=backend) as gw:
             remote = RemoteBackend(spec, address=gw.address)
@@ -801,7 +801,7 @@ class TestClusterBehindGateway:
                     r for r in client.stream(stream[:half], window=16)
                     if isinstance(r, TaskDecision)
                 ]
-                backend.coordinator.inject_crash(0)
+                backend.kill_worker(0)
                 decisions += [
                     r for r in client.stream(stream[half:], window=16)
                     if isinstance(r, TaskDecision)
@@ -838,8 +838,8 @@ class TestGatewayConfig:
 
         config = GatewayConfig(
             spec=small_spec(),
-            backend="cluster",
-            backend_kwargs={"n_procs": 2, "chunk_size": 7},
+            backend="mesh",
+            backend_kwargs={"n_peers": 2, "chunk_size": 7},
             port=7713,
             rate=500.0,
             burst=64,
@@ -865,7 +865,7 @@ class TestGatewayConfig:
 
     def test_stop_before_start_still_closes_backend(self):
         """stop() on a never-started server must not crash and must
-        close the backend — a half-started cluster holds real worker
+        close the backend — a half-started mesh holds real worker
         processes that would otherwise leak."""
         import asyncio
 

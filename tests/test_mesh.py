@@ -1,11 +1,12 @@
 """The worker mesh: protocol, journal cursors, parity, crash failover.
 
-The mesh's contract is the cluster's, one socket hop further out:
-standalone worker processes dial the coordinator over the gateway wire,
+Standalone worker processes dial the coordinator over the gateway wire,
 and whatever the transport does — pipelined dispatch, odd chunk joints,
 checkpoint barriers, a worker SIGKILLed mid-batch or mid-checkpoint,
 even a second kill during the recovery itself — the assignments must
-stay bit-identical to the single-process sharded engine.
+stay bit-identical to the single-process sharded engine. With the
+hot-shard balancer on, a migration changes no answer, and a run with hot
+cells split gives the same answers whatever the transport does.
 """
 
 import os
@@ -13,9 +14,10 @@ import signal
 import socket
 import time
 
+import numpy as np
 import pytest
 
-from repro.api import ServiceSpec, make_backend
+from repro.api import ServiceSpec, make_backend, requests_from_events
 from repro.api.conformance import (
     build_conformance_stream,
     check_parity,
@@ -23,7 +25,7 @@ from repro.api.conformance import (
     run_mesh_failover,
 )
 from repro.api.errors import ApiError
-from repro.cluster.balancer import ClusterRouter
+from repro.cluster.balancer import BalancerConfig, ClusterRouter
 from repro.cluster.dispatch import FamilyJournal
 from repro.gateway.protocol import (
     MESH_WORKER_ROLE,
@@ -37,6 +39,7 @@ from repro.mesh import (
     MESH_SCHEMA,
     MESH_VERSION,
     MeshCoordinator,
+    MeshError,
     OP_KINDS,
     fail_doc,
     op_doc,
@@ -44,7 +47,7 @@ from repro.mesh import (
     parse_reply,
     reply_doc,
 )
-from repro.service.events import TaskArrival, WorkerArrival
+from repro.service.events import TaskArrival, WorkerArrival, merge_event_streams
 from repro.service.sharding import ShardMap
 
 REGION = Box.square(200.0)
@@ -146,10 +149,12 @@ class TestFamilyJournal:
         j.absorb([_task(1, 12, 100)])
         first = j.take(0, mark)
         assert len(first) > 0
+        assert j.sent(0) == mark
         assert j.take(0, mark) == []  # cursor moved past the mark
         rest = j.take(0)
         assert [op[0] for op in rest] == ["t"]
         j.rewind(0)
+        assert j.sent(0) == 0
         replay = j.take(0)
         assert replay == first + rest  # base never truncated: full replay
 
@@ -294,6 +299,278 @@ class TestMeshFailover:
         assert second_kill, "recovery never ran; the double-kill is vacuous"
         assert backend_failovers(backend) >= 2
         assert check_parity([reference, mesh]) == []
+
+
+# --------------------------------------------------------------------- #
+# hot-shard balancing (split and migrate)                                #
+# --------------------------------------------------------------------- #
+
+
+def _fleet_stream(worker_locs, task_locs):
+    """A warm fleet at t=0, then one task per 0.01 time units."""
+    return list(
+        requests_from_events(
+            merge_event_streams(
+                [
+                    WorkerArrival(time=0.0, worker_id=i, location=loc)
+                    for i, loc in enumerate(worker_locs)
+                ],
+                [
+                    TaskArrival(time=1.0 + 0.01 * i, task_id=i, location=loc)
+                    for i, loc in enumerate(task_locs)
+                ],
+            )
+        )
+    )
+
+
+def _hot_cell_stream():
+    """400 workers and 300 tasks, all in the bottom-left quarter of s0."""
+    rng = np.random.default_rng(0)
+    w = rng.uniform(0, 100, size=(400, 2)) * [0.5, 0.5]
+    t = rng.uniform(0, 100, size=(300, 2)) * [0.5, 0.5]
+    return _fleet_stream(w, t)
+
+
+def _west_stream():
+    """All traffic on the west cells s0 and s2, which start on one peer."""
+    rng = np.random.default_rng(0)
+    w = np.column_stack([rng.uniform(0, 100, 500), rng.uniform(0, 200, 500)])
+    t = np.column_stack([rng.uniform(0, 100, 400), rng.uniform(0, 200, 400)])
+    return _fleet_stream(w, t)
+
+
+BALANCED_SPEC = ServiceSpec(region=REGION, shards=(2, 2), grid_nx=6, seed=1)
+SPLIT = BalancerConfig(window=128, min_tasks=32, split_share=0.5)
+MIGRATE = BalancerConfig(
+    window=128, min_tasks=32, split_share=0.95, migrate_imbalance=1.3
+)
+
+
+def _balanced_run(requests, balancer, *, n_peers=2, checkpoint_every=0, kill=False):
+    """One mesh run with 64-event windows and chunks; SIGKILLs worker 0
+    two thirds of the way through when ``kill``."""
+    stats: dict = {}
+    run, failovers = run_mesh_failover(
+        BALANCED_SPEC,
+        requests,
+        n_peers=n_peers,
+        kill_after=(2 * len(requests)) // 3 if kill else len(requests) + 1,
+        window=64,
+        chunk_size=64,
+        checkpoint_every=checkpoint_every,
+        balancer=balancer,
+        stats=stats,
+    )
+    return run, failovers, stats
+
+
+@pytest.fixture(scope="module")
+def split_baseline():
+    return _balanced_run(_hot_cell_stream(), SPLIT)
+
+
+class TestMeshBalancer:
+    def test_hot_cell_split_serves_parent_pool(self, split_baseline):
+        """All traffic in one cell: the cell splits, new registrations go
+        to sub-shards, and tasks still drain the pre-split parent pool."""
+        run, _, stats = split_baseline
+        assert stats["cell_splits"] >= 1
+        assert len(run.assignments) + len(run.unassigned) == 300
+        assert run.report.tasks_assigned == 300  # parent pool kept serving
+        keys = {str(s.shard_id) for s in run.report.shards}
+        assert {"s0/0", "s0/1", "s0/2", "s0/3"} <= keys
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            {"checkpoint_every": 96},
+            {"n_peers": 1},
+            {"checkpoint_every": 96, "kill": True},
+        ],
+        ids=["checkpoints", "one-peer", "sigkill"],
+    )
+    def test_balanced_run_is_identical_across_shapes(self, split_baseline, shape):
+        run, failovers, stats = _balanced_run(_hot_cell_stream(), SPLIT, **shape)
+        assert stats["cell_splits"] == split_baseline[2]["cell_splits"]
+        if shape.get("kill"):
+            assert failovers >= 1
+        assert check_parity([split_baseline[0], run]) == []
+
+    def test_imbalance_triggers_migration(self):
+        requests = _west_stream()
+        backend = make_backend(
+            "mesh",
+            BALANCED_SPEC,
+            n_peers=2,
+            chunk_size=64,
+            checkpoint_every=96,
+            balancer=MIGRATE,
+        )
+        run = run_backend(backend, requests, window=64)
+        coordinator = backend.coordinator
+        # one move balances the two hot families; a balancer that read a
+        # stale placement while the move was queued would make more
+        assert coordinator.migrations == 1
+        assert coordinator.cell_splits == 0
+        # the two hot families no longer share a peer
+        assert coordinator.ownership[0] != coordinator.ownership[2]
+        reference = run_backend(
+            make_backend("sharded", BALANCED_SPEC), requests, window=64
+        )
+        assert check_parity([reference, run]) == []
+
+    def test_migrated_family_survives_a_kill(self):
+        """SIGKILL the peer a family just migrated onto: failover must
+        restore that family from the chain its migration cut and replay
+        the journal from there, not from before the move."""
+        from repro.api.client import AssignmentClient
+        from repro.api.conformance import BackendRun
+        from repro.api.messages import TaskDecision
+
+        requests = _west_stream()
+        backend = make_backend(
+            "mesh",
+            BALANCED_SPEC,
+            n_peers=2,
+            chunk_size=64,
+            checkpoint_every=0,
+            balancer=MIGRATE,
+        )
+        pairs, misses = [], []
+        with AssignmentClient(backend) as client:
+            for answered, response in enumerate(client.stream(requests, window=64), 1):
+                if isinstance(response, TaskDecision):
+                    if response.worker_id is None:
+                        misses.append(response.task_id)
+                    else:
+                        pairs.append((response.task_id, response.worker_id))
+                if answered == (8 * len(requests)) // 9:
+                    coordinator = backend.coordinator
+                    assert coordinator.migrations == 1
+                    # the destination is the peer now holding 3 families
+                    peers = coordinator.telemetry()["peers"].values()
+                    dst = next(p for p in peers if len(p["families"]) == 3)
+                    backend.kill_worker(int(dst["label"].rsplit("mesh-w", 1)[1]))
+            client.flush()
+            report = client.report()
+        assert backend.coordinator.failovers == 1
+        run = BackendRun("mesh", tuple(pairs), tuple(misses), report)
+        reference = run_backend(
+            make_backend("sharded", BALANCED_SPEC), requests, window=64
+        )
+        assert check_parity([reference, run]) == []
+
+
+    def test_family_returns_to_its_old_peer_after_a_kill(self):
+        """Kill a migration's destination before anything reaches it:
+        failover hands the family back to the peer that just dropped its
+        shards, which must restore them rather than trust stale state."""
+        requests = _west_stream()
+        backend = make_backend(
+            "mesh",
+            BALANCED_SPEC,
+            n_peers=2,
+            chunk_size=64,
+            checkpoint_every=0,
+            balancer=MIGRATE,
+        )
+        killed = []
+
+        def arm(coordinator):
+            migrate = coordinator._migrate
+
+            def migrate_then_kill_destination(fam, dst, upto):
+                migrate(fam, dst, upto)
+                if coordinator.migrations and not killed:
+                    label = coordinator._peers[dst].label
+                    proc = backend.workers[int(label.rsplit("mesh-w", 1)[1])]
+                    killed.append(proc.pid)
+                    os.kill(proc.pid, signal.SIGKILL)
+                    proc.join(timeout=10.0)
+
+            coordinator._migrate = migrate_then_kill_destination
+
+        mesh = _run_with_hook(backend, requests, arm)
+        assert killed, "no migration ran; the kill is vacuous"
+        assert backend_failovers(backend) == 1
+        reference = run_backend(
+            make_backend("sharded", BALANCED_SPEC), requests, window=16
+        )
+        assert check_parity([reference, mesh]) == []
+
+
+class TestMeshLifecycle:
+    def test_end_to_end_accounts_for_every_event(self):
+        requests = build_conformance_stream(REGION, 600, 300, seed=3)
+        backend = make_backend("mesh", spec_for((2, 2)), n_peers=2)
+        run = run_backend(backend, requests)
+        assert backend.coordinator.tasks_answered == 300
+        assert run.report.tasks_total == 300
+        assert run.report.workers_registered == 600
+        assert run.report.tasks_assigned == len(run.assignments) > 0
+        # no worker consumed twice, mesh-wide
+        assigned = [w for _, w in run.assignments]
+        assert len(set(assigned)) == len(assigned)
+
+    def test_duplicate_worker_ids_rejected_mesh_wide(self):
+        backend = make_backend("mesh", spec_for((2, 2)), n_peers=1)
+        backend.open()
+        try:
+            with pytest.raises(ValueError, match="already registered"):
+                backend.coordinator.process(
+                    [_worker(1, 10.0, 10.0), _worker(1, 190.0, 190.0)]
+                )
+        finally:
+            backend.close()
+
+    def test_losing_every_peer_fails_loudly(self):
+        """Only losing every peer is fatal, and it must surface as a
+        MeshError rather than a hang."""
+        backend = make_backend("mesh", spec_for((2, 2)), n_peers=2)
+        backend.open()
+        try:
+            coordinator = backend.coordinator
+            for index in range(2):
+                backend.kill_worker(index)
+                backend.workers[index].join(timeout=10.0)
+            with pytest.raises(MeshError):
+                coordinator.process([_worker(0, 10.0, 10.0), _task(0, 15.0, 15.0)])
+                coordinator.result_of(0)
+        finally:
+            backend.close()
+
+    def test_closed_coordinator_refuses_work(self):
+        """Shard state dies with the peers: a closed coordinator must
+        refuse to serve, not silently start over from empty shards."""
+        backend = make_backend("mesh", spec_for((2, 2)), n_peers=1)
+        run_backend(backend, build_conformance_stream(REGION, 20, 10, seed=1))
+        coordinator = backend.coordinator
+        assert coordinator.tasks_answered == 10  # plain reads still fine
+        with pytest.raises(MeshError, match="closed"):
+            coordinator.report()
+        with pytest.raises(MeshError, match="closed"):
+            coordinator.process([_worker(99, 10, 10)])
+
+    def test_failed_open_reaps_listener_and_workers(self, monkeypatch):
+        """A start() that raises must not leak the listener, the
+        acceptor or the forked worker processes."""
+        backend = make_backend("mesh", spec_for((2, 2)), n_peers=2)
+        spawned = []
+
+        def failing_start(coordinator):
+            spawned.extend(backend.workers)
+            raise MeshError("only 1 of 2 mesh workers joined in time")
+
+        monkeypatch.setattr(MeshCoordinator, "start", failing_start)
+        with pytest.raises(MeshError, match="joined in time"):
+            backend.open()
+        backend.close()
+        assert len(spawned) == 2
+        for proc in spawned:
+            assert not proc.is_alive()
+        assert backend.coordinator._listener.fileno() == -1
+        assert not backend.coordinator._acceptor.is_alive()
 
 
 def backend_failovers(backend) -> int:

@@ -5,7 +5,7 @@ the scheduler permits — different shards overlapping, barriers landing
 mid-window, handlers finishing out of order — yields assignments and
 reports bit-identical to serial replay. The suite checks the law three
 ways: on the scheduler as a pure model, on the real sharded backend
-with adversarial jitter, and on the multiprocess cluster backend with
+with adversarial jitter, and on the worker-mesh backend with
 checkpoint barriers in the window.
 """
 
@@ -300,9 +300,9 @@ class TestOrderingKeys:
         assert backend.ordering_key(Flush()) is None
         assert backend.ordering_key(GetReport()) is None
 
-    @pytest.mark.parametrize("kind", ["sharded", "cluster"])
+    @pytest.mark.parametrize("kind", ["sharded", "mesh"])
     def test_routed_backends_key_by_shard(self, kind):
-        kwargs = {"n_procs": 1} if kind == "cluster" else {}
+        kwargs = {"n_peers": 1} if kind == "mesh" else {}
         backend = make_backend(kind, small_spec(), **kwargs)
         near = RegisterWorker(worker_id=0, location=(1.0, 1.0))
         far = SubmitTask(task_id=0, location=(199.0, 199.0))
@@ -481,8 +481,8 @@ def test_sharded_backend_scheduled_interleavings_are_bit_identical(seed):
     _reports_agree(report, serial_report)
 
 
-def test_cluster_backend_scheduled_with_checkpoint_barriers_mid_window():
-    """The cluster cell of the law: per-family keys, coordinator
+def test_mesh_backend_scheduled_with_checkpoint_barriers_mid_window():
+    """The mesh cell of the law: per-family keys, coordinator
     checkpoints firing mid-stream (checkpoint_every far below the stream
     length), plus explicit Flush barriers — still bit-identical to the
     serial sharded reference."""
@@ -491,15 +491,15 @@ def test_cluster_backend_scheduled_with_checkpoint_barriers_mid_window():
     serial_decisions, serial_report = _drive_serial(
         make_backend("sharded", spec), requests
     )
-    cluster = make_backend(
-        "cluster", spec, n_procs=2, chunk_size=7, checkpoint_every=32
+    mesh = make_backend(
+        "mesh", spec, n_peers=2, chunk_size=7, checkpoint_every=32
     )
-    decisions, report = _drive_scheduled(cluster, requests, seed=2)
+    decisions, report = _drive_scheduled(mesh, requests, seed=2)
     assert decisions == serial_decisions
     _reports_agree(report, serial_report)
 
 
-def test_cluster_batched_windows_scheduled_by_batch_key():
+def test_mesh_batched_windows_scheduled_by_batch_key():
     """Single-shard windows (the pipelined client's fast path) scheduled
     concurrently per batch key replay the serial per-shard history."""
     spec = small_spec(seed=21)
@@ -510,7 +510,7 @@ def test_cluster_batched_windows_scheduled_by_batch_key():
         make_backend("sharded", spec), requests, barrier_every=None
     )
 
-    backend = make_backend("cluster", spec, n_procs=2, chunk_size=5)
+    backend = make_backend("mesh", spec, n_peers=2, chunk_size=5)
     backend.open()
     try:
         # partition into per-shard substreams, then window each: every

@@ -17,7 +17,7 @@ from repro.utils import (
 class TestKeyedShardSeed:
     """The "keyed" seeding convention is a compatibility surface.
 
-    Every backend — in-process, engine, cluster workers, and remote
+    Every backend — in-process, engine, mesh workers, and remote
     clients across a gateway socket — derives shard RNG seeds through
     :func:`keyed_shard_seed`. Snapshots and journals recorded by one
     process must replay bit-identically in another, so the exact output
