@@ -24,6 +24,7 @@ from repro.api import (
     make_backend,
 )
 from repro.service import LoadConfig, LoadGenerator
+from repro.service.metrics import percentile
 
 
 def main() -> None:
@@ -71,10 +72,15 @@ def main() -> None:
         f"{report.throughput_tasks_per_s:,.0f} tasks/s sustained"
     )
     print("\nAPI middleware telemetry (per method):")
-    for kind, row in metrics.snapshot().items():
+    registry = metrics.registry
+    calls = registry.counters(LatencyMetrics.CALLS, label="kind")
+    failures = registry.counters(LatencyMetrics.FAILURES, label="kind")
+    latencies = registry.histograms(LatencyMetrics.LATENCY, label="kind")
+    for kind in sorted(calls):
         print(
-            f"  {kind:<12} calls {row['calls']:>6}  failures "
-            f"{row['failures']:>3}  p95 {row['latency_p95_ms']:.3f} ms"
+            f"  {kind:<12} calls {calls[kind]:>6}  failures "
+            f"{failures.get(kind, 0):>3}  "
+            f"p95 {percentile(latencies[kind], 95) * 1e3:.3f} ms"
         )
     print(
         f"admission control: {admission.admitted} requests admitted, "

@@ -322,6 +322,11 @@ class InProcessBackend(BackendBase):
     single-region :class:`~repro.service.shard.ShardServer`), with the
     same cohort buffering discipline as the engine. Requires a
     ``(1, 1)`` lattice spec — this backend *is* the unsharded case.
+
+    It keeps its own cohort buffer and id registry on purpose: the engine
+    and every mesh worker cut cohorts through the one
+    :class:`~repro.cluster.worker.ShardHost`, so this backend is the
+    independent oracle for that cut rule in the conformance matrix.
     """
 
     name = "inprocess"
@@ -385,17 +390,10 @@ class InProcessBackend(BackendBase):
 
     def get_report(self, req: GetReport) -> ReportResult:
         self._flush_pending()
-        metrics = self._shard.metrics
         report = build_report(
-            [self._shard.snapshot()],
-            list(metrics.latencies_s),
-            (),
+            [self._shard.report_row()],
             wall_seconds=req.wall_seconds,
             sim_duration=self.now,
-            distance_stats=(
-                metrics.reported_distances.total,
-                metrics.reported_distances.count,
-            ),
         )
         return ReportResult(report=report)
 

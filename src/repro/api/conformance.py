@@ -251,11 +251,6 @@ def run_mesh_failover(
     return run, failovers
 
 
-def _shard_key(shard_id) -> str:
-    """Engine lattice ids and mesh routing keys on one footing."""
-    return shard_id if isinstance(shard_id, str) else f"s{shard_id}"
-
-
 def _close(a: float, b: float) -> bool:
     if math.isnan(a) and math.isnan(b):
         return True
@@ -309,8 +304,8 @@ def _compare_reports(tag: str, ref, other) -> list[str]:
             f"{tag}: mean_reported_distance {other.mean_reported_distance}"
             f" != {ref.mean_reported_distance}"
         )
-    a = {_shard_key(s.shard_id): s for s in ref.shards}
-    b = {_shard_key(s.shard_id): s for s in other.shards}
+    a = {s.shard_id: s for s in ref.shards}
+    b = {s.shard_id: s for s in other.shards}
     if set(a) != set(b):
         problems.append(f"{tag}: shard sets differ ({sorted(a)} vs {sorted(b)})")
         return problems

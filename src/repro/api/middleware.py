@@ -14,8 +14,9 @@ Provided middleware:
   batches charged per contained item, with an injectable clock so tests
   (and simulations) drive it deterministically;
 * :class:`LatencyMetrics` — per-method call counts, structured-failure
-  counts and latency quantiles over a bounded
-  :class:`~repro.service.metrics.SampleReservoir` per method;
+  counts and latency samples (a bounded
+  :class:`~repro.service.metrics.SampleReservoir` per method), recorded
+  on a :class:`~repro.obs.registry.MetricsRegistry`;
 * :class:`ErrorMapper` — catches raw backend exceptions and re-raises
   them as structured :class:`~repro.api.errors.ApiError`\\ s (see
   :func:`~repro.api.errors.map_exception`).
@@ -36,7 +37,6 @@ import threading
 import time
 
 from ..obs.registry import MetricsRegistry
-from ..service.metrics import percentile
 from .errors import AdmissionRejected, ValidationFailed, map_exception
 from .messages import (
     Batch,
@@ -186,14 +186,13 @@ class TokenBucket:
 class LatencyMetrics:
     """Per-method latency and outcome telemetry around the backend call.
 
-    Since the obs layer landed this is a thin view over a
-    :class:`~repro.obs.registry.MetricsRegistry` — series
-    ``api.requests.calls``/``.failures`` (counters) and
+    Records into a :class:`~repro.obs.registry.MetricsRegistry` —
+    series ``api.requests.calls``/``.failures`` (counters) and
     ``api.requests.latency_s`` (reservoir histograms), labeled by
-    request ``kind``.  Pass a shared ``registry`` to co-locate these
-    with a server's other series; by default each instance owns one.
-    The pre-registry accessors (``calls``/``failures``/``latencies``
-    dicts and ``snapshot()``) keep their exact shapes.
+    request ``kind``. Read them there, e.g.
+    ``registry.counters(LatencyMetrics.CALLS, label="kind")``. Pass a
+    shared ``registry`` to co-locate these with a server's other series;
+    by default each instance owns one.
     """
 
     CALLS = "api.requests.calls"
@@ -223,31 +222,6 @@ class LatencyMetrics:
                 self.LATENCY, elapsed, capacity=self.capacity, kind=kind
             )
         return response
-
-    @property
-    def calls(self) -> dict:
-        return self.registry.counters(self.CALLS, label="kind")
-
-    @property
-    def failures(self) -> dict:
-        return self.registry.counters(self.FAILURES, label="kind")
-
-    @property
-    def latencies(self) -> dict:
-        return self.registry.histograms(self.LATENCY, label="kind")
-
-    def snapshot(self) -> dict:
-        """Frozen per-method stats: calls, failures, latency p50/p95 ms."""
-        calls, failures, latencies = self.calls, self.failures, self.latencies
-        return {
-            kind: {
-                "calls": calls.get(kind, 0),
-                "failures": failures.get(kind, 0),
-                "latency_p50_ms": percentile(latencies[kind], 50) * 1e3,
-                "latency_p95_ms": percentile(latencies[kind], 95) * 1e3,
-            }
-            for kind in sorted(calls)
-        }
 
 
 class ErrorMapper:

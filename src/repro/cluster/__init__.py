@@ -1,4 +1,4 @@
-"""repro.cluster — the shard-family core the worker mesh runs on.
+"""repro.cluster — the shard-family core the engine and the mesh run on.
 
 A *shard family* is one base lattice cell plus any sub-shards a hot-cell
 split carved out of it; it is the unit of placement, journaling,
@@ -13,7 +13,9 @@ pieces:
 * :class:`~repro.cluster.dispatch.FamilyJournal` — routes event chunks
   into per-family op journals (merged worker cohorts, task fallback
   chains) with absolute cursors for delivery, replay and compaction;
-* :class:`ShardHost` — the shards one worker process serves;
+* :class:`ShardHost` — the one shard container: the single-process
+  engine and every mesh worker hold, buffer, cut and report their
+  shards through it (:func:`shard_spec` builds its creation spec);
 * :class:`ClusterRouter` — lattice routing with one level of hot-cell
   refinement (split cells route to sub-shards, the parent drains);
 * :class:`HotShardBalancer` — throughput-driven hot-cell splitting and
@@ -24,7 +26,6 @@ from .balancer import BalancerConfig, ClusterRouter, HotShardBalancer
 from .snapshot import (
     SNAPSHOT_FORMAT,
     SNAPSHOT_VERSION,
-    SUPPORTED_SNAPSHOT_VERSIONS,
     SnapshotError,
     compose_chain,
     delta_snapshot,
@@ -34,7 +35,7 @@ from .snapshot import (
     snapshot_shard,
     snapshot_to_json,
 )
-from .worker import ShardHost
+from .worker import ShardHost, shard_spec
 
 __all__ = [
     "BalancerConfig",
@@ -42,13 +43,13 @@ __all__ = [
     "HotShardBalancer",
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
-    "SUPPORTED_SNAPSHOT_VERSIONS",
     "ShardHost",
     "SnapshotError",
     "compose_chain",
     "delta_snapshot",
     "restore_chain",
     "restore_shard",
+    "shard_spec",
     "snapshot_from_json",
     "snapshot_shard",
     "snapshot_to_json",

@@ -5,9 +5,11 @@ event stream into per-family op sequences: merged worker-cohort ops
 (consecutive arrivals for one shard collapse into a single
 ``["w", key, ids, locations]``, kept open until a task can observe that
 shard) and task ops carrying the full routing fallback chain.
-:class:`FamilyJournal` is that core. Its cohort cut points are the
-engine's per-event rule, which is what makes mesh assignments
-bit-identical to the engine's.
+:class:`FamilyJournal` is that core. A cohort op stays open exactly as
+long as the engine's per-event path would keep buffering, and the
+worker's :class:`~repro.cluster.worker.ShardHost` cuts it per worker as
+the engine's does, which is what makes mesh assignments bit-identical
+to the engine's. The journal also keeps the mesh's simulation clock.
 
 The journal doubles as the replay log. Every op is appended before it
 is sent, and the send cursor counts in *absolute* stream positions, so
@@ -54,6 +56,9 @@ class FamilyJournal:
         self.task_order: list[int] = []
         #: worker ids seen, for duplicate-registration rejection
         self.known_workers: set[int] = set()
+        #: the simulation clock: the latest time of an accepted event (a
+        #: rejected duplicate never moves it)
+        self.now = 0.0
 
     @property
     def families(self):
@@ -72,7 +77,7 @@ class FamilyJournal:
         stays open (and keeps absorbing later arrivals) until a task
         touches any shard of its routing chain — the same cut-point rule
         as the engine's per-event path. ``observe(key, is_task)`` is the
-        optional balancer tap.
+        optional balancer tap. Each accepted event advances :attr:`now`.
         """
         locs = np.array([e.location for e in chunk], dtype=np.float64)
         chains = self.router.chains_of_many(locs)
@@ -89,6 +94,7 @@ class FamilyJournal:
                         f"worker id already registered with the mesh: {wid}"
                     )
                 self.known_workers.add(wid)
+                self.now = max(self.now, float(event.time))
                 op = open_w.get(primary)
                 if op is None:
                     op = ["w", primary, [], []]
@@ -106,6 +112,7 @@ class FamilyJournal:
                 for key in chain:
                     open_w.pop(key, None)
                 tid = int(event.task_id)
+                self.now = max(self.now, float(event.time))
                 self._ops[fam].append(
                     [
                         "t",

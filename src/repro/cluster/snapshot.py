@@ -54,7 +54,6 @@ from ..service.shard import ShardServer
 __all__ = [
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
-    "SUPPORTED_SNAPSHOT_VERSIONS",
     "SnapshotError",
     "snapshot_shard",
     "delta_snapshot",
@@ -66,15 +65,10 @@ __all__ = [
 ]
 
 SNAPSHOT_FORMAT = "repro-shard-snapshot"
-#: Current write version. v3 adds the base/delta document kinds chained
-#: by checkpoint id; a v3 base is a v2 document plus the two chain
-#: fields. v2 stores bounded telemetry reservoirs (with their sampler
-#: state) instead of v1's unbounded raw sample lists.
+#: The one version this runtime writes and restores: base/delta document
+#: kinds chained by checkpoint id. Snapshots live only in coordinator
+#: memory, never on disk, so no older document exists to read.
 SNAPSHOT_VERSION = 3
-#: Versions this runtime can restore. v1 documents load with their raw
-#: sample lists folded into fresh reservoirs; v1/v2 documents restore as
-#: bases (they predate deltas, so they never appear mid-chain).
-SUPPORTED_SNAPSHOT_VERSIONS = (1, 2, 3)
 
 #: A shard with no buffered worker arrivals.
 _EMPTY_PENDING: tuple[list, list] = ([], [])
@@ -110,10 +104,10 @@ def snapshot_shard(shard: ShardServer, pending=None, *, checkpoint=None) -> dict
     """Freeze one shard (and its pending cohort buffer) into a base doc.
 
     ``pending`` is the shard's un-flushed ``(worker_ids, locations)``
-    cohort buffer as kept by the engine or a mesh worker; ``None``
-    means the buffer is empty. ``checkpoint`` is the barrier id the
-    coordinator assigned (``None`` for ad-hoc snapshots); deltas chain
-    onto it via their ``parent`` field.
+    cohort buffer as a :class:`~repro.cluster.worker.ShardHost` keeps
+    it; ``None`` means the buffer is empty. ``checkpoint`` is the barrier
+    id the coordinator assigned (``None`` for ad-hoc snapshots); deltas
+    chain onto it via their ``parent`` field.
     """
     return {
         "format": SNAPSHOT_FORMAT,
@@ -147,7 +141,8 @@ def delta_snapshot(
     }
 
 
-def _check_header(payload) -> int:
+def _kind_of(payload) -> str:
+    """A checked document's kind (``"base"`` or ``"delta"``)."""
     if not isinstance(payload, dict):
         raise SnapshotError(
             "snapshot-bad-format", "snapshot payload must be a dict"
@@ -158,17 +153,13 @@ def _check_header(payload) -> int:
             f"not a {SNAPSHOT_FORMAT} document: {payload.get('format')!r}",
         )
     version = payload.get("version")
-    if version not in SUPPORTED_SNAPSHOT_VERSIONS:
+    if version != SNAPSHOT_VERSION:
         raise SnapshotError(
             "snapshot-unsupported-version",
             f"unsupported snapshot version {version!r} "
-            f"(supported: {SUPPORTED_SNAPSHOT_VERSIONS})",
+            f"(this runtime reads v{SNAPSHOT_VERSION})",
         )
-    return version
-
-
-def _kind_of(payload: dict, version: int) -> str:
-    return payload.get("kind", "base") if version >= 3 else "base"
+    return payload.get("kind", "base")
 
 
 def restore_shard(payload: dict) -> tuple[ShardServer, tuple[list[int], list]]:
@@ -177,8 +168,7 @@ def restore_shard(payload: dict) -> tuple[ShardServer, tuple[list[int], list]]:
     Delta documents cannot be restored alone — hand the whole chain to
     :func:`restore_chain` instead.
     """
-    version = _check_header(payload)
-    if _kind_of(payload, version) != "base":
+    if _kind_of(payload) != "base":
         raise SnapshotError(
             "snapshot-delta-alone",
             "cannot restore a delta document by itself; compose its chain "
@@ -214,8 +204,7 @@ def compose_chain(docs) -> dict:
     if not docs:
         raise SnapshotError("snapshot-chain-empty", "snapshot chain is empty")
     head = docs[0]
-    version = _check_header(head)
-    if _kind_of(head, version) != "base":
+    if _kind_of(head) != "base":
         raise SnapshotError(
             "snapshot-chain-base",
             "snapshot chain must start with a base document, got a "
@@ -223,11 +212,6 @@ def compose_chain(docs) -> dict:
         )
     if len(docs) == 1:
         return head
-    if version < 3:
-        raise SnapshotError(
-            "snapshot-chain-base",
-            f"deltas need a v3 base; chain starts with a v{version} document",
-        )
     missing = {"state", "pending"} - set(head)
     if missing:
         raise SnapshotError(
@@ -238,8 +222,7 @@ def compose_chain(docs) -> dict:
     pending = head["pending"]
     tip = head.get("checkpoint")
     for doc in docs[1:]:
-        _check_header(doc)
-        if _kind_of(doc, doc["version"]) != "delta":
+        if _kind_of(doc) != "delta":
             raise SnapshotError(
                 "snapshot-chain-order",
                 "snapshot chain holds a base document after the first "

@@ -1,15 +1,19 @@
-"""The worker side of a shard family: a :class:`ShardHost`.
+"""The shard container: a :class:`ShardHost`.
 
-One host owns a disjoint set of shards (keyed by routing key, e.g.
-``"s3"`` or the split sub-shard ``"s3/1"``) and drives them exactly like
-the single-process engine drives its shard list: worker arrivals are
-buffered per shard and flushed through the vectorized batch-obfuscation
-path; task arrivals flush their shard and match immediately.
+One host owns a set of shards keyed by routing key (``"s3"``, or the
+split sub-shard ``"s3/1"``) and drives them with the one cohort rule:
+worker arrivals are buffered per shard and flushed through the
+vectorized batch-obfuscation path at ``batch_size``; task arrivals flush
+their shard and match immediately.
 
-A mesh worker process (:mod:`repro.mesh.worker`) serves one host behind
-the :mod:`repro.mesh.protocol` ops. ``ops`` entries handed to
-:meth:`ShardHost.apply` are either a merged worker-cohort op
-``["w", key, ids, locations]`` or a task op
+Every runtime serves its shards through a host: the single-process
+:class:`~repro.service.engine.ShardedAssignmentEngine` holds one over
+every lattice cell, and each mesh worker process
+(:mod:`repro.mesh.worker`) serves one behind the
+:mod:`repro.mesh.protocol` ops — so the engine, the mesh workers and a
+failover restore cut cohorts and record metrics with the same code.
+``ops`` entries handed to :meth:`ShardHost.apply` are either a merged
+worker-cohort op ``["w", key, ids, locations]`` or a task op
 ``["t", keys, task_id, location]`` whose ``keys`` is the routing
 fallback chain (sub-shard first, then its split parent).
 """
@@ -20,17 +24,30 @@ import time
 
 from ..geometry.box import Box
 from ..service.shard import ShardServer
-from .snapshot import delta_snapshot, restore_chain, restore_shard, snapshot_shard
+from .snapshot import delta_snapshot, restore_chain, snapshot_shard
 
-__all__ = ["ShardHost"]
+__all__ = ["ShardHost", "shard_spec"]
+
+
+def shard_spec(
+    box: Box, *, grid_nx: int, epsilon: float, budget_capacity: float, seed: int
+) -> dict:
+    """The JSON-pure creation spec :meth:`ShardHost.create` builds from.
+
+    ``seed`` is the shard's own stream seed (callers derive it with
+    :func:`~repro.utils.keyed_shard_seed` on the routing key).
+    """
+    return {
+        "box": [box.xmin, box.ymin, box.xmax, box.ymax],
+        "grid_nx": grid_nx,
+        "epsilon": epsilon,
+        "budget_capacity": budget_capacity,
+        "seed": seed,
+    }
 
 
 class ShardHost:
-    """In-process container for the shards one worker serves.
-
-    The worker-side mirror of the engine's shard list + pending buffers;
-    it is also usable standalone.
-    """
+    """In-process container for a set of shards and their cohort buffers."""
 
     def __init__(self, batch_size: int = 256) -> None:
         if batch_size < 1:
@@ -47,7 +64,7 @@ class ShardHost:
     # ------------------------------------------------------------------ #
 
     def create(self, key: str, spec: dict) -> None:
-        """Build a fresh shard from its creation spec (box, knobs, seed)."""
+        """Build a fresh shard from its :func:`shard_spec`."""
         if key in self.shards:
             raise ValueError(f"shard {key!r} already hosted")
         self.shards[key] = ShardServer(
@@ -60,26 +77,21 @@ class ShardHost:
         )
         self.pending[key] = ([], [])
 
-    def load(self, key: str, snapshot) -> None:
-        """Install a shard restored from a checkpoint snapshot.
+    def load(self, key: str, snapshots: list) -> None:
+        """Install a shard restored from a ``[base, delta, ...]`` chain.
 
-        ``snapshot`` is either one base document or a ``[base, delta,
-        ...]`` chain; a chain is composed first and the tip checkpoint's
-        cursor is seeded, so the restored shard can immediately answer
-        "what changed since the last checkpoint" deltas.
+        The chain is composed and the tip checkpoint's cursor is seeded,
+        so the restored shard can immediately answer "what changed since
+        the last checkpoint" deltas.
         """
         if key in self.shards:
             raise ValueError(f"shard {key!r} already hosted")
-        if isinstance(snapshot, list):
-            shard, pending = restore_chain(snapshot)
-            tip = snapshot[-1].get("checkpoint")
-        else:
-            shard, pending = restore_shard(snapshot)
-            tip = snapshot.get("checkpoint")
+        shard, pending = restore_chain(snapshots)
         if shard.shard_id != key:
             raise ValueError(
                 f"snapshot is for shard {shard.shard_id!r}, not {key!r}"
             )
+        tip = snapshots[-1].get("checkpoint")
         self.shards[key] = shard
         self.pending[key] = pending
         self.cursors[key] = (
@@ -131,20 +143,24 @@ class ShardHost:
     # serving                                                             #
     # ------------------------------------------------------------------ #
 
-    def register(self, key: str, worker_ids, locations) -> None:
-        """Buffer a worker cohort on its shard; flush at ``batch_size``.
+    def add(self, key: str, worker_id: int, location) -> None:
+        """Buffer one worker arrival on its shard; flush at ``batch_size``.
 
-        Workers are appended (and the threshold checked) one at a time,
-        exactly like the engine's per-event path — not per transport op —
-        so the mesh and the engine cut cohorts at identical points in the
-        stream and their obfuscation draws stay bit-identical.
+        The cohort cut rule: workers join one at a time and the threshold
+        is checked per worker, never per transport op, so every caller
+        cuts cohorts at the same stream positions and their obfuscation
+        draws stay bit-identical.
         """
+        ids, locs = self.pending[key]
+        ids.append(worker_id)
+        locs.append(location)
+        if len(ids) >= self.batch_size:
+            self.flush(key)
+
+    def register(self, key: str, worker_ids, locations) -> None:
+        """Buffer a worker cohort on its shard, one :meth:`add` per worker."""
         for wid, loc in zip(worker_ids, locations):
-            ids, locs = self.pending[key]
-            ids.append(int(wid))
-            locs.append(loc)
-            if len(ids) >= self.batch_size:
-                self.flush(key)
+            self.add(key, int(wid), loc)
 
     def flush(self, key: str | None = None) -> None:
         """Push pending cohorts through batch obfuscation (``None`` = all)."""
@@ -163,28 +179,29 @@ class ShardHost:
         first, then (after a hot-shard split) the parent shard that still
         holds the pre-split worker pool. Returns ``(worker_id, key)`` for
         the shard that served it; on a full miss the unassigned metric is
-        recorded once, on the primary shard.
+        recorded once, on the primary shard, by the chain's last probe.
+        Hits and misses are timed alike: the probe's own matching time
+        plus the earlier probes' full serving time, so a one-key chain
+        records exactly what a lone :class:`ShardServer` does.
         """
-        # flush before the clock starts: the engine, too, registers the
-        # pending cohort outside the measured matching latency, keeping
-        # the two runtimes' latency quantiles comparable
+        # flush before the clock starts: pending registrations are not
+        # part of the task's matching latency
         for key in keys:
             self.flush(key)
+        primary = keys[0]
+        charge = self.shards[primary].metrics
+        last = len(keys) - 1
         start = time.perf_counter()
-        for key in keys:
+        for i, key in enumerate(keys):
             worker = self.shards[key].submit_task(
                 task_id,
                 location,
-                record_miss=False,
+                record_miss=charge if i == last else False,
                 # time already burnt probing earlier shards in the chain
-                latency_offset=time.perf_counter() - start,
+                latency_offset=time.perf_counter() - start if i else 0.0,
             )
             if worker is not None:
                 return worker, key
-        primary = keys[0]
-        self.shards[primary].metrics.record_unassigned(
-            time.perf_counter() - start
-        )
         return None, primary
 
     def apply(self, ops) -> list[tuple[int, int | None, str]]:
@@ -200,23 +217,6 @@ class ShardHost:
                 results.append((int(task_id), worker, key))
         return results
 
-    def report(self) -> dict:
-        """Frozen metrics per hosted shard, with pooled raw samples.
-
-        Raw latency samples ride along so the coordinator can compute
-        service-wide quantiles from the pooled samples rather than
-        averaging per-shard quantiles; distances travel as exact
-        ``(total, count)`` aggregates only — the service-wide mean needs
-        nothing more.
-        """
-        return {
-            key: {
-                "snapshot": shard.snapshot(),
-                "latencies_s": list(shard.metrics.latencies_s),
-                "distance_total": shard.metrics.reported_distances.total,
-                "distance_count": shard.metrics.reported_distances.count,
-                "pending": len(self.pending[key][0]),
-            }
-            for key, shard in self.shards.items()
-        }
-
+    def report(self) -> dict[str, dict]:
+        """Every hosted shard's :meth:`~ShardServer.report_row`, by key."""
+        return {key: shard.report_row() for key, shard in self.shards.items()}

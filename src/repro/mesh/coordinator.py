@@ -1,8 +1,8 @@
 """The mesh coordinator: worker peers on sockets, dispatch on keys.
 
 :class:`MeshCoordinator` is the repo's distributed coordinator. It keeps
-the engine's event contract (``process``/``flush``/``report``/``run``)
-but its workers are independent processes — possibly on other machines —
+the engine's event contract (``process``/``flush``/``report``) but its
+workers are independent processes — possibly on other machines —
 that dialed in over the gateway wire and hold shard families behind
 :mod:`repro.mesh.protocol` ops.
 
@@ -70,6 +70,7 @@ from ..cluster.balancer import (
     key_order,
 )
 from ..cluster.dispatch import FamilyJournal
+from ..cluster.worker import shard_spec
 from ..gateway.protocol import (
     BIN1_CODEC,
     JSON_CODEC,
@@ -99,7 +100,7 @@ from ..service.metrics import (
     build_report,
     summarize_reservoir,
 )
-from ..utils import ensure_rng, keyed_shard_seed
+from ..utils import keyed_shard_seed
 from .protocol import op_doc, parse_reply
 
 __all__ = ["MeshCoordinator", "MeshError", "PeerLost"]
@@ -347,6 +348,8 @@ class MeshCoordinator:
             raise ValueError("checkpoint_every must be >= 0 (0 disables)")
         if rebase_every < 0:
             raise ValueError("rebase_every must be >= 0 (0 = always full)")
+        if not isinstance(seed, int):
+            raise ValueError(f"seed must be an int (keyed shard seeding), got {seed!r}")
         from ..service.sharding import ShardMap
 
         self.shard_map = ShardMap(region, *shards)
@@ -359,11 +362,7 @@ class MeshCoordinator:
         self.chunk_size = chunk_size
         self.checkpoint_every = checkpoint_every
         self.rebase_every = int(rebase_every)
-        self.seed = (
-            int(ensure_rng(seed).integers(2**31))
-            if not isinstance(seed, int)
-            else seed
-        )
+        self.seed = seed
         self.host = host
         self.port = port
         self.liveness_timeout = liveness_timeout
@@ -390,7 +389,6 @@ class MeshCoordinator:
         self._alive: set[str] = set()  # guarded-by: _state, _wake
         self._failure: BaseException | None = None  # guarded-by: _state, _wake
         self._events_since_checkpoint = 0  # guarded-by: _state, _wake
-        self.now = 0.0  # guarded-by: _state, _wake
         self.failovers = 0  # guarded-by: _state, _wake
         self.rejected_handshakes = 0  # guarded-by: _state, _wake
         self._balancer = (  # guarded-by: _state, _wake
@@ -531,14 +529,13 @@ class MeshCoordinator:
         self.close()
 
     def _spec_for(self, key: str) -> dict:
-        box = self.router.shard_box(key)
-        return {
-            "box": [box.xmin, box.ymin, box.xmax, box.ymax],
-            "grid_nx": self.grid_nx,
-            "epsilon": self.epsilon,
-            "budget_capacity": self.budget_capacity,
-            "seed": keyed_shard_seed(self.seed, key),
-        }
+        return shard_spec(
+            self.router.shard_box(key),
+            grid_nx=self.grid_nx,
+            epsilon=self.epsilon,
+            budget_capacity=self.budget_capacity,
+            seed=keyed_shard_seed(self.seed, key),
+        )
 
     # ------------------------------------------------------------------ #
     # peer admission                                                      #
@@ -656,6 +653,12 @@ class MeshCoordinator:
             ]
 
     @property
+    def now(self) -> float:
+        """The simulation clock: the latest event the journal accepted."""
+        with self._state:
+            return self._journal.now
+
+    @property
     def tasks_answered(self) -> int:
         with self._state:
             return sum(
@@ -692,8 +695,6 @@ class MeshCoordinator:
         ctx = current_context() if self.tracer is not None else None
         queued_perf = time.perf_counter() if ctx is not None else 0.0
         with self._state:
-            for event in chunk:
-                self.now = max(self.now, float(event.time))
             balancer = self._balancer
             touched = self._journal.absorb(
                 chunk, observe=balancer.observe if balancer else None
@@ -783,18 +784,13 @@ class MeshCoordinator:
             self._scheduler.submit(None, self._guard, self._report_job, flush),
             "report barrier",
         )
-        keys = sorted(merged, key=key_order)
-        latencies = [v for k in keys for v in merged[k]["latencies_s"]]
         return build_report(
-            (ShardSnapshot(**merged[k]["snapshot"]) for k in keys),
-            latencies,
-            (),
+            (
+                {**merged[k], "snapshot": ShardSnapshot(**merged[k]["snapshot"])}
+                for k in sorted(merged, key=key_order)
+            ),
             wall_seconds=wall_seconds,
             sim_duration=self.now,
-            distance_stats=(
-                sum(merged[k]["distance_total"] for k in keys),
-                sum(merged[k]["distance_count"] for k in keys),
-            ),
         )
 
     def run(self, events) -> ServiceReport:

@@ -22,8 +22,7 @@ op             body                        reply body
 ``configure``  ``batch_size``              ``{}``
 ``create``     ``key``, ``spec``           ``{"key": ...}``
 ``load``       ``key``, ``snapshots``      ``{"key": ...}``
-               (chain) *or* ``snapshot``
-               (one base doc)
+               (a base+delta chain)
 ``drop``       ``key``                     ``{"key": ...}``
 ``events``     ``ops``                     ``{"results": [[tid,wid,key]]}``
 ``snapshot``   ``key`` [, ``mode``,        ``{"key": ..., "snapshot": ...}``

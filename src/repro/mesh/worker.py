@@ -5,9 +5,9 @@ gateway ``hello`` whose feature list carries ``role:mesh-worker`` (plus
 ``family:<id>`` advertisements when it already holds shard state), and
 then serves :mod:`repro.mesh.protocol` ops over the same length-prefixed
 JSON frames the gateway uses. The serving core is a
-:class:`~repro.cluster.worker.ShardHost`, which drives its shards with
-the engine's own cohort rule — that is what keeps mesh assignments
-bit-identical to the single-process engine's.
+:class:`~repro.cluster.worker.ShardHost`, the same shard container the
+single-process engine drives — one cohort rule and one apply path is
+what keeps mesh assignments bit-identical to the engine's.
 
 The loop is single-threaded and strictly FIFO over the socket: ops are
 applied in arrival order and replies carry the op's ``seq`` back. That
@@ -189,10 +189,7 @@ def serve_connection(
                 host.create(str(body["key"]), body["spec"])
                 out = {"key": body["key"]}
             elif op == "load":
-                # "snapshots" carries a base+delta chain; "snapshot" the
-                # single-document form older coordinators send
-                docs = body.get("snapshots", body.get("snapshot"))
-                host.load(str(body["key"]), docs)
+                host.load(str(body["key"]), body["snapshots"])
                 out = {"key": body["key"]}
             elif op == "drop":
                 host.drop(str(body["key"]))

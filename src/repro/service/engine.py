@@ -1,27 +1,33 @@
 """The sharded online assignment engine.
 
-:class:`ShardedAssignmentEngine` is the subsystem's front door. It owns a
-:class:`~repro.service.sharding.ShardMap` over the service region and one
-:class:`~repro.service.shard.ShardServer` per cell, and consumes timed
-worker/task events through one ingest path,
-:meth:`ShardedAssignmentEngine.ingest`. A chunk of events (an API
-stream window, a slice of a :class:`~repro.service.events.RequestQueue`,
-a worker wave, or a single call) is routed with one vectorized
+:class:`ShardedAssignmentEngine` is the subsystem's front door: a router
+in front of one :class:`~repro.cluster.worker.ShardHost`. It owns a
+:class:`~repro.service.sharding.ShardMap` over the service region, and
+its host holds one :class:`~repro.service.shard.ShardServer` per cell
+under the routing key ``"s<i>"``. Timed worker/task events arrive
+through one ingest path, :meth:`ShardedAssignmentEngine.ingest`. A chunk
+of events (an API stream window, a slice of a
+:class:`~repro.service.events.RequestQueue`, a worker wave, or a single
+call) is routed with one vectorized
 :meth:`~repro.service.sharding.ShardMap.shard_of_many` pass, then
 applied in stream order:
 
-* **worker arrivals** join their shard's pending cohort; a cohort is
-  flushed through the vectorized batch-obfuscation path when it reaches
+* **worker arrivals** join their shard's pending cohort
+  (:meth:`~repro.cluster.worker.ShardHost.add`); a cohort is flushed
+  through the vectorized batch-obfuscation path when it reaches
   ``batch_size``, when a task for that shard arrives (so no matchable
   worker is ever invisible to a later task), or at end of stream.
   Batching amortizes the per-report Python overhead;
 * **task arrivals** flush their shard's pending cohort and are matched
-  immediately by the shard's Algorithm-4 server.
+  immediately by the shard's Algorithm-4 server
+  (:meth:`~repro.cluster.worker.ShardHost.task`).
 
 The cut points depend only on stream order, never on where a chunk
 ends, so any chunking of a stream — one event per call included —
-yields bit-identical assignments; the mesh coordinator's
-:class:`~repro.cluster.dispatch.FamilyJournal` applies the same rule.
+yields bit-identical assignments. Every mesh worker serves its shards
+through the same :class:`~repro.cluster.worker.ShardHost`, fed by the
+coordinator's :class:`~repro.cluster.dispatch.FamilyJournal`, so the
+engine and the mesh share their apply code.
 ``register_worker``, ``register_workers``, ``submit_task`` and
 ``process`` are thin callers of :meth:`ingest`.
 Shard RNG streams are keyed (:func:`~repro.utils.keyed_shard_seed` on
@@ -51,17 +57,14 @@ need stream order use the API layer's sequence-numbered responses).
 from __future__ import annotations
 
 import threading
-import time
 from itertools import islice
 
-import numpy as np
-
+from ..cluster.worker import ShardHost, shard_spec
 from ..geometry.box import Box
 from ..geometry.points import as_points
 from ..utils import keyed_shard_seed
 from .events import RequestQueue, TaskArrival
 from .metrics import ServiceReport, build_report
-from .shard import ShardServer
 from .sharding import ShardMap
 
 __all__ = ["ShardedAssignmentEngine"]
@@ -102,26 +105,23 @@ class ShardedAssignmentEngine:
         batch_size: int = 256,
         seed: int = 0,
     ) -> None:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if not isinstance(seed, int):
             raise ValueError(f"seed must be an int (keyed shard seeding), got {seed!r}")
         self.shard_map = ShardMap(region, *shards)
-        self.batch_size = batch_size
-        self.shards = [
-            ShardServer(
-                shard_id,
-                self.shard_map.shard_box(shard_id),
-                grid_nx=grid_nx,
-                epsilon=epsilon,
-                budget_capacity=budget_capacity,
-                seed=keyed_shard_seed(seed, f"s{shard_id}"),
+        self.host = ShardHost(batch_size)
+        #: routing key of each lattice cell, indexed by cell id
+        self.keys = [f"s{i}" for i in range(self.shard_map.n_shards)]
+        for i, key in enumerate(self.keys):
+            self.host.create(
+                key,
+                shard_spec(
+                    self.shard_map.shard_box(i),
+                    grid_nx=grid_nx,
+                    epsilon=epsilon,
+                    budget_capacity=budget_capacity,
+                    seed=keyed_shard_seed(seed, key),
+                ),
             )
-            for shard_id in range(self.shard_map.n_shards)
-        ]
-        self._pending: list[tuple[list[int], list]] = [
-            ([], []) for _ in self.shards
-        ]
         # engine-wide id registry: shards only see their own workers, so
         # cross-shard duplicates must be caught here or one worker id
         # could be assigned twice and budget-charged on two ledgers
@@ -134,7 +134,7 @@ class ShardedAssignmentEngine:
 
     @property
     def n_shards(self) -> int:
-        return len(self.shards)
+        return len(self.keys)
 
     @property
     def assignments(self) -> list[tuple[int, int]]:
@@ -152,32 +152,33 @@ class ShardedAssignmentEngine:
         is then its task id), else a worker arrival (``ids[i]`` is its
         worker id). The whole chunk is routed with one
         :meth:`~repro.service.sharding.ShardMap.shard_of_many` pass; then,
-        event by event, a worker joins its shard's pending cohort (flushed
-        at ``batch_size``) and a task flushes its own shard's cohort and is
-        matched. ``times``, a sequence parallel to ``ids``, advances the
+        event by event, a worker joins its shard's pending cohort
+        (:meth:`~repro.cluster.worker.ShardHost.add`) and a task is
+        matched on its shard (:meth:`~repro.cluster.worker.ShardHost.task`).
+        ``times``, a sequence parallel to ``ids``, advances the
         simulation clock to the latest event applied.
 
         Returns every task's decision (worker id or ``None``) in stream
         order. A worker id the engine has seen before raises
         ``ValueError`` at its event: the events before it stay applied
-        and none after it run, exactly as if each event had been its own
-        call.
+        (clock included) and neither it nor any after it run, exactly as
+        if each event had been its own call.
         """
         locs = as_points(locations)
         if not len(ids) == len(is_task) == len(locs):
             raise ValueError("need one id and one kind per location")
         owners = self.shard_map.shard_of_many(locs).tolist()
+        host, keys = self.host, self.keys
         decisions: list[int | None] = []
         applied = 0
         try:
             for shard_id, location, event_id, task in zip(
                 owners, locs.tolist(), ids, is_task
             ):
-                applied += 1
                 event_id = int(event_id)
                 if task:
-                    self.flush(shard_id)
-                    worker = self.shards[shard_id].submit_task(event_id, location)
+                    applied += 1
+                    worker, _ = host.task((keys[shard_id],), event_id, location)
                     decisions.append(worker)
                     if worker is not None:
                         with self._shared_lock:
@@ -189,11 +190,8 @@ class ShardedAssignmentEngine:
                             f"worker id already registered with the engine: {event_id}"
                         )
                     self._known_workers.add(event_id)
-                cohort_ids, cohort_locs = self._pending[shard_id]
-                cohort_ids.append(event_id)
-                cohort_locs.append(location)
-                if len(cohort_ids) >= self.batch_size:
-                    self.flush(shard_id)
+                applied += 1
+                host.add(keys[shard_id], event_id, location)
         finally:
             if times is not None and applied:
                 # max commutes, so shards ingesting on different threads
@@ -217,57 +215,9 @@ class ShardedAssignmentEngine:
         """Route and match one task; flushes its shard's pending cohort."""
         return self.ingest([task_id], [location], [True])[0]
 
-    def flush(self, shard_id: int | None = None) -> None:
-        """Push pending worker cohorts through batch obfuscation.
-
-        ``None`` flushes every shard (end of stream).
-        """
-        targets = range(self.n_shards) if shard_id is None else [shard_id]
-        for sid in targets:
-            ids, locs = self._pending[sid]
-            if not ids:
-                continue
-            self._pending[sid] = ([], [])
-            self.shards[sid].register_cohort(ids, locs)
-
-    # ------------------------------------------------------------------ #
-    # checkpointing hooks                                                 #
-    # ------------------------------------------------------------------ #
-
-    def export_pending(self, shard_id: int) -> tuple[list[int], list]:
-        """Copy of a shard's un-flushed cohort buffer ``(ids, locations)``.
-
-        Part of a shard's checkpointable state: the buffer holds true
-        locations that have not crossed the privacy boundary yet, so a
-        snapshot that dropped it would silently lose registrations on
-        restore. The versioned wire format wrapping this lives in
-        :mod:`repro.cluster.snapshot`.
-        """
-        ids, locs = self._pending[shard_id]
-        return list(ids), [np.array(loc, dtype=np.float64) for loc in locs]
-
-    def install_shard(
-        self, shard_id: int, shard: ShardServer, pending=None
-    ) -> None:
-        """Replace one shard in place with a restored :class:`ShardServer`.
-
-        The restored shard's registered worker ids are folded into the
-        engine-wide registry so duplicate detection keeps working across
-        the restore.
-        """
-        if not 0 <= shard_id < self.n_shards:
-            raise IndexError(f"shard {shard_id} outside [0, {self.n_shards})")
-        self.shards[shard_id] = shard
-        ids, locs = pending if pending is not None else ([], [])
-        self._pending[shard_id] = (
-            [int(w) for w in ids],
-            [np.asarray(loc, dtype=np.float64) for loc in locs],
-        )
-        with self._shared_lock:
-            self._known_workers.update(int(w) for w in ids)
-            self._known_workers.update(
-                int(w) for w in shard.server.registered_ids
-            )
+    def flush(self) -> None:
+        """Push every pending worker cohort through batch obfuscation."""
+        self.host.flush()
 
     # ------------------------------------------------------------------ #
     # event-driven operation                                              #
@@ -297,13 +247,6 @@ class ShardedAssignmentEngine:
             )
         self.flush()
 
-    def run(self, events) -> ServiceReport:
-        """Process a stream and return the timed service report."""
-        start = time.perf_counter()
-        self.process(events)
-        wall = time.perf_counter() - start
-        return self.report(wall_seconds=wall)
-
     # ------------------------------------------------------------------ #
     # telemetry                                                           #
     # ------------------------------------------------------------------ #
@@ -311,15 +254,8 @@ class ShardedAssignmentEngine:
     def report(self, wall_seconds: float = float("nan")) -> ServiceReport:
         """Aggregate all shard metrics into one :class:`ServiceReport`."""
         self.flush()
-        latencies = [v for s in self.shards for v in s.metrics.latencies_s]
         return build_report(
-            (s.snapshot() for s in self.shards),
-            latencies,
-            (),
+            self.host.report().values(),
             wall_seconds=wall_seconds,
             sim_duration=self.now,
-            distance_stats=(
-                sum(s.metrics.reported_distances.total for s in self.shards),
-                sum(s.metrics.reported_distances.count for s in self.shards),
-            ),
         )

@@ -191,14 +191,8 @@ class SampleReservoir:
         }
 
     @classmethod
-    def from_dict(cls, payload) -> "SampleReservoir":
-        """Rebuild from :meth:`to_dict` output — or from the raw sample
-        list older (v1) shard snapshots carried, which becomes a reservoir
-        holding exactly those samples."""
-        if isinstance(payload, list):
-            res = cls()
-            res.extend(float(v) for v in payload)
-            return res
+    def from_dict(cls, payload: dict) -> "SampleReservoir":
+        """Rebuild from :meth:`to_dict` output."""
         missing = {"capacity", "count", "total", "values", "state"} - set(payload)
         if missing:
             raise ValueError(f"reservoir payload missing fields: {sorted(missing)}")
@@ -243,9 +237,8 @@ def summarize_reservoir(res) -> dict:
 class ShardMetrics:
     """Mutable per-shard recorder filled while the shard serves traffic.
 
-    ``shard_id`` is an ``int`` for the single-process engine's lattice
-    cells and a ``str`` key (e.g. ``"s3/1"``) for mesh shards, which can
-    be split into sub-shards at runtime.
+    ``shard_id`` is the shard's routing key: ``"s<i>"`` for lattice cell
+    ``i``, or a sub-shard key such as ``"s3/1"`` after a hot-cell split.
 
     Raw latency/distance samples live in bounded
     :class:`SampleReservoir` series (seeded from the shard id, so a
@@ -254,7 +247,7 @@ class ShardMetrics:
     means stay exact regardless of stream length.
     """
 
-    shard_id: int | str
+    shard_id: str
     workers_registered: int = 0
     cohorts_flushed: int = 0
     tasks_assigned: int = 0
@@ -382,7 +375,7 @@ class ShardMetrics:
 class ShardSnapshot:
     """One shard's final counters and audit numbers."""
 
-    shard_id: int | str
+    shard_id: str
     epsilon: float
     workers_registered: int
     cohorts_flushed: int
@@ -517,36 +510,27 @@ class ServiceReport:
 
 
 def build_report(
-    shards,
-    latencies,
-    distances,
-    *,
-    wall_seconds: float = float("nan"),
-    sim_duration: float = 0.0,
-    distance_stats: tuple[float, int] | None = None,
+    rows, *, wall_seconds: float = float("nan"), sim_duration: float = 0.0
 ) -> ServiceReport:
-    """Assemble a :class:`ServiceReport` from frozen shard rows and pooled
-    raw samples.
+    """Assemble a :class:`ServiceReport` from per-shard report rows.
 
-    The one aggregation path shared by the single-process engine and the
-    mesh coordinator, so both report identical quantile semantics.
-    ``distance_stats`` is an optional exact ``(total, count)`` over *all*
-    reported distances; when given, the mean comes from it rather than
-    from the (reservoir-retained) pooled samples, so the aggregate mean
-    stays exact even past the retention cap.
+    The one aggregation path of every backend (the in-process reference,
+    the engine and the mesh coordinator), so all report identical
+    quantile semantics. Each row is a
+    :meth:`~repro.service.shard.ShardServer.report_row`: latency
+    quantiles come from the pooled raw samples, and the mean reported
+    distance from the exact totals, so it stays exact past the
+    reservoirs' retention cap.
     """
-    if distance_stats is not None:
-        total, count = distance_stats
-        mean_distance = float(total) / count if count else float("nan")
-    elif len(distances):
-        mean_distance = float(np.mean(np.asarray(distances, dtype=np.float64)))
-    else:
-        mean_distance = float("nan")
+    rows = list(rows)
+    total = sum(row["distance_total"] for row in rows)
+    count = sum(row["distance_count"] for row in rows)
+    latencies = [v for row in rows for v in row["latencies_s"]]
     return ServiceReport(
-        shards=tuple(shards),
+        shards=tuple(row["snapshot"] for row in rows),
         wall_seconds=wall_seconds,
         sim_duration=sim_duration,
         latency_p50_ms=percentile(latencies, 50) * 1e3,
         latency_p95_ms=percentile(latencies, 95) * 1e3,
-        mean_reported_distance=mean_distance,
+        mean_reported_distance=float(total) / count if count else float("nan"),
     )

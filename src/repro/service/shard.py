@@ -46,7 +46,8 @@ class ShardServer:
     Parameters
     ----------
     shard_id, box:
-        The shard's identity and its cell of the region.
+        The shard's routing key (``"s<i>"``, or ``"s<i>/<j>"`` for a
+        split sub-shard) and its cell of the region.
     grid_nx:
         Side of the shard's predefined-point lattice (``grid_nx**2``
         points; the HST is built over them at construction).
@@ -60,7 +61,7 @@ class ShardServer:
 
     def __init__(
         self,
-        shard_id: int | str,
+        shard_id: str,
         box: Box,
         grid_nx: int = 16,
         epsilon: float = 0.5,
@@ -119,10 +120,6 @@ class ShardServer:
         )
         self.metrics.record_cohort(len(ids))
 
-    def register_worker(self, worker_id: int, location) -> None:
-        """Single-worker convenience wrapper over :meth:`register_cohort`."""
-        self.register_cohort([worker_id], [location])
-
     # ------------------------------------------------------------------ #
     # serving                                                             #
     # ------------------------------------------------------------------ #
@@ -132,7 +129,7 @@ class ShardServer:
         task_id: int,
         location,
         *,
-        record_miss: bool = True,
+        record_miss: bool | ShardMetrics = True,
         latency_offset: float = 0.0,
     ) -> int | None:
         """Encode, obfuscate and match one arriving task.
@@ -141,9 +138,11 @@ class ShardServer:
         matching latency and the reported assignment distance go into
         :attr:`metrics`. Two knobs serve the mesh's split-shard
         fallback chain, which tries several shards for one task:
-        ``record_miss=False`` suppresses the unassigned metric on an
-        empty pool (the miss is recorded once, on the primary, only when
-        the whole chain fails), and ``latency_offset`` adds the time
+        ``record_miss`` says where an empty pool's unassigned metric goes
+        — this shard (``True``), nowhere (``False``: a later probe may
+        still serve the task) or the given recorder (the chain's last
+        probe charges its primary's, so a full miss is recorded once and
+        timed exactly like a hit) — and ``latency_offset`` adds the time
         already spent probing earlier shards in the chain, so the
         recorded latency covers the task's full serving time.
 
@@ -161,8 +160,10 @@ class ShardServer:
         found = self.server.submit_task_detailed(report)
         latency = time.perf_counter() - start + latency_offset
         if found is None:
-            if record_miss:
+            if record_miss is True:
                 self.metrics.record_unassigned(latency)
+            elif record_miss is not False:
+                record_miss.record_unassigned(latency)
             return None
         worker_id, level = found
         reported = tree_distance_for_level(level) / self.tree.metric_scale
@@ -172,6 +173,22 @@ class ShardServer:
     def snapshot(self) -> ShardSnapshot:
         """Freeze this shard's metrics, ledger audit included."""
         return self.metrics.snapshot(epsilon=self.epsilon, ledger=self.ledger)
+
+    def report_row(self) -> dict:
+        """This shard's row of a service report.
+
+        The frozen :meth:`snapshot` plus what the service-wide aggregates
+        pool across shards: the raw latency samples (quantiles don't
+        average) and the exact reported-distance total and count (the
+        mean stays exact past the reservoir's retention cap).
+        """
+        distances = self.metrics.reported_distances
+        return {
+            "snapshot": self.snapshot(),
+            "latencies_s": list(self.metrics.latencies_s),
+            "distance_total": distances.total,
+            "distance_count": distances.count,
+        }
 
     # ------------------------------------------------------------------ #
     # checkpointing                                                       #

@@ -38,6 +38,7 @@ from repro.api import (
 )
 from repro.geometry import Box
 from repro.service import LoadConfig, LoadGenerator
+from repro.service.metrics import percentile
 from repro.utils import keyed_shard_seed
 
 REGION = Box.square(100.0)
@@ -194,12 +195,14 @@ class TestLatencyMetrics:
         metrics(Flush(), flaky)
         with pytest.raises(ValueError):
             metrics(SubmitTask(task_id=0, location=(0.0, 0.0)), flaky)
-        snap = metrics.snapshot()
-        assert snap["flush"]["calls"] == 2
-        assert snap["flush"]["failures"] == 0
-        assert snap["submit_task"]["calls"] == 1
-        assert snap["submit_task"]["failures"] == 1
-        assert np.isfinite(snap["flush"]["latency_p95_ms"])
+        registry = metrics.registry
+        calls = registry.counters(LatencyMetrics.CALLS, label="kind")
+        failures = registry.counters(LatencyMetrics.FAILURES, label="kind")
+        latencies = registry.histograms(LatencyMetrics.LATENCY, label="kind")
+        assert calls == {"flush": 2, "submit_task": 1}
+        assert failures == {"submit_task": 1}
+        assert latencies["flush"].count == 2
+        assert np.isfinite(percentile(latencies["flush"], 95))
 
 
 class TestErrorMapper:
@@ -294,7 +297,8 @@ class TestClient:
         with AssignmentClient(InProcessBackend(small_spec()), middleware) as client:
             client.register_worker(0, (10.0, 10.0))
             client.flush()
-        assert metrics.snapshot()["register_worker"]["calls"] == 1
+        calls = metrics.registry.counters(LatencyMetrics.CALLS, label="kind")
+        assert calls["register_worker"] == 1
         assert bucket.admitted == 1
 
 
@@ -325,7 +329,7 @@ class TestBackendFactoryAndSpec:
         from repro.service.shard import ShardServer
 
         engine = ShardedAssignmentEngine(REGION, shards=(2, 1), grid_nx=4, seed=13)
-        for i, shard in enumerate(engine.shards):
+        for i, shard in enumerate(engine.host.shards.values()):
             # exactly what a mesh worker builds from its shard spec
             ref = ShardServer(
                 f"s{i}",

@@ -10,15 +10,25 @@ in over loopback (including across mesh checkpoint barriers and odd
 dispatch-chunk boundaries).
 """
 
+import pytest
 
-from repro.api import ServiceSpec, make_backend
+from repro.api import (
+    ApiError,
+    AssignmentClient,
+    RegisterWorker,
+    RequestRejected,
+    ServiceSpec,
+    make_backend,
+)
 from repro.api.conformance import (
+    BackendRun,
     build_conformance_stream,
     check_parity,
     run_backend,
     run_conformance,
     run_remote_backend,
 )
+from repro.gateway import GatewayConfig, RemoteBackend, serve_gateway
 from repro.geometry import Box
 
 REGION = Box.square(200.0)
@@ -33,6 +43,27 @@ MESH_KWARGS = {
 def spec_for(shards) -> ServiceSpec:
     return ServiceSpec(
         region=REGION, shards=shards, grid_nx=6, batch_size=8, seed=11
+    )
+
+#: One batch whose third registration reuses worker 1's id. Every backend
+#: must refuse it at that event: the two before it stay applied, and the
+#: refused event and the one after it (t=50) never move the clock.
+DUPLICATE_BATCH = (
+    RegisterWorker(worker_id=1, location=(20.0, 20.0), time=0.0),
+    RegisterWorker(worker_id=2, location=(180.0, 180.0), time=1.0),
+    RegisterWorker(worker_id=1, location=(30.0, 30.0), time=2.0),
+    RegisterWorker(worker_id=3, location=(40.0, 40.0), time=50.0),
+)
+
+
+def _refuse_duplicate(backend) -> tuple[str, BackendRun]:
+    """Send :data:`DUPLICATE_BATCH`; the error code and the run after it."""
+    with AssignmentClient(backend) as client:
+        with pytest.raises(ApiError) as refused:
+            client.call_batch(DUPLICATE_BATCH)
+        report = client.report()
+    return refused.value.code, BackendRun(
+        name=backend.name, assignments=(), unassigned=(), report=report
     )
 
 
@@ -82,6 +113,37 @@ class TestConformance:
             backend_kwargs={"n_peers": 2, "chunk_size": 21, "checkpoint_every": 64},
         )
         assert check_parity([local, remote]) == [], "remote-over-mesh diverged"
+
+    @pytest.mark.parametrize(
+        "shards, kinds",
+        [
+            ((1, 1), ("inprocess", "sharded", "remote", "mesh")),
+            ((2, 2), ("sharded", "remote", "mesh")),
+        ],
+    )
+    def test_rejected_duplicate_moves_every_clock_alike(self, shards, kinds):
+        spec = ServiceSpec(
+            region=REGION, shards=shards, grid_nx=4, batch_size=8, seed=1
+        )
+        codes, runs = [], []
+        for kind in kinds:
+            if kind == "remote":
+                config = GatewayConfig(spec=spec, backend="sharded")
+                with serve_gateway(config) as server:
+                    code, run = _refuse_duplicate(
+                        RemoteBackend(spec, address=server.address)
+                    )
+            else:
+                code, run = _refuse_duplicate(
+                    make_backend(kind, spec, **MESH_KWARGS.get(kind, {}))
+                )
+            codes.append(code)
+            runs.append(run)
+        assert codes == [RequestRejected.code] * len(kinds)
+        assert check_parity(runs) == []
+        report = runs[0].report
+        assert report.sim_duration == 1.0
+        assert report.workers_registered == 2
 
     def test_inprocess_skipped_on_lattice_specs(self):
         result = run_conformance(

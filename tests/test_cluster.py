@@ -14,13 +14,16 @@ from repro.cluster import (
     ClusterRouter,
     HotShardBalancer,
     ShardHost,
+    SnapshotError,
     restore_shard,
+    shard_spec,
     snapshot_from_json,
     snapshot_shard,
     snapshot_to_json,
 )
 from repro.geometry import Box
 from repro.service import ShardMap, ShardServer
+from repro.utils import keyed_shard_seed
 
 REGION = Box.square(200.0)
 
@@ -100,51 +103,6 @@ class TestSnapshotRoundTrip:
         with pytest.raises(ValueError, match="missing"):
             restore_shard({"format": good["format"], "version": good["version"]})
 
-    def test_engine_shard_checkpoint_round_trip(self):
-        """The single-process engine can checkpoint too: export a shard
-        (pending cohort buffer included, via the engine hooks), restore it
-        into a fresh engine, and the replays stay identical."""
-        from repro.service import ShardedAssignmentEngine
-
-        rng = np.random.default_rng(2)
-        locs = rng.uniform(0, 200, size=(40, 2))
-        tasks = rng.uniform(0, 200, size=(20, 2))
-
-        def build():
-            engine = ShardedAssignmentEngine(
-                REGION, shards=(2, 1), grid_nx=6, batch_size=16, seed=8
-            )
-            engine.register_workers(range(40), locs)
-            for i in range(10):
-                engine.submit_task(i, tasks[i])
-            engine.register_worker(99, (5.0, 5.0))  # left buffered
-            return engine
-
-        original = build()
-        donor = build()
-        clone = ShardedAssignmentEngine(
-            REGION, shards=(2, 1), grid_nx=6, batch_size=16, seed=0
-        )
-        for sid in range(donor.n_shards):
-            pending = donor.export_pending(sid)
-            payload = json.loads(
-                json.dumps(snapshot_shard(donor.shards[sid], pending))
-            )
-            shard, restored_pending = restore_shard(payload)
-            clone.install_shard(sid, shard, restored_pending)
-        # the buffered worker survived the round trip and still dedups
-        assert clone.export_pending(0)[0] == [99]
-        with pytest.raises(ValueError, match="already registered"):
-            clone.register_worker(99, (6.0, 6.0))
-        for i in range(10, 20):
-            assert original.submit_task(i, tasks[i]) == clone.submit_task(
-                i, tasks[i]
-            )
-        for a, b in zip(original.shards, clone.shards):
-            assert a.server.result.assignments == b.server.result.assignments
-            assert a.ledger.to_dict() == b.ledger.to_dict()
-            assert a.available_workers == b.available_workers
-
     def test_rejects_foreign_rng_stream(self):
         shard = _fresh_shard()
         payload = snapshot_shard(shard)
@@ -194,6 +152,83 @@ class TestShardHost:
         host.register("s0/0", range(4), list(locs))
         assert host.shards["s0/0"].server.registered_workers == 4
         assert host.pending["s0/0"] == ([], [])
+
+    def test_add_cuts_cohorts_like_register(self):
+        """One worker at a time (the engine's ingest) and one merged
+        cohort op (a mesh delivery) cut cohorts at the same positions."""
+        locs = np.random.default_rng(3).uniform(0, 100, size=(11, 2))
+        one_by_one = self._host_with_family()
+        for wid, loc in enumerate(locs):
+            one_by_one.add("s0", wid, loc)
+        at_once = self._host_with_family()
+        at_once.register("s0", range(11), locs)
+        for host in (one_by_one, at_once):
+            # batch_size 4: cohorts cut after workers 3 and 7
+            assert host.shards["s0"].metrics.cohorts_flushed == 2
+            assert host.pending["s0"][0] == [8, 9, 10]
+        a, b = one_by_one.shards["s0"], at_once.shards["s0"]
+        assert json.dumps(a.server.export_state(), sort_keys=True) == json.dumps(
+            b.server.export_state(), sort_keys=True
+        )
+        assert a.ledger.to_dict() == b.ledger.to_dict()
+
+    def test_load_takes_only_a_chain(self):
+        host = self._host_with_family()
+        doc = host.snapshot("s0/0")
+        fresh = ShardHost(batch_size=4)
+        with pytest.raises(SnapshotError):
+            fresh.load("s0/0", doc)  # a lone document is not a chain
+        fresh.load("s0/0", [doc])
+        assert json.dumps(fresh.shards["s0/0"].export_state()) == json.dumps(
+            host.shards["s0/0"].export_state()
+        )
+
+    def test_checkpoint_round_trip(self):
+        """Snapshot every shard of a host holding a buffered worker, load
+        the documents into a fresh host: the buffered worker survives and
+        replayed tasks match an uninterrupted host's."""
+        rng = np.random.default_rng(2)
+        locs = rng.uniform(0, 200, size=(40, 2))
+        tasks = rng.uniform(0, 200, size=(20, 2))
+        smap = ShardMap(REGION, 2, 1)
+        task_keys = [f"s{smap.shard_of(t)}" for t in tasks]
+
+        def build():
+            host = ShardHost(batch_size=16)
+            for i in range(smap.n_shards):
+                host.create(
+                    f"s{i}",
+                    shard_spec(
+                        smap.shard_box(i),
+                        grid_nx=6,
+                        epsilon=0.5,
+                        budget_capacity=2.0,
+                        seed=keyed_shard_seed(8, f"s{i}"),
+                    ),
+                )
+            for wid, loc in enumerate(locs):
+                host.add(f"s{smap.shard_of(loc)}", wid, loc)
+            for i in range(10):
+                host.task((task_keys[i],), i, tasks[i])
+            host.add("s0", 99, (5.0, 5.0))  # left buffered
+            return host
+
+        original, donor = build(), build()
+        clone = ShardHost(batch_size=16)
+        for key in donor.shards:
+            # wire-format round trip, exactly what failover ships
+            clone.load(key, [json.loads(json.dumps(donor.snapshot(key)))])
+        assert clone.pending["s0"][0] == [99]
+        for i in range(10, 20):
+            assert original.task((task_keys[i],), i, tasks[i]) == clone.task(
+                (task_keys[i],), i, tasks[i]
+            )
+        assert list(clone.shards) == list(original.shards)
+        for key, a in original.shards.items():
+            b = clone.shards[key]
+            assert a.server.result.assignments == b.server.result.assignments
+            assert a.ledger.to_dict() == b.ledger.to_dict()
+            assert a.available_workers == b.available_workers
 
 
 class TestClusterRouter:

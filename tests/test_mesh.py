@@ -176,6 +176,23 @@ class TestFamilyJournal:
         with pytest.raises(ValueError):
             j.absorb([_worker(0, 99, 100)])
 
+    def test_clock_is_the_latest_accepted_event(self):
+        j = _journal()
+        j.absorb([_worker(0, 10, 100), _task(0, 15, 100)])
+        assert j.now == 1.0
+        late = WorkerArrival(time=9.0, worker_id=5, location=(10.0, 100.0))
+        with pytest.raises(ValueError):
+            j.absorb(
+                [
+                    WorkerArrival(time=3.0, worker_id=1, location=(10.0, 100.0)),
+                    WorkerArrival(time=4.0, worker_id=0, location=(10.0, 100.0)),
+                    late,
+                ]
+            )
+        # worker 1 was accepted; the refused duplicate and the event
+        # after it never moved the clock
+        assert j.now == 3.0
+
 
 # --------------------------------------------------------------------- #
 # parity (fork workers over loopback sockets)                            #
@@ -657,6 +674,12 @@ class TestCoordinatorHandshake:
         hello["schema"] = "repro.gateway2"
         answer = _exchange_hello(coordinator.address, hello)
         assert answer["body"]["code"] == "unsupported-version"
+
+    def test_seed_must_be_an_int(self):
+        # keyed shard seeding derives every shard stream from an int root,
+        # like the engine and ServiceSpec; there is no generator path
+        with pytest.raises(ValueError, match="seed"):
+            MeshCoordinator(REGION, seed=np.random.default_rng(0))
 
     def test_close_wakes_the_parked_acceptor(self):
         coordinator = MeshCoordinator(REGION, shards=(2, 2), expected_workers=1)

@@ -96,10 +96,10 @@ class TestSampleReservoir:
         assert doc["count"] == 3 and doc["total"] == pytest.approx(6.0)
         json.dumps(doc)  # checkpoint payloads must be JSON-pure
 
-    def test_accepts_legacy_raw_lists(self):
-        res = SampleReservoir.from_dict([1.0, 2.0, 3.0])
-        assert list(res) == [1.0, 2.0, 3.0]
-        assert res.count == 3
+    def test_refuses_legacy_raw_lists(self):
+        # v1 snapshots carried raw sample lists; only reservoirs restore
+        with pytest.raises(ValueError):
+            SampleReservoir.from_dict([1.0, 2.0, 3.0])
 
     def test_rejects_bad_payloads(self):
         with pytest.raises(ValueError):
@@ -146,13 +146,21 @@ class TestShardMetricsRetention:
         assert long_doc < short_doc * 1.1
 
     def test_build_report_uses_exact_distance_stats(self):
-        report = build_report(
-            [],
-            [0.001, 0.002],
-            [1.0, 2.0],  # retained samples say mean 1.5 ...
-            distance_stats=(300.0, 100),  # ... but the exact stats say 3.0
-        )
-        assert report.mean_reported_distance == pytest.approx(3.0)
+        metrics = ShardMetrics("s0", reported_distances=SampleReservoir(capacity=2))
+        for distance in (1.0, 2.0, 3.0, 4.0, 10.0):
+            metrics.record_assignment(0.001, distance)
+        row = {
+            "snapshot": metrics.snapshot(epsilon=0.5, ledger=_StubLedger()),
+            "latencies_s": list(metrics.latencies_s),
+            "distance_total": metrics.reported_distances.total,
+            "distance_count": metrics.reported_distances.count,
+        }
+        report = build_report([row, row])
+        # the reservoir retains 2 of the 5 distances; the mean stays exact
+        assert len(metrics.reported_distances) == 2
+        assert report.mean_reported_distance == pytest.approx(4.0)
+        assert report.shards == (row["snapshot"], row["snapshot"])
+        assert report.latency_p50_ms == pytest.approx(1.0)
 
 
 class _StubLedger:

@@ -667,17 +667,20 @@ class TestMiddlewareHammer:
 
         _hammer(self.N_THREADS, self.PER_THREAD, call)
         total = self.N_THREADS * self.PER_THREAD
-        snap = metrics.snapshot()
-        assert sum(v["calls"] for v in snap.values()) == total
+        registry = metrics.registry
+        calls = registry.counters(LatencyMetrics.CALLS, label="kind")
+        failures = registry.counters(LatencyMetrics.FAILURES, label="kind")
+        latencies = registry.histograms(LatencyMetrics.LATENCY, label="kind")
+        assert sum(calls.values()) == total
         # the bounded reservoirs never lose a sample's *count*, only old
         # raw values: exact-count is the invariant the lock protects
-        assert sum(r.count for r in metrics.latencies.values()) == total
+        assert sum(r.count for r in latencies.values()) == total
         want_failures = sum(
             1
             for t in range(self.N_THREADS)
             for i in range(self.PER_THREAD)
             if i % fail_every == 0
         )
-        assert sum(v["failures"] for v in snap.values()) == want_failures
-        for series in metrics.latencies.values():
+        assert sum(failures.values()) == want_failures
+        for series in latencies.values():
             assert series.total >= 0.0

@@ -137,7 +137,7 @@ class TestShardMap:
         rng = np.random.default_rng(2)
         for loc in rng.uniform(0, 200, size=(50, 2)):
             sid = engine.shard_map.shard_of(loc)
-            shard = engine.shards[sid]
+            shard = engine.host.shards[f"s{sid}"]
             snapped = shard.tree.snap_index.snap(loc)
             point = shard.tree.points[snapped]
             assert engine.shard_map.shard_of(point) == sid
@@ -358,7 +358,7 @@ class TestEngine:
         )
         engine.register_worker(7, (50.0, 50.0))
         # buffer below batch_size: the worker is pending, not registered
-        assert engine.shards[0].server.registered_workers == 0
+        assert engine.host.shards["s0"].server.registered_workers == 0
         assert engine.submit_task(0, (50.0, 50.0)) == 7
 
     def test_batch_size_triggers_flush(self):
@@ -367,8 +367,8 @@ class TestEngine:
         )
         locs = np.random.default_rng(0).uniform(0, 200, size=(3, 2))
         engine.register_workers(range(3), locs)
-        assert engine.shards[0].server.registered_workers == 3
-        assert engine.shards[0].metrics.cohorts_flushed == 1
+        assert engine.host.shards["s0"].server.registered_workers == 3
+        assert engine.host.shards["s0"].metrics.cohorts_flushed == 1
 
     def test_duplicate_worker_id_rejected_across_shards(self):
         # shards only know their own workers; without the engine-wide
@@ -387,6 +387,12 @@ class TestEngine:
         # a far-east task routes to the east shard, which has no workers
         assert engine.submit_task(0, (190.0, 100.0)) is None
         assert engine.submit_task(1, (10.0, 100.0)) == 0
+
+    def test_report_keys_shards_by_routing_key(self):
+        # one shard key type across backends: "s<i>", like the mesh
+        engine = ShardedAssignmentEngine(REGION, shards=(2, 2), grid_nx=4, seed=0)
+        assert list(engine.host.shards) == engine.keys == ["s0", "s1", "s2", "s3"]
+        assert [s.shard_id for s in engine.report().shards] == engine.keys
 
     def test_report_aggregates_shards(self):
         engine = ShardedAssignmentEngine(REGION, shards=(2, 2), grid_nx=6, seed=0)
@@ -556,7 +562,7 @@ class TestChunkedIngestParity:
                 [1, 2, 1, 3],
                 [(10.0, 10.0), (190.0, 10.0), (20.0, 20.0), (30.0, 30.0)],
             )
-        pending = [engine.export_pending(s)[0] for s in range(engine.n_shards)]
+        pending = [ids for ids, _ in engine.host.pending.values()]
         assert pending == [[1], [2]]
         engine.register_worker(3, (30.0, 30.0))  # never claimed
         with pytest.raises(ValueError, match="already registered"):
@@ -580,7 +586,7 @@ class TestChunkedIngestParity:
         single.flush()
         # cohorts cut at 3, 3, then the task's flush takes the last one
         for engine in (whole, single):
-            assert engine.shards[0].metrics.cohorts_flushed == 3
+            assert engine.host.shards["s0"].metrics.cohorts_flushed == 3
         assert whole.assignments == single.assignments
         assert whole.now == 7.0
 

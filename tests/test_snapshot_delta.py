@@ -1,10 +1,9 @@
-"""v3 delta-snapshot format: compat, structured errors, chain property.
+"""v3 delta-snapshot format: one version, structured errors, chain property.
 
 Three guarantees pinned here:
 
-* **backward compat** — v1/v2 snapshot documents (written before the
-  base/delta split existed) still restore on a v3 runtime, including
-  v1's unbounded raw sample lists;
+* **one version** — only v3 documents restore; v1/v2 documents
+  (written before the base/delta split existed) are refused;
 * **structured failure** — every malformed document or broken chain
   raises :class:`~repro.cluster.snapshot.SnapshotError` with a *stable*
   machine-readable ``code`` (the message text is allowed to change, the
@@ -80,35 +79,31 @@ def _as_v1(doc: dict) -> dict:
 
 
 class TestCompat:
-    def test_v2_document_restores(self):
+    # snapshots never outlive the coordinator that chained them, so no
+    # pre-v3 document exists to read: only v3 restores
+
+    def test_v2_document_is_refused(self):
         shard, _ = _build_shard()
         doc = _as_v2(snapshot_shard(shard))
-        restored, pending = restore_shard(doc)
-        assert pending == ([], [])
-        assert _state_json(restored.export_state()) == _state_json(
-            shard.export_state()
-        )
+        with pytest.raises(SnapshotError) as err:
+            restore_shard(doc)
+        assert err.value.code == "snapshot-unsupported-version"
 
-    def test_v1_document_restores_with_raw_sample_lists(self):
+    def test_v1_document_with_raw_sample_lists_is_refused(self):
         shard, _ = _build_shard()
         doc = _as_v1(snapshot_shard(shard))
-        restored, _ = restore_shard(doc)
-        metrics = restored.export_state()["metrics"]
-        original = shard.export_state()["metrics"]
-        # counters are exact; the raw samples folded into fresh reservoirs
-        for field in (
-            "workers_registered", "cohorts_flushed",
-            "tasks_assigned", "tasks_unassigned",
-        ):
-            assert metrics[field] == original[field]
-        assert sorted(metrics["latencies_s"]["values"]) == sorted(
-            original["latencies_s"]["values"]
-        )
+        for restore in (restore_shard, lambda d: restore_chain([d])):
+            with pytest.raises(SnapshotError) as err:
+                restore(doc)
+            assert err.value.code == "snapshot-unsupported-version"
 
-    def test_v2_document_is_a_valid_single_element_chain(self):
+    def test_v2_document_is_not_a_single_element_chain(self):
         shard, _ = _build_shard()
         doc = _as_v2(snapshot_shard(shard))
-        assert compose_chain([doc]) is doc
+        for chain in (compose_chain, restore_chain):
+            with pytest.raises(SnapshotError) as err:
+                chain([doc])
+            assert err.value.code == "snapshot-unsupported-version"
 
     def test_v2_base_refuses_deltas(self):
         # v1/v2 predate deltas: nothing may chain onto them
@@ -119,7 +114,7 @@ class TestCompat:
         delta = delta_snapshot(shard, None, cursor, checkpoint=1, parent=0)
         with pytest.raises(SnapshotError) as err:
             compose_chain([old, delta])
-        assert err.value.code == "snapshot-chain-base"
+        assert err.value.code == "snapshot-unsupported-version"
 
 
 class TestStructuredErrors:
