@@ -1,7 +1,7 @@
 """Shared plumbing for the ``BENCH``-line benchmarks.
 
-The serving benchmarks (``bench_service_throughput.py``,
-``bench_mesh_scaling.py``) emit one machine-readable line per run:
+The service, gateway and pipeline throughput benches and the checkpoint
+delta bench each emit one machine-readable line per run:
 ``BENCH {json}``. This module is the single implementation of that
 emission plus the best-of-N timing helper, so every benchmark reports
 identically shaped output.

@@ -85,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
         "remote-json": {"backend": "sharded"},
         # the mesh runs spawn worker processes that dial the coordinator
         # over loopback sockets, with a deliberately odd chunk size (chunk
-        # joints must not matter) and checkpoint barriers mid-stream; the
+        # joints must not matter) and checkpoint cuts mid-stream; the
         # mixed leg alternates peers between bin1 and json frames
         "mesh": {"n_peers": 2, "chunk_size": 21, "checkpoint_every": 64},
         "mesh-mixed": {"n_peers": 2, "chunk_size": 21, "checkpoint_every": 64},

@@ -12,7 +12,8 @@ pieces:
   guarantee;
 * :class:`~repro.cluster.dispatch.FamilyJournal` — routes event chunks
   into per-family op journals (merged worker cohorts, task fallback
-  chains) with absolute cursors for delivery, replay and compaction;
+  chains) with absolute cursors for delivery, replay and per-family
+  truncation at each checkpoint cut;
 * :class:`ShardHost` — the one shard container: the single-process
   engine and every mesh worker hold, buffer, cut and report their
   shards through it (:func:`shard_spec` builds its creation spec);

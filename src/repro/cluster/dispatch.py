@@ -17,11 +17,11 @@ the two recovery disciplines both fall out of cursor arithmetic:
 
 * **failover** rewinds a family's cursor to its checkpoint base — the
   retained suffix replays against a restored snapshot;
-* **checkpoint** truncates ops up to a high-water mark. The mesh's
-  barrier runs *behind* a pipelined scheduler while the caller keeps
-  appending, so it truncates only up to the positions captured when the
-  barrier ran — later ops keep their meaning because positions never
-  renumber. A migration truncates its one family the same way.
+* **checkpoint** truncates one family's ops up to the send cursor its
+  cut snapshotted at. The mesh's cuts run *behind* a pipelined
+  scheduler while the caller keeps appending, so later ops keep their
+  meaning because positions never renumber. A migration's cut truncates
+  the same way.
 """
 
 from __future__ import annotations
@@ -142,8 +142,8 @@ class FamilyJournal:
         return self._sent[fam]
 
     def ends(self) -> dict[int, int]:
-        """Every family's :meth:`end` — the high-water marks a deferred
-        barrier captures at submit time."""
+        """Every family's :meth:`end` — the high-water marks a barrier,
+        or a round of checkpoint cuts, captures."""
         return {fam: self.end(fam) for fam in self._ops}
 
     def take(self, fam: int, upto: int | None = None) -> list:
@@ -168,39 +168,15 @@ class FamilyJournal:
         retained since the last truncation replays on the next take."""
         self._sent[fam] = self._base[fam]
 
-    def truncate(self, fam: int | None = None, upto: int | None = None) -> None:
-        """Drop ops up to ``upto`` (absolute; ``None`` = all journaled),
-        for one family or every family.
+    def truncate(self, fam: int, upto: int) -> int:
+        """Drop ``fam``'s ops before ``upto`` (absolute); returns how many.
 
         Called once their effects are safely inside a snapshot. Positions
         are never renumbered — ``base`` advances instead — so cursors and
         high-water marks captured earlier stay valid.
         """
-        fams = list(self._ops) if fam is None else [fam]
-        for f in fams:
-            stop = self.end(f) if upto is None else min(upto, self.end(f))
-            keep_from = stop - self._base[f]
-            if keep_from > 0:
-                del self._ops[f][:keep_from]
-                self._base[f] = stop
-            self._sent[f] = max(self._sent[f], self._base[f])
-
-    def compact(self, marks: dict[int, int] | None = None) -> dict:
-        """Truncate every family to its mark, reporting what was dropped.
-
-        The checkpoint-barrier form of :meth:`truncate`: ``marks`` is
-        the :meth:`ends` capture the barrier took (``None`` compacts
-        everything journaled). Returns
-        ``{"dropped": n, "retained": m}`` op counts so the caller can
-        feed its checkpoint telemetry.
-        """
-        dropped = 0
-        for fam in self._ops:
-            upto = None if marks is None else marks.get(fam)
-            before = len(self._ops[fam])
-            self.truncate(fam, upto)
-            dropped += before - len(self._ops[fam])
-        return {
-            "dropped": dropped,
-            "retained": sum(len(ops) for ops in self._ops.values()),
-        }
+        dropped = max(min(upto, self.end(fam)) - self._base[fam], 0)
+        del self._ops[fam][:dropped]
+        self._base[fam] += dropped
+        self._sent[fam] = max(self._sent[fam], self._base[fam])
+        return dropped

@@ -105,9 +105,9 @@ def snapshot_shard(shard: ShardServer, pending=None, *, checkpoint=None) -> dict
 
     ``pending`` is the shard's un-flushed ``(worker_ids, locations)``
     cohort buffer as a :class:`~repro.cluster.worker.ShardHost` keeps
-    it; ``None`` means the buffer is empty. ``checkpoint`` is the barrier
-    id the coordinator assigned (``None`` for ad-hoc snapshots); deltas
-    chain onto it via their ``parent`` field.
+    it; ``None`` means the buffer is empty. ``checkpoint`` is the id the
+    coordinator assigned (``None`` for ad-hoc snapshots); deltas chain
+    onto it via their ``parent`` field.
     """
     return {
         "format": SNAPSHOT_FORMAT,
@@ -128,7 +128,7 @@ def delta_snapshot(
     :meth:`~repro.service.shard.ShardServer.checkpoint_cursor` returned
     when the parent checkpoint was cut; the export is non-destructive, so
     one shard can answer deltas against the same parent repeatedly (the
-    mesh coordinator retries whole barrier rounds after a peer loss).
+    mesh coordinator retries a whole checkpoint cut after a peer loss).
     """
     return {
         "format": SNAPSHOT_FORMAT,

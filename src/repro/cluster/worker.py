@@ -114,7 +114,7 @@ class ShardHost:
         otherwise (e.g. first checkpoint, or a freshly restored worker
         asked against a checkpoint it never cut). The export is
         non-destructive: cursors for ``parent`` and the new
-        ``checkpoint`` are retained, so a retried barrier round can ask
+        ``checkpoint`` are retained, so a retried checkpoint cut can ask
         against the same parent again.
         """
         shard = self.shards[key]

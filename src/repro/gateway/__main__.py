@@ -44,7 +44,7 @@ def _server_kwargs(args) -> dict:
         return {
             "n_peers": max(1, args.procs),
             "chunk_size": 21,  # deliberately odd: chunk joints must not matter
-            "checkpoint_every": 64,  # parity must survive checkpoint barriers
+            "checkpoint_every": 64,  # parity must survive checkpoint cuts
         }
     return {}
 

@@ -20,11 +20,12 @@ The pieces:
 * :mod:`~repro.mesh.coordinator` — :class:`MeshCoordinator`: accepts
   peers, places shard families across them, dispatches per-family
   through the :class:`~repro.runtime.PipelineScheduler` (no global
-  dispatch lock; only flush/report/checkpoint are barriers), splits hot
-  cells and migrates hot families when given a balancer, and on a dead
-  connection restores the lost families onto survivors from checkpoint
-  snapshots plus journal replay — bit-identical to the single-process
-  engine by construction.
+  dispatch lock; only flush and report are barriers, and a checkpoint
+  is one cut per family, keyed by it), splits hot cells and migrates
+  hot families when given a balancer, and on a dead connection
+  restores the lost families onto survivors from checkpoint snapshots
+  plus journal replay — bit-identical to the single-process engine by
+  construction.
 
 The serving adapter is :class:`repro.api.backends.MeshBackend`
 (``make_backend("mesh", spec)``), which joins the cross-backend

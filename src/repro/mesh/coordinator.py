@@ -12,10 +12,15 @@ How it works:
   :class:`~repro.cluster.dispatch.FamilyJournal` and then delivered by
   per-family jobs on a :class:`~repro.runtime.PipelineScheduler` — the
   same keyed-FIFO/barrier core the gateway schedules requests on.
-  Different families flow to their peers concurrently; only
-  flush/report/checkpoint are global barriers. Per-family FIFO plus the
-  journal's contiguous-segment delivery keeps per-shard op order exactly
-  the serial order, which is what the bit-exactness guarantee needs;
+  Different families flow to their peers concurrently; only flush and
+  report are global barriers. Per-family FIFO plus the journal's
+  contiguous-segment delivery keeps per-shard op order exactly the
+  serial order, which is what the bit-exactness guarantee needs;
+* **per-family checkpoint cuts.** Every ``checkpoint_every`` events the
+  coordinator schedules one *cut* per family, keyed by that family: it
+  settles the family, snapshots its shards, chains the replies and
+  truncates its journal. Families share nothing, so a cut stalls only
+  its own family's queue and the rest of the mesh keeps serving;
 * **submit-time high-water marks.** ``process()`` keeps appending to the
   journal while earlier jobs are still in flight, so every family job
   carries the journal position captured when it was submitted and never
@@ -38,11 +43,10 @@ How it works:
   per family and decides at the chunk end where its window fills. A
   *split* re-lattices a hot cell on the spot (later events route to its
   sub-shards, created lazily by the next delivery; the parent drains its
-  old pool). A *migration* is a job keyed by the family: it settles the
-  family, cuts that family's checkpoint, flips ownership and drops the
-  shards on the old peer; the next delivery restores them on the new
-  peer from the chain, exactly as failover does. Only that family's
-  queue waits.
+  old pool). A *migration* is that family's cut plus an ownership flip
+  and a drop of the shards on the old peer; the next delivery restores
+  them on the new peer from the chain, exactly as failover does. Only
+  that family's queue waits.
 
 Telemetry rides the existing reservoir machinery
 (:class:`~repro.service.metrics.SampleReservoir`): per-peer dispatch
@@ -66,7 +70,6 @@ from ..cluster.balancer import (
     BalancerConfig,
     ClusterRouter,
     HotShardBalancer,
-    family_of,
     key_order,
 )
 from ..cluster.dispatch import FamilyJournal
@@ -299,14 +302,14 @@ class MeshCoordinator:
         Peers :meth:`start` waits for before placing families. Workers
         may keep joining later; they receive families only on failover.
     chunk_size, checkpoint_every:
-        Dispatch batch size and the period (in events) of automatic
-        snapshot barriers; ``0`` disables periodic checkpoints (failover
-        then replays from stream start).
+        Dispatch batch size and the period (in events, mesh-wide) at
+        which every family gets a checkpoint cut; ``0`` disables
+        periodic checkpoints (failover then replays from stream start).
     rebase_every:
         Delta-chain length cap. Once a shard's last base checkpoint has
-        this many deltas chained onto it, the next barrier requests a
-        fresh base (rebase) instead of another delta; ``0`` makes every
-        barrier a full snapshot.
+        this many deltas chained onto it, the next cut requests a fresh
+        base (rebase) instead of another delta; ``0`` makes every cut a
+        full snapshot.
     balancer:
         A :class:`~repro.cluster.balancer.BalancerConfig` to split hot
         cells and migrate hot families between peers, or ``None`` to
@@ -433,8 +436,9 @@ class MeshCoordinator:
             "runtime.scheduler.key_depth", self._scheduler.key_depths
         )
 
-        # test hooks: called with the lost peer's name / each snapshotted
-        # key, outside coordinator locks — failover tests SIGKILL from here
+        # test hooks: called with the lost peer's name / with each key a
+        # cut is about to snapshot, outside coordinator locks — failover
+        # tests SIGKILL from here
         self._test_on_failover = None
         self._test_mid_checkpoint = None
 
@@ -492,7 +496,7 @@ class MeshCoordinator:
                 self._specs[key] = self._spec_for(key)
             self._started = True
         for fam in sorted(self.ownership):
-            self._scheduler.submit(fam, self._family_job, fam, 0)
+            self._scheduler.submit(fam, self._family_job, self._deliver, fam, 0)
         self._await(self._scheduler.submit(None, lambda: None), "shard builds")
         self._check_failure()
 
@@ -703,21 +707,25 @@ class MeshCoordinator:
             # ops journaled after it was scheduled
             marks = {fam: self._journal.end(fam) for fam in touched}
             self._events_since_checkpoint += len(chunk)
-            do_checkpoint = (
-                bool(self.checkpoint_every)
+            cuts: dict[int, int] = {}
+            if (
+                self.checkpoint_every
                 and self._events_since_checkpoint >= self.checkpoint_every
-            )
-            if do_checkpoint:
+            ):
+                # one cut per family, keyed by it: a cut waits only
+                # behind its own family's deliveries
                 self._events_since_checkpoint = 0
+                cuts = self._journal.ends()
             # the balancer decides at the chunk end where its window
             # fills, so a seeded stream splits at the same event
             moves = self._rebalance() if balancer and balancer.window_full else []
         for fam in sorted(touched):
             self._scheduler.submit(
-                fam, self._family_job, fam, marks[fam], ctx, queued_perf
+                fam, self._family_job, self._deliver, fam, marks[fam],
+                ctx, queued_perf,
             )
-        if do_checkpoint:
-            self._scheduler.submit(None, self._guard, self._checkpoint_job)
+        for fam in sorted(cuts):
+            self._scheduler.submit(fam, self._family_job, self._cut, fam, cuts[fam])
         for fam, dst, upto in moves:
             self._scheduler.submit(fam, self._survive, self._migrate, fam, dst, upto)
 
@@ -767,14 +775,6 @@ class MeshCoordinator:
             "flush barrier",
         )
 
-    def checkpoint(self) -> None:
-        """Force a snapshot barrier now (periodic ones ride dispatch)."""
-        self.start()
-        self._await(
-            self._scheduler.submit(None, self._guard, self._checkpoint_job),
-            "checkpoint barrier",
-        )
-
     def report(
         self, wall_seconds: float = float("nan"), *, flush: bool = True
     ) -> ServiceReport:
@@ -793,29 +793,19 @@ class MeshCoordinator:
             sim_duration=self.now,
         )
 
-    def run(self, events) -> ServiceReport:
-        """Process a stream and return the timed service report."""
-        self.start()
-        t0 = time.perf_counter()
-        self.process(events)
-        self.flush()
-        wall = time.perf_counter() - t0
-        return self.report(wall_seconds=wall, flush=False)
-
     # ------------------------------------------------------------------ #
     # dispatch jobs                                                       #
     # ------------------------------------------------------------------ #
 
-    def _family_job(
-        self, fam: int, upto: int, ctx=None, queued_perf: float = 0.0
-    ) -> None:
-        """Deliver one family's journal up to ``upto``, surviving failover."""
+    def _family_job(self, step, fam: int, *args) -> None:
+        """Run ``step(fam, owner, *args)`` on the family's owner; after a
+        failover cuts it short, run it again on the new owner."""
         while True:
             with self._state:
                 if self._failure is not None or self._closed:
                     return
                 peer = self._peers[self.ownership[fam]]
-            if self._survive(self._deliver, fam, peer, upto, ctx, queued_perf):
+            if self._survive(step, fam, peer, *args):
                 return
 
     def _survive(self, fn, *args) -> bool:
@@ -939,8 +929,37 @@ class MeshCoordinator:
             except PeerLost as lost:
                 self._handle_peer_loss(lost.peer)
 
+    def _report_job(self, flush: bool) -> dict[str, dict]:
+        with self._state:
+            marks = self._journal.ends()
+        while True:
+            self._check_failure()
+            try:
+                self._settle(marks)
+                # unconfigured peers own no families (see _flush_job)
+                peers = [p for p in self._alive_peers() if p.configured]
+                if flush:
+                    for peer in peers:
+                        peer.call("flush", {})
+                merged: dict[str, dict] = {}
+                for peer in peers:
+                    reply = peer.call("report", {})
+                    rows = reply.get("report")
+                    if not isinstance(rows, dict):
+                        raise MeshError(
+                            f"malformed report reply from {peer.name!r}"
+                        )
+                    merged.update(rows)
+                return merged
+            except PeerLost as lost:
+                self._handle_peer_loss(lost.peer)
+
+    # ------------------------------------------------------------------ #
+    # checkpoint cuts                                                     #
+    # ------------------------------------------------------------------ #
+
     def _checkpoint_reqs(self, keys) -> dict[str, dict]:  # guarded-by: _state
-        """Per-key snapshot request bodies for one barrier attempt.
+        """Per-key snapshot request bodies for one cut attempt.
 
         The caller holds ``_state`` (ids are drawn from ``_ckpt_seq``).
         A key with a bounded chain gets a delta request against its tip;
@@ -964,7 +983,7 @@ class MeshCoordinator:
         return reqs
 
     def _absorb_snapshot(self, key: str, doc: dict) -> None:  # guarded-by: _state
-        """Chain one barrier reply; the caller holds ``_state``.
+        """Chain one snapshot reply; the caller holds ``_state``.
 
         A delta appends to the chain (its parent must equal the tip — a
         mismatch means lineage diverged and restoring would be silently
@@ -994,52 +1013,49 @@ class MeshCoordinator:
             raise MeshError(f"malformed snapshot reply from {peer.name!r}")
         return snap
 
-    def _checkpoint_job(self) -> None:
+    def _cut(self, fam: int, peer: MeshPeer, upto: int) -> None:
+        """Checkpoint one family on its owner ``peer`` (a family step).
+
+        Delivers the family's journal up to ``upto``, snapshots its
+        shards, chains the replies and truncates the journal at the send
+        cursor. A peer loss before the last snapshot commits nothing:
+        :meth:`_family_job` fails over and runs the cut again on the new
+        owner, which first restores the previous chain and replays.
+        """
         t0 = time.perf_counter()
         with self._state:
-            # the keys are captured with the marks: settling installs
-            # exactly these, and a split made while this barrier runs
-            # must not add a shard its owner has not created yet
-            marks = self._journal.ends()
-            keys = self.router.keys()
-        while True:
-            self._check_failure()
-            snaps: dict[str, dict] = {}
-            try:
-                self._settle(marks)
-                with self._state:
-                    reqs = self._checkpoint_reqs(keys)
-                for key in keys:
-                    with self._state:
-                        peer = self._peers[self.ownership[family_of(key)]]
-                    snaps[key] = self._snapshot(peer, key, reqs[key])
-                    hook = self._test_mid_checkpoint
-                    if hook is not None:
-                        hook(key)
-                break
-            except PeerLost as lost:
-                # fall back to the previous checkpoint plus the journal:
-                # nothing was committed, the retry re-settles and
-                # re-snapshots every shard from a consistent state
-                self._handle_peer_loss(lost.peer)
+            # captured before delivery, which installs at least these: a
+            # split made while the cut runs must not add a shard its
+            # owner has not created yet
+            keys = self.router.family_keys(fam)
+        self._deliver(fam, peer, upto)
         with self._state:
-            for key, snap in snaps.items():
-                self._absorb_snapshot(key, snap)
-            stats = self._journal.compact(marks)
-        self.registry.counter(
-            "mesh.journal.compacted_ops", stats["dropped"]
-        )
+            reqs = self._checkpoint_reqs(keys)
+            # the snapshots hold every op sent, which runs past upto when
+            # a barrier on another thread delivered first
+            cut = self._journal.sent(fam)
+        snaps: dict[str, dict] = {}
+        for key in keys:
+            hook = self._test_mid_checkpoint
+            if hook is not None:
+                hook(key)
+            snaps[key] = self._snapshot(peer, key, reqs[key])
+        with self._state:
+            for key in keys:
+                self._absorb_snapshot(key, snaps[key])
+            dropped = self._journal.truncate(fam, cut)
+        self.registry.counter("mesh.journal.compacted_ops", dropped)
         self._checkpoint_s.record(time.perf_counter() - t0)
 
     def _migrate(self, fam: int, dst: str, upto: int) -> None:
         """Move one family to peer ``dst`` (a job keyed by the family).
 
-        Settles the family up to at least ``upto``, cuts its checkpoint,
-        truncates its journal at that cut, flips its ownership and drops
-        its shards on the old owner. The next delivery installs them on
-        ``dst`` from those chains, exactly as failover does. A failover
-        that moved the family first (or took ``dst``) wins and the
-        migration is dropped.
+        A :meth:`_cut` on the current owner, then an ownership flip and a
+        drop of the family's shards there; the next delivery installs
+        them on ``dst`` from the cut's chains, exactly as failover does.
+        A failover that moved the family first (or took ``dst``) wins:
+        the move is dropped, and a cut that completed stands as an
+        ordinary checkpoint.
         """
         try:
             with self._state:
@@ -1049,21 +1065,17 @@ class MeshCoordinator:
                 if src == dst or dst not in self._alive:
                     return
                 peer = self._peers[src]
-                keys = self.router.family_keys(fam)
-            self._deliver(fam, peer, upto)
-            with self._state:
-                reqs = self._checkpoint_reqs(keys)
-                # the snapshots hold every op sent, which runs past upto
-                # when a dispatcher on another thread delivered first
-                cut = self._journal.sent(fam)
-            snaps = {key: self._snapshot(peer, key, reqs[key]) for key in keys}
+            self._cut(fam, peer, upto)
             with self._state:
                 if self.ownership[fam] != src or dst not in self._alive:
                     return
+                keys = [
+                    key
+                    for key in self.router.family_keys(fam)
+                    if self._installed.get(key) == src
+                ]
                 for key in keys:
-                    self._absorb_snapshot(key, snaps[key])
-                    self._installed.pop(key, None)  # dropped on src below
-                self._journal.truncate(fam, cut)
+                    del self._installed[key]  # dropped on src below
                 self.ownership[fam] = dst
                 self.migrations += 1
         finally:
@@ -1072,31 +1084,6 @@ class MeshCoordinator:
                     del self._moving[fam]
         for key in keys:
             peer.call("drop", {"key": key})
-
-    def _report_job(self, flush: bool) -> dict[str, dict]:
-        with self._state:
-            marks = self._journal.ends()
-        while True:
-            self._check_failure()
-            try:
-                self._settle(marks)
-                # unconfigured peers own no families (see _flush_job)
-                peers = [p for p in self._alive_peers() if p.configured]
-                if flush:
-                    for peer in peers:
-                        peer.call("flush", {})
-                merged: dict[str, dict] = {}
-                for peer in peers:
-                    reply = peer.call("report", {})
-                    rows = reply.get("report")
-                    if not isinstance(rows, dict):
-                        raise MeshError(
-                            f"malformed report reply from {peer.name!r}"
-                        )
-                    merged.update(rows)
-                return merged
-            except PeerLost as lost:
-                self._handle_peer_loss(lost.peer)
 
     # ------------------------------------------------------------------ #
     # failover                                                            #

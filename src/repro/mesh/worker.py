@@ -13,7 +13,7 @@ The loop is single-threaded and strictly FIFO over the socket: ops are
 applied in arrival order and replies carry the op's ``seq`` back. That
 FIFO is a correctness lever, not a simplification — a ``snapshot`` or
 ``flush`` op queued behind ``events`` ops observes all of them, so the
-coordinator's barrier ordering holds on the worker without any
+coordinator's cut and barrier ordering holds on the worker without any
 worker-side locking.
 
 Failure discipline: any exception while serving an op answers a

@@ -18,8 +18,8 @@ request through a :class:`PipelineScheduler` keyed by
 ``backend.ordering_key(request)``; :class:`repro.api.AssignmentClient`
 pipelines stream windows over transports that support it; the
 backends' batch paths share the envelope plumbing; and
-:class:`repro.mesh.MeshCoordinator` delivers each shard family's ops as
-jobs keyed by the family, with checkpoints as barriers.
+:class:`repro.mesh.MeshCoordinator` delivers and checkpoints each shard
+family as jobs keyed by the family, with flush and report as barriers.
 """
 
 from .scheduler import PipelineScheduler, default_worker_count

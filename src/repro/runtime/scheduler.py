@@ -16,8 +16,9 @@ For the assignment service the key is the backend's shard routing
 state, so per-key FIFO means each shard server consumes exactly the
 per-shard subsequence it would have seen from a serial dispatch loop —
 same cohort buffers, same RNG draws, same assignments. Barrier verbs
-(``Flush``/``GetReport``, mesh checkpoints) map to ``None`` and keep
-their observe-everything semantics.
+(``Flush``/``GetReport``, the mesh's flush and report) map to ``None``
+and keep their observe-everything semantics; a mesh checkpoint is one
+job per family key, so it never stalls the other families.
 
 Ordering is tracked with dependency chaining, not queue polling: each
 key remembers its tail job, a barrier collects every live tail, and a

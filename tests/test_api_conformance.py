@@ -6,7 +6,7 @@ bit-identical ``(task, worker)`` assignments — and matching report
 counters/audit values — whether served by the in-process reference, the
 sharded engine, a remote client speaking the framed wire protocol over
 a real loopback socket, or a worker mesh of standalone processes dialed
-in over loopback (including across mesh checkpoint barriers and odd
+in over loopback (including across mesh checkpoint cuts and odd
 dispatch-chunk boundaries).
 """
 
@@ -99,7 +99,7 @@ class TestConformance:
     def test_remote_over_mesh_matches_with_barriers(self):
         """The hardest deployment shape: a remote client over loopback,
         the gateway serving a worker mesh with odd chunk joints and
-        checkpoint barriers mid-stream. Still bit-identical."""
+        checkpoint cuts mid-stream. Still bit-identical."""
         spec = spec_for((2, 2))
         stream = build_conformance_stream(REGION, 60, 45, seed=13)
         local = run_backend(

@@ -2,7 +2,7 @@
 
 Standalone worker processes dial the coordinator over the gateway wire,
 and whatever the transport does — pipelined dispatch, odd chunk joints,
-checkpoint barriers, a worker SIGKILLed mid-batch or mid-checkpoint,
+per-family checkpoint cuts, a worker SIGKILLed mid-batch or mid-cut,
 even a second kill during the recovery itself — the assignments must
 stay bit-identical to the single-process sharded engine. With the
 hot-shard balancer on, a migration changes no answer, and a run with hot
@@ -12,6 +12,8 @@ cells split gives the same answers whatever the transport does.
 import os
 import signal
 import socket
+import sys
+import threading
 import time
 
 import numpy as np
@@ -25,7 +27,7 @@ from repro.api.conformance import (
     run_mesh_failover,
 )
 from repro.api.errors import ApiError
-from repro.cluster.balancer import BalancerConfig, ClusterRouter
+from repro.cluster.balancer import BalancerConfig, ClusterRouter, family_of
 from repro.cluster.dispatch import FamilyJournal
 from repro.gateway.protocol import (
     MESH_WORKER_ROLE,
@@ -170,6 +172,15 @@ class TestFamilyJournal:
         # replay serves only the retained suffix, not the truncated ops
         assert [op[0] for op in j.take(0)] == ["t"]
 
+    def test_truncate_counts_what_it_drops(self):
+        j = _journal()
+        j.absorb([_worker(0, 10, 100), _task(0, 15, 100), _task(1, 12, 100)])
+        j.take(0)
+        assert j.truncate(0, 2) == 2  # the cohort op and the first task
+        assert j.truncate(0, 2) == 0  # already gone
+        assert j.truncate(0, 99) == 1  # clipped at the journal's end
+        assert j.truncate(1, 5) == 0  # an untouched family
+
     def test_duplicate_worker_ids_are_refused(self):
         j = _journal()
         j.absorb([_worker(0, 10, 100)])
@@ -238,6 +249,92 @@ class TestMeshParity:
 
 
 # --------------------------------------------------------------------- #
+# per-family checkpoint cuts                                             #
+# --------------------------------------------------------------------- #
+
+
+class TestCheckpointCuts:
+    def test_a_held_cut_stalls_only_its_family(self):
+        """While one family's cut is held mid-snapshot, a task in another
+        family is answered; a task in the held family waits its turn."""
+        backend = make_backend(
+            "mesh", spec_for((2, 2)), n_peers=2, chunk_size=4, checkpoint_every=4
+        )
+        held, release, answered = (threading.Event() for _ in range(3))
+
+        def hold(key):
+            if family_of(key) == 0 and not held.is_set():
+                held.set()
+                release.wait(timeout=30.0)
+
+        backend.open()
+        try:
+            coordinator = backend.coordinator
+            coordinator._test_mid_checkpoint = hold
+            # four events in family 0 reach the cadence: every family is cut
+            coordinator.process(
+                [_worker(0, 10, 10), _worker(1, 20, 20), _task(0, 15, 15),
+                 _worker(2, 30, 30)]
+            )
+            assert held.wait(timeout=10.0), "no cut reached family 0"
+            coordinator.process(
+                [_worker(3, 190, 190), _task(1, 185, 185), _task(2, 12, 12)]
+            )
+            threading.Thread(
+                target=lambda: (coordinator.result_of(1), answered.set()),
+                daemon=True,
+            ).start()
+            assert answered.wait(timeout=5.0), (
+                "a task in another family waited behind the held cut"
+            )
+            assert coordinator.tasks_answered == 2  # task 2 is behind the cut
+            release.set()
+            assert coordinator.result_of(2) is not None
+        finally:
+            release.set()
+            backend.close()
+
+    @pytest.mark.parametrize(
+        "rebase_every, deltas, bases, rebases", [(0, 0, 48, 44), (1, 24, 24, 20)]
+    )
+    def test_rebase_cap_bounds_every_chain(self, rebase_every, deltas, bases, rebases):
+        """12 cut rounds over 4 families: ``rebase_every=0`` takes only
+        bases, ``1`` alternates base and delta; answers never change."""
+        spec = spec_for((2, 2))
+        stream = build_conformance_stream(REGION, 100, 100, seed=5)
+        reference = run_backend(make_backend("sharded", spec), stream, window=16)
+        stats: dict = {}
+        mesh, _ = run_mesh_failover(
+            spec, stream, n_peers=2, kill_after=len(stream) + 1, window=16,
+            checkpoint_every=16, rebase_every=rebase_every, stats=stats,
+        )
+        assert check_parity([reference, mesh]) == []
+        assert stats["delta_checkpoints"] == deltas
+        assert stats["base_checkpoints"] == bases
+        assert stats["rebase_total"] == rebases
+        assert stats["max_chain_len"] == rebase_every + 1
+
+    def test_concurrent_cuts_survive_a_kill_under_fast_thread_switching(self):
+        """Every family cut at every chunk, on more scheduler threads than
+        cores, with the interpreter switching threads often and a worker
+        SIGKILLed mid-stream: answers stay bit-identical."""
+        spec = spec_for((2, 2))
+        stream = build_conformance_stream(REGION, 60, 60, seed=21)
+        reference = run_backend(make_backend("sharded", spec), stream, window=16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            mesh, failovers = run_mesh_failover(
+                spec, stream, n_peers=2, chunk_size=8, checkpoint_every=8,
+                rebase_every=2, window=16,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert failovers >= 1
+        assert check_parity([reference, mesh]) == []
+
+
+# --------------------------------------------------------------------- #
 # crash failover                                                         #
 # --------------------------------------------------------------------- #
 
@@ -264,13 +361,17 @@ class TestMeshFailover:
         killed = []
 
         def kill_during_checkpoint(key):
-            # fires after each snapshot op: the victim dies with part of
-            # the checkpoint already taken; nothing may be committed
-            if not killed:
-                killed.append(key)
-                proc = backend.workers[0]
-                os.kill(proc.pid, signal.SIGKILL)
-                proc.join(timeout=10.0)
+            # fires before each snapshot op of a cut: kill the peer that
+            # holds the cut, once the family has a chain to restore. The
+            # interrupted cut must commit nothing and rerun on the survivor
+            coordinator = backend.coordinator
+            if killed or key not in coordinator._checkpoints:
+                return
+            killed.append(key)
+            owner = coordinator._peers[coordinator.ownership[family_of(key)]]
+            proc = backend.workers[int(owner.label.rsplit("mesh-w", 1)[1])]
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.join(timeout=10.0)
 
         def arm(coordinator):
             coordinator._test_mid_checkpoint = kill_during_checkpoint

@@ -6,7 +6,7 @@ mid-window, handlers finishing out of order — yields assignments and
 reports bit-identical to serial replay. The suite checks the law three
 ways: on the scheduler as a pure model, on the real sharded backend
 with adversarial jitter, and on the worker-mesh backend with
-checkpoint barriers in the window.
+checkpoint cuts in the window.
 """
 
 import random
@@ -483,9 +483,9 @@ def test_sharded_backend_scheduled_interleavings_are_bit_identical(seed):
 
 def test_mesh_backend_scheduled_with_checkpoint_barriers_mid_window():
     """The mesh cell of the law: per-family keys, coordinator
-    checkpoints firing mid-stream (checkpoint_every far below the stream
-    length), plus explicit Flush barriers — still bit-identical to the
-    serial sharded reference."""
+    checkpoint cuts firing mid-stream (checkpoint_every far below the
+    stream length), plus explicit Flush barriers — still bit-identical
+    to the serial sharded reference."""
     spec = small_spec(seed=13)
     requests = build_conformance_stream(REGION, 60, 45, seed=17)
     serial_decisions, serial_report = _drive_serial(
