@@ -1,10 +1,9 @@
 """Shared plumbing for the ``BENCH``-line benchmarks.
 
-The service, gateway and pipeline throughput benches and the checkpoint
-delta bench each emit one machine-readable line per run:
+The checkpoint delta bench emits one machine-readable line per run:
 ``BENCH {json}``. This module is the single implementation of that
-emission plus the best-of-N timing helper, so every benchmark reports
-identically shaped output.
+emission plus the best-of-N timing helper, so every ``BENCH``-line
+benchmark reports identically shaped output.
 
 Quantiles: ``repro.service.metrics`` is the single quantile
 implementation in this repo — benchmarks that report latency

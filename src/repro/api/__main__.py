@@ -7,12 +7,7 @@ reference vs engine vs a remote client over a loopback gateway socket
 vs a worker mesh over loopback sockets), then on a ``(2, 2)`` lattice
 (engine vs remote vs mesh), and finally a
 failover leg that SIGKILLs a mesh worker mid-stream and demands the
-answers still match. The remote leg appears twice — once negotiating
-``codec:bin1`` and once withholding the offer so the session stays on
-JSON — and a mixed-codec mesh leg alternates its peers between the two
-wires; the failover leg runs on that same mixed mesh, so the
-binary-codec conformance matrix is json-only vs bin-only vs mixed with
-the SIGKILL included. Also exercises the full middleware chain
+answers still match. Also exercises the full middleware chain
 (validation, token bucket, latency metrics, error mapping) on the way.
 
 Examples::
@@ -77,27 +72,15 @@ def main(argv: list[str] | None = None) -> int:
 
     region = Box.square(200.0)
     backend_kwargs = {
-        # the remote runs serve the engine over a real loopback socket,
-        # so the parity gate also covers the framed wire path — once per
-        # codec: the bin1 session and the json-only session must be
-        # bit-identical to each other and to every in-process backend
+        # the remote run serves the engine over a real loopback socket,
+        # so the parity gate also covers the framed wire path
         "remote": {"backend": "sharded"},
-        "remote-json": {"backend": "sharded"},
-        # the mesh runs spawn worker processes that dial the coordinator
+        # the mesh run spawns worker processes that dial the coordinator
         # over loopback sockets, with a deliberately odd chunk size (chunk
-        # joints must not matter) and checkpoint cuts mid-stream; the
-        # mixed leg alternates peers between bin1 and json frames
+        # joints must not matter) and checkpoint cuts mid-stream
         "mesh": {"n_peers": 2, "chunk_size": 21, "checkpoint_every": 64},
-        "mesh-mixed": {"n_peers": 2, "chunk_size": 21, "checkpoint_every": 64},
     }
-    backend_kinds = (
-        "inprocess",
-        "sharded",
-        "remote",
-        "remote-json",
-        "mesh",
-        "mesh-mixed",
-    )
+    backend_kinds = ("inprocess", "sharded", "remote", "mesh")
     outcomes = []
     for shards in ((1, 1), (2, 2)):
         spec = ServiceSpec(
@@ -121,15 +104,9 @@ def main(argv: list[str] | None = None) -> int:
         outcomes.append((shards, result))
 
     # failover leg: kill a mesh worker mid-stream on the sharded case;
-    # restore+replay must leave the answers bit-identical anyway — on a
-    # mixed-codec mesh, so the journal can replay across wire formats
+    # restore+replay must leave the answers bit-identical anyway
     failover_run, failovers = run_mesh_failover(
-        spec,
-        stream,
-        n_peers=3,
-        chunk_size=21,
-        checkpoint_every=64,
-        worker_codecs=("bin1", "json"),
+        spec, stream, n_peers=3, chunk_size=21, checkpoint_every=64
     )
     failover_problems = check_parity([outcomes[-1][1].runs[0], failover_run])
     if failovers < 1:

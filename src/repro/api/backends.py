@@ -528,7 +528,6 @@ class MeshBackend(BackendBase):
         spawn: str = "fork",
         host: str = "127.0.0.1",
         port: int = 0,
-        worker_codecs: tuple = (),
         tracer=None,
     ) -> None:
         super().__init__(spec)
@@ -541,11 +540,6 @@ class MeshBackend(BackendBase):
         self.rebase_every = int(rebase_every)
         self.balancer = balancer
         self.spawn = spawn
-        # per-worker codec offers, cycled by worker index; empty means
-        # every worker offers the default (bin1). A mixed tuple like
-        # ("bin1", "json") builds a mixed-codec mesh on purpose — the
-        # conformance matrix proves assignments don't care.
-        self.worker_codecs = tuple(str(c) for c in worker_codecs)
         self.host = host
         self.port = int(port)
         self.workers: list = []
@@ -579,10 +573,7 @@ class MeshBackend(BackendBase):
             address = self.coordinator.listen()
             spawner = spawn_cli_worker if self.spawn == "cli" else spawn_local_worker
             for i in range(self.n_peers):
-                kwargs = {}
-                if self.worker_codecs:
-                    kwargs["codec"] = self.worker_codecs[i % len(self.worker_codecs)]
-                self.workers.append(spawner(address, name=f"mesh-w{i}", **kwargs))
+                self.workers.append(spawner(address, name=f"mesh-w{i}"))
             self._route_map = self.coordinator.shard_map
             self.coordinator.start()
         except BaseException:

@@ -17,7 +17,7 @@ distances, the privacy ledger audit — must agree exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -123,7 +123,6 @@ def run_remote_backend(
     pipeline: int = 1,
     backend: str = "sharded",
     backend_kwargs: dict | None = None,
-    binary: bool = True,
 ) -> BackendRun:
     """Drive the stream through a real loopback gateway socket.
 
@@ -131,15 +130,11 @@ def run_remote_backend(
     fresh ``backend`` built for ``spec``, connects a
     :class:`~repro.gateway.RemoteBackend`, and runs the exact
     :func:`run_backend` loop the in-process backends get — so the
-    parity check covers the full framed wire path: handshake, codec
-    round trips, batched stream windows, report transport. With
+    parity check covers the full framed wire path: handshake, bin1
+    round trips, stream windows as rows, report transport. With
     ``pipeline > 1`` the client keeps that many windows in flight and
     the gateway schedules them shard-aware and answers out of order —
     the matrix then asserts that pipelining changed *nothing*.
-
-    ``binary`` controls the ``codec:bin1`` offer; the run is named
-    ``remote-<codec>`` after whatever the welcome actually granted, so
-    a matrix holding both a json and a bin1 cell reads unambiguously.
     """
     from ..gateway import GatewayConfig, RemoteBackend, serve_gateway
 
@@ -147,9 +142,8 @@ def run_remote_backend(
         spec=spec, backend=backend, backend_kwargs=dict(backend_kwargs or {})
     )
     with serve_gateway(config) as server:
-        remote = RemoteBackend(spec, address=server.address, binary=binary)
-        run = run_backend(remote, requests, window=window, pipeline=pipeline)
-        return replace(run, name=f"remote-{remote.codec}")
+        remote = RemoteBackend(spec, address=server.address)
+        return run_backend(remote, requests, window=window, pipeline=pipeline)
 
 
 def run_mesh_failover(
@@ -164,7 +158,6 @@ def run_mesh_failover(
     chunk_size: int = 32,
     checkpoint_every: int = 64,
     rebase_every: int = 8,
-    worker_codecs: tuple = (),
     balancer=None,
     stats: dict | None = None,
 ) -> tuple[BackendRun, int]:
@@ -174,12 +167,8 @@ def run_mesh_failover(
     checkpoint restore plus bit-deterministic journal replay — stay
     bit-identical to every healthy backend. Returns the run plus the
     coordinator's failover count (callers assert it is >= 1: a kill the
-    mesh never noticed proves nothing). ``worker_codecs`` cycles over
-    the peers like :class:`~repro.api.backends.MeshBackend` — a mixed
-    tuple makes the SIGKILL leg cross codec boundaries too: the killed
-    peer's journal may replay onto a successor speaking the other wire.
-    ``balancer`` passes through to the mesh, so a kill can land after
-    hot-cell splits and migrations.
+    mesh never noticed proves nothing). ``balancer`` passes through to
+    the mesh, so a kill can land after hot-cell splits and migrations.
 
     A ``stats`` dict, when given, is filled before teardown with the
     checkpoint-chain telemetry of the run — ``max_chain_len``,
@@ -200,7 +189,6 @@ def run_mesh_failover(
         chunk_size=chunk_size,
         checkpoint_every=checkpoint_every,
         rebase_every=rebase_every,
-        worker_codecs=worker_codecs,
         balancer=balancer,
     )
     pairs: list = []
@@ -359,13 +347,10 @@ def run_conformance(
     no sharded counterpart by construction). ``remote`` runs over a real
     loopback gateway socket (see :func:`run_remote_backend`); its kwargs
     name the *server-side* backend and knobs rather than constructor
-    arguments. ``remote-json`` is the same leg with the ``codec:bin1``
-    offer withheld, so the matrix holds a binary and a JSON session side
-    by side. ``mesh`` spawns real worker processes that dial the
-    coordinator over loopback sockets — the full multi-host wire path —
-    and ``mesh-mixed`` alternates its peers between bin1 and json so
-    both codecs serve shards of one run. ``backend_kwargs`` maps any
-    backend kind to its extras (e.g. mesh ``n_peers``/``chunk_size``).
+    arguments. ``mesh`` spawns real worker processes that dial the
+    coordinator over loopback sockets — the full multi-host wire path.
+    ``backend_kwargs`` maps any backend kind to its extras (e.g. mesh
+    ``n_peers``/``chunk_size``).
     ``pipeline`` applies to every run — only transports that negotiated
     the capability actually pipeline (the remote cells), everything else
     is its serial control.
@@ -378,24 +363,14 @@ def run_conformance(
     for kind in backend_kinds:
         if kind == "inprocess" and tuple(spec.shards) != (1, 1):
             continue
-        if kind in ("remote", "remote-json"):
-            kwargs = dict(backend_kwargs.get(kind, {}))
-            kwargs.setdefault("binary", kind == "remote")
-            result.runs.append(
-                run_remote_backend(
-                    spec, requests, window=window, pipeline=pipeline, **kwargs
-                )
-            )
-            continue
         kwargs = dict(backend_kwargs.get(kind, {}))
-        if kind == "mesh-mixed":
-            kwargs.setdefault("worker_codecs", ("bin1", "json"))
-        backend = make_backend(
-            "mesh" if kind == "mesh-mixed" else kind, spec, **kwargs
-        )
-        run = run_backend(backend, requests, window=window, pipeline=pipeline)
-        if kind == "mesh-mixed":
-            run = replace(run, name="mesh-mixed")
+        if kind == "remote":
+            run = run_remote_backend(
+                spec, requests, window=window, pipeline=pipeline, **kwargs
+            )
+        else:
+            backend = make_backend(kind, spec, **kwargs)
+            run = run_backend(backend, requests, window=window, pipeline=pipeline)
         result.runs.append(run)
     result.problems = check_parity(result.runs)
     return result

@@ -1,17 +1,21 @@
 """repro.gateway — the assignment service over a TCP socket.
 
 The network layer the API package was built for: :mod:`repro.api`'s
-schema-versioned wire form (``to_wire``/``from_wire``) framed as
-length-prefixed JSON over asyncio TCP, with any backend — in-process,
-sharded engine, or worker mesh — behind it. Nothing backend
-changes; the conformance suite proves a remote client gets bit-identical
-assignments to an in-process one.
+schema-versioned wire form (``to_wire``/``from_wire``) in length-prefixed
+frames over asyncio TCP, with any backend — in-process, sharded engine,
+or worker mesh — behind it. Nothing backend changes; the conformance
+suite proves a remote client gets bit-identical assignments to an
+in-process one.
 
-* **protocol** — sans-IO framing (4-byte big-endian length + UTF-8 JSON,
-  8 MiB ceiling), the ``hello``/``welcome``/``goodbye`` handshake with
-  api-version negotiation and feature bits (``"pipeline"`` = the client
-  accepts out-of-order responses), and stable error codes for every
-  kind of damage (junk, truncation, oversize, version skew);
+* **protocol** — sans-IO framing (4-byte big-endian length + payload,
+  8 MiB ceiling), the ``hello``/``welcome``/``goodbye`` handshake (the
+  hello and welcome travel as JSON) with api-version negotiation and
+  feature bits (``"pipeline"`` = the client accepts out-of-order
+  responses), and stable error codes for every kind of damage (junk,
+  truncation, oversize, version skew);
+* **codec** — ``bin1``, the one payload codec after the welcome: stream
+  windows as fixed-width rows, snapshots as packed value trees,
+  everything else as embedded JSON documents;
 * **server** — :class:`GatewayServer`: per-connection sessions behind a
   handshake, backend calls scheduled on the shard-aware
   :class:`~repro.runtime.PipelineScheduler` (different shards run
@@ -58,6 +62,7 @@ from .protocol import (
     decode_payload,
     family_features,
     goodbye_doc,
+    handshake_frame,
     hello_doc,
     negotiate_version,
     parse_features,
@@ -86,6 +91,7 @@ __all__ = [
     "encode_frame",
     "family_features",
     "goodbye_doc",
+    "handshake_frame",
     "hello_doc",
     "negotiate_version",
     "parse_features",

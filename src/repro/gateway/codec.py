@@ -1,37 +1,41 @@
-"""The ``bin1`` binary payload codec: struct-packed api frames.
+"""The ``bin1`` binary payload codec: every frame after the handshake.
 
-JSON text is the gateway's v1 baseline, and it taxes every frame twice:
-``json.dumps`` walks the document on the way out, ``json.loads``
-re-tokenizes it on the way in, and numbers travel as decimal text. bin1
-replaces the *payload encoding only* — framing (u32-BE length prefix),
-the handshake, the document shapes and the error taxonomy are all
-unchanged — with a tagged binary layout:
+The ``hello``/``welcome`` pair travels as JSON text; from the welcome
+on, every frame in either direction is bin1. Framing (u32-BE length
+prefix), the document shapes and the error taxonomy are those of the
+handshake; only the payload encoding differs:
 
 ```
 payload := magic u8 (0xB1) | layout-version u8 (0x01) | tag u8 | body
 ```
 
-Per-kind *fast tags* struct-pack the hot api messages (register/submit
-are one ``>qddd`` each; a batch is a count plus length-prefixed
-recursively-encoded items). Everything that doesn't match a fast tag's
-exact shape — reports, traced envelopes, mesh ops, foreign versions,
-big ints, int-typed floats — is carried by :data:`GENERIC_TAG` as
-embedded JSON of the whole document. That fallback is what makes the
-encoder *total* (any dict that json can carry, bin1 can carry) and what
-guarantees decode fidelity: a fast tag is only used when re-expanding
-it reproduces the document a JSON peer would have produced, value types
-included, so the negotiated codec can never change what a backend sees.
+bin1 keeps one layout per job:
 
-Decoding is zero-copy: the caller may hand in the ``memoryview`` slice
-straight out of the receive buffer; fields are unpacked in place and
-strings decoded directly from the view. Every malformed input — bad
-magic, foreign layout version, junk tag, truncation at any boundary,
-lying inner lengths, trailing garbage — raises a structured
-:mod:`repro.api.errors` code, never a bare ``struct.error``; the fuzz
-suite drives this promise the same way it drives the JSON path.
+* :data:`~repro.gateway.protocol.GENERIC_TAG` — the whole document as
+  embedded JSON. It is *total* (any dict json can carry, bin1 carries)
+  and decodes to exactly the document a JSON round trip produces, so the
+  codec never changes what a backend sees. Verbs, reports, errors,
+  traced envelopes, mesh ops and goodbyes all ride it;
+* :data:`~repro.gateway.protocol.STREAM_BATCH_TAG` /
+  :data:`~repro.gateway.protocol.STREAM_RESULT_TAG` — a stream window
+  of register/submit events, and its answers, as fixed-width rows.
+  :func:`encode_stream_batch` and friends go straight between api
+  dataclasses and rows without building documents;
+* :data:`~repro.gateway.protocol.PACKED_DOC_TAG` — a document as a
+  packed value tree, for the float-heavy checkpoint snapshots and
+  ``load`` requests (:func:`encode_packed`).
 
-Tag numbers and codec names are owned by :mod:`repro.gateway.protocol`
-(lint rule RL403); this module holds only the encode/decode machinery.
+:func:`decode_bin1` reads the two document layouts; the row layouts
+have their own decoders. Decoding is zero-copy: the caller may hand in
+the ``memoryview`` slice straight out of the receive buffer; fields are
+unpacked in place and strings decoded directly from the view. Every
+malformed input — bad magic, foreign layout version, a tag the decoder
+does not read, truncation at any boundary, lying inner lengths,
+trailing garbage — raises a structured :mod:`repro.api.errors` code,
+never a bare ``struct.error``; the fuzz suite drives this promise.
+
+Tag numbers are owned by :mod:`repro.gateway.protocol` (lint rule
+RL403); this module holds only the encode/decode machinery.
 """
 
 from __future__ import annotations
@@ -41,8 +45,6 @@ import struct
 
 from ..api.errors import UnsupportedVersion, ValidationFailed
 from ..api.messages import (
-    WIRE_SCHEMA,
-    WIRE_VERSION,
     Batch,
     BatchResult,
     RegisterWorker,
@@ -53,24 +55,12 @@ from ..api.messages import (
     WorkerRegistered,
 )
 from .protocol import (
-    BATCH_RESULT_TAG,
-    BATCH_TAG,
     BIN1_MAGIC,
     BIN1_WIRE_VERSION,
-    ENVELOPE_RESULT_TAG,
-    ENVELOPE_TAG,
-    ERROR_TAG,
-    FLUSH_TAG,
-    FLUSHED_TAG,
     GENERIC_TAG,
-    GET_REPORT_TAG,
     PACKED_DOC_TAG,
-    REGISTER_WORKER_TAG,
     STREAM_BATCH_TAG,
     STREAM_RESULT_TAG,
-    SUBMIT_TASK_TAG,
-    TASK_DECISION_TAG,
-    WORKER_REGISTERED_TAG,
 )
 
 __all__ = [
@@ -84,12 +74,8 @@ __all__ = [
 ]
 
 _PREFIX = struct.Struct(">BBB")  # magic, layout version, tag
-_EVENT = struct.Struct(">qddd")  # id, x, y, time
 _F64 = struct.Struct(">d")
-_I64 = struct.Struct(">q")
-_DECISION = struct.Struct(">qBq")  # task_id, has-worker flag, worker_id
 _U32 = struct.Struct(">I")
-_SEQ = struct.Struct(">q")
 
 # columnar stream rows (see STREAM_BATCH_TAG / STREAM_RESULT_TAG):
 # fixed width, no per-item nesting — the whole window is one pack loop
@@ -99,161 +85,20 @@ _RESULT_ROW = struct.Struct(">Bqqq")  # kind, seq, id, worker (or 0)
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
 
-#: Deepest legal tag nesting: batch > envelope > verb is depth 3; junk
-#: that nests deeper than 8 is an attack on the decoder's stack.
-_MAX_DEPTH = 8
-
-
-def _is_i64(v) -> bool:
-    # bool is an int subclass but json spells it true/false, not 0/1
-    return type(v) is int and _I64_MIN <= v <= _I64_MAX
-
-
-def _is_f64(v) -> bool:
-    return type(v) is float
-
-
-def _is_point(v) -> bool:
-    return (
-        type(v) is list
-        and len(v) == 2
-        and type(v[0]) is float
-        and type(v[1]) is float
-    )
-
 
 # --------------------------------------------------------------------- #
-# encode                                                                 #
+# documents                                                              #
 # --------------------------------------------------------------------- #
-
-
-def _encode_nested(item, out: bytearray, depth: int) -> bool:
-    """Append ``u32 length | bin1 payload`` of one nested document."""
-    if not isinstance(item, dict):
-        return False
-    mark = len(out)
-    out += b"\x00\x00\x00\x00"
-    _encode_into(item, out, depth)
-    _U32.pack_into(out, mark, len(out) - mark - _U32.size)
-    return True
-
-
-def _try_fast(doc: dict, out: bytearray, depth: int) -> bool:
-    """Append the fast-tag encoding of ``doc``; False -> caller falls
-    back to GENERIC. Appends nothing unless the whole doc matches."""
-    if depth > _MAX_DEPTH:
-        return False
-    if len(doc) != 4 or doc.get("schema") != WIRE_SCHEMA:
-        return False
-    if doc.get("version") != WIRE_VERSION:
-        return False
-    kind = doc.get("kind")
-    body = doc.get("body")
-    if type(body) is not dict:
-        return False
-    mark = len(out)
-    if kind in ("register_worker", "submit_task"):
-        key = "worker_id" if kind == "register_worker" else "task_id"
-        if len(body) != 3:
-            return False
-        ident, loc, when = body.get(key), body.get("location"), body.get("time")
-        if not (_is_i64(ident) and _is_point(loc) and _is_f64(when)):
-            return False
-        tag = REGISTER_WORKER_TAG if kind == "register_worker" else SUBMIT_TASK_TAG
-        out += _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, tag)
-        out += _EVENT.pack(ident, loc[0], loc[1], when)
-        return True
-    if kind == "flush" or kind == "flushed":
-        if body:
-            return False
-        tag = FLUSH_TAG if kind == "flush" else FLUSHED_TAG
-        out += _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, tag)
-        return True
-    if kind == "get_report":
-        if len(body) != 1 or not _is_f64(body.get("wall_seconds")):
-            return False
-        out += _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, GET_REPORT_TAG)
-        out += _F64.pack(body["wall_seconds"])
-        return True
-    if kind == "worker_registered":
-        if len(body) != 1 or not _is_i64(body.get("worker_id")):
-            return False
-        out += _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, WORKER_REGISTERED_TAG)
-        out += _I64.pack(body["worker_id"])
-        return True
-    if kind == "task_decision":
-        if len(body) != 2 or not _is_i64(body.get("task_id")):
-            return False
-        worker = body.get("worker_id")
-        if worker is not None and not _is_i64(worker):
-            return False
-        out += _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, TASK_DECISION_TAG)
-        out += _DECISION.pack(
-            body["task_id"], 0 if worker is None else 1, worker or 0
-        )
-        return True
-    if kind in ("envelope", "envelope_result"):
-        if len(body) != 2 or not _is_i64(body.get("seq")):
-            return False
-        tag = ENVELOPE_TAG if kind == "envelope" else ENVELOPE_RESULT_TAG
-        out += _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, tag)
-        out += _SEQ.pack(body["seq"])
-        if not _encode_nested(body.get("item"), out, depth + 1):
-            del out[mark:]
-            return False
-        return True
-    if kind in ("batch", "batch_result"):
-        items = body.get("items")
-        if len(body) != 1 or type(items) is not list:
-            return False
-        tag = BATCH_TAG if kind == "batch" else BATCH_RESULT_TAG
-        out += _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, tag)
-        out += _U32.pack(len(items))
-        for item in items:
-            if not _encode_nested(item, out, depth + 1):
-                del out[mark:]
-                return False
-        return True
-    if kind == "error":
-        if len(body) != 4 or type(body.get("retryable")) is not bool:
-            return False
-        code, message, detail = (
-            body.get("code"),
-            body.get("message"),
-            body.get("detail"),
-        )
-        if not all(type(s) is str for s in (code, message, detail)):
-            return False
-        out += _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, ERROR_TAG)
-        for s in (code, message, detail):
-            raw = s.encode("utf-8")
-            out += _U32.pack(len(raw))
-            out += raw
-        out += b"\x01" if body["retryable"] else b"\x00"
-        return True
-    return False
-
-
-def _encode_into(doc: dict, out: bytearray, depth: int) -> None:
-    if not _try_fast(doc, out, depth):
-        out += _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, GENERIC_TAG)
-        out += json.dumps(doc, separators=(",", ":")).encode("utf-8")
 
 
 def encode_bin1(doc: dict) -> bytes:
-    """One document -> one bin1 frame payload (no length prefix)."""
+    """One document -> one GENERIC_TAG payload (no length prefix)."""
     if not isinstance(doc, dict):
         raise ValidationFailed(
             f"frame document must be an object, got {type(doc).__name__}"
         )
-    out = bytearray()
-    _encode_into(doc, out, 1)
-    return bytes(out)
-
-
-# --------------------------------------------------------------------- #
-# decode                                                                 #
-# --------------------------------------------------------------------- #
+    body = json.dumps(doc, separators=(",", ":")).encode("utf-8")
+    return _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, GENERIC_TAG) + body
 
 
 class _Reader:
@@ -280,16 +125,6 @@ class _Reader:
     def unpack(self, st: struct.Struct):
         return st.unpack_from(self.view, self.need(st.size))
 
-    def take_str(self) -> str:
-        (n,) = self.unpack(_U32)
-        start = self.need(n)
-        try:
-            return str(self.view[start : start + n], "utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValidationFailed(
-                f"bin1 string field is not valid UTF-8: {exc}"
-            ) from exc
-
     def done(self) -> None:
         if self.pos != self.end:
             raise ValidationFailed(
@@ -298,29 +133,10 @@ class _Reader:
             )
 
 
-def _doc(kind: str, body: dict) -> dict:
-    return {
-        "schema": WIRE_SCHEMA,
-        "version": WIRE_VERSION,
-        "kind": kind,
-        "body": body,
-    }
-
-
-def _decode_nested(r: _Reader, depth: int) -> dict:
-    (n,) = r.unpack(_U32)
-    start = r.need(n)
-    inner = _Reader(r.view, start, start + n)
-    doc = _decode_at(inner, depth)
-    inner.done()
-    return doc
-
-
-def _decode_at(r: _Reader, depth: int) -> dict:
-    if depth > _MAX_DEPTH:
-        raise ValidationFailed(
-            f"bin1 payload nests deeper than {_MAX_DEPTH} levels"
-        )
+def _open(payload) -> tuple[_Reader, int]:
+    """Validate a payload's bin1 prefix; a cursor after it, and the tag."""
+    view = memoryview(payload) if not isinstance(payload, memoryview) else payload
+    r = _Reader(view, 0, len(view))
     magic, version, tag = r.unpack(_PREFIX)
     if magic != BIN1_MAGIC:
         raise ValidationFailed(
@@ -332,185 +148,50 @@ def _decode_at(r: _Reader, depth: int) -> dict:
             f"bin1 layout version {version}, this peer speaks "
             f"{BIN1_WIRE_VERSION}"
         )
+    return r, tag
+
+
+def decode_bin1(payload) -> dict:
+    """One GENERIC_TAG or PACKED_DOC_TAG payload (bytes or memoryview)
+    -> the document. Any other tag is ``invalid-request``."""
+    r, tag = _open(payload)
     if tag == GENERIC_TAG:
-        start = r.pos
-        r.pos = r.end
         try:
-            doc = json.loads(str(r.view[start : r.end], "utf-8"))
+            doc = json.loads(str(r.view[r.pos : r.end], "utf-8"))
         except (UnicodeDecodeError, ValueError) as exc:
             raise ValidationFailed(
                 f"bin1 generic body is not valid JSON: "
                 f"{type(exc).__name__}: {exc}"
             ) from exc
-        if not isinstance(doc, dict):
-            raise ValidationFailed(
-                f"bin1 generic body must encode an object, "
-                f"got {type(doc).__name__}"
-            )
-        return doc
-    if tag in (REGISTER_WORKER_TAG, SUBMIT_TASK_TAG):
-        ident, x, y, when = r.unpack(_EVENT)
-        kind = "register_worker" if tag == REGISTER_WORKER_TAG else "submit_task"
-        key = "worker_id" if tag == REGISTER_WORKER_TAG else "task_id"
-        return _doc(kind, {key: ident, "location": [x, y], "time": when})
-    if tag == FLUSH_TAG:
-        return _doc("flush", {})
-    if tag == FLUSHED_TAG:
-        return _doc("flushed", {})
-    if tag == GET_REPORT_TAG:
-        (wall,) = r.unpack(_F64)
-        return _doc("get_report", {"wall_seconds": wall})
-    if tag == WORKER_REGISTERED_TAG:
-        (ident,) = r.unpack(_I64)
-        return _doc("worker_registered", {"worker_id": ident})
-    if tag == TASK_DECISION_TAG:
-        task, has_worker, worker = r.unpack(_DECISION)
-        if has_worker not in (0, 1):
-            raise ValidationFailed(
-                f"bin1 task_decision has-worker flag must be 0 or 1, "
-                f"got {has_worker}"
-            )
-        return _doc(
-            "task_decision",
-            {"task_id": task, "worker_id": worker if has_worker else None},
-        )
-    if tag in (ENVELOPE_TAG, ENVELOPE_RESULT_TAG):
-        (seq,) = r.unpack(_SEQ)
-        item = _decode_nested(r, depth + 1)
-        kind = "envelope" if tag == ENVELOPE_TAG else "envelope_result"
-        return _doc(kind, {"seq": seq, "item": item})
-    if tag == STREAM_BATCH_TAG:
-        (count,) = r.unpack(_U32)
-        start = r.need(count * _STREAM_ROW.size)
-        items = []
-        for k, seq, ident, x, y, when in _STREAM_ROW.iter_unpack(
-            r.view[start : r.pos]
-        ):
-            if k == 0:
-                item = _doc(
-                    "register_worker",
-                    {"worker_id": ident, "location": [x, y], "time": when},
-                )
-            elif k == 1:
-                item = _doc(
-                    "submit_task",
-                    {"task_id": ident, "location": [x, y], "time": when},
-                )
-            else:
-                raise ValidationFailed(
-                    f"bin1 stream row kind must be 0 or 1, got {k}"
-                )
-            items.append(_doc("envelope", {"seq": seq, "item": item}))
-        return _doc("batch", {"items": items})
-    if tag == STREAM_RESULT_TAG:
-        (count,) = r.unpack(_U32)
-        start = r.need(count * _RESULT_ROW.size)
-        items = []
-        for k, seq, ident, worker in _RESULT_ROW.iter_unpack(
-            r.view[start : r.pos]
-        ):
-            if k == 0:
-                item = _doc("worker_registered", {"worker_id": ident})
-            elif k == 1:
-                item = _doc(
-                    "task_decision", {"task_id": ident, "worker_id": worker}
-                )
-            elif k == 2:
-                item = _doc(
-                    "task_decision", {"task_id": ident, "worker_id": None}
-                )
-            else:
-                raise ValidationFailed(
-                    f"bin1 result row kind must be 0, 1 or 2, got {k}"
-                )
-            if k != 1 and worker != 0:
-                # one canonical byte string per document: the unused
-                # worker slot must be zero, anything else is damage
-                raise ValidationFailed(
-                    f"bin1 result row kind {k} carries a nonzero worker "
-                    f"field {worker}"
-                )
-            items.append(_doc("envelope_result", {"seq": seq, "item": item}))
-        return _doc("batch_result", {"items": items})
-    if tag in (BATCH_TAG, BATCH_RESULT_TAG):
-        (count,) = r.unpack(_U32)
-        if count > (r.end - r.pos):
-            # every item costs >= 1 byte; a count beyond the remaining
-            # bytes is a lying header, caught before any allocation
-            raise ValidationFailed(
-                f"bin1 batch count {count} exceeds the {r.end - r.pos} "
-                f"payload bytes that remain"
-            )
-        items = [_decode_nested(r, depth + 1) for _ in range(count)]
-        kind = "batch" if tag == BATCH_TAG else "batch_result"
-        return _doc(kind, {"items": items})
-    if tag == PACKED_DOC_TAG:
+    elif tag == PACKED_DOC_TAG:
         doc = _unpack_value(r, 1)
-        if not isinstance(doc, dict):
-            raise ValidationFailed(
-                f"bin1 packed body must encode an object, "
-                f"got {type(doc).__name__}"
-            )
-        return doc
-    if tag == ERROR_TAG:
-        code = r.take_str()
-        message = r.take_str()
-        detail = r.take_str()
-        start = r.need(1)
-        flag = r.view[start]
-        if flag not in (0, 1):
-            raise ValidationFailed(
-                f"bin1 error retryable flag must be 0 or 1, got {flag}"
-            )
-        return _doc(
-            "error",
-            {
-                "code": code,
-                "message": message,
-                "retryable": bool(flag),
-                "detail": detail,
-            },
+        r.done()
+    else:
+        raise ValidationFailed(
+            f"bin1 frame tag {tag:#04x} is not a document layout"
         )
-    raise ValidationFailed(f"unknown bin1 frame tag {tag:#04x}")
-
-
-def decode_bin1(payload) -> dict:
-    """One bin1 payload (bytes or memoryview) -> the document."""
-    view = memoryview(payload) if not isinstance(payload, memoryview) else payload
-    r = _Reader(view, 0, len(view))
-    doc = _decode_at(r, 1)
-    r.done()
+    if not isinstance(doc, dict):
+        raise ValidationFailed(
+            f"bin1 document body must encode an object, "
+            f"got {type(doc).__name__}"
+        )
     return doc
 
 
 # --------------------------------------------------------------------- #
-# columnar stream fast path                                              #
+# columnar stream rows                                                   #
 # --------------------------------------------------------------------- #
 #
-# The doc-shaped codec above costs ~35us per streamed event once both
-# directions of to_wire/encode/decode/from_wire are summed; the stream
-# fast path packs a whole replay window of api dataclasses straight into
-# fixed-width rows (and back) without ever building the documents. Only
-# these object-level encoders *produce* STREAM_BATCH / STREAM_RESULT
-# payloads; `_decode_at` above accepts them too, so any bin1 decoder —
-# including a mixed-codec mesh peer sniffing frames — stays total.
+# The document path costs ~35us per streamed event once both directions
+# of to_wire/encode/decode/from_wire are summed; the row layouts pack a
+# whole replay window of api dataclasses straight into fixed-width rows
+# (and back) without ever building the documents. These four functions
+# are the only readers and writers of STREAM_BATCH / STREAM_RESULT.
 
 
 def _stream_reader(payload, expect_tag: int) -> _Reader:
     """Validate the bin1 prefix of a stream payload, cursor after it."""
-    view = memoryview(payload) if not isinstance(payload, memoryview) else payload
-    r = _Reader(view, 0, len(view))
-    magic, version, tag = r.unpack(_PREFIX)
-    if magic != BIN1_MAGIC:
-        raise ValidationFailed(
-            f"bin1 payload starts with byte {magic:#04x}, "
-            f"expected {BIN1_MAGIC:#04x}"
-        )
-    if version != BIN1_WIRE_VERSION:
-        raise UnsupportedVersion(
-            f"bin1 layout version {version}, this peer speaks "
-            f"{BIN1_WIRE_VERSION}"
-        )
+    r, tag = _open(payload)
     if tag != expect_tag:
         raise ValidationFailed(
             f"expected bin1 stream tag {expect_tag:#04x}, got {tag:#04x}"
@@ -525,9 +206,9 @@ def encode_stream_batch(batch) -> bytes | None:
 
     Fidelity rule: a row carries exactly what ``to_wire`` would have
     serialized — struct ``q`` rejects non-integers (-> ``None`` ->
-    fallback) and ``d`` widens ints the way ``float()`` does, and the
-    decoders below apply the same coercions ``_from_body`` would — so
-    the far side sees identical dataclasses on either path.
+    document path) and ``d`` widens ints the way ``float()`` does, and
+    the decoders below apply the same coercions ``_from_body`` would —
+    so the far side sees identical dataclasses on either path.
     """
     if type(batch) is not Batch:
         return None

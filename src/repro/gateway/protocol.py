@@ -1,9 +1,9 @@
 """The gateway wire protocol: framing and handshake, sans-IO.
 
 Everything that crosses a gateway socket is a *frame*: a 4-byte
-big-endian unsigned payload length followed by that many bytes of UTF-8
-JSON encoding one ``dict`` document. Two document schemas travel inside
-frames:
+big-endian unsigned payload length followed by that many bytes of
+payload encoding one ``dict`` document. Two document schemas travel
+inside frames:
 
 * ``repro.gateway`` v1 — connection lifecycle: the client's ``hello``
   (advertising the :mod:`repro.api` wire versions it speaks, plus any
@@ -16,15 +16,15 @@ frames:
   the api ``error`` kind (:class:`~repro.api.messages.ErrorInfo`), so
   the error envelope *is* the existing structured error taxonomy.
 
-Frame *payloads* come in two codecs. ``json`` is the v1 baseline: UTF-8
-JSON text, spoken by every peer. ``bin1`` is a struct-packed binary
-form (see :mod:`repro.gateway.codec`) negotiated via the handshake
-feature list as ``codec:bin1`` — a session's codec is decided by the
-welcome and never switches mid-stream; hello/welcome themselves are
-always JSON because they travel before the decision. The two codecs are
-distinguishable from the first payload byte (:data:`BIN1_MAGIC` can
-never begin a JSON document), which is what lets a mixed-codec mesh
-share one :class:`FrameDecoder`.
+Payloads come in one codec per stage of a connection. The ``hello``,
+the ``welcome`` and a handshake rejection are UTF-8 JSON text
+(:func:`handshake_frame`): they travel before either side has agreed on
+anything. Every frame after the welcome, in either direction, is
+``bin1`` (:func:`encode_frame`, layouts in :mod:`repro.gateway.codec`).
+The two are distinguishable from the first payload byte
+(:data:`BIN1_MAGIC` can never begin a JSON document), which is what
+lets one :class:`FrameDecoder` read a JSON welcome and the bin1 frames
+glued behind it.
 
 This module is deliberately socket-free: :func:`encode_frame`,
 :class:`FrameDecoder` and the handshake builders/parsers operate on
@@ -38,7 +38,6 @@ for version skew — never a bare ``KeyError``/``UnicodeDecodeError``.
 from __future__ import annotations
 
 import json
-import re
 import struct
 
 from ..api.errors import UnsupportedVersion, ValidationFailed
@@ -52,32 +51,15 @@ __all__ = [
     "PIPELINE_FEATURE",
     "TRACE_FEATURE",
     "MESH_WORKER_ROLE",
-    "JSON_CODEC",
-    "BIN1_CODEC",
     "BIN1_MAGIC",
     "BIN1_WIRE_VERSION",
     "GENERIC_TAG",
-    "REGISTER_WORKER_TAG",
-    "SUBMIT_TASK_TAG",
-    "FLUSH_TAG",
-    "GET_REPORT_TAG",
-    "BATCH_TAG",
-    "ENVELOPE_TAG",
     "STREAM_BATCH_TAG",
     "STREAM_RESULT_TAG",
     "PACKED_DOC_TAG",
-    "WORKER_REGISTERED_TAG",
-    "TASK_DECISION_TAG",
-    "FLUSHED_TAG",
-    "BATCH_RESULT_TAG",
-    "ENVELOPE_RESULT_TAG",
-    "ERROR_TAG",
-    "codec_feature",
-    "offered_codecs",
-    "negotiate_codec",
-    "granted_codec",
     "check_frame_length",
     "encode_frame",
+    "handshake_frame",
     "payload_frame",
     "decode_payload",
     "FrameDecoder",
@@ -120,66 +102,43 @@ MESH_WORKER_ROLE = "mesh-worker"
 
 _ROLE_PREFIX = "role:"
 _FAMILY_PREFIX = "family:"
-_CODEC_PREFIX = "codec:"
 
 # ------------------------------------------------------------------ #
-# codecs (lint RL403: codec names and bin1 tags live here, only here) #
+# bin1 constants (lint RL403: frame tags live here, only here)        #
 # ------------------------------------------------------------------ #
-
-#: The v1 baseline payload codec: UTF-8 JSON text. Every peer speaks it
-#: and every session starts in it; it is never advertised (absence of a
-#: ``codec:`` grant *means* json), so pre-feature peers are simply
-#: json-codec peers.
-JSON_CODEC = "json"
-
-#: The struct-packed binary payload codec (:mod:`repro.gateway.codec`).
-#: Offered by a client as the ``codec:bin1`` feature; granted back by
-#: the server when it supports it. Fixed for the session at welcome.
-BIN1_CODEC = "bin1"
 
 #: First payload byte of every bin1 frame. 0xB1 is an invalid UTF-8
-#: leading byte, so no JSON payload can start with it — the codecs are
-#: sniffable from one byte, which keeps mixed-codec meshes decodable.
+#: leading byte, so no JSON payload can start with it — a handshake
+#: frame and a bin1 frame are told apart from one byte.
 BIN1_MAGIC = 0xB1
 
 #: bin1 layout version (second payload byte). Bumped only for
-#: incompatible layout changes; a new layout is a new codec name.
+#: incompatible layout changes.
 BIN1_WIRE_VERSION = 1
 
-#: bin1 frame tags (third payload byte): which body layout follows.
+#: bin1 frame tags (third payload byte): which body layout follows. One
+#: layout per job:
+#:
 #: ``GENERIC_TAG`` wraps the whole document as embedded JSON — the
-#: total fallback that keeps bin1 sessions able to carry any document
-#: (reports, traced envelopes, mesh ops) without a json downgrade.
+#: total layout that carries any document (verbs, reports, traced
+#: envelopes, mesh ops, errors, goodbyes).
 GENERIC_TAG = 0x00
-REGISTER_WORKER_TAG = 0x01
-SUBMIT_TASK_TAG = 0x02
-FLUSH_TAG = 0x03
-GET_REPORT_TAG = 0x04
-BATCH_TAG = 0x05
-ENVELOPE_TAG = 0x06
 #: Columnar stream window: a batch whose items are all envelopes
 #: wrapping register/submit events, packed as fixed-width rows (one
-#: struct row per event, no per-item nesting). Produced only by the
-#: object-level stream fast path (:func:`repro.gateway.codec
-#: .encode_stream_batch`); every bin1 decoder accepts it.
+#: struct row per event, no per-item nesting). Produced and read only by
+#: the object-level stream path (:func:`repro.gateway.codec
+#: .encode_stream_batch` / ``decode_stream_batch``).
 STREAM_BATCH_TAG = 0x07
-WORKER_REGISTERED_TAG = 0x11
-TASK_DECISION_TAG = 0x12
-FLUSHED_TAG = 0x13
-BATCH_RESULT_TAG = 0x15
-ENVELOPE_RESULT_TAG = 0x16
-ERROR_TAG = 0x17
 #: Columnar mirror of :data:`STREAM_BATCH_TAG` for the response
 #: direction: a batch_result of envelope_results wrapping
 #: worker_registered / task_decision rows.
 STREAM_RESULT_TAG = 0x18
 #: Whole document as a self-describing packed value tree (varint ints,
 #: raw f64s, homogeneous f64 arrays) instead of embedded JSON text.
-#: Carries exactly the JSON data model, so it is a drop-in replacement
-#: for :data:`GENERIC_TAG` on big numeric documents — checkpoint
-#: snapshots and delta chains — where decimal text dominates the frame.
-#: Produced only on request (``encode_frame(..., packed=True)``); every
-#: bin1 decoder accepts it.
+#: Carries exactly the JSON data model, so it replaces
+#: :data:`GENERIC_TAG` on big numeric documents — checkpoint snapshots
+#: and delta chains — where decimal text dominates the frame. Produced
+#: only on request (``encode_frame(..., packed=True)``).
 PACKED_DOC_TAG = 0x19
 
 #: Frame header: one big-endian u32 payload length.
@@ -208,34 +167,38 @@ def encode_frame(
     doc: dict,
     *,
     max_frame_bytes: int = MAX_FRAME_BYTES,
-    codec: str = JSON_CODEC,
     packed: bool = False,
 ) -> bytes:
-    """Serialize one document to a length-prefixed frame.
+    """Serialize one post-handshake document to a length-prefixed bin1
+    frame.
 
-    ``codec`` is the *session's* negotiated codec; handshake frames are
-    sent before negotiation and always travel as json. ``packed`` asks a
-    bin1 session to try the :data:`PACKED_DOC_TAG` value-tree layout
+    ``packed`` asks for the :data:`PACKED_DOC_TAG` value-tree layout
     first — the win for numeric-heavy documents like checkpoint
-    snapshots — falling back to the ordinary encoding when the document
-    does not fit the JSON data model exactly (and doing nothing at all
-    on json sessions, where the request is meaningless). The outbound
-    frame ceiling is enforced here exactly like the inbound one
+    snapshots — falling back to :data:`GENERIC_TAG` when the document
+    does not fit the JSON data model exactly. The outbound frame ceiling
+    is enforced here exactly like the inbound one
     (:func:`check_frame_length`), so an oversize response surfaces as a
     structured :class:`~repro.api.errors.ValidationFailed` the caller
     can answer with — never as a silently-violated protocol invariant.
     """
-    if codec == BIN1_CODEC:
-        from .codec import encode_bin1, encode_packed
+    from .codec import encode_bin1, encode_packed
 
-        payload = encode_packed(doc) if packed else None
-        if payload is None:
-            payload = encode_bin1(doc)
-    elif codec == JSON_CODEC:
-        payload = json.dumps(doc, separators=(",", ":")).encode("utf-8")
-    else:
-        raise ValueError(f"unknown frame codec {codec!r}")
+    payload = encode_packed(doc) if packed else None
+    if payload is None:
+        payload = encode_bin1(doc)
     return payload_frame(payload, max_frame_bytes=max_frame_bytes)
+
+
+def handshake_frame(
+    doc: dict, *, max_frame_bytes: int = MAX_FRAME_BYTES
+) -> bytes:
+    """Serialize a ``hello``, a ``welcome`` or a handshake rejection to
+    a length-prefixed JSON frame — the frames sent before the welcome
+    puts the connection on bin1."""
+    return payload_frame(
+        json.dumps(doc, separators=(",", ":")).encode("utf-8"),
+        max_frame_bytes=max_frame_bytes,
+    )
 
 
 def payload_frame(
@@ -255,26 +218,25 @@ def payload_frame(
     return HEADER.pack(len(payload)) + payload
 
 
-def decode_payload(payload, *, codec: str | None = None) -> dict:
+def decode_payload(payload, *, welcomed: bool = False) -> dict:
     """Parse one frame payload; structured failure on any damage.
 
     ``payload`` may be ``bytes`` or a ``memoryview`` (the zero-copy
     path). The codec is sniffed from the first byte — 0xB1 can never
-    begin JSON — unless ``codec`` pins the session's negotiated codec,
-    in which case a frame in the *other* codec is a protocol violation
-    (sessions never switch codec mid-stream) and fails structured.
+    begin JSON. ``welcomed`` marks a frame read after the welcome, where
+    only bin1 is legal: a JSON payload there is a protocol violation and
+    fails structured (``invalid-request``).
     """
     if len(payload) == 0:
         raise ValidationFailed("empty frame payload")
-    binary = payload[0] == BIN1_MAGIC
-    if codec == JSON_CODEC and binary:
-        raise ValidationFailed("binary frame on a json-codec session")
-    if codec == BIN1_CODEC and not binary:
-        raise ValidationFailed("json frame on a bin1-codec session")
-    if binary:
+    if payload[0] == BIN1_MAGIC:
         from .codec import decode_bin1
 
         return decode_bin1(payload)
+    if welcomed:
+        raise ValidationFailed(
+            "json frame after the welcome; every session frame is bin1"
+        )
     try:
         doc = json.loads(str(payload, "utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
@@ -292,25 +254,18 @@ class FrameDecoder:
     """Incremental frame parser over an arbitrary byte-chunk stream.
 
     Feed it whatever the transport produced — half a header, three frames
-    at once — and it yields complete documents as they close. Length
-    damage (zero or oversized prefixes) and payload damage (junk bytes,
-    invalid JSON) raise :class:`~repro.api.errors.ValidationFailed`; a
-    raising decoder is poisoned and the connection it served cannot be
+    at once — and it yields complete documents as they close. Each
+    payload is sniffed (:func:`decode_payload`), so one decoder reads a
+    JSON welcome and the bin1 frames glued behind it. Length damage
+    (zero or oversized prefixes) and payload damage (junk bytes, invalid
+    JSON) raise :class:`~repro.api.errors.ValidationFailed`; a raising
+    decoder is poisoned and the connection it served cannot be
     resynchronized (the length prefix that framed the stream is the thing
     that lied).
     """
 
-    def __init__(
-        self,
-        *,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
-        codec: str | None = None,
-    ) -> None:
+    def __init__(self, *, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
         self.max_frame_bytes = int(max_frame_bytes)
-        #: Pinned session codec, or ``None`` to sniff per frame (what a
-        #: mixed-codec mesh coordinator needs: the welcome it just sent
-        #: is json while ops glued behind it may already be bin1).
-        self.codec = codec
         self._buf = bytearray()
 
     @property
@@ -342,9 +297,7 @@ class FrameDecoder:
                 # consume first (matching the pre-zero-copy decoder: a
                 # frame whose payload fails decode is still drained)
                 consumed = start + length
-                frames.append(
-                    decode_payload(view[start:consumed], codec=self.codec)
-                )
+                frames.append(decode_payload(view[start:consumed]))
             clean = True
         finally:
             # Exports must go before the bytearray can shrink. On the
@@ -599,79 +552,3 @@ def advertised_families(features) -> tuple[int, ...]:
                 f"malformed family advertisement {f!r}"
             ) from None
     return tuple(sorted(fams))
-
-
-# --------------------------------------------------------------------- #
-# codec negotiation                                                      #
-# --------------------------------------------------------------------- #
-#
-# Codecs ride the feature list like roles do: the client *offers* every
-# codec it speaks (``codec:bin1``), the server grants back at most one,
-# and no grant means json — so a pre-feature peer on either end of the
-# socket degrades to the v1 JSON wire without noticing anything.
-
-#: Codec names are lowercase tokens; anything else in a ``codec:``
-#: feature is damage, not forward compatibility.
-_CODEC_NAME = re.compile(r"^[a-z0-9][a-z0-9._-]*$")
-
-
-def codec_feature(name: str) -> str:
-    """The feature name offering/granting a codec (``"codec:bin1"``)."""
-    return _CODEC_PREFIX + str(name)
-
-
-def offered_codecs(features) -> tuple[str, ...]:
-    """Codec names carried by a feature list, offer order, deduplicated.
-
-    Well-formed names the reader doesn't recognize pass through (the
-    server just won't pick them); malformed ones — empty, spaces,
-    uppercase — fail structured, because a peer that mangles the codec
-    field cannot be trusted to frame the stream it is asking for.
-    """
-    names: list[str] = []
-    for f in features:
-        if not f.startswith(_CODEC_PREFIX):
-            continue
-        name = f[len(_CODEC_PREFIX):]
-        if not _CODEC_NAME.match(name):
-            raise ValidationFailed(f"malformed codec offer {f!r}")
-        if name not in names:
-            names.append(name)
-    return tuple(names)
-
-
-def negotiate_codec(offered, supported) -> str:
-    """Server side: the codec this session will speak after the welcome.
-
-    First offered codec the server supports wins (the client lists its
-    preference order); no overlap — including an empty offer — means
-    :data:`JSON_CODEC`, which every peer speaks by definition.
-    """
-    for name in offered:
-        if name in supported:
-            return str(name)
-    return JSON_CODEC
-
-
-def granted_codec(granted_features, offered) -> str:
-    """Client side: the codec a welcome's feature grant puts us on.
-
-    A server may only grant one codec, and only one we offered —
-    anything else means it will frame the stream in bytes we cannot
-    parse, which is version skew (``unsupported-version``), surfaced
-    before the first post-handshake frame is touched.
-    """
-    names = offered_codecs(granted_features)
-    if not names:
-        return JSON_CODEC
-    if len(names) > 1:
-        raise ValidationFailed(
-            f"welcome granted multiple codecs {sorted(names)}; a session "
-            "has exactly one"
-        )
-    name = names[0]
-    if name not in offered:
-        raise UnsupportedVersion(
-            f"server granted codec {name!r} this client did not offer"
-        )
-    return name

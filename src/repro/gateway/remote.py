@@ -6,7 +6,10 @@ contract over a TCP connection, so an unmodified
 streaming windows, middleware and all — gains network access just by
 being handed one. ``open()`` connects and handshakes (schema-version
 negotiation included), ``handle()`` writes one frame and blocks for one
-response frame, ``close()`` says goodbye.
+response frame, ``close()`` says goodbye. The hello and welcome travel
+as JSON; every frame after the welcome is bin1 — a stream window of
+register/submit events as rows (:func:`~repro.gateway.codec
+.encode_stream_batch`), anything else as a generic document.
 
 The handshake also offers the ``pipeline`` feature: when the server
 accepts it (:attr:`RemoteBackend.supports_pipeline` turns true), the
@@ -43,20 +46,17 @@ from ..api.messages import (
 from ..obs.trace import current_context
 from .codec import decode_stream_result, encode_stream_batch
 from .protocol import (
-    BIN1_CODEC,
     BIN1_MAGIC,
     HEADER,
-    JSON_CODEC,
     MAX_FRAME_BYTES,
     PIPELINE_FEATURE,
     STREAM_RESULT_TAG,
     TRACE_FEATURE,
     check_frame_length,
-    codec_feature,
     decode_payload,
     encode_frame,
     goodbye_doc,
-    granted_codec,
+    handshake_frame,
     hello_doc,
     is_gateway_doc,
     parse_welcome,
@@ -93,12 +93,6 @@ class RemoteBackend(BackendBase):
         offer is free, and only a tracing-enabled server grants it).
         When granted, request frames carry the sender's current trace
         context so the server links its spans under the caller's.
-    binary:
-        Whether to *offer* the ``codec:bin1`` feature (on by default).
-        A granting server puts the whole session on struct-packed
-        binary frames; pre-feature servers ignore the offer and the
-        session stays JSON. The outcome lands in :attr:`codec`, fixed
-        at welcome for the life of the connection.
     """
 
     name = "remote"
@@ -114,7 +108,6 @@ class RemoteBackend(BackendBase):
         max_frame_bytes: int = MAX_FRAME_BYTES,
         pipeline: bool = True,
         trace: bool = True,
-        binary: bool = True,
     ) -> None:
         super().__init__(spec)
         self.address = (str(address[0]), int(address[1]))
@@ -124,12 +117,10 @@ class RemoteBackend(BackendBase):
         self.max_frame_bytes = int(max_frame_bytes)
         self.pipeline = bool(pipeline)
         self.trace = bool(trace)
-        self.binary = bool(binary)
         self.api_version: int | None = None
         self.session: int | None = None
         self.server_backend: str | None = None
         self.server_features: tuple[str, ...] = ()
-        self.codec: str = JSON_CODEC
         self.bytes_sent = 0
         self.bytes_received = 0
         self._sock: socket.socket | None = None
@@ -150,7 +141,6 @@ class RemoteBackend(BackendBase):
     # ------------------------------------------------------------------ #
 
     def _open(self) -> None:
-        self.codec = JSON_CODEC  # handshake always starts in json
         try:
             self._sock = socket.create_connection(
                 self.address, timeout=self.connect_timeout
@@ -160,22 +150,24 @@ class RemoteBackend(BackendBase):
             # ACK (~40ms) unless small writes go out immediately
             self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._sock.settimeout(self.call_timeout)
-            self._send_doc(
-                hello_doc(
-                    api_versions=range(1, WIRE_VERSION + 1),
-                    client=self.client_name,
-                    features=tuple(
-                        feature
-                        for feature, on in (
-                            (PIPELINE_FEATURE, self.pipeline),
-                            (TRACE_FEATURE, self.trace),
-                            (codec_feature(BIN1_CODEC), self.binary),
-                        )
-                        if on
+            self._send_frame(
+                handshake_frame(
+                    hello_doc(
+                        api_versions=range(1, WIRE_VERSION + 1),
+                        client=self.client_name,
+                        features=tuple(
+                            feature
+                            for feature, on in (
+                                (PIPELINE_FEATURE, self.pipeline),
+                                (TRACE_FEATURE, self.trace),
+                            )
+                            if on
+                        ),
                     ),
+                    max_frame_bytes=self.max_frame_bytes,
                 )
             )
-            doc = self._recv_doc()
+            doc = decode_payload(self._recv_payload())
             if not is_gateway_doc(doc):
                 # the server refused the handshake with a structured error
                 response = from_wire(doc)
@@ -190,14 +182,6 @@ class RemoteBackend(BackendBase):
                 self.session,
                 self.server_features,
             ) = parse_welcome(doc)
-            # the codec switches AT the welcome: the hello/welcome pair
-            # above travelled json, everything from here on is framed in
-            # the granted codec (a grant we never offered is skew and
-            # raises before any frame is misread)
-            self.codec = granted_codec(
-                self.server_features,
-                (BIN1_CODEC,) if self.binary else (),
-            )
         except OSError as exc:
             self._drop()
             raise BackendUnavailable(
@@ -276,11 +260,7 @@ class RemoteBackend(BackendBase):
                 "gateway connection was lost; open a new RemoteBackend"
             )
         payload = None
-        if (
-            self.codec == BIN1_CODEC
-            and type(request) is Batch
-            and not self.supports_trace
-        ):
+        if type(request) is Batch and not self.supports_trace:
             # columnar fast path: a stream window of register/submit
             # events packs straight into fixed-width rows, skipping the
             # document layer on both ends. None means some item fell
@@ -290,11 +270,9 @@ class RemoteBackend(BackendBase):
             payload = encode_stream_batch(request)
         try:
             if payload is not None:
-                frame = payload_frame(
-                    payload, max_frame_bytes=self.max_frame_bytes
+                self._send_frame(
+                    payload_frame(payload, max_frame_bytes=self.max_frame_bytes)
                 )
-                self.bytes_sent += len(frame)
-                self._sock.sendall(frame)
             else:
                 doc = to_wire(request)
                 if self.supports_trace:
@@ -339,19 +317,19 @@ class RemoteBackend(BackendBase):
             raise BackendUnavailable(
                 f"gateway connection lost mid-call: {exc}"
             ) from exc
+        # the whole frame is off the wire, so its response slot is spent
+        # even if the payload fails to decode below: the stream is still
+        # aligned on the next frame, which belongs to the next request
+        self._outstanding -= 1
         if (
-            self.codec == BIN1_CODEC
-            and len(payload) >= 3
+            len(payload) >= 3
             and payload[0] == BIN1_MAGIC
             and payload[2] == STREAM_RESULT_TAG
         ):
             # mirror of the send-side fast path: the whole window of
             # answers comes back as rows and never touches from_wire
-            result = decode_stream_result(payload)
-            self._outstanding -= 1
-            return result
-        doc = decode_payload(payload, codec=self.codec)
-        self._outstanding -= 1
+            return decode_stream_result(payload)
+        doc = decode_payload(payload, welcomed=True)
         if is_gateway_doc(doc):
             self._drop()
             reason = ""
@@ -370,14 +348,13 @@ class RemoteBackend(BackendBase):
     # ------------------------------------------------------------------ #
 
     def _send_doc(self, doc: dict) -> None:
-        frame = encode_frame(
-            doc, max_frame_bytes=self.max_frame_bytes, codec=self.codec
+        self._send_frame(
+            encode_frame(doc, max_frame_bytes=self.max_frame_bytes)
         )
+
+    def _send_frame(self, frame: bytes) -> None:
         self.bytes_sent += len(frame)
         self._sock.sendall(frame)
-
-    def _recv_doc(self) -> dict:
-        return decode_payload(self._recv_payload(), codec=self.codec)
 
     def _recv_payload(self) -> bytes:
         header = self._recv_exact(HEADER.size)

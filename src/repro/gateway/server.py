@@ -30,11 +30,12 @@ points:
   through TCP. An optional server-side
   :class:`~repro.api.middleware.TokenBucket` adds admission control on
   top (rejections travel back as retryable ``rate-limited`` errors);
-* **structured failure** — anything a request provokes, from malformed
-  JSON to a backend exception, is answered as the api ``error`` kind
-  with its stable code. Only framing damage (a lying length prefix)
-  closes the connection, because a byte stream behind a broken frame
-  cannot be resynchronized;
+* **structured failure** — anything a request provokes, from a malformed
+  document to a backend exception, is answered as the api ``error`` kind
+  with its stable code. Only framing damage (a lying length prefix, an
+  undecodable payload, a JSON frame after the welcome) closes the
+  connection, because a byte stream behind a broken frame cannot be
+  resynchronized;
 * **graceful drain** — :meth:`GatewayServer.stop` stops accepting,
   lets every in-flight request finish — pipelined connections get all
   outstanding responses flushed to them first — then sends ``goodbye``
@@ -72,22 +73,18 @@ from ..obs.trace import Tracer, parse_trace_context
 from ..runtime import PipelineScheduler, default_worker_count
 from .codec import decode_stream_batch, encode_stream_result
 from .protocol import (
-    BIN1_CODEC,
     BIN1_MAGIC,
     HEADER,
-    JSON_CODEC,
     MAX_FRAME_BYTES,
     PIPELINE_FEATURE,
     STREAM_BATCH_TAG,
     TRACE_FEATURE,
     check_frame_length,
-    codec_feature,
     decode_payload,
     encode_frame,
     goodbye_doc,
+    handshake_frame,
     is_gateway_doc,
-    negotiate_codec,
-    offered_codecs,
     parse_hello,
     payload_frame,
     welcome_doc,
@@ -126,10 +123,8 @@ class GatewayConfig:
     ``slow_request_s`` logs (and counts) any dispatch slower than the
     threshold, traced or not.
 
-    ``codecs`` lists the payload codecs this gateway will grant beyond
-    the always-on json baseline (default: ``("bin1",)``). A client
-    offering ``codec:bin1`` in its hello gets the whole session framed
-    binary; ``codecs=()`` pins every session to json.
+    Every session answers the client's JSON hello with a JSON welcome
+    and speaks bin1 from then on, in both directions.
     """
 
     spec: ServiceSpec
@@ -148,16 +143,8 @@ class GatewayConfig:
     trace: bool = False
     trace_path: str | None = None
     slow_request_s: float | None = None
-    codecs: tuple = (BIN1_CODEC,)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "codecs", tuple(self.codecs))
-        unknown = [c for c in self.codecs if c not in (BIN1_CODEC,)]
-        if unknown:
-            raise ValueError(
-                f"unknown codecs {unknown!r}; this gateway implements "
-                f"{BIN1_CODEC!r} (json needs no listing)"
-            )
         if self.max_inflight < 1:
             raise ValueError(
                 f"max_inflight must be >= 1, got {self.max_inflight}"
@@ -201,7 +188,6 @@ class GatewayConfig:
             "trace": self.trace,
             "trace_path": self.trace_path,
             "slow_request_s": self.slow_request_s,
-            "codecs": list(self.codecs),
         }
 
     @classmethod
@@ -221,7 +207,6 @@ class Session:
     client: str = ""
     pipelined: bool = False
     traced: bool = False
-    codec: str = JSON_CODEC
     requests: int = 0
     errors: int = 0
 
@@ -292,7 +277,6 @@ class GatewayServer:
             "rejected_handshakes": 0,
             "pipelined_sessions": 0,
             "traced_sessions": 0,
-            "bin1_sessions": 0,
             "slow_requests": 0,
             "bytes_in": 0,
             "bytes_out": 0,
@@ -423,24 +407,21 @@ class GatewayServer:
                 self._read_frame(reader), self.config.handshake_timeout
             )
             session.api_version, session.client, features = parse_hello(doc)
-            # a malformed codec offer is a structured rejection, same as
-            # any other hello damage (offer validation raises ApiError)
-            session.codec = negotiate_codec(
-                offered_codecs(features), self.config.codecs
-            )
         except (_Disconnect, asyncio.TimeoutError):
             self.stats["rejected_handshakes"] += 1
             return
         except ApiError as exc:
             self.stats["rejected_handshakes"] += 1
-            await self._write(writer, to_wire(exc.info()))
+            await self._write(writer, to_wire(exc.info()), handshake=True)
             return
         except Exception as exc:
             # whatever a junk hello provokes beyond the parser's own
             # taxonomy still answers a stable structured code, then the
             # connection closes — never a silent drop mid-handshake
             self.stats["rejected_handshakes"] += 1
-            await self._write(writer, to_wire(map_exception(exc).info()))
+            await self._write(
+                writer, to_wire(map_exception(exc).info()), handshake=True
+            )
             return
         # grant only what both sides speak: the feature set shrinks by
         # intersection, never errors on names from the future
@@ -451,7 +432,6 @@ class GatewayServer:
             for feature, on in (
                 (PIPELINE_FEATURE, session.pipelined),
                 (TRACE_FEATURE, session.traced),
-                (codec_feature(session.codec), session.codec != JSON_CODEC),
             )
             if on
         )
@@ -460,16 +440,15 @@ class GatewayServer:
             self.stats["pipelined_sessions"] += 1
         if session.traced:
             self.stats["traced_sessions"] += 1
-        if session.codec == BIN1_CODEC:
-            self.stats["bin1_sessions"] += 1
         self.sessions[session.id] = session
-        # the welcome itself travels as json — it *is* the codec switch:
-        # every frame after it (either direction) uses session.codec
+        # the welcome itself travels as json; every frame after it, in
+        # either direction, is bin1
         await self._write(
             writer,
             welcome_doc(
                 session.api_version, self.backend.name, session.id, granted
             ),
+            handshake=True,
         )
         # -- request loop ----------------------------------------------- #
         drain_wait = asyncio.ensure_future(self._drain_event.wait())
@@ -501,9 +480,7 @@ class GatewayServer:
           farewell payload if any (framing damage gets its structured
           answer; disconnects and client goodbyes get silence).
         """
-        read = asyncio.ensure_future(
-            self._read_frame(reader, codec=session.codec)
-        )
+        read = asyncio.ensure_future(self._read_frame(reader, welcomed=True))
         await asyncio.wait(
             {read, drain_wait}, return_when=asyncio.FIRST_COMPLETED
         )
@@ -519,8 +496,9 @@ class GatewayServer:
                 self.stats["truncated"] += 1
             return "close", None
         except ApiError as exc:
-            # framing damage: answer with the structured error, then
-            # close — the stream cannot be resynchronized
+            # framing damage (a JSON frame after the welcome included):
+            # answer with the structured error, then close — the stream
+            # cannot be resynchronized
             self.stats["errors"] += 1
             session.errors += 1
             return "close", to_wire(exc.info())
@@ -544,23 +522,18 @@ class GatewayServer:
         out. Requests still execute through the scheduler, so two
         *different* serial connections overlap when their shards differ.
         """
-        codec = session.codec
         while True:
             kind, payload = await self._intake(reader, session, drain_wait)
             if kind == "doc":
-                await self._write(
-                    writer, await self._dispatch(payload, session), codec=codec
-                )
+                await self._write(writer, await self._dispatch(payload, session))
                 if self._drain_event.is_set():
-                    await self._write(
-                        writer, goodbye_doc("gateway draining"), codec=codec
-                    )
+                    await self._write(writer, goodbye_doc("gateway draining"))
                     return
             elif kind == "reject":
-                await self._write(writer, payload, codec=codec)
+                await self._write(writer, payload)
             else:  # drain (idle: nothing in flight) or close
                 if payload is not None:
-                    await self._write(writer, payload, codec=codec)
+                    await self._write(writer, payload)
                 return
 
     async def _pipelined_loop(self, reader, writer, session, drain_wait) -> None:
@@ -577,13 +550,12 @@ class GatewayServer:
         pending: set[asyncio.Task] = set()
         write_lock = asyncio.Lock()
         farewell_doc: dict | None = None
-        codec = session.codec
 
         async def respond(doc: dict) -> None:
             response = await self._dispatch(doc, session)
             with contextlib.suppress(ConnectionError):
                 async with write_lock:
-                    await self._write(writer, response, codec=codec)
+                    await self._write(writer, response)
 
         try:
             while True:
@@ -602,7 +574,7 @@ class GatewayServer:
                     task.add_done_callback(pending.discard)
                 elif kind == "reject":
                     async with write_lock:
-                        await self._write(writer, payload, codec=codec)
+                        await self._write(writer, payload)
                 else:  # drain or close; farewell goes out after the flush
                     farewell_doc = payload
                     return
@@ -615,7 +587,7 @@ class GatewayServer:
             if farewell_doc is not None:
                 with contextlib.suppress(ConnectionError):
                     async with write_lock:
-                        await self._write(writer, farewell_doc, codec=codec)
+                        await self._write(writer, farewell_doc)
 
     async def _dispatch(self, doc, session: Session):
         """Serve one api wire document (or a fast-path request
@@ -739,13 +711,13 @@ class GatewayServer:
     # frame IO                                                            #
     # ------------------------------------------------------------------ #
 
-    async def _read_frame(self, reader, *, codec: str | None = None):
+    async def _read_frame(self, reader, *, welcomed: bool = False):
         """One inbound frame: a wire document, or a :class:`Batch`
-        dataclass when a bin1 session sent a columnar stream window.
-        ``codec`` pins the session's negotiated codec once the handshake
-        is done; the hello itself reads with ``None`` (sniffed) because
-        it must parse to *reject* structured even when a confused peer
-        leads with the wrong codec."""
+        dataclass when the client sent a columnar stream window.
+        ``welcomed`` marks the frames after the welcome, which must be
+        bin1; the hello itself reads sniffed because it must parse to
+        *reject* structured even when a confused peer leads with the
+        wrong codec."""
         try:
             header = await reader.readexactly(HEADER.size)
         except (asyncio.IncompleteReadError, ConnectionError) as exc:
@@ -760,7 +732,7 @@ class GatewayServer:
         self.stats["frames"] += 1
         self.stats["bytes_in"] += HEADER.size + length
         if (
-            codec == BIN1_CODEC
+            welcomed
             and length >= 3
             and payload[0] == BIN1_MAGIC
             and payload[2] == STREAM_BATCH_TAG
@@ -769,43 +741,33 @@ class GatewayServer:
             # dataclass and skips from_wire in _dispatch. Malformed rows
             # raise the same structured codes decode_payload would.
             return decode_stream_batch(payload)
-        return decode_payload(payload, codec=codec)
+        return decode_payload(payload, welcomed=welcomed)
 
-    async def _write(self, writer, doc, *, codec: str = JSON_CODEC) -> None:
+    async def _write(self, writer, doc, *, handshake: bool = False) -> None:
         """Frame one response: a wire document, or (fast path) a
-        response dataclass packed columnar when its shape allows."""
+        response dataclass packed columnar when its shape allows.
+        ``handshake`` frames the welcome or a handshake rejection as
+        JSON; everything else is bin1."""
+        limit = self.config.max_frame_bytes
+        frame_doc = handshake_frame if handshake else encode_frame
         try:
             if isinstance(doc, dict):
-                frame = encode_frame(
-                    doc, max_frame_bytes=self.config.max_frame_bytes, codec=codec
-                )
+                frame = frame_doc(doc, max_frame_bytes=limit)
             else:
-                payload = (
-                    encode_stream_result(doc) if codec == BIN1_CODEC else None
-                )
+                payload = encode_stream_result(doc)
                 if payload is not None:
-                    frame = payload_frame(
-                        payload, max_frame_bytes=self.config.max_frame_bytes
-                    )
+                    frame = payload_frame(payload, max_frame_bytes=limit)
                 else:
                     # anything outside the row shape (reports, errors,
                     # mixed batches) takes the document path it always had
-                    frame = encode_frame(
-                        to_wire(doc),
-                        max_frame_bytes=self.config.max_frame_bytes,
-                        codec=codec,
-                    )
+                    frame = encode_frame(to_wire(doc), max_frame_bytes=limit)
         except ApiError as exc:
             # an oversize *response* is this request's failure, not the
             # connection's: answer the structured frame-too-large error
             # (tiny, always frames) and keep the session alive — the
             # outbound mirror of check_frame_length on the inbound path
             self.stats["errors"] += 1
-            frame = encode_frame(
-                to_wire(exc.info()),
-                max_frame_bytes=self.config.max_frame_bytes,
-                codec=codec,
-            )
+            frame = frame_doc(to_wire(exc.info()), max_frame_bytes=limit)
         self.stats["bytes_out"] += len(frame)
         writer.write(frame)
         with contextlib.suppress(ConnectionError):

@@ -8,10 +8,8 @@ knows its coordinator only by address::
 ``--smoke`` is the CI gate: it stands up a coordinator plus two loopback
 CLI workers (real ``python -m repro.mesh --worker`` processes, real
 sockets), replays the conformance stream, and asserts bit-identical
-assignments and reports against the single-process sharded engine —
-once with both peers on the default bin1 wire and once with the peers
-split across bin1 and json frames — then repeats the run with a worker
-SIGKILLed mid-stream on that same mixed-codec mesh and asserts the
+assignments and reports against the single-process sharded engine,
+then repeats the run with a worker SIGKILLed mid-stream and asserts the
 failover changed nothing. A balancer leg streams demand concentrated in
 one cell through a mesh with hot-shard balancing on: the cell must
 split, and a SIGKILL after the split must not change one answer::
@@ -78,30 +76,6 @@ def _run_smoke(args) -> int:
     for problem in problems:
         print(f"  - {problem}", file=sys.stderr)
 
-    # mixed-codec leg: one peer frames bin1, the other json — the codec
-    # each worker negotiated must be invisible in the answers
-    mixed = run_backend(
-        make_backend(
-            "mesh",
-            spec,
-            n_peers=2,
-            spawn="cli",
-            chunk_size=17,
-            checkpoint_every=48,
-            worker_codecs=("bin1", "json"),
-        ),
-        requests,
-        window=16,
-    )
-    mixed_problems = check_parity([reference, mixed])
-    print(
-        f"[repro.mesh smoke] mixed-codec leg (bin1+json peers): "
-        f"{'OK' if not mixed_problems else 'FAILED'}",
-        file=sys.stderr,
-    )
-    for problem in mixed_problems:
-        print(f"  - {problem}", file=sys.stderr)
-
     trace_problems: list[str] = []
     if args.trace:
         trace_problems = _run_traced_leg(spec, requests, reference, args.trace)
@@ -114,7 +88,6 @@ def _run_smoke(args) -> int:
         chunk_size=17,
         checkpoint_every=48,
         window=16,
-        worker_codecs=("bin1", "json"),
     )
     fail_problems = check_parity([reference, failed])
     if failovers < 1:
@@ -146,7 +119,6 @@ def _run_smoke(args) -> int:
             rebase_every=8,
             kill_after=(len(requests) * 3) // 4,
             window=16,
-            worker_codecs=("bin1", "json"),
             stats=stats,
         )
         delta_problems = check_parity([reference, delta_run])
@@ -174,7 +146,6 @@ def _run_smoke(args) -> int:
 
     if (
         problems
-        or mixed_problems
         or trace_problems
         or fail_problems
         or balance_problems
@@ -323,14 +294,6 @@ def main(argv: list[str] | None = None) -> int:
         "--name", default="mesh-worker", help="worker name for --worker"
     )
     parser.add_argument(
-        "--codec",
-        default="bin1",
-        help=(
-            "wire codec to offer the coordinator for --worker "
-            "('bin1' or 'json'; the coordinator's grant decides)"
-        ),
-    )
-    parser.add_argument(
         "--connect-window",
         type=float,
         default=10.0,
@@ -369,7 +332,6 @@ def main(argv: list[str] | None = None) -> int:
         run_worker(
             address,
             name=args.name,
-            codec=args.codec,
             connect_window_s=args.connect_window,
         )
         return 0

@@ -75,17 +75,13 @@ from ..cluster.balancer import (
 from ..cluster.dispatch import FamilyJournal
 from ..cluster.worker import shard_spec
 from ..gateway.protocol import (
-    BIN1_CODEC,
-    JSON_CODEC,
     MESH_WORKER_ROLE,
     FrameDecoder,
     advertised_families,
-    codec_feature,
     encode_frame,
     goodbye_doc,
+    handshake_frame,
     is_gateway_doc,
-    negotiate_codec,
-    offered_codecs,
     parse_hello,
     peer_role,
     role_feature,
@@ -138,16 +134,12 @@ class MeshPeer:
         features,
         *,
         label: str = "",
-        codec: str = JSON_CODEC,
         liveness_timeout: float = 120.0,
     ) -> None:
         self.name = name
         self.sock = sock
         self.features = tuple(features)
         self.label = label
-        #: negotiated per-peer payload codec — a mixed mesh legitimately
-        #: runs some peers binary and some json, fixed at each welcome
-        self.codec = codec
         self.families = advertised_families(features)
         self.liveness_timeout = liveness_timeout
         self.dead = False  # guarded-by: _lock
@@ -221,8 +213,8 @@ class MeshPeer:
     def call(self, op: str, body: dict, *, packed: bool = False) -> dict:
         """Send one op, block for its reply; the reply body on success.
 
-        ``packed`` asks a bin1 session for the PACKED_DOC_TAG layout —
-        used for snapshot-carrying ops, where the body is mostly floats.
+        ``packed`` asks for the PACKED_DOC_TAG layout — used for
+        snapshot-carrying ops, where the body is mostly floats.
         """
         with self._lock:
             if self.dead:
@@ -235,9 +227,7 @@ class MeshPeer:
             self.outstanding += 1
             self.depth.record(float(self.outstanding))
         try:
-            frame = encode_frame(
-                op_doc(op, seq, body), codec=self.codec, packed=packed
-            )
+            frame = encode_frame(op_doc(op, seq, body), packed=packed)
             try:
                 with self._wlock:
                     self.sock.sendall(frame)
@@ -271,11 +261,7 @@ class MeshPeer:
         if not self.dead:
             try:
                 with self._wlock:
-                    self.sock.sendall(
-                        encode_frame(
-                            goodbye_doc("mesh closing"), codec=self.codec
-                        )
-                    )
+                    self.sock.sendall(encode_frame(goodbye_doc("mesh closing")))
             except OSError:
                 pass
         try:
@@ -341,7 +327,6 @@ class MeshCoordinator:
         handshake_timeout: float = 10.0,
         dispatch_workers: int | None = None,
         tracer=None,
-        codecs: tuple = (BIN1_CODEC,),
     ) -> None:
         if expected_workers < 1:
             raise ValueError(f"need at least one worker, got {expected_workers}")
@@ -370,10 +355,6 @@ class MeshCoordinator:
         self.port = port
         self.liveness_timeout = liveness_timeout
         self.handshake_timeout = handshake_timeout
-        #: payload codecs grantable to dialing workers (json always
-        #: implied); each peer's codec is negotiated at its own welcome,
-        #: so one mesh freely mixes binary and json workers
-        self.codecs = tuple(codecs)
 
         self._state = threading.RLock()
         self._wake = threading.Condition(self._state)
@@ -578,7 +559,6 @@ class MeshCoordinator:
                     "this endpoint coordinates mesh workers; hello "
                     f"advertises role {role!r}"
                 )
-            codec = negotiate_codec(offered_codecs(features), self.codecs)
         except OSError:
             conn.close()
             return
@@ -588,7 +568,9 @@ class MeshCoordinator:
             with self._state:
                 self.rejected_handshakes += 1
             try:
-                conn.sendall(encode_frame(to_wire(map_exception(exc).info())))
+                conn.sendall(
+                    handshake_frame(to_wire(map_exception(exc).info()))
+                )
             except OSError:
                 pass
             conn.close()
@@ -604,7 +586,6 @@ class MeshCoordinator:
                 conn,
                 features,
                 label=client,
-                codec=codec,
                 liveness_timeout=self.liveness_timeout,
             )
             self._peers[name] = peer
@@ -618,16 +599,13 @@ class MeshCoordinator:
         # `configure` ahead of the welcome, and the worker (rightly)
         # treats a welcome-less peer as not a coordinator.
         try:
-            granted = (role_feature(MESH_WORKER_ROLE),) + (
-                (codec_feature(codec),) if codec != JSON_CODEC else ()
-            )
             conn.sendall(
-                encode_frame(
+                handshake_frame(
                     welcome_doc(
                         api_version,
                         "repro.mesh.coordinator",
                         session,
-                        features=granted,
+                        features=(role_feature(MESH_WORKER_ROLE),),
                     )
                 )
             )

@@ -5,7 +5,8 @@ sends a :func:`~repro.gateway.protocol.hello_doc` whose feature list
 carries ``role:mesh-worker`` (and, for a rejoining host, its
 ``family:<id>`` advertisements), the coordinator answers a ``welcome``
 granting the role. Everything after the handshake is this schema:
-``repro.mesh`` v1 documents inside the same length-prefixed JSON frames
+``repro.mesh`` v1 documents inside the same length-prefixed bin1 frames
+the gateway speaks after its welcome
 (:func:`~repro.gateway.protocol.encode_frame` /
 :class:`~repro.gateway.protocol.FrameDecoder`), so the mesh reuses the
 gateway's framing, handshake and error taxonomy wholesale instead of

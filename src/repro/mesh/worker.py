@@ -4,10 +4,11 @@ One worker process dials the coordinator, introduces itself with a
 gateway ``hello`` whose feature list carries ``role:mesh-worker`` (plus
 ``family:<id>`` advertisements when it already holds shard state), and
 then serves :mod:`repro.mesh.protocol` ops over the same length-prefixed
-JSON frames the gateway uses. The serving core is a
-:class:`~repro.cluster.worker.ShardHost`, the same shard container the
-single-process engine drives — one cohort rule and one apply path is
-what keeps mesh assignments bit-identical to the engine's.
+frames the gateway uses: a JSON hello and welcome, then bin1 both ways.
+The serving core is a :class:`~repro.cluster.worker.ShardHost`, the same
+shard container the single-process engine drives — one cohort rule and
+one apply path is what keeps mesh assignments bit-identical to the
+engine's.
 
 The loop is single-threaded and strictly FIFO over the socket: ops are
 applied in arrival order and replies carry the op's ``seq`` back. That
@@ -35,15 +36,12 @@ import time
 from ..api.errors import map_exception
 from ..cluster.worker import ShardHost
 from ..gateway.protocol import (
-    BIN1_CODEC,
-    JSON_CODEC,
     MESH_WORKER_ROLE,
     FrameDecoder,
-    codec_feature,
     encode_frame,
     family_features,
     goodbye_doc,
-    granted_codec,
+    handshake_frame,
     hello_doc,
     is_gateway_doc,
     parse_welcome,
@@ -78,9 +76,8 @@ def connect_worker(
     *,
     name: str = "mesh-worker",
     families=(),
-    codec: str = BIN1_CODEC,
     connect_window_s: float = 10.0,
-) -> tuple[socket.socket, FrameDecoder, list[dict], str]:
+) -> tuple[socket.socket, FrameDecoder, list[dict]]:
     """Dial the coordinator and complete the role handshake.
 
     Retries the TCP connect inside ``connect_window_s`` (a CLI worker
@@ -89,11 +86,9 @@ def connect_worker(
     would answer a feature-less welcome, and serving assignment requests
     as if they were shard ops helps nobody.
 
-    ``codec`` is the *offer* (:data:`JSON_CODEC` offers nothing); the
-    returned codec is what the welcome granted, and it is what every
-    reply frame must be encoded in. The decoder stays in sniffing mode
-    because ops glued behind the json welcome may already ride the
-    granted codec.
+    Returns the socket, its decoder and any ops that arrived glued to
+    the welcome. The decoder sniffs each frame, so the JSON welcome and
+    the bin1 ops behind it read through one buffer.
     """
     deadline = time.monotonic() + connect_window_s
     while True:
@@ -108,14 +103,9 @@ def connect_worker(
                 raise
             time.sleep(0.05)
     try:
-        offered = () if codec == JSON_CODEC else (str(codec),)
-        features = (
-            role_feature(MESH_WORKER_ROLE),
-            *family_features(families),
-            *(codec_feature(c) for c in offered),
-        )
+        features = (role_feature(MESH_WORKER_ROLE), *family_features(families))
         sock.sendall(
-            encode_frame(
+            handshake_frame(
                 hello_doc(client=f"repro.mesh.worker/{name}", features=features)
             )
         )
@@ -132,13 +122,12 @@ def connect_worker(
                 f"peer at {address!r} did not grant the mesh-worker role "
                 "(is it a plain gateway?)"
             )
-        session_codec = granted_codec(granted, offered)
     except BaseException:
         sock.close()
         raise
     sock.settimeout(None)
     # ops may already ride glued to the welcome — hand them to the loop
-    return sock, decoder, frames[1:], session_codec
+    return sock, decoder, frames[1:]
 
 
 def serve_connection(
@@ -146,14 +135,12 @@ def serve_connection(
     decoder: FrameDecoder,
     *,
     pending: list | None = None,
-    codec: str = JSON_CODEC,
 ) -> None:
     """The op loop: apply coordinator ops to a local ShardHost until the
     coordinator says goodbye or the connection dies.
 
     ``pending`` carries frames that arrived glued to the welcome. The
     host is built on the first ``configure`` op; ops before it fail.
-    ``codec`` (fixed at welcome) frames every reply.
     """
     host: ShardHost | None = None
     queue = list(pending or ())
@@ -246,19 +233,14 @@ def serve_connection(
             try:
                 sock.sendall(
                     encode_frame(
-                        fail_doc(seq, info.code, info.message, info.detail),
-                        codec=codec,
+                        fail_doc(seq, info.code, info.message, info.detail)
                     )
                 )
             except OSError:
                 pass
             return
-        # snapshot replies are float-heavy; bin1 sessions pack them
-        sock.sendall(
-            encode_frame(
-                reply_doc(seq, out), codec=codec, packed=op == "snapshot"
-            )
-        )
+        # snapshot replies are float-heavy: pack them
+        sock.sendall(encode_frame(reply_doc(seq, out), packed=op == "snapshot"))
 
 
 def run_worker(
@@ -266,23 +248,19 @@ def run_worker(
     *,
     name: str = "mesh-worker",
     families=(),
-    codec: str = BIN1_CODEC,
     connect_window_s: float = 10.0,
 ) -> None:
     """Entry point of one mesh worker process: dial, handshake, serve."""
-    sock, decoder, pending, session_codec = connect_worker(
+    sock, decoder, pending = connect_worker(
         address,
         name=name,
         families=families,
-        codec=codec,
         connect_window_s=connect_window_s,
     )
     try:
-        serve_connection(sock, decoder, pending=pending, codec=session_codec)
+        serve_connection(sock, decoder, pending=pending)
         try:
-            sock.sendall(
-                encode_frame(goodbye_doc("worker done"), codec=session_codec)
-            )
+            sock.sendall(encode_frame(goodbye_doc("worker done")))
         except OSError:
             pass
     finally:
@@ -294,16 +272,11 @@ def run_worker(
 # --------------------------------------------------------------------- #
 
 
-def _worker_entry(host: str, port: int, name: str, codec: str) -> None:
-    run_worker((host, port), name=name, codec=codec)
+def _worker_entry(host: str, port: int, name: str) -> None:
+    run_worker((host, port), name=name)
 
 
-def spawn_local_worker(
-    address: tuple[str, int],
-    *,
-    name: str = "mesh-worker",
-    codec: str = BIN1_CODEC,
-):
+def spawn_local_worker(address: tuple[str, int], *, name: str = "mesh-worker"):
     """Fork a worker subprocess in-repo (tests, MeshBackend default).
 
     Fork keeps startup cheap and inherits ``sys.path``; spawn is the
@@ -318,7 +291,7 @@ def spawn_local_worker(
     ctx = multiprocessing.get_context(method)
     proc = ctx.Process(
         target=_worker_entry,
-        args=(address[0], int(address[1]), name, str(codec)),
+        args=(address[0], int(address[1]), name),
         name=f"repro-mesh-{name}",
         daemon=True,
     )
@@ -326,12 +299,7 @@ def spawn_local_worker(
     return proc
 
 
-def spawn_cli_worker(
-    address: tuple[str, int],
-    *,
-    name: str = "mesh-worker",
-    codec: str = BIN1_CODEC,
-):
+def spawn_cli_worker(address: tuple[str, int], *, name: str = "mesh-worker"):
     """Launch ``python -m repro.mesh --worker`` as a real OS process.
 
     This is the deployment shape — a standalone process that knows the
@@ -356,8 +324,6 @@ def spawn_cli_worker(
             f"{address[0]}:{int(address[1])}",
             "--name",
             name,
-            "--codec",
-            str(codec),
         ],
         env=env,
     )

@@ -77,7 +77,7 @@ class TestConformance:
         assert [run.name for run in result.runs] == [
             "inprocess",
             "sharded",
-            "remote-bin1",
+            "remote",
             "mesh",
         ]
         assert result.ok, "\n".join(result.problems)
@@ -91,7 +91,7 @@ class TestConformance:
         )
         assert [run.name for run in result.runs] == [
             "sharded",
-            "remote-bin1",
+            "remote",
             "mesh",
         ]
         assert result.ok, "\n".join(result.problems)

@@ -8,6 +8,7 @@ and assignments must stay bit-identical to the in-process backends.
 """
 
 import socket
+import threading
 import time
 
 import pytest
@@ -26,6 +27,7 @@ from repro.api import (
     TaskDecision,
     UnsupportedVersion,
     ValidationFailed,
+    WorkerRegistered,
     to_wire,
 )
 from repro.api.conformance import build_conformance_stream, run_backend
@@ -39,6 +41,7 @@ from repro.gateway import (
     GatewayConfig,
     RemoteBackend,
     encode_frame,
+    handshake_frame,
     hello_doc,
     negotiate_version,
     parse_hello,
@@ -48,6 +51,7 @@ from repro.gateway import (
 )
 from repro.gateway.protocol import HEADER
 from repro.geometry import Box
+from repro.service import ShardMap
 
 REGION = Box.square(200.0)
 
@@ -62,6 +66,10 @@ def small_spec(shards=(2, 2), seed=11) -> ServiceSpec:
 # raw-socket helpers (deliberately not RemoteBackend: these tests need   #
 # to misbehave in ways the well-mannered transport never would)          #
 # --------------------------------------------------------------------- #
+
+
+def send_hello(sock: socket.socket, doc: dict) -> None:
+    sock.sendall(handshake_frame(doc))
 
 
 def send_frame(sock: socket.socket, doc: dict) -> None:
@@ -86,7 +94,7 @@ def recv_frame(sock: socket.socket) -> dict:
 def raw_handshake(address) -> socket.socket:
     sock = socket.create_connection(address, timeout=10.0)
     sock.settimeout(10.0)
-    send_frame(sock, hello_doc())
+    send_hello(sock, hello_doc())
     welcome = recv_frame(sock)
     assert welcome["kind"] == "welcome"
     return sock
@@ -301,6 +309,22 @@ class TestGatewayServing:
             wait_until(lambda: sock.recv(1) == b"", what="server close")
             sock.close()
 
+    def test_json_frame_after_welcome_answers_error_then_closes(self):
+        """Every frame after the welcome is bin1: a JSON api frame there
+        is a protocol violation, answered and then closed like any other
+        framing damage — never served."""
+        spec = small_spec()
+        with serve_gateway(GatewayConfig(spec=spec)) as gw:
+            sock = raw_handshake(gw.address)
+            doc = to_wire(RegisterWorker(worker_id=1, location=(1.0, 1.0)))
+            sock.sendall(handshake_frame(doc))
+            reply = recv_frame(sock)
+            assert reply["kind"] == "error"
+            assert reply["body"]["code"] == "invalid-request"
+            wait_until(lambda: sock.recv(1) == b"", what="server close")
+            sock.close()
+            assert gw.stats["responses"] == 0  # the request never ran
+
     def test_handshake_rejected_for_foreign_schema(self):
         spec = small_spec()
         with serve_gateway(GatewayConfig(spec=spec)) as gw:
@@ -308,7 +332,7 @@ class TestGatewayServing:
             sock.settimeout(10.0)
             bad = hello_doc()
             bad["schema"] = "acme.rpc"
-            send_frame(sock, bad)
+            send_hello(sock, bad)
             reply = recv_frame(sock)
             assert reply["kind"] == "error"
             assert reply["body"]["code"] == "unsupported-version"
@@ -488,7 +512,9 @@ class TestConnectionFaults:
         def bad_server():
             conn, _ = listener.accept()
             recv_frame(conn)  # swallow the hello
-            conn.sendall(encode_frame(welcome_doc(1, "sharded", 1) | {"body": {}}))
+            conn.sendall(
+                handshake_frame(welcome_doc(1, "sharded", 1) | {"body": {}})
+            )
             conn.close()
 
         thread = threading.Thread(target=bad_server, daemon=True)
@@ -500,12 +526,50 @@ class TestConnectionFaults:
         thread.join(timeout=5.0)
         listener.close()
 
+    def test_undecodable_response_spends_its_slot(self):
+        """A well-framed response whose payload fails to decode raises
+        invalid-request for its own call — and the next call must read
+        its own answer, not trip the pipelined-in-flight guard: the frame
+        was fully read, so the stream is still aligned."""
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        junk = b"\xb1\x01\x00not json"  # bin1 generic tag, junk body
+
+        def fake_gateway():
+            conn, _ = listener.accept()
+            with conn:
+                recv_frame(conn)  # the hello
+                conn.sendall(handshake_frame(welcome_doc(1, "sharded", 1)))
+                recv_frame(conn)  # first request: answered with junk
+                conn.sendall(HEADER.pack(len(junk)) + junk)
+                request = recv_frame(conn)  # second request: answered
+                worker = request["body"]["worker_id"]
+                send_frame(conn, to_wire(WorkerRegistered(worker_id=worker)))
+                recv_frame(conn)  # the client's goodbye
+
+        thread = threading.Thread(target=fake_gateway, daemon=True)
+        thread.start()
+        backend = RemoteBackend(address=listener.getsockname(), connect_timeout=2.0)
+        backend.open()
+        try:
+            with pytest.raises(ValidationFailed) as err:
+                backend.handle(RegisterWorker(worker_id=1, location=(1.0, 1.0)))
+            assert err.value.code == "invalid-request"
+            assert backend.handle(
+                RegisterWorker(worker_id=2, location=(2.0, 2.0))
+            ) == WorkerRegistered(worker_id=2)
+        finally:
+            backend.close()
+            thread.join(timeout=5.0)
+            listener.close()
+
 
 def pipelined_handshake(address) -> socket.socket:
     """Raw handshake that negotiates the ``pipeline`` feature bit."""
     sock = socket.create_connection(address, timeout=10.0)
     sock.settimeout(10.0)
-    send_frame(sock, hello_doc(features=(PIPELINE_FEATURE,)))
+    send_hello(sock, hello_doc(features=(PIPELINE_FEATURE,)))
     welcome = recv_frame(sock)
     assert welcome["kind"] == "welcome"
     assert PIPELINE_FEATURE in welcome["body"]["features"]
@@ -530,7 +594,7 @@ class TestPipelinedSessions:
         with serve_gateway(GatewayConfig(spec=spec, pipeline=False)) as gw:
             sock = socket.create_connection(gw.address, timeout=10.0)
             sock.settimeout(10.0)
-            send_frame(sock, hello_doc(features=(PIPELINE_FEATURE,)))
+            send_hello(sock, hello_doc(features=(PIPELINE_FEATURE,)))
             welcome = recv_frame(sock)
             assert welcome["body"]["features"] == []
             sock.close()
@@ -782,6 +846,107 @@ class TestPipelinedDrain:
         assert len(got) < 350  # and nowhere near complete
 
 
+def _wire_counts(spec, requests, window: int):
+    """Stream ``requests`` over one session; returns the client's byte
+    counters and the server stats, read with the stream drained but the
+    session still open: every request has its answer, and no goodbye is
+    on either side's count."""
+    with serve_gateway(GatewayConfig(spec=spec)) as gw:
+        backend = RemoteBackend(spec, address=gw.address)
+        with AssignmentClient(backend) as client:
+            list(client.stream(requests, window=window))
+            client.flush()
+            return backend.bytes_sent, backend.bytes_received, dict(gw.stats)
+
+
+class TestWireAccounting:
+    def test_client_and_server_byte_counters_agree(self):
+        """Client and server counters describe the same wire: everything
+        the client sent the server read, and vice versa."""
+        requests = build_conformance_stream(REGION, 200, 100, seed=5)
+        sent, received, stats = _wire_counts(small_spec(), requests, window=32)
+        assert sent == stats["bytes_in"] > 0
+        assert received == stats["bytes_out"] > 0
+
+    def test_stream_frames_scale_with_windows_not_events(self):
+        """A stream window rides one frame each way: inbound frames stay
+        near the window count, nowhere near the event count."""
+        requests = build_conformance_stream(REGION, 200, 100, seed=5)
+        _, _, stats = _wire_counts(small_spec(), requests, window=32)
+        windows = -(-len(requests) // 32)  # ceil
+        # hello + windows + flush, with slack
+        assert stats["frames"] <= windows + 8
+        assert stats["frames"] < len(requests) / 4
+
+
+def _decisions(responses) -> list:
+    return [
+        (r.task_id, r.worker_id) for r in responses if isinstance(r, TaskDecision)
+    ]
+
+
+def _stream_per_shard(address, spec, substreams, *, depth: int) -> list:
+    """One connection and one client thread per substream; returns each
+    substream's decisions (or the exception that ended it)."""
+    clients = [
+        AssignmentClient(RemoteBackend(spec, address=address)).open()
+        for _ in substreams
+    ]
+    results: list = [None] * len(substreams)
+
+    def run(i: int) -> None:
+        try:
+            results[i] = _decisions(
+                clients[i].stream(substreams[i], window=16, pipeline=depth)
+            )
+        except BaseException as exc:  # surfaced by the caller's assert
+            results[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(clients))]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        for client in clients:
+            client.close()
+    return results
+
+
+class TestPipelinedMeshDispatch:
+    def test_serial_and_pipelined_gateways_decide_alike_per_shard(self):
+        """One connection per shard family over a 2-peer mesh: a serial
+        gateway (``pipeline=False``) and a pipelined one give equal
+        per-shard answers, and both equal the in-process replay —
+        shard-aware scheduling changes when work runs, never what it
+        decides."""
+        from repro.api import make_backend
+
+        spec = small_spec()
+        shard_map = ShardMap(spec.region, *spec.shards)
+        substreams: list = [[] for _ in range(shard_map.n_shards)]
+        for request in build_conformance_stream(REGION, 300, 150, seed=9):
+            substreams[int(shard_map.shard_of(request.location))].append(request)
+        with AssignmentClient(make_backend("sharded", spec)) as client:
+            reference = [
+                _decisions(client.stream(sub, window=16)) for sub in substreams
+            ]
+        assert all(reference)  # every shard decided something
+        for pipeline in (False, True):
+            config = GatewayConfig(
+                spec=spec,
+                backend="mesh",
+                backend_kwargs={"n_peers": 2, "chunk_size": 16},
+                pipeline=pipeline,
+            )
+            with serve_gateway(config) as gw:
+                answers = _stream_per_shard(
+                    gw.address, spec, substreams, depth=4 if pipeline else 1
+                )
+            assert answers == reference, f"pipeline={pipeline}"
+
+
 class TestMeshBehindGateway:
     def test_sigkill_worker_behind_gateway_recovers_bit_exact(self):
         """SIGKILL a mesh worker mid-stream *behind* the gateway: the
@@ -910,5 +1075,5 @@ class TestSmokeCli:
         assert doc["cases"][0]["backends"] == [
             "inprocess",
             "sharded",
-            "remote-bin1",
+            "remote",
         ]

@@ -1,16 +1,13 @@
-"""The binary wire codec, end to end: negotiation, frames, fast path.
+"""The binary wire codec, end to end: one codec, one layout per job.
 
-Four layers of guarantees:
+Three layers of guarantees:
 
-* **negotiation units** — ``codec:*`` feature bits parse, dedupe and
-  fail structurally; grant rules reject skew before any frame is read;
-* **session matrix** — client offer x server grant over real loopback
-  sockets lands each session on the expected codec, counts it in the
-  server stats, and every cell answers bit-identically (a mixed-codec
-  mesh included);
-* **frame fidelity** — the columnar stream fast path is equivalent to
-  the document path byte-for-byte at both levels (object round trip and
-  ``to_wire`` doc), and opts out to ``None`` for any shape it cannot
+* **one layout per job** — every api message kind rides
+  :data:`~repro.gateway.protocol.GENERIC_TAG`, and :func:`decode_bin1`
+  refuses every other layout (old per-kind tags and stream rows alike)
+  with a structured ``invalid-request``;
+* **frame fidelity** — the columnar stream rows round-trip the api
+  dataclasses exactly, and opt out to ``None`` for any shape they cannot
   carry exactly;
 * **hostile bytes** — truncation at every boundary, single-byte
   mutations, junk tags, bad row kinds and version skew always surface
@@ -29,20 +26,19 @@ import struct
 import numpy as np
 import pytest
 
-from repro.api import ServiceSpec, make_backend
-from repro.api.conformance import (
-    build_conformance_stream,
-    check_parity,
-    run_backend,
-)
+from repro.api import ServiceSpec
 from repro.api.errors import ApiError, UnsupportedVersion, ValidationFailed
 from repro.api.messages import (
     Batch,
     BatchResult,
+    ErrorInfo,
     Flush,
     Flushed,
     GetReport,
     RegisterWorker,
+    ReportResult,
+    Request,
+    Response,
     StreamEnvelope,
     StreamItemResult,
     SubmitTask,
@@ -55,22 +51,19 @@ from repro.gateway.codec import (
     decode_bin1,
     decode_stream_batch,
     decode_stream_result,
+    encode_bin1,
     encode_stream_batch,
     encode_stream_result,
 )
 from repro.gateway.protocol import (
-    BIN1_CODEC,
     BIN1_MAGIC,
     BIN1_WIRE_VERSION,
-    JSON_CODEC,
+    GENERIC_TAG,
     STREAM_BATCH_TAG,
     STREAM_RESULT_TAG,
-    codec_feature,
-    granted_codec,
-    negotiate_codec,
-    offered_codecs,
 )
 from repro.geometry import Box
+from repro.service.metrics import ServiceReport
 
 #: The error codes a hostile peer may surface — nothing else escapes.
 STABLE_CODES = {
@@ -95,110 +88,74 @@ def _spec(shards=(2, 2)) -> ServiceSpec:
 
 
 # --------------------------------------------------------------------- #
-# negotiation units                                                      #
+# one layout per job                                                     #
 # --------------------------------------------------------------------- #
 
 
-class TestCodecNegotiation:
-    def test_offered_codecs_parse_in_order_and_dedupe(self):
-        features = ["codec:bin1", "pipeline", "codec:zstd9", "codec:bin1"]
-        assert offered_codecs(features) == ("bin1", "zstd9")
+def _one_message_per_kind() -> list:
+    verb = RegisterWorker(7, (1.5, -2.25), 0.5)
+    report = ServiceReport(
+        shards=(),
+        wall_seconds=1.0,
+        sim_duration=2.0,
+        latency_p50_ms=0.5,
+        latency_p95_ms=0.9,
+        mean_reported_distance=3.0,
+        mean_true_distance=2.5,
+    )
+    return [
+        verb,
+        SubmitTask(3, (0.0, 99.5), 1.0),
+        Flush(),
+        GetReport(wall_seconds=2.5),
+        Batch([verb, Flush()]),
+        StreamEnvelope(4, verb),
+        WorkerRegistered(7),
+        TaskDecision(3, 7),
+        Flushed(),
+        ReportResult(report),
+        BatchResult([WorkerRegistered(7), TaskDecision(3, None)]),
+        StreamItemResult(4, WorkerRegistered(7)),
+        ErrorInfo(code="rejected", message="m", retryable=False, detail="d"),
+    ]
 
-    def test_unknown_but_well_formed_names_pass_through(self):
-        # forward compatibility: the server just won't pick them
-        assert offered_codecs(["codec:bin2.ext-x"]) == ("bin2.ext-x",)
+
+def _prefixed(tag: int, body: bytes = b"") -> bytes:
+    return struct.pack(">BBB", BIN1_MAGIC, BIN1_WIRE_VERSION, tag) + body
+
+
+class TestOneLayoutPerJob:
+    def test_every_api_message_kind_rides_the_generic_tag(self):
+        messages = _one_message_per_kind()
+        kinds = {type(m).kind for m in messages}
+        assert kinds == {cls.kind for cls in (*Request, *Response)}
+        for message in messages:
+            doc = to_wire(message)
+            payload = encode_bin1(doc)
+            assert payload[2] == GENERIC_TAG, type(message).kind
+            assert decode_bin1(payload) == doc
 
     @pytest.mark.parametrize(
-        "feature",
-        ["codec:", "codec:BIN1", "codec:b n", "codec:-bad", "codec:é"],
+        "payload",
+        [
+            # the old register_worker tag with its one >qddd row
+            _prefixed(0x01, struct.pack(">qddd", 7, 1.5, -2.25, 0.5)),
+            _prefixed(0x03),  # the old flush tag: no body at all
+            # stream rows, well formed, zero rows: their own decoders
+            # read them, decode_bin1 does not
+            _prefixed(STREAM_BATCH_TAG, struct.pack(">I", 0)),
+            _prefixed(STREAM_RESULT_TAG, struct.pack(">I", 0)),
+        ],
+        ids=["register_worker", "flush", "stream_batch", "stream_result"],
     )
-    def test_malformed_offers_fail_structurally(self, feature):
-        with pytest.raises(ValidationFailed):
-            offered_codecs([feature])
-
-    def test_first_offered_supported_codec_wins(self):
-        assert negotiate_codec(("zstd9", "bin1"), ("bin1",)) == "bin1"
-
-    def test_no_overlap_means_json(self):
-        assert negotiate_codec(("zstd9",), ("bin1",)) == JSON_CODEC
-        assert negotiate_codec((), ("bin1",)) == JSON_CODEC
-
-    def test_no_grant_means_json(self):
-        assert granted_codec(["pipeline"], (BIN1_CODEC,)) == JSON_CODEC
-
-    def test_granting_an_unoffered_codec_is_version_skew(self):
-        with pytest.raises(UnsupportedVersion):
-            granted_codec([codec_feature(BIN1_CODEC)], ())
-
-    def test_granting_two_codecs_is_invalid(self):
-        with pytest.raises(ValidationFailed):
-            granted_codec(
-                [codec_feature("bin1"), codec_feature("zstd9")],
-                ("bin1", "zstd9"),
-            )
+    def test_other_layouts_are_invalid_requests(self, payload):
+        with pytest.raises(ValidationFailed) as info:
+            decode_bin1(payload)
+        assert info.value.code == "invalid-request"
 
 
 # --------------------------------------------------------------------- #
-# session matrix over real sockets                                       #
-# --------------------------------------------------------------------- #
-
-
-class TestSessionCodecMatrix:
-    def test_offer_grant_matrix_is_bit_identical(self):
-        """json-only, bin-only and refused-grant sessions, plus a
-        mixed-codec mesh, all answer the sharded reference exactly."""
-        spec = _spec()
-        stream = build_conformance_stream(
-            spec.region, n_workers=30, n_tasks=20, seed=11
-        )
-        runs = [run_backend(make_backend("sharded", spec), stream, window=8)]
-
-        cells = [
-            (True, (BIN1_CODEC,), BIN1_CODEC),  # offered and granted
-            (False, (BIN1_CODEC,), JSON_CODEC),  # never offered
-            (True, (), JSON_CODEC),  # offered, server declines
-        ]
-        for binary, server_codecs, expected in cells:
-            config = GatewayConfig(
-                spec=spec, backend="sharded", codecs=server_codecs
-            )
-            with serve_gateway(config) as server:
-                remote = RemoteBackend(
-                    spec, address=server.address, binary=binary
-                )
-                runs.append(run_backend(remote, stream, window=8))
-                assert remote.codec == expected
-                assert server.stats["bin1_sessions"] == (
-                    1 if expected == BIN1_CODEC else 0
-                )
-
-        mesh = make_backend(
-            "mesh", spec, n_peers=2, worker_codecs=("bin1", "json")
-        )
-        runs.append(run_backend(mesh, stream, window=8))
-
-        assert check_parity(runs) == []
-
-    def test_byte_counters_shrink_under_bin1(self):
-        """Same stream, both codecs: bin1 must move fewer bytes."""
-        spec = _spec()
-        stream = build_conformance_stream(
-            spec.region, n_workers=30, n_tasks=20, seed=11
-        )
-        moved = {}
-        for binary in (True, False):
-            config = GatewayConfig(spec=spec, backend="sharded")
-            with serve_gateway(config) as server:
-                remote = RemoteBackend(
-                    spec, address=server.address, binary=binary
-                )
-                run_backend(remote, stream, window=8)
-                moved[binary] = remote.bytes_sent + remote.bytes_received
-        assert moved[True] < moved[False]
-
-
-# --------------------------------------------------------------------- #
-# stream fast path: object <-> document equivalence                      #
+# stream rows: object round trips                                        #
 # --------------------------------------------------------------------- #
 
 
@@ -229,20 +186,11 @@ class TestStreamEquivalence:
         assert payload is not None
         assert decode_stream_batch(payload) == batch
 
-    def test_batch_decodes_to_the_same_wire_document(self):
-        # a json-side decoder sees exactly what to_wire would have sent
-        batch = _stream_batch()
-        assert decode_bin1(encode_stream_batch(batch)) == to_wire(batch)
-
     def test_result_round_trips_identically(self):
         result = _result_batch()
         payload = encode_stream_result(result)
         assert payload is not None
         assert decode_stream_result(payload) == result
-
-    def test_result_decodes_to_the_same_wire_document(self):
-        result = _result_batch()
-        assert decode_bin1(encode_stream_result(result)) == to_wire(result)
 
     @pytest.mark.parametrize(
         "batch",
@@ -285,15 +233,20 @@ def _structured(decode, payload) -> None:
     # anything else (struct.error, IndexError, hang) propagates and fails
 
 
+def _stream_payloads():
+    """Each row layout's payload, paired with its one decoder."""
+    return (
+        (encode_stream_batch(_stream_batch()), decode_stream_batch),
+        (encode_stream_result(_result_batch()), decode_stream_result),
+    )
+
+
 class TestStreamFuzz:
     def test_truncation_at_every_boundary(self):
-        for payload in (
-            encode_stream_batch(_stream_batch()),
-            encode_stream_result(_result_batch()),
-        ):
+        for payload, decode in _stream_payloads():
             for cut in range(len(payload)):
                 with pytest.raises(ApiError) as info:
-                    decode_bin1(payload[:cut])
+                    decode(payload[:cut])
                 assert info.value.code in STABLE_CODES
 
     def test_trailing_bytes_are_rejected(self):
@@ -303,15 +256,13 @@ class TestStreamFuzz:
 
     def test_single_byte_mutations_never_escape_the_taxonomy(self):
         rng = np.random.default_rng(5)
-        base = bytearray(encode_stream_batch(_stream_batch()))
-        for _ in range(400):
-            mutated = bytearray(base)
-            pos = int(rng.integers(len(mutated)))
-            mutated[pos] = int(rng.integers(256))
-            blob = bytes(mutated)
-            _structured(decode_bin1, blob)
-            _structured(decode_stream_batch, blob)
-            _structured(decode_stream_result, blob)
+        for payload, decode in _stream_payloads():
+            base = bytearray(payload)
+            for _ in range(400):
+                mutated = bytearray(base)
+                pos = int(rng.integers(len(mutated)))
+                mutated[pos] = int(rng.integers(256))
+                _structured(decode, bytes(mutated))
 
     def test_foreign_layout_version_is_unsupported(self):
         payload = bytearray(encode_stream_batch(_stream_batch()))
@@ -320,12 +271,11 @@ class TestStreamFuzz:
             decode_stream_batch(bytes(payload))
 
     def test_unknown_tag_is_invalid_everywhere(self):
-        payload = bytearray(encode_stream_batch(_stream_batch()))
-        payload[2] = 0x7F
-        with pytest.raises(ValidationFailed):
-            decode_bin1(bytes(payload))
-        with pytest.raises(ValidationFailed):
-            decode_stream_batch(bytes(payload))
+        for payload, decode in _stream_payloads():
+            payload = bytearray(payload)
+            payload[2] = 0x7F
+            with pytest.raises(ValidationFailed):
+                decode(bytes(payload))
 
     def test_bad_stream_row_kind_is_invalid(self):
         row = struct.Struct(">Bqqddd").pack(2, 0, 1, 0.0, 0.0, 0.0)
@@ -338,8 +288,6 @@ class TestStreamFuzz:
         )
         with pytest.raises(ValidationFailed):
             decode_stream_batch(payload)
-        with pytest.raises(ValidationFailed):
-            decode_bin1(payload)
 
     @pytest.mark.parametrize("kind", [0, 2])
     def test_nonzero_worker_pad_is_invalid(self, kind):
@@ -355,8 +303,6 @@ class TestStreamFuzz:
         )
         with pytest.raises(ValidationFailed):
             decode_stream_result(payload)
-        with pytest.raises(ValidationFailed):
-            decode_bin1(payload)
 
     def test_overstated_row_count_is_a_structured_truncation(self):
         payload = bytearray(encode_stream_batch(_stream_batch()))
@@ -371,8 +317,7 @@ class TestStreamFuzz:
 
 
 class TestOversizeResponse:
-    @pytest.mark.parametrize("binary", [True, False])
-    def test_oversize_response_errors_and_keeps_the_session(self, binary):
+    def test_oversize_response_errors_and_keeps_the_session(self):
         """A response too big for max_frame_bytes answers a structured
         error — this request's failure, not the connection's."""
         spec = _spec()
@@ -380,15 +325,13 @@ class TestOversizeResponse:
             spec=spec, backend="sharded", max_frame_bytes=512
         )
         with serve_gateway(config) as server:
-            backend = RemoteBackend(
-                spec, address=server.address, binary=binary
-            )
+            backend = RemoteBackend(spec, address=server.address)
             backend.open()
             try:
                 assert backend.handle(
                     RegisterWorker(0, (1.0, 1.0), 0.0)
                 ) == WorkerRegistered(0)
-                # the (2,2) report is far past 512 bytes in any codec
+                # the (2,2) report is far past 512 bytes
                 with pytest.raises(ApiError) as info:
                     backend.handle(GetReport())
                 assert info.value.code in STABLE_CODES

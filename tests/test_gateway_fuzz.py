@@ -3,9 +3,9 @@
 Two invariants, checked over hundreds of randomized cases:
 
 1. **Lossless transport** — any valid API message survives
-   ``to_wire`` → frame bytes → arbitrary chunking → ``FrameDecoder`` →
-   ``from_wire`` bit-exactly (dataclass equality, which for frozen
-   messages is field-exact);
+   ``to_wire`` → frame bytes (bin1, and the handshake's JSON) →
+   arbitrary chunking → ``FrameDecoder`` → ``from_wire`` bit-exactly
+   (dataclass equality, which for frozen messages is field-exact);
 2. **Total error mapping** — whatever damage the bytes or documents
    carry (junk, truncation, oversize, mutated envelopes, foreign
    versions), the wire layer answers with a structured
@@ -35,7 +35,7 @@ from repro.api.messages import (
     from_wire,
     to_wire,
 )
-from repro.gateway import FrameDecoder, encode_frame
+from repro.gateway import FrameDecoder, encode_frame, handshake_frame
 from repro.gateway.protocol import HEADER
 from repro.service.metrics import ServiceReport, ShardSnapshot
 
@@ -159,14 +159,15 @@ class TestLosslessRoundTrip:
         rng = np.random.default_rng(1234)
         for _ in range(300):
             message = random_message(rng)
-            blob = encode_frame(to_wire(message))
-            decoder = FrameDecoder()
-            frames = []
-            for piece in chunked(blob, rng):
-                frames += decoder.feed(piece)
-            decoder.check_eof()
-            assert len(frames) == 1
-            assert from_wire(frames[0]) == message
+            for frame in (encode_frame, handshake_frame):
+                blob = frame(to_wire(message))
+                decoder = FrameDecoder()
+                frames = []
+                for piece in chunked(blob, rng):
+                    frames += decoder.feed(piece)
+                decoder.check_eof()
+                assert len(frames) == 1
+                assert from_wire(frames[0]) == message
 
     def test_many_messages_share_one_stream(self):
         rng = np.random.default_rng(99)
@@ -380,7 +381,7 @@ class TestTraceFuzz:
 
         sock = socketlib.create_connection(address, timeout=10.0)
         sock.settimeout(10.0)
-        sock.sendall(encode_frame(hello_doc(features=features)))
+        sock.sendall(handshake_frame(hello_doc(features=features)))
 
         def recv() -> dict:
             buf = bytearray()

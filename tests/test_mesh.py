@@ -32,7 +32,7 @@ from repro.cluster.dispatch import FamilyJournal
 from repro.gateway.protocol import (
     MESH_WORKER_ROLE,
     FrameDecoder,
-    encode_frame,
+    handshake_frame,
     hello_doc,
     role_feature,
 )
@@ -738,7 +738,7 @@ def _exchange_hello(address, doc) -> dict:
     """Send one frame to the coordinator; return its single answer frame
     and assert the connection is closed afterwards."""
     with socket.create_connection(address, timeout=10.0) as sock:
-        sock.sendall(encode_frame(doc))
+        sock.sendall(handshake_frame(doc))
         decoder = FrameDecoder()
         frames: list = []
         while True:
