@@ -39,8 +39,9 @@ from a base + delta chain — and replaying the remaining events produces
 byte-identical assignments to the uninterrupted run; the RNG state makes
 every subsequent obfuscation draw the same. This is what lets the
 coordinator checkpoint shards in O(delta), restart a crashed worker from
-its last chain, and migrate shards between workers by shipping the base
-early and cutting over on one final small delta.
+its last chain, and migrate a family between workers: a checkpoint cut
+on the old owner, an ownership flip and a drop, after which the new
+owner restores the family from the cut's chains.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ in-process one.
   responses), and stable error codes for every kind of damage (junk,
   truncation, oversize, version skew);
 * **codec** — ``bin1``, the one payload codec after the welcome: stream
-  windows as fixed-width rows, snapshots as packed value trees,
-  everything else as embedded JSON documents;
+  windows as fixed-width rows, everything else (checkpoint snapshots
+  included) as embedded JSON documents;
 * **server** — :class:`GatewayServer`: per-connection sessions behind a
   handshake, backend calls scheduled on the shard-aware
   :class:`~repro.runtime.PipelineScheduler` (different shards run

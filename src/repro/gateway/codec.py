@@ -15,24 +15,25 @@ bin1 keeps one layout per job:
   embedded JSON. It is *total* (any dict json can carry, bin1 carries)
   and decodes to exactly the document a JSON round trip produces, so the
   codec never changes what a backend sees. Verbs, reports, errors,
-  traced envelopes, mesh ops and goodbyes all ride it;
+  traced envelopes, mesh ops and their replies (checkpoint snapshots and
+  ``load`` requests included) and goodbyes all ride it;
 * :data:`~repro.gateway.protocol.STREAM_BATCH_TAG` /
   :data:`~repro.gateway.protocol.STREAM_RESULT_TAG` — a stream window
   of register/submit events, and its answers, as fixed-width rows.
   :func:`encode_stream_batch` and friends go straight between api
-  dataclasses and rows without building documents;
-* :data:`~repro.gateway.protocol.PACKED_DOC_TAG` — a document as a
-  packed value tree, for the float-heavy checkpoint snapshots and
-  ``load`` requests (:func:`encode_packed`).
+  dataclasses and rows without building documents.
 
-:func:`decode_bin1` reads the two document layouts; the row layouts
-have their own decoders. Decoding is zero-copy: the caller may hand in
-the ``memoryview`` slice straight out of the receive buffer; fields are
-unpacked in place and strings decoded directly from the view. Every
-malformed input — bad magic, foreign layout version, a tag the decoder
-does not read, truncation at any boundary, lying inner lengths,
-trailing garbage — raises a structured :mod:`repro.api.errors` code,
-never a bare ``struct.error``; the fuzz suite drives this promise.
+:func:`decode_bin1` reads the generic layout and one more document
+layout, :data:`~repro.gateway.protocol.PACKED_DOC_TAG` (a packed value
+tree, :func:`encode_packed`), which no mesh op or gateway frame
+produces; the row layouts have their own decoders. Decoding is
+zero-copy: the caller may hand in the ``memoryview`` slice straight out
+of the receive buffer; fields are unpacked in place and strings decoded
+directly from the view. Every malformed input — bad magic, foreign
+layout version, a tag the decoder does not read, truncation at any
+boundary, lying inner lengths, trailing garbage — raises a structured
+:mod:`repro.api.errors` code, never a bare ``struct.error``; the fuzz
+suite drives this promise.
 
 Tag numbers are owned by :mod:`repro.gateway.protocol` (lint rule
 RL403); this module holds only the encode/decode machinery.
@@ -340,9 +341,12 @@ def decode_stream_result(payload) -> BatchResult:
 # block), ints as zigzag varints, lengths as varints. Floats whose
 # shortest repr is already short (0.5, 2.0 — ledger epsilons) keep the
 # text form so the binary layout never pays for what JSON got free.
-# Checkpoint snapshots — reservoir samples, obfuscated locations,
-# ledger balances — are mostly full-precision floats, which is why the
-# mesh asks for this layout on its snapshot/load frames.
+# No frame is produced in this layout: the mesh sends snapshots and
+# loads as GENERIC_TAG, because the C json module encodes and decodes
+# them several times faster than this pure-Python packer, and a
+# family's tasks wait while its checkpoint cut runs. The layout stays
+# only while perfbench's ledger imports the tag and wraps
+# encode_packed by name.
 
 _MAX_VALUE_DEPTH = 64  # value trees (HSTs nest by tree depth) vs doc tags
 

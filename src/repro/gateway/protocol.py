@@ -135,10 +135,10 @@ STREAM_BATCH_TAG = 0x07
 STREAM_RESULT_TAG = 0x18
 #: Whole document as a self-describing packed value tree (varint ints,
 #: raw f64s, homogeneous f64 arrays) instead of embedded JSON text.
-#: Carries exactly the JSON data model, so it replaces
-#: :data:`GENERIC_TAG` on big numeric documents — checkpoint snapshots
-#: and delta chains — where decimal text dominates the frame. Produced
-#: only on request (``encode_frame(..., packed=True)``).
+#: Carries exactly the JSON data model. :func:`~repro.gateway.codec
+#: .decode_bin1` still reads it, but no mesh op or gateway frame is
+#: produced in it: checkpoint snapshots and ``load`` requests ride
+#: :data:`GENERIC_TAG`, whose C ``json`` codec is faster.
 PACKED_DOC_TAG = 0x19
 
 #: Frame header: one big-endian u32 payload length.
@@ -163,30 +163,19 @@ def check_frame_length(length: int, *, max_frame_bytes: int = MAX_FRAME_BYTES) -
         )
 
 
-def encode_frame(
-    doc: dict,
-    *,
-    max_frame_bytes: int = MAX_FRAME_BYTES,
-    packed: bool = False,
-) -> bytes:
+def encode_frame(doc: dict, *, max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
     """Serialize one post-handshake document to a length-prefixed bin1
-    frame.
+    :data:`GENERIC_TAG` frame.
 
-    ``packed`` asks for the :data:`PACKED_DOC_TAG` value-tree layout
-    first — the win for numeric-heavy documents like checkpoint
-    snapshots — falling back to :data:`GENERIC_TAG` when the document
-    does not fit the JSON data model exactly. The outbound frame ceiling
-    is enforced here exactly like the inbound one
-    (:func:`check_frame_length`), so an oversize response surfaces as a
-    structured :class:`~repro.api.errors.ValidationFailed` the caller
-    can answer with — never as a silently-violated protocol invariant.
+    The outbound frame ceiling is enforced here exactly like the inbound
+    one (:func:`check_frame_length`), so an oversize response surfaces
+    as a structured :class:`~repro.api.errors.ValidationFailed` the
+    caller can answer with — never as a silently-violated protocol
+    invariant.
     """
-    from .codec import encode_bin1, encode_packed
+    from .codec import encode_bin1
 
-    payload = encode_packed(doc) if packed else None
-    if payload is None:
-        payload = encode_bin1(doc)
-    return payload_frame(payload, max_frame_bytes=max_frame_bytes)
+    return payload_frame(encode_bin1(doc), max_frame_bytes=max_frame_bytes)
 
 
 def handshake_frame(

@@ -210,12 +210,8 @@ class MeshPeer:
     # calls                                                               #
     # ------------------------------------------------------------------ #
 
-    def call(self, op: str, body: dict, *, packed: bool = False) -> dict:
-        """Send one op, block for its reply; the reply body on success.
-
-        ``packed`` asks for the PACKED_DOC_TAG layout — used for
-        snapshot-carrying ops, where the body is mostly floats.
-        """
+    def call(self, op: str, body: dict) -> dict:
+        """Send one op, block for its reply; the reply body on success."""
         with self._lock:
             if self.dead:
                 raise PeerLost(self.name)
@@ -227,7 +223,7 @@ class MeshPeer:
             self.outstanding += 1
             self.depth.record(float(self.outstanding))
         try:
-            frame = encode_frame(op_doc(op, seq, body), packed=packed)
+            frame = encode_frame(op_doc(op, seq, body))
             try:
                 with self._wlock:
                     self.sock.sendall(frame)
@@ -874,7 +870,7 @@ class MeshCoordinator:
                 if self._installed.get(key) != peer.name
             ]
         for op, body in plan:
-            peer.call(op, body, packed=op == "load")
+            peer.call(op, body)
         with self._state:
             if self.ownership[fam] == peer.name and not peer.dead:
                 for _op, body in plan:
@@ -960,8 +956,9 @@ class MeshCoordinator:
                 reqs[key] = {"mode": "base", "checkpoint": self._ckpt_seq}
         return reqs
 
-    def _absorb_snapshot(self, key: str, doc: dict) -> None:  # guarded-by: _state
-        """Chain one snapshot reply; the caller holds ``_state``.
+    def _absorb_snapshot(self, key: str, doc: dict, size: float) -> None:  # guarded-by: _state
+        """Chain one snapshot reply of ``size`` bytes (its compact JSON
+        length); the caller holds ``_state``.
 
         A delta appends to the chain (its parent must equal the tip — a
         mismatch means lineage diverged and restoring would be silently
@@ -969,7 +966,6 @@ class MeshCoordinator:
         worker may answer a delta request with a base (e.g. it lost the
         parent cursor); that is just an early rebase.
         """
-        size = float(len(json.dumps(doc, separators=(",", ":"))))
         chain = self._checkpoints.get(key)
         if doc.get("kind") == "delta":
             if not chain or chain[-1].get("checkpoint") != doc.get("parent"):
@@ -984,12 +980,15 @@ class MeshCoordinator:
             self._checkpoints[key] = [doc]
             self._snapshot_bytes.record(size)
 
-    def _snapshot(self, peer: MeshPeer, key: str, req: dict) -> dict:
+    def _snapshot(self, peer: MeshPeer, key: str, req: dict) -> tuple[dict, float]:
+        """One shard's snapshot and its compact JSON length, measured
+        here so that :meth:`_absorb_snapshot` holds ``_state`` only to
+        chain it."""
         reply = peer.call("snapshot", {"key": key, **req})
         snap = reply.get("snapshot")
         if not isinstance(snap, dict):
             raise MeshError(f"malformed snapshot reply from {peer.name!r}")
-        return snap
+        return snap, float(len(json.dumps(snap, separators=(",", ":"))))
 
     def _cut(self, fam: int, peer: MeshPeer, upto: int) -> None:
         """Checkpoint one family on its owner ``peer`` (a family step).
@@ -1012,7 +1011,7 @@ class MeshCoordinator:
             # the snapshots hold every op sent, which runs past upto when
             # a barrier on another thread delivered first
             cut = self._journal.sent(fam)
-        snaps: dict[str, dict] = {}
+        snaps: dict[str, tuple[dict, float]] = {}
         for key in keys:
             hook = self._test_mid_checkpoint
             if hook is not None:
@@ -1020,7 +1019,7 @@ class MeshCoordinator:
             snaps[key] = self._snapshot(peer, key, reqs[key])
         with self._state:
             for key in keys:
-                self._absorb_snapshot(key, snaps[key])
+                self._absorb_snapshot(key, *snaps[key])
             dropped = self._journal.truncate(fam, cut)
         self.registry.counter("mesh.journal.compacted_ops", dropped)
         self._checkpoint_s.record(time.perf_counter() - t0)

@@ -228,6 +228,9 @@ def serve_connection(
                 }
             else:  # pragma: no cover - parse_op already rejects unknown ops
                 raise ValueError(f"unhandled mesh op {op!r}")
+            # encoded inside the try: a reply over the frame ceiling
+            # answers ``fail`` like any other failed op
+            frame = encode_frame(reply_doc(seq, out))
         except Exception as exc:
             info = map_exception(exc).info()
             try:
@@ -239,8 +242,7 @@ def serve_connection(
             except OSError:
                 pass
             return
-        # snapshot replies are float-heavy: pack them
-        sock.sendall(encode_frame(reply_doc(seq, out), packed=op == "snapshot"))
+        sock.sendall(frame)
 
 
 def run_worker(

@@ -9,6 +9,7 @@ hot-shard balancer on, a migration changes no answer, and a run with hot
 cells split gives the same answers whatever the transport does.
 """
 
+import functools
 import os
 import signal
 import socket
@@ -29,9 +30,14 @@ from repro.api.conformance import (
 from repro.api.errors import ApiError
 from repro.cluster.balancer import BalancerConfig, ClusterRouter, family_of
 from repro.cluster.dispatch import FamilyJournal
+from repro.cluster.worker import shard_spec
+from repro.gateway import codec
 from repro.gateway.protocol import (
+    HEADER,
     MESH_WORKER_ROLE,
+    PACKED_DOC_TAG,
     FrameDecoder,
+    encode_frame,
     handshake_frame,
     hello_doc,
     role_feature,
@@ -49,6 +55,8 @@ from repro.mesh import (
     parse_reply,
     reply_doc,
 )
+from repro.mesh import coordinator as mesh_coordinator
+from repro.mesh import worker as mesh_worker
 from repro.service.events import TaskArrival, WorkerArrival, merge_event_streams
 from repro.service.sharding import ShardMap
 
@@ -112,6 +120,51 @@ class TestMeshProtocol:
     def test_reply_parser_rejects_op_kinds(self):
         with pytest.raises(ApiError):
             parse_reply(op_doc("ping", 0))
+
+
+class TestWorkerOpLoop:
+    def test_an_oversize_reply_answers_fail_for_its_op(self, monkeypatch):
+        """A reply over the frame ceiling is a failed op: the worker
+        answers a structured ``fail`` for its seq and stops serving,
+        instead of dying with no answer at all."""
+        monkeypatch.setattr(
+            mesh_worker,
+            "encode_frame",
+            functools.partial(encode_frame, max_frame_bytes=1500),
+        )
+        ours, theirs = socket.socketpair()
+        ours.settimeout(10.0)
+
+        def serve():
+            try:
+                mesh_worker.serve_connection(theirs, FrameDecoder())
+            finally:
+                theirs.close()
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        spec = shard_spec(REGION, grid_nx=6, epsilon=1.0, budget_capacity=5.0, seed=11)
+        ops = [
+            ("configure", {"batch_size": 8}),
+            ("create", {"key": "s0", "spec": spec}),
+            ("snapshot", {"key": "s0", "mode": "base", "checkpoint": 1}),
+        ]
+        try:
+            for seq, (op, body) in enumerate(ops, start=1):
+                ours.sendall(encode_frame(op_doc(op, seq, body)))
+            decoder, replies = FrameDecoder(), []
+            while data := ours.recv(65536):
+                replies.extend(decoder.feed(data))
+        finally:
+            ours.close()
+            server.join(timeout=10.0)
+        assert not server.is_alive()
+        answers = [parse_reply(doc) for doc in replies]
+        assert [(kind, seq) for kind, seq, _ in answers] == [
+            ("reply", 1), ("reply", 2), ("fail", 3),
+        ]
+        assert answers[-1][2]["code"] == "invalid-request"
+        assert "frame limit" in answers[-1][2]["message"]
 
 
 # --------------------------------------------------------------------- #
@@ -313,6 +366,39 @@ class TestCheckpointCuts:
         assert stats["base_checkpoints"] == bases
         assert stats["rebase_total"] == rebases
         assert stats["max_chain_len"] == rebase_every + 1
+
+    def test_snapshots_and_loads_ride_the_generic_layout(self, monkeypatch):
+        """Snapshot replies and the ``load`` ops of a failover travel as
+        embedded JSON like every other mesh op: no payload the
+        coordinator decodes, and no frame it sends, is packed."""
+        decoded_tags, sent = [], []
+        decode_bin1, encode = codec.decode_bin1, mesh_coordinator.encode_frame
+
+        def spy_decode(payload):
+            decoded_tags.append(payload[2])
+            return decode_bin1(payload)
+
+        def spy_encode(doc, **kwargs):
+            frame = encode(doc, **kwargs)
+            sent.append((doc.get("kind"), frame[HEADER.size + 2]))
+            return frame
+
+        monkeypatch.setattr(codec, "decode_bin1", spy_decode)
+        monkeypatch.setattr(mesh_coordinator, "encode_frame", spy_encode)
+        spec = spec_for((2, 2))
+        stream = build_conformance_stream(REGION, 40, 30, seed=3)
+        reference = run_backend(make_backend("sharded", spec), stream, window=16)
+        stats: dict = {}
+        mesh, failovers = run_mesh_failover(
+            spec, stream, n_peers=2, chunk_size=13, checkpoint_every=16,
+            window=16, stats=stats,
+        )
+        assert check_parity([reference, mesh]) == []
+        assert failovers >= 1
+        assert stats["base_checkpoints"] + stats["delta_checkpoints"] > 0
+        assert "load" in {kind for kind, _ in sent}, "no chain was restored"
+        assert PACKED_DOC_TAG not in decoded_tags
+        assert PACKED_DOC_TAG not in {tag for _, tag in sent}
 
     def test_concurrent_cuts_survive_a_kill_under_fast_thread_switching(self):
         """Every family cut at every chunk, on more scheduler threads than
