@@ -18,8 +18,9 @@ repo has grown, behind one seeding convention
   register/submit run of a batch is one engine ingest call;
 * :class:`MeshBackend` — the distributed worker mesh: standalone worker
   processes dialed in over loopback sockets behind a
-  :class:`~repro.mesh.coordinator.MeshCoordinator`; batches dispatch
-  contiguous register/submit runs as single event chunks.
+  :class:`~repro.mesh.coordinator.MeshCoordinator`; each register/submit
+  run of a batch is one coordinator ingest call, and a journaled window
+  releases its scheduler hold before it awaits its outcomes.
 
 Backends are cheap to construct and expensive to ``open()`` (HST builds,
 process spawns) — the :class:`~repro.api.client.AssignmentClient` context
@@ -51,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..geometry.box import Box
+from ..runtime import release_order
 from ..runtime.window import rewrap, unwrap
 from ..service.metrics import build_report
 from ..service.sharding import ShardMap
@@ -478,17 +480,6 @@ class ShardedBackend(BackendBase):
         return ReportResult(report=self.engine.report(wall_seconds=req.wall_seconds))
 
 
-def _service_event(req):
-    """One routable verb as the coordinator-facing service event."""
-    from ..service.events import TaskArrival, WorkerArrival
-
-    if isinstance(req, RegisterWorker):
-        return WorkerArrival(
-            time=req.time, worker_id=req.worker_id, location=req.location
-        )
-    return TaskArrival(time=req.time, task_id=req.task_id, location=req.location)
-
-
 class MeshBackend(BackendBase):
     """The multi-host worker mesh behind the API contract.
 
@@ -511,7 +502,12 @@ class MeshBackend(BackendBase):
     :class:`~repro.runtime.PipelineScheduler`, so concurrent calls for
     different families genuinely overlap and only barrier verbs quiesce
     the mesh. Ordering keys are shard families (base lattice cells,
-    stable across hot-cell splits).
+    stable across hot-cell splits). Every call goes through
+    :meth:`batch` (a single verb is a run of one), which journals a
+    window as columns and then releases the caller's scheduler hold
+    (:func:`~repro.runtime.release_order`) before it waits for outcomes:
+    behind a pipelined gateway the next window, barrier or not, journals
+    while this one's outcomes are in flight.
     """
 
     name = "mesh"
@@ -618,16 +614,11 @@ class MeshBackend(BackendBase):
         except ProcessLookupError:
             pass
 
-    _event = staticmethod(_service_event)
-
     def register_worker(self, req: RegisterWorker) -> WorkerRegistered:
-        self.coordinator.process([self._event(req)])
-        return WorkerRegistered(worker_id=int(req.worker_id))
+        return self.batch(Batch(items=(req,))).items[0]
 
     def submit_task(self, req: SubmitTask) -> TaskDecision:
-        self.coordinator.process([self._event(req)])
-        worker = self.coordinator.result_of(req.task_id)
-        return TaskDecision(task_id=int(req.task_id), worker_id=worker)
+        return self.batch(Batch(items=(req,))).items[0]
 
     def flush(self, req: Flush) -> Flushed:
         self.coordinator.flush()
@@ -639,40 +630,55 @@ class MeshBackend(BackendBase):
         )
 
     def batch(self, request: Batch) -> BatchResult:
-        """Contiguous register/submit runs dispatch as single chunks.
+        """Journal the window as columns, release its hold, await outcomes.
 
-        Every run of the batch is on the wire before the first task
-        outcome is awaited. No lock: the coordinator journals and
-        schedules internally, and rendezvous
-        (:meth:`~repro.mesh.coordinator.MeshCoordinator.result_of`)
-        block on a condition the peer readers signal — no reply pump to
-        share, so concurrent batches need no coordination here.
+        Each contiguous register/submit run (stream envelopes unwrapped)
+        is one :meth:`~repro.mesh.coordinator.MeshCoordinator.ingest`
+        call, its ids, locations, kinds and times read straight off the
+        verbs; any other item splits the run and is served by
+        :meth:`handle` once everything before it is journaled. Once the
+        last run is journaled the window's place in every family's
+        journal is fixed, so :func:`~repro.runtime.release_order` ends
+        the caller's scheduler hold: a gateway journals the next window
+        while this one's outcomes are in flight. Only then does it block
+        on each task's outcome
+        (:meth:`~repro.mesh.coordinator.MeshCoordinator.result_of`, on a
+        condition the peer readers signal). A failure while journaling
+        raises before the release, so later windows still wait for it.
         """
         responses: list = []
-        pending_events: list = []
-        task_slots: dict[int, tuple[int, int | None]] = {}
+        tasks: list[tuple[int, int, int | None]] = []  # (slot, task id, seq)
+        ids: list = []
+        locations: list = []
+        is_task: list[bool] = []
+        times: list = []
 
-        def dispatch_run() -> None:
-            if pending_events:
-                self.coordinator.process(list(pending_events))
-                pending_events.clear()
+        def ingest_run() -> None:
+            if ids:
+                self.coordinator.ingest(ids, locations, is_task, times)
+                for column in (ids, locations, is_task, times):
+                    column.clear()
 
         for item in request.items:
             seq, verb = unwrap(item)
-            if isinstance(verb, (RegisterWorker, SubmitTask)):
-                pending_events.append(self._event(verb))
-                if isinstance(verb, RegisterWorker):
-                    response = WorkerRegistered(worker_id=int(verb.worker_id))
-                else:
-                    task_slots[len(responses)] = (int(verb.task_id), seq)
-                    responses.append(None)  # resolved after dispatch
-                    continue
+            if not isinstance(verb, (RegisterWorker, SubmitTask)):
+                ingest_run()
+                responses.append(rewrap(seq, self.handle(verb)))
+                continue
+            task = isinstance(verb, SubmitTask)
+            ids.append(verb.task_id if task else verb.worker_id)
+            locations.append(verb.location)
+            is_task.append(task)
+            times.append(verb.time)
+            if task:
+                tasks.append((len(responses), int(verb.task_id), seq))
+                responses.append(None)  # resolved after the release
             else:
-                dispatch_run()
-                response = self.handle(verb)
-            responses.append(rewrap(seq, response))
-        dispatch_run()
-        for slot, (task_id, seq) in task_slots.items():
+                worker = WorkerRegistered(worker_id=int(verb.worker_id))
+                responses.append(rewrap(seq, worker))
+        ingest_run()
+        release_order()
+        for slot, task_id, seq in tasks:
             decision = TaskDecision(
                 task_id=task_id, worker_id=self.coordinator.result_of(task_id)
             )

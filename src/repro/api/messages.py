@@ -168,9 +168,9 @@ class Batch:
     """An ordered group of requests answered by one :class:`BatchResult`.
 
     Backends may execute a batch more efficiently than the equivalent
-    call sequence (the mesh dispatches contiguous register/submit runs
-    as single event chunks) but must preserve per-item semantics and
-    order.
+    call sequence (the sharded engine and the mesh ingest each
+    contiguous register/submit run in one call) but must preserve
+    per-item semantics and order.
     """
 
     kind: ClassVar[str] = "batch"

@@ -10,8 +10,8 @@ pieces:
   full state (HST, privacy ledger, matcher, metrics, RNG stream, pending
   cohort buffer), as base + delta chains with a bit-exact replay
   guarantee;
-* :class:`~repro.cluster.dispatch.FamilyJournal` — routes event chunks
-  into per-family op journals (merged worker cohorts, task fallback
+* :class:`~repro.cluster.dispatch.FamilyJournal` — routes chunks of
+  arrival columns into per-family op journals (merged worker cohorts, task fallback
   chains) with absolute cursors for delivery, replay and per-family
   truncation at each checkpoint cut;
 * :class:`ShardHost` — the one shard container: the single-process

@@ -1,10 +1,12 @@
 """The family dispatch core: routing absorption and op journals.
 
-The :class:`~repro.mesh.coordinator.MeshCoordinator` turns the service
-event stream into per-family op sequences: merged worker-cohort ops
+The :class:`~repro.mesh.coordinator.MeshCoordinator` turns the arrival
+stream into per-family op sequences: merged worker-cohort ops
 (consecutive arrivals for one shard collapse into a single
 ``["w", key, ids, locations]``, kept open until a task can observe that
-shard) and task ops carrying the full routing fallback chain.
+shard) and task ops carrying the full routing fallback chain. Arrivals
+come in as columns (ids, locations, kinds, times — the coordinator's
+``ingest`` shape), so absorbing a chunk builds no per-event object.
 :class:`FamilyJournal` is that core. A cohort op stays open exactly as
 long as the engine's per-event path would keep buffering, and the
 worker's :class:`~repro.cluster.worker.ShardHost` cuts it per worker as
@@ -26,9 +28,6 @@ the two recovery disciplines both fall out of cursor arithmetic:
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..service.events import TaskArrival, WorkerArrival
 from .balancer import family_of
 
 __all__ = ["FamilyJournal"]
@@ -69,63 +68,55 @@ class FamilyJournal:
     # absorption                                                          #
     # ------------------------------------------------------------------ #
 
-    def absorb(self, chunk: list, observe=None) -> set[int]:
-        """Route one event chunk into per-family ops; returns the touched
-        family ids.
+    def absorb(self, ids, locations, is_task, times, observe=None) -> set[int]:
+        """Route one chunk of arrivals into per-family ops; returns the
+        touched family ids.
 
-        Worker arrivals for one shard merge into a single cohort op that
-        stays open (and keeps absorbing later arrivals) until a task
-        touches any shard of its routing chain — the same cut-point rule
-        as the engine's per-event path. ``observe(key, is_task)`` is the
-        optional balancer tap. Each accepted event advances :attr:`now`.
+        Row ``i`` is a task when ``is_task[i]`` is true (``ids[i]`` is
+        then its task id), else a worker. The columns come validated:
+        ``locations`` an ``(n, 2)`` float array, ``ids`` ints,
+        ``is_task`` bools and ``times`` floats. Worker arrivals for one
+        shard merge into a single cohort op that stays open (and keeps
+        absorbing later arrivals) until a task touches any shard of its
+        routing chain — the same cut-point rule as the engine's
+        per-event path. ``observe(key, is_task)`` is the optional
+        balancer tap. Each accepted event advances :attr:`now`; a
+        repeated worker id raises ``ValueError`` at its row, with the
+        rows before it absorbed.
         """
-        locs = np.array([e.location for e in chunk], dtype=np.float64)
-        chains = self.router.chains_of_many(locs)
+        chains = self.router.chains_of_many(locations)
         touched: set[int] = set()
         open_w: dict[str, list] = {}
-        for event, chain in zip(chunk, chains):
+        for event_id, location, task, at, chain in zip(
+            ids, locations.tolist(), is_task, times, chains
+        ):
             primary = chain[0]
             fam = family_of(primary)
             touched.add(fam)
-            if isinstance(event, WorkerArrival):
-                wid = int(event.worker_id)
-                if wid in self.known_workers:
+            if task:
+                # close cohort accumulation for every shard this task can
+                # read, so no later-arriving worker becomes visible to it
+                for key in chain:
+                    open_w.pop(key, None)
+                self._ops[fam].append(["t", chain, event_id, location])
+                self.task_order.append(event_id)
+            else:
+                if event_id in self.known_workers:
                     raise ValueError(
-                        f"worker id already registered with the mesh: {wid}"
+                        f"worker id already registered with the mesh: {event_id}"
                     )
-                self.known_workers.add(wid)
-                self.now = max(self.now, float(event.time))
+                self.known_workers.add(event_id)
                 op = open_w.get(primary)
                 if op is None:
                     op = ["w", primary, [], []]
                     open_w[primary] = op
                     self._ops[fam].append(op)
-                op[2].append(wid)
-                op[3].append(
-                    [float(event.location[0]), float(event.location[1])]
-                )
-                if observe is not None:
-                    observe(primary, False)
-            elif isinstance(event, TaskArrival):
-                # close cohort accumulation for every shard this task can
-                # read, so no later-arriving worker becomes visible to it
-                for key in chain:
-                    open_w.pop(key, None)
-                tid = int(event.task_id)
-                self.now = max(self.now, float(event.time))
-                self._ops[fam].append(
-                    [
-                        "t",
-                        chain,
-                        tid,
-                        [float(event.location[0]), float(event.location[1])],
-                    ]
-                )
-                self.task_order.append(tid)
-                if observe is not None:
-                    observe(primary, True)
-            else:
-                raise TypeError(f"not a service event: {event!r}")
+                op[2].append(event_id)
+                op[3].append(location)
+            if at > self.now:
+                self.now = at
+            if observe is not None:
+                observe(primary, task)
         return touched
 
     # ------------------------------------------------------------------ #

@@ -21,7 +21,9 @@ in-process one.
   :class:`~repro.runtime.PipelineScheduler` (different shards run
   concurrently, same-shard requests stay FIFO, ``Flush``/``GetReport``
   are global barriers — bit-identical to serial dispatch by
-  construction), out-of-order answers for sessions that negotiated
+  construction; a mesh window ends its hold once it is journaled, so
+  the next window journals while its outcomes are in flight),
+  out-of-order answers for sessions that negotiated
   ``pipeline``, bounded in-flight work with TCP backpressure, optional
   token-bucket admission, structured errors over the wire, graceful
   drain that flushes pipelined windows before goodbye; plus

@@ -13,9 +13,13 @@ points:
   requests for different shards execute concurrently on a bounded pool,
   same-shard requests stay FIFO, and barrier verbs (``Flush``/
   ``GetReport``) quiesce the world — which is exactly why assignments
-  stay bit-identical to the serial dispatch loop this replaced. Setting
-  ``pipeline=False`` in the config keys everything as a barrier on a
-  one-thread pool, i.e. the strict serial gateway, byte for byte;
+  stay bit-identical to the serial dispatch loop this replaced. A
+  backend may end a request's hold early
+  (:func:`~repro.runtime.release_order`): the mesh does once a window
+  is journaled, so the next window, barrier or not, journals while this
+  one's outcomes are in flight. Setting ``pipeline=False`` in the config
+  keys everything as a barrier on a one-thread pool, i.e. the strict
+  serial gateway, byte for byte;
 * **per-connection pipelining, opt-in** — a client that offered the
   ``pipeline`` feature in its hello may have many frames in flight; the
   gateway reads ahead and answers in *completion* order (stream
@@ -349,7 +353,9 @@ class GatewayServer:
                 task.cancel()
             await asyncio.gather(*pending, return_exceptions=True)
         # close() is the final barrier: it waits out whatever stragglers
-        # the connection drain abandoned, then the pool is reaped
+        # the connection drain abandoned (a mesh window that already
+        # released its hold is answered "closed" instead of waited
+        # for), then the pool is reaped
         await asyncio.wrap_future(
             self._scheduler.submit(None, self.backend.close)
         )

@@ -1,17 +1,20 @@
 """The mesh coordinator: worker peers on sockets, dispatch on keys.
 
 :class:`MeshCoordinator` is the repo's distributed coordinator. It keeps
-the engine's event contract (``process``/``flush``/``report``) but its
-workers are independent processes — possibly on other machines —
-that dialed in over the gateway wire and hold shard families behind
-:mod:`repro.mesh.protocol` ops.
+the engine's ingest contract (``ingest``/``process``/``flush``/
+``report``) but its workers are independent processes — possibly on
+other machines — that dialed in over the gateway wire and hold shard
+families behind :mod:`repro.mesh.protocol` ops.
 
 How it works:
 
-* **no single dispatch lock.** Event chunks are absorbed into the
-  :class:`~repro.cluster.dispatch.FamilyJournal` and then delivered by
-  per-family jobs on a :class:`~repro.runtime.PipelineScheduler` — the
-  same keyed-FIFO/barrier core the gateway schedules requests on.
+* **no single dispatch lock.** :meth:`MeshCoordinator.ingest` takes a
+  run of arrivals as columns (ids, locations, kinds, times — the
+  engine's ingest shape), cuts it into ``chunk_size`` chunks and absorbs
+  each into the :class:`~repro.cluster.dispatch.FamilyJournal` with no
+  per-event object. Per-family jobs on a
+  :class:`~repro.runtime.PipelineScheduler` — the same keyed-FIFO/
+  barrier core the gateway schedules requests on — deliver them.
   Different families flow to their peers concurrently; only flush and
   report are global barriers. Per-family FIFO plus the journal's
   contiguous-segment delivery keeps per-shard op order exactly the
@@ -21,14 +24,15 @@ How it works:
   settles the family, snapshots its shards, chains the replies and
   truncates its journal. Families share nothing, so a cut stalls only
   its own family's queue and the rest of the mesh keeps serving;
-* **submit-time high-water marks.** ``process()`` keeps appending to the
-  journal while earlier jobs are still in flight, so every family job
-  carries the journal position captured when it was submitted and never
-  delivers past it — a later flush cannot have its cohort cut points
-  dragged forward by ops that arrived after it was requested. Barrier
-  jobs take their marks when they *execute* (the scheduler has already
-  drained everything submitted before them, so execution-time marks are
-  exactly the pre-barrier stream);
+* **submit-time high-water marks.** ``ingest()`` keeps appending to the
+  journal while earlier jobs are still in flight (the mesh backend
+  journals the next stream window while this one's outcomes are out),
+  so every family job carries the journal position captured when it
+  was submitted and never delivers past it — a later flush cannot have
+  its cohort cut points dragged forward by ops that arrived after it
+  was requested. Barrier jobs take their marks when they *execute* (the
+  scheduler has already drained everything submitted before them, so
+  execution-time marks are exactly the pre-barrier stream);
 * **failover is reassignment, not respawn.** The coordinator does not
   own worker processes; when a connection dies mid-stream the dead
   peer's families are handed to the surviving peer with the lightest
@@ -63,6 +67,7 @@ import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
+from itertools import islice
 
 from ..api.errors import ValidationFailed, map_exception
 from ..api.messages import to_wire
@@ -88,10 +93,11 @@ from ..gateway.protocol import (
     welcome_doc,
 )
 from ..geometry.box import Box
+from ..geometry.points import as_points
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import current_context
 from ..runtime import PipelineScheduler
-from ..service.events import RequestQueue, TaskArrival, WorkerArrival
+from ..service.events import TaskArrival, WorkerArrival
 from ..service.metrics import (
     SampleReservoir,
     ServiceReport,
@@ -643,28 +649,55 @@ class MeshCoordinator:
                 1 for tid in self._journal.task_order if tid in self._results
             )
 
-    def process(self, events) -> None:
-        """Absorb an event stream and fan it out to the peers.
+    def ingest(self, ids, locations, is_task, times) -> None:
+        """Journal a run of arrivals and fan it out to the peers.
+
+        Row ``i`` is a task arrival when ``is_task[i]`` is true (``ids[i]``
+        is then its task id), else a worker arrival; ``times`` is
+        parallel. The run is journaled in chunks of ``chunk_size`` rows,
+        each validated once (:func:`~repro.geometry.points.as_points`,
+        ``int`` ids, ``float`` times) and routed in one pass, and each
+        scheduled on its families before the next is absorbed.
 
         Returns as soon as everything is journaled and scheduled; results
         stream back through the peer readers (:meth:`result_of` blocks on
-        one). Raises promptly if the mesh has already failed.
+        one). A worker id the mesh has seen before raises ``ValueError``
+        at its row: the rows before it stay journaled and neither it nor
+        any after it is, and the clock stays at the latest accepted row.
+        Raises promptly if the mesh has already failed.
         """
         self.start()
-        if isinstance(events, RequestQueue):
-            events = iter(events)
-        chunk: list = []
-        for event in events:
-            if not isinstance(event, (WorkerArrival, TaskArrival)):
-                raise TypeError(f"not a service event: {event!r}")
-            chunk.append(event)
-            if len(chunk) >= self.chunk_size:
-                self._dispatch(chunk)
-                chunk = []
-        if chunk:
-            self._dispatch(chunk)
+        if not len(ids) == len(locations) == len(is_task) == len(times):
+            raise ValueError("need one id, location, kind and time per row")
+        size = self.chunk_size
+        for lo in range(0, len(ids), size):
+            hi = lo + size
+            self._dispatch(
+                [int(i) for i in ids[lo:hi]],
+                as_points(locations[lo:hi]),
+                [bool(t) for t in is_task[lo:hi]],
+                [float(t) for t in times[lo:hi]],
+            )
 
-    def _dispatch(self, chunk: list) -> None:
+    def process(self, events) -> None:
+        """Absorb a stream of service events: :meth:`ingest` per
+        ``chunk_size`` events (a :class:`~repro.service.events.RequestQueue`
+        or any iterable of worker/task arrivals)."""
+        self.start()
+        events = iter(events)
+        while chunk := list(islice(events, self.chunk_size)):
+            for event in chunk:
+                if not isinstance(event, (WorkerArrival, TaskArrival)):
+                    raise TypeError(f"not a service event: {event!r}")
+            is_task = [isinstance(e, TaskArrival) for e in chunk]
+            self.ingest(
+                [e.task_id if t else e.worker_id for e, t in zip(chunk, is_task)],
+                [e.location for e in chunk],
+                is_task,
+                [e.time for e in chunk],
+            )
+
+    def _dispatch(self, ids, locs, is_task, times) -> None:
         self._check_failure()
         # capture the caller's span (e.g. the gateway's scheduler.execute,
         # live on this thread) at submit time: the family jobs run later,
@@ -675,12 +708,13 @@ class MeshCoordinator:
         with self._state:
             balancer = self._balancer
             touched = self._journal.absorb(
-                chunk, observe=balancer.observe if balancer else None
+                ids, locs, is_task, times,
+                observe=balancer.observe if balancer else None,
             )
             # submit-time high-water marks: a family job never delivers
             # ops journaled after it was scheduled
             marks = {fam: self._journal.end(fam) for fam in touched}
-            self._events_since_checkpoint += len(chunk)
+            self._events_since_checkpoint += len(ids)
             cuts: dict[int, int] = {}
             if (
                 self.checkpoint_every
@@ -733,7 +767,9 @@ class MeshCoordinator:
         task_id = int(task_id)
         with self._wake:
             self._wake.wait_for(
-                lambda: task_id in self._results or self._failure is not None,
+                lambda: task_id in self._results
+                or self._failure is not None
+                or self._closed,
                 timeout=self.liveness_timeout,
             )
             if task_id in self._results:

@@ -7,7 +7,10 @@ re-implemented per layer:
   an *ordering key*: different keys run concurrently, equal keys stay
   FIFO, and ``None`` is a global barrier. Keys come from the backend's
   shard routing, so pipelined execution is bit-identical to the serial
-  dispatch loops it replaced — per shard, nothing ever reorders;
+  dispatch loops it replaced — per shard, nothing ever reorders. A
+  running job may end its hold early with :func:`release_order` once
+  everything later jobs must see is in place (the mesh backend does so
+  once a window is journaled); it stays in flight until it returns;
 * :class:`SequenceReorderer` / :func:`unwrap` / :func:`rewrap` — the
   stream-window bookkeeping (sequence-numbered envelopes in, in-order
   responses out) used by the client's pipelined stream mode and the
@@ -22,13 +25,14 @@ backends' batch paths share the envelope plumbing; and
 family as jobs keyed by the family, with flush and report as barriers.
 """
 
-from .scheduler import PipelineScheduler, default_worker_count
+from .scheduler import PipelineScheduler, default_worker_count, release_order
 from .window import SequenceReorderer, rewrap, unwrap
 
 __all__ = [
     "PipelineScheduler",
     "SequenceReorderer",
     "default_worker_count",
+    "release_order",
     "rewrap",
     "unwrap",
 ]

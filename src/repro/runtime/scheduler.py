@@ -9,7 +9,13 @@ is *bit-identical to serial execution by construction*:
   time, in submission order;
 * a job with key ``None`` is a **global barrier**: it runs only after
   every previously submitted job has finished, runs alone, and every
-  job submitted after it waits for it.
+  job submitted after it waits for it;
+* a running job may end its ordering hold early with
+  :func:`release_order`: from then on, jobs that waited for it (same
+  key, or everything after a barrier) may start while it finishes. It
+  still counts as in flight until it returns, and its result still
+  reaches its handle. A job that never releases keeps the two rules
+  above exactly.
 
 For the assignment service the key is the backend's shard routing
 (:meth:`repro.api.backends.BackendBase.ordering_key`): shards share no
@@ -18,7 +24,10 @@ per-shard subsequence it would have seen from a serial dispatch loop —
 same cohort buffers, same RNG draws, same assignments. Barrier verbs
 (``Flush``/``GetReport``, the mesh's flush and report) map to ``None``
 and keep their observe-everything semantics; a mesh checkpoint is one
-job per family key, so it never stalls the other families.
+job per family key, so it never stalls the other families. The mesh
+backend releases a stream window's hold once the window is journaled:
+its journal order is fixed by then, so the next window may journal
+while this one waits for its outcomes.
 
 Ordering is tracked with dependency chaining, not queue polling: each
 key remembers its tail job, a barrier collects every live tail, and a
@@ -51,7 +60,10 @@ import os
 import threading
 from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
 
-__all__ = ["PipelineScheduler", "default_worker_count"]
+__all__ = ["PipelineScheduler", "default_worker_count", "release_order"]
+
+#: the running job's early-release hook, per pool thread
+_running = threading.local()
 
 
 def default_worker_count() -> int:
@@ -60,6 +72,28 @@ def default_worker_count() -> int:
     their time waiting on worker processes, so this may exceed the local
     core count without oversubscribing anything)."""
     return min(8, max(4, os.cpu_count() or 1))
+
+
+def release_order() -> None:
+    """End the calling job's ordering hold before the job returns.
+
+    Jobs chained behind the caller (the next job under its key, or
+    everything after a barrier) may start from here on, while the
+    caller keeps running. Call it once everything later jobs must see
+    is in place. The job still counts as in flight
+    (:meth:`PipelineScheduler.drain`, ``shutdown`` and ``key_depths``
+    wait for it or count it), and its result or exception still reaches
+    its handle. A job that fails before it releases ends its hold the
+    usual way, when it returns.
+
+    Outside a scheduler job, and on a second call, it does nothing.
+    Resolving the hold runs dependents' hand-off to the pool on the
+    calling thread, so call it with no lock held that a job may take.
+    """
+    release = getattr(_running, "release", None)
+    if release is not None:
+        _running.release = None
+        release()
 
 
 class PipelineScheduler:
@@ -181,11 +215,14 @@ class PipelineScheduler:
             dep.add_done_callback(dep_finished)
 
     def _run(self, done: Future, gate: Future, fn, args, kwargs, key=None) -> None:
+        _running.release = lambda: gate.set_result(None)
         try:
             result = fn(*args, **kwargs)
             exc = None
         except BaseException as caught:
             result, exc = None, caught
+        finally:
+            _running.release = None
         # deliver the result unless the caller abandoned it (a cancelled
         # handle is already resolved; setting it would InvalidStateError)
         if not done.cancelled():
@@ -194,11 +231,14 @@ class PipelineScheduler:
                     done.set_exception(exc)
                 else:
                     done.set_result(result)
-        # the gate resolves only here — dependents (and barriers) can
-        # never start while this execution is live, cancelled or not;
-        # they were counted into in_flight at their submit(), so drain()
-        # cannot conclude idle while a chain is being handed to the pool
-        gate.set_result(None)
+        # unless the job released it early, the gate resolves only here
+        # — dependents (and barriers) can never start while this
+        # execution is live, cancelled or not; they were counted into
+        # in_flight at their submit(), so drain() cannot conclude idle
+        # while a chain is being handed to the pool. Only this thread
+        # resolves the gate, so the check cannot race the release.
+        if not gate.done():
+            gate.set_result(None)
         if self._slots is not None:
             self._slots.release()
         with self._idle:

@@ -96,10 +96,13 @@ class TestConformance:
         ]
         assert result.ok, "\n".join(result.problems)
 
-    def test_remote_over_mesh_matches_with_barriers(self):
+    @pytest.mark.parametrize("pipeline", [1, 4])
+    def test_remote_over_mesh_matches_with_barriers(self, pipeline):
         """The hardest deployment shape: a remote client over loopback,
         the gateway serving a worker mesh with odd chunk joints and
-        checkpoint cuts mid-stream. Still bit-identical."""
+        checkpoint cuts mid-stream, with up to four windows in flight
+        (each journaled window releases its gateway barrier before its
+        outcomes return). Still bit-identical."""
         spec = spec_for((2, 2))
         stream = build_conformance_stream(REGION, 60, 45, seed=13)
         local = run_backend(
@@ -109,6 +112,7 @@ class TestConformance:
             spec,
             stream,
             window=16,
+            pipeline=pipeline,
             backend="mesh",
             backend_kwargs={"n_peers": 2, "chunk_size": 21, "checkpoint_every": 64},
         )

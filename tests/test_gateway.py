@@ -946,9 +946,61 @@ class TestPipelinedMeshDispatch:
                 )
             assert answers == reference, f"pipeline={pipeline}"
 
+    def test_next_window_journals_while_outcomes_are_in_flight(self):
+        """Two mixed-family windows (gateway barriers) in flight over a
+        2-peer mesh: window 2 is journaled while window 1's outcomes are
+        still held back, and the answers equal the in-process replay."""
+        from repro.api import make_backend
+
+        spec = small_spec()
+        stream = build_conformance_stream(REGION, 20, 12, seed=1)
+        windows = [stream[:16], stream[16:]]
+        backend = MeshBackend(spec, n_peers=2, checkpoint_every=0)
+        # both windows route to several families: each is a barrier
+        assert [backend.batch_key(Batch(items=tuple(w))) for w in windows] == [
+            None,
+            None,
+        ]
+        second = [r.task_id for r in windows[1] if isinstance(r, SubmitTask)]
+        hold = threading.Event()
+        received: list = []
+        with serve_gateway(GatewayConfig(spec=spec), backend=backend) as gw:
+            coordinator = backend.coordinator
+            deliver = coordinator._deliver
+
+            def held_deliver(*args, **kwargs):
+                hold.wait(30.0)
+                return deliver(*args, **kwargs)
+
+            coordinator._deliver = held_deliver
+            client = AssignmentClient(RemoteBackend(spec, address=gw.address))
+            client.open()
+            streamer = threading.Thread(
+                target=lambda: received.extend(
+                    client.stream(stream, window=16, pipeline=2)
+                ),
+                daemon=True,
+            )
+            try:
+                streamer.start()
+                wait_until(
+                    lambda: set(second) <= set(coordinator._journal.task_order),
+                    timeout=5.0,
+                    what="window 2 journaled behind window 1",
+                )
+                assert received == []  # window 1 is still unanswered
+            finally:
+                hold.set()
+                streamer.join(timeout=30.0)
+                client.close()
+        with AssignmentClient(make_backend("sharded", spec)) as ref_client:
+            reference = _decisions(ref_client.stream(stream, window=16))
+        assert _decisions(received) == reference
+
 
 class TestMeshBehindGateway:
-    def test_sigkill_worker_behind_gateway_recovers_bit_exact(self):
+    @pytest.mark.parametrize("pipeline", [1, 4])
+    def test_sigkill_worker_behind_gateway_recovers_bit_exact(self, pipeline):
         """SIGKILL a mesh worker mid-stream *behind* the gateway: the
         restore+replay path must kick in and the remote client's total
         answer stream must stay bit-identical to a clean sharded run —
@@ -963,12 +1015,18 @@ class TestMeshBehindGateway:
             remote = RemoteBackend(spec, address=gw.address)
             with AssignmentClient(remote) as client:
                 decisions += [
-                    r for r in client.stream(stream[:half], window=16)
+                    r
+                    for r in client.stream(
+                        stream[:half], window=16, pipeline=pipeline
+                    )
                     if isinstance(r, TaskDecision)
                 ]
                 backend.kill_worker(0)
                 decisions += [
-                    r for r in client.stream(stream[half:], window=16)
+                    r
+                    for r in client.stream(
+                        stream[half:], window=16, pipeline=pipeline
+                    )
                     if isinstance(r, TaskDecision)
                 ]
                 client.flush()

@@ -20,7 +20,14 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import ServiceSpec, make_backend, requests_from_events
+from repro.api import (
+    Batch,
+    RegisterWorker,
+    ServiceSpec,
+    SubmitTask,
+    make_backend,
+    requests_from_events,
+)
 from repro.api.conformance import (
     build_conformance_stream,
     check_parity,
@@ -184,24 +191,38 @@ def _task(tid, x, y):
     return TaskArrival(time=1.0, task_id=tid, location=(x, y))
 
 
+def _absorb(journal, *rows):
+    """Feed ``(kind, id, x, y)`` rows (kind ``"w"`` or ``"t"``) to the
+    journal as its columns. Workers arrive at time 0.0 and tasks at 1.0
+    unless a row carries its time as a fifth field."""
+    return journal.absorb(
+        [row[1] for row in rows],
+        np.array([row[2:4] for row in rows], dtype=np.float64),
+        [row[0] == "t" for row in rows],
+        [row[4] if len(row) > 4 else float(row[0] == "t") for row in rows],
+    )
+
+
 class TestFamilyJournal:
     def test_cohorts_merge_until_a_task_cuts(self):
         j = _journal()
         # three workers then a task in the left cell: one cohort op, cut
-        j.absorb([_worker(0, 10, 100), _worker(1, 20, 100),
-                  _task(0, 15, 100), _worker(2, 30, 100)])
+        _absorb(j, ("w", 0, 10, 100), ("w", 1, 20, 100),
+                ("t", 0, 15, 100), ("w", 2, 30, 100))
         ops = j.take(0)
         kinds = [op[0] for op in ops]
         assert kinds == ["w", "t", "w"]
         assert ops[0][2] == [0, 1]  # merged cohort
+        assert ops[0][3] == [[10.0, 100.0], [20.0, 100.0]]
+        assert ops[1][2:] == [0, [15.0, 100.0]]
         assert ops[2][2] == [2]  # post-task arrival opens a new cohort
 
     def test_take_honours_absolute_upto_and_rewind(self):
         j = _journal()
-        j.absorb([_worker(i, 10, 100) for i in range(3)])
-        j.absorb([_task(0, 15, 100)])
+        _absorb(j, *[("w", i, 10, 100) for i in range(3)])
+        _absorb(j, ("t", 0, 15, 100))
         mark = j.end(0)
-        j.absorb([_task(1, 12, 100)])
+        _absorb(j, ("t", 1, 12, 100))
         first = j.take(0, mark)
         assert len(first) > 0
         assert j.sent(0) == mark
@@ -215,11 +236,11 @@ class TestFamilyJournal:
 
     def test_truncate_keeps_positions_absolute(self):
         j = _journal()
-        j.absorb([_worker(0, 10, 100), _task(0, 15, 100)])
+        _absorb(j, ("w", 0, 10, 100), ("t", 0, 15, 100))
         mark = j.end(0)
         j.take(0, mark)
         j.truncate(0, mark)
-        j.absorb([_task(1, 12, 100)])
+        _absorb(j, ("t", 1, 12, 100))
         assert j.end(0) == mark + 1  # positions grow past the old mark
         j.rewind(0)
         # replay serves only the retained suffix, not the truncated ops
@@ -227,7 +248,7 @@ class TestFamilyJournal:
 
     def test_truncate_counts_what_it_drops(self):
         j = _journal()
-        j.absorb([_worker(0, 10, 100), _task(0, 15, 100), _task(1, 12, 100)])
+        _absorb(j, ("w", 0, 10, 100), ("t", 0, 15, 100), ("t", 1, 12, 100))
         j.take(0)
         assert j.truncate(0, 2) == 2  # the cohort op and the first task
         assert j.truncate(0, 2) == 0  # already gone
@@ -236,22 +257,20 @@ class TestFamilyJournal:
 
     def test_duplicate_worker_ids_are_refused(self):
         j = _journal()
-        j.absorb([_worker(0, 10, 100)])
+        _absorb(j, ("w", 0, 10, 100))
         with pytest.raises(ValueError):
-            j.absorb([_worker(0, 99, 100)])
+            _absorb(j, ("w", 0, 99, 100))
 
     def test_clock_is_the_latest_accepted_event(self):
         j = _journal()
-        j.absorb([_worker(0, 10, 100), _task(0, 15, 100)])
+        _absorb(j, ("w", 0, 10, 100), ("t", 0, 15, 100))
         assert j.now == 1.0
-        late = WorkerArrival(time=9.0, worker_id=5, location=(10.0, 100.0))
         with pytest.raises(ValueError):
-            j.absorb(
-                [
-                    WorkerArrival(time=3.0, worker_id=1, location=(10.0, 100.0)),
-                    WorkerArrival(time=4.0, worker_id=0, location=(10.0, 100.0)),
-                    late,
-                ]
+            _absorb(
+                j,
+                ("w", 1, 10, 100, 3.0),
+                ("w", 0, 10, 100, 4.0),  # a duplicate
+                ("w", 5, 10, 100, 9.0),
             )
         # worker 1 was accepted; the refused duplicate and the event
         # after it never moved the clock
@@ -743,6 +762,56 @@ class TestMeshLifecycle:
                 coordinator.result_of(0)
         finally:
             backend.close()
+
+    def test_close_answers_a_caller_waiting_for_an_outcome(self):
+        """A caller blocked in result_of must hear about close() at once,
+        not after the whole liveness timeout."""
+        backend = make_backend("mesh", spec_for((2, 2)), n_peers=2)
+        backend.open()
+        coordinator = backend.coordinator
+        coordinator.liveness_timeout = 30.0
+        hold = threading.Event()
+        deliver = coordinator._deliver
+
+        def held_deliver(*args, **kwargs):
+            hold.wait(60.0)
+            return deliver(*args, **kwargs)
+
+        coordinator._deliver = held_deliver
+        outcome: dict = {}
+
+        def serve():
+            try:
+                backend.handle(
+                    Batch(
+                        items=(
+                            RegisterWorker(worker_id=0, location=(10.0, 10.0)),
+                            SubmitTask(task_id=0, location=(15.0, 15.0)),
+                        )
+                    )
+                )
+            except MeshError as exc:
+                outcome["error"] = exc
+            outcome["at"] = time.monotonic()
+
+        caller = threading.Thread(target=serve, daemon=True)
+        caller.start()
+        deadline = time.monotonic() + 10.0
+        while not coordinator._journal.task_order and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert coordinator._journal.task_order == [0]
+        closing = threading.Thread(target=backend.close, daemon=True)
+        began = time.monotonic()
+        closing.start()
+        while not coordinator._closed and time.monotonic() < deadline:
+            time.sleep(0.01)
+        # close() drains the coordinator's scheduler: let the held
+        # delivery go once close has begun
+        hold.set()
+        caller.join(timeout=10.0)
+        closing.join(timeout=30.0)
+        assert "closed" in str(outcome.get("error"))
+        assert outcome["at"] - began < 5.0
 
     def test_closed_coordinator_refuses_work(self):
         """Shard state dies with the peers: a closed coordinator must

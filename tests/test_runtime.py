@@ -29,7 +29,13 @@ from repro.api import (
 from repro.api.conformance import build_conformance_stream
 from repro.api.messages import BatchResult, StreamItemResult, WorkerRegistered
 from repro.geometry import Box
-from repro.runtime import PipelineScheduler, SequenceReorderer, rewrap, unwrap
+from repro.runtime import (
+    PipelineScheduler,
+    SequenceReorderer,
+    release_order,
+    rewrap,
+    unwrap,
+)
 
 REGION = Box.square(200.0)
 
@@ -221,6 +227,123 @@ class TestPipelineScheduler:
             assert sched.submit("one-shot-0", lambda: "again").result(10) == "again"
         finally:
             sched.shutdown()
+
+    def test_released_barrier_lets_later_jobs_start_before_it_returns(self):
+        finish = threading.Event()
+        started = []
+
+        def window():
+            started.append("window")
+            release_order()
+            assert finish.wait(10)  # still running: awaiting outcomes
+            return "window done"
+
+        with PipelineScheduler(max_workers=4) as sched:
+            first = sched.submit(None, window)
+            keyed = sched.submit("a", lambda: started.append("keyed"))
+            barrier = sched.submit(None, lambda: started.append("barrier"))
+            keyed.result(timeout=10)
+            barrier.result(timeout=10)
+            assert not first.done()
+            assert started == ["window", "keyed", "barrier"]
+            finish.set()
+            assert first.result(timeout=10) == "window done"
+
+    def test_released_keyed_job_lets_the_next_same_key_job_start(self):
+        finish = threading.Event()
+        with PipelineScheduler(max_workers=2) as sched:
+
+            def first_job():
+                release_order()
+                return finish.wait(10)
+
+            first = sched.submit("k", first_job)
+            second = sched.submit("k", lambda: "second")
+            assert second.result(timeout=10) == "second"
+            assert not first.done()
+            finish.set()
+            assert first.result(timeout=10) is True
+
+    def test_released_job_stays_in_flight_until_it_returns(self):
+        finish = threading.Event()
+        released = threading.Event()
+
+        def job(fail):
+            release_order()
+            released.set()
+            finish.wait(10)
+            if fail:
+                raise KeyError("late failure")
+            return "late result"
+
+        sched = PipelineScheduler(max_workers=4)
+        try:
+            ok = sched.submit("a", job, False)
+            assert released.wait(10)
+            released.clear()
+            bad = sched.submit(None, job, True)
+            assert released.wait(10)
+            assert sched.in_flight == 2
+            assert sched.key_depths() == {"a": 1, None: 1}
+            assert not sched.drain(timeout=0.05)  # released, not finished
+            finish.set()
+            assert sched.drain(timeout=10)
+            assert ok.result(timeout=10) == "late result"
+            assert isinstance(bad.exception(timeout=10), KeyError)
+            assert sched.key_depths() == {}
+        finally:
+            finish.set()
+            sched.shutdown()
+
+    def test_a_job_that_fails_before_releasing_holds_its_successors(self):
+        gate = threading.Event()
+        order = []
+
+        def failing():
+            gate.wait(10)
+            order.append("failing")
+            raise ValueError("duplicate worker id")
+
+        with PipelineScheduler(max_workers=4) as sched:
+            boom = sched.submit(None, failing)
+            after = sched.submit("a", lambda: order.append("after"))
+            time.sleep(0.05)
+            assert order == []  # nothing overtook the unreleased barrier
+            gate.set()
+            after.result(timeout=10)
+            assert order == ["failing", "after"]
+            assert isinstance(boom.exception(timeout=10), ValueError)
+
+    def test_one_worker_stays_serial_even_when_jobs_release(self):
+        order = []
+
+        def job(i):
+            release_order()
+            time.sleep(0.001)
+            order.append(i)
+
+        with PipelineScheduler(max_workers=1) as sched:
+            for i in range(20):
+                sched.submit(None if i % 2 else "k", job, i)
+            sched.drain()
+        assert order == list(range(20))
+
+    def test_release_outside_a_job_and_twice_does_nothing(self):
+        release_order()  # no job on this thread: a no-op
+        finish = threading.Event()
+        with PipelineScheduler(max_workers=4) as sched:
+
+            def twice():
+                release_order()
+                release_order()  # the second call must not raise
+                finish.wait(10)
+                return "ok"
+
+            first = sched.submit("k", twice)
+            assert sched.submit("k", lambda: "next").result(timeout=10) == "next"
+            finish.set()
+            assert first.result(timeout=10) == "ok"
+            assert sched.drain(timeout=10)  # the accounting survived
 
     def test_shutdown_refuses_new_work(self):
         sched = PipelineScheduler(max_workers=1)
