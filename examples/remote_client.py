@@ -12,7 +12,7 @@ talks to it exactly the way an in-process caller would — the same
    through the framed wire protocol with several windows in flight
    (the session negotiated the ``pipeline`` capability, so the gateway
    schedules shard-aware and may answer out of order; the client
-   re-sequences by envelope ``seq``), with the final report fetched
+   re-sequences by each window's ``seq``), with the final report fetched
    remotely;
 3. **Parity** — the same stream replayed in-process and serially,
    asserting that neither the socket nor the pipelining changed

@@ -10,8 +10,9 @@ over all of them:
 
 * **messages** — typed request/response dataclasses
   (:class:`RegisterWorker`, :class:`SubmitTask`, :class:`Flush`,
-  :class:`GetReport`, batch/stream envelopes) with a schema-versioned
-  dict wire form (:func:`to_wire`/:func:`from_wire`);
+  :class:`GetReport`, batches, columnar stream windows and their
+  results, stream envelopes) with a schema-versioned dict wire form
+  (:func:`to_wire`/:func:`from_wire`);
 * **backends** — a common contract with three adapters
   (:class:`InProcessBackend`, :class:`ShardedBackend`,
   :class:`MeshBackend`) that pass one conformance suite: same spec,
@@ -78,8 +79,10 @@ from .messages import (
     ReportResult,
     StreamEnvelope,
     StreamItemResult,
+    StreamWindow,
     SubmitTask,
     TaskDecision,
+    WindowResult,
     WorkerRegistered,
     from_wire,
     to_wire,
@@ -120,6 +123,7 @@ __all__ = [
     "ShardedBackend",
     "StreamEnvelope",
     "StreamItemResult",
+    "StreamWindow",
     "SubmitTask",
     "TaskDecision",
     "TokenBucket",
@@ -127,6 +131,7 @@ __all__ = [
     "ValidationFailed",
     "WIRE_SCHEMA",
     "WIRE_VERSION",
+    "WindowResult",
     "WorkerRegistered",
     "build_stack",
     "error_from_info",

@@ -14,13 +14,20 @@ repo has grown, behind one seeding convention
   client-side mechanism/ledger bundle, no sharding. Simplest, and the
   ground truth the others are checked against;
 * :class:`ShardedBackend` — the single-process
-  :class:`~repro.service.engine.ShardedAssignmentEngine`; each
-  register/submit run of a batch is one engine ingest call;
+  :class:`~repro.service.engine.ShardedAssignmentEngine`; each stream
+  window is one engine ingest call on its columns;
 * :class:`MeshBackend` — the distributed worker mesh: standalone worker
   processes dialed in over loopback sockets behind a
-  :class:`~repro.mesh.coordinator.MeshCoordinator`; each register/submit
-  run of a batch is one coordinator ingest call, and a journaled window
+  :class:`~repro.mesh.coordinator.MeshCoordinator`; each stream window
+  is one coordinator ingest call on its columns, and a journaled window
   releases its scheduler hold before it awaits its outcomes.
+
+A stream window (:class:`~repro.api.messages.StreamWindow`) reaches
+every backend as columns and is answered as columns
+(:class:`~repro.api.messages.WindowResult`); a
+:class:`~repro.api.messages.Batch` turns each run of register/submit
+verbs into such a window in :meth:`BackendBase.batch`, so every backend
+serves one run shape.
 
 Backends are cheap to construct and expensive to ``open()`` (HST builds,
 process spawns) — the :class:`~repro.api.client.AssignmentClient` context
@@ -53,7 +60,6 @@ import numpy as np
 
 from ..geometry.box import Box
 from ..runtime import release_order
-from ..runtime.window import rewrap, unwrap
 from ..service.metrics import build_report
 from ..service.sharding import ShardMap
 from ..utils import keyed_shard_seed
@@ -68,9 +74,13 @@ from .messages import (
     ReportResult,
     StreamEnvelope,
     StreamItemResult,
+    StreamWindow,
     SubmitTask,
     TaskDecision,
+    WindowResult,
     WorkerRegistered,
+    verb_runs,
+    window_responses,
 )
 
 __all__ = [
@@ -89,6 +99,8 @@ __all__ = [
 #: every routable verb, so a scheduler serializes them — correct by
 #: default for any backend that never claims per-shard safety.
 GLOBAL_ORDERING_KEY = "global"
+
+_ROUTABLE = (RegisterWorker, SubmitTask)
 
 
 @dataclass(frozen=True)
@@ -154,9 +166,10 @@ class ServiceSpec:
 class BackendBase:
     """Shared lifecycle + request dispatch for every backend.
 
-    Subclasses implement the four verb methods. ``batch`` hands every
-    contiguous register/submit run to :meth:`handle_run`, which defaults
-    to the per-verb calls and may be overridden to ingest a run at once.
+    Subclasses implement the four verb methods and :meth:`handle_run`,
+    which serves one :class:`~repro.api.messages.StreamWindow` from its
+    columns. ``batch`` hands it every stream window, and every
+    contiguous register/submit run of a :class:`Batch` as a window.
     ``open()``/``close()`` bracket the expensive state.
     """
 
@@ -189,9 +202,12 @@ class BackendBase:
         pipelined schedule replays each shard's serial history exactly.
         ``Flush``/``GetReport`` (and anything unrecognized) are barriers.
         """
-        _seq, request = unwrap(request)
-        if isinstance(request, (RegisterWorker, SubmitTask)):
+        if isinstance(request, StreamEnvelope):
+            request = request.item
+        if isinstance(request, _ROUTABLE):
             return self.request_key(request)
+        if isinstance(request, StreamWindow):
+            return self.points_key(request.xy)
         if isinstance(request, Batch):
             return self.batch_key(request)
         return None
@@ -202,29 +218,30 @@ class BackendBase:
             return GLOBAL_ORDERING_KEY
         return f"s{self._route_map.shard_of(request.location)}"
 
-    def batch_key(self, batch: Batch):
-        """Key of a whole batch: the single shard all items route to,
-        or ``None`` (barrier) for mixed/empty/barrier-carrying batches.
+    def points_key(self, xy):
+        """Key of a window's locations: the single shard every row
+        routes to, or ``None`` (barrier) for a mixed or empty window.
 
         One vectorized routing pass, so keying a stream window costs one
-        lattice snap, not one per item.
+        lattice snap, not one per row.
         """
-        locations = []
-        for item in batch.items:
-            _seq, verb = unwrap(item)
-            if not isinstance(verb, (RegisterWorker, SubmitTask)):
-                return None
-            locations.append(verb.location)
-        if not locations:
+        if not len(xy):
             return None
         if self._route_map is None:
             return GLOBAL_ORDERING_KEY
-        owners = np.unique(
-            self._route_map.shard_of_many(np.asarray(locations, dtype=np.float64))
-        )
+        owners = np.unique(self._route_map.shard_of_many(xy))
         if len(owners) == 1:
             return f"s{int(owners[0])}"
         return None
+
+    def batch_key(self, batch: Batch):
+        """Key of a whole batch: that of its locations when every item is
+        a register/submit verb, else ``None`` (barrier)."""
+        if not all(isinstance(item, _ROUTABLE) for item in batch.items):
+            return None
+        return self.points_key(
+            np.array([item.location for item in batch.items], dtype=np.float64)
+        )
 
     # -- lifecycle ----------------------------------------------------- #
 
@@ -265,50 +282,43 @@ class BackendBase:
             return self.flush(request)
         if isinstance(request, GetReport):
             return self.get_report(request)
-        if isinstance(request, Batch):
+        if isinstance(request, (StreamWindow, Batch)):
             return self.batch(request)
         if isinstance(request, StreamEnvelope):
             return StreamItemResult(seq=request.seq, item=self.handle(request.item))
         raise ValidationFailed(f"unhandled request type: {request!r}")
 
-    def batch(self, request: Batch) -> BatchResult:
-        """Serve a batch in order, one :meth:`handle_run` call per run.
+    def batch(self, request):
+        """Serve a stream window, or a batch in order.
 
-        Each contiguous run of register/submit verbs (stream envelopes
-        unwrapped) goes to :meth:`handle_run` whole; any other item
-        splits the run and is served by :meth:`handle` once everything
-        before it is. Responses come back in item order, re-wrapped under
-        their envelope's ``seq``. A failure raises at once: the items
-        before it stay applied and none after it run.
+        A :class:`~repro.api.messages.StreamWindow` goes to
+        :meth:`handle_run` whole and is answered by a
+        :class:`~repro.api.messages.WindowResult`. In a :class:`Batch`,
+        each contiguous run of register/submit verbs becomes one window
+        for :meth:`handle_run`, and any other item splits the run and is
+        served by :meth:`handle` once everything before it is; responses
+        come back in item order as a :class:`BatchResult`. A failure
+        raises at once: the rows before it stay applied and none after
+        it run.
         """
+        if isinstance(request, StreamWindow):
+            return WindowResult(
+                request.seq, request.is_task, request.ids, self.handle_run(request)
+            )
         responses: list = []
-        seqs: list = []
-        run: list = []
-
-        def serve_run() -> None:
-            if run:
-                responses.extend(map(rewrap, seqs, self.handle_run(run)))
-                seqs.clear()
-                run.clear()
-
-        for item in request.items:
-            seq, verb = unwrap(item)
-            if isinstance(verb, (RegisterWorker, SubmitTask)):
-                seqs.append(seq)
-                run.append(verb)
-                continue
-            serve_run()
-            responses.append(rewrap(seq, self.handle(verb)))
-        serve_run()
+        for unit in verb_runs(request.items):
+            if type(unit) is list:
+                window = StreamWindow.of(0, unit)
+                workers = self.handle_run(window)
+                responses += window_responses(unit, window.is_task, workers)
+            else:
+                responses.append(self.handle(unit))
         return BatchResult(items=tuple(responses))
 
-    def handle_run(self, verbs: list) -> list:
-        """Serve a run of register/submit verbs; one response per verb.
-
-        Defaults to one :meth:`handle` call per verb. Backends that can
-        ingest a chunk at once override it.
-        """
-        return [self.handle(verb) for verb in verbs]
+    def handle_run(self, window: StreamWindow) -> list:
+        """Serve a window's rows in order; each task row's outcome (the
+        worker id or ``None``), in row order."""
+        raise NotImplementedError
 
 
 #: The duck-typed contract middleware and the client program against.
@@ -361,17 +371,36 @@ class InProcessBackend(BackendBase):
         self.now = 0.0
 
     def register_worker(self, req: RegisterWorker) -> WorkerRegistered:
-        wid = int(req.worker_id)
+        self._register(req.worker_id, req.location, req.time)
+        return WorkerRegistered(worker_id=int(req.worker_id))
+
+    def submit_task(self, req: SubmitTask) -> TaskDecision:
+        worker = self._submit(req.task_id, req.location, req.time)
+        return TaskDecision(task_id=int(req.task_id), worker_id=worker)
+
+    def handle_run(self, window: StreamWindow) -> list:
+        """The window's rows one at a time, through the per-verb paths."""
+        workers = []
+        for task, ident, location, at in zip(
+            window.is_task, window.ids, window.xy.tolist(), window.times
+        ):
+            if task:
+                workers.append(self._submit(ident, location, at))
+            else:
+                self._register(ident, location, at)
+        return workers
+
+    def _register(self, worker_id, location, at) -> None:
+        wid = int(worker_id)
         if wid in self._known:
             raise ValueError(f"worker id already registered: {wid}")
         self._known.add(wid)
-        self.now = max(self.now, float(req.time))
+        self.now = max(self.now, float(at))
         ids, locs = self._pending
         ids.append(wid)
-        locs.append(req.location)
+        locs.append(location)
         if len(ids) >= self.spec.batch_size:
             self._flush_pending()
-        return WorkerRegistered(worker_id=wid)
 
     def _flush_pending(self) -> None:
         ids, locs = self._pending
@@ -380,11 +409,10 @@ class InProcessBackend(BackendBase):
         self._pending = ([], [])
         self._shard.register_cohort(ids, locs)
 
-    def submit_task(self, req: SubmitTask) -> TaskDecision:
-        self.now = max(self.now, float(req.time))
+    def _submit(self, task_id, location, at) -> int | None:
+        self.now = max(self.now, float(at))
         self._flush_pending()
-        worker = self._shard.submit_task(int(req.task_id), req.location)
-        return TaskDecision(task_id=int(req.task_id), worker_id=worker)
+        return self._shard.submit_task(int(task_id), location)
 
     def flush(self, req: Flush) -> Flushed:
         self._flush_pending()
@@ -403,15 +431,14 @@ class InProcessBackend(BackendBase):
 class ShardedBackend(BackendBase):
     """The single-process sharded engine behind the API contract.
 
-    Routing is per window, not per event: :meth:`BackendBase.batch` hands
-    each contiguous register/submit run of a batch (a stream window,
-    split only by ``Flush``/``GetReport``) to :meth:`handle_run`, which
-    reads ids, locations and times straight off the verbs into one
+    Routing is per window, not per event: :meth:`handle_run` passes a
+    stream window's columns (a :class:`Batch`'s register/submit runs
+    arrive as windows too, see :meth:`BackendBase.batch`) to one
     :meth:`~repro.service.engine.ShardedAssignmentEngine.ingest` call —
-    one vectorized routing pass for the run. The engine applies the run
-    in stream order under the per-event cut-point rule, so a window's
-    decisions, reports and failures are exactly those of one call per
-    request. A single call is a run of one.
+    one vectorized routing pass for the window. The engine applies the
+    rows in stream order under the per-event cut-point rule, so a
+    window's decisions, reports and failures are exactly those of one
+    call per request. A single call is a run of one.
 
     Hands out per-shard ordering keys: shards share nothing but the
     engine's id registry and clock (both internally locked, both
@@ -448,29 +475,20 @@ class ShardedBackend(BackendBase):
         self._route_map = self.engine.shard_map
 
     def register_worker(self, req: RegisterWorker) -> WorkerRegistered:
-        return self.handle_run([req])[0]
+        self.engine.ingest([req.worker_id], [req.location], [False], [req.time])
+        return WorkerRegistered(worker_id=int(req.worker_id))
 
     def submit_task(self, req: SubmitTask) -> TaskDecision:
-        return self.handle_run([req])[0]
-
-    def handle_run(self, verbs: list) -> list:
-        """One :meth:`~repro.service.engine.ShardedAssignmentEngine.ingest`
-        call for the whole run: one routing pass, stream-order cut points."""
-        is_task = [isinstance(v, SubmitTask) for v in verbs]
-        decisions = iter(
-            self.engine.ingest(
-                [v.task_id if t else v.worker_id for v, t in zip(verbs, is_task)],
-                [v.location for v in verbs],
-                is_task,
-                [v.time for v in verbs],
-            )
+        (worker,) = self.engine.ingest(
+            [req.task_id], [req.location], [True], [req.time]
         )
-        return [
-            TaskDecision(task_id=int(v.task_id), worker_id=next(decisions))
-            if t
-            else WorkerRegistered(worker_id=int(v.worker_id))
-            for v, t in zip(verbs, is_task)
-        ]
+        return TaskDecision(task_id=int(req.task_id), worker_id=worker)
+
+    def handle_run(self, window: StreamWindow) -> list:
+        """One :meth:`~repro.service.engine.ShardedAssignmentEngine.ingest`
+        call for the whole window: one routing pass, stream-order cut
+        points."""
+        return self.engine.ingest(window.ids, window.xy, window.is_task, window.times)
 
     def flush(self, req: Flush) -> Flushed:
         self.engine.flush()
@@ -629,15 +647,15 @@ class MeshBackend(BackendBase):
             report=self.coordinator.report(wall_seconds=req.wall_seconds)
         )
 
-    def batch(self, request: Batch) -> BatchResult:
+    def batch(self, request):
         """Journal the window as columns, release its hold, await outcomes.
 
-        Each contiguous register/submit run (stream envelopes unwrapped)
-        is one :meth:`~repro.mesh.coordinator.MeshCoordinator.ingest`
-        call, its ids, locations, kinds and times read straight off the
-        verbs; any other item splits the run and is served by
-        :meth:`handle` once everything before it is journaled. Once the
-        last run is journaled the window's place in every family's
+        A :class:`~repro.api.messages.StreamWindow` is one
+        :meth:`~repro.mesh.coordinator.MeshCoordinator.ingest` call on its
+        columns. In a :class:`Batch`, each contiguous register/submit run
+        is one such call, and any other item splits the run and is served
+        by :meth:`handle` once everything before it is journaled. Once
+        the last run is journaled the window's place in every family's
         journal is fixed, so :func:`~repro.runtime.release_order` ends
         the caller's scheduler hold: a gateway journals the next window
         while this one's outcomes are in flight. Only then does it block
@@ -646,44 +664,36 @@ class MeshBackend(BackendBase):
         condition the peer readers signal). A failure while journaling
         raises before the release, so later windows still wait for it.
         """
-        responses: list = []
-        tasks: list[tuple[int, int, int | None]] = []  # (slot, task id, seq)
-        ids: list = []
-        locations: list = []
-        is_task: list[bool] = []
-        times: list = []
-
-        def ingest_run() -> None:
-            if ids:
-                self.coordinator.ingest(ids, locations, is_task, times)
-                for column in (ids, locations, is_task, times):
-                    column.clear()
-
-        for item in request.items:
-            seq, verb = unwrap(item)
-            if not isinstance(verb, (RegisterWorker, SubmitTask)):
-                ingest_run()
-                responses.append(rewrap(seq, self.handle(verb)))
-                continue
-            task = isinstance(verb, SubmitTask)
-            ids.append(verb.task_id if task else verb.worker_id)
-            locations.append(verb.location)
-            is_task.append(task)
-            times.append(verb.time)
-            if task:
-                tasks.append((len(responses), int(verb.task_id), seq))
-                responses.append(None)  # resolved after the release
-            else:
-                worker = WorkerRegistered(worker_id=int(verb.worker_id))
-                responses.append(rewrap(seq, worker))
-        ingest_run()
-        release_order()
-        for slot, task_id, seq in tasks:
-            decision = TaskDecision(
-                task_id=task_id, worker_id=self.coordinator.result_of(task_id)
+        if isinstance(request, StreamWindow):
+            self._journal(request)
+            release_order()
+            return WindowResult(
+                request.seq, request.is_task, request.ids, self._outcomes(request)
             )
-            responses[slot] = rewrap(seq, decision)
+        served: list = []  # (run, window) per run, (None, response) otherwise
+        for unit in verb_runs(request.items):
+            if type(unit) is list:
+                window = StreamWindow.of(0, unit)
+                self._journal(window)
+                served.append((unit, window))
+            else:
+                served.append((None, self.handle(unit)))
+        release_order()
+        responses: list = []
+        for run, done in served:
+            if run is None:
+                responses.append(done)
+            else:
+                responses += window_responses(run, done.is_task, self._outcomes(done))
         return BatchResult(items=tuple(responses))
+
+    def _journal(self, window: StreamWindow) -> None:
+        self.coordinator.ingest(window.ids, window.xy, window.is_task, window.times)
+
+    def _outcomes(self, window: StreamWindow) -> list:
+        """Each task row's outcome, in row order (blocks until known)."""
+        result_of = self.coordinator.result_of
+        return [result_of(i) for i, t in zip(window.ids, window.is_task) if t]
 
 
 BACKEND_KINDS = ("inprocess", "sharded", "remote", "mesh")

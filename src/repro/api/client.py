@@ -17,15 +17,20 @@ examples, a future network frontend) program against. It owns:
     :class:`~repro.api.messages.Batch` through the chain, per-item
     responses in order (the sharded engine and the mesh turn contiguous
     runs into single ingest or dispatch chunks);
-  - *streaming*: :meth:`stream` — wraps an arbitrary request iterable in
-    sequence-numbered envelopes, windows them into batches, and yields
-    responses lazily in stream order. Over a transport that supports it
+  - *streaming*: :meth:`stream` — ships each run of up to ``window``
+    register/submit requests of an arbitrary request iterable as one
+    columnar :class:`~repro.api.messages.StreamWindow` (a ``Flush`` or
+    ``GetReport`` ends the run and travels alone in a
+    :class:`~repro.api.messages.StreamEnvelope`), and yields responses
+    lazily in stream order, built from the caller's own requests plus
+    the window's column of outcomes. Over a transport that supports it
     (a pipelined gateway session), ``pipeline=N`` keeps up to ``N``
     windows in flight at once: windows are sent without waiting for the
-    previous response, responses are accepted in whatever order the
-    server finished them, and the :class:`~repro.runtime.window
-    .SequenceReorderer` restores stream order before anything is
-    yielded — so pipelining changes latency, never results.
+    previous answer, answers are accepted in whatever order the server
+    finished them, and the :class:`~repro.runtime.window
+    .SequenceReorderer` restores stream order by each answer's first
+    seq before anything is yielded — so pipelining changes latency,
+    never results.
 """
 
 from __future__ import annotations
@@ -40,7 +45,12 @@ from .messages import (
     GetReport,
     RegisterWorker,
     StreamEnvelope,
+    StreamItemResult,
+    StreamWindow,
     SubmitTask,
+    WindowResult,
+    verb_runs,
+    window_responses,
 )
 from .middleware import ErrorMapper, RequestValidator, build_stack
 
@@ -49,6 +59,56 @@ __all__ = ["AssignmentClient", "DEFAULT_STREAM_WINDOW", "requests_from_events"]
 #: Requests per streaming window; amortizes per-call overhead without
 #: unbounded buffering.
 DEFAULT_STREAM_WINDOW = 256
+
+
+def _stream_units(requests, window: int):
+    """Cut a request stream into ``(unit, run)`` pairs, in stream order.
+
+    Each run of up to ``window`` register/submit requests is one
+    :class:`StreamWindow` (``run`` is its requests); any other request
+    ends the run and travels alone as a :class:`StreamEnvelope`
+    (``run`` is ``None``). Lazy: holds one run at a time.
+    """
+    seq = 0
+    for unit in verb_runs(requests, window):
+        if type(unit) is list:
+            yield StreamWindow.of(seq, unit), unit
+            seq += len(unit)
+        else:
+            yield StreamEnvelope(seq=seq, item=unit), None
+            seq += 1
+
+
+def _responses(unit, run, answer) -> list:
+    """The responses to one stream unit, once its answer checks out.
+
+    A window's answer must carry the window's seq, length, row kinds
+    and ids, and one outcome per task row; the responses are then built
+    from the client's own requests and that column of outcomes.
+    """
+    if run is None:
+        if type(answer) is not StreamItemResult or answer.seq != unit.seq:
+            raise ValidationFailed(
+                f"stream answered seq {unit.seq} with {_describe(answer)}"
+            )
+        return [answer.item]
+    if (
+        type(answer) is not WindowResult
+        or answer.seq != unit.seq
+        or list(answer.ids) != list(unit.ids)
+        or list(answer.is_task) != list(unit.is_task)
+        or len(answer.workers) != sum(unit.is_task)
+    ):
+        raise ValidationFailed(
+            f"stream answered the window at seq {unit.seq} ({len(unit)} "
+            f"rows) with {_describe(answer)}"
+        )
+    return window_responses(run, unit.is_task, answer.workers)
+
+
+def _describe(answer) -> str:
+    seq = getattr(answer, "seq", None)
+    return type(answer).__name__ + ("" if seq is None else f" at seq {seq}")
 
 
 class AssignmentClient:
@@ -170,13 +230,16 @@ class AssignmentClient:
     def stream(self, requests, *, window: int | None = None, pipeline: int | None = None):
         """Replay a request iterable; yields responses in stream order.
 
-        Requests are wrapped in sequence-numbered
-        :class:`~repro.api.messages.StreamEnvelope`\\ s and shipped in
-        windows of ``window`` (default :attr:`stream_window`) as batches,
-        so backends with transport-level batching (the mesh) see
-        chunks, not single calls. Responses are unwrapped from their
-        result envelopes, reordered by ``seq`` if a backend answered out
-        of order, and yielded as each window completes — the stream needs
+        Each run of up to ``window`` (default :attr:`stream_window`)
+        register/submit requests ships as one columnar
+        :class:`~repro.api.messages.StreamWindow` through the middleware
+        chain, so backends see whole windows as columns, not single
+        calls; a ``Flush`` or ``GetReport`` ends the run and travels
+        alone in a :class:`~repro.api.messages.StreamEnvelope` carrying
+        its seq. Each answer is checked against the unit it answers
+        (seq, length, row kinds and ids) before the responses are built
+        from these requests and the answer's column of outcomes, and
+        they are yielded as each window completes — the stream needs
         only ``O(window)`` memory.
 
         ``pipeline`` (default :attr:`pipeline`) is the number of windows
@@ -198,87 +261,66 @@ class AssignmentClient:
         depth = self.pipeline if pipeline is None else int(pipeline)
         if depth < 1:
             raise ValueError(f"pipeline must be >= 1, got {depth}")
+        units = _stream_units(requests, window)
         if depth > 1:
             # capability is negotiated at open (lazy transports handshake
             # on first use): open now so asking for a pipelined window
             # never silently degrades just because the stream came first
             self.backend.open()
             if getattr(self.backend, "supports_pipeline", False):
-                yield from self._stream_pipelined(requests, window, depth)
+                yield from self._stream_pipelined(units, depth)
                 return
-        seq = 0
-        buffer: list[StreamEnvelope] = []
-        for request in requests:
-            buffer.append(StreamEnvelope(seq=seq, item=request))
-            seq += 1
-            if len(buffer) >= window:
-                yield from self._drain(buffer)
-                buffer = []
-        if buffer:
-            yield from self._drain(buffer)
+        for unit, run in units:
+            yield from _responses(unit, run, self.call(unit))
 
-    def _drain(self, envelopes: list) -> list:
-        """Ship one window, give back its responses in stream order."""
-        reorder = SequenceReorderer(start=envelopes[0].seq)
-        for result in self.call_batch(envelopes):
-            reorder.absorb(result)
-        ready = reorder.take_ready()
-        reorder.finish(envelopes[-1].seq + 1)
-        return ready
-
-    def _stream_pipelined(self, requests, window: int, depth: int):
+    def _stream_pipelined(self, units, depth: int):
         """The in-flight-window stream loop over a pipelined transport.
 
         Every window still traverses the middleware chain (validation,
         admission, metrics, error mapping) around the transport *send*
-        only — with windows decoupled from their responses there is no
+        only — with windows decoupled from their answers there is no
         single call for response-side middleware to wrap, so latency
         metrics record send cost rather than round trips and
         recv failures surface as raised errors, not middleware failure
-        counts (the serial path keeps round-trip semantics). Responses
-        are collected out of order and re-sequenced. On any failure the
-        transport's outstanding responses are drained first, so the
-        connection is not left holding frames a later call would
-        misread as its own.
+        counts (the serial path keeps round-trip semantics). Answers
+        are matched to their units by first seq as they arrive and
+        re-sequenced. On any failure the transport's outstanding
+        answers are drained first, so the connection is not left
+        holding frames a later call would misread as its own.
         """
         backend = self.backend
         send = build_stack(self._send_window, self.middleware)
         reorder = SequenceReorderer()
+        sent: dict = {}  # first seq -> (unit, run) awaiting its answer
         in_flight = 0
-        seq = 0
+        end = 0
 
         def absorb_one():
             nonlocal in_flight
             in_flight -= 1
-            result = backend.recv_response()
-            if not isinstance(result, BatchResult):
+            answer = backend.recv_response()
+            seq = getattr(answer, "seq", None)
+            if seq not in sent:
                 raise ValidationFailed(
-                    f"backend answered a window with {type(result).__name__}"
+                    f"stream answered with {_describe(answer)}, which no "
+                    "window in flight expects"
                 )
-            reorder.absorb(result)
+            unit, run = sent.pop(seq)
+            reorder.absorb(seq, _responses(unit, run, answer))
 
         try:
-            buffer: list[StreamEnvelope] = []
-            for request in requests:
-                buffer.append(StreamEnvelope(seq=seq, item=request))
-                seq += 1
-                if len(buffer) >= window:
-                    if in_flight >= depth:
-                        absorb_one()
-                        yield from reorder.take_ready()
-                    send(Batch(items=tuple(buffer)))
-                    in_flight += 1
-                    buffer = []
-            if buffer:
+            for unit, run in units:
                 if in_flight >= depth:
                     absorb_one()
                     yield from reorder.take_ready()
-                send(Batch(items=tuple(buffer)))
+                send(unit)
                 in_flight += 1
+                sent[unit.seq] = (unit, run)
+                end = unit.seq + (1 if run is None else len(run))
             while in_flight:
                 absorb_one()
                 yield from reorder.take_ready()
-            reorder.finish(seq)
+            reorder.finish(end)
         except BaseException:
             # every outstanding window still owes the socket one frame; a
             # structured error *is* that frame (consumed — keep going),
@@ -292,19 +334,20 @@ class AssignmentClient:
                     continue
             raise
 
-    def _send_window(self, batch: Batch) -> None:
+    def _send_window(self, unit) -> None:
         """Innermost handler of the pipelined send chain."""
         if self.tracer is not None:
             # spans only the send (the response arrives out of band),
             # but that is when the transport reads the current context —
             # enough to root the server-side spans under this client
+            rows = len(unit) if isinstance(unit, StreamWindow) else 1
             with self.tracer.span(
                 "client.request",
-                attrs={"kind": "batch", "items": len(batch.items)},
+                attrs={"kind": type(unit).kind, "items": rows},
             ):
-                self.backend.send_request(batch)
+                self.backend.send_request(unit)
             return
-        self.backend.send_request(batch)
+        self.backend.send_request(unit)
 
     # ------------------------------------------------------------------ #
     # convenience                                                         #

@@ -2,8 +2,11 @@
 
 Every interaction with an assignment backend is one of four verbs —
 register a worker, submit a task, flush pending cohorts, fetch the
-report — plus two envelopes (:class:`Batch` for request groups,
-:class:`StreamEnvelope` for sequence-numbered stream items). Each message
+report — plus three groupings: :class:`Batch` for a group of verbs,
+:class:`StreamWindow` for a stream window of register/submit events
+held as columns (answered by a columnar :class:`WindowResult`), and
+:class:`StreamEnvelope` for a single verb that carries its stream
+``seq`` (the flushes and reports that end a window's run). Each message
 is a frozen dataclass with a dict wire form::
 
     {"schema": "repro.api", "version": 1, "kind": "submit_task",
@@ -22,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
+import numpy as np
+
 from ..service.metrics import ServiceReport, ShardSnapshot
 from .errors import UnsupportedVersion, ValidationFailed
 
@@ -35,22 +40,45 @@ __all__ = [
     "Flush",
     "GetReport",
     "Batch",
+    "StreamWindow",
     "StreamEnvelope",
     "WorkerRegistered",
     "TaskDecision",
     "Flushed",
     "ReportResult",
     "BatchResult",
+    "WindowResult",
     "StreamItemResult",
     "ErrorInfo",
     "to_wire",
     "from_wire",
     "attach_trace",
     "wire_trace",
+    "verb_runs",
+    "window_responses",
 ]
 
 WIRE_SCHEMA = "repro.api"
 WIRE_VERSION = 1
+
+
+def _xy(xy) -> np.ndarray:
+    """A window's locations as an ``(n, 2)`` float64 array."""
+    xy = np.asarray(xy, dtype=np.float64)
+    if xy.ndim == 1 and xy.size == 0:
+        return xy.reshape(0, 2)
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise ValidationFailed(
+            f"stream window xy must be an (n, 2) array, got shape {xy.shape}"
+        )
+    return xy
+
+
+def _flag(value) -> bool:
+    """A row kind off the document form: a JSON bool, nothing else."""
+    if type(value) is not bool:
+        raise ValueError(f"row kind must be a bool, got {value!r}")
+    return value
 
 
 def _point(location) -> tuple[float, float]:
@@ -165,12 +193,13 @@ class GetReport:
 
 @dataclass(frozen=True)
 class Batch:
-    """An ordered group of requests answered by one :class:`BatchResult`.
+    """An ordered group of verbs answered by one :class:`BatchResult`.
 
-    Backends may execute a batch more efficiently than the equivalent
-    call sequence (the sharded engine and the mesh ingest each
-    contiguous register/submit run in one call) but must preserve
-    per-item semantics and order.
+    Items are plain verbs: no batches, windows or envelopes. Backends
+    may execute a batch more efficiently than the equivalent call
+    sequence (each contiguous register/submit run becomes one
+    :class:`StreamWindow`) but must preserve per-item semantics and
+    order.
     """
 
     kind: ClassVar[str] = "batch"
@@ -188,12 +217,97 @@ class Batch:
 
 
 @dataclass(frozen=True)
-class StreamEnvelope:
-    """One sequence-numbered item of a request stream.
+class StreamWindow:
+    """A stream window of register/submit events, held as columns.
 
-    The streaming client wraps requests in envelopes and matches each
-    :class:`StreamItemResult` back by ``seq`` — the hook an out-of-order
-    async transport would use; the in-process backends answer in order.
+    Row ``i`` has stream seq ``seq + i``: a task arrival when
+    ``is_task[i]`` is true (``ids[i]`` is then its task id), otherwise a
+    worker arrival. ``xy`` is an ``(n, 2)`` float64 array of true
+    locations; ``is_task``, ``ids`` and ``times`` are sequences of
+    length ``n``. Answered by a :class:`WindowResult`.
+
+    The streaming client builds one per window (:meth:`of`) and every
+    hop — validation, ordering keys, the bin1 row codec, the engine's and
+    the coordinator's ``ingest`` — reads its columns directly, so no
+    per-event object exists between the caller's requests and the
+    responses built from them (:func:`window_responses`). Built in
+    process, ``ids`` and ``times`` are the requests' own objects
+    (the matcher keeps and returns the very id objects it is given).
+    """
+
+    kind: ClassVar[str] = "stream_window"
+    seq: int
+    is_task: list
+    ids: list
+    xy: np.ndarray
+    times: list
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "xy", _xy(self.xy))
+        if not len(self.is_task) == len(self.ids) == len(self.times) == len(self.xy):
+            raise ValidationFailed(
+                f"stream window columns differ in length: is_task "
+                f"{len(self.is_task)}, ids {len(self.ids)}, xy "
+                f"{len(self.xy)}, times {len(self.times)}"
+            )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not StreamWindow:
+            return NotImplemented
+        return (
+            self.seq == other.seq
+            and list(self.is_task) == list(other.is_task)
+            and list(self.ids) == list(other.ids)
+            and np.array_equal(self.xy, other.xy)
+            and list(self.times) == list(other.times)
+        )
+
+    @classmethod
+    def of(cls, seq: int, verbs) -> "StreamWindow":
+        """The window of a run of :class:`RegisterWorker`/:class:`SubmitTask`
+        verbs whose first has stream seq ``seq``. Takes the verbs' own
+        id and time objects, unconverted: checking them is the
+        validator's job, so a bad value fails there, structured."""
+        is_task = [isinstance(v, SubmitTask) for v in verbs]
+        return cls(
+            seq,
+            is_task,
+            [v.task_id if t else v.worker_id for v, t in zip(verbs, is_task)],
+            np.array([v.location for v in verbs], dtype=np.float64),
+            [v.time for v in verbs],
+        )
+
+    def _body(self) -> dict:
+        return {
+            "seq": int(self.seq),
+            "is_task": [bool(t) for t in self.is_task],
+            "ids": [int(i) for i in self.ids],
+            "xy": self.xy.tolist(),
+            "times": [float(t) for t in self.times],
+        }
+
+    @classmethod
+    def _from_body(cls, body: dict) -> "StreamWindow":
+        return cls(
+            seq=int(body["seq"]),
+            is_task=[_flag(t) for t in body["is_task"]],
+            ids=[int(i) for i in body["ids"]],
+            xy=body["xy"],
+            times=[float(t) for t in body["times"]],
+        )
+
+
+@dataclass(frozen=True)
+class StreamEnvelope:
+    """One sequence-numbered verb of a request stream.
+
+    The streaming client sends every ``Flush``/``GetReport`` of a stream
+    alone in an envelope (register/submit runs travel as
+    :class:`StreamWindow`\\ s) and matches the :class:`StreamItemResult`
+    back by ``seq``; a pipelined transport may answer out of order.
     """
 
     kind: ClassVar[str] = "envelope"
@@ -330,6 +444,92 @@ class BatchResult:
 
 
 @dataclass(frozen=True)
+class WindowResult:
+    """The answer to the :class:`StreamWindow` with the same ``seq``.
+
+    ``is_task`` and ``ids`` echo the window's rows; ``workers`` holds
+    each task row's outcome (the assigned worker id, or ``None``), in
+    row order, one entry per task row. The per-request responses are
+    built by :func:`window_responses` from the caller's own requests.
+    """
+
+    kind: ClassVar[str] = "window_result"
+    seq: int
+    is_task: list
+    ids: list
+    workers: list
+
+    def __post_init__(self) -> None:
+        if len(self.is_task) != len(self.ids):
+            raise ValidationFailed(
+                f"window result columns differ in length: is_task "
+                f"{len(self.is_task)}, ids {len(self.ids)}"
+            )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not WindowResult:
+            return NotImplemented
+        return (
+            self.seq == other.seq
+            and list(self.is_task) == list(other.is_task)
+            and list(self.ids) == list(other.ids)
+            and list(self.workers) == list(other.workers)
+        )
+
+    def _body(self) -> dict:
+        return {
+            "seq": int(self.seq),
+            "is_task": [bool(t) for t in self.is_task],
+            "ids": [int(i) for i in self.ids],
+            "workers": [None if w is None else int(w) for w in self.workers],
+        }
+
+    @classmethod
+    def _from_body(cls, body: dict) -> "WindowResult":
+        return cls(
+            seq=int(body["seq"]),
+            is_task=[_flag(t) for t in body["is_task"]],
+            ids=[int(i) for i in body["ids"]],
+            workers=[None if w is None else int(w) for w in body["workers"]],
+        )
+
+
+def verb_runs(items, limit: int | None = None):
+    """Cut requests into serving units, lazily: each run of up to
+    ``limit`` (default unbounded) consecutive register/submit verbs as
+    one list — a :class:`StreamWindow`'s worth — and every other item
+    alone."""
+    run: list = []
+    for item in items:
+        if isinstance(item, (RegisterWorker, SubmitTask)):
+            run.append(item)
+            if limit is not None and len(run) == limit:
+                yield run
+                run = []
+            continue
+        if run:
+            yield run
+            run = []
+        yield item
+    if run:
+        yield run
+
+
+def window_responses(verbs, is_task, workers) -> list:
+    """Per-verb responses of a window run, from the caller's own verbs:
+    :class:`WorkerRegistered` for each worker row and, in row order, a
+    :class:`TaskDecision` per task row carrying its ``workers`` entry."""
+    outcomes = iter(workers)
+    return [
+        TaskDecision(v.task_id, next(outcomes)) if t else WorkerRegistered(v.worker_id)
+        for v, t in zip(verbs, is_task)
+    ]
+
+
+@dataclass(frozen=True)
 class StreamItemResult:
     """The response to the :class:`StreamEnvelope` with the same ``seq``."""
 
@@ -374,13 +574,22 @@ class ErrorInfo:
 
 
 #: Union aliases for signatures; the protocol is duck-typed on ``kind``.
-Request = (RegisterWorker, SubmitTask, Flush, GetReport, Batch, StreamEnvelope)
+Request = (
+    RegisterWorker,
+    SubmitTask,
+    Flush,
+    GetReport,
+    Batch,
+    StreamWindow,
+    StreamEnvelope,
+)
 Response = (
     WorkerRegistered,
     TaskDecision,
     Flushed,
     ReportResult,
     BatchResult,
+    WindowResult,
     StreamItemResult,
     ErrorInfo,
 )

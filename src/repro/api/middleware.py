@@ -8,11 +8,14 @@ a future network frontend can reuse the exact chain server-side.
 Provided middleware:
 
 * :class:`RequestValidator` — structural checks (ids, finite
-  coordinates, batch/envelope nesting) before anything reaches a
-  backend, so malformed input fails fast with ``invalid-request``;
+  coordinates and times, batch/envelope nesting) before anything
+  reaches a backend, so malformed input fails fast with
+  ``invalid-request``; a :class:`~repro.api.messages.StreamWindow` is
+  checked in one vectorized pass over its columns;
 * :class:`TokenBucket` — admission control: a classic token bucket,
-  batches charged per contained item, with an injectable clock so tests
-  (and simulations) drive it deterministically;
+  batches charged per contained item and windows per row, with an
+  injectable clock so tests (and simulations) drive it
+  deterministically;
 * :class:`LatencyMetrics` — per-method call counts, structured-failure
   counts and latency samples (a bounded
   :class:`~repro.service.metrics.SampleReservoir` per method), recorded
@@ -36,6 +39,8 @@ import math
 import threading
 import time
 
+import numpy as np
+
 from ..obs.registry import MetricsRegistry
 from .errors import AdmissionRejected, ValidationFailed, map_exception
 from .messages import (
@@ -45,6 +50,7 @@ from .messages import (
     RegisterWorker,
     Request,
     StreamEnvelope,
+    StreamWindow,
     SubmitTask,
 )
 
@@ -72,7 +78,13 @@ def _wrap(layer, call_next):
 
 
 class RequestValidator:
-    """Reject structurally invalid requests before they reach a backend."""
+    """Reject structurally invalid requests before they reach a backend.
+
+    A :class:`~repro.api.messages.StreamWindow` is checked in one
+    vectorized pass over its columns; only when that pass finds damage
+    are its rows checked one by one, so the first bad row fails with the
+    same code and message the per-verb check gives that verb.
+    """
 
     def __call__(self, request, call_next):
         self.validate(request)
@@ -89,22 +101,67 @@ class RequestValidator:
             self._check_id("task_id", request.task_id)
             self._check_point(request.location)
             self._check_time(request.time)
+        elif isinstance(request, StreamWindow):
+            self._check_seq(request.seq)
+            if not self._window_ok(request):
+                self._check_rows(request)
         elif isinstance(request, Batch):
-            # a batch may carry verbs or stream envelopes, never batches:
-            # one level of grouping keeps backend dispatch loop-free
+            # a batch carries plain verbs only: one level of grouping
+            # keeps backend dispatch loop-free, and stream seqs belong to
+            # windows and envelopes
             for item in request.items:
-                if isinstance(item, Batch):
-                    raise ValidationFailed("batches may not nest")
+                if isinstance(item, (Batch, StreamWindow, StreamEnvelope)):
+                    raise ValidationFailed(
+                        f"batches carry plain verbs, not {type(item).kind!r}"
+                    )
                 self.validate(item)
         elif isinstance(request, StreamEnvelope):
-            if request.seq < 0:
-                raise ValidationFailed(f"negative stream seq {request.seq}")
-            if isinstance(request.item, (Batch, StreamEnvelope)):
+            self._check_seq(request.seq)
+            if isinstance(request.item, (Batch, StreamWindow, StreamEnvelope)):
                 raise ValidationFailed(
                     "stream envelopes wrap single verbs, not groups"
                 )
             self.validate(request.item)
         # Flush/GetReport carry nothing checkable beyond their type
+
+    @staticmethod
+    def _window_ok(window: StreamWindow) -> bool:
+        """Every row passes, by whole-column checks (no per-row calls)."""
+        ids, times = window.ids, window.times
+        if not ids:
+            return True
+        try:
+            return (
+                set(map(type, window.is_task)) == {bool}
+                and set(map(type, ids)) == {int}
+                and min(ids) >= 0
+                and bool(np.isfinite(window.xy).all())
+                and set(map(type, times)) <= {float, int}
+                and min(times) >= 0
+                and math.isfinite(sum(times))
+            )
+        except (TypeError, ValueError, OverflowError):
+            return False
+
+    def _check_rows(self, window: StreamWindow) -> None:
+        """Raise the per-verb failure of the first bad row, if any."""
+        for task, ident, location, at in zip(
+            window.is_task, window.ids, window.xy.tolist(), window.times
+        ):
+            if type(task) is not bool:
+                raise ValidationFailed(
+                    f"stream window row kinds must be bools, got {task!r}"
+                )
+            self._check_id("task_id" if task else "worker_id", ident)
+            self._check_point(tuple(location))
+            self._check_time(at)
+
+    @staticmethod
+    def _check_seq(seq) -> None:
+        if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:
+            raise ValidationFailed(
+                f"stream seq must be a non-negative int, got {seq!r}"
+            )
 
     @staticmethod
     def _check_id(name: str, value) -> None:
@@ -119,7 +176,11 @@ class RequestValidator:
 
     @staticmethod
     def _check_time(value) -> None:
-        if not math.isfinite(value) or value < 0:
+        try:
+            ok = math.isfinite(value) and value >= 0
+        except (TypeError, OverflowError):
+            ok = False  # not a real number, or an int no float can hold
+        if not ok:
             raise ValidationFailed(f"event time must be finite and >= 0, got {value!r}")
 
 
@@ -127,8 +188,9 @@ class TokenBucket:
     """Token-bucket admission control.
 
     ``rate`` tokens refill per second up to ``burst``; each request costs
-    one token (a batch costs one per contained item — flushes and report
-    fetches ride free, they relieve pressure rather than add it). When
+    one token (a batch costs one per contained item and a stream window
+    one per row — flushes and report fetches ride free, they relieve
+    pressure rather than add it). When
     the bucket runs dry the request fails with a retryable
     ``rate-limited`` error carrying the earliest useful retry delay.
     """
@@ -149,6 +211,8 @@ class TokenBucket:
 
     @staticmethod
     def cost_of(request) -> int:
+        if isinstance(request, StreamWindow):
+            return len(request)
         if isinstance(request, Batch):
             return sum(TokenBucket.cost_of(item) for item in request.items)
         if isinstance(request, StreamEnvelope):
@@ -189,7 +253,8 @@ class LatencyMetrics:
     Records into a :class:`~repro.obs.registry.MetricsRegistry` —
     series ``api.requests.calls``/``.failures`` (counters) and
     ``api.requests.latency_s`` (reservoir histograms), labeled by
-    request ``kind``. Read them there, e.g.
+    request ``kind`` (a stream window is one ``stream_window`` call,
+    whatever its row count). Read them there, e.g.
     ``registry.counters(LatencyMetrics.CALLS, label="kind")``. Pass a
     shared ``registry`` to co-locate these with a server's other series;
     by default each instance owns one.

@@ -14,14 +14,18 @@ bin1 keeps one layout per job:
 * :data:`~repro.gateway.protocol.GENERIC_TAG` — the whole document as
   embedded JSON. It is *total* (any dict json can carry, bin1 carries)
   and decodes to exactly the document a JSON round trip produces, so the
-  codec never changes what a backend sees. Verbs, reports, errors,
-  traced envelopes, mesh ops and their replies (checkpoint snapshots and
-  ``load`` requests included) and goodbyes all ride it;
+  codec never changes what a backend sees. Verbs, batches, reports,
+  errors, stream envelopes, stream windows on traced sessions, mesh ops
+  and their replies (checkpoint snapshots and ``load`` requests
+  included) and goodbyes all ride it;
 * :data:`~repro.gateway.protocol.STREAM_BATCH_TAG` /
   :data:`~repro.gateway.protocol.STREAM_RESULT_TAG` — a stream window
-  of register/submit events, and its answers, as fixed-width rows.
-  :func:`encode_stream_batch` and friends go straight between api
-  dataclasses and rows without building documents.
+  of register/submit events (:class:`~repro.api.messages.StreamWindow`),
+  and its answer (:class:`~repro.api.messages.WindowResult`), as
+  fixed-width rows with consecutive seqs. :func:`encode_stream_batch`
+  and friends go straight between the messages' columns and the rows,
+  through one numpy structured dtype per layout, without building
+  documents or per-row objects.
 
 :func:`decode_bin1` reads the generic layout and one more document
 layout, :data:`~repro.gateway.protocol.PACKED_DOC_TAG` (a packed value
@@ -31,7 +35,8 @@ zero-copy: the caller may hand in the ``memoryview`` slice straight out
 of the receive buffer; fields are unpacked in place and strings decoded
 directly from the view. Every malformed input — bad magic, foreign
 layout version, a tag the decoder does not read, truncation at any
-boundary, lying inner lengths, trailing garbage — raises a structured
+boundary, lying inner lengths, trailing garbage, stream rows whose seqs
+are not consecutive — raises a structured
 :mod:`repro.api.errors` code, never a bare ``struct.error``; the fuzz
 suite drives this promise.
 
@@ -44,17 +49,10 @@ from __future__ import annotations
 import json
 import struct
 
+import numpy as np
+
 from ..api.errors import UnsupportedVersion, ValidationFailed
-from ..api.messages import (
-    Batch,
-    BatchResult,
-    RegisterWorker,
-    StreamEnvelope,
-    StreamItemResult,
-    SubmitTask,
-    TaskDecision,
-    WorkerRegistered,
-)
+from ..api.messages import StreamWindow, WindowResult
 from .protocol import (
     BIN1_MAGIC,
     BIN1_WIRE_VERSION,
@@ -79,9 +77,15 @@ _F64 = struct.Struct(">d")
 _U32 = struct.Struct(">I")
 
 # columnar stream rows (see STREAM_BATCH_TAG / STREAM_RESULT_TAG):
-# fixed width, no per-item nesting — the whole window is one pack loop
-_STREAM_ROW = struct.Struct(">Bqqddd")  # kind, seq, id, x, y, time
-_RESULT_ROW = struct.Struct(">Bqqq")  # kind, seq, id, worker (or 0)
+# fixed width, packed big-endian, no per-row nesting — a whole window
+# is one array copy each way
+_WINDOW_DTYPE = np.dtype(  # >Bqqddd, 41 bytes
+    [("kind", "u1"), ("seq", ">i8"), ("id", ">i8"),
+     ("x", ">f8"), ("y", ">f8"), ("t", ">f8")]
+)
+_RESULT_DTYPE = np.dtype(  # >Bqqq, 25 bytes: worker is 0 unless kind 1
+    [("kind", "u1"), ("seq", ">i8"), ("id", ">i8"), ("worker", ">i8")]
+)
 
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
@@ -184,147 +188,166 @@ def decode_bin1(payload) -> dict:
 # --------------------------------------------------------------------- #
 #
 # The document path costs ~35us per streamed event once both directions
-# of to_wire/encode/decode/from_wire are summed; the row layouts pack a
-# whole replay window of api dataclasses straight into fixed-width rows
-# (and back) without ever building the documents. These four functions
-# are the only readers and writers of STREAM_BATCH / STREAM_RESULT.
+# of to_wire/encode/decode/from_wire are summed; the row layouts copy a
+# window's columns straight into fixed-width rows (and back) without
+# ever building documents or per-row objects. These four functions are
+# the only readers and writers of STREAM_BATCH / STREAM_RESULT.
 
 
-def _stream_reader(payload, expect_tag: int) -> _Reader:
-    """Validate the bin1 prefix of a stream payload, cursor after it."""
+def _stream_rows(payload, expect_tag: int, dtype: np.dtype) -> np.ndarray:
+    """Validate a stream payload and view its rows (no copy): the bin1
+    prefix, the tag, the u32 count, the row bytes and nothing after."""
     r, tag = _open(payload)
     if tag != expect_tag:
         raise ValidationFailed(
             f"expected bin1 stream tag {expect_tag:#04x}, got {tag:#04x}"
         )
-    return r
+    (count,) = r.unpack(_U32)
+    start = r.need(count * dtype.itemsize)
+    r.done()
+    return np.frombuffer(r.view, dtype=dtype, count=count, offset=start)
 
 
-def encode_stream_batch(batch) -> bytes | None:
-    """A :class:`Batch` of enveloped register/submit events -> one
-    STREAM_BATCH payload, or ``None`` when anything falls outside the
-    fixed-width row shape (the caller takes the document path).
+def _first_seq(rows: np.ndarray) -> int:
+    """The seq of row 0, once every row's seq is one more than the last."""
+    if not len(rows):
+        return 0
+    seqs = rows["seq"]
+    first, last = int(seqs[0]), int(seqs[-1])
+    # diff alone wraps at the i64 edge; the exact span rules that out
+    if last - first != len(rows) - 1 or not (np.diff(seqs) == 1).all():
+        raise ValidationFailed("bin1 stream rows must carry consecutive seqs")
+    return first
 
-    Fidelity rule: a row carries exactly what ``to_wire`` would have
-    serialized — struct ``q`` rejects non-integers (-> ``None`` ->
-    document path) and ``d`` widens ints the way ``float()`` does, and
-    the decoders below apply the same coercions ``_from_body`` would —
-    so the far side sees identical dataclasses on either path.
+
+def _fill_seqs(rows: np.ndarray, seq: int) -> bool:
+    """Number the rows from ``seq``; False when a seq falls outside i64."""
+    n = len(rows)
+    if not _I64_MIN <= seq <= _I64_MAX - n + 1:
+        return False
+    rows["seq"] = np.arange(seq, seq + n, dtype=np.int64)
+    return True
+
+
+def encode_stream_batch(window) -> bytes | None:
+    """A :class:`~repro.api.messages.StreamWindow` -> one STREAM_BATCH
+    payload, or ``None`` when it falls outside the fixed-width row shape
+    (the caller takes the document path).
+
+    Fidelity rule: for a window the validator passed, a row carries
+    exactly what ``to_wire`` would have serialized — seqs and ids as
+    int64 (one outside int64 is refused: ``None``, document path),
+    coordinates and times as float64, widened the way ``float()`` does
+    — so the far side sees equal columns on either path. An empty window
+    has no row to carry its seq, so it takes the document path too.
     """
-    if type(batch) is not Batch:
+    if type(window) is not StreamWindow or not len(window):
         return None
-    pack = _STREAM_ROW.pack
+    rows = np.empty(len(window), dtype=_WINDOW_DTYPE)
     try:
-        parts = [
-            _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, STREAM_BATCH_TAG),
-            _U32.pack(len(batch.items)),
-        ]
-        for env in batch.items:
-            if type(env) is not StreamEnvelope:
-                return None
-            item = env.item
-            kind = type(item)
-            if kind is RegisterWorker:
-                row_kind, ident = 0, item.worker_id
-            elif kind is SubmitTask:
-                row_kind, ident = 1, item.task_id
-            else:
-                return None
-            x, y = item.location
-            parts.append(pack(row_kind, env.seq, ident, x, y, item.time))
-    except (struct.error, TypeError, ValueError):
+        if not _fill_seqs(rows, int(window.seq)):
+            return None
+        rows["kind"] = window.is_task
+        rows["id"] = window.ids
+        rows["x"] = window.xy[:, 0]
+        rows["y"] = window.xy[:, 1]
+        rows["t"] = window.times
+    except (OverflowError, TypeError, ValueError):
         return None
-    return b"".join(parts)
+    return (
+        _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, STREAM_BATCH_TAG)
+        + _U32.pack(len(rows))
+        + rows.tobytes()
+    )
 
 
-def decode_stream_batch(payload) -> Batch:
-    """One STREAM_BATCH payload -> the :class:`Batch`, no document layer.
+def decode_stream_batch(payload) -> StreamWindow:
+    """One STREAM_BATCH payload -> its :class:`~repro.api.messages
+    .StreamWindow`, columns straight off the rows.
 
     Malformed bytes raise the same structured errors as
-    :func:`decode_bin1`: truncation, bad kinds and trailing garbage are
-    all ``invalid-request``, a foreign layout version is
-    ``unsupported-version``.
+    :func:`decode_bin1`: truncation, bad row kinds, non-consecutive seqs
+    and trailing garbage are all ``invalid-request``, a foreign layout
+    version is ``unsupported-version``.
     """
-    r = _stream_reader(payload, STREAM_BATCH_TAG)
-    (count,) = r.unpack(_U32)
-    start = r.need(count * _STREAM_ROW.size)
-    items = []
-    append = items.append
-    for k, seq, ident, x, y, when in _STREAM_ROW.iter_unpack(
-        r.view[start : r.pos]
-    ):
-        if k == 0:
-            item = RegisterWorker(ident, (x, y), when)
-        elif k == 1:
-            item = SubmitTask(ident, (x, y), when)
-        else:
-            raise ValidationFailed(
-                f"bin1 stream row kind must be 0 or 1, got {k}"
-            )
-        append(StreamEnvelope(seq, item))
-    r.done()
-    return Batch(items)
+    rows = _stream_rows(payload, STREAM_BATCH_TAG, _WINDOW_DTYPE)
+    kinds = rows["kind"]
+    bad = np.flatnonzero(kinds > 1)
+    if len(bad):
+        raise ValidationFailed(
+            f"bin1 stream row kind must be 0 or 1, got {kinds[bad[0]]}"
+        )
+    xy = np.empty((len(rows), 2), dtype=np.float64)
+    xy[:, 0] = rows["x"]
+    xy[:, 1] = rows["y"]
+    return StreamWindow(
+        _first_seq(rows),
+        (kinds == 1).tolist(),
+        rows["id"].tolist(),
+        xy,
+        rows["t"].tolist(),
+    )
 
 
 def encode_stream_result(result) -> bytes | None:
-    """A :class:`BatchResult` of enveloped register/submit answers ->
-    one STREAM_RESULT payload, or ``None`` for the document path."""
-    if type(result) is not BatchResult:
+    """A :class:`~repro.api.messages.WindowResult` -> one STREAM_RESULT
+    payload, or ``None`` for the document path. Row kinds: 0 a
+    registered worker, 1 an assigned task (its worker in the last
+    field), 2 an unassigned task."""
+    if type(result) is not WindowResult or not len(result):
         return None
-    pack = _RESULT_ROW.pack
+    rows = np.zeros(len(result), dtype=_RESULT_DTYPE)
     try:
-        parts = [
-            _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, STREAM_RESULT_TAG),
-            _U32.pack(len(result.items)),
-        ]
-        for env in result.items:
-            if type(env) is not StreamItemResult:
-                return None
-            item = env.item
-            kind = type(item)
-            if kind is WorkerRegistered:
-                parts.append(pack(0, env.seq, item.worker_id, 0))
-            elif kind is TaskDecision:
-                worker = item.worker_id
-                if worker is None:
-                    parts.append(pack(2, env.seq, item.task_id, 0))
-                else:
-                    parts.append(pack(1, env.seq, item.task_id, worker))
-            else:
-                return None
-    except (struct.error, TypeError, ValueError):
+        if not _fill_seqs(rows, int(result.seq)):
+            return None
+        kinds = np.asarray(result.is_task, dtype=np.uint8)
+        tasks = np.flatnonzero(kinds)
+        if len(tasks) != len(result.workers):
+            return None
+        assigned = [w is not None for w in result.workers]
+        kinds[tasks] = np.where(assigned, 1, 2)
+        rows["kind"] = kinds
+        rows["id"] = result.ids
+        rows["worker"][tasks] = [0 if w is None else w for w in result.workers]
+    except (OverflowError, TypeError, ValueError):
         return None
-    return b"".join(parts)
+    return (
+        _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, STREAM_RESULT_TAG)
+        + _U32.pack(len(rows))
+        + rows.tobytes()
+    )
 
 
-def decode_stream_result(payload) -> BatchResult:
-    """One STREAM_RESULT payload -> the :class:`BatchResult`."""
-    r = _stream_reader(payload, STREAM_RESULT_TAG)
-    (count,) = r.unpack(_U32)
-    start = r.need(count * _RESULT_ROW.size)
-    items = []
-    append = items.append
-    for k, seq, ident, worker in _RESULT_ROW.iter_unpack(
-        r.view[start : r.pos]
-    ):
-        if k == 1:
-            item = TaskDecision(ident, worker)
-        elif k == 0 or k == 2:
-            if worker != 0:
-                # one canonical byte string per document: the unused
-                # worker slot must be zero, anything else is damage
-                raise ValidationFailed(
-                    f"bin1 result row kind {k} carries a nonzero worker "
-                    f"field {worker}"
-                )
-            item = WorkerRegistered(ident) if k == 0 else TaskDecision(ident, None)
-        else:
-            raise ValidationFailed(
-                f"bin1 result row kind must be 0, 1 or 2, got {k}"
-            )
-        append(StreamItemResult(seq, item))
-    r.done()
-    return BatchResult(items)
+def decode_stream_result(payload) -> WindowResult:
+    """One STREAM_RESULT payload -> its :class:`~repro.api.messages
+    .WindowResult`."""
+    rows = _stream_rows(payload, STREAM_RESULT_TAG, _RESULT_DTYPE)
+    kinds = rows["kind"]
+    worker = rows["worker"]
+    bad = np.flatnonzero(kinds > 2)
+    if len(bad):
+        raise ValidationFailed(
+            f"bin1 result row kind must be 0, 1 or 2, got {kinds[bad[0]]}"
+        )
+    # one canonical byte string per answer: the worker slot of a kind 0
+    # or 2 row must be zero, anything else is damage
+    bad = np.flatnonzero((kinds != 1) & (worker != 0))
+    if len(bad):
+        k = bad[0]
+        raise ValidationFailed(
+            f"bin1 result row kind {kinds[k]} carries a nonzero worker "
+            f"field {worker[k]}"
+        )
+    is_task = kinds != 0
+    return WindowResult(
+        _first_seq(rows),
+        is_task.tolist(),
+        rows["id"].tolist(),
+        [
+            w if k == 1 else None
+            for k, w in zip(kinds[is_task].tolist(), worker[is_task].tolist())
+        ],
+    )
 
 
 # --------------------------------------------------------------------- #

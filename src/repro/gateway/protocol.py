@@ -81,9 +81,10 @@ GATEWAY_SCHEMA = "repro.gateway"
 GATEWAY_VERSION = 1
 
 #: Session feature: the client accepts responses in completion order
-#: (it matches them back by stream-envelope ``seq``), so the server may
-#: read ahead and answer frames out of order. Off means the strict
-#: request/response discipline of protocol v1 without features.
+#: (it matches them back by each window's or envelope's ``seq``), so
+#: the server may read ahead and answer frames out of order. Off means
+#: the strict request/response discipline of protocol v1 without
+#: features.
 PIPELINE_FEATURE = "pipeline"
 
 #: Session feature: request envelopes may carry a top-level ``trace``
@@ -120,18 +121,18 @@ BIN1_WIRE_VERSION = 1
 #: layout per job:
 #:
 #: ``GENERIC_TAG`` wraps the whole document as embedded JSON — the
-#: total layout that carries any document (verbs, reports, traced
-#: envelopes, mesh ops, errors, goodbyes).
+#: total layout that carries any document (verbs, reports, envelopes,
+#: windows on traced sessions, mesh ops, errors, goodbyes).
 GENERIC_TAG = 0x00
-#: Columnar stream window: a batch whose items are all envelopes
-#: wrapping register/submit events, packed as fixed-width rows (one
-#: struct row per event, no per-item nesting). Produced and read only by
-#: the object-level stream path (:func:`repro.gateway.codec
-#: .encode_stream_batch` / ``decode_stream_batch``).
+#: Columnar stream window: a ``stream_window`` of register/submit
+#: events packed as fixed-width ``>Bqqddd`` rows (kind, seq, id, x, y,
+#: time; one row per event, consecutive seqs). Produced and read only
+#: by :func:`repro.gateway.codec.encode_stream_batch` /
+#: ``decode_stream_batch``.
 STREAM_BATCH_TAG = 0x07
 #: Columnar mirror of :data:`STREAM_BATCH_TAG` for the response
-#: direction: a batch_result of envelope_results wrapping
-#: worker_registered / task_decision rows.
+#: direction: a ``window_result`` as ``>Bqqq`` rows (kind — registered,
+#: assigned or unassigned — seq, id, worker).
 STREAM_RESULT_TAG = 0x18
 #: Whole document as a self-describing packed value tree (varint ints,
 #: raw f64s, homogeneous f64 arrays) instead of embedded JSON text.

@@ -7,19 +7,21 @@ streaming windows, middleware and all — gains network access just by
 being handed one. ``open()`` connects and handshakes (schema-version
 negotiation included), ``handle()`` writes one frame and blocks for one
 response frame, ``close()`` says goodbye. The hello and welcome travel
-as JSON; every frame after the welcome is bin1 — a stream window of
-register/submit events as rows (:func:`~repro.gateway.codec
-.encode_stream_batch`), anything else as a generic document.
+as JSON; every frame after the welcome is bin1 — a
+:class:`~repro.api.messages.StreamWindow` as rows
+(:func:`~repro.gateway.codec.encode_stream_batch`, answered by a
+:class:`~repro.api.messages.WindowResult` as rows), anything else as a
+generic document.
 
 The handshake also offers the ``pipeline`` feature: when the server
 accepts it (:attr:`RemoteBackend.supports_pipeline` turns true), the
 transport additionally exposes the split :meth:`RemoteBackend
 .send_request` / :meth:`RemoteBackend.recv_response` pair, letting the
 client keep several stream windows in flight and accept their responses
-in whatever order the gateway finished them (the envelopes' ``seq``
-restores stream order client-side). Against a pre-feature server the
-attribute stays false and everything degrades to strict
-request/response.
+in whatever order the gateway finished them (each window's or
+envelope's ``seq`` restores stream order client-side). Against a
+pre-feature server the attribute stays false and everything degrades
+to strict request/response.
 
 Error discipline: a structured error answered by the server (the api
 ``error`` kind) is re-raised locally as the matching
@@ -36,9 +38,9 @@ import socket
 from ..api.backends import BackendBase, ServiceSpec
 from ..api.errors import BackendUnavailable, ValidationFailed, error_from_info
 from ..api.messages import (
-    Batch,
-    ErrorInfo,
     WIRE_VERSION,
+    ErrorInfo,
+    StreamWindow,
     attach_trace,
     from_wire,
     to_wire,
@@ -220,10 +222,11 @@ class RemoteBackend(BackendBase):
         """One request frame out, one response frame back.
 
         Overrides the verb-method dispatch of :class:`BackendBase`
-        wholesale: every request — batches and stream envelopes included
-        — is a single ``to_wire`` document on the socket, and the
-        server's backend applies its own transport-level batching (a
-        mesh-served batch still gets chunked dispatch).
+        wholesale: every request — windows, batches and stream envelopes
+        included — is one frame on the socket (a stream window as rows,
+        anything else as a document), and the server's backend applies
+        its own batching (a mesh-served window still gets chunked
+        dispatch).
 
         Once the connection has been lost (reset, drain, frame damage)
         every further call fails with the same retryable
@@ -260,13 +263,12 @@ class RemoteBackend(BackendBase):
                 "gateway connection was lost; open a new RemoteBackend"
             )
         payload = None
-        if type(request) is Batch and not self.supports_trace:
-            # columnar fast path: a stream window of register/submit
-            # events packs straight into fixed-width rows, skipping the
-            # document layer on both ends. None means some item fell
-            # outside the row shape — take the document path below.
-            # A traced session stays on documents: rows have nowhere to
-            # carry the trace context.
+        if type(request) is StreamWindow and not self.supports_trace:
+            # row fast path: a stream window's columns pack straight into
+            # fixed-width rows, skipping the document layer on both ends.
+            # None means the window falls outside the row shape — take
+            # the document path below. A traced session stays on
+            # documents: rows have nowhere to carry the trace context.
             payload = encode_stream_batch(request)
         try:
             if payload is not None:
@@ -294,7 +296,7 @@ class RemoteBackend(BackendBase):
         """Take the next response frame off the wire.
 
         Responses arrive in the server's completion order when the
-        session is pipelined (match them by envelope ``seq``); a
+        session is pipelined (match them by window or envelope ``seq``); a
         structured error frame re-raises as its
         :class:`~repro.api.errors.ApiError` class and *consumes* the
         response slot — the session itself survives request errors.
@@ -326,8 +328,8 @@ class RemoteBackend(BackendBase):
             and payload[0] == BIN1_MAGIC
             and payload[2] == STREAM_RESULT_TAG
         ):
-            # mirror of the send-side fast path: the whole window of
-            # answers comes back as rows and never touches from_wire
+            # mirror of the send-side fast path: the window's answer
+            # comes back as rows and never touches from_wire
             return decode_stream_result(payload)
         doc = decode_payload(payload, welcomed=True)
         if is_gateway_doc(doc):

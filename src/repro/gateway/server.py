@@ -22,8 +22,8 @@ points:
   serial gateway, byte for byte;
 * **per-connection pipelining, opt-in** — a client that offered the
   ``pipeline`` feature in its hello may have many frames in flight; the
-  gateway reads ahead and answers in *completion* order (stream
-  envelopes carry the ``seq`` that lets the client re-sequence).
+  gateway reads ahead and answers in *completion* order (stream windows
+  and envelopes carry the ``seq`` that lets the client re-sequence).
   Clients that didn't opt in keep protocol v1's strict
   request/response discipline: one frame in, its answer out, regardless
   of how the backend is scheduled underneath;
@@ -596,9 +596,11 @@ class GatewayServer:
                         await self._write(writer, farewell_doc)
 
     async def _dispatch(self, doc, session: Session):
-        """Serve one api wire document (or a fast-path request
-        dataclass); returns a response doc — or the raw response
-        dataclass on the fast path, which ``_write`` packs columnar."""
+        """Serve one api wire document (or a :class:`~repro.api.messages
+        .StreamWindow` off the row fast path); returns a response doc —
+        or, on the fast path, the raw response (a
+        :class:`~repro.api.messages.WindowResult` unless the window
+        failed), which ``_write`` packs as rows."""
         fast = not isinstance(doc, dict)
         if fast:
             request = doc
@@ -718,8 +720,9 @@ class GatewayServer:
     # ------------------------------------------------------------------ #
 
     async def _read_frame(self, reader, *, welcomed: bool = False):
-        """One inbound frame: a wire document, or a :class:`Batch`
-        dataclass when the client sent a columnar stream window.
+        """One inbound frame: a wire document, or a
+        :class:`~repro.api.messages.StreamWindow` when the client sent a
+        stream window as rows.
         ``welcomed`` marks the frames after the welcome, which must be
         bin1; the hello itself reads sniffed because it must parse to
         *reject* structured even when a confused peer leads with the
@@ -743,15 +746,16 @@ class GatewayServer:
             and payload[0] == BIN1_MAGIC
             and payload[2] == STREAM_BATCH_TAG
         ):
-            # columnar fast path: the window decodes straight to a Batch
-            # dataclass and skips from_wire in _dispatch. Malformed rows
-            # raise the same structured codes decode_payload would.
+            # row fast path: the window decodes straight to its columns
+            # and skips from_wire in _dispatch. Malformed rows raise the
+            # same structured codes decode_payload would.
             return decode_stream_batch(payload)
         return decode_payload(payload, welcomed=welcomed)
 
     async def _write(self, writer, doc, *, handshake: bool = False) -> None:
         """Frame one response: a wire document, or (fast path) a
-        response dataclass packed columnar when its shape allows.
+        :class:`~repro.api.messages.WindowResult` packed as rows when
+        its shape allows.
         ``handshake`` frames the welcome or a handshake rejection as
         JSON; everything else is bin1."""
         limit = self.config.max_frame_bytes
@@ -764,8 +768,8 @@ class GatewayServer:
                 if payload is not None:
                     frame = payload_frame(payload, max_frame_bytes=limit)
                 else:
-                    # anything outside the row shape (reports, errors,
-                    # mixed batches) takes the document path it always had
+                    # anything outside the row shape (an empty window,
+                    # an id outside int64) takes the document path
                     frame = encode_frame(to_wire(doc), max_frame_bytes=limit)
         except ApiError as exc:
             # an oversize *response* is this request's failure, not the

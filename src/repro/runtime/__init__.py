@@ -11,28 +11,24 @@ re-implemented per layer:
   running job may end its hold early with :func:`release_order` once
   everything later jobs must see is in place (the mesh backend does so
   once a window is journaled); it stays in flight until it returns;
-* :class:`SequenceReorderer` / :func:`unwrap` / :func:`rewrap` — the
-  stream-window bookkeeping (sequence-numbered envelopes in, in-order
-  responses out) used by the client's pipelined stream mode and the
-  backends' chunked batch dispatch.
+* :class:`SequenceReorderer` — the stream-window bookkeeping
+  (answers in completion order, responses out in stream order) of the
+  client's pipelined stream mode.
 
 Consumers: :class:`repro.gateway.GatewayServer` schedules every framed
 request through a :class:`PipelineScheduler` keyed by
 ``backend.ordering_key(request)``; :class:`repro.api.AssignmentClient`
-pipelines stream windows over transports that support it; the
-backends' batch paths share the envelope plumbing; and
+pipelines stream windows over transports that support it; and
 :class:`repro.mesh.MeshCoordinator` delivers and checkpoints each shard
 family as jobs keyed by the family, with flush and report as barriers.
 """
 
 from .scheduler import PipelineScheduler, default_worker_count, release_order
-from .window import SequenceReorderer, rewrap, unwrap
+from .window import SequenceReorderer
 
 __all__ = [
     "PipelineScheduler",
     "SequenceReorderer",
     "default_worker_count",
     "release_order",
-    "rewrap",
-    "unwrap",
 ]

@@ -24,6 +24,7 @@ from repro.api import (
     RequestValidator,
     ServiceSpec,
     StreamEnvelope,
+    StreamWindow,
     SubmitTask,
     TaskDecision,
     TokenBucket,
@@ -31,6 +32,7 @@ from repro.api import (
     ValidationFailed,
     WIRE_SCHEMA,
     WIRE_VERSION,
+    WindowResult,
     WorkerRegistered,
     from_wire,
     make_backend,
@@ -64,6 +66,14 @@ class TestWireFormat:
         Flushed(),
         BatchResult(items=(Flushed(), TaskDecision(task_id=1, worker_id=2))),
         ErrorInfo(code="rejected", message="nope", retryable=True, detail="x"),
+        StreamWindow.of(
+            5,
+            [
+                RegisterWorker(worker_id=2, location=(1.0, -2.0), time=0.5),
+                SubmitTask(task_id=4, location=(3.5, 4.0), time=1.0),
+            ],
+        ),
+        WindowResult(seq=5, is_task=[False, True, True], ids=[2, 4, 6], workers=[2, None]),
     ]
 
     @pytest.mark.parametrize("message", MESSAGES, ids=lambda m: type(m).__name__)
@@ -147,6 +157,134 @@ class TestRequestValidator:
         with pytest.raises(ValidationFailed):
             RegisterWorker(worker_id=0, location=(1.0, 2.0, 3.0))
 
+    @pytest.mark.parametrize(
+        "item",
+        [
+            StreamEnvelope(seq=0, item=Flush()),
+            StreamWindow.of(0, [RegisterWorker(worker_id=0, location=(1.0, 1.0))]),
+        ],
+        ids=["envelope", "window"],
+    )
+    def test_batches_carry_plain_verbs_only(self, item):
+        with pytest.raises(ValidationFailed) as info:
+            self.check(Batch(items=(Flush(), item)))
+        assert info.value.code == "invalid-request"
+
+
+def _run(bad_at=None, **bad) -> list:
+    """Five alternating register/submit verbs; ``bad`` replaces fields of
+    the verb at ``bad_at``."""
+    verbs = []
+    for i in range(5):
+        fields = dict(location=(10.0 + i, 20.0), time=float(i))
+        if i == bad_at:
+            fields.update(bad)
+        if i % 2:
+            verbs.append(SubmitTask(task_id=i, **fields))
+        else:
+            verbs.append(RegisterWorker(worker_id=i, **fields))
+    return verbs
+
+
+class TestWindowValidation:
+    """A window is checked in one pass; its first bad row fails exactly
+    as the per-verb check fails that verb."""
+
+    def test_accepts_a_good_window(self):
+        RequestValidator().validate(StreamWindow.of(0, _run()))
+        RequestValidator().validate(StreamWindow.of(3, []))
+
+    @pytest.mark.parametrize(
+        "bad_at, bad",
+        [
+            (0, {"worker_id": -1}),
+            (2, {"worker_id": True}),
+            (1, {"task_id": 2.0}),
+            (3, {"location": (float("nan"), 0.0)}),
+            (4, {"location": (0.0, float("inf"))}),
+            (1, {"time": -1.0}),
+            (3, {"time": float("inf")}),
+            (2, {"time": "x"}),
+            (4, {"time": None}),
+            (0, {"time": 10**400}),
+        ],
+    )
+    def test_first_bad_row_fails_like_its_verb(self, bad_at, bad):
+        ids = {k: v for k, v in bad.items() if k.endswith("_id")}
+        verbs = _run(bad_at, **{k: v for k, v in bad.items() if k not in ids})
+        if ids:
+            cls = type(verbs[bad_at])
+            fields = dict(location=verbs[bad_at].location, time=verbs[bad_at].time)
+            verbs[bad_at] = cls(**ids, **fields)
+        with pytest.raises(ValidationFailed) as per_verb:
+            RequestValidator().validate(verbs[bad_at])
+        with pytest.raises(ValidationFailed) as windowed:
+            RequestValidator().validate(StreamWindow.of(0, verbs))
+        assert windowed.value.code == per_verb.value.code == "invalid-request"
+        assert windowed.value.message == per_verb.value.message
+
+    def test_negative_window_seq_is_refused(self):
+        with pytest.raises(ValidationFailed):
+            RequestValidator().validate(StreamWindow.of(-1, _run()))
+
+    def test_columns_must_agree_in_length(self):
+        with pytest.raises(ValidationFailed):
+            StreamWindow(0, [False], [1, 2], [(0.0, 0.0)], [0.0])
+        with pytest.raises(ValidationFailed):
+            StreamWindow(0, [False], [1], [(0.0, 0.0, 0.0)], [0.0])
+
+    def test_row_kinds_must_be_bools(self):
+        window = StreamWindow(0, [2], [1], [(0.0, 0.0)], [0.0])
+        with pytest.raises(ValidationFailed):
+            RequestValidator().validate(window)
+
+
+@pytest.mark.parametrize("kind", ["inprocess", "sharded", "remote"])
+@pytest.mark.parametrize("when", ["x", None], ids=["str", "none"])
+class TestNonNumericTime:
+    """A non-numeric event time is an invalid request on every path and
+    every backend, never a raw ``TypeError``."""
+
+    @staticmethod
+    def _client(kind, stack):
+        spec = small_spec()
+        if kind == "remote":
+            from repro.gateway import GatewayConfig, RemoteBackend, serve_gateway
+
+            gateway = stack.enter_context(serve_gateway(GatewayConfig(spec=spec)))
+            backend = RemoteBackend(spec, address=gateway.address)
+        else:
+            backend = make_backend(kind, spec)
+        return stack.enter_context(AssignmentClient(backend))
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            lambda t: RegisterWorker(worker_id=1, location=(1, 1), time=t),
+            lambda t: SubmitTask(task_id=1, location=(1, 1), time=t),
+        ],
+        ids=["register", "submit"],
+    )
+    def test_call(self, kind, when, request_):
+        from contextlib import ExitStack
+
+        with ExitStack() as stack:
+            client = self._client(kind, stack)
+            with pytest.raises(ValidationFailed) as info:
+                client.call(request_(when))
+            assert info.value.code == "invalid-request"
+
+    def test_stream(self, kind, when):
+        from contextlib import ExitStack
+
+        requests = _run(2, time=when)
+        with ExitStack() as stack:
+            client = self._client(kind, stack)
+            with pytest.raises(ValidationFailed) as info:
+                list(client.stream(requests, window=4))
+            assert info.value.code == "invalid-request"
+            assert repr(when) in info.value.message
+
 
 class TestTokenBucket:
     def test_admits_then_rejects_then_refills(self):
@@ -165,17 +303,22 @@ class TestTokenBucket:
         assert bucket.rejected == 1
 
     def test_batch_charged_per_item_and_barriers_free(self):
-        bucket = TokenBucket(rate=1.0, burst=3, clock=lambda: 0.0)
+        bucket = TokenBucket(rate=1.0, burst=5, clock=lambda: 0.0)
         batch = Batch(
             items=(
                 RegisterWorker(worker_id=0, location=(0.0, 0.0)),
-                StreamEnvelope(seq=0, item=SubmitTask(task_id=0, location=(0.0, 0.0))),
+                SubmitTask(task_id=0, location=(0.0, 0.0)),
                 Flush(),
                 GetReport(),
             )
         )
         assert TokenBucket.cost_of(batch) == 2
         assert bucket(batch, lambda r: "served") == "served"
+        window = StreamWindow.of(0, _run()[:3])
+        assert TokenBucket.cost_of(window) == 3  # one token per row
+        assert TokenBucket.cost_of(StreamEnvelope(seq=3, item=Flush())) == 0
+        assert bucket(window, lambda r: "served") == "served"
+        assert bucket.admitted == 5
         # free verbs pass even with an empty bucket
         bucket2 = TokenBucket(rate=1e-9, burst=1, clock=lambda: 0.0)
         bucket2._tokens = 0.0
@@ -261,6 +404,50 @@ class TestClient:
             assert isinstance(responses[4], Flushed)
             decided = {r.task_id for r in responses[2:4]}
             assert decided == {0, 1}
+
+    def test_stream_sends_windows_and_lone_barriers(self):
+        metrics = LatencyMetrics()
+        late = [RegisterWorker(worker_id=10 + i, location=(30.0, 30.0)) for i in range(2)]
+        requests = _run() + [Flush()] + late + [GetReport()]
+        middleware = [RequestValidator(), metrics, ErrorMapper()]
+        with AssignmentClient(InProcessBackend(small_spec()), middleware) as client:
+            responses = list(client.stream(requests, window=3))
+        calls = metrics.registry.counters(LatencyMetrics.CALLS, label="kind")
+        # runs of up to 3 rows; each barrier ends its run and goes alone
+        assert calls == {"stream_window": 3, "envelope": 2}
+        assert [type(r).__name__ for r in responses] == [
+            "WorkerRegistered",
+            "TaskDecision",
+            "WorkerRegistered",
+            "TaskDecision",
+            "WorkerRegistered",
+            "Flushed",
+            "WorkerRegistered",
+            "WorkerRegistered",
+            "ReportResult",
+        ]
+        assert [r.task_id for r in responses if isinstance(r, TaskDecision)] == [1, 3]
+
+    def test_stream_refuses_an_answer_for_another_window(self):
+        class Liar(InProcessBackend):
+            def batch(self, request):
+                result = super().batch(request)
+                return WindowResult(result.seq + 1, result.is_task, result.ids, result.workers)
+
+        with AssignmentClient(Liar(small_spec())) as client:
+            with pytest.raises(ValidationFailed):
+                list(client.stream(_run(), window=8))
+
+    def test_stream_responses_reuse_the_request_ids(self):
+        ids = [10**12 + i for i in range(4)]
+        requests = [RegisterWorker(worker_id=i, location=(5.0, 5.0)) for i in ids[:2]]
+        requests += [SubmitTask(task_id=i, location=(5.0, 5.0)) for i in ids[2:]]
+        with AssignmentClient(make_backend("sharded", small_spec())) as client:
+            responses = list(client.stream(requests))
+        assert all(r.worker_id is ids[k] for k, r in enumerate(responses[:2]))
+        assert all(r.task_id is ids[2 + k] for k, r in enumerate(responses[2:]))
+        assigned = [r.worker_id for r in responses[2:] if r.worker_id is not None]
+        assert assigned and all(any(w is i for i in ids[:2]) for w in assigned)
 
     def test_stream_mode_yields_in_order(self):
         requests = [

@@ -878,6 +878,31 @@ class TestWireAccounting:
         assert stats["frames"] <= windows + 8
         assert stats["frames"] < len(requests) / 4
 
+    def test_traced_session_sends_windows_as_documents(self):
+        """Rows have nowhere to carry a trace context, so a traced
+        session sends each window's document form: the gateway still
+        dispatches one ``stream_window`` per window, traced under the
+        client's span, and the answers equal the in-process replay's."""
+        from repro.api import make_backend
+        from repro.obs.trace import Tracer
+
+        spec = small_spec()
+        requests = build_conformance_stream(REGION, 60, 40, seed=5)
+        with AssignmentClient(make_backend("sharded", spec)) as client:
+            reference = _decisions(client.stream(requests, window=16))
+        with serve_gateway(GatewayConfig(spec=spec, trace=True)) as gw:
+            backend = RemoteBackend(spec, address=gw.address)
+            with AssignmentClient(backend, tracer=Tracer()) as client:
+                answers = _decisions(client.stream(requests, window=16))
+                assert backend.supports_trace
+            kinds = [
+                span["attrs"]["kind"]
+                for span in gw.tracer.spans
+                if span["name"] == "gateway.dispatch"
+            ]
+        assert answers == reference
+        assert kinds == ["stream_window"] * -(-len(requests) // 16)
+
 
 def _decisions(responses) -> list:
     return [

@@ -6,9 +6,10 @@ Three layers of guarantees:
   :data:`~repro.gateway.protocol.GENERIC_TAG`, and :func:`decode_bin1`
   refuses every other layout (old per-kind tags and stream rows alike)
   with a structured ``invalid-request``;
-* **frame fidelity** — the columnar stream rows round-trip the api
-  dataclasses exactly, and opt out to ``None`` for any shape they cannot
-  carry exactly;
+* **frame fidelity** — the columnar stream rows write exactly the
+  bytes of a per-row ``struct`` packer, round-trip a window's and a
+  window result's columns exactly, and opt out to ``None`` for any
+  shape they cannot carry exactly;
 * **hostile bytes** — truncation at every boundary, single-byte
   mutations, junk tags, bad row kinds and version skew always surface
   as structured :class:`~repro.api.errors.ApiError`, never a raw
@@ -25,6 +26,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import ServiceSpec
 from repro.api.errors import ApiError, UnsupportedVersion, ValidationFailed
@@ -41,8 +44,10 @@ from repro.api.messages import (
     Response,
     StreamEnvelope,
     StreamItemResult,
+    StreamWindow,
     SubmitTask,
     TaskDecision,
+    WindowResult,
     WorkerRegistered,
     to_wire,
 )
@@ -109,12 +114,14 @@ def _one_message_per_kind() -> list:
         Flush(),
         GetReport(wall_seconds=2.5),
         Batch([verb, Flush()]),
+        _window(),
         StreamEnvelope(4, verb),
         WorkerRegistered(7),
         TaskDecision(3, 7),
         Flushed(),
         ReportResult(report),
         BatchResult([WorkerRegistered(7), TaskDecision(3, None)]),
+        _window_result(),
         StreamItemResult(4, WorkerRegistered(7)),
         ErrorInfo(code="rejected", message="m", retryable=False, detail="d"),
     ]
@@ -155,39 +162,34 @@ class TestOneLayoutPerJob:
 
 
 # --------------------------------------------------------------------- #
-# stream rows: object round trips                                        #
+# stream rows: column round trips                                        #
 # --------------------------------------------------------------------- #
 
 
-def _stream_batch() -> Batch:
-    return Batch(
+def _window() -> StreamWindow:
+    return StreamWindow.of(
+        4,
         [
-            StreamEnvelope(0, RegisterWorker(7, (1.5, -2.25), 0.5)),
-            StreamEnvelope(1, SubmitTask(3, (0.0, 99.5), 1.0)),
-            StreamEnvelope(2, RegisterWorker(8, (-4.0, 4.0), 1.5)),
-        ]
+            RegisterWorker(7, (1.5, -2.25), 0.5),
+            SubmitTask(3, (0.0, 99.5), 1.0),
+            RegisterWorker(8, (-4.0, 4.0), 1.5),
+        ],
     )
 
 
-def _result_batch() -> BatchResult:
-    return BatchResult(
-        [
-            StreamItemResult(0, WorkerRegistered(7)),
-            StreamItemResult(1, TaskDecision(3, 7)),
-            StreamItemResult(2, TaskDecision(4, None)),
-        ]
-    )
+def _window_result() -> WindowResult:
+    return WindowResult(4, [False, True, True], [7, 3, 4], [7, None])
 
 
 class TestStreamEquivalence:
     def test_batch_round_trips_identically(self):
-        batch = _stream_batch()
-        payload = encode_stream_batch(batch)
+        window = _window()
+        payload = encode_stream_batch(window)
         assert payload is not None
-        assert decode_stream_batch(payload) == batch
+        assert decode_stream_batch(payload) == window
 
     def test_result_round_trips_identically(self):
-        result = _result_batch()
+        result = _window_result()
         payload = encode_stream_result(result)
         assert payload is not None
         assert decode_stream_result(payload) == result
@@ -195,12 +197,11 @@ class TestStreamEquivalence:
     @pytest.mark.parametrize(
         "batch",
         [
-            RegisterWorker(1, (0.0, 0.0)),  # not a Batch at all
-            Batch([StreamEnvelope(0, Flush())]),  # verb with no row kind
-            Batch([RegisterWorker(1, (0.0, 0.0))]),  # bare, unenveloped
-            Batch(  # id outside i64: struct cannot carry it exactly
-                [StreamEnvelope(0, RegisterWorker(2**70, (0.0, 0.0)))]
-            ),
+            RegisterWorker(1, (0.0, 0.0)),  # not a window at all
+            Batch([RegisterWorker(1, (0.0, 0.0))]),  # a batch is no window
+            StreamWindow.of(0, []),  # no row to carry the seq
+            # id outside i64: the rows cannot carry it exactly
+            StreamWindow.of(0, [RegisterWorker(2**70, (0.0, 0.0))]),
         ],
     )
     def test_unsupported_batch_shapes_opt_out(self, batch):
@@ -209,14 +210,142 @@ class TestStreamEquivalence:
     @pytest.mark.parametrize(
         "result",
         [
-            WorkerRegistered(1),  # not a BatchResult
-            BatchResult([StreamItemResult(0, Flushed())]),
-            BatchResult([WorkerRegistered(1)]),  # bare, unenveloped
-            BatchResult([StreamItemResult(0, TaskDecision(1, 2**70))]),
+            WorkerRegistered(1),  # not a window result
+            BatchResult([WorkerRegistered(1)]),
+            WindowResult(0, [], [], []),  # no row to carry the seq
+            WindowResult(0, [True], [1], [2**70]),
         ],
     )
     def test_unsupported_result_shapes_opt_out(self, result):
         assert encode_stream_result(result) is None
+
+    def test_seqs_outside_i64_opt_out(self):
+        window = StreamWindow.of(
+            2**63 - 1, [RegisterWorker(1, (0.0, 0.0)), RegisterWorker(2, (0.0, 0.0))]
+        )
+        assert encode_stream_batch(window) is None
+        assert encode_stream_result(WindowResult(2**63, [False], [1], [])) is None
+
+
+# --------------------------------------------------------------------- #
+# stream rows: the bytes of the per-row packer                           #
+# --------------------------------------------------------------------- #
+
+#: The per-row oracle: what the rows looked like when each was packed
+#: by its own ``struct`` call.
+_WINDOW_ROW = struct.Struct(">Bqqddd")  # kind, seq, id, x, y, time
+_RESULT_ROW = struct.Struct(">Bqqq")  # kind, seq, id, worker (or 0)
+
+_IDS = st.integers(0, 2**63 - 1)
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308]),
+)
+
+
+@st.composite
+def _windows(draw) -> StreamWindow:
+    n = draw(st.integers(1, 24))
+    seq = draw(st.integers(0, 2**63 - n))
+    return StreamWindow(
+        seq,
+        draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        draw(st.lists(_IDS, min_size=n, max_size=n)),
+        np.array(
+            draw(st.lists(st.tuples(_FLOATS, _FLOATS), min_size=n, max_size=n)),
+            dtype=np.float64,
+        ),
+        draw(st.lists(_FLOATS, min_size=n, max_size=n)),
+    )
+
+
+@st.composite
+def _results(draw) -> WindowResult:
+    n = draw(st.integers(1, 24))
+    is_task = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return WindowResult(
+        draw(st.integers(0, 2**63 - n)),
+        is_task,
+        draw(st.lists(_IDS, min_size=n, max_size=n)),
+        [draw(st.one_of(st.none(), _IDS)) for _ in range(sum(is_task))],
+    )
+
+
+def _packed_window(window: StreamWindow) -> bytes:
+    rows = [
+        _WINDOW_ROW.pack(int(task), window.seq + i, ident, x, y, at)
+        for i, (task, ident, (x, y), at) in enumerate(
+            zip(window.is_task, window.ids, window.xy.tolist(), window.times)
+        )
+    ]
+    return _prefixed(STREAM_BATCH_TAG, struct.pack(">I", len(rows)) + b"".join(rows))
+
+
+def _packed_result(result: WindowResult) -> bytes:
+    workers = iter(result.workers)
+    rows = []
+    for i, (task, ident) in enumerate(zip(result.is_task, result.ids)):
+        worker = next(workers) if task else None
+        kind = 0 if not task else (2 if worker is None else 1)
+        rows.append(_RESULT_ROW.pack(kind, result.seq + i, ident, worker or 0))
+    return _prefixed(STREAM_RESULT_TAG, struct.pack(">I", len(rows)) + b"".join(rows))
+
+
+def _bits(values) -> list:
+    """Floats as their IEEE bit patterns: -0.0 and 0.0 stay apart."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestColumnarBytes:
+    @settings(max_examples=150, deadline=None)
+    @given(_windows())
+    def test_windows_write_the_per_row_bytes(self, window):
+        payload = encode_stream_batch(window)
+        assert payload == _packed_window(window)
+        decoded = decode_stream_batch(payload)
+        assert decoded == window
+        assert decoded.seq == window.seq
+        assert decoded.ids == window.ids
+        assert all(type(i) is int for i in decoded.ids)
+        assert decoded.is_task == window.is_task
+        assert _bits(decoded.xy) == _bits(window.xy)
+        assert _bits(decoded.times) == _bits(window.times)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_results())
+    def test_results_write_the_per_row_bytes(self, result):
+        payload = encode_stream_result(result)
+        assert payload == _packed_result(result)
+        decoded = decode_stream_result(payload)
+        assert decoded == result
+        assert decoded.workers == list(result.workers)
+
+    def test_all_three_result_kinds_appear(self):
+        payload = encode_stream_result(_window_result())
+        kinds = [payload[7 + 25 * i] for i in range(3)]
+        assert kinds == [0, 1, 2]
+
+    @pytest.mark.parametrize("layout", ["window", "result"])
+    def test_non_consecutive_seqs_are_invalid_requests(self, layout):
+        if layout == "window":
+            rows = [_WINDOW_ROW.pack(0, seq, 1, 0.0, 0.0, 0.0) for seq in (5, 7)]
+            tag, decode = STREAM_BATCH_TAG, decode_stream_batch
+        else:
+            rows = [_RESULT_ROW.pack(0, seq, 1, 0) for seq in (5, 7)]
+            tag, decode = STREAM_RESULT_TAG, decode_stream_result
+        payload = _prefixed(tag, struct.pack(">I", 2) + b"".join(rows))
+        with pytest.raises(ValidationFailed) as info:
+            decode(payload)
+        assert info.value.code == "invalid-request"
+        assert "consecutive" in info.value.message
+
+    def test_seqs_wrapping_the_i64_edge_are_not_consecutive(self):
+        rows = [
+            _WINDOW_ROW.pack(0, seq, 1, 0.0, 0.0, 0.0) for seq in (2**63 - 1, -(2**63))
+        ]
+        payload = _prefixed(STREAM_BATCH_TAG, struct.pack(">I", 2) + b"".join(rows))
+        with pytest.raises(ValidationFailed):
+            decode_stream_batch(payload)
 
 
 # --------------------------------------------------------------------- #
@@ -236,8 +365,8 @@ def _structured(decode, payload) -> None:
 def _stream_payloads():
     """Each row layout's payload, paired with its one decoder."""
     return (
-        (encode_stream_batch(_stream_batch()), decode_stream_batch),
-        (encode_stream_result(_result_batch()), decode_stream_result),
+        (encode_stream_batch(_window()), decode_stream_batch),
+        (encode_stream_result(_window_result()), decode_stream_result),
     )
 
 
@@ -250,7 +379,7 @@ class TestStreamFuzz:
                 assert info.value.code in STABLE_CODES
 
     def test_trailing_bytes_are_rejected(self):
-        payload = encode_stream_batch(_stream_batch())
+        payload = encode_stream_batch(_window())
         with pytest.raises(ValidationFailed):
             decode_stream_batch(payload + b"\x00")
 
@@ -265,7 +394,7 @@ class TestStreamFuzz:
                 _structured(decode, bytes(mutated))
 
     def test_foreign_layout_version_is_unsupported(self):
-        payload = bytearray(encode_stream_batch(_stream_batch()))
+        payload = bytearray(encode_stream_batch(_window()))
         payload[1] = BIN1_WIRE_VERSION + 1
         with pytest.raises(UnsupportedVersion):
             decode_stream_batch(bytes(payload))
@@ -305,7 +434,7 @@ class TestStreamFuzz:
             decode_stream_result(payload)
 
     def test_overstated_row_count_is_a_structured_truncation(self):
-        payload = bytearray(encode_stream_batch(_stream_batch()))
+        payload = bytearray(encode_stream_batch(_window()))
         struct.Struct(">I").pack_into(payload, 3, 1000)
         with pytest.raises(ValidationFailed):
             decode_stream_batch(bytes(payload))

@@ -29,8 +29,10 @@ from repro.api.messages import (
     ReportResult,
     StreamEnvelope,
     StreamItemResult,
+    StreamWindow,
     SubmitTask,
     TaskDecision,
+    WindowResult,
     WorkerRegistered,
     from_wire,
     to_wire,
@@ -128,8 +130,31 @@ def random_response_leaf(rng):
     return WorkerRegistered(worker_id=int(rng.integers(1_000_000)))
 
 
+def random_window(rng) -> StreamWindow:
+    run = [random_verb(rng) for _ in range(int(rng.integers(0, 6)))]
+    run = [v for v in run if isinstance(v, (RegisterWorker, SubmitTask))]
+    return StreamWindow.of(int(rng.integers(100_000)), run)
+
+
+def random_window_result(rng) -> WindowResult:
+    is_task = [bool(t) for t in rng.integers(0, 2, size=int(rng.integers(0, 6)))]
+    return WindowResult(
+        seq=int(rng.integers(100_000)),
+        is_task=is_task,
+        ids=[int(i) for i in rng.integers(1_000_000, size=len(is_task))],
+        workers=[
+            None if rng.integers(3) == 0 else int(rng.integers(1_000_000))
+            for _ in range(sum(is_task))
+        ],
+    )
+
+
 def random_message(rng):
-    roll = rng.integers(8)
+    roll = rng.integers(10)
+    if roll == 8:
+        return random_window(rng)
+    if roll == 9:
+        return random_window_result(rng)
     if roll <= 3:
         return random_verb(rng)
     if roll == 4:

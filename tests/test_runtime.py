@@ -27,15 +27,14 @@ from repro.api import (
     make_backend,
 )
 from repro.api.conformance import build_conformance_stream
-from repro.api.messages import BatchResult, StreamItemResult, WorkerRegistered
-from repro.geometry import Box
-from repro.runtime import (
-    PipelineScheduler,
-    SequenceReorderer,
-    release_order,
-    rewrap,
-    unwrap,
+from repro.api.messages import (
+    StreamWindow,
+    WindowResult,
+    WorkerRegistered,
+    window_responses,
 )
+from repro.geometry import Box
+from repro.runtime import PipelineScheduler, SequenceReorderer, release_order
 
 REGION = Box.square(200.0)
 
@@ -366,47 +365,37 @@ class TestPipelineScheduler:
 class TestSequenceReorderer:
     def test_out_of_order_windows_come_back_in_stream_order(self):
         reorder = SequenceReorderer()
-        late = BatchResult(
-            items=tuple(
-                StreamItemResult(seq=s, item=f"r{s}") for s in (0, 1, 2)
-            )
-        )
-        early = BatchResult(
-            items=tuple(
-                StreamItemResult(seq=s, item=f"r{s}") for s in (3, 4, 5)
-            )
-        )
-        reorder.absorb(early)  # the later window finished first
+        reorder.absorb(3, ["r3", "r4", "r5"])  # the later window finished first
         assert reorder.take_ready() == []
-        assert reorder.pending == 3
-        reorder.absorb(late)
+        assert reorder.pending == 1
+        reorder.absorb(0, ["r0", "r1", "r2"])
         assert reorder.take_ready() == [f"r{s}" for s in range(6)]
-        reorder.finish(6)
+        reorder.absorb(6, ["r6"])  # an envelope's answer spans one seq
+        assert reorder.take_ready() == ["r6"]
+        reorder.finish(7)
 
     def test_duplicate_seq_is_structural_damage(self):
         from repro.api import ValidationFailed
 
         reorder = SequenceReorderer()
-        reorder.absorb(StreamItemResult(seq=0, item="x"))
+        reorder.absorb(0, ["x"])
         with pytest.raises(ValidationFailed):
-            reorder.absorb(StreamItemResult(seq=0, item="x"))
+            reorder.absorb(0, ["x"])
+        reorder.take_ready()
+        with pytest.raises(ValidationFailed):
+            reorder.absorb(0, ["x"])  # already released
 
     def test_missing_seq_detected_at_finish(self):
         from repro.api import ValidationFailed
 
         reorder = SequenceReorderer()
-        reorder.absorb(StreamItemResult(seq=0, item="x"))
+        reorder.absorb(0, ["x"])
         reorder.take_ready()
         with pytest.raises(ValidationFailed):
             reorder.finish(3)
-
-    def test_unwrap_rewrap_round_trip(self):
-        verb = Flush()
-        env = StreamEnvelope(seq=7, item=verb)
-        assert unwrap(env) == (7, verb)
-        assert unwrap(verb) == (None, verb)
-        assert rewrap(7, "resp") == StreamItemResult(seq=7, item="resp")
-        assert rewrap(None, "resp") == "resp"
+        reorder.absorb(2, ["z"])  # seq 1 never answered: 2 stays held
+        with pytest.raises(ValidationFailed):
+            reorder.finish(3)
 
 
 # --------------------------------------------------------------------- #
@@ -437,17 +426,17 @@ class TestOrderingKeys:
 
     def test_batch_key_collapses_single_shard_windows(self):
         backend = make_backend("sharded", small_spec())
-        same = Batch(
-            items=tuple(
-                StreamEnvelope(
-                    seq=i,
-                    item=RegisterWorker(worker_id=i, location=(1.0 + i, 2.0)),
-                )
-                for i in range(4)
-            )
-        )
-        key = backend.ordering_key(same)
+        verbs = [
+            RegisterWorker(worker_id=i, location=(1.0 + i, 2.0)) for i in range(4)
+        ]
+        key = backend.ordering_key(StreamWindow.of(0, verbs))
         assert key is not None and key.startswith("s")
+        assert backend.ordering_key(Batch(items=tuple(verbs))) == key
+        far = StreamWindow.of(
+            0, verbs[:1] + [SubmitTask(task_id=0, location=(199.0, 199.0))]
+        )
+        assert backend.ordering_key(far) is None  # rows span two shards
+        assert backend.ordering_key(StreamWindow.of(0, [])) is None
         mixed = Batch(
             items=(
                 RegisterWorker(worker_id=0, location=(1.0, 1.0)),
@@ -637,30 +626,35 @@ def test_mesh_batched_windows_scheduled_by_batch_key():
     backend.open()
     try:
         # partition into per-shard substreams, then window each: every
-        # batch collapses to one ordering key and they all overlap
+        # window collapses to one ordering key and they all overlap
         by_key: dict[str, list] = {}
         for i, request in enumerate(requests):
             by_key.setdefault(backend.ordering_key(request), []).append(
-                StreamEnvelope(seq=i, item=request)
+                (i, request)
             )
         futures = []
         with PipelineScheduler(max_workers=4) as sched:
-            for key, envelopes in sorted(by_key.items()):
-                for start in range(0, len(envelopes), 16):
-                    window = Batch(items=tuple(envelopes[start : start + 16]))
+            for key, indexed in sorted(by_key.items()):
+                for start in range(0, len(indexed), 16):
+                    chunk = indexed[start : start + 16]
+                    run = [request for _, request in chunk]
+                    window = StreamWindow.of(chunk[0][0], run)
                     assert backend.ordering_key(window) == key
-                    futures.append(
-                        sched.submit(key, backend.handle, window)
-                    )
+                    future = sched.submit(key, backend.handle, window)
+                    futures.append((chunk, window, future))
             report_future = sched.submit(
                 None, backend.handle, GetReport()
             )
             sched.drain()
-        reorder = SequenceReorderer()
-        for future in futures:
-            reorder.absorb(future.result())
-        responses = reorder.take_ready()
-        reorder.finish(len(requests))
+        by_index = {}
+        for chunk, window, future in futures:
+            result = future.result()
+            assert isinstance(result, WindowResult)
+            assert result.seq == window.seq and result.ids == window.ids
+            run = [request for _, request in chunk]
+            responses = window_responses(run, result.is_task, result.workers)
+            by_index.update(zip((i for i, _ in chunk), responses))
+        responses = [by_index[i] for i in range(len(requests))]
         report = report_future.result().report
     finally:
         backend.close()

@@ -591,6 +591,37 @@ class TestChunkedIngestParity:
         assert whole.now == 7.0
 
 
+class TestPipelinedGatewayParity:
+    """A pipelined gateway stream with flushes and mid-stream reports
+    mixed in equals the per-call replay. The client ends a window's run
+    at exactly these verbs, sends each alone, and re-sequences whole
+    answers around them; none of that may move a decision or a report."""
+
+    @pytest.mark.parametrize("backend", ["sharded", "mesh"])
+    @pytest.mark.parametrize("window, depth", [(1, 3), (7, 4), (64, 2)])
+    def test_stream_matches_per_call_replay(self, backend, window, depth):
+        from repro.gateway import GatewayConfig, RemoteBackend, serve_gateway
+
+        requests = _interleaving(0)
+        reference, ref_error, ref_final = _per_call(requests)
+        assert ref_error is None
+        assert any(isinstance(o, list) for o in reference)  # mid-stream reports
+        kwargs = {"n_peers": 2, "checkpoint_every": 64} if backend == "mesh" else {}
+        config = GatewayConfig(
+            spec=_parity_spec(), backend=backend, backend_kwargs=kwargs
+        )
+        with serve_gateway(config) as gateway:
+            remote = RemoteBackend(_parity_spec(), address=gateway.address)
+            with AssignmentClient(remote) as client:
+                outcome = _outcome(
+                    client.stream(requests, window=window, pipeline=depth)
+                )
+                assert remote.supports_pipeline
+                final = _report_facts(client.report())
+        assert outcome == reference
+        assert final == ref_final
+
+
 class TestIngestThreads:
     def test_concurrent_shard_ingest_loses_no_update(self):
         """One thread per shard (the scheduler's per-key contract), more
