@@ -24,12 +24,9 @@ def obfuscated_instance():
     mech = TreeMechanism(tree, epsilon=0.6, seed=1)
     rng = np.random.default_rng(2)
     worker_idx = tree.snap_index.snap_many(workload.worker_locations)
-    worker_leaves = [
-        tuple(int(v) for v in row)
-        for row in mech.obfuscate_batch(tree.paths[worker_idx], rng)
-    ]
+    worker_leaves = mech.obfuscate_points_batch(worker_idx, rng).tolist()
     task_leaves = [
-        mech.obfuscate(tree.leaf_for_location(loc), rng)
+        tree.leaf_of_path(mech.obfuscate(tree.leaf_for_location(loc), rng))
         for loc in workload.task_locations
     ]
     return workload, tree, worker_leaves, task_leaves

@@ -70,9 +70,10 @@ def test_privacy_free_floor(instance_and_opt):
     tree = shared_tree(workload.region)
     worker_leaves = tree.leaves_for_locations(workload.worker_locations)
     matcher = HSTGreedyMatcher.for_tree(tree, worker_leaves)
+    task_leaves = tree.leaves_for_locations(workload.task_locations)
     total = 0.0
-    for task_loc in workload.task_locations:
-        worker, _ = matcher.assign(tree.leaf_for_location(task_loc))
+    for task_loc, task_leaf in zip(workload.task_locations, task_leaves):
+        worker, _ = matcher.assign(task_leaf)
         total += float(
             np.hypot(*(task_loc - workload.worker_locations[worker]))
         )

@@ -40,9 +40,9 @@ Quickstart::
     region = Box.square(200.0)
     tree = build_hst(uniform_grid(region, 16), seed=0)
     mech = TreeMechanism(tree, epsilon=0.5, seed=1)
-    worker_leaves = [mech.obfuscate(tree.path_of(i)) for i in (3, 77, 120)]
+    worker_leaves = mech.obfuscate_points_batch([3, 77, 120])
     matcher = HSTGreedyMatcher.for_tree(tree, worker_leaves)
-    worker, level = matcher.assign(mech.obfuscate(tree.path_of(42)))
+    worker, level = matcher.assign(mech.obfuscate_points_batch([42])[0])
 """
 
 from .crowdsourcing import (

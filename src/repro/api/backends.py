@@ -54,6 +54,7 @@ mesh coordinator journals and schedules under its own locks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,9 +127,10 @@ class ServiceSpec:
             raise ValueError(f"shards must be (nx, ny) >= (1, 1), got {self.shards}")
         if self.grid_nx < 1:
             raise ValueError(f"grid_nx must be >= 1, got {self.grid_nx}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.budget_capacity < self.epsilon:
+        # written so a NaN fails: every comparison with NaN is False
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not self.budget_capacity >= self.epsilon:
             raise ValueError(
                 "budget_capacity must cover at least one report's epsilon"
             )

@@ -1,6 +1,6 @@
 """Versioned shard-state snapshots: the mesh's checkpoint wire format.
 
-A v3 snapshot document comes in two kinds:
+A v4 snapshot document comes in two kinds:
 
 * a **base** — one JSON document capturing *everything* a shard is at a
   point in the event stream:
@@ -9,8 +9,9 @@ A v3 snapshot document comes in two kinds:
     same round-trip-guaranteed format clients consume);
   - the per-worker privacy ledger balances
     (:meth:`~repro.privacy.budget.PrivacyBudgetLedger.to_dict`);
-  - the matcher state — registrations, slot table, consumed slots, and
-    the accumulated result
+  - the matcher state — registrations as two int columns
+    (``worker_ids`` and their obfuscated ``leaves``, leaf indices), slot
+    table, consumed slots, and the accumulated result
     (:meth:`~repro.crowdsourcing.server.MatchingServer.export_state`);
   - the metrics recorder and the client-side RNG state
     (:meth:`~repro.service.shard.ShardServer.export_state`);
@@ -20,9 +21,10 @@ A v3 snapshot document comes in two kinds:
     server component could read.
 
 * a **delta** — only the cells changed since the *parent* checkpoint:
-  the ledger history suffix, new registrations/assignments/consumed
-  matcher slots, reservoir suffixes and overwrites, the RNG state, and
-  the (small, bounded) pending buffer. Deltas chain by checkpoint id:
+  the ledger history suffix, new registrations (suffixes of the two
+  columns), assignments and consumed matcher slots, reservoir suffixes
+  and overwrites, the RNG state, and the (small, bounded) pending
+  buffer. Deltas chain by checkpoint id:
   ``doc["parent"]`` names the checkpoint the delta builds on, and
   :func:`compose_chain` folds ``[base, delta, delta, ...]`` back into a
   single base document *bit-identically* — the composed ``state`` dict
@@ -31,7 +33,11 @@ A v3 snapshot document comes in two kinds:
   bounded; every restore cost is then O(base + bounded deltas).
 
 Malformed documents and broken chains raise :class:`SnapshotError`, a
-``ValueError`` with a stable ``code`` string for programmatic handling.
+``ValueError`` with a stable ``code`` string for programmatic handling;
+a shard state that fails its own checks on restore (a leaf that is not
+an int or lies outside the tree, a slot table that is not a permutation
+of the registrations, a consumed slot listed twice or outside the table)
+is ``snapshot-bad-format``.
 
 Round-trip guarantee (mirrors ``hst_to_dict``/``hst_from_dict``):
 restoring a snapshot taken mid-stream — from a base document or composed
@@ -67,9 +73,10 @@ __all__ = [
 
 SNAPSHOT_FORMAT = "repro-shard-snapshot"
 #: The one version this runtime writes and restores: base/delta document
-#: kinds chained by checkpoint id. Snapshots live only in coordinator
-#: memory, never on disk, so no older document exists to read.
-SNAPSHOT_VERSION = 3
+#: kinds chained by checkpoint id, registrations as int columns. Snapshots
+#: live only in coordinator memory, never on disk, so no older document
+#: exists to read.
+SNAPSHOT_VERSION = 4
 
 #: A shard with no buffered worker arrivals.
 _EMPTY_PENDING: tuple[list, list] = ([], [])
@@ -181,7 +188,14 @@ def restore_shard(payload: dict) -> tuple[ShardServer, tuple[list[int], list]]:
             "snapshot-missing-fields",
             f"snapshot missing fields: {sorted(missing)}",
         )
-    shard = ShardServer.from_state(payload["state"])
+    try:
+        shard = ShardServer.from_state(payload["state"])
+    except (TypeError, ValueError) as err:
+        # a wrong type (a null column, a leaf that is not an int) is as
+        # malformed as a wrong value
+        raise SnapshotError(
+            "snapshot-bad-format", f"malformed shard state: {err}"
+        ) from err
     buf = payload["pending"]
     pending = (
         [int(w) for w in buf["worker_ids"]],

@@ -2,8 +2,9 @@
 
 The paper's workflow (Fig. 1) runs the privacy mechanism *on the user's
 device*: a worker/task snaps its true location to the nearest published
-predefined point and obfuscates the resulting leaf (TBF), or adds planar
-Laplace noise to the raw coordinates (the baselines). Only the output of
+predefined point and obfuscates the resulting leaf (TBF, reported as a
+leaf index), or adds planar Laplace noise to the raw coordinates (the
+baselines). Only the output of
 these functions may cross into :mod:`repro.crowdsourcing.server`.
 """
 
@@ -28,10 +29,10 @@ def encode_worker_tree(
     worker: Worker, tree: HST, mechanism: TreeMechanism, rng=None
 ) -> WorkerReport:
     """Snap a worker to its nearest predefined point and obfuscate the leaf."""
-    leaf = tree.leaf_for_location(worker.location)
+    path = mechanism.obfuscate(tree.leaf_for_location(worker.location), rng)
     return WorkerReport(
         worker_id=worker.worker_id,
-        leaf=mechanism.obfuscate(leaf, rng),
+        leaf=tree.leaf_of_path(path),
         reachable_distance=worker.reachable_distance,
     )
 
@@ -40,8 +41,8 @@ def encode_task_tree(
     task: Task, tree: HST, mechanism: TreeMechanism, rng=None
 ) -> TaskReport:
     """Snap a task to its nearest predefined point and obfuscate the leaf."""
-    leaf = tree.leaf_for_location(task.location)
-    return TaskReport(task_id=task.task_id, leaf=mechanism.obfuscate(leaf, rng))
+    path = mechanism.obfuscate(tree.leaf_for_location(task.location), rng)
+    return TaskReport(task_id=task.task_id, leaf=tree.leaf_of_path(path))
 
 
 def encode_worker_laplace(

@@ -1,10 +1,12 @@
 """The three parties of the interaction model (paper Definitions 1-3).
 
 Workers and tasks are coordinate carriers; the server is deliberately blind:
-it can only be handed *reports* (obfuscated leaves or noisy coordinates),
-never true locations. The type layer below enforces that separation so a
-pipeline cannot accidentally leak true coordinates into a matcher — matchers
-accept :class:`WorkerReport`/:class:`TaskReport` payloads only.
+it can only be handed *reports* (obfuscated leaf indices or noisy
+coordinates), never true locations. The type layer below enforces that
+separation so a pipeline cannot accidentally leak true coordinates into a
+matcher — the matching server accepts :class:`WorkerReport` /
+:class:`TaskReport` payloads (or a cohort's worker-id and leaf-index
+columns) only.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..geometry.points import as_point
-from ..hst.paths import Path
 
 __all__ = ["Worker", "Task", "WorkerReport", "TaskReport"]
 
@@ -55,12 +56,13 @@ class Task:
 class WorkerReport:
     """What a worker actually sends to the untrusted server.
 
-    Exactly one of ``leaf`` (tree mechanisms) or ``noisy_location``
+    Exactly one of ``leaf`` (tree mechanisms: the obfuscated leaf's index,
+    see :attr:`~repro.hst.tree.HST.leaf_index`) or ``noisy_location``
     (Laplace mechanisms) is set; the true location never appears here.
     """
 
     worker_id: int
-    leaf: Path | None = None
+    leaf: int | None = None
     noisy_location: np.ndarray | None = None
     reachable_distance: float = float("inf")
 
@@ -71,10 +73,11 @@ class WorkerReport:
 
 @dataclass(frozen=True)
 class TaskReport:
-    """What a task submission actually sends to the untrusted server."""
+    """What a task submission actually sends to the untrusted server:
+    an obfuscated leaf index or a noisy location, never the true one."""
 
     task_id: int
-    leaf: Path | None = None
+    leaf: int | None = None
     noisy_location: np.ndarray | None = None
 
     def __post_init__(self) -> None:

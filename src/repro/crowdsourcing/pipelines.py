@@ -31,6 +31,7 @@ import numpy as np
 from ..geometry.box import Box
 from ..geometry.points import as_points
 from ..hst.build import build_hst
+from ..hst.paths import path_to_leaf
 from ..hst.tree import HST
 from ..matching.euclidean_greedy import EuclideanGreedyMatcher
 from ..matching.hst_greedy import HSTGreedyMatcher
@@ -113,15 +114,14 @@ class PipelineOutcome:
         return self.matching.size
 
 
-def _register_workers(tree, mechanism, locations, rng) -> list:
-    """Snap and obfuscate all worker locations at once.
+def _register_workers(tree, mechanism, locations, rng) -> list[int]:
+    """Snap and obfuscate all worker locations at once, as leaf indices.
 
     Uses the vectorized batch sampler (same distribution as the walk) so
     registering 10^5 workers costs milliseconds, not seconds.
     """
     idx = tree.snap_index.snap_many(locations)
-    obfuscated = mechanism.obfuscate_batch(tree.paths[idx], rng)
-    return [tuple(int(v) for v in row) for row in obfuscated]
+    return mechanism.obfuscate_points_batch(idx, rng).tolist()
 
 
 class _BasePipeline:
@@ -178,11 +178,11 @@ class TBFPipeline(_BasePipeline):
             matching = MatchingResult()
             for task_id in range(instance.n_tasks):
                 with watch.timed():
-                    leaf = tree.leaf_for_location(
+                    path = tree.leaf_for_location(
                         instance.task_locations[task_id]
                     )
-                    report = mechanism.obfuscate(leaf, rng)
-                    found = matcher.assign(report)
+                    report = mechanism.obfuscate(path, rng)
+                    found = matcher.assign(path_to_leaf(report, tree.branching))
                 if found is None:
                     matching.unassigned_tasks.append(task_id)
                     continue
@@ -288,7 +288,7 @@ class LapHGPipeline(_BasePipeline):
                     noisy_task = laplace.obfuscate(
                         instance.task_locations[task_id], rng
                     )
-                    leaf = tree.leaf_for_location(noisy_task)
+                    leaf = tree.leaf_index[tree.snap_index.snap(noisy_task)]
                     found = matcher.assign(leaf)
                 if found is None:
                     matching.unassigned_tasks.append(task_id)
@@ -358,12 +358,14 @@ class TBFSizePipeline(_BasePipeline):
             matching = MatchingResult()
             for task_id in range(instance.n_tasks):
                 with watch.timed():
-                    leaf = tree.leaf_for_location(
+                    path = tree.leaf_for_location(
                         instance.task_locations[task_id]
                     )
-                    report = mechanism.obfuscate(leaf, rng)
+                    report = mechanism.obfuscate(path, rng)
                     found = matcher.assign_reachable_preferring_radius(
-                        report, budgets, instance.radii
+                        path_to_leaf(report, tree.branching),
+                        budgets,
+                        instance.radii,
                     )
                 if found is None:
                     matching.unassigned_tasks.append(task_id)
@@ -380,7 +382,7 @@ class TBFSizePipeline(_BasePipeline):
                     )
                 )
                 if not success:
-                    matcher.release(worker, worker_reports[worker])
+                    matcher.release(worker)
         return PipelineOutcome(
             algorithm=self.name,
             matching=matching,

@@ -8,8 +8,9 @@ The server owns two jobs:
 2. **Assignment** — accept obfuscated reports and match each arriving task
    immediately (:class:`MatchingServer`). The server types only accept
    :class:`~repro.crowdsourcing.entities.WorkerReport` /
-   :class:`~repro.crowdsourcing.entities.TaskReport` payloads, so true
-   locations cannot reach this module by construction.
+   :class:`~repro.crowdsourcing.entities.TaskReport` payloads, or a cohort
+   of reports as (worker id, leaf index) columns, so true locations cannot
+   reach this module by construction.
 
 The experiment pipelines inline this logic for speed; this class is the
 reference implementation that the examples and integration tests exercise.
@@ -17,6 +18,7 @@ reference implementation that the examples and integration tests exercise.
 
 from __future__ import annotations
 
+import operator
 from itertools import islice
 
 import numpy as np
@@ -26,6 +28,7 @@ from ..geometry.grid import uniform_grid
 from ..hst.build import build_hst
 from ..hst.tree import HST
 from ..matching.hst_greedy import HSTGreedyMatcher
+from ..matching.leaf_trie import check_leaves
 from ..matching.types import Assignment, MatchingResult
 from .entities import TaskReport, WorkerReport
 
@@ -61,6 +64,12 @@ class MatchingServer:
     distances only — converting to true travel distances requires the true
     coordinates, which the server never has (pipelines do that outside).
 
+    A report's leaf is a leaf index (one int, see
+    :attr:`~repro.hst.tree.HST.leaf_index`). Registrations are kept in
+    registration order, worker id to leaf; :meth:`register_cohort` takes
+    a cohort as two columns (worker ids, leaves) and
+    :meth:`register_worker` is a cohort of one.
+
     The paper's OMBM model fixes the worker pool before the first task, so
     registration closes once tasks arrive. The serving layer
     (:mod:`repro.service`) relaxes that: with
@@ -71,7 +80,9 @@ class MatchingServer:
     def __init__(self, tree: HST, *, allow_late_registration: bool = False) -> None:
         self.tree = tree
         self.allow_late_registration = allow_late_registration
-        self._worker_reports: dict[int, WorkerReport] = {}
+        # worker id -> reported leaf, in registration order
+        self._leaves: dict[int, int] = {}
+        # slot -> worker id, once the matcher is built
         self._ids: list[int] = []
         self._matcher: HSTGreedyMatcher | None = None
         # append-only consumption log (slot per assignment) and the
@@ -87,38 +98,48 @@ class MatchingServer:
             raise TypeError("server only accepts WorkerReport payloads")
         if report.leaf is None:
             raise ValueError("the HST server needs leaf-encoded reports")
+        self.register_cohort([report.worker_id], [report.leaf])
+
+    def register_cohort(self, worker_ids, leaves) -> None:
+        """Accept a cohort of obfuscated registrations as two columns.
+
+        All or nothing: a cohort with a bad leaf or an already registered
+        worker is refused whole.
+        """
+        ids = [operator.index(w) for w in worker_ids]
+        leaves = check_leaves(leaves, self.tree.depth, self.tree.branching)
+        if len(ids) != len(leaves):
+            raise ValueError("need one leaf per worker id")
         if self._matcher is not None and not self.allow_late_registration:
             raise RuntimeError("registration is closed once tasks arrive")
-        if report.worker_id in self._worker_reports:
-            raise ValueError(f"worker {report.worker_id} already registered")
-        self._worker_reports[report.worker_id] = report
+        already = [w for w in ids if w in self._leaves]
+        if already:
+            raise ValueError(f"worker {already[0]} already registered")
+        if len(set(ids)) != len(ids):
+            raise ValueError("duplicate worker ids within a cohort")
+        self._leaves.update(zip(ids, leaves))
         if self._matcher is not None:
-            self._matcher.add_worker(report.leaf)
-            self._ids.append(report.worker_id)
-
-    def register_workers(self, reports) -> None:
-        """Accept a whole cohort of worker registrations at once."""
-        for report in reports:
-            self.register_worker(report)
+            self._matcher._admit(leaves)
+            self._ids.extend(ids)
 
     @property
     def registered_workers(self) -> int:
-        return len(self._worker_reports)
+        return len(self._leaves)
 
     @property
     def registered_ids(self) -> list[int]:
         """Worker ids with a registration on record, registration-ordered."""
-        return list(self._worker_reports)
+        return list(self._leaves)
 
     def is_registered(self, worker_id: int) -> bool:
         """Whether ``worker_id`` has a registration on record."""
-        return worker_id in self._worker_reports
+        return worker_id in self._leaves
 
     @property
     def available_workers(self) -> int:
         """Workers registered and not yet consumed by an assignment."""
         if self._matcher is None:
-            return len(self._worker_reports)
+            return len(self._leaves)
         return self._matcher.available
 
     # ------------------------------------------------------------------ #
@@ -151,14 +172,9 @@ class MatchingServer:
         if report.leaf is None:
             raise ValueError("the HST server needs leaf-encoded reports")
         if self._matcher is None:
-            ids = sorted(self._worker_reports)
-            self._ids = ids
-            self._built_at = len(ids)
-            self._matcher = HSTGreedyMatcher(
-                self.tree.depth,
-                self.tree.branching,
-                [self._worker_reports[i].leaf for i in ids],
-            )
+            # slots follow worker-id order at the build, then registration
+            self._build_matcher(sorted(self._leaves))
+            self._built_at = len(self._ids)
         found = self._matcher.assign(report.leaf)
         if found is None:
             self.result.unassigned_tasks.append(report.task_id)
@@ -171,6 +187,13 @@ class MatchingServer:
         )
         return worker_id, level
 
+    def _build_matcher(self, slot_ids: list[int]) -> None:
+        """Build the matcher trie with one slot per worker id, in order,
+        from registrations already checked on the way in."""
+        self._ids = slot_ids
+        self._matcher = HSTGreedyMatcher(self.tree.depth, self.tree.branching, ())
+        self._matcher._admit([self._leaves[i] for i in slot_ids])
+
     # ------------------------------------------------------------------ #
     # checkpointing                                                       #
     # ------------------------------------------------------------------ #
@@ -178,10 +201,11 @@ class MatchingServer:
     def export_state(self) -> dict:
         """JSON-ready matcher state for shard snapshots.
 
-        Captures registrations (in registration order), the slot-id table
-        and consumed slots of the live matcher trie, and the accumulated
-        result — everything :meth:`from_state` needs to resume serving
-        with identical assignment decisions (the trie's tie-breaking is
+        Captures registrations as two int columns (``worker_ids`` and
+        ``leaves``, registration order), the slot-id table and consumed
+        slots of the live matcher trie, and the accumulated result —
+        everything :meth:`from_state` needs to resume serving with
+        identical assignment decisions (the trie's tie-breaking is
         insertion-ordered, and slots are inserted in increasing order, so
         rebuilding all slots and removing the consumed ones reproduces the
         exact structure).
@@ -192,10 +216,8 @@ class MatchingServer:
         consumed = sorted(self._consumed)
         return {
             "allow_late_registration": self.allow_late_registration,
-            "reports": [
-                [r.worker_id, list(r.leaf)]
-                for r in self._worker_reports.values()
-            ],
+            "worker_ids": list(self._leaves),
+            "leaves": list(self._leaves.values()),
             "slot_ids": None if self._matcher is None else list(self._ids),
             "consumed_slots": consumed,
             "assignments": [
@@ -208,7 +230,7 @@ class MatchingServer:
         """Pure-value checkpoint cursor: counts of the append-only logs
         plus whether the matcher trie existed at cursor time."""
         return {
-            "reports": len(self._worker_reports),
+            "workers": len(self._leaves),
             "consumed": len(self._consumed),
             "assignments": len(self.result.assignments),
             "unassigned": len(self.result.unassigned_tasks),
@@ -218,18 +240,20 @@ class MatchingServer:
     def export_delta(self, cursor: dict) -> dict:
         """Changes since ``cursor`` (non-destructive).
 
-        Registrations, assignments, unassigned tasks and the consumption
-        log are all append-only, so each travels as a suffix. ``built_at``
-        is the registration count at lazy matcher build when the build
-        happened inside this window (the composer needs it to reproduce
-        the sorted-then-appended slot table), else ``None``.
+        Registrations (both columns), assignments, unassigned tasks and
+        the consumption log are all append-only, so each travels as a
+        suffix. ``built_at`` is the registration count at lazy matcher
+        build when the build happened inside this window (the composer
+        needs it to reproduce the sorted-then-appended slot table), else
+        ``None``.
         """
-        suffix = islice(self._worker_reports.values(), int(cursor["reports"]), None)
+        start = int(cursor["workers"])
         built_at = None
         if not cursor["matcher"] and self._matcher is not None:
             built_at = self._built_at
         return {
-            "reports": [[r.worker_id, list(r.leaf)] for r in suffix],
+            "worker_ids": list(islice(self._leaves, start, None)),
+            "leaves": list(islice(self._leaves.values(), start, None)),
             "built_at": built_at,
             "consumed": list(self._consumed[int(cursor["consumed"]) :]),
             "assignments": [
@@ -247,21 +271,19 @@ class MatchingServer:
         :meth:`export_state` payload, returning the child checkpoint's
         :meth:`export_state` form.
 
-        Slot-table rule: if the parent already had a matcher, every new
-        registration was appended to the table in registration order; if
-        the matcher was built inside the window, the table is the sorted
-        prefix of the first ``built_at`` worker ids followed by the rest
-        in registration order — exactly the live build's layout.
+        The registration columns concatenate. Slot-table rule: if the
+        parent already had a matcher, every new registration was appended
+        to the table in registration order; if the matcher was built
+        inside the window, the table is the sorted prefix of the first
+        ``built_at`` worker ids followed by the rest in registration
+        order — exactly the live build's layout.
         """
-        reports = [list(entry) for entry in base["reports"]]
-        reports.extend(list(entry) for entry in delta["reports"])
+        worker_ids = list(base["worker_ids"]) + list(delta["worker_ids"])
         if base["slot_ids"] is not None:
-            slot_ids = list(base["slot_ids"])
-            slot_ids.extend(wid for wid, _ in delta["reports"])
+            slot_ids = list(base["slot_ids"]) + list(delta["worker_ids"])
         elif delta["built_at"] is not None:
-            wids = [wid for wid, _ in reports]
             built_at = int(delta["built_at"])
-            slot_ids = sorted(wids[:built_at]) + wids[built_at:]
+            slot_ids = sorted(worker_ids[:built_at]) + worker_ids[built_at:]
         else:
             slot_ids = None
         consumed = sorted(
@@ -270,7 +292,8 @@ class MatchingServer:
         )
         return {
             "allow_late_registration": base["allow_late_registration"],
-            "reports": reports,
+            "worker_ids": worker_ids,
+            "leaves": list(base["leaves"]) + list(delta["leaves"]),
             "slot_ids": slot_ids,
             "consumed_slots": consumed,
             "assignments": [list(entry) for entry in base["assignments"]]
@@ -281,10 +304,18 @@ class MatchingServer:
 
     @classmethod
     def from_state(cls, tree: HST, payload: dict) -> "MatchingServer":
-        """Rebuild a server exported by :meth:`export_state` over ``tree``."""
+        """Rebuild a server exported by :meth:`export_state` over ``tree``.
+
+        Restore is where leaves come back from outside, so it checks the
+        section once: every leaf in ``[0, c**D)``, registrations unique,
+        the slot table a permutation of them, consumed slots unique and
+        inside the table, and no consumed slot without a table. Raises
+        ``ValueError`` otherwise.
+        """
         missing = {
             "allow_late_registration",
-            "reports",
+            "worker_ids",
+            "leaves",
             "slot_ids",
             "consumed_slots",
             "assignments",
@@ -296,25 +327,30 @@ class MatchingServer:
             tree,
             allow_late_registration=bool(payload["allow_late_registration"]),
         )
-        for wid, leaf in payload["reports"]:
-            wid = int(wid)
-            server._worker_reports[wid] = WorkerReport(
-                worker_id=wid, leaf=tuple(int(v) for v in leaf)
-            )
+        worker_ids = [int(w) for w in payload["worker_ids"]]
+        leaves = check_leaves(payload["leaves"], tree.depth, tree.branching)
+        if len(worker_ids) != len(leaves):
+            raise ValueError("registration columns differ in length")
+        server._leaves = dict(zip(worker_ids, leaves))
+        if len(server._leaves) != len(worker_ids):
+            raise ValueError("a worker is registered twice")
+        consumed = [int(s) for s in payload["consumed_slots"]]
         slot_ids = payload["slot_ids"]
-        if slot_ids is not None:
+        if slot_ids is None:
+            if consumed:
+                raise ValueError("consumed slots without a slot table")
+        else:
             ids = [int(i) for i in slot_ids]
-            if set(ids) != set(server._worker_reports):
-                raise ValueError("slot table inconsistent with registrations")
-            server._ids = ids
-            server._matcher = HSTGreedyMatcher(
-                tree.depth,
-                tree.branching,
-                [server._worker_reports[i].leaf for i in ids],
-            )
-            for slot in payload["consumed_slots"]:
-                server._matcher.remove_worker(int(slot))
-        server._consumed = [int(s) for s in payload["consumed_slots"]]
+            if len(ids) != len(worker_ids) or set(ids) != server._leaves.keys():
+                raise ValueError("slot table is not a permutation of the registrations")
+            if len(set(consumed)) != len(consumed):
+                raise ValueError("a consumed slot is listed twice")
+            if any(not 0 <= s < len(ids) for s in consumed):
+                raise ValueError("a consumed slot lies outside the slot table")
+            server._build_matcher(ids)
+            for slot in consumed:
+                server._matcher.remove_worker(slot)
+        server._consumed = consumed
         server.result = MatchingResult(
             assignments=[
                 Assignment(task=int(t), worker=int(w))
@@ -323,4 +359,3 @@ class MatchingServer:
             unassigned_tasks=[int(t) for t in payload["unassigned_tasks"]],
         )
         return server
-

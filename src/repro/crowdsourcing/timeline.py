@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..geometry.points import as_points
+from ..hst.paths import path_to_leaf
 from ..hst.tree import HST
 from ..matching.leaf_trie import LeafTrie
 from ..privacy.budget import PrivacyBudgetLedger
@@ -159,12 +160,11 @@ class FleetSimulator:
         n = len(self._initial_locations)
         true_location = self._initial_locations.copy()
         trie = LeafTrie(self.tree.depth, self.tree.branching)
-        reported: dict[int, tuple] = {}
+        reported: dict[int, int] = {}  # worker -> reported leaf index
         for worker in range(n):
-            leaf = self.tree.leaf_for_location(true_location[worker])
             if self._ledger is not None:
                 self._ledger.spend(worker, eps)
-            report = self.mechanism.obfuscate(leaf, rng)
+            report = self._report(true_location[worker], rng)
             trie.insert(report, worker)
             reported[worker] = report
             trace.reports_sent += 1
@@ -172,9 +172,7 @@ class FleetSimulator:
         busy: list[tuple[float, int]] = []  # (free_time, worker) heap
         for task_id, (loc, now) in enumerate(zip(tasks, times)):
             self._release_due(busy, now, trie, reported, true_location, rng, trace)
-            task_leaf = self.tree.leaf_for_location(loc)
-            task_report = self.mechanism.obfuscate(task_leaf, rng)
-            found = trie.pop_nearest(task_report)
+            found = trie.pop_nearest(self._report(loc, rng))
             if found is None:
                 trace.records.append(
                     RideRecord(task_id=task_id, arrival_time=float(now), worker=None)
@@ -211,11 +209,16 @@ class FleetSimulator:
             if self._ledger is None or self._ledger.can_spend(worker, eps):
                 if self._ledger is not None:
                     self._ledger.spend(worker, eps)
-                leaf = self.tree.leaf_for_location(true_location[worker])
-                report = self.mechanism.obfuscate(leaf, rng)
+                report = self._report(true_location[worker], rng)
                 reported[worker] = report
                 trace.reports_sent += 1
             else:
                 report = reported[worker]
                 trace.reports_suppressed += 1
             trie.insert(report, worker)
+
+    def _report(self, location, rng) -> int:
+        """Snap, obfuscate (the mechanism's own sampler) and return the
+        reported leaf index."""
+        path = self.mechanism.obfuscate(self.tree.leaf_for_location(location), rng)
+        return path_to_leaf(path, self.tree.branching)

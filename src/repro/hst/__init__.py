@@ -7,6 +7,8 @@ from .paths import (
     edge_length,
     enumerate_leaves,
     lca_level,
+    leaf_to_path,
+    path_to_leaf,
     sibling_leaves,
     sibling_set_size,
     tree_distance,
@@ -25,6 +27,8 @@ __all__ = [
     "edge_length",
     "enumerate_leaves",
     "lca_level",
+    "leaf_to_path",
+    "path_to_leaf",
     "sibling_leaves",
     "sibling_set_size",
     "tree_distance",

@@ -15,6 +15,13 @@ i.e. the step from level ``D-j`` down to level ``D-j-1``. An edge entering
 level ``i`` from its parent has length ``2**(i+1)``, so two leaves whose LCA
 is at level ``l`` are at tree distance ``2**(l+2) - 4`` (which is 0 for
 ``l = 0``, i.e. identical leaves).
+
+Past the mechanism a leaf travels as one integer, its **leaf index**: the
+path read as base-``c`` digits, most significant first
+(:func:`path_to_leaf`, :func:`leaf_to_path`). The ancestor at level ``l``
+of leaf ``z`` is then ``z // c**l`` and the child taken below it is
+``(z // c**(l-1)) % c``, so the whole path algebra above has an integer
+twin that the serving path uses.
 """
 
 from __future__ import annotations
@@ -35,6 +42,8 @@ __all__ = [
     "sibling_set_size",
     "enumerate_leaves",
     "sibling_leaves",
+    "path_to_leaf",
+    "leaf_to_path",
 ]
 
 
@@ -134,3 +143,24 @@ def sibling_leaves(x: Path, level: int, branching: int) -> Iterator[Path]:
             continue
         for rest in product(range(branching), repeat=level - 1):
             yield prefix + (first,) + rest
+
+
+def path_to_leaf(path: Path, branching: int) -> int:
+    """Leaf index of ``path``: its child indices read as base-``c`` digits.
+
+    No range check; :meth:`repro.hst.tree.HST.leaf_of_path` is the
+    validating form.
+    """
+    leaf = 0
+    for v in path:
+        leaf = leaf * branching + int(v)
+    return leaf
+
+
+def leaf_to_path(leaf: int, depth: int, branching: int) -> Path:
+    """Inverse of :func:`path_to_leaf` for a tree of the given shape."""
+    digits = []
+    for _ in range(depth):
+        leaf, v = divmod(leaf, branching)
+        digits.append(v)
+    return tuple(reversed(digits))

@@ -7,8 +7,15 @@
   length-``D`` child-index path, fake leaves included
   (see :mod:`repro.hst.paths`);
 * the bookkeeping needed by the privacy mechanism and the matcher:
-  point-to-path and path-to-point maps, tree distances, and the real
+  point-to-path and path-to-point maps, the per-point **leaf index**
+  column (a path read as base-``c`` digits, one int per leaf — the form
+  every report takes past the mechanism), tree distances, and the real
   branching structure (for introspection and tests).
+
+Tuple paths stay the paper's notation (Algorithms 2-3, the audits);
+:meth:`HST.leaf_of_path` and :meth:`HST.path_of_leaf` convert between the
+two. A tree is only publishable when its leaf indices fit an int64
+(``c**D < 2**63``).
 
 Distances come in two unit systems. *Tree units* are the paper's
 ``2**(i+1)`` edge lengths on the (possibly rescaled) metric; the privacy
@@ -76,6 +83,12 @@ class HST:
             self.paths.min() < 0 or self.paths.max() >= self.branching
         ):
             raise ValueError("path entries outside [0, branching)")
+        if self.branching**self.depth >= 2**63:
+            raise ValueError(
+                f"a depth-{self.depth} tree of branching {self.branching} "
+                f"has {self.branching}**{self.depth} leaves; leaf indices "
+                "need c**D < 2**63"
+            )
 
     # ------------------------------------------------------------------ #
     # basic shape                                                         #
@@ -121,6 +134,28 @@ class HST:
     def validate_path(self, path: Path) -> Path:
         """Validate a leaf path against this tree's depth and branching."""
         return pathlib.validate_path(path, self.depth, self.branching)
+
+    @cached_property
+    def leaf_index(self) -> np.ndarray:
+        """``(N,)`` int64 column: row ``i`` is ``paths[i]`` read as
+        base-``c`` digits, the leaf index of real leaf ``i``."""
+        weights = self.branching ** np.arange(
+            self.depth - 1, -1, -1, dtype=np.int64
+        )
+        column = self.paths.astype(np.int64) @ weights
+        column.flags.writeable = False
+        return column
+
+    def leaf_of_path(self, path: Path) -> int:
+        """Leaf index of a (validated) leaf path."""
+        return pathlib.path_to_leaf(self.validate_path(path), self.branching)
+
+    def path_of_leaf(self, leaf: int) -> Path:
+        """Leaf path of a leaf index in ``[0, c**D)``."""
+        leaf = int(leaf)
+        if not 0 <= leaf < self.num_leaves:
+            raise ValueError(f"leaf {leaf} outside [0, {self.num_leaves})")
+        return pathlib.leaf_to_path(leaf, self.depth, self.branching)
 
     # ------------------------------------------------------------------ #
     # distances                                                           #
@@ -179,7 +214,7 @@ class HST:
         """Snap a coordinate to its nearest predefined point's leaf path."""
         return self.path_of(self.snap_index.snap(location))
 
-    def leaves_for_locations(self, locations) -> list[Path]:
-        """Vectorized :meth:`leaf_for_location`."""
-        idx = self.snap_index.snap_many(locations)
-        return [self.path_of(int(i)) for i in idx]
+    def leaves_for_locations(self, locations) -> np.ndarray:
+        """Snap coordinates to their nearest predefined points' leaf
+        indices (int64; :meth:`leaf_for_location` gives one leaf path)."""
+        return self.leaf_index[self.snap_index.snap_many(locations)]

@@ -17,8 +17,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..hst.paths import Path
-from .leaf_trie import LeafTrie
+from .leaf_trie import LeafTrie, check_leaves
 
 __all__ = ["CapacitatedHSTGreedyMatcher"]
 
@@ -29,9 +28,9 @@ class CapacitatedHSTGreedyMatcher:
     Parameters
     ----------
     depth, branching:
-        Shape of the complete HST the leaf paths live in.
-    worker_paths:
-        Obfuscated leaf path per worker; ids are positions.
+        Shape of the complete HST the leaves live in.
+    worker_leaves:
+        Obfuscated leaf index per worker; ids are positions.
     capacities:
         Integer capacity per worker (scalar broadcasts). A worker stays in
         the pool until it has been assigned ``capacity`` tasks.
@@ -41,21 +40,22 @@ class CapacitatedHSTGreedyMatcher:
         self,
         depth: int,
         branching: int,
-        worker_paths: Sequence[Path],
+        worker_leaves: Sequence[int],
         capacities=1,
     ) -> None:
-        n = len(worker_paths)
+        self._leaves = check_leaves(worker_leaves, depth, branching)
+        n = len(self._leaves)
         caps = np.broadcast_to(
             np.asarray(capacities, dtype=np.int64), (n,)
         ).copy()
         if np.any(caps < 0):
             raise ValueError("capacities must be non-negative")
-        self._paths = [tuple(int(v) for v in p) for p in worker_paths]
-        self._remaining = caps
+        self._capacity = caps
+        self._remaining = caps.copy()
         self._trie = LeafTrie(depth, branching)
-        for worker_id, path in enumerate(self._paths):
+        for worker_id, leaf in enumerate(self._leaves):
             if caps[worker_id] > 0:
-                self._trie.insert(path, worker_id)
+                self._trie.insert(leaf, worker_id)
 
     @property
     def available(self) -> int:
@@ -71,13 +71,13 @@ class CapacitatedHSTGreedyMatcher:
         """Remaining capacity of one worker."""
         return int(self._remaining[worker_id])
 
-    def assign(self, task_path: Path) -> tuple[int, int] | None:
+    def assign(self, task_leaf: int) -> tuple[int, int] | None:
         """Assign the nearest worker with spare capacity; decrement it.
 
         Returns ``(worker_id, lca_level)`` or ``None`` when the pool's
         total capacity is exhausted.
         """
-        found = self._trie.nearest(task_path)
+        found = self._trie.nearest(self._trie.check(task_leaf))
         if found is None:
             return None
         worker_id, level = found
@@ -87,9 +87,16 @@ class CapacitatedHSTGreedyMatcher:
         return worker_id, level
 
     def release(self, worker_id: int) -> None:
-        """Undo one assignment of ``worker_id`` (capacity returns)."""
-        if self._remaining[worker_id] < 0:  # pragma: no cover - guarded above
-            raise AssertionError("negative capacity")
+        """Undo one assignment of ``worker_id`` (capacity returns).
+
+        Raises ``ValueError`` when the worker has no assignment
+        outstanding: a release never lifts a worker above its initial
+        capacity.
+        """
+        if self._remaining[worker_id] >= self._capacity[worker_id]:
+            raise ValueError(
+                f"worker {worker_id} has no outstanding assignment to release"
+            )
         self._remaining[worker_id] += 1
         if worker_id not in self._trie:
-            self._trie.insert(self._paths[worker_id], worker_id)
+            self._trie.insert(self._leaves[worker_id], worker_id)

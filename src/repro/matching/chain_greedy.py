@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ..hst.paths import Path
-from .leaf_trie import LeafTrie
+from .leaf_trie import LeafTrie, check_leaves
 
 __all__ = ["HSTChainMatcher"]
 
@@ -30,9 +29,9 @@ class HSTChainMatcher:
     Parameters
     ----------
     depth, branching:
-        Shape of the complete HST the leaf paths live in.
-    worker_paths:
-        Obfuscated leaf path per worker; ids are positions.
+        Shape of the complete HST the leaves live in.
+    worker_leaves:
+        Obfuscated leaf index per worker; ids are positions.
     max_hops:
         Safety bound on chain length (defaults to a generous multiple of
         the tree depth; chains longer than this fall back to the nearest
@@ -43,19 +42,19 @@ class HSTChainMatcher:
         self,
         depth: int,
         branching: int,
-        worker_paths: Sequence[Path],
+        worker_leaves: Sequence[int],
         max_hops: int = 64,
     ) -> None:
         if max_hops < 1:
             raise ValueError(f"max_hops must be >= 1, got {max_hops}")
-        self._paths = [tuple(int(v) for v in p) for p in worker_paths]
+        self._leaves = check_leaves(worker_leaves, depth, branching)
         # all workers, matched or not: hop targets
         self._all = LeafTrie(depth, branching)
         # only unmatched workers: chain terminals
         self._free = LeafTrie(depth, branching)
-        for worker_id, path in enumerate(self._paths):
-            self._all.insert(path, worker_id)
-            self._free.insert(path, worker_id)
+        for worker_id, leaf in enumerate(self._leaves):
+            self._all.insert(leaf, worker_id)
+            self._free.insert(leaf, worker_id)
         self._max_hops = max_hops
 
     @property
@@ -63,16 +62,16 @@ class HSTChainMatcher:
         """Number of unmatched workers."""
         return len(self._free)
 
-    def assign(self, task_path: Path) -> tuple[int, int] | None:
+    def assign(self, task_leaf: int) -> tuple[int, int] | None:
         """Chain from the task's leaf until an unmatched worker is found.
 
         Returns ``(worker_id, hops)`` where ``hops`` counts the matched
         workers traversed before the terminal; ``None`` when no unmatched
         workers remain.
         """
+        position = self._all.check(task_leaf)
         if len(self._free) == 0:
             return None
-        position = tuple(int(v) for v in task_path)
         visited: set[int] = set()
         for hop in range(self._max_hops):
             candidate = self._nearest_unvisited(position, visited)
@@ -84,13 +83,13 @@ class HSTChainMatcher:
                 return worker_id, hop
             # hop to the matched worker's reported position and continue
             visited.add(worker_id)
-            position = self._paths[worker_id]
+            position = self._leaves[worker_id]
         # chain exhausted: fall back to the nearest unmatched worker
         found = self._free.pop_nearest(position)
         assert found is not None  # len(self._free) > 0 checked above
         return found[0], self._max_hops
 
-    def _nearest_unvisited(self, position: Path, visited: set[int]) -> int | None:
+    def _nearest_unvisited(self, position: int, visited: set[int]) -> int | None:
         for worker_id, _level in self._all.iter_candidates(position):
             if worker_id not in visited:
                 return worker_id

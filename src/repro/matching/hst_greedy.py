@@ -3,9 +3,10 @@
 Each arriving task is assigned to the available worker whose (obfuscated)
 leaf is closest *on the tree*; the worker is then consumed. The paper's
 pseudocode scans all workers per task (O(D n) per assignment); we use the
-:class:`~repro.matching.leaf_trie.LeafTrie` to do it in O(D c) without
+:class:`~repro.matching.leaf_trie.LeafTrie` to do it in O(D) without
 changing the algorithm's decisions (same distance ordering; ties broken
-arbitrarily in both).
+arbitrarily in both). Leaves are leaf indices, the base-``c`` reading of
+a leaf path (:meth:`~repro.hst.tree.HST.leaf_of_path` converts a path).
 
 Two variants are provided:
 
@@ -22,8 +23,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..hst.paths import Path, tree_distance_for_level
-from .leaf_trie import LeafTrie
+from ..hst.paths import tree_distance_for_level
+from .leaf_trie import LeafTrie, check_leaves
 
 __all__ = ["HSTGreedyMatcher", "max_level_within"]
 
@@ -48,46 +49,32 @@ class HSTGreedyMatcher:
     Parameters
     ----------
     depth, branching:
-        Shape of the complete HST the leaf paths live in.
-    worker_paths:
-        Obfuscated leaf path of every registered worker; worker ids are the
-        positions in this sequence.
+        Shape of the complete HST the leaves live in.
+    worker_leaves:
+        Obfuscated leaf index of every registered worker; worker ids are
+        the positions in this sequence.
     """
 
     def __init__(
-        self, depth: int, branching: int, worker_paths: Sequence[Path]
+        self, depth: int, branching: int, worker_leaves: Sequence[int]
     ) -> None:
         self._trie = LeafTrie(depth, branching)
-        # dense slot -> leaf-path table; the trie indexes availability, the
-        # array is the flat record of every slot ever admitted (release and
-        # snapshot rebuilds read paths from here instead of re-collecting
-        # tuples). Grown geometrically by add_worker.
-        n = len(worker_paths)
-        self._slot_paths = np.zeros((max(n, 8), depth), dtype=np.int64)
-        for worker_id, path in enumerate(worker_paths):
-            self._trie.insert(path, worker_id)
-            self._slot_paths[worker_id] = path
-        self._next_slot = n
+        # dense slot -> leaf column: the trie indexes availability, the
+        # column is the record of every slot ever admitted (release reads
+        # leaves from here). Grown geometrically by add_workers.
+        self._slot_leaves = np.zeros(8, dtype=np.int64)
+        self._next_slot = 0
+        self.add_workers(worker_leaves)
 
     @classmethod
-    def for_tree(cls, tree, worker_paths: Sequence[Path]) -> "HSTGreedyMatcher":
+    def for_tree(cls, tree, worker_leaves: Sequence[int]) -> "HSTGreedyMatcher":
         """Build a matcher sized for an :class:`~repro.hst.tree.HST`."""
-        return cls(tree.depth, tree.branching, worker_paths)
+        return cls(tree.depth, tree.branching, worker_leaves)
 
     @property
     def available(self) -> int:
         """Number of workers not yet consumed."""
         return len(self._trie)
-
-    @property
-    def available_ids(self) -> list[int]:
-        """Sorted slot ids of the workers not yet consumed.
-
-        Checkpointing hook: a matcher restore rebuilds the trie from all
-        registered workers and then consumes exactly the slots missing
-        from this list (see :mod:`repro.cluster.snapshot`).
-        """
-        return sorted(self._trie.items())
 
     def remove_worker(self, slot: int) -> None:
         """Consume a specific worker slot without an assignment.
@@ -97,44 +84,51 @@ class HSTGreedyMatcher:
         """
         self._trie.remove(slot)
 
-    def add_worker(self, path: Path) -> int:
-        """Admit a worker that arrived after construction.
+    def add_workers(self, leaves: Sequence[int]) -> int:
+        """Admit workers that arrived after construction; returns the
+        first new slot id (slots continue the constructor's numbering).
 
         The paper's OMBM model fixes the worker set up front; the serving
         layer (:mod:`repro.service`) relaxes that to streaming worker
-        arrivals, which only requires inserting a fresh leaf into the trie.
-        Returns the new worker's slot id (continuing the constructor's
-        numbering).
+        arrivals, which only requires inserting fresh leaves into the trie.
         """
-        slot = self._next_slot
-        self._next_slot += 1
-        self._trie.insert(path, slot)
-        if slot >= len(self._slot_paths):
-            grown = np.zeros(
-                (2 * len(self._slot_paths), self._slot_paths.shape[1]),
-                dtype=self._slot_paths.dtype,
-            )
-            grown[:slot] = self._slot_paths
-            self._slot_paths = grown
-        self._slot_paths[slot] = path
-        return slot
+        trie = self._trie
+        return self._admit(check_leaves(leaves, trie.depth, trie.branching))
 
-    def slot_path(self, slot: int) -> Path:
-        """Leaf path a slot was admitted under (consumed slots included)."""
+    def _admit(self, leaves: list[int]) -> int:
+        """:meth:`add_workers` on leaves already checked by
+        :func:`~repro.matching.leaf_trie.check_leaves` (a caller that
+        validated them once, like
+        :meth:`~repro.crowdsourcing.server.MatchingServer.register_cohort`)."""
+        first = self._next_slot
+        end = first + len(leaves)
+        if end > len(self._slot_leaves):
+            grown = np.zeros(max(end, 2 * len(self._slot_leaves)), dtype=np.int64)
+            grown[:first] = self._slot_leaves[:first]
+            self._slot_leaves = grown
+        self._slot_leaves[first:end] = leaves
+        insert = self._trie.insert
+        for slot, leaf in enumerate(leaves, first):
+            insert(leaf, slot)
+        self._next_slot = end
+        return first
+
+    def slot_leaf(self, slot: int) -> int:
+        """Leaf a slot was admitted under (consumed slots included)."""
         if not 0 <= slot < self._next_slot:
             raise IndexError(f"slot {slot} outside [0, {self._next_slot})")
-        return tuple(self._slot_paths[slot].tolist())
+        return int(self._slot_leaves[slot])
 
-    def assign(self, task_path: Path) -> tuple[int, int] | None:
+    def assign(self, task_leaf: int) -> tuple[int, int] | None:
         """Assign the nearest available worker to the task's leaf.
 
         Returns ``(worker_id, lca_level)`` and consumes the worker, or
         ``None`` when no workers remain.
         """
-        return self._trie.pop_nearest(task_path)
+        return self._trie.pop_nearest(self._trie.check(task_leaf))
 
     def assign_reachable(
-        self, task_path: Path, radius_tree_units
+        self, task_leaf: int, radius_tree_units
     ) -> tuple[int, int] | None:
         """Assign the nearest available worker that *looks* reachable.
 
@@ -145,7 +139,7 @@ class HSTGreedyMatcher:
         (task stays unassigned) if no available worker qualifies.
         """
         per_worker = not _is_scalar(radius_tree_units)
-        for worker_id, level in self._trie.iter_candidates(task_path):
+        for worker_id, level in self._trie.iter_candidates(self._trie.check(task_leaf)):
             limit = (
                 radius_tree_units[worker_id] if per_worker else radius_tree_units
             )
@@ -155,7 +149,7 @@ class HSTGreedyMatcher:
         return None
 
     def assign_reachable_preferring_radius(
-        self, task_path: Path, radii_tree_units, radii
+        self, task_leaf: int, radii_tree_units, radii
     ) -> tuple[int, int] | None:
         """Budget-filtered assignment with a radius-aware tie-break.
 
@@ -171,7 +165,7 @@ class HSTGreedyMatcher:
         best_pass: tuple[float, int, int] | None = None  # (radius, id, level)
         fallback: tuple[float, int, int] | None = None  # best at nearest level
         nearest_level: int | None = None
-        for worker_id, level in self._trie.iter_candidates(task_path):
+        for worker_id, level in self._trie.iter_candidates(self._trie.check(task_leaf)):
             if nearest_level is None:
                 nearest_level = level
             if level != nearest_level and best_pass is not None:
@@ -193,17 +187,14 @@ class HSTGreedyMatcher:
         self._trie.remove(worker_id)
         return worker_id, level
 
-    def release(self, worker_id: int, path: Path | None = None) -> None:
-        """Return a previously consumed worker to the pool.
+    def release(self, worker_id: int) -> None:
+        """Return a previously consumed worker to the pool, under the leaf
+        its slot was admitted with.
 
         Used by the case-study semantics where a failed assignment leaves
-        the worker available. ``path`` defaults to the leaf the slot was
-        admitted under (from the slot table); passing it explicitly keeps
-        the historical call shape working.
+        the worker available.
         """
-        if path is None:
-            path = self.slot_path(worker_id)
-        self._trie.insert(path, worker_id)
+        self._trie.insert(self.slot_leaf(worker_id), worker_id)
 
 
 def _is_scalar(value) -> bool:

@@ -1,43 +1,54 @@
-"""A counted trie over HST leaf paths.
+"""A bitmask trie over HST leaf indices.
 
 This is the data structure that makes HST-Greedy (paper Algorithm 4) fast:
-``nearest available worker on the tree`` is ``worker whose leaf path shares
-the longest prefix with the task's leaf path``. The trie stores available
-workers keyed by leaf path with per-node subtree counts, giving
+``nearest available worker on the tree`` is ``worker whose leaf shares the
+longest path prefix with the task's leaf``. Leaves are leaf indices (a
+path read as base-``c`` digits, see :mod:`repro.hst.paths`), so the
+ancestor of leaf ``z`` at depth ``d`` is the integer prefix
+``z // c**(D-d)``. Each live internal node is keyed by (depth, prefix) and
+holds a bitmask of its live children; items sit in per-leaf buckets.
+That gives
 
-* ``insert`` / ``remove`` in O(D),
-* ``nearest`` in O(D * c),
-* lazy enumeration of *all* workers in non-decreasing tree distance
+* ``insert`` / ``remove`` in O(D) integer operations,
+* ``nearest`` in O(D): climb from the task's leaf to the first ancestor
+  with a live child other than the task's own, then descend by lowest set
+  bits,
+* lazy enumeration of *all* items in non-decreasing tree distance
   (:meth:`iter_candidates`) for the reachability-constrained variant,
 
 compared to the O(n) per task of the paper's naive scan (their stated
 complexity is O(D n m); see ``benchmarks/bench_ablation_trie.py``).
 
-Ties (several workers equally close on the tree) are broken deterministically
+Ties (several items equally close on the tree) are broken deterministically
 by descending into the smallest live child index and taking the most recently
 inserted item at a leaf — the paper allows arbitrary tie-breaking.
+
+The trie trusts its leaves: callers validate leaf indices once, where they
+come from outside (matcher construction, snapshot restore).
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 
-from ..hst.paths import Path, tree_distance_for_level
+from ..hst.paths import tree_distance_for_level
 
-__all__ = ["LeafTrie"]
+__all__ = ["LeafTrie", "check_leaves"]
 
 
-class _Node:
-    __slots__ = ("count", "children", "items")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.children: dict[int, _Node] = {}
-        self.items: list[int] | None = None  # only at leaves
+def check_leaves(leaves, depth: int, branching: int) -> list[int]:
+    """Leaf indices as a list of Python ints, each checked to lie in
+    ``[0, c**D)``; raises ``ValueError`` otherwise."""
+    out = [operator.index(v) for v in leaves]
+    if out and (min(out) < 0 or max(out) >= branching**depth):
+        bad = next(v for v in out if not 0 <= v < branching**depth)
+        raise ValueError(f"leaf {bad} outside [0, {branching**depth})")
+    return out
 
 
 class LeafTrie:
-    """Multiset of (item id, leaf path) with nearest-on-tree queries."""
+    """Multiset of (item id, leaf index) with nearest-on-tree queries."""
 
     def __init__(self, depth: int, branching: int) -> None:
         if depth < 1:
@@ -46,152 +57,150 @@ class LeafTrie:
             raise ValueError(f"branching must be >= 1, got {branching}")
         self.depth = depth
         self.branching = branching
-        self._root = _Node()
-        self._paths: dict[int, Path] = {}
+        self.num_leaves = branching**depth
+        # _masks[d][prefix]: bitmask of the live children of the depth-d
+        # node ``prefix``; a node is live (present) iff its mask is nonzero
+        self._masks: list[dict[int, int]] = [{} for _ in range(depth)]
+        self._buckets: dict[int, list[int]] = {}
+        self._leaves: dict[int, int] = {}
 
     def __len__(self) -> int:
-        return self._root.count
+        return len(self._leaves)
 
     def __contains__(self, item: int) -> bool:
-        return item in self._paths
+        return item in self._leaves
 
-    def path_of(self, item: int) -> Path:
-        """Leaf path under which ``item`` is stored."""
-        return self._paths[item]
+    def check(self, leaf) -> int:
+        """``leaf`` as a Python int, checked to lie in ``[0, c**D)``: the
+        one-comparison guard matchers apply to a task's leaf."""
+        leaf = operator.index(leaf)
+        if not 0 <= leaf < self.num_leaves:
+            raise ValueError(f"leaf {leaf} outside [0, {self.num_leaves})")
+        return leaf
+
+    def leaf_of(self, item: int) -> int:
+        """Leaf index under which ``item`` is stored."""
+        return self._leaves[item]
 
     def items(self) -> list[int]:
         """All stored item ids, in no particular order."""
-        return list(self._paths)
+        return list(self._leaves)
 
     # ------------------------------------------------------------------ #
     # updates                                                             #
     # ------------------------------------------------------------------ #
 
-    def insert(self, path: Path, item: int) -> None:
-        """Add ``item`` at ``path``. Item ids must be unique."""
-        path = self._validate(path)
-        if item in self._paths:
+    def insert(self, leaf: int, item: int) -> None:
+        """Add ``item`` at ``leaf``. Item ids must be unique."""
+        if item in self._leaves:
             raise ValueError(f"item {item} already present")
-        node = self._root
-        node.count += 1
-        for v in path:
-            child = node.children.get(v)
-            if child is None:
-                child = node.children[v] = _Node()
-            node = child
-            node.count += 1
-        if node.items is None:
-            node.items = []
-        node.items.append(item)
-        self._paths[item] = path
+        self._leaves[item] = leaf
+        bucket = self._buckets.get(leaf)
+        if bucket is not None:
+            bucket.append(item)
+            return
+        self._buckets[leaf] = [item]
+        # a new live leaf: set its bit in each ancestor, stopping at the
+        # first ancestor that was already live
+        c = self.branching
+        prefix = leaf
+        for masks in reversed(self._masks):
+            prefix, digit = divmod(prefix, c)
+            mask = masks.get(prefix, 0)
+            masks[prefix] = mask | (1 << digit)
+            if mask:
+                return
 
     def remove(self, item: int) -> None:
         """Remove a previously inserted item."""
-        path = self._paths.pop(item, None)
-        if path is None:
+        leaf = self._leaves.pop(item, None)
+        if leaf is None:
             raise KeyError(f"item {item} not present")
-        node = self._root
-        node.count -= 1
-        chain = []
-        for v in path:
-            chain.append((node, v))
-            node = node.children[v]
-            node.count -= 1
-        node.items.remove(item)
-        # Prune empty branches so iteration never revisits dead subtrees.
-        for parent, v in reversed(chain):
-            if parent.children[v].count == 0:
-                del parent.children[v]
-            else:
-                break
+        bucket = self._buckets[leaf]
+        if len(bucket) > 1:
+            bucket.remove(item)
+            return
+        del self._buckets[leaf]
+        # the leaf died: clear its bit in each ancestor, pruning ancestors
+        # left without a live child
+        c = self.branching
+        prefix = leaf
+        for masks in reversed(self._masks):
+            prefix, digit = divmod(prefix, c)
+            mask = masks[prefix] & ~(1 << digit)
+            if mask:
+                masks[prefix] = mask
+                return
+            del masks[prefix]
 
     # ------------------------------------------------------------------ #
     # queries                                                             #
     # ------------------------------------------------------------------ #
 
-    def iter_candidates(self, path: Path) -> Iterator[tuple[int, int]]:
+    def iter_candidates(self, leaf: int) -> Iterator[tuple[int, int]]:
         """Yield ``(item, lca_level)`` in non-decreasing tree distance.
 
         All stored items are eventually yielded; items at LCA level ``l``
-        are at tree distance ``2**(l+2) - 4`` from ``path``.
+        are at tree distance ``2**(l+2) - 4`` from ``leaf``. Within a
+        level, subtrees come in ascending child order, depth first, and a
+        leaf's items newest first.
         """
-        path = self._validate(path)
-        # Walk down the query path recording the node chain that exists.
-        chain: list[_Node] = [self._root]
-        node = self._root
-        for v in path:
-            child = node.children.get(v)
-            if child is None:
-                break
-            chain.append(child)
-            node = child
-        # Exact-leaf items first (level 0), then widen level by level.
-        deepest = len(chain) - 1  # prefix length of the deepest live node
-        if deepest == self.depth and chain[-1].items:
-            # Most recently inserted first: cheap and deterministic.
-            for item in reversed(list(chain[-1].items)):
+        bucket = self._buckets.get(leaf)
+        if bucket:
+            for item in bucket[::-1]:
                 yield item, 0
-        for prefix_len in range(min(deepest, self.depth - 1), -1, -1):
-            level = self.depth - prefix_len
-            parent = chain[prefix_len]
-            skip = path[prefix_len]
-            for v in sorted(parent.children):
-                if v == skip:
-                    continue
-                yield from self._iter_subtree(parent.children[v], level)
+        c, depth = self.branching, self.depth
+        prefix = leaf
+        for level in range(1, depth + 1):
+            prefix, own = divmod(prefix, c)
+            mask = self._masks[depth - level].get(prefix, 0) & ~(1 << own)
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                child = prefix * c + low.bit_length() - 1
+                yield from self._iter_subtree(depth - level + 1, child, level)
 
-    def nearest(self, path: Path) -> tuple[int, int] | None:
+    def nearest(self, leaf: int) -> tuple[int, int] | None:
         """Closest item on the tree, as ``(item, lca_level)``; ``None`` if empty.
 
-        A direct walk rather than ``next(iter_candidates(...))``: the
-        nearest item is the first one candidate enumeration would yield
-        (same chain, same smallest-live-child descent, same
-        most-recent-at-leaf tie-break), found here without spinning up the
-        generator machinery — this query is the per-task hot path.
+        The task's own leaf bucket first; failing that, the first ancestor
+        (climbing from depth ``D-1``) with a live child other than the
+        task's own, its lowest such child, then lowest set bits down to a
+        leaf whose newest item is returned — the first item
+        :meth:`iter_candidates` would yield.
         """
-        path = self._validate(path)
-        chain: list[_Node] = [self._root]
-        node = self._root
-        for v in path:
-            child = node.children.get(v)
-            if child is None:
-                break
-            chain.append(child)
-            node = child
-        deepest = len(chain) - 1
-        if deepest == self.depth and chain[-1].items:
-            return chain[-1].items[-1], 0
-        for prefix_len in range(min(deepest, self.depth - 1), -1, -1):
-            parent = chain[prefix_len]
-            skip = path[prefix_len]
-            live = sorted(parent.children)
-            for v in live:
-                if v == skip:
-                    continue
-                # leaf-ward descent through the smallest live child mirrors
-                # _iter_subtree's DFS order; items live only at leaves
-                node = parent.children[v]
-                while node.items is None:
-                    node = node.children[min(node.children)]
-                return node.items[-1], self.depth - prefix_len
+        bucket = self._buckets.get(leaf)
+        if bucket:
+            return bucket[-1], 0
+        c, depth, all_masks = self.branching, self.depth, self._masks
+        prefix = leaf
+        for level in range(1, depth + 1):
+            prefix, own = divmod(prefix, c)
+            mask = all_masks[depth - level].get(prefix, 0) & ~(1 << own)
+            if mask:
+                node = prefix * c + (mask & -mask).bit_length() - 1
+                for masks in all_masks[depth - level + 1 :]:
+                    mask = masks[node]
+                    node = node * c + (mask & -mask).bit_length() - 1
+                return self._buckets[node][-1], level
         return None
 
-    def pop_nearest(self, path: Path) -> tuple[int, int] | None:
+    def pop_nearest(self, leaf: int) -> tuple[int, int] | None:
         """Remove and return the closest item (Algorithm 4's inner step)."""
-        found = self.nearest(path)
+        found = self.nearest(leaf)
         if found is not None:
             self.remove(found[0])
         return found
 
     def pop_nearest_within(
-        self, path: Path, max_tree_distance: float
+        self, leaf: int, max_tree_distance: float
     ) -> tuple[int, int] | None:
         """Closest item at tree distance <= ``max_tree_distance``, removed.
 
         Used by the matching-size case study where the server filters by a
         (tree-unit) reachability radius.
         """
-        found = self.nearest(path)
+        found = self.nearest(leaf)
         if found is None:
             return None
         item, level = found
@@ -204,29 +213,24 @@ class LeafTrie:
     # internals                                                           #
     # ------------------------------------------------------------------ #
 
-    def _iter_subtree(self, node: _Node, level: int) -> Iterator[tuple[int, int]]:
-        """DFS over live leaves below ``node``, yielding ``(item, level)``."""
-        stack = [node]
+    def _iter_subtree(
+        self, depth: int, prefix: int, level: int
+    ) -> Iterator[tuple[int, int]]:
+        """DFS over the live leaves below the depth-``depth`` node
+        ``prefix``, smallest child first, yielding ``(item, level)``."""
+        c, leaf_depth = self.branching, self.depth
+        stack = [(depth, prefix)]
         while stack:
-            current = stack.pop()
-            if current.items:
-                for item in reversed(list(current.items)):
+            d, node = stack.pop()
+            if d == leaf_depth:
+                for item in self._buckets.get(node, ())[::-1]:
                     yield item, level
-            # reversed-sorted so the smallest child index is explored first
-            for v in sorted(current.children, reverse=True):
-                stack.append(current.children[v])
-
-    def _validate(self, path: Path) -> Path:
-        if type(path) is tuple and len(path) == self.depth:
-            for v in path:
-                if type(v) is not int or not 0 <= v < self.branching:
-                    break
-            else:
-                return path  # already canonical — the hot-path shape
-        p = tuple(int(v) for v in path)
-        if len(p) != self.depth:
-            raise ValueError(f"path length {len(p)} != depth {self.depth}")
-        for v in p:
-            if not 0 <= v < self.branching:
-                raise ValueError(f"child index {v} outside [0, {self.branching})")
-        return p
+                continue
+            mask = self._masks[d].get(node, 0)
+            children = []
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                children.append((d + 1, node * c + low.bit_length() - 1))
+            # reversed so the smallest child index is explored first
+            stack.extend(reversed(children))

@@ -24,6 +24,8 @@ the dict-backed ledger, so existing snapshots restore bit-identically.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["BudgetExceededError", "PrivacyBudgetLedger"]
@@ -31,6 +33,12 @@ __all__ = ["BudgetExceededError", "PrivacyBudgetLedger"]
 
 class BudgetExceededError(RuntimeError):
     """Raised when a spend would push a principal past its budget cap."""
+
+
+def _check_epsilon(epsilon: float) -> None:
+    # written so a NaN fails: every comparison with NaN is False
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
 
 
 class PrivacyBudgetLedger:
@@ -44,7 +52,8 @@ class PrivacyBudgetLedger:
 
     def __init__(self, capacity: float) -> None:
         self.capacity = capacity
-        if self.capacity <= 0:
+        # NaN fails (it would turn the cap off); +inf means no cap
+        if not self.capacity > 0:
             raise ValueError(f"capacity must be positive, got {self.capacity}")
         self._rows: dict[object, int] = {}  # principal -> balance row
         self._principals: list[object] = []  # row -> principal
@@ -67,8 +76,7 @@ class PrivacyBudgetLedger:
 
     def can_spend(self, principal, epsilon: float) -> bool:
         """Whether a further ``epsilon`` spend fits under the cap."""
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        _check_epsilon(epsilon)
         return self.spent(principal) + epsilon <= self.capacity + 1e-12
 
     def spend(self, principal, epsilon: float) -> float:
@@ -97,8 +105,7 @@ class PrivacyBudgetLedger:
         nothing is recorded, so the ledger can never drift out of sync
         with a half-applied cohort.
         """
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        _check_epsilon(epsilon)
         principals = list(principals)
         if not principals:
             return

@@ -16,9 +16,19 @@ Three interchangeable samplers produce the *same* distribution (Theorem 2):
 
 The mechanism operates purely on leaf paths, so fake leaves (added to make
 the tree complete) are legal outputs, exactly as in the paper's Example 3.
+
+Those three take and return tuple paths, the paper's notation. The serving
+path and the pipelines' bulk registration use the batch sampler
+(:meth:`TreeMechanism.obfuscate_points_batch`) instead: the level sampler
+over *leaf indices* (a path read as base-``c`` digits), which turns a leaf
+at level ``l`` by integer arithmetic and returns int64 leaf indices, the
+one form a report takes from here to the matcher and the snapshot.
 """
 
 from __future__ import annotations
+
+import operator
+from bisect import bisect_right
 
 import numpy as np
 
@@ -66,7 +76,12 @@ class TreeMechanism:
         self.weights = TreeWeights.from_tree(tree, epsilon)
         self.method = method
         self._rng = ensure_rng(seed)
-        self._cols = np.arange(tree.depth)
+        # integer turn tables: c**l by level, and the base-c weight of
+        # the digit at each depth
+        self._pow = tree.branching ** np.arange(tree.depth + 1, dtype=np.int64)
+        self._digit_weights = self._pow[tree.depth - 1 :: -1].copy()
+        self._level_cdf = self.weights.level_cdf.tolist()
+        self._leaf_list = tree.leaf_index.tolist()
 
     @property
     def epsilon(self) -> float:
@@ -164,66 +179,47 @@ class TreeMechanism:
         rng = self._resolve_rng(rng)
         return [self.obfuscate(x, rng) for x in xs]
 
-    def obfuscate_batch(self, paths: np.ndarray, rng=None) -> np.ndarray:
-        """Vectorized obfuscation of an ``(n, D)`` array of leaf paths.
+    def obfuscate_points_batch(self, point_indices, rng=None) -> np.ndarray:
+        """Vectorized obfuscation of real leaves by predefined-point index.
 
-        Samples every leaf's LCA level in one multinomial draw and builds
-        all output paths with array operations — the same distribution as
-        the per-leaf samplers (it is the level sampler, vectorized), at a
-        fraction of the Python overhead. Pipelines use it to register
-        10^4-10^5 workers at once, and :class:`~repro.service.shard
-        .ShardServer` routes every single-event task submission through it
-        as a batch of one — the hot path has exactly one sampler.
+        The registration *and* serving entry point: looks up each point's
+        leaf in :attr:`tree.leaf_index <repro.hst.tree.HST.leaf_index>`
+        and turns it in the batch kernel, returning int64 leaf indices.
+        :class:`~repro.service.shard.ShardServer` sends every task through
+        here as a batch of one, which runs as plain Python from the index
+        lookup on (:meth:`_turn_one`).
         """
         rng = self._resolve_rng(rng)
-        paths = np.asarray(paths, dtype=np.int64)
-        if paths.ndim != 2 or paths.shape[1] != self.tree.depth:
-            raise ValueError(
-                f"expected (n, {self.tree.depth}) paths, got {paths.shape}"
-            )
-        if paths.size and (
-            paths.min() < 0 or paths.max() >= self.tree.branching
-        ):
-            raise ValueError("path entries outside [0, branching)")
-        return self._obfuscate_rows(paths, rng)
+        if len(point_indices) == 1:
+            point = operator.index(point_indices[0])
+            if not 0 <= point < self.tree.n_points:
+                raise IndexError("point index out of range")
+            leaf = self._turn_one(self._leaf_list[point], rng)
+            return np.array([leaf], dtype=np.int64)
+        idx = np.asarray(point_indices, dtype=np.intp)
+        if idx.ndim != 1:
+            raise ValueError(f"expected a 1-d index array, got shape {idx.shape}")
+        if idx.size and (idx.min() < 0 or idx.max() >= self.tree.n_points):
+            raise IndexError("point index out of range")
+        return self._obfuscate_leaves(self.tree.leaf_index[idx], rng)
 
-    def _obfuscate_rows(self, paths: np.ndarray, rng) -> np.ndarray:
-        """The batch sampler proper, on pre-validated ``(n, D)`` int64 rows.
+    def _obfuscate_leaves(self, leaves: np.ndarray, rng) -> np.ndarray:
+        """The batch sampler proper, on validated int64 leaf indices.
 
-        Single kernel behind both public batch entry points; the callers
-        own validation so a batch of one (the per-task hot path) pays no
-        redundant bound scans.
+        A turn at level ``l`` keeps the leaf's digits above the turning
+        node (``leaf // c**l``), replaces the turning digit by a uniform
+        non-returning child and draws the ``l - 1`` digits below it
+        uniformly: ``(leaf // c**l) * c**l + child * c**(l-1) + descent``.
+        Draws: one ``rng.random(n)`` for the levels, then one
+        ``rng.random((k, depth + 1))`` block for the ``k`` leaves that
+        move.
         """
-        n = len(paths)
+        n = len(leaves)
+        out = leaves.copy()
         depth, c = self.tree.depth, self.tree.branching
-        out = paths.copy()
-        if n == 0:
-            return out
-        if n == 1:
-            # the per-task hot case: identical draws (rng.random(1), then
-            # one rng.random((1, depth + 1)) block when the leaf moves) and
-            # identical arithmetic as the vector branch below, with scalar
-            # ops in place of gather/scatter — bit-for-bit the same output
-            # for the same stream, at a fraction of the fixed cost
-            level = int(
-                np.searchsorted(self.weights.level_cdf, rng.random(1), "right")[0]
-            )
-            if level == 0:
-                return out
-            u = rng.random((1, depth + 1))[0]
-            row = out[0]
-            split = depth - level
-            avoid = int(row[split])
-            child = min(int(u[0] * (c - 1)), c - 2)
-            if child >= avoid:
-                child += 1
-            row[split] = child
-            for j in range(split + 1, depth):
-                row[j] = min(int(u[j + 1] * c), c - 1)
-            return out
         # level draw via the precomputed cdf: bit-identical to
         # rng.choice(depth + 1, size=n, p=level_probs) on the same stream,
-        # minus choice's per-call p validation — which dominates at n = 1
+        # minus choice's per-call p validation
         levels = np.searchsorted(
             self.weights.level_cdf, rng.random(n), side="right"
         )
@@ -231,46 +227,55 @@ class TreeMechanism:
         if not moved.any():
             return out
         idx = moved.nonzero()[0]
-        split = depth - levels[idx]
+        level = levels[idx]
         # one uniform block covers the turning child and the whole descent:
         # floor-scaling doubles is uniform to 2**-53 per draw and an order
         # of magnitude cheaper than per-call bounded-integer sampling (the
-        # clip guards the measure-zero round-up at the top of the range)
+        # minimum guards the measure-zero round-up at the top of the range;
+        # the scaled draws are never negative); column 1 + j is the digit
+        # at depth j
         u = rng.random((len(idx), depth + 1))
+        below = self._pow[level - 1]
+        above = below * c
+        x = out[idx]
         # non-returning child at the turning node: uniform over the other
-        # c - 1 children (shift past the avoided index)
-        avoid = out[idx, split]
+        # c - 1 children (shift past the avoided digit)
+        avoid = (x // below) % c
         child = (u[:, 0] * (c - 1)).astype(np.int64)
-        np.clip(child, 0, c - 2, out=child)
+        np.minimum(child, c - 2, out=child)
         child += child >= avoid
-        out[idx, split] = child
-        # uniform descent below the turn
-        below = self._cols[None, :] > split[:, None]
-        random_children = (u[:, 1:] * c).astype(np.int64)
-        np.clip(random_children, 0, c - 1, out=random_children)
-        rows = out[idx]
-        rows[below] = random_children[below]
-        out[idx] = rows
+        # uniform descent below the turn: every digit drawn, the ones at or
+        # above the turn dropped by the modulus
+        digits = (u[:, 1:] * c).astype(np.int64)
+        np.minimum(digits, c - 1, out=digits)
+        descent = (digits @ self._digit_weights) % below
+        out[idx] = (x // above) * above + child * below + descent
         return out
 
-    def obfuscate_points_batch(self, point_indices, rng=None) -> np.ndarray:
-        """Vectorized obfuscation of real leaves by predefined-point index.
+    def _turn_one(self, leaf: int, rng) -> int:
+        """:meth:`_obfuscate_leaves` for a batch of one, in plain Python.
 
-        The registration *and* serving convenience: looks up the ``(n, D)``
-        path rows for ``point_indices`` in one fancy-indexing step and
-        hands them to the batch kernel, so the whole snap-to-report hot
-        path stays in numpy. Rows coming out of :attr:`tree.paths
-        <repro.hst.tree.HST.paths>` are valid by construction, so only the
-        indices themselves get bounds-checked here.
+        Bit for bit the array form: ``rng.random()`` is the double
+        ``rng.random(1)`` draws, ``bisect_right`` on the cdf list picks
+        the index ``np.searchsorted(..., "right")`` does,
+        ``rng.random(depth + 1)`` holds the values of
+        ``rng.random((1, depth + 1))``, and the integer turn is the same
+        arithmetic on Python ints, without numpy's fixed cost per call.
         """
-        idx = np.asarray(point_indices, dtype=np.intp)
-        if idx.ndim != 1:
-            raise ValueError(f"expected a 1-d index array, got shape {idx.shape}")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.tree.n_points):
-            raise IndexError("point index out of range")
-        return self._obfuscate_rows(
-            self.tree.paths[idx], self._resolve_rng(rng)
-        )
+        level = bisect_right(self._level_cdf, rng.random())
+        if level == 0:
+            return leaf
+        depth, c = self.tree.depth, self.tree.branching
+        u = rng.random(depth + 1).tolist()
+        below = c ** (level - 1)
+        child = min(int(u[0] * (c - 1)), c - 2)
+        if child >= (leaf // below) % c:
+            child += 1
+        descent = 0
+        for j in range(depth - level + 1, depth):
+            descent = descent * c + min(int(u[j + 1] * c), c - 1)
+        above = below * c
+        return (leaf // above) * above + child * below + descent
 
     def obfuscate_walk(self, x: Path, rng=None) -> Path:
         """Paper Algorithm 3: the O(D) random-walk sampler."""

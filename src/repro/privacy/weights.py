@@ -19,6 +19,7 @@ precomputed once per mechanism instance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,8 +69,8 @@ class TreeWeights:
     @classmethod
     def compute(cls, epsilon: float, depth: int, branching: int) -> "TreeWeights":
         """Evaluate Eqs. 3, 4 and 7 for ``(epsilon, depth, branching)``."""
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        if not 0 < epsilon < math.inf:  # NaN fails too
+            raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
         if depth < 1:
             raise ValueError(f"depth must be >= 1, got {depth}")
         if branching < 1:

@@ -16,8 +16,9 @@ serve traffic end to end:
   (``allow_late_registration=True``) running Algorithm 4 on reports only.
 
 The class structure mirrors the paper's trust boundary: ``server`` never
-sees a coordinate, only :class:`~repro.crowdsourcing.entities.WorkerReport`
-/ :class:`~repro.crowdsourcing.entities.TaskReport` payloads produced here.
+sees a coordinate, only obfuscated leaf indices produced here — a cohort
+as (worker id, leaf) columns, a task as a
+:class:`~repro.crowdsourcing.entities.TaskReport`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import time
 
 import numpy as np
 
-from ..crowdsourcing.entities import TaskReport, WorkerReport
+from ..crowdsourcing.entities import TaskReport
 from ..crowdsourcing.server import MatchingServer, publish_tree
 from ..geometry.box import Box
 from ..geometry.points import as_points
@@ -93,10 +94,11 @@ class ShardServer:
     def register_cohort(self, worker_ids, locations) -> None:
         """Register a worker cohort through the vectorized privacy path.
 
-        Snaps all true locations to predefined points in one KD-tree
-        query, obfuscates all leaves in one batched mechanism call, spends
+        Snaps all true locations to predefined points in one query,
+        obfuscates all leaves in one batched mechanism call, spends
         ``epsilon`` per worker on the shard ledger (all-or-nothing), and
-        registers the resulting reports with the matching server.
+        registers the reports with the matching server as two columns
+        (worker ids, leaf indices).
         """
         locs = as_points(locations)
         ids = [int(w) for w in worker_ids]
@@ -112,12 +114,9 @@ class ShardServer:
             # leave budget charged for registrations that never happened
             raise ValueError(f"workers already registered: {already[:5]}")
         snapped = self.tree.snap_index.snap_many(locs)
-        reports = self.mechanism.obfuscate_points_batch(snapped, self._rng)
+        leaves = self.mechanism.obfuscate_points_batch(snapped, self._rng)
         self.ledger.spend_batch(ids, self.epsilon)
-        self.server.register_workers(
-            WorkerReport(worker_id=w, leaf=tuple(int(v) for v in leaf))
-            for w, leaf in zip(ids, reports)
-        )
+        self.server.register_cohort(ids, leaves.tolist())
         self.metrics.record_cohort(len(ids))
 
     # ------------------------------------------------------------------ #
@@ -146,16 +145,16 @@ class ShardServer:
         already spent probing earlier shards in the chain, so the
         recorded latency covers the task's full serving time.
 
-        The obfuscation runs through the *same* vectorized kernel as
-        cohort registration — :meth:`~repro.privacy.tree_mechanism
-        .TreeMechanism.obfuscate_points_batch` with a batch of one — so
-        the shard has exactly one sampler on its hot path (batch and
-        single-event draws come from one stream with one draw layout,
-        and there is no scalar twin to drift out of sync).
+        The obfuscation goes through the *same* entry point as cohort
+        registration — :meth:`~repro.privacy.tree_mechanism
+        .TreeMechanism.obfuscate_points_batch` with a batch of one, which
+        runs the batch kernel's draws and arithmetic in plain Python — so
+        batch and single-event reports come from one stream with one draw
+        layout.
         """
-        snapped = np.array([self.tree.snap_index.snap(location)], dtype=np.intp)
-        obfuscated = self.mechanism.obfuscate_points_batch(snapped, self._rng)
-        report = TaskReport(task_id=task_id, leaf=tuple(obfuscated[0].tolist()))
+        point = self.tree.snap_index.snap(location)
+        leaf = self.mechanism.obfuscate_points_batch([point], self._rng)[0]
+        report = TaskReport(task_id=task_id, leaf=int(leaf))
         start = time.perf_counter()
         found = self.server.submit_task_detailed(report)
         latency = time.perf_counter() - start + latency_offset
@@ -231,7 +230,7 @@ class ShardServer:
         }
 
     def export_delta(self, cursor: dict) -> dict:
-        """Changes since ``cursor`` — the delta half of a v3 snapshot.
+        """Changes since ``cursor`` — the delta half of a v4 snapshot.
 
         Everything mutable on the serving path is append-only or
         dirty-tracked (ledger history, registrations, assignments,

@@ -507,6 +507,25 @@ class TestBackendFactoryAndSpec:
         with pytest.raises(ValueError):
             small_spec(seed="not-an-int")
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("epsilon", float("nan")),
+            ("epsilon", float("inf")),
+            ("budget_capacity", float("nan")),
+        ],
+    )
+    def test_spec_validation_rejects_non_finite_budgets(self, field, bad):
+        # NaN compares False both ways, so unchecked it would turn the cap off
+        with pytest.raises(ValueError):
+            small_spec(**{field: bad})
+
+    def test_spec_infinite_capacity_means_no_cap(self):
+        spec = small_spec(budget_capacity=float("inf"))
+        with AssignmentClient(make_backend("sharded", spec)) as client:
+            client.register_worker(1, (10.0, 10.0))
+            assert client.submit_task(1, (10.0, 10.0)) == 1
+
     def test_inprocess_requires_single_cell(self):
         with pytest.raises(ValueError):
             InProcessBackend(small_spec(shards=(2, 2)))

@@ -1,4 +1,5 @@
-"""Tests for TreeMechanism.obfuscate_batch: the vectorized sampler."""
+"""Tests for TreeMechanism.obfuscate_points_batch: the vectorized sampler
+over leaf indices."""
 
 import numpy as np
 import pytest
@@ -19,37 +20,49 @@ def mech(tree):
     return TreeMechanism(tree, epsilon=0.1, seed=0)
 
 
+def _levels(tree, x, out):
+    """LCA level of each reported leaf index with the path ``x``."""
+    return np.array([lca_level(x, tree.path_of_leaf(z)) for z in out])
+
+
 class TestShapeAndValidity:
     def test_output_shape(self, tree, mech):
-        paths = np.tile(tree.paths[0], (10, 1))
-        out = mech.obfuscate_batch(paths, np.random.default_rng(0))
-        assert out.shape == (10, tree.depth)
+        points = np.zeros(10, dtype=np.intp)
+        out = mech.obfuscate_points_batch(points, np.random.default_rng(0))
+        assert out.shape == (10,)
+        assert out.dtype == np.int64
 
     def test_outputs_are_valid_paths(self, tree, mech):
         rng = np.random.default_rng(1)
-        paths = tree.paths[np.zeros(200, dtype=int)]
-        out = mech.obfuscate_batch(paths, rng)
+        out = mech.obfuscate_points_batch(np.zeros(200, dtype=np.intp), rng)
         assert out.min() >= 0
-        assert out.max() < tree.branching
+        assert out.max() < tree.num_leaves
 
     def test_empty_batch(self, tree, mech):
-        out = mech.obfuscate_batch(np.empty((0, tree.depth), dtype=int))
-        assert out.shape == (0, tree.depth)
+        out = mech.obfuscate_points_batch(np.empty(0, dtype=np.intp))
+        assert out.shape == (0,)
+        assert out.dtype == np.int64
 
     def test_input_not_mutated(self, tree, mech):
-        paths = tree.paths[:2].copy()
-        before = paths.copy()
-        mech.obfuscate_batch(paths, np.random.default_rng(2))
-        assert np.array_equal(paths, before)
+        # the published leaf column is the kernel's input: a batch turns
+        # a copy of it
+        before = tree.leaf_index.copy()
+        for points in ([0, 2], [3]):
+            mech.obfuscate_points_batch(points, np.random.default_rng(2))
+        assert np.array_equal(tree.leaf_index, before)
 
-    def test_rejects_wrong_width(self, mech):
+    def test_rejects_wrong_width(self, tree, mech):
+        # a batch is one column of point indices; 2-d input is refused
         with pytest.raises(ValueError):
-            mech.obfuscate_batch(np.zeros((3, 2), dtype=int))
+            mech.obfuscate_points_batch(np.zeros((3, 2), dtype=int))
+        with pytest.raises(ValueError):
+            mech.obfuscate_points_batch(tree.paths[:3])
 
     def test_rejects_out_of_range(self, tree, mech):
-        bad = np.full((1, tree.depth), tree.branching, dtype=int)
-        with pytest.raises(ValueError):
-            mech.obfuscate_batch(bad)
+        for bad in (tree.n_points, -1):
+            for points in ([bad], [0, bad]):
+                with pytest.raises(IndexError):
+                    mech.obfuscate_points_batch(np.array(points))
 
 
 class TestDistribution:
@@ -58,11 +71,10 @@ class TestDistribution:
         x = tree.path_of(0)
         exact = mech.distribution(x)
         n = 40_000
-        batch = np.tile(np.array(x), (n, 1))
-        out = mech.obfuscate_batch(batch, np.random.default_rng(3))
+        out = mech.obfuscate_points_batch(np.zeros(n, dtype=np.intp), np.random.default_rng(3))
         counts = {}
-        for row in out:
-            key = tuple(int(v) for v in row)
+        for z in out:
+            key = tree.path_of_leaf(z)
             counts[key] = counts.get(key, 0) + 1
         assert set(counts) <= set(exact)
         tv = 0.5 * sum(
@@ -73,12 +85,8 @@ class TestDistribution:
     def test_level_marginals_match_walk(self, tree, mech):
         x = tree.path_of(2)
         n = 20_000
-        out = mech.obfuscate_batch(
-            np.tile(np.array(x), (n, 1)), np.random.default_rng(4)
-        )
-        levels = np.array(
-            [lca_level(x, tuple(int(v) for v in row)) for row in out]
-        )
+        out = mech.obfuscate_points_batch(np.full(n, 2), np.random.default_rng(4))
+        levels = _levels(tree, x, out)
         for lvl in range(tree.depth + 1):
             expected = mech.weights.level_probs[lvl]
             assert abs(float(np.mean(levels == lvl)) - expected) < 0.02
@@ -87,12 +95,9 @@ class TestDistribution:
         """A batch mixing different true leaves obfuscates each correctly:
         the stay probability applies per row."""
         n = 10_000
-        paths = np.vstack(
-            [np.tile(tree.paths[0], (n, 1)), np.tile(tree.paths[2], (n, 1))]
-        )
-        out = mech.obfuscate_batch(paths, np.random.default_rng(5))
-        stay0 = float(np.mean((out[:n] == tree.paths[0]).all(axis=1)))
-        stay2 = float(np.mean((out[n:] == tree.paths[2]).all(axis=1)))
+        out = mech.obfuscate_points_batch(np.repeat([0, 2], n), np.random.default_rng(5))
+        stay0 = float(np.mean(out[:n] == tree.leaf_index[0]))
+        stay2 = float(np.mean(out[n:] == tree.leaf_index[2]))
         expected = mech.weights.stay_probability
         assert abs(stay0 - expected) < 0.02
         assert abs(stay2 - expected) < 0.02
@@ -100,9 +105,9 @@ class TestDistribution:
     def test_unary_tree_identity(self):
         unary = build_hst([(3.0, 4.0)], seed=0)
         m = TreeMechanism(unary, epsilon=0.5)
-        paths = np.zeros((5, 1), dtype=int)
-        out = m.obfuscate_batch(paths, np.random.default_rng(0))
-        assert np.array_equal(out, paths)
+        for n in (1, 5):
+            out = m.obfuscate_points_batch(np.zeros(n, dtype=np.intp), np.random.default_rng(0))
+            assert np.array_equal(out, np.zeros(n, dtype=np.int64))
 
 
 class TestPipelineConsistency:
@@ -110,16 +115,12 @@ class TestPipelineConsistency:
         mech = TreeMechanism(small_grid_tree, epsilon=0.3)
         x = small_grid_tree.path_of(7)
         n = 15_000
-        batch = mech.obfuscate_batch(
-            np.tile(np.array(x), (n, 1)), np.random.default_rng(6)
-        )
+        batch = mech.obfuscate_points_batch(np.full(n, 7), np.random.default_rng(6))
         rng = np.random.default_rng(7)
         scalar_levels = np.array(
             [lca_level(x, mech.obfuscate_walk(x, rng)) for _ in range(n)]
         )
-        batch_levels = np.array(
-            [lca_level(x, tuple(int(v) for v in row)) for row in batch]
-        )
+        batch_levels = _levels(small_grid_tree, x, batch)
         for lvl in range(small_grid_tree.depth + 1):
             a = float(np.mean(scalar_levels == lvl))
             b = float(np.mean(batch_levels == lvl))

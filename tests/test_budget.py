@@ -59,6 +59,25 @@ class TestLedger:
         with pytest.raises(ValueError):
             ledger.can_spend("w", -0.1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_validation_rejects_non_finite_epsilon(self, bad):
+        ledger = PrivacyBudgetLedger(capacity=1.0)
+        with pytest.raises(ValueError):
+            ledger.spend("w", bad)
+        with pytest.raises(ValueError):
+            ledger.can_spend("w", bad)
+        with pytest.raises(ValueError):
+            ledger.spend_batch(["w", "v"], bad)
+        assert ledger.total_spent() == 0.0 and ledger.history == []
+
+    def test_validation_nan_capacity_rejected_inf_means_no_cap(self):
+        # a NaN cap would make every cap check False, i.e. no cap at all
+        with pytest.raises(ValueError):
+            PrivacyBudgetLedger(capacity=float("nan"))
+        unbounded = PrivacyBudgetLedger(capacity=float("inf"))
+        unbounded.spend_batch(["w"] * 3, 1e6)
+        assert unbounded.spent("w") == 3e6
+
 
 class TestLedgerRoundTrip:
     def test_to_dict_from_dict_preserves_everything(self):

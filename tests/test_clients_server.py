@@ -46,14 +46,14 @@ class TestClientEncoding:
         )
         assert report.worker_id == 5
         assert report.reachable_distance == 7.0
-        tree.validate_path(report.leaf)
+        tree.path_of_leaf(report.leaf)  # a leaf index inside the tree
         assert report.noisy_location is None
 
     def test_task_tree_report(self, published):
         tree, mech = published
         report = encode_task_tree(Task(2, (50.0, 50.0)), tree, mech)
         assert report.task_id == 2
-        tree.validate_path(report.leaf)
+        tree.path_of_leaf(report.leaf)
 
     def test_laplace_reports(self):
         mech = PlanarLaplaceMechanism(0.5, seed=0)
@@ -70,7 +70,7 @@ class TestClientEncoding:
         moved = 0
         for _ in range(50):
             report = encode_worker_tree(Worker(0, (10.0, 10.0)), tree, mech)
-            if report.leaf != tree.leaf_for_location((10.0, 10.0)):
+            if report.leaf != tree.leaf_of_path(tree.leaf_for_location((10.0, 10.0))):
                 moved += 1
         assert moved > 25
 
@@ -136,6 +136,59 @@ class TestMatchingServer:
             server.register_worker("not a report")
         with pytest.raises(TypeError):
             server.submit_task("not a report")
+
+    def test_cohort_registers_as_columns(self, published):
+        tree, _ = published
+        server = MatchingServer(tree, allow_late_registration=True)
+        server.register_cohort([4, 2], tree.leaf_index[[0, 5]])
+        server.register_worker(WorkerReport(worker_id=9, leaf=int(tree.leaf_index[7])))
+        assert server.registered_ids == [4, 2, 9]
+        state = server.export_state()
+        assert state["worker_ids"] == [4, 2, 9]
+        assert state["leaves"] == tree.leaf_index[[0, 5, 7]].tolist()
+        found = server.submit_task_detailed(
+            TaskReport(task_id=0, leaf=int(tree.leaf_index[5]))
+        )
+        assert found == (2, 0)
+        # late registrations go straight into the live trie
+        server.register_cohort([11], [int(tree.leaf_index[5])])
+        assert server.submit_task(TaskReport(task_id=1, leaf=int(tree.leaf_index[5]))) == 11
+
+    def test_cohort_is_all_or_nothing(self, published):
+        tree, _ = published
+        server = MatchingServer(tree)
+        server.register_cohort([1], [0])
+        with pytest.raises(ValueError):
+            server.register_cohort([2, 1], [0, 0])  # 1 already registered
+        with pytest.raises(ValueError):
+            server.register_cohort([3, 3], [0, 0])  # duplicate in the cohort
+        with pytest.raises(ValueError):
+            server.register_cohort([4], [tree.num_leaves])  # leaf outside the tree
+        with pytest.raises(ValueError):
+            server.register_cohort([5, 6], [0])  # columns differ in length
+        assert server.registered_ids == [1]
+
+    def test_late_cohort_is_all_or_nothing(self, published):
+        """Once the matcher exists, a late cohort is checked once, by the
+        server, before any of it reaches the matcher."""
+        tree, _ = published
+        server = MatchingServer(tree, allow_late_registration=True)
+        server.register_cohort([1, 2], [0, 5])
+        server.submit_task(TaskReport(task_id=0, leaf=0))
+        for ids, leaves in (([3, 4], [0, tree.num_leaves]), ([5], [-1]), ([6, 7], [0])):
+            with pytest.raises(ValueError):
+                server.register_cohort(ids, leaves)
+        assert server.registered_ids == [1, 2]
+        assert server.available_workers == 1
+        server.register_cohort([3], [0])
+        assert server.submit_task(TaskReport(task_id=1, leaf=0)) == 3
+
+    def test_task_leaf_validated(self, published):
+        tree, _ = published
+        server = MatchingServer(tree)
+        server.register_cohort([1], [0])
+        with pytest.raises(ValueError):
+            server.submit_task(TaskReport(task_id=0, leaf=tree.num_leaves))
 
     def test_rejects_noisy_location_reports(self, published):
         tree, _ = published

@@ -41,7 +41,7 @@ class TestTask:
 
 class TestReports:
     def test_leaf_report(self):
-        r = WorkerReport(worker_id=0, leaf=(0, 1, 0))
+        r = WorkerReport(worker_id=0, leaf=2)
         assert r.noisy_location is None
 
     def test_noisy_report(self):
@@ -53,7 +53,7 @@ class TestReports:
             WorkerReport(worker_id=0)
         with pytest.raises(ValueError):
             WorkerReport(
-                worker_id=0, leaf=(0,), noisy_location=np.zeros(2)
+                worker_id=0, leaf=0, noisy_location=np.zeros(2)
             )
 
     def test_exactly_one_encoding_task(self):
@@ -61,5 +61,5 @@ class TestReports:
             TaskReport(task_id=0)
 
     def test_report_carries_radius(self):
-        r = WorkerReport(worker_id=1, leaf=(0, 0), reachable_distance=12.0)
+        r = WorkerReport(worker_id=1, leaf=0, reachable_distance=12.0)
         assert r.reachable_distance == 12.0

@@ -9,6 +9,8 @@ from repro.hst import (
     edge_length,
     enumerate_leaves,
     lca_level,
+    leaf_to_path,
+    path_to_leaf,
     sibling_leaves,
     sibling_set_size,
     tree_distance,
@@ -149,3 +151,20 @@ class TestEnumerateLeaves:
 
     def test_unary_tree(self):
         assert list(enumerate_leaves(3, 1)) == [(0, 0, 0)]
+
+
+class TestLeafIndex:
+    def test_enumeration_order_is_index_order(self):
+        # a leaf's index is its rank among the lexicographically ordered
+        # leaves: the base-c reading of its path
+        for rank, path in enumerate(enumerate_leaves(3, 3)):
+            assert path_to_leaf(path, 3) == rank
+            assert leaf_to_path(rank, 3, 3) == path
+
+    @given(paths(depth=5, branching=4), paths(depth=5, branching=4))
+    def test_lca_is_the_longest_common_integer_prefix(self, a, b):
+        za, zb = path_to_leaf(a, 4), path_to_leaf(b, 4)
+        level = lca_level(a, b)
+        assert za // 4**level == zb // 4**level
+        if level:
+            assert za // 4 ** (level - 1) != zb // 4 ** (level - 1)

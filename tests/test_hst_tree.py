@@ -45,6 +45,47 @@ class TestShape:
             )
 
 
+    def test_constructor_rejects_leaf_indices_past_int64(self):
+        # leaf indices must fit an int64: c**D < 2**63
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            HST(
+                points=np.zeros((1, 2)),
+                depth=63,
+                branching=2,
+                paths=np.zeros((1, 63), dtype=np.int32),
+                metric_scale=1.0,
+                beta=0.5,
+                permutation=np.array([0]),
+            )
+
+
+class TestLeafIndex:
+    def test_column_reads_paths_as_base_c_digits(self, example1_tree):
+        t = example1_tree
+        assert t.leaf_index.dtype == np.int64
+        for i in range(t.n_points):
+            digits = t.path_of(i)
+            expected = sum(d * t.branching ** (t.depth - 1 - j) for j, d in enumerate(digits))
+            assert t.leaf_index[i] == expected
+
+    def test_conversions_round_trip(self, small_grid_tree):
+        t = small_grid_tree
+        for i in range(t.n_points):
+            leaf = t.leaf_of_path(t.path_of(i))
+            assert leaf == t.leaf_index[i]
+            assert t.path_of_leaf(leaf) == t.path_of(i)
+        # fake leaves convert too: every index of the complete tree
+        assert t.path_of_leaf(t.num_leaves - 1) == (t.branching - 1,) * t.depth
+
+    def test_conversions_validate(self, example1_tree):
+        t = example1_tree
+        for bad in (-1, t.num_leaves):
+            with pytest.raises(ValueError):
+                t.path_of_leaf(bad)
+        with pytest.raises(ValueError):
+            t.leaf_of_path((0, 0, 0, 2))
+
+
 class TestLeafLookup:
     def test_roundtrip(self, example1_tree):
         for i in range(example1_tree.n_points):
@@ -122,8 +163,12 @@ class TestSnapping:
         rng = np.random.default_rng(13)
         qs = rng.random((15, 2)) * 100
         batch = small_grid_tree.leaves_for_locations(qs)
-        single = [small_grid_tree.leaf_for_location(q) for q in qs]
-        assert batch == single
+        single = [
+            small_grid_tree.leaf_of_path(small_grid_tree.leaf_for_location(q))
+            for q in qs
+        ]
+        assert batch.dtype == np.int64
+        assert batch.tolist() == single
 
     def test_snap_own_point_is_identity(self, small_grid_tree):
         for i in (0, 7, 35):

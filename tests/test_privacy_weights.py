@@ -139,6 +139,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             TreeWeights.compute(-1.0, 4, 2)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_epsilon(self, bad):
+        with pytest.raises(ValueError):
+            TreeWeights.compute(bad, 4, 2)
+
     def test_rejects_bad_depth(self):
         with pytest.raises(ValueError):
             TreeWeights.compute(0.5, 0, 2)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.crowdsourcing import Instance, LapGRPipeline, TBFPipeline
 from repro.geometry import Box
-from repro.hst import build_hst, lca_level, tree_distance
+from repro.hst import build_hst, lca_level, path_to_leaf, tree_distance
 from repro.matching import HSTGreedyMatcher, optimal_total_distance
 from repro.privacy import TreeMechanism, TreeWeights, verify_tree_geo_i
 
@@ -61,9 +61,9 @@ def test_batch_sampler_level_law(seed, eps):
     rng = np.random.default_rng(seed)
     x = tree.path_of(0)
     n = 3000
-    out = mech.obfuscate_batch(np.tile(np.array(x), (n, 1)), rng)
+    out = mech.obfuscate_points_batch(np.zeros(n, dtype=np.intp), rng)
     weights = TreeWeights.from_tree(tree, eps)
-    levels = np.array([lca_level(x, tuple(int(v) for v in r)) for r in out])
+    levels = np.array([lca_level(x, tree.path_of_leaf(z)) for z in out])
     for lvl in range(tree.depth + 1):
         assert abs(np.mean(levels == lvl) - weights.level_probs[lvl]) < 0.06
 
@@ -87,11 +87,13 @@ def test_greedy_matching_is_maximal_and_injective(n_workers, n_tasks, seed):
         tuple(int(v) for v in rng.integers(0, branching, size=depth))
         for _ in range(n_tasks)
     ]
-    matcher = HSTGreedyMatcher(depth, branching, workers)
+    matcher = HSTGreedyMatcher(
+        depth, branching, [path_to_leaf(p, branching) for p in workers]
+    )
     remaining = dict(enumerate(workers))
     matched = []
     for task in tasks:
-        found = matcher.assign(task)
+        found = matcher.assign(path_to_leaf(task, branching))
         if found is None:
             assert not remaining
             continue
@@ -154,17 +156,14 @@ def test_capacitated_pool_absorbs_exactly_total_capacity(seed, capacity):
 
     rng = np.random.default_rng(seed)
     depth, branching = 4, 2
-    workers = [
-        tuple(int(v) for v in rng.integers(0, branching, size=depth))
-        for _ in range(6)
-    ]
+    workers = rng.integers(0, branching**depth, size=6).tolist()
     matcher = CapacitatedHSTGreedyMatcher(
         depth, branching, workers, capacities=capacity
     )
     total = 6 * capacity
     assigned = 0
     for _ in range(total + 3):
-        task = tuple(int(v) for v in rng.integers(0, branching, size=depth))
+        task = int(rng.integers(0, branching**depth))
         if matcher.assign(task) is not None:
             assigned += 1
     assert assigned == total

@@ -217,14 +217,18 @@ class TestArrivalProcesses:
 
 class TestBatchEquivalence:
     def test_points_batch_matches_paths_batch_exactly(self):
-        """obfuscate_points_batch is obfuscate_batch plus index plumbing:
-        identical outputs under the same seed."""
+        """obfuscate_points_batch is the leaf kernel on the points' leaf
+        indices plus index plumbing: identical outputs and RNG state under
+        the same seed, for a batch of one (its plain-Python form) as for a
+        larger batch."""
         tree = publish_tree(Box.square(100.0), grid_nx=6, seed=0)
         mech = TreeMechanism(tree, epsilon=0.5, seed=1)
-        idx = np.arange(tree.n_points)
-        a = mech.obfuscate_points_batch(idx, np.random.default_rng(7))
-        b = mech.obfuscate_batch(tree.paths[idx], np.random.default_rng(7))
-        assert np.array_equal(a, b)
+        for idx in (np.arange(tree.n_points), *np.arange(tree.n_points)[:, None]):
+            rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+            a = mech.obfuscate_points_batch(idx, rng_a)
+            b = mech._obfuscate_leaves(tree.leaf_index[idx], rng_b)
+            assert np.array_equal(a, b)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_batch_and_loop_same_level_law(self):
         """Cohort (batch) and per-worker (loop) registration sample the
@@ -238,7 +242,7 @@ class TestBatchEquivalence:
         x = tree.path_of(0)
         batch = mech.obfuscate_points_batch(idx, np.random.default_rng(8))
         loop = mech.obfuscate_many([x] * n, np.random.default_rng(9))
-        batch_levels = [lca_level(x, tuple(int(v) for v in r)) for r in batch]
+        batch_levels = [lca_level(x, tree.path_of_leaf(z)) for z in batch]
         loop_levels = [lca_level(x, r) for r in loop]
         for lvl in range(tree.depth + 1):
             a = np.mean(np.asarray(batch_levels) == lvl)
@@ -252,10 +256,10 @@ class TestBatchEquivalence:
         for _ in range(2):
             shard = ShardServer(0, box, grid_nx=6, seed=42)
             shard.register_cohort(range(40), locs)
-            reports.append(
-                {w: r.leaf for w, r in shard.server._worker_reports.items()}
-            )
+            state = shard.server.export_state()
+            reports.append(dict(zip(state["worker_ids"], state["leaves"])))
         assert reports[0] == reports[1]
+        assert sorted(reports[0]) == list(range(40))
 
 
 class TestShardServer:
@@ -722,8 +726,30 @@ class TestLoadGenerator:
         with pytest.raises(ValueError):
             LoadConfig(task_rate=0.0)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("epsilon", float("nan")),
+            ("epsilon", float("inf")),
+            ("budget_capacity", float("nan")),
+        ],
+    )
+    def test_config_validation_rejects_non_finite_budgets(self, field, bad):
+        with pytest.raises(ValueError):
+            LoadConfig(**{field: bad})
+
 
 class TestCli:
+    @pytest.mark.parametrize(
+        "flags",
+        [["--epsilon", "nan"], ["--epsilon", "inf"], ["--budget", "nan"]],
+    )
+    def test_non_finite_budget_is_a_usage_error(self, flags, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            service_main(["--smoke", *flags])
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
     def test_smoke_flag_meets_acceptance_gates(self, capsys):
         assert service_main(["--smoke"]) == 0
         out = capsys.readouterr().out

@@ -1,9 +1,10 @@
-"""v3 delta-snapshot format: one version, structured errors, chain property.
+"""v4 delta-snapshot format: one version, structured errors, chain property.
 
 Three guarantees pinned here:
 
-* **one version** — only v3 documents restore; v1/v2 documents
-  (written before the base/delta split existed) are refused;
+* **one version** — only v4 documents restore; v3 documents (registrations
+  as ``[id, [path]]`` pairs) and v1/v2 documents (written before the
+  base/delta split existed) are refused;
 * **structured failure** — every malformed document or broken chain
   raises :class:`~repro.cluster.snapshot.SnapshotError` with a *stable*
   machine-readable ``code`` (the message text is allowed to change, the
@@ -28,6 +29,7 @@ import pytest
 
 from repro.cluster.snapshot import (
     SNAPSHOT_FORMAT,
+    SNAPSHOT_VERSION,
     SnapshotError,
     compose_chain,
     delta_snapshot,
@@ -59,9 +61,24 @@ def _state_json(state: dict) -> str:
     return json.dumps(state, sort_keys=True)
 
 
-def _as_v2(doc: dict) -> dict:
-    """Downgrade a v3 base to the document a v2 runtime would have written."""
+def _as_v3(doc: dict) -> dict:
+    """Downgrade a v4 base to the document a v3 runtime would have written:
+    registrations as ``[id, [path digits]]`` pairs."""
     down = copy.deepcopy(doc)
+    down["version"] = 3
+    server = down["state"]["server"]
+    c = down["state"]["tree"]["branching"]
+    depth = down["state"]["tree"]["depth"]
+    server["reports"] = [
+        [wid, [leaf // c ** (depth - 1 - j) % c for j in range(depth)]]
+        for wid, leaf in zip(server.pop("worker_ids"), server.pop("leaves"))
+    ]
+    return down
+
+
+def _as_v2(doc: dict) -> dict:
+    """Downgrade further: v2 predates the base/delta kinds."""
+    down = _as_v3(doc)
     down["version"] = 2
     down.pop("kind", None)
     down.pop("checkpoint", None)
@@ -80,7 +97,15 @@ def _as_v1(doc: dict) -> dict:
 
 class TestCompat:
     # snapshots never outlive the coordinator that chained them, so no
-    # pre-v3 document exists to read: only v3 restores
+    # pre-v4 document exists to read: only v4 restores
+
+    def test_v3_document_is_refused(self):
+        shard, _ = _build_shard()
+        doc = _as_v3(snapshot_shard(shard, checkpoint=0))
+        for restore in (restore_shard, lambda d: restore_chain([d])):
+            with pytest.raises(SnapshotError) as err:
+                restore(doc)
+            assert err.value.code == "snapshot-unsupported-version"
 
     def test_v2_document_is_refused(self):
         shard, _ = _build_shard()
@@ -150,7 +175,7 @@ class TestStructuredErrors:
 
     def test_missing_fields(self):
         with pytest.raises(SnapshotError) as err:
-            restore_shard({"format": SNAPSHOT_FORMAT, "version": 3})
+            restore_shard({"format": SNAPSHOT_FORMAT, "version": SNAPSHOT_VERSION})
         assert err.value.code == "snapshot-missing-fields"
 
     def test_delta_alone_is_refused(self):
@@ -209,6 +234,74 @@ class TestStructuredErrors:
         assert issubclass(SnapshotError, ValueError)
         with pytest.raises(ValueError, match="version"):
             restore_shard({**self._base(), "version": 99})
+
+
+class TestMalformedMatcherSection:
+    """A base whose matcher section fails its checks is refused as
+    ``snapshot-bad-format`` before anything is rebuilt from it."""
+
+    def _doc(self):
+        shard, _ = _build_shard(n_workers=6)
+        doc = snapshot_shard(shard, checkpoint=0)
+        server = doc["state"]["server"]
+        assert server["slot_ids"] is not None and server["consumed_slots"]
+        return doc, server
+
+    def _refused(self, doc):
+        with pytest.raises(SnapshotError) as err:
+            restore_shard(doc)
+        assert err.value.code == "snapshot-bad-format"
+
+    def test_leaf_outside_the_tree(self):
+        doc, server = self._doc()
+        tree = doc["state"]["tree"]
+        server["leaves"][0] = tree["branching"] ** tree["depth"]
+        self._refused(doc)
+        server["leaves"][0] = -1
+        self._refused(doc)
+
+    def test_leaf_not_an_int(self):
+        for bad in (1.5, "3", None):
+            doc, server = self._doc()
+            server["leaves"][0] = bad
+            self._refused(doc)
+        doc, server = self._doc()
+        server["leaves"] = None
+        self._refused(doc)
+
+    def test_slot_table_not_a_permutation(self):
+        doc, server = self._doc()
+        server["slot_ids"][1] = server["slot_ids"][0]
+        self._refused(doc)
+        doc, server = self._doc()
+        server["slot_ids"].pop()
+        self._refused(doc)
+
+    def test_consumed_slot_listed_twice(self):
+        doc, server = self._doc()
+        server["consumed_slots"].append(server["consumed_slots"][0])
+        self._refused(doc)
+
+    def test_consumed_slot_outside_the_table(self):
+        doc, server = self._doc()
+        server["consumed_slots"].append(len(server["slot_ids"]))
+        self._refused(doc)
+
+    def test_consumed_slots_without_a_table(self):
+        fresh = ShardServer(
+            "s0", Box.square(100.0), grid_nx=8, epsilon=0.5,
+            budget_capacity=4.0, seed=3,
+        )
+        fresh.register_cohort([0, 1, 2, 3], np.full((4, 2), 50.0))
+        doc = snapshot_shard(fresh)
+        assert doc["state"]["server"]["slot_ids"] is None
+        doc["state"]["server"]["consumed_slots"] = [0]
+        self._refused(doc)
+
+    def test_registration_columns_differ_in_length(self):
+        doc, server = self._doc()
+        server["leaves"].pop()
+        self._refused(doc)
 
 
 class TestChainProperty:

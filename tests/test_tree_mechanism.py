@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crowdsourcing import publish_tree
+from repro.geometry import Box
 from repro.hst import build_hst, lca_level, tree_distance
 from repro.privacy import ENUMERATION_LEAF_LIMIT, TreeMechanism
 
@@ -234,3 +236,180 @@ def test_property_level_marginals_match_theory(seed, eps, point):
         expected = m.weights.level_probs[lvl]
         observed = float(np.mean(levels == lvl))
         assert abs(observed - expected) < 0.06
+
+
+#: Reports of the batch kernel at fixed seeds, recorded from the (n, D)
+#: path-row kernel it replaced (rows read as base-c leaf indices), with
+#: the PCG64 state after each call: (grid, epsilon) -> (c, D, leaves
+#: per call, state after each call). Calls alternate batches of one
+#: (the per-task path) and larger batches; see _pinned_run.
+PINNED_REPORTS = {
+    (6, 0.1): (
+        10,
+        8,
+        [
+            [800231],
+            [30653],
+            [1100040],
+            [500136, 10033, 54903, 1110058, 400145, 2100315, 200223, 202241, 514951],
+            [500643],
+            [3000061],
+            [300020, 610098, 2000023, 60076, 2009028, 76167, 610096, 200613, 1300000,
+                200711, 110128, 230296, 900053, 70145, 303398, 704529, 16240, 100575,
+                701523, 908079, 610405, 67517, 110071, 30061, 1301069],
+            [900704],
+        ],
+        [
+            317319928805135160732659717497650841180,
+            152261761237047187080279356346465986730,
+            262244773524709030991986015855808125320,
+            241966511854830259324346282226780654118,
+            230030106719901274855931500774267093284,
+            325752660413432961794000234001129031986,
+            76907444631967330713181332997872252467,
+            26948989840944914108615242904352420425,
+        ],
+    ),
+    (6, 2.0): (
+        10,
+        8,
+        [
+            [800000],
+            [30000],
+            [1100000],
+            [500000, 10000, 50000, 1110000, 400000, 2100000, 200000, 200000, 510000],
+            [500000],
+            [3000000],
+            [300000, 610000, 2000000, 60000, 2000000, 70000, 610000, 200000, 1300000,
+                200000, 110000, 230000, 900000, 70000, 300000, 700000, 10000, 100000,
+                700000, 900000, 610000, 60000, 110000, 30000, 1300000],
+            [900000],
+        ],
+        [
+            246015680626727362903009552921353769599,
+            158467206350786370838518872568213093796,
+            36161305186769027842332836973718056093,
+            216063246838127722846565708659362783666,
+            279681461867768646018360489320580438115,
+            325294137605446664650238027523124685848,
+            18016174594366547305946039707609293865,
+            174718512225906865463277455530823048310,
+        ],
+    ),
+    (16, 0.1): (
+        17,
+        9,
+        [
+            [122379695],
+            [123778758],
+            [2843843],
+            [99394517, 7131235, 51121788, 96552237, 870810, 14245734, 10189, 254500,
+                24141370],
+            [49788361],
+            [79516676],
+            [1520480, 122468938, 76779517, 2927174, 1668289, 4497030, 122529018, 104309,
+                255692, 170008, 5935538, 76760597, 49867206, 75593866, 954803, 75587726,
+                7100261, 561328, 74028159, 49862055, 2894785, 5679428, 120749481, 2865355,
+                257629],
+            [49867121],
+        ],
+        [
+            136447648406696553666025751119139575349,
+            275566662063813308351500301701594506832,
+            334373090476677896187671787082911712735,
+            120139167756127297768365508171822379834,
+            121351135836935802222181252642832634721,
+            300281179627942317024026109942263260748,
+            10744951573941754249858089036305492547,
+            90489479320967939618538001812611590374,
+        ],
+    ),
+    (16, 2.0): (
+        17,
+        9,
+        [
+            [122358265],
+            [123778411],
+            [2840581],
+            [99389990, 7109113, 51119765, 96550276, 840412, 14198570, 10115, 250563,
+                24137569],
+            [49788342],
+            [79512570],
+            [1503378, 122441786, 76760712, 2923235, 1591812, 4441352, 122525596, 84099,
+                255476, 167042, 5929991, 76755799, 49866950, 75591418, 918731, 75586505,
+                7099863, 501126, 73999606, 49862037, 2844627, 5679717, 120687845, 2864279,
+                255476],
+            [49866950],
+        ],
+        [
+            246015680626727362903009552921353769599,
+            158467206350786370838518872568213093796,
+            36161305186769027842332836973718056093,
+            275566662063813308351500301701594506832,
+            88550033470177683409263524973365160697,
+            291953420558629910071102558238947742342,
+            92077290391062589225006013946424352143,
+            213819718814773627130094102456555149556,
+        ],
+    ),
+}
+
+#: batch sizes of the pinned call sequence
+PINNED_SIZES = [1, 1, 1, 9, 1, 1, 25, 1]
+
+
+def _pinned_run(grid, eps, entry):
+    """Replay the pinned call sequence; returns (tree, leaves, states)."""
+    tree = publish_tree(Box.square(100.0), grid_nx=grid, seed=0)
+    mech = TreeMechanism(tree, eps, seed=0)
+    rng = np.random.default_rng(2024)
+    points = np.random.default_rng(7).integers(
+        0, tree.n_points, size=sum(PINNED_SIZES)
+    )
+    leaves, states, pos = [], [], 0
+    for n in PINNED_SIZES:
+        out = entry(mech, points[pos : pos + n], rng)
+        pos += n
+        assert out.dtype == np.int64 and out.shape == (n,)
+        leaves.append(out.tolist())
+        states.append(rng.bit_generator.state["state"]["state"])
+    return tree, leaves, states
+
+
+class TestPinnedReports:
+    """The leaf-index kernel reproduces the path-row kernel bit for bit:
+    same reports and the same RNG state after every call, for batches of
+    one (the per-task path) and of many."""
+
+    @pytest.mark.parametrize("grid, eps", sorted(PINNED_REPORTS))
+    def test_points_batch(self, grid, eps):
+        c, depth, leaves, states = PINNED_REPORTS[(grid, eps)]
+        tree, got, got_states = _pinned_run(
+            grid, eps, lambda m, idx, rng: m.obfuscate_points_batch(idx, rng)
+        )
+        assert (tree.branching, tree.depth) == (c, depth)
+        assert got == leaves
+        assert got_states == states
+
+    @pytest.mark.parametrize("grid, eps", sorted(PINNED_REPORTS))
+    def test_array_kernel_for_every_batch(self, grid, eps):
+        """The numpy kernel reproduces the pins for batches of one too, so
+        the plain-Python batch of one and the array form agree."""
+        _, _, leaves, states = PINNED_REPORTS[(grid, eps)]
+        _, got, got_states = _pinned_run(
+            grid,
+            eps,
+            lambda m, idx, rng: m._obfuscate_leaves(m.tree.leaf_index[idx], rng),
+        )
+        assert got == leaves
+        assert got_states == states
+
+    def test_batch_of_one_rejects_bad_points(self):
+        tree = publish_tree(Box.square(100.0), grid_nx=6, seed=0)
+        mech = TreeMechanism(tree, 0.5, seed=0)
+        with pytest.raises(IndexError):
+            mech.obfuscate_points_batch([tree.n_points])
+        with pytest.raises(IndexError):
+            mech.obfuscate_points_batch([-1])
+        with pytest.raises(TypeError):
+            mech.obfuscate_points_batch([[0, 1]])
