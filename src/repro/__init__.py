@@ -13,12 +13,13 @@ Public API tour:
 * :mod:`repro.workloads` — the paper's synthetic Gaussian workloads, the
   Chengdu-like taxi substitute, and arrival-order/arrival-time processes.
 * :mod:`repro.service` — the serving layer: a sharded online assignment
-  engine with batched cohort obfuscation, a request queue, per-shard
+  engine with batched cohort obfuscation, timed event streams, per-shard
   telemetry/budget audit and a load generator
   (``python -m repro.service --smoke``).
 * :mod:`repro.cluster` — the shard-family core: versioned base +
-  delta shard snapshots, the per-family op journal, the worker-side
-  shard host, hot-cell split routing and the hot-shard balancer.
+  delta shard snapshots, the per-family row journal, the one shard
+  host every runtime ingests rows through, hot-cell split routing and
+  the hot-shard balancer.
 * :mod:`repro.mesh` — the distributed layer: the same shards across
   worker processes that dial a coordinator over sockets, with
   checkpoints, crash failover, hot-cell splitting and family migration

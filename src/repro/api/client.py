@@ -359,11 +359,10 @@ class AssignmentClient:
         """Stream service-layer timed events; yields the responses.
 
         Accepts :class:`~repro.service.events.WorkerArrival` /
-        :class:`~repro.service.events.TaskArrival` iterables (or a
-        :class:`~repro.service.events.RequestQueue`) and maps them onto
-        API requests, preserving timestamps — the bridge from the repo's
-        existing event streams onto the versioned API. ``window`` and
-        ``pipeline`` pass through to :meth:`stream`.
+        :class:`~repro.service.events.TaskArrival` iterables and maps
+        them onto API requests, preserving timestamps — the bridge from
+        the repo's existing event streams onto the versioned API.
+        ``window`` and ``pipeline`` pass through to :meth:`stream`.
         """
         yield from self.stream(
             requests_from_events(events), window=window, pipeline=pipeline

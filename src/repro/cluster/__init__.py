@@ -11,14 +11,18 @@ pieces:
   cohort buffer), as base + delta chains with a bit-exact replay
   guarantee;
 * :class:`~repro.cluster.dispatch.FamilyJournal` — routes chunks of
-  arrival columns into per-family op journals (merged worker cohorts, task fallback
-  chains) with absolute cursors for delivery, replay and per-family
-  truncation at each checkpoint cut;
+  arrival columns into per-family row journals (one row per event, keyed
+  by its shard) with absolute cursors for delivery, replay and
+  per-family truncation at each checkpoint cut;
 * :class:`ShardHost` — the one shard container: the single-process
   engine and every mesh worker hold, buffer, cut and report their
-  shards through it (:func:`shard_spec` builds its creation spec);
+  shards through it, and rows reach it only through
+  :meth:`ShardHost.ingest` (:func:`shard_spec` builds its creation
+  spec; :func:`~repro.cluster.worker.admit` is the one duplicate-worker
+  rule in front of it);
 * :class:`ClusterRouter` — lattice routing with one level of hot-cell
-  refinement (split cells route to sub-shards, the parent drains);
+  refinement (split cells route to sub-shards, whose
+  :func:`~repro.cluster.balancer.fallback_chain` drains the parent);
 * :class:`HotShardBalancer` — throughput-driven hot-cell splitting and
   family migration.
 """

@@ -10,11 +10,14 @@ of a split cell — and a *family* (a base cell plus its sub-shards) always
 lives on one worker, so a task's whole fallback chain is served locally.
 
 **Mid-stream consistency.** A split only re-lattices *future* traffic:
-worker registrations route to the sub-shard, while the parent shard stays
-alive to drain the worker pool it accumulated before the split. A task
-therefore routes to a *chain* — its sub-shard first, the parent as
-fallback — the classic double-read during resharding. The parent never
-gains workers after the split, so it empties monotonically.
+every event in the split cell routes to its sub-shard, while the parent
+shard stays alive to drain the worker pool it accumulated before the
+split. A task keyed to a sub-shard therefore probes a *chain* — its
+sub-shard first, the parent as fallback — the classic double-read during
+resharding. The chain depends only on the key (:func:`fallback_chain`),
+so routing hands out keys and the shard host derives each key's chain
+once. The parent never gains workers after the split, so it empties
+monotonically.
 
 **Policy.** :class:`HotShardBalancer` watches per-family task throughput
 over a rolling window. A family taking more than ``split_share`` of the
@@ -34,7 +37,7 @@ import numpy as np
 
 from ..service.sharding import ShardMap
 
-__all__ = ["ClusterRouter", "BalancerConfig", "HotShardBalancer"]
+__all__ = ["ClusterRouter", "BalancerConfig", "HotShardBalancer", "fallback_chain"]
 
 
 def _base_key(base_id: int) -> str:
@@ -48,6 +51,17 @@ def _sub_key(base_id: int, sub_id: int) -> str:
 def family_of(key: str) -> int:
     """Base cell id of a routing key (``"s3/1"`` and ``"s3"`` -> 3)."""
     return int(key[1:].split("/", 1)[0])
+
+
+def fallback_chain(key: str) -> tuple[str, ...]:
+    """The shards a task routed to ``key`` probes, in order.
+
+    A split sub-shard falls back to its draining parent (``"s3/1"`` ->
+    ``("s3/1", "s3")``); a base cell is its own chain (``"s3"`` ->
+    ``("s3",)``).
+    """
+    parent, split, _ = key.partition("/")
+    return (key, parent) if split else (key,)
 
 
 def key_order(key: str) -> tuple[int, int]:
@@ -114,30 +128,25 @@ class ClusterRouter:
     # routing                                                             #
     # ------------------------------------------------------------------ #
 
-    def chain_of(self, location) -> list[str]:
-        """Routing chain for one location (registrations use chain[0])."""
-        return self.chains_of_many(np.asarray(location, dtype=np.float64)[None, :])[0]
+    def keys_of_many(self, locations) -> list[str]:
+        """Vectorized routing: one shard key per row of ``(n, 2)`` points.
 
-    def chains_of_many(self, locations) -> list[list[str]]:
-        """Vectorized routing: one key chain per row of ``(n, 2)`` points.
-
-        Unsplit cells produce ``["s<i>"]``; split cells produce
-        ``["s<i>/<j>", "s<i>"]`` — the sub-shard plus the draining parent.
+        Unsplit cells produce ``"s<i>"``; split cells produce the
+        sub-shard ``"s<i>/<j>"`` (its :func:`fallback_chain` adds the
+        draining parent). Rows routed to one shard share its key object.
         """
         owners = self.base.shard_of_many(locations)
-        chains: list[list[str]] = [
-            [_base_key(int(b))] for b in owners
-        ]
+        names = [_base_key(i) for i in range(self.base.n_shards)]
+        keys = [names[b] for b in owners.tolist()]
         for base_id, sub in self.splits.items():
-            mask = owners == base_id
-            if not np.any(mask):
+            rows = np.flatnonzero(owners == base_id)
+            if not len(rows):
                 continue
-            rows = np.flatnonzero(mask)
             sub_ids = sub.shard_of_many(np.asarray(locations)[rows])
-            parent = _base_key(base_id)
-            for row, j in zip(rows, sub_ids):
-                chains[row] = [_sub_key(base_id, int(j)), parent]
-        return chains
+            names = [_sub_key(base_id, j) for j in range(sub.n_shards)]
+            for row, j in zip(rows.tolist(), sub_ids.tolist()):
+                keys[row] = names[j]
+        return keys
 
 
 @dataclass(frozen=True)

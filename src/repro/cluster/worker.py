@@ -4,18 +4,19 @@ One host owns a set of shards keyed by routing key (``"s3"``, or the
 split sub-shard ``"s3/1"``) and drives them with the one cohort rule:
 worker arrivals are buffered per shard and flushed through the
 vectorized batch-obfuscation path at ``batch_size``; task arrivals flush
-their shard and match immediately.
+their shard and match immediately, probing the key's fallback chain
+(:func:`~repro.cluster.balancer.fallback_chain`, derived once per key).
 
-Every runtime serves its shards through a host: the single-process
-:class:`~repro.service.engine.ShardedAssignmentEngine` holds one over
-every lattice cell, and each mesh worker process
-(:mod:`repro.mesh.worker`) serves one behind the
-:mod:`repro.mesh.protocol` ops — so the engine, the mesh workers and a
-failover restore cut cohorts and record metrics with the same code.
-``ops`` entries handed to :meth:`ShardHost.apply` are either a merged
-worker-cohort op ``["w", key, ids, locations]`` or a task op
-``["t", keys, task_id, location]`` whose ``keys`` is the routing
-fallback chain (sub-shard first, then its split parent).
+Rows reach a host only through :meth:`ShardHost.ingest` — shard keys,
+ids, locations and kinds as columns, in stream order. Every runtime
+serves its shards that way: the single-process
+:class:`~repro.service.engine.ShardedAssignmentEngine` holds one host
+over every lattice cell, and each mesh worker process
+(:mod:`repro.mesh.worker`) serves one behind the ``events`` op of
+:mod:`repro.mesh.protocol` — so the engine, the mesh workers and a
+failover replay cut cohorts and record metrics with the same code.
+:func:`admit` is the one duplicate-worker rule the engine and the mesh
+journal apply before their rows reach a host.
 """
 
 from __future__ import annotations
@@ -24,9 +25,29 @@ import time
 
 from ..geometry.box import Box
 from ..service.shard import ShardServer
+from .balancer import fallback_chain
 from .snapshot import delta_snapshot, restore_chain, snapshot_shard
 
-__all__ = ["ShardHost", "shard_spec"]
+__all__ = ["ShardHost", "admit", "shard_spec"]
+
+
+def admit(registry: set, ids, is_task) -> int:
+    """Length of a chunk's accepted prefix; records its worker ids.
+
+    Row ``i`` is a worker when ``is_task[i]`` is false. The prefix ends
+    at the first worker id already in ``registry`` or repeated earlier
+    in the chunk; the caller applies the prefix, moves its clock to the
+    prefix's latest time and raises its ``ValueError`` for the refused
+    row.
+    """
+    accepted = 0
+    for event_id, task in zip(ids, is_task):
+        if not task:
+            if event_id in registry:
+                break
+            registry.add(event_id)
+        accepted += 1
+    return accepted
 
 
 def shard_spec(
@@ -55,6 +76,8 @@ class ShardHost:
         self.batch_size = batch_size
         self.shards: dict[str, ShardServer] = {}
         self.pending: dict[str, tuple[list[int], list]] = {}
+        #: each shard's task fallback chain, derived from its key
+        self.chains: dict[str, tuple[str, ...]] = {}
         # per-shard delta-checkpoint cursors: checkpoint id -> the
         # pure-value cursor taken when that checkpoint was answered
         self.cursors: dict[str, dict[int, dict]] = {}
@@ -76,6 +99,7 @@ class ShardHost:
             seed=int(spec["seed"]),
         )
         self.pending[key] = ([], [])
+        self.chains[key] = fallback_chain(key)
 
     def load(self, key: str, snapshots: list) -> None:
         """Install a shard restored from a ``[base, delta, ...]`` chain.
@@ -94,6 +118,7 @@ class ShardHost:
         tip = snapshots[-1].get("checkpoint")
         self.shards[key] = shard
         self.pending[key] = pending
+        self.chains[key] = fallback_chain(key)
         self.cursors[key] = (
             {tip: shard.checkpoint_cursor()} if tip is not None else {}
         )
@@ -102,6 +127,7 @@ class ShardHost:
         """Forget a shard (it has been migrated elsewhere)."""
         del self.shards[key]
         del self.pending[key]
+        del self.chains[key]
         self.cursors.pop(key, None)
 
     def snapshot(
@@ -143,24 +169,29 @@ class ShardHost:
     # serving                                                             #
     # ------------------------------------------------------------------ #
 
-    def add(self, key: str, worker_id: int, location) -> None:
-        """Buffer one worker arrival on its shard; flush at ``batch_size``.
+    def ingest(self, keys, ids, locations, is_task) -> list[int | None]:
+        """Apply rows in stream order; each task row's worker (or None).
 
-        The cohort cut rule: workers join one at a time and the threshold
-        is checked per worker, never per transport op, so every caller
-        cuts cohorts at the same stream positions and their obfuscation
-        draws stay bit-identical.
+        Row ``i`` goes to shard ``keys[i]``. A worker row joins that
+        shard's pending cohort, which is flushed at ``batch_size``: the
+        threshold is checked per row, never per call, so any split of a
+        stream into calls cuts cohorts at the same positions and the
+        obfuscation draws stay bit-identical. A task row (``is_task[i]``
+        true, ``ids[i]`` its task id) is matched along its key's chain
+        (:meth:`task`). ``locations`` holds one ``(x, y)`` pair per row.
         """
-        ids, locs = self.pending[key]
-        ids.append(worker_id)
-        locs.append(location)
-        if len(ids) >= self.batch_size:
-            self.flush(key)
-
-    def register(self, key: str, worker_ids, locations) -> None:
-        """Buffer a worker cohort on its shard, one :meth:`add` per worker."""
-        for wid, loc in zip(worker_ids, locations):
-            self.add(key, int(wid), loc)
+        pending, chains, limit = self.pending, self.chains, self.batch_size
+        workers: list[int | None] = []
+        for key, event_id, location, task in zip(keys, ids, locations, is_task):
+            if task:
+                workers.append(self.task(chains[key], event_id, location))
+                continue
+            cohort, locs = pending[key]
+            cohort.append(event_id)
+            locs.append(location)
+            if len(cohort) >= limit:
+                self.flush(key)
+        return workers
 
     def flush(self, key: str | None = None) -> None:
         """Push pending cohorts through batch obfuscation (``None`` = all)."""
@@ -172,24 +203,23 @@ class ShardHost:
             self.pending[k] = ([], [])
             self.shards[k].register_cohort(ids, locs)
 
-    def task(self, keys, task_id: int, location) -> tuple[int | None, str]:
-        """Match one task along its routing chain.
+    def task(self, keys, task_id: int, location) -> int | None:
+        """Match one task along its routing chain; the worker or None.
 
         ``keys`` lists the shards to try in order — the owning sub-shard
         first, then (after a hot-shard split) the parent shard that still
-        holds the pre-split worker pool. Returns ``(worker_id, key)`` for
-        the shard that served it; on a full miss the unassigned metric is
-        recorded once, on the primary shard, by the chain's last probe.
-        Hits and misses are timed alike: the probe's own matching time
-        plus the earlier probes' full serving time, so a one-key chain
-        records exactly what a lone :class:`ShardServer` does.
+        holds the pre-split worker pool. On a full miss the unassigned
+        metric is recorded once, on the primary shard, by the chain's
+        last probe. Hits and misses are timed alike: the probe's own
+        matching time plus the earlier probes' full serving time, so a
+        one-key chain records exactly what a lone :class:`ShardServer`
+        does.
         """
         # flush before the clock starts: pending registrations are not
         # part of the task's matching latency
         for key in keys:
             self.flush(key)
-        primary = keys[0]
-        charge = self.shards[primary].metrics
+        charge = self.shards[keys[0]].metrics
         last = len(keys) - 1
         start = time.perf_counter()
         for i, key in enumerate(keys):
@@ -201,21 +231,8 @@ class ShardHost:
                 latency_offset=time.perf_counter() - start if i else 0.0,
             )
             if worker is not None:
-                return worker, key
-        return None, primary
-
-    def apply(self, ops) -> list[tuple[int, int | None, str]]:
-        """Apply one dispatched op batch; returns per-task results."""
-        results: list[tuple[int, int | None, str]] = []
-        for op in ops:
-            if op[0] == "w":
-                _, key, ids, locs = op
-                self.register(key, ids, locs)
-            else:
-                _, keys, task_id, loc = op
-                worker, key = self.task(keys, int(task_id), loc)
-                results.append((int(task_id), worker, key))
-        return results
+                return worker
+        return None
 
     def report(self) -> dict[str, dict]:
         """Every hosted shard's :meth:`~ShardServer.report_row`, by key."""

@@ -100,8 +100,8 @@ class SnapIndex:
             x0, y0, inv_dx, inv_dy, nx, ny = self._lattice
             ix = np.floor((locs[:, 0] - x0) * inv_dx + 0.5).astype(np.intp)
             iy = np.floor((locs[:, 1] - y0) * inv_dy + 0.5).astype(np.intp)
-            np.clip(ix, 0, nx - 1, out=ix)
-            np.clip(iy, 0, ny - 1, out=iy)
+            np.minimum(np.maximum(ix, 0, out=ix), nx - 1, out=ix)
+            np.minimum(np.maximum(iy, 0, out=iy), ny - 1, out=iy)
             return iy * nx + ix
         _, idx = self._tree.query(locs)
         return np.asarray(idx, dtype=np.intp)

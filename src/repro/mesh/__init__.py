@@ -13,10 +13,13 @@ The pieces:
 
 * :mod:`~repro.mesh.protocol` — the sans-IO op/reply vocabulary
   (``repro.mesh`` v1 documents in gateway frames, seq-matched so ops
-  pipeline per connection);
+  pipeline per connection); an ``events`` op carries a delivery's
+  journal rows as columns (:func:`~repro.mesh.protocol.events_body`);
 * :mod:`~repro.mesh.worker` — one process: a
   :class:`~repro.cluster.worker.ShardHost` serving ops FIFO off a
-  socket, failing loudly then exiting;
+  socket (``events`` rows through
+  :meth:`~repro.cluster.worker.ShardHost.ingest`, the engine's own row
+  path), failing loudly then exiting;
 * :mod:`~repro.mesh.coordinator` — :class:`MeshCoordinator`: accepts
   peers, places shard families across them, dispatches per-family
   through the :class:`~repro.runtime.PipelineScheduler` (no global
@@ -42,6 +45,8 @@ from .protocol import (
     MESH_SCHEMA,
     MESH_VERSION,
     OP_KINDS,
+    event_columns,
+    events_body,
     fail_doc,
     op_doc,
     parse_op,
@@ -64,6 +69,8 @@ __all__ = [
     "OP_KINDS",
     "PeerLost",
     "connect_worker",
+    "event_columns",
+    "events_body",
     "fail_doc",
     "op_doc",
     "parse_op",

@@ -137,7 +137,7 @@ def _run_smoke(args) -> int:
             f"{stats.get('delta_checkpoints', 0)} delta / "
             f"{stats.get('base_checkpoints', 0)} base checkpoints, "
             f"max chain {stats.get('max_chain_len', 0)}, "
-            f"{stats.get('compacted_ops', 0)} journal ops compacted, "
+            f"{stats.get('compacted_ops', 0)} journal rows compacted, "
             f"{'OK' if not delta_problems else 'FAILED'}",
             file=sys.stderr,
         )

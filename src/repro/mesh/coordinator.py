@@ -1,10 +1,10 @@
 """The mesh coordinator: worker peers on sockets, dispatch on keys.
 
 :class:`MeshCoordinator` is the repo's distributed coordinator. It keeps
-the engine's ingest contract (``ingest``/``process``/``flush``/
-``report``) but its workers are independent processes — possibly on
-other machines — that dialed in over the gateway wire and hold shard
-families behind :mod:`repro.mesh.protocol` ops.
+the engine's ingest contract (``ingest``/``flush``/``report``) but its
+workers are independent processes — possibly on other machines — that
+dialed in over the gateway wire and hold shard families behind
+:mod:`repro.mesh.protocol` ops.
 
 How it works:
 
@@ -16,9 +16,12 @@ How it works:
   :class:`~repro.runtime.PipelineScheduler` — the same keyed-FIFO/
   barrier core the gateway schedules requests on — deliver them.
   Different families flow to their peers concurrently; only flush and
-  report are global barriers. Per-family FIFO plus the journal's
-  contiguous-segment delivery keeps per-shard op order exactly the
-  serial order, which is what the bit-exactness guarantee needs;
+  report are global barriers. Each delivery is one ``events`` op: the
+  family's next journal rows as columns, which the worker applies
+  through :meth:`~repro.cluster.worker.ShardHost.ingest`. Per-family
+  FIFO plus the journal's contiguous-segment delivery keeps per-shard
+  row order exactly the serial order, which is what the bit-exactness
+  guarantee needs;
 * **per-family checkpoint cuts.** Every ``checkpoint_every`` events the
   coordinator schedules one *cut* per family, keyed by that family: it
   settles the family, snapshots its shards, chains the replies and
@@ -29,7 +32,7 @@ How it works:
   journals the next stream window while this one's outcomes are out),
   so every family job carries the journal position captured when it
   was submitted and never delivers past it — a later flush cannot have
-  its cohort cut points dragged forward by ops that arrived after it
+  its cohort cut points dragged forward by rows that arrived after it
   was requested. Barrier jobs take their marks when they *execute* (the
   scheduler has already drained everything submitted before them, so
   execution-time marks are exactly the pre-barrier stream);
@@ -67,7 +70,6 @@ import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
-from itertools import islice
 
 from ..api.errors import ValidationFailed, map_exception
 from ..api.messages import to_wire
@@ -97,7 +99,6 @@ from ..geometry.points import as_points
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import current_context
 from ..runtime import PipelineScheduler
-from ..service.events import TaskArrival, WorkerArrival
 from ..service.metrics import (
     SampleReservoir,
     ServiceReport,
@@ -106,7 +107,7 @@ from ..service.metrics import (
     summarize_reservoir,
 )
 from ..utils import keyed_shard_seed
-from .protocol import op_doc, parse_reply
+from .protocol import events_body, op_doc, parse_reply
 
 __all__ = ["MeshCoordinator", "MeshError", "PeerLost"]
 
@@ -304,8 +305,6 @@ class MeshCoordinator:
         leave placement static.
     host, port:
         Listen address; port ``0`` picks a free port (see ``address``).
-    dispatch_workers:
-        Scheduler pool threads (``None`` = runtime default).
     """
 
     def __init__(
@@ -327,7 +326,6 @@ class MeshCoordinator:
         port: int = 0,
         liveness_timeout: float = 120.0,
         handshake_timeout: float = 10.0,
-        dispatch_workers: int | None = None,
         tracer=None,
     ) -> None:
         if expected_workers < 1:
@@ -385,9 +383,7 @@ class MeshCoordinator:
         self.migrations = 0  # guarded-by: _state, _wake
         self.cell_splits = 0  # guarded-by: _state, _wake
 
-        self._scheduler = PipelineScheduler(
-            max_workers=dispatch_workers, name="repro-mesh"
-        )
+        self._scheduler = PipelineScheduler(name="repro-mesh")
         self._listener: socket.socket | None = None
         self._acceptor: threading.Thread | None = None
         self.address: tuple[str, int] | None = None
@@ -679,30 +675,12 @@ class MeshCoordinator:
                 [float(t) for t in times[lo:hi]],
             )
 
-    def process(self, events) -> None:
-        """Absorb a stream of service events: :meth:`ingest` per
-        ``chunk_size`` events (a :class:`~repro.service.events.RequestQueue`
-        or any iterable of worker/task arrivals)."""
-        self.start()
-        events = iter(events)
-        while chunk := list(islice(events, self.chunk_size)):
-            for event in chunk:
-                if not isinstance(event, (WorkerArrival, TaskArrival)):
-                    raise TypeError(f"not a service event: {event!r}")
-            is_task = [isinstance(e, TaskArrival) for e in chunk]
-            self.ingest(
-                [e.task_id if t else e.worker_id for e, t in zip(chunk, is_task)],
-                [e.location for e in chunk],
-                is_task,
-                [e.time for e in chunk],
-            )
-
     def _dispatch(self, ids, locs, is_task, times) -> None:
         self._check_failure()
         # capture the caller's span (e.g. the gateway's scheduler.execute,
         # live on this thread) at submit time: the family jobs run later,
         # on scheduler threads, but must parent under the request that
-        # journaled their ops
+        # journaled their rows
         ctx = current_context() if self.tracer is not None else None
         queued_perf = time.perf_counter() if ctx is not None else 0.0
         with self._state:
@@ -712,7 +690,7 @@ class MeshCoordinator:
                 observe=balancer.observe if balancer else None,
             )
             # submit-time high-water marks: a family job never delivers
-            # ops journaled after it was scheduled
+            # rows journaled after it was scheduled
             marks = {fam: self._journal.end(fam) for fam in touched}
             self._events_since_checkpoint += len(ids)
             cuts: dict[int, int] = {}
@@ -785,13 +763,12 @@ class MeshCoordinator:
             "flush barrier",
         )
 
-    def report(
-        self, wall_seconds: float = float("nan"), *, flush: bool = True
-    ) -> ServiceReport:
-        """Merge every peer's shard metrics into one service report."""
+    def report(self, wall_seconds: float = float("nan")) -> ServiceReport:
+        """Flush every cohort, then merge every peer's shard metrics into
+        one service report."""
         self.start()
         merged = self._await(
-            self._scheduler.submit(None, self._guard, self._report_job, flush),
+            self._scheduler.submit(None, self._guard, self._report_job),
             "report barrier",
         )
         return build_report(
@@ -850,15 +827,15 @@ class MeshCoordinator:
         self._ensure_configured(peer)
         self._ensure_installed(fam, peer)
         with self._state:
-            ops = self._journal.take(fam, upto)
-        if not ops:
+            rows = self._journal.take(fam, upto)
+        if not rows:
             return
-        body = {"ops": ops}
+        body = events_body(rows)
         if self.tracer is not None and ctx is not None:
             # the dispatch span crosses the socket: its context rides the
             # events body (trace-unaware workers ignore the key) and the
             # worker hands its execute span back in the reply
-            attrs = {"family": fam, "peer": peer.name, "n_ops": len(ops)}
+            attrs = {"family": fam, "peer": peer.name, "n_rows": len(rows)}
             if queued_perf:
                 attrs["queue_wait_s"] = time.perf_counter() - queued_perf
             with self.tracer.span(
@@ -873,12 +850,15 @@ class MeshCoordinator:
             if isinstance(spans, list):
                 for record in spans:
                     self.tracer.adopt(record)
-        results = reply.get("results")
-        if not isinstance(results, list):
-            raise MeshError(f"malformed events reply from {peer.name!r}")
+        tasks = [i for i, task in zip(body["ids"], body["is_task"]) if task]
+        workers = reply.get("workers")
+        if not isinstance(workers, list) or len(workers) != len(tasks):
+            raise MeshError(
+                f"malformed events reply from {peer.name!r}: expected "
+                f"{len(tasks)} workers for its task rows"
+            )
         with self._wake:
-            for row in results:
-                tid, wid = int(row[0]), row[1]
+            for tid, wid in zip(tasks, workers):
                 # first write wins: replayed duplicates deduplicate
                 self._results.setdefault(tid, None if wid is None else int(wid))
             self._wake.notify_all()
@@ -939,7 +919,7 @@ class MeshCoordinator:
             except PeerLost as lost:
                 self._handle_peer_loss(lost.peer)
 
-    def _report_job(self, flush: bool) -> dict[str, dict]:
+    def _report_job(self) -> dict[str, dict]:
         with self._state:
             marks = self._journal.ends()
         while True:
@@ -948,9 +928,8 @@ class MeshCoordinator:
                 self._settle(marks)
                 # unconfigured peers own no families (see _flush_job)
                 peers = [p for p in self._alive_peers() if p.configured]
-                if flush:
-                    for peer in peers:
-                        peer.call("flush", {})
+                for peer in peers:
+                    peer.call("flush", {})
                 merged: dict[str, dict] = {}
                 for peer in peers:
                     reply = peer.call("report", {})
@@ -1044,7 +1023,7 @@ class MeshCoordinator:
         self._deliver(fam, peer, upto)
         with self._state:
             reqs = self._checkpoint_reqs(keys)
-            # the snapshots hold every op sent, which runs past upto when
+            # the snapshots hold every row sent, which runs past upto when
             # a barrier on another thread delivered first
             cut = self._journal.sent(fam)
         snaps: dict[str, tuple[dict, float]] = {}
@@ -1057,6 +1036,7 @@ class MeshCoordinator:
             for key in keys:
                 self._absorb_snapshot(key, *snaps[key])
             dropped = self._journal.truncate(fam, cut)
+        # counts journal rows: one per event
         self.registry.counter("mesh.journal.compacted_ops", dropped)
         self._checkpoint_s.record(time.perf_counter() - t0)
 

@@ -25,7 +25,8 @@ op             body                        reply body
 ``load``       ``key``, ``snapshots``      ``{"key": ...}``
                (a base+delta chain)
 ``drop``       ``key``                     ``{"key": ...}``
-``events``     ``ops``                     ``{"results": [[tid,wid,key]]}``
+``events``     ``keys``, ``key``, ``ids``, ``{"workers": [wid, ...]}``
+               ``xy``, ``is_task``
 ``snapshot``   ``key`` [, ``mode``,        ``{"key": ..., "snapshot": ...}``
                ``checkpoint``,
                ``parent``]
@@ -34,6 +35,14 @@ op             body                        reply body
 ``ping``       —                           ``{}``
 ``crash``      —                           *process exits* (tests)
 =============  ==========================  ===============================
+
+An ``events`` body carries a delivery's journal rows as columns
+(:func:`events_body`): ``keys`` is the frame's table of shard keys,
+``key`` one index into it per row, and ``ids``, ``xy`` (``[x, y]``
+pairs) and ``is_task`` the rows' ids, locations and kinds. The reply's
+``workers`` holds one entry per task row, in row order: the assigned
+worker id or ``null``. The worker checks the columns
+(:func:`event_columns`), because they come from another process.
 
 The ``snapshot`` extras are the delta-checkpoint protocol: ``mode``
 ``"delta"`` asks for only the cells changed since ``parent`` (the
@@ -60,6 +69,8 @@ __all__ = [
     "MESH_SCHEMA",
     "MESH_VERSION",
     "OP_KINDS",
+    "event_columns",
+    "events_body",
     "op_doc",
     "reply_doc",
     "fail_doc",
@@ -163,3 +174,50 @@ def parse_reply(doc) -> tuple[str, int, dict]:
     """Validate one reply document; returns ``(kind, seq, body)`` where
     ``kind`` is ``"reply"`` or ``"fail"``."""
     return _check_envelope(doc, _REPLY_KINDS)
+
+
+def events_body(rows) -> dict:
+    """The ``events`` op body for (at least one) journal rows ``(key,
+    id, [x, y], is_task)``: the rows transposed into columns, keys as
+    indices into a per-frame table."""
+    keys, ids, xy, is_task = zip(*rows)
+    table: dict[str, int] = {}
+    index = [table.setdefault(key, len(table)) for key in keys]
+    return {
+        "keys": list(table),
+        "key": index,
+        "ids": list(ids),
+        "xy": list(xy),
+        "is_task": list(is_task),
+    }
+
+
+def event_columns(body: dict) -> tuple[list, list, list, list]:
+    """Check an ``events`` body; returns ``(keys, ids, xy, is_task)``
+    with one shard key per row.
+
+    Raises ``ValueError`` for columns that are not lists or differ in
+    length, a key index outside the table, a kind that is not a bool or
+    an id that is not an int — a silent ``zip`` would drop rows instead.
+    """
+    table, index, ids, xy, is_task = (
+        body.get(name) for name in ("keys", "key", "ids", "xy", "is_task")
+    )
+    if not all(type(col) is list for col in (table, index, ids, xy, is_task)):
+        raise ValueError("events columns must be lists")
+    if not len(index) == len(ids) == len(xy) == len(is_task):
+        raise ValueError(
+            f"events columns differ in length: key {len(index)}, ids "
+            f"{len(ids)}, xy {len(xy)}, is_task {len(is_task)}"
+        )
+    if not set(map(type, index)) <= {int} or (
+        index and not 0 <= min(index) <= max(index) < len(table)
+    ):
+        raise ValueError(
+            f"events key indices must index the {len(table)}-key table"
+        )
+    if not set(map(type, is_task)) <= {bool}:
+        raise ValueError("events kinds must be bools")
+    if not set(map(type, ids)) <= {int}:
+        raise ValueError("events ids must be ints")
+    return [table[i] for i in index], ids, xy, is_task

@@ -6,9 +6,10 @@ gateway ``hello`` whose feature list carries ``role:mesh-worker`` (plus
 then serves :mod:`repro.mesh.protocol` ops over the same length-prefixed
 frames the gateway uses: a JSON hello and welcome, then bin1 both ways.
 The serving core is a :class:`~repro.cluster.worker.ShardHost`, the same
-shard container the single-process engine drives — one cohort rule and
-one apply path is what keeps mesh assignments bit-identical to the
-engine's.
+shard container the single-process engine drives: an ``events`` op's
+rows go through :meth:`~repro.cluster.worker.ShardHost.ingest`, the
+engine's own apply path — one cohort rule and one row path is what keeps
+mesh assignments bit-identical to the engine's.
 
 The loop is single-threaded and strictly FIFO over the socket: ops are
 applied in arrival order and replies carry the op's ``seq`` back. That
@@ -48,7 +49,7 @@ from ..gateway.protocol import (
     role_feature,
 )
 from ..obs.trace import parse_trace_context, span_record
-from .protocol import fail_doc, parse_op, reply_doc
+from .protocol import event_columns, fail_doc, parse_op, reply_doc
 
 __all__ = [
     "connect_worker",
@@ -193,8 +194,8 @@ def serve_connection(
                     # labels the trace record and nothing replays it
                     start_wall = time.time()  # lint: ok RL103
                     start_perf = time.perf_counter()
-                results = host.apply(body["ops"])
-                out = {"results": [list(row) for row in results]}
+                keys, ids, xy, is_task = event_columns(body)
+                out = {"workers": host.ingest(keys, ids, xy, is_task)}
                 if ctx is not None:
                     out["spans"] = [
                         span_record(
@@ -202,7 +203,7 @@ def serve_connection(
                             ctx,
                             start_s=start_wall,
                             duration_s=time.perf_counter() - start_perf,
-                            attrs={"n_ops": len(body["ops"])},
+                            attrs={"n_rows": len(ids)},
                             service="mesh-worker",
                         )
                     ]

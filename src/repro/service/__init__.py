@@ -19,7 +19,7 @@ CLI::
 """
 
 from .engine import ShardedAssignmentEngine
-from .events import RequestQueue, TaskArrival, WorkerArrival, merge_event_streams
+from .events import TaskArrival, WorkerArrival, merge_event_streams
 from .loadgen import LoadConfig, LoadGenerator
 from .metrics import ServiceReport, ShardMetrics, ShardSnapshot
 from .shard import ShardServer
@@ -28,7 +28,6 @@ from .sharding import ShardMap
 __all__ = [
     "LoadConfig",
     "LoadGenerator",
-    "RequestQueue",
     "ServiceReport",
     "ShardMap",
     "ShardMetrics",

@@ -6,30 +6,29 @@ in front of one :class:`~repro.cluster.worker.ShardHost`. It owns a
 its host holds one :class:`~repro.service.shard.ShardServer` per cell
 under the routing key ``"s<i>"``. Timed worker/task events arrive
 through one ingest path, :meth:`ShardedAssignmentEngine.ingest`. A chunk
-of events (an API stream window, a slice of a
-:class:`~repro.service.events.RequestQueue`, a worker wave, or a single
-call) is routed with one vectorized
-:meth:`~repro.service.sharding.ShardMap.shard_of_many` pass, then
-applied in stream order:
+of events (an API stream window, a worker wave, or a single call) is
+admitted against the engine-wide worker-id registry
+(:func:`~repro.cluster.worker.admit`), routed with one vectorized
+:meth:`~repro.service.sharding.ShardMap.shard_of_many` pass and handed
+to one :meth:`~repro.cluster.worker.ShardHost.ingest` call, which
+applies it in stream order:
 
-* **worker arrivals** join their shard's pending cohort
-  (:meth:`~repro.cluster.worker.ShardHost.add`); a cohort is flushed
-  through the vectorized batch-obfuscation path when it reaches
+* **worker arrivals** join their shard's pending cohort; a cohort is
+  flushed through the vectorized batch-obfuscation path when it reaches
   ``batch_size``, when a task for that shard arrives (so no matchable
   worker is ever invisible to a later task), or at end of stream.
   Batching amortizes the per-report Python overhead;
 * **task arrivals** flush their shard's pending cohort and are matched
-  immediately by the shard's Algorithm-4 server
-  (:meth:`~repro.cluster.worker.ShardHost.task`).
+  immediately by the shard's Algorithm-4 server.
 
 The cut points depend only on stream order, never on where a chunk
 ends, so any chunking of a stream — one event per call included —
 yields bit-identical assignments. Every mesh worker serves its shards
-through the same :class:`~repro.cluster.worker.ShardHost`, fed by the
-coordinator's :class:`~repro.cluster.dispatch.FamilyJournal`, so the
+through the same :meth:`~repro.cluster.worker.ShardHost.ingest`, fed by
+the coordinator's :class:`~repro.cluster.dispatch.FamilyJournal`, so the
 engine and the mesh share their apply code.
-``register_worker``, ``register_workers``, ``submit_task`` and
-``process`` are thin callers of :meth:`ingest`.
+``register_worker``, ``register_workers`` and ``submit_task`` are thin
+callers of :meth:`ingest`.
 Shard RNG streams are keyed (:func:`~repro.utils.keyed_shard_seed` on
 ``"s<i>"``), the convention every backend shares.
 
@@ -57,13 +56,11 @@ need stream order use the API layer's sequence-numbered responses).
 from __future__ import annotations
 
 import threading
-from itertools import islice
 
-from ..cluster.worker import ShardHost, shard_spec
+from ..cluster.worker import ShardHost, admit, shard_spec
 from ..geometry.box import Box
 from ..geometry.points import as_points
 from ..utils import keyed_shard_seed
-from .events import RequestQueue, TaskArrival
 from .metrics import ServiceReport, build_report
 from .sharding import ShardMap
 
@@ -150,13 +147,12 @@ class ShardedAssignmentEngine:
 
         Row ``i`` is a task arrival when ``is_task[i]`` is true (``ids[i]``
         is then its task id), else a worker arrival (``ids[i]`` is its
-        worker id). The whole chunk is routed with one
-        :meth:`~repro.service.sharding.ShardMap.shard_of_many` pass; then,
-        event by event, a worker joins its shard's pending cohort
-        (:meth:`~repro.cluster.worker.ShardHost.add`) and a task is
-        matched on its shard (:meth:`~repro.cluster.worker.ShardHost.task`).
-        ``times``, a sequence parallel to ``ids``, advances the
-        simulation clock to the latest event applied.
+        worker id). The chunk is admitted under the shared lock, routed
+        with one :meth:`~repro.service.sharding.ShardMap.shard_of_many`
+        pass and applied by one
+        :meth:`~repro.cluster.worker.ShardHost.ingest` call. ``times``, a
+        sequence parallel to ``ids``, advances the simulation clock to
+        the latest event applied.
 
         Returns every task's decision (worker id or ``None``) in stream
         order. A worker id the engine has seen before raises
@@ -167,39 +163,35 @@ class ShardedAssignmentEngine:
         locs = as_points(locations)
         if not len(ids) == len(is_task) == len(locs):
             raise ValueError("need one id and one kind per location")
-        owners = self.shard_map.shard_of_many(locs).tolist()
-        host, keys = self.host, self.keys
-        decisions: list[int | None] = []
-        applied = 0
-        try:
-            for shard_id, location, event_id, task in zip(
-                owners, locs.tolist(), ids, is_task
-            ):
-                event_id = int(event_id)
-                if task:
-                    applied += 1
-                    worker, _ = host.task((keys[shard_id],), event_id, location)
-                    decisions.append(worker)
-                    if worker is not None:
-                        with self._shared_lock:
-                            self._assignments.append((event_id, worker))
-                    continue
-                with self._shared_lock:
-                    if event_id in self._known_workers:
-                        raise ValueError(
-                            f"worker id already registered with the engine: {event_id}"
-                        )
-                    self._known_workers.add(event_id)
-                applied += 1
-                host.add(keys[shard_id], event_id, location)
-        finally:
-            if times is not None and applied:
-                # max commutes, so shards ingesting on different threads
-                # leave the clock where a serial replay would
-                latest = float(max(times[:applied]))
-                with self._shared_lock:
-                    if latest > self.now:
-                        self.now = latest
+        # int() hands an int back as itself: the matcher keeps and returns
+        # the callers' own id objects
+        ids = [int(i) for i in ids]
+        with self._shared_lock:
+            accepted = admit(self._known_workers, ids, is_task)
+        refused = ids[accepted:]
+        ids, is_task, locs = ids[:accepted], is_task[:accepted], locs[:accepted]
+        keys = self.keys
+        decisions = self.host.ingest(
+            [keys[s] for s in self.shard_map.shard_of_many(locs).tolist()],
+            ids,
+            locs.tolist(),
+            is_task,
+        )
+        tasks = [i for i, task in zip(ids, is_task) if task]
+        with self._shared_lock:
+            self._assignments.extend(
+                (task, worker)
+                for task, worker in zip(tasks, decisions)
+                if worker is not None
+            )
+            # max commutes, so shards ingesting on different threads
+            # leave the clock where a serial replay would
+            if times is not None and accepted:
+                self.now = max(self.now, float(max(times[:accepted])))
+        if refused:
+            raise ValueError(
+                f"worker id already registered with the engine: {refused[0]}"
+            )
         return decisions
 
     def register_worker(self, worker_id: int, location) -> None:
@@ -218,34 +210,6 @@ class ShardedAssignmentEngine:
     def flush(self) -> None:
         """Push every pending worker cohort through batch obfuscation."""
         self.host.flush()
-
-    # ------------------------------------------------------------------ #
-    # event-driven operation                                              #
-    # ------------------------------------------------------------------ #
-
-    #: Events :meth:`process` routes per :meth:`ingest` call; bounds the
-    #: memory a long stream holds, never changes a decision.
-    PROCESS_CHUNK = 4096
-
-    def process(self, events) -> None:
-        """Drain an event stream, advancing the simulation clock.
-
-        Accepts any iterable of events — typically a
-        :class:`~repro.service.events.RequestQueue` — and feeds it to
-        :meth:`ingest` in chunks of :attr:`PROCESS_CHUNK`. Remaining
-        worker buffers are flushed when the stream ends.
-        """
-        if not isinstance(events, RequestQueue):
-            events = RequestQueue(events)
-        while chunk := list(islice(events, self.PROCESS_CHUNK)):
-            is_task = [isinstance(e, TaskArrival) for e in chunk]
-            self.ingest(
-                [e.task_id if t else e.worker_id for e, t in zip(chunk, is_task)],
-                [e.location for e in chunk],
-                is_task,
-                [e.time for e in chunk],
-            )
-        self.flush()
 
     # ------------------------------------------------------------------ #
     # telemetry                                                           #

@@ -1,23 +1,23 @@
-"""Timed worker/task events and the engine's request queue.
+"""Timed worker/task events.
 
 The serving model is event-driven: a load generator (or a real gateway)
 produces a time-ordered stream of :class:`WorkerArrival` and
-:class:`TaskArrival` events, and the engine consumes them from a
-:class:`RequestQueue`, advancing its simulation clock to each event's
-timestamp. Workers sort before tasks at equal timestamps so a cohort that
-arrives "just in time" is matchable by the task that follows it.
+:class:`TaskArrival` events (:func:`merge_event_streams`), which
+:func:`~repro.api.client.requests_from_events` turns into API
+requests; the engine advances its simulation clock to each event's
+timestamp. Workers sort before tasks at equal timestamps so a cohort
+that arrives "just in time" is matchable by the task that follows it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..geometry.points import as_point
 
-__all__ = ["WorkerArrival", "TaskArrival", "RequestQueue", "merge_event_streams"]
+__all__ = ["WorkerArrival", "TaskArrival", "merge_event_streams"]
 
 
 @dataclass(frozen=True)
@@ -63,42 +63,3 @@ def merge_event_streams(*streams) -> list:
     merged = [e for stream in streams for e in stream]
     merged.sort(key=_sort_key)
     return merged
-
-
-class RequestQueue:
-    """FIFO request queue feeding the assignment engine.
-
-    The single-process stand-in for the ingress queue a deployed service
-    would put in front of its shards (Kafka topic, SQS, ...). Events must
-    be pushed in non-decreasing time order — the queue enforces it, since
-    an out-of-order event would silently corrupt the simulation clock.
-    """
-
-    def __init__(self, events=()) -> None:
-        self._events: deque = deque()
-        self._last_time = -np.inf
-        for event in events:
-            self.push(event)
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        if not self._events:
-            raise StopIteration
-        return self._events.popleft()
-
-    def push(self, event) -> None:
-        """Enqueue one event; rejects timestamps that go backwards."""
-        if not isinstance(event, (WorkerArrival, TaskArrival)):
-            raise TypeError(f"not a service event: {event!r}")
-        if event.time < self._last_time:
-            raise ValueError(
-                f"event at t={event.time} arrives after t={self._last_time}; "
-                "merge streams with merge_event_streams first"
-            )
-        self._last_time = event.time
-        self._events.append(event)

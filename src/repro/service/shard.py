@@ -30,7 +30,6 @@ import numpy as np
 from ..crowdsourcing.entities import TaskReport
 from ..crowdsourcing.server import MatchingServer, publish_tree
 from ..geometry.box import Box
-from ..geometry.points import as_points
 from ..hst.paths import tree_distance_for_level
 from ..hst.serialize import hst_from_dict, hst_to_dict
 from ..privacy.budget import PrivacyBudgetLedger
@@ -100,9 +99,10 @@ class ShardServer:
         registers the reports with the matching server as two columns
         (worker ids, leaf indices).
         """
-        locs = as_points(locations)
+        # snap_many validates the locations: one conversion per cohort
+        snapped = self.tree.snap_index.snap_many(locations)
         ids = [int(w) for w in worker_ids]
-        if len(ids) != len(locs):
+        if len(ids) != len(snapped):
             raise ValueError("need one worker id per location")
         if not ids:
             return
@@ -113,7 +113,6 @@ class ShardServer:
             # checked before the ledger spend so a rejected cohort cannot
             # leave budget charged for registrations that never happened
             raise ValueError(f"workers already registered: {already[:5]}")
-        snapped = self.tree.snap_index.snap_many(locs)
         leaves = self.mechanism.obfuscate_points_batch(snapped, self._rng)
         self.ledger.spend_batch(ids, self.epsilon)
         self.server.register_cohort(ids, leaves.tolist())

@@ -21,6 +21,7 @@ from repro.cluster import (
     snapshot_shard,
     snapshot_to_json,
 )
+from repro.cluster.balancer import fallback_chain
 from repro.geometry import Box
 from repro.service import ShardMap, ShardServer
 from repro.utils import keyed_shard_seed
@@ -129,39 +130,39 @@ class TestShardHost:
         return host
 
     def test_task_chain_falls_back_to_parent(self):
-        """Post-split tasks drain the parent's pre-split worker pool."""
+        """Post-split tasks drain the parent's pre-split worker pool: a
+        task row keyed to the sub-shard, whose only worker sits in the
+        parent, is served from the parent."""
         host = self._host_with_family()
-        host.register("s0", [1, 2], [(10.0, 10.0), (20.0, 20.0)])
-        host.flush()
-        worker, key = host.task(["s0/0", "s0"], 0, (15.0, 15.0))
-        assert worker in (1, 2)
-        assert key == "s0"
+        assert host.chains["s0/0"] == ("s0/0", "s0")
+        assert host.ingest(
+            ["s0", "s0/0"], [1, 0], [(10.0, 10.0), (15.0, 15.0)], [False, True]
+        ) == [1]
         assert host.shards["s0"].metrics.tasks_assigned == 1
+        assert host.shards["s0/0"].metrics.tasks_assigned == 0
 
     def test_full_miss_recorded_once_on_primary(self):
         host = self._host_with_family()
-        worker, key = host.task(["s0/0", "s0"], 0, (15.0, 15.0))
-        assert worker is None
-        assert key == "s0/0"
+        assert host.ingest(["s0/0"], [0], [(15.0, 15.0)], [True]) == [None]
         assert host.shards["s0/0"].metrics.tasks_unassigned == 1
         assert host.shards["s0"].metrics.tasks_unassigned == 0
 
     def test_batch_size_flushes_pending(self):
         host = self._host_with_family()
-        locs = np.random.default_rng(0).uniform(0, 50, size=(4, 2))
-        host.register("s0/0", range(4), list(locs))
+        locs = np.random.default_rng(0).uniform(0, 50, size=(4, 2)).tolist()
+        assert host.ingest(["s0/0"] * 4, list(range(4)), locs, [False] * 4) == []
         assert host.shards["s0/0"].server.registered_workers == 4
         assert host.pending["s0/0"] == ([], [])
 
-    def test_add_cuts_cohorts_like_register(self):
-        """One worker at a time (the engine's ingest) and one merged
-        cohort op (a mesh delivery) cut cohorts at the same positions."""
-        locs = np.random.default_rng(3).uniform(0, 100, size=(11, 2))
+    def test_one_row_per_call_cuts_cohorts_like_one_window(self):
+        """One row per ingest call (the engine fed event by event) and one
+        window of rows (a mesh delivery) cut cohorts at the same rows."""
+        locs = np.random.default_rng(3).uniform(0, 100, size=(11, 2)).tolist()
         one_by_one = self._host_with_family()
         for wid, loc in enumerate(locs):
-            one_by_one.add("s0", wid, loc)
+            one_by_one.ingest(["s0"], [wid], [loc], [False])
         at_once = self._host_with_family()
-        at_once.register("s0", range(11), locs)
+        at_once.ingest(["s0"] * 11, list(range(11)), locs, [False] * 11)
         for host in (one_by_one, at_once):
             # batch_size 4: cohorts cut after workers 3 and 7
             assert host.shards["s0"].metrics.cohorts_flushed == 2
@@ -206,11 +207,14 @@ class TestShardHost:
                         seed=keyed_shard_seed(8, f"s{i}"),
                     ),
                 )
-            for wid, loc in enumerate(locs):
-                host.add(f"s{smap.shard_of(loc)}", wid, loc)
-            for i in range(10):
-                host.task((task_keys[i],), i, tasks[i])
-            host.add("s0", 99, (5.0, 5.0))  # left buffered
+            host.ingest(
+                [f"s{smap.shard_of(loc)}" for loc in locs],
+                list(range(len(locs))),
+                locs.tolist(),
+                [False] * len(locs),
+            )
+            host.ingest(task_keys[:10], list(range(10)), tasks[:10].tolist(), [True] * 10)
+            host.ingest(["s0"], [99], [(5.0, 5.0)], [False])  # left buffered
             return host
 
         original, donor = build(), build()
@@ -220,9 +224,8 @@ class TestShardHost:
             clone.load(key, [json.loads(json.dumps(donor.snapshot(key)))])
         assert clone.pending["s0"][0] == [99]
         for i in range(10, 20):
-            assert original.task((task_keys[i],), i, tasks[i]) == clone.task(
-                (task_keys[i],), i, tasks[i]
-            )
+            row = ([task_keys[i]], [i], [tasks[i]], [True])
+            assert original.ingest(*row) == clone.ingest(*row)
         assert list(clone.shards) == list(original.shards)
         for key, a in original.shards.items():
             b = clone.shards[key]
@@ -236,20 +239,23 @@ class TestClusterRouter:
         smap = ShardMap(REGION, 2, 2)
         router = ClusterRouter(smap)
         pts = np.random.default_rng(0).uniform(0, 200, size=(50, 2))
-        chains = router.chains_of_many(pts)
         owners = smap.shard_of_many(pts)
-        assert [c[0] for c in chains] == [f"s{int(o)}" for o in owners]
-        assert all(len(c) == 1 for c in chains)
+        assert router.keys_of_many(pts) == [f"s{int(o)}" for o in owners]
 
     def test_split_adds_fallback_chain(self):
         router = ClusterRouter(ShardMap(REGION, 2, 2))
         children = router.split(0, 2)
         assert children == ["s0/0", "s0/1", "s0/2", "s0/3"]
-        # a point in the split cell routes to its sub-shard, parent second
-        chain = router.chain_of((10.0, 10.0))
-        assert chain[0].startswith("s0/") and chain[1] == "s0"
-        # other cells are untouched
-        assert router.chain_of((150.0, 150.0)) == ["s3"]
+        # a point in the split cell routes to its sub-shard, whose chain
+        # falls back to the parent; other cells are untouched
+        pts = np.random.default_rng(1).uniform(0, 200, size=(60, 2))
+        for (x, y), key in zip(pts, router.keys_of_many(pts)):
+            if x < 100 and y < 100:
+                assert key in children
+                assert fallback_chain(key) == (key, "s0")
+            else:
+                assert key in ("s1", "s2", "s3")
+                assert fallback_chain(key) == (key,)
         # sub-boxes tile the parent cell
         area = sum(
             router.shard_box(k).width * router.shard_box(k).height

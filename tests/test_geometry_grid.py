@@ -50,9 +50,16 @@ class TestSnapIndex:
         rng = np.random.default_rng(4)
         grid = uniform_grid(Box.square(20.0), 5)
         index = SnapIndex(grid)
-        queries = rng.random((40, 2)) * 20
-        many = index.snap_many(queries)
-        assert [index.snap(q) for q in queries] == many.tolist()
+        inside = rng.random((40, 2)) * 20
+        # past every edge and corner of the box: the clamp picks the
+        # nearest border point
+        outside = np.array(
+            [(-3.0, 10.0), (24.0, 10.0), (10.0, -0.6), (10.0, 21.0),
+             (-5.0, -5.0), (30.0, 30.0), (-1.0, 25.0), (22.0, -9.0)]
+        )
+        for queries in (inside, outside):
+            many = index.snap_many(queries)
+            assert [index.snap(q) for q in queries] == many.tolist()
 
     def test_snap_many_empty(self):
         index = SnapIndex([(0, 0)])

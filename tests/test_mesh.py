@@ -10,6 +10,7 @@ cells split gives the same answers whatever the transport does.
 """
 
 import functools
+import json
 import os
 import signal
 import socket
@@ -19,6 +20,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     Batch,
@@ -37,7 +40,7 @@ from repro.api.conformance import (
 from repro.api.errors import ApiError
 from repro.cluster.balancer import BalancerConfig, ClusterRouter, family_of
 from repro.cluster.dispatch import FamilyJournal
-from repro.cluster.worker import shard_spec
+from repro.cluster.worker import ShardHost, shard_spec
 from repro.gateway import codec
 from repro.gateway.protocol import (
     HEADER,
@@ -45,6 +48,7 @@ from repro.gateway.protocol import (
     PACKED_DOC_TAG,
     FrameDecoder,
     encode_frame,
+    goodbye_doc,
     handshake_frame,
     hello_doc,
     role_feature,
@@ -56,6 +60,8 @@ from repro.mesh import (
     MeshCoordinator,
     MeshError,
     OP_KINDS,
+    event_columns,
+    events_body,
     fail_doc,
     op_doc,
     parse_op,
@@ -64,8 +70,10 @@ from repro.mesh import (
 )
 from repro.mesh import coordinator as mesh_coordinator
 from repro.mesh import worker as mesh_worker
+from repro.service import ShardedAssignmentEngine
 from repro.service.events import TaskArrival, WorkerArrival, merge_event_streams
 from repro.service.sharding import ShardMap
+from repro.utils import keyed_shard_seed
 
 REGION = Box.square(200.0)
 
@@ -91,8 +99,8 @@ class TestMeshProtocol:
             assert parse_op(doc) == (op, 7, {"key": "s0"})
 
     def test_reply_and_fail_round_trip(self):
-        kind, seq, body = parse_reply(reply_doc(3, {"results": []}))
-        assert (kind, seq, body) == ("reply", 3, {"results": []})
+        kind, seq, body = parse_reply(reply_doc(3, {"workers": []}))
+        assert (kind, seq, body) == ("reply", 3, {"workers": []})
         kind, seq, body = parse_reply(fail_doc(9, "rejected", "nope", "why"))
         assert kind == "fail"
         assert seq == 9
@@ -129,6 +137,68 @@ class TestMeshProtocol:
             parse_reply(op_doc("ping", 0))
 
 
+def _exchange_ops(ops, *, goodbye=False) -> list[tuple[str, int, dict]]:
+    """Serve ``(op, body)`` pairs on a worker op loop over a socketpair;
+    every answer, parsed, once the loop has ended (after a ``fail``, or
+    at the goodbye sent behind the ops when ``goodbye``)."""
+    ours, theirs = socket.socketpair()
+    ours.settimeout(10.0)
+
+    def serve():
+        try:
+            mesh_worker.serve_connection(theirs, FrameDecoder())
+        finally:
+            theirs.close()
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    try:
+        for seq, (op, body) in enumerate(ops, start=1):
+            ours.sendall(encode_frame(op_doc(op, seq, body)))
+        if goodbye:
+            ours.sendall(encode_frame(goodbye_doc("done")))
+        decoder, replies = FrameDecoder(), []
+        while data := ours.recv(65536):
+            replies.extend(decoder.feed(data))
+    finally:
+        ours.close()
+        server.join(timeout=10.0)
+    assert not server.is_alive()
+    return [parse_reply(doc) for doc in replies]
+
+
+_SHARD_SPEC = shard_spec(REGION, grid_nx=6, epsilon=1.0, budget_capacity=5.0, seed=11)
+_SETUP = [
+    ("configure", {"batch_size": 8}),
+    ("create", {"key": "s0", "spec": _SHARD_SPEC}),
+]
+_ROWS = [
+    ("s0", 7, [10.0, 10.0], False),
+    ("s0", 0, [12.0, 12.0], True),
+    ("s0", 1, [12.0, 12.0], True),
+]
+
+
+def _lose_an_id(body):
+    body["ids"].pop()
+
+
+def _index_past_the_table(body):
+    body["key"][0] = len(body["keys"])
+
+
+def _negative_index(body):
+    body["key"][0] = -1
+
+
+def _int_kind(body):
+    body["is_task"][1] = 1
+
+
+def _float_id(body):
+    body["ids"][1] = 0.5
+
+
 class TestWorkerOpLoop:
     def test_an_oversize_reply_answers_fail_for_its_op(self, monkeypatch):
         """A reply over the frame ceiling is a failed op: the worker
@@ -139,39 +209,77 @@ class TestWorkerOpLoop:
             "encode_frame",
             functools.partial(encode_frame, max_frame_bytes=1500),
         )
-        ours, theirs = socket.socketpair()
-        ours.settimeout(10.0)
-
-        def serve():
-            try:
-                mesh_worker.serve_connection(theirs, FrameDecoder())
-            finally:
-                theirs.close()
-
-        server = threading.Thread(target=serve, daemon=True)
-        server.start()
-        spec = shard_spec(REGION, grid_nx=6, epsilon=1.0, budget_capacity=5.0, seed=11)
-        ops = [
-            ("configure", {"batch_size": 8}),
-            ("create", {"key": "s0", "spec": spec}),
-            ("snapshot", {"key": "s0", "mode": "base", "checkpoint": 1}),
-        ]
-        try:
-            for seq, (op, body) in enumerate(ops, start=1):
-                ours.sendall(encode_frame(op_doc(op, seq, body)))
-            decoder, replies = FrameDecoder(), []
-            while data := ours.recv(65536):
-                replies.extend(decoder.feed(data))
-        finally:
-            ours.close()
-            server.join(timeout=10.0)
-        assert not server.is_alive()
-        answers = [parse_reply(doc) for doc in replies]
+        answers = _exchange_ops(
+            [*_SETUP, ("snapshot", {"key": "s0", "mode": "base", "checkpoint": 1})]
+        )
         assert [(kind, seq) for kind, seq, _ in answers] == [
             ("reply", 1), ("reply", 2), ("fail", 3),
         ]
         assert answers[-1][2]["code"] == "invalid-request"
         assert "frame limit" in answers[-1][2]["message"]
+
+    def test_events_answer_one_worker_per_task_row(self):
+        answers = _exchange_ops([*_SETUP, ("events", events_body(_ROWS))], goodbye=True)
+        assert [(kind, seq) for kind, seq, _ in answers] == [
+            ("reply", 1), ("reply", 2), ("reply", 3),
+        ]
+        # the first task takes the only worker; the second finds none
+        assert answers[-1][2] == {"workers": [7, None]}
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (_lose_an_id, "differ in length"),
+            (_index_past_the_table, "key table"),
+            (_negative_index, "key table"),
+            (_int_kind, "bools"),
+            (_float_id, "ints"),
+        ],
+    )
+    def test_damaged_events_answer_fail_for_their_seq(self, damage, message):
+        """Columns from another process are checked: a damaged body
+        answers a structured ``fail``, never a silently shorter reply."""
+        body = events_body(_ROWS)
+        damage(body)
+        answers = _exchange_ops([*_SETUP, ("events", body)])
+        assert [(kind, seq) for kind, seq, _ in answers] == [
+            ("reply", 1), ("reply", 2), ("fail", 3),
+        ]
+        assert answers[-1][2]["code"] == "rejected"
+        assert message in answers[-1][2]["message"]
+
+    def test_coordinator_refuses_a_short_workers_reply(self):
+        """A reply with fewer workers than task rows fails the delivery
+        at once; recording nothing would leave result_of waiting out
+        the liveness timeout."""
+        ours, theirs = socket.socketpair()
+        theirs.settimeout(10.0)
+
+        def short_worker():
+            decoder, docs = FrameDecoder(), []
+            while not docs:
+                docs = decoder.feed(theirs.recv(65536))
+            _, seq, _ = parse_op(docs[0])
+            theirs.sendall(encode_frame(reply_doc(seq, {"workers": []})))
+
+        server = threading.Thread(target=short_worker, daemon=True)
+        server.start()
+        coordinator = MeshCoordinator(REGION, shards=(1, 1), expected_workers=1)
+        peer = mesh_coordinator.MeshPeer("w0", ours, ())
+        peer.start()
+        peer.configured = True
+        coordinator.ownership[0] = peer.name
+        coordinator._installed["s0"] = peer.name
+        try:
+            _absorb(coordinator._journal, ("w", 0, 10, 10), ("t", 0, 15, 15))
+            with pytest.raises(MeshError, match="malformed events reply"):
+                coordinator._deliver(0, peer, coordinator._journal.end(0))
+            assert coordinator._results == {}
+        finally:
+            peer.shutdown()
+            coordinator.close()
+            server.join(timeout=10.0)
+            theirs.close()
 
 
 # --------------------------------------------------------------------- #
@@ -191,6 +299,17 @@ def _task(tid, x, y):
     return TaskArrival(time=1.0, task_id=tid, location=(x, y))
 
 
+def _ingest(coordinator, events):
+    """Journal service events through the coordinator's columnar ingest."""
+    is_task = [isinstance(e, TaskArrival) for e in events]
+    coordinator.ingest(
+        [e.task_id if t else e.worker_id for e, t in zip(events, is_task)],
+        [e.location for e in events],
+        is_task,
+        [e.time for e in events],
+    )
+
+
 def _absorb(journal, *rows):
     """Feed ``(kind, id, x, y)`` rows (kind ``"w"`` or ``"t"``) to the
     journal as its columns. Workers arrive at time 0.0 and tasks at 1.0
@@ -204,18 +323,19 @@ def _absorb(journal, *rows):
 
 
 class TestFamilyJournal:
-    def test_cohorts_merge_until_a_task_cuts(self):
+    def test_rows_keep_stream_order(self):
         j = _journal()
-        # three workers then a task in the left cell: one cohort op, cut
-        _absorb(j, ("w", 0, 10, 100), ("w", 1, 20, 100),
+        # one row per event, in stream order per family, whatever shard a
+        # row in another family lands on in between
+        _absorb(j, ("w", 0, 10, 100), ("w", 1, 20, 100), ("w", 5, 150, 100),
                 ("t", 0, 15, 100), ("w", 2, 30, 100))
-        ops = j.take(0)
-        kinds = [op[0] for op in ops]
-        assert kinds == ["w", "t", "w"]
-        assert ops[0][2] == [0, 1]  # merged cohort
-        assert ops[0][3] == [[10.0, 100.0], [20.0, 100.0]]
-        assert ops[1][2:] == [0, [15.0, 100.0]]
-        assert ops[2][2] == [2]  # post-task arrival opens a new cohort
+        assert j.take(0) == [
+            ("s0", 0, [10.0, 100.0], False),
+            ("s0", 1, [20.0, 100.0], False),
+            ("s0", 0, [15.0, 100.0], True),
+            ("s0", 2, [30.0, 100.0], False),
+        ]
+        assert j.take(1) == [("s1", 5, [150.0, 100.0], False)]
 
     def test_take_honours_absolute_upto_and_rewind(self):
         j = _journal()
@@ -224,11 +344,11 @@ class TestFamilyJournal:
         mark = j.end(0)
         _absorb(j, ("t", 1, 12, 100))
         first = j.take(0, mark)
-        assert len(first) > 0
+        assert len(first) == 4
         assert j.sent(0) == mark
         assert j.take(0, mark) == []  # cursor moved past the mark
         rest = j.take(0)
-        assert [op[0] for op in rest] == ["t"]
+        assert [(row[1], row[3]) for row in rest] == [(1, True)]
         j.rewind(0)
         assert j.sent(0) == 0
         replay = j.take(0)
@@ -243,14 +363,14 @@ class TestFamilyJournal:
         _absorb(j, ("t", 1, 12, 100))
         assert j.end(0) == mark + 1  # positions grow past the old mark
         j.rewind(0)
-        # replay serves only the retained suffix, not the truncated ops
-        assert [op[0] for op in j.take(0)] == ["t"]
+        # replay serves only the retained suffix, not the truncated rows
+        assert [(row[1], row[3]) for row in j.take(0)] == [(1, True)]
 
     def test_truncate_counts_what_it_drops(self):
         j = _journal()
         _absorb(j, ("w", 0, 10, 100), ("t", 0, 15, 100), ("t", 1, 12, 100))
         j.take(0)
-        assert j.truncate(0, 2) == 2  # the cohort op and the first task
+        assert j.truncate(0, 2) == 2  # the worker row and the first task
         assert j.truncate(0, 2) == 0  # already gone
         assert j.truncate(0, 99) == 1  # clipped at the journal's end
         assert j.truncate(1, 5) == 0  # an untouched family
@@ -275,6 +395,105 @@ class TestFamilyJournal:
         # worker 1 was accepted; the refused duplicate and the event
         # after it never moved the clock
         assert j.now == 3.0
+
+
+# --------------------------------------------------------------------- #
+# one row path: the engine and a mesh delivery through ShardHost.ingest  #
+# --------------------------------------------------------------------- #
+
+
+@st.composite
+def _streams(draw):
+    """Worker/task interleavings on the 200x200 region, a batch size and
+    the window cuts one arm streams them in."""
+    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=48))
+    coord = st.floats(min_value=0.0, max_value=199.0, allow_nan=False)
+    xy = draw(st.lists(st.tuples(coord, coord), min_size=len(kinds), max_size=len(kinds)))
+    cuts = draw(st.lists(st.integers(1, len(kinds)), max_size=6))
+    return kinds, xy, draw(st.sampled_from([1, 3, 8])), sorted({0, *cuts, len(kinds)})
+
+
+def _shard_states(host):
+    """Every shard's export without its wall-clock metrics, as bytes."""
+    out = {}
+    for key, shard in host.shards.items():
+        state = shard.export_state()
+        state.pop("metrics")
+        out[key] = json.dumps(state, sort_keys=True)
+    return out
+
+
+class TestOneRowPath:
+    """Three arms, one answer: the engine fed one row per call (the
+    reference, which can defer nothing), the engine fed random windows,
+    and the mesh path — journal rows per family, the ``events`` columns
+    through a JSON round trip, ``ShardHost.ingest`` on a second host."""
+
+    SEED = 7
+
+    @settings(max_examples=60, deadline=None)
+    @given(_streams())
+    def test_three_arms_agree(self, stream):
+        kinds, xy, batch_size, bounds = stream
+        seen = {False: 0, True: 0}
+        ids = []
+        for task in kinds:  # workers and tasks each numbered in order
+            ids.append(seen[task])
+            seen[task] += 1
+        times = [float(i) for i in range(len(kinds))]
+        windows = list(zip(bounds, bounds[1:]))
+
+        def engine():
+            return ShardedAssignmentEngine(
+                REGION, shards=(2, 2), grid_nx=4, batch_size=batch_size,
+                seed=self.SEED,
+            )
+
+        one_row, windowed = engine(), engine()
+        reference = []
+        for row in range(len(kinds)):
+            reference += one_row.ingest(
+                [ids[row]], [xy[row]], [kinds[row]], [times[row]]
+            )
+        decisions = []
+        for lo, hi in windows:
+            decisions += windowed.ingest(
+                ids[lo:hi], xy[lo:hi], kinds[lo:hi], times[lo:hi]
+            )
+
+        smap = ShardMap(REGION, 2, 2)
+        journal = FamilyJournal(ClusterRouter(smap))
+        host = ShardHost(batch_size)
+        for cell, key in enumerate(one_row.keys):
+            host.create(
+                key,
+                shard_spec(
+                    smap.shard_box(cell), grid_nx=4, epsilon=0.5,
+                    budget_capacity=2.0, seed=keyed_shard_seed(self.SEED, key),
+                ),
+            )
+        outcomes = {}
+        for lo, hi in windows:
+            touched = journal.absorb(
+                ids[lo:hi], np.array(xy[lo:hi]), kinds[lo:hi], times[lo:hi]
+            )
+            for fam in sorted(touched):
+                body = json.loads(json.dumps(events_body(journal.take(fam))))
+                keys, row_ids, row_xy, row_kinds = event_columns(body)
+                workers = host.ingest(keys, row_ids, row_xy, row_kinds)
+                tasks = [i for i, task in zip(row_ids, row_kinds) if task]
+                outcomes.update(zip(tasks, workers))
+        mesh = [outcomes[tid] for tid, task in zip(ids, kinds) if task]
+
+        assert decisions == reference
+        assert mesh == reference
+        states = _shard_states(one_row.host)
+        for other in (windowed.host, host):
+            assert other.pending == one_row.host.pending
+            assert {k: s.metrics.cohorts_flushed for k, s in other.shards.items()} == {
+                k: s.metrics.cohorts_flushed for k, s in one_row.host.shards.items()
+            }
+            assert _shard_states(other) == states
 
 
 # --------------------------------------------------------------------- #
@@ -344,13 +563,15 @@ class TestCheckpointCuts:
             coordinator = backend.coordinator
             coordinator._test_mid_checkpoint = hold
             # four events in family 0 reach the cadence: every family is cut
-            coordinator.process(
+            _ingest(
+                coordinator,
                 [_worker(0, 10, 10), _worker(1, 20, 20), _task(0, 15, 15),
-                 _worker(2, 30, 30)]
+                 _worker(2, 30, 30)],
             )
             assert held.wait(timeout=10.0), "no cut reached family 0"
-            coordinator.process(
-                [_worker(3, 190, 190), _task(1, 185, 185), _task(2, 12, 12)]
+            _ingest(
+                coordinator,
+                [_worker(3, 190, 190), _task(1, 185, 185), _task(2, 12, 12)],
             )
             threading.Thread(
                 target=lambda: (coordinator.result_of(1), answered.set()),
@@ -741,8 +962,9 @@ class TestMeshLifecycle:
         backend.open()
         try:
             with pytest.raises(ValueError, match="already registered"):
-                backend.coordinator.process(
-                    [_worker(1, 10.0, 10.0), _worker(1, 190.0, 190.0)]
+                _ingest(
+                    backend.coordinator,
+                    [_worker(1, 10.0, 10.0), _worker(1, 190.0, 190.0)],
                 )
         finally:
             backend.close()
@@ -758,7 +980,7 @@ class TestMeshLifecycle:
                 backend.kill_worker(index)
                 backend.workers[index].join(timeout=10.0)
             with pytest.raises(MeshError):
-                coordinator.process([_worker(0, 10.0, 10.0), _task(0, 15.0, 15.0)])
+                _ingest(coordinator, [_worker(0, 10.0, 10.0), _task(0, 15.0, 15.0)])
                 coordinator.result_of(0)
         finally:
             backend.close()
@@ -823,7 +1045,7 @@ class TestMeshLifecycle:
         with pytest.raises(MeshError, match="closed"):
             coordinator.report()
         with pytest.raises(MeshError, match="closed"):
-            coordinator.process([_worker(99, 10, 10)])
+            _ingest(coordinator, [_worker(99, 10, 10)])
 
     def test_failed_open_reaps_listener_and_workers(self, monkeypatch):
         """A start() that raises must not leak the listener, the

@@ -25,7 +25,6 @@ from repro.privacy import BudgetExceededError, PrivacyBudgetLedger, TreeMechanis
 from repro.service import (
     LoadConfig,
     LoadGenerator,
-    RequestQueue,
     ShardMap,
     ShardServer,
     ShardedAssignmentEngine,
@@ -41,6 +40,17 @@ from repro.workloads import (
 )
 
 REGION = Box.square(200.0)
+
+
+def _ingest_events(engine, events):
+    """Apply service events to ``engine`` as one columnar ingest call."""
+    is_task = [isinstance(e, TaskArrival) for e in events]
+    return engine.ingest(
+        [e.task_id if t else e.worker_id for e, t in zip(events, is_task)],
+        [e.location for e in events],
+        is_task,
+        [e.time for e in events],
+    )
 
 
 class TestShardMap:
@@ -169,23 +179,6 @@ class TestEvents:
         t_early = TaskArrival(time=0.5, task_id=1, location=(3.0, 3.0))
         merged = merge_event_streams([t, t_early], [w])
         assert merged == [t_early, w, t]
-
-    def test_queue_rejects_time_travel(self):
-        q = RequestQueue()
-        q.push(TaskArrival(time=2.0, task_id=0, location=(0.0, 0.0)))
-        with pytest.raises(ValueError):
-            q.push(TaskArrival(time=1.0, task_id=1, location=(0.0, 0.0)))
-
-    def test_queue_rejects_non_events(self):
-        with pytest.raises(TypeError):
-            RequestQueue(["nope"])
-
-    def test_queue_is_fifo_iterable(self):
-        events = [
-            TaskArrival(time=float(i), task_id=i, location=(0.0, 0.0))
-            for i in range(3)
-        ]
-        assert list(RequestQueue(events)) == events
 
 
 class TestArrivalProcesses:
@@ -350,7 +343,7 @@ class TestEngine:
                 TaskArrival(time=3.0, task_id=1, location=(11.0, 100.0)),
             ],
         )
-        engine.process(events)
+        _ingest_events(engine, events)
         report = engine.report()
         assert report.tasks_assigned == 2
         assert {t for t, _ in engine.assignments} == {0, 1}
@@ -580,7 +573,8 @@ class TestChunkedIngestParity:
         whole = ShardedAssignmentEngine(
             REGION, shards=(1, 1), grid_nx=6, batch_size=3, seed=0
         )
-        whole.process(events)
+        _ingest_events(whole, events)
+        whole.flush()
         single = ShardedAssignmentEngine(
             REGION, shards=(1, 1), grid_nx=6, batch_size=3, seed=0
         )
