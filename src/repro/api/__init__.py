@@ -10,17 +10,19 @@ over all of them:
 
 * **messages** — typed request/response dataclasses
   (:class:`RegisterWorker`, :class:`SubmitTask`, :class:`Flush`,
-  :class:`GetReport`, batches, columnar stream windows and their
-  results, stream envelopes) with a schema-versioned dict wire form
+  :class:`GetReport`, columnar stream windows and their results, stream
+  envelopes) with a schema-versioned dict wire form
   (:func:`to_wire`/:func:`from_wire`);
 * **backends** — a common contract with three adapters
   (:class:`InProcessBackend`, :class:`ShardedBackend`,
   :class:`MeshBackend`) that pass one conformance suite: same spec,
-  same stream, bit-identical assignments. Every backend also answers
+  same stream, bit-identical assignments. Every register or submit
+  reaches a backend as a :class:`StreamWindow` (a single call is a
+  window of one row). Every backend also answers
   :meth:`~repro.api.backends.BackendBase.ordering_key`, the shard-derived
   scheduling contract the :mod:`repro.runtime` pipeline executes under;
-* **client** — the :class:`AssignmentClient` facade with sync, batched
-  and iterator-streaming modes (including pipelined stream windows over
+* **client** — the :class:`AssignmentClient` facade with sync and
+  iterator-streaming modes (including pipelined stream windows over
   transports that negotiated the capability) plus context-manager
   lifecycle;
 * **middleware** — a composable chain (request validation, token-bucket
@@ -69,8 +71,6 @@ from .errors import (
 from .messages import (
     WIRE_SCHEMA,
     WIRE_VERSION,
-    Batch,
-    BatchResult,
     ErrorInfo,
     Flush,
     Flushed,
@@ -103,8 +103,6 @@ __all__ = [
     "Backend",
     "BackendBase",
     "BackendUnavailable",
-    "Batch",
-    "BatchResult",
     "ErrorInfo",
     "GLOBAL_ORDERING_KEY",
     "ErrorMapper",

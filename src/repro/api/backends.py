@@ -22,12 +22,13 @@ repo has grown, behind one seeding convention
   is one coordinator ingest call on its columns, and a journaled window
   releases its scheduler hold before it awaits its outcomes.
 
-A stream window (:class:`~repro.api.messages.StreamWindow`) reaches
-every backend as columns and is answered as columns
-(:class:`~repro.api.messages.WindowResult`); a
-:class:`~repro.api.messages.Batch` turns each run of register/submit
-verbs into such a window in :meth:`BackendBase.batch`, so every backend
-serves one run shape.
+A stream window (:class:`~repro.api.messages.StreamWindow`) is the
+only way a register or submit reaches a backend: it arrives as columns
+at :meth:`BackendBase.batch` and is answered as columns
+(:class:`~repro.api.messages.WindowResult`). A single
+:class:`~repro.api.messages.RegisterWorker` or
+:class:`~repro.api.messages.SubmitTask` is served as a window of one
+row, so every backend serves one run shape.
 
 Backends are cheap to construct and expensive to ``open()`` (HST builds,
 process spawns) — the :class:`~repro.api.client.AssignmentClient` context
@@ -66,8 +67,6 @@ from ..service.sharding import ShardMap
 from ..utils import keyed_shard_seed
 from .errors import BackendUnavailable, ValidationFailed
 from .messages import (
-    Batch,
-    BatchResult,
     Flush,
     Flushed,
     GetReport,
@@ -77,10 +76,7 @@ from .messages import (
     StreamItemResult,
     StreamWindow,
     SubmitTask,
-    TaskDecision,
     WindowResult,
-    WorkerRegistered,
-    verb_runs,
     window_responses,
 )
 
@@ -168,11 +164,12 @@ class ServiceSpec:
 class BackendBase:
     """Shared lifecycle + request dispatch for every backend.
 
-    Subclasses implement the four verb methods and :meth:`handle_run`,
-    which serves one :class:`~repro.api.messages.StreamWindow` from its
-    columns. ``batch`` hands it every stream window, and every
-    contiguous register/submit run of a :class:`Batch` as a window.
-    ``open()``/``close()`` bracket the expensive state.
+    Subclasses implement :meth:`handle_run`, which serves one
+    :class:`~repro.api.messages.StreamWindow` from its columns, plus
+    ``flush`` and ``get_report``. :meth:`batch` hands ``handle_run``
+    every window, and :meth:`handle` turns a single register/submit into
+    a window of one row. ``open()``/``close()`` bracket the expensive
+    state.
     """
 
     name = "abstract"
@@ -210,8 +207,6 @@ class BackendBase:
             return self.request_key(request)
         if isinstance(request, StreamWindow):
             return self.points_key(request.xy)
-        if isinstance(request, Batch):
-            return self.batch_key(request)
         return None
 
     def request_key(self, request) -> str:
@@ -235,15 +230,6 @@ class BackendBase:
         if len(owners) == 1:
             return f"s{int(owners[0])}"
         return None
-
-    def batch_key(self, batch: Batch):
-        """Key of a whole batch: that of its locations when every item is
-        a register/submit verb, else ``None`` (barrier)."""
-        if not all(isinstance(item, _ROUTABLE) for item in batch.items):
-            return None
-        return self.points_key(
-            np.array([item.location for item in batch.items], dtype=np.float64)
-        )
 
     # -- lifecycle ----------------------------------------------------- #
 
@@ -276,46 +262,27 @@ class BackendBase:
     def handle(self, request):
         """Serve one request; the single entry point middleware wraps."""
         self._ensure_open()
-        if isinstance(request, RegisterWorker):
-            return self.register_worker(request)
-        if isinstance(request, SubmitTask):
-            return self.submit_task(request)
+        if isinstance(request, _ROUTABLE):
+            result = self.batch(StreamWindow.of(0, [request]))
+            (response,) = window_responses([request], result.is_task, result.workers)
+            return response
         if isinstance(request, Flush):
             return self.flush(request)
         if isinstance(request, GetReport):
             return self.get_report(request)
-        if isinstance(request, (StreamWindow, Batch)):
+        if isinstance(request, StreamWindow):
             return self.batch(request)
         if isinstance(request, StreamEnvelope):
             return StreamItemResult(seq=request.seq, item=self.handle(request.item))
         raise ValidationFailed(f"unhandled request type: {request!r}")
 
-    def batch(self, request):
-        """Serve a stream window, or a batch in order.
-
-        A :class:`~repro.api.messages.StreamWindow` goes to
-        :meth:`handle_run` whole and is answered by a
-        :class:`~repro.api.messages.WindowResult`. In a :class:`Batch`,
-        each contiguous run of register/submit verbs becomes one window
-        for :meth:`handle_run`, and any other item splits the run and is
-        served by :meth:`handle` once everything before it is; responses
-        come back in item order as a :class:`BatchResult`. A failure
-        raises at once: the rows before it stay applied and none after
-        it run.
-        """
-        if isinstance(request, StreamWindow):
-            return WindowResult(
-                request.seq, request.is_task, request.ids, self.handle_run(request)
-            )
-        responses: list = []
-        for unit in verb_runs(request.items):
-            if type(unit) is list:
-                window = StreamWindow.of(0, unit)
-                workers = self.handle_run(window)
-                responses += window_responses(unit, window.is_task, workers)
-            else:
-                responses.append(self.handle(unit))
-        return BatchResult(items=tuple(responses))
+    def batch(self, window: StreamWindow) -> WindowResult:
+        """Serve a stream window through :meth:`handle_run`, answered by
+        a :class:`~repro.api.messages.WindowResult`. A failure raises at
+        once: the rows before it stay applied and none after it run."""
+        return WindowResult(
+            window.seq, window.is_task, window.ids, self.handle_run(window)
+        )
 
     def handle_run(self, window: StreamWindow) -> list:
         """Serve a window's rows in order; each task row's outcome (the
@@ -337,7 +304,7 @@ class InProcessBackend(BackendBase):
     same cohort buffering discipline as the engine. Requires a
     ``(1, 1)`` lattice spec — this backend *is* the unsharded case.
 
-    It keeps its own cohort buffer and id registry on purpose: the engine
+    It keeps its own cohort buffer and id registries on purpose: the engine
     and every mesh worker cut cohorts through the one
     :class:`~repro.cluster.worker.ShardHost`, so this backend is the
     independent oracle for that cut rule in the conformance matrix.
@@ -370,18 +337,11 @@ class InProcessBackend(BackendBase):
         )
         self._pending: tuple[list[int], list] = ([], [])
         self._known: set[int] = set()
+        self._tasks: set[int] = set()
         self.now = 0.0
 
-    def register_worker(self, req: RegisterWorker) -> WorkerRegistered:
-        self._register(req.worker_id, req.location, req.time)
-        return WorkerRegistered(worker_id=int(req.worker_id))
-
-    def submit_task(self, req: SubmitTask) -> TaskDecision:
-        worker = self._submit(req.task_id, req.location, req.time)
-        return TaskDecision(task_id=int(req.task_id), worker_id=worker)
-
     def handle_run(self, window: StreamWindow) -> list:
-        """The window's rows one at a time, through the per-verb paths."""
+        """The window's rows one at a time, in stream order."""
         workers = []
         for task, ident, location, at in zip(
             window.is_task, window.ids, window.xy.tolist(), window.times
@@ -412,9 +372,13 @@ class InProcessBackend(BackendBase):
         self._shard.register_cohort(ids, locs)
 
     def _submit(self, task_id, location, at) -> int | None:
+        tid = int(task_id)
+        if tid in self._tasks:
+            raise ValueError(f"task id already submitted: {tid}")
+        self._tasks.add(tid)
         self.now = max(self.now, float(at))
         self._flush_pending()
-        return self._shard.submit_task(int(task_id), location)
+        return self._shard.submit_task(tid, location)
 
     def flush(self, req: Flush) -> Flushed:
         self._flush_pending()
@@ -434,13 +398,12 @@ class ShardedBackend(BackendBase):
     """The single-process sharded engine behind the API contract.
 
     Routing is per window, not per event: :meth:`handle_run` passes a
-    stream window's columns (a :class:`Batch`'s register/submit runs
-    arrive as windows too, see :meth:`BackendBase.batch`) to one
+    stream window's columns to one
     :meth:`~repro.service.engine.ShardedAssignmentEngine.ingest` call —
     one vectorized routing pass for the window. The engine applies the
     rows in stream order under the per-event cut-point rule, so a
     window's decisions, reports and failures are exactly those of one
-    call per request. A single call is a run of one.
+    call per request. A single call is a window of one row.
 
     Hands out per-shard ordering keys: shards share nothing but the
     engine's id registry and clock (both internally locked, both
@@ -475,16 +438,6 @@ class ShardedBackend(BackendBase):
         # from here on, ordering keys come from the engine's own router —
         # agreement by identity, not by two constructors staying in sync
         self._route_map = self.engine.shard_map
-
-    def register_worker(self, req: RegisterWorker) -> WorkerRegistered:
-        self.engine.ingest([req.worker_id], [req.location], [False], [req.time])
-        return WorkerRegistered(worker_id=int(req.worker_id))
-
-    def submit_task(self, req: SubmitTask) -> TaskDecision:
-        (worker,) = self.engine.ingest(
-            [req.task_id], [req.location], [True], [req.time]
-        )
-        return TaskDecision(task_id=int(req.task_id), worker_id=worker)
 
     def handle_run(self, window: StreamWindow) -> list:
         """One :meth:`~repro.service.engine.ShardedAssignmentEngine.ingest`
@@ -522,9 +475,9 @@ class MeshBackend(BackendBase):
     :class:`~repro.runtime.PipelineScheduler`, so concurrent calls for
     different families genuinely overlap and only barrier verbs quiesce
     the mesh. Ordering keys are shard families (base lattice cells,
-    stable across hot-cell splits). Every call goes through
-    :meth:`batch` (a single verb is a run of one), which journals a
-    window as columns and then releases the caller's scheduler hold
+    stable across hot-cell splits). Every register/submit goes through
+    :meth:`batch` (a single verb is a window of one row), which journals
+    a window as columns and then releases the caller's scheduler hold
     (:func:`~repro.runtime.release_order`) before it waits for outcomes:
     behind a pipelined gateway the next window, barrier or not, journals
     while this one's outcomes are in flight.
@@ -634,12 +587,6 @@ class MeshBackend(BackendBase):
         except ProcessLookupError:
             pass
 
-    def register_worker(self, req: RegisterWorker) -> WorkerRegistered:
-        return self.batch(Batch(items=(req,))).items[0]
-
-    def submit_task(self, req: SubmitTask) -> TaskDecision:
-        return self.batch(Batch(items=(req,))).items[0]
-
     def flush(self, req: Flush) -> Flushed:
         self.coordinator.flush()
         return Flushed()
@@ -649,53 +596,30 @@ class MeshBackend(BackendBase):
             report=self.coordinator.report(wall_seconds=req.wall_seconds)
         )
 
-    def batch(self, request):
+    def batch(self, window: StreamWindow) -> WindowResult:
         """Journal the window as columns, release its hold, await outcomes.
 
-        A :class:`~repro.api.messages.StreamWindow` is one
+        The window is one
         :meth:`~repro.mesh.coordinator.MeshCoordinator.ingest` call on its
-        columns. In a :class:`Batch`, each contiguous register/submit run
-        is one such call, and any other item splits the run and is served
-        by :meth:`handle` once everything before it is journaled. Once
-        the last run is journaled the window's place in every family's
-        journal is fixed, so :func:`~repro.runtime.release_order` ends
-        the caller's scheduler hold: a gateway journals the next window
-        while this one's outcomes are in flight. Only then does it block
-        on each task's outcome
+        columns. Once it is journaled its place in every family's journal
+        is fixed, so :func:`~repro.runtime.release_order` ends the
+        caller's scheduler hold: a gateway journals the next window while
+        this one's outcomes are in flight. Only then does it block on
+        each task's outcome
         (:meth:`~repro.mesh.coordinator.MeshCoordinator.result_of`, on a
         condition the peer readers signal). A failure while journaling
         raises before the release, so later windows still wait for it.
         """
-        if isinstance(request, StreamWindow):
-            self._journal(request)
-            release_order()
-            return WindowResult(
-                request.seq, request.is_task, request.ids, self._outcomes(request)
-            )
-        served: list = []  # (run, window) per run, (None, response) otherwise
-        for unit in verb_runs(request.items):
-            if type(unit) is list:
-                window = StreamWindow.of(0, unit)
-                self._journal(window)
-                served.append((unit, window))
-            else:
-                served.append((None, self.handle(unit)))
+        coordinator = self.coordinator
+        coordinator.ingest(window.ids, window.xy, window.is_task, window.times)
         release_order()
-        responses: list = []
-        for run, done in served:
-            if run is None:
-                responses.append(done)
-            else:
-                responses += window_responses(run, done.is_task, self._outcomes(done))
-        return BatchResult(items=tuple(responses))
-
-    def _journal(self, window: StreamWindow) -> None:
-        self.coordinator.ingest(window.ids, window.xy, window.is_task, window.times)
-
-    def _outcomes(self, window: StreamWindow) -> list:
-        """Each task row's outcome, in row order (blocks until known)."""
-        result_of = self.coordinator.result_of
-        return [result_of(i) for i, t in zip(window.ids, window.is_task) if t]
+        result_of = coordinator.result_of
+        return WindowResult(
+            window.seq,
+            window.is_task,
+            window.ids,
+            [result_of(i) for i, t in zip(window.ids, window.is_task) if t],
+        )
 
 
 BACKEND_KINDS = ("inprocess", "sharded", "remote", "mesh")

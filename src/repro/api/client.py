@@ -9,14 +9,11 @@ examples, a future network frontend) program against. It owns:
 * the **backend lifecycle** — ``with AssignmentClient(backend) as c:``
   opens the backend (HST builds, process spawns) on entry and closes it
   (reaping mesh worker processes) on exit;
-* three **calling modes**:
+* two **calling modes**:
 
   - *sync*: :meth:`register_worker` / :meth:`submit_task` /
-    :meth:`flush` / :meth:`report` — one request, one response;
-  - *batched*: :meth:`call_batch` — one
-    :class:`~repro.api.messages.Batch` through the chain, per-item
-    responses in order (the sharded engine and the mesh turn contiguous
-    runs into single ingest or dispatch chunks);
+    :meth:`flush` / :meth:`report` — one request, one response (a
+    backend serves a single register/submit as a window of one row);
   - *streaming*: :meth:`stream` — ships each run of up to ``window``
     register/submit requests of an arbitrary request iterable as one
     columnar :class:`~repro.api.messages.StreamWindow` (a ``Flush`` or
@@ -39,8 +36,6 @@ from ..runtime.window import SequenceReorderer
 from .backends import BackendBase
 from .errors import BackendUnavailable, ValidationFailed
 from .messages import (
-    Batch,
-    BatchResult,
     Flush,
     GetReport,
     RegisterWorker,
@@ -125,11 +120,6 @@ class AssignmentClient:
         own list to add admission control or latency metrics; include
         ``RequestValidator()``/``ErrorMapper()`` yourself if you still
         want them (the client does not inject duplicates).
-    stream_window:
-        Requests per batch in :meth:`stream`.
-    pipeline:
-        Default stream windows kept in flight (see :meth:`stream`);
-        ``1`` is the classic send-then-wait discipline.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`. When set, every sync
         call and every streamed window opens a ``client.request`` span;
@@ -138,25 +128,11 @@ class AssignmentClient:
         server's dispatch spans under this client's.
     """
 
-    def __init__(
-        self,
-        backend: BackendBase,
-        middleware=None,
-        *,
-        stream_window: int = DEFAULT_STREAM_WINDOW,
-        pipeline: int = 1,
-        tracer=None,
-    ) -> None:
-        if stream_window < 1:
-            raise ValueError(f"stream_window must be >= 1, got {stream_window}")
-        if pipeline < 1:
-            raise ValueError(f"pipeline must be >= 1, got {pipeline}")
+    def __init__(self, backend: BackendBase, middleware=None, *, tracer=None) -> None:
         if middleware is None:
             middleware = [RequestValidator(), ErrorMapper()]
         self.backend = backend
         self.middleware = list(middleware)
-        self.stream_window = int(stream_window)
-        self.pipeline = int(pipeline)
         self.tracer = tracer
         self._handler = build_stack(backend.handle, self.middleware)
 
@@ -211,30 +187,18 @@ class AssignmentClient:
         return self.call(GetReport(wall_seconds=wall_seconds)).report
 
     # ------------------------------------------------------------------ #
-    # batched mode                                                        #
-    # ------------------------------------------------------------------ #
-
-    def call_batch(self, requests) -> tuple:
-        """Send requests as one :class:`Batch`; per-item responses in order."""
-        result = self.call(Batch(items=tuple(requests)))
-        if not isinstance(result, BatchResult):
-            raise ValidationFailed(
-                f"backend answered a batch with {type(result).__name__}"
-            )
-        return result.items
-
-    # ------------------------------------------------------------------ #
     # streaming mode                                                      #
     # ------------------------------------------------------------------ #
 
-    def stream(self, requests, *, window: int | None = None, pipeline: int | None = None):
+    def stream(
+        self, requests, *, window: int = DEFAULT_STREAM_WINDOW, pipeline: int = 1
+    ):
         """Replay a request iterable; yields responses in stream order.
 
-        Each run of up to ``window`` (default :attr:`stream_window`)
-        register/submit requests ships as one columnar
-        :class:`~repro.api.messages.StreamWindow` through the middleware
-        chain, so backends see whole windows as columns, not single
-        calls; a ``Flush`` or ``GetReport`` ends the run and travels
+        Each run of up to ``window`` register/submit requests ships as
+        one columnar :class:`~repro.api.messages.StreamWindow` through
+        the middleware chain, so backends see whole windows as columns,
+        not single calls; a ``Flush`` or ``GetReport`` ends the run and travels
         alone in a :class:`~repro.api.messages.StreamEnvelope` carrying
         its seq. Each answer is checked against the unit it answers
         (seq, length, row kinds and ids) before the responses are built
@@ -242,9 +206,9 @@ class AssignmentClient:
         they are yielded as each window completes — the stream needs
         only ``O(window)`` memory.
 
-        ``pipeline`` (default :attr:`pipeline`) is the number of windows
-        kept in flight. Above ``1`` it engages the pipelined path when
-        the backend's transport supports it (a
+        ``pipeline`` is the number of windows kept in flight; ``1`` (the
+        default) is the send-then-wait discipline. Above ``1`` it engages
+        the pipelined path when the backend's transport supports it (a
         :class:`~repro.gateway.RemoteBackend` whose session negotiated
         the ``pipeline`` capability): windows go out back to back and the
         stream holds ``O(pipeline x window)`` memory while the
@@ -255,10 +219,10 @@ class AssignmentClient:
         windows were already on the wire and the server executed them
         even though this stream raises at the failure.
         """
-        window = self.stream_window if window is None else int(window)
+        window = int(window)
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        depth = self.pipeline if pipeline is None else int(pipeline)
+        depth = int(pipeline)
         if depth < 1:
             raise ValueError(f"pipeline must be >= 1, got {depth}")
         units = _stream_units(requests, window)
@@ -354,7 +318,7 @@ class AssignmentClient:
     # ------------------------------------------------------------------ #
 
     def replay_events(
-        self, events, *, window: int | None = None, pipeline: int | None = None
+        self, events, *, window: int = DEFAULT_STREAM_WINDOW, pipeline: int = 1
     ):
         """Stream service-layer timed events; yields the responses.
 

@@ -2,12 +2,13 @@
 
 Every interaction with an assignment backend is one of four verbs —
 register a worker, submit a task, flush pending cohorts, fetch the
-report — plus three groupings: :class:`Batch` for a group of verbs,
-:class:`StreamWindow` for a stream window of register/submit events
-held as columns (answered by a columnar :class:`WindowResult`), and
-:class:`StreamEnvelope` for a single verb that carries its stream
-``seq`` (the flushes and reports that end a window's run). Each message
-is a frozen dataclass with a dict wire form::
+report — plus two stream units: :class:`StreamWindow`, a stream window
+of register/submit events held as columns (answered by a columnar
+:class:`WindowResult`), and :class:`StreamEnvelope`, a single verb that
+carries its stream ``seq`` (the flushes and reports that end a window's
+run). Every register or submit reaches a backend as a window; a single
+call is a window of one row. Each message is a frozen dataclass with a
+dict wire form::
 
     {"schema": "repro.api", "version": 1, "kind": "submit_task",
      "body": {"task_id": 7, "location": [12.0, 40.5], "time": 3.25}}
@@ -39,14 +40,12 @@ __all__ = [
     "SubmitTask",
     "Flush",
     "GetReport",
-    "Batch",
     "StreamWindow",
     "StreamEnvelope",
     "WorkerRegistered",
     "TaskDecision",
     "Flushed",
     "ReportResult",
-    "BatchResult",
     "WindowResult",
     "StreamItemResult",
     "ErrorInfo",
@@ -189,31 +188,6 @@ class GetReport:
     @classmethod
     def _from_body(cls, body: dict) -> "GetReport":
         return cls(wall_seconds=float(body.get("wall_seconds", float("nan"))))
-
-
-@dataclass(frozen=True)
-class Batch:
-    """An ordered group of verbs answered by one :class:`BatchResult`.
-
-    Items are plain verbs: no batches, windows or envelopes. Backends
-    may execute a batch more efficiently than the equivalent call
-    sequence (each contiguous register/submit run becomes one
-    :class:`StreamWindow`) but must preserve per-item semantics and
-    order.
-    """
-
-    kind: ClassVar[str] = "batch"
-    items: tuple = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "items", tuple(self.items))
-
-    def _body(self) -> dict:
-        return {"items": [to_wire(item) for item in self.items]}
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "Batch":
-        return cls(items=tuple(from_wire(doc) for doc in body["items"]))
 
 
 @dataclass(frozen=True)
@@ -426,24 +400,6 @@ class ReportResult:
 
 
 @dataclass(frozen=True)
-class BatchResult:
-    """Per-item responses of a :class:`Batch`, in request order."""
-
-    kind: ClassVar[str] = "batch_result"
-    items: tuple = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "items", tuple(self.items))
-
-    def _body(self) -> dict:
-        return {"items": [to_wire(item) for item in self.items]}
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "BatchResult":
-        return cls(items=tuple(from_wire(doc) for doc in body["items"]))
-
-
-@dataclass(frozen=True)
 class WindowResult:
     """The answer to the :class:`StreamWindow` with the same ``seq``.
 
@@ -579,7 +535,6 @@ Request = (
     SubmitTask,
     Flush,
     GetReport,
-    Batch,
     StreamWindow,
     StreamEnvelope,
 )
@@ -588,7 +543,6 @@ Response = (
     TaskDecision,
     Flushed,
     ReportResult,
-    BatchResult,
     WindowResult,
     StreamItemResult,
     ErrorInfo,

@@ -8,14 +8,13 @@ a future network frontend can reuse the exact chain server-side.
 Provided middleware:
 
 * :class:`RequestValidator` — structural checks (ids, finite
-  coordinates and times, batch/envelope nesting) before anything
-  reaches a backend, so malformed input fails fast with
-  ``invalid-request``; a :class:`~repro.api.messages.StreamWindow` is
-  checked in one vectorized pass over its columns;
+  coordinates and times, envelope nesting) before anything reaches a
+  backend, so malformed input fails fast with ``invalid-request``; a
+  :class:`~repro.api.messages.StreamWindow` is checked in one vectorized
+  pass over its columns;
 * :class:`TokenBucket` — admission control: a classic token bucket,
-  batches charged per contained item and windows per row, with an
-  injectable clock so tests (and simulations) drive it
-  deterministically;
+  windows charged per row, with an injectable clock so tests (and
+  simulations) drive it deterministically;
 * :class:`LatencyMetrics` — per-method call counts, structured-failure
   counts and latency samples (a bounded
   :class:`~repro.service.metrics.SampleReservoir` per method), recorded
@@ -44,7 +43,6 @@ import numpy as np
 from ..obs.registry import MetricsRegistry
 from .errors import AdmissionRejected, ValidationFailed, map_exception
 from .messages import (
-    Batch,
     Flush,
     GetReport,
     RegisterWorker,
@@ -105,19 +103,9 @@ class RequestValidator:
             self._check_seq(request.seq)
             if not self._window_ok(request):
                 self._check_rows(request)
-        elif isinstance(request, Batch):
-            # a batch carries plain verbs only: one level of grouping
-            # keeps backend dispatch loop-free, and stream seqs belong to
-            # windows and envelopes
-            for item in request.items:
-                if isinstance(item, (Batch, StreamWindow, StreamEnvelope)):
-                    raise ValidationFailed(
-                        f"batches carry plain verbs, not {type(item).kind!r}"
-                    )
-                self.validate(item)
         elif isinstance(request, StreamEnvelope):
             self._check_seq(request.seq)
-            if isinstance(request.item, (Batch, StreamWindow, StreamEnvelope)):
+            if isinstance(request.item, (StreamWindow, StreamEnvelope)):
                 raise ValidationFailed(
                     "stream envelopes wrap single verbs, not groups"
                 )
@@ -188,10 +176,9 @@ class TokenBucket:
     """Token-bucket admission control.
 
     ``rate`` tokens refill per second up to ``burst``; each request costs
-    one token (a batch costs one per contained item and a stream window
-    one per row — flushes and report fetches ride free, they relieve
-    pressure rather than add it). When
-    the bucket runs dry the request fails with a retryable
+    one token (a stream window one per row — flushes and report fetches
+    ride free, they relieve pressure rather than add it). When the
+    bucket runs dry the request fails with a retryable
     ``rate-limited`` error carrying the earliest useful retry delay.
     """
 
@@ -213,8 +200,6 @@ class TokenBucket:
     def cost_of(request) -> int:
         if isinstance(request, StreamWindow):
             return len(request)
-        if isinstance(request, Batch):
-            return sum(TokenBucket.cost_of(item) for item in request.items)
         if isinstance(request, StreamEnvelope):
             return TokenBucket.cost_of(request.item)
         if isinstance(request, (Flush, GetReport)):

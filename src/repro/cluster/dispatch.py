@@ -29,7 +29,7 @@ the two recovery disciplines both fall out of cursor arithmetic:
 from __future__ import annotations
 
 from .balancer import family_of
-from .worker import admit
+from .worker import admit, refusal
 
 __all__ = ["FamilyJournal"]
 
@@ -54,8 +54,9 @@ class FamilyJournal:
         self._sent: dict[int, int] = {fam: 0 for fam in range(n)}
         #: every task id ever absorbed, stream order
         self.task_order: list[int] = []
-        #: worker ids seen, for duplicate-registration rejection
+        #: worker and task ids seen, for duplicate rejection
         self.known_workers: set[int] = set()
+        self.known_tasks: set[int] = set()
         #: the simulation clock: the latest time of an accepted event (a
         #: rejected duplicate never moves it)
         self.now = 0.0
@@ -78,10 +79,10 @@ class FamilyJournal:
         ``locations`` an ``(n, 2)`` float array, ``ids`` ints,
         ``is_task`` bools and ``times`` floats. ``observe(key, is_task)``
         is the optional balancer tap. The accepted rows advance
-        :attr:`now`; a repeated worker id raises ``ValueError`` at its
-        row, with the rows before it absorbed.
+        :attr:`now`; a repeated worker or task id raises ``ValueError``
+        at its row, with the rows before it absorbed.
         """
-        accepted = admit(self.known_workers, ids, is_task)
+        accepted = admit(self.known_workers, self.known_tasks, ids, is_task)
         locations = locations[:accepted]
         touched: set[int] = set()
         for key, event_id, location, task in zip(
@@ -97,9 +98,7 @@ class FamilyJournal:
         if accepted:
             self.now = max(self.now, max(times[:accepted]))
         if accepted < len(ids):
-            raise ValueError(
-                f"worker id already registered with the mesh: {ids[accepted]}"
-            )
+            raise refusal(ids, is_task, accepted, "the mesh")
         return touched
 
     # ------------------------------------------------------------------ #

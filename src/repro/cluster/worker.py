@@ -28,26 +28,34 @@ from ..service.shard import ShardServer
 from .balancer import fallback_chain
 from .snapshot import delta_snapshot, restore_chain, snapshot_shard
 
-__all__ = ["ShardHost", "admit", "shard_spec"]
+__all__ = ["ShardHost", "admit", "refusal", "shard_spec"]
 
 
-def admit(registry: set, ids, is_task) -> int:
-    """Length of a chunk's accepted prefix; records its worker ids.
+def admit(workers: set, tasks: set, ids, is_task) -> int:
+    """Length of a chunk's accepted prefix; records its ids.
 
-    Row ``i`` is a worker when ``is_task[i]`` is false. The prefix ends
-    at the first worker id already in ``registry`` or repeated earlier
-    in the chunk; the caller applies the prefix, moves its clock to the
-    prefix's latest time and raises its ``ValueError`` for the refused
-    row.
+    Row ``i`` is a task when ``is_task[i]`` is true, else a worker. The
+    prefix ends at the first id already in its kind's registry
+    (``tasks`` or ``workers``) or repeated earlier in the chunk; the
+    caller applies the prefix, moves its clock to the prefix's latest
+    time and raises :func:`refusal` for the refused row.
     """
     accepted = 0
     for event_id, task in zip(ids, is_task):
-        if not task:
-            if event_id in registry:
-                break
-            registry.add(event_id)
+        registry = tasks if task else workers
+        if event_id in registry:
+            break
+        registry.add(event_id)
         accepted += 1
     return accepted
+
+
+def refusal(ids, is_task, row: int, where: str) -> ValueError:
+    """The ``ValueError`` for the row :func:`admit` refused, naming its
+    kind (a task or worker id seen before by ``where``)."""
+    if is_task[row]:
+        return ValueError(f"task id already submitted to {where}: {ids[row]}")
+    return ValueError(f"worker id already registered with {where}: {ids[row]}")
 
 
 def shard_spec(

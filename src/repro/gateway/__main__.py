@@ -4,15 +4,17 @@
 loopback gateway, replays one deterministic stream through a
 :class:`~repro.gateway.RemoteBackend` *and* through the in-process
 backends, and requires bit-identical assignments and reports — the
-paper's guarantee, now enforced across a socket. ``--serve`` runs a real
-server until interrupted.
+paper's guarantee, now enforced across a socket. The remote run keeps
+four stream windows in flight, so the gate covers out-of-order
+answering on a real socket. ``--serve`` runs a real server until
+interrupted.
 
 Examples::
 
     python -m repro.gateway --smoke
     python -m repro.gateway --smoke --backend mesh --procs 2 --json
     python -m repro.gateway --serve --port 7713 --shards 2 2
-    python -m repro.gateway --serve --no-pipeline --max-in-flight 8
+    python -m repro.gateway --serve --max-in-flight 8
 """
 
 from __future__ import annotations
@@ -62,9 +64,9 @@ def _smoke(args) -> int:
             spec,
             backend_kinds=("inprocess", "sharded", "remote"),
             requests=stream,
-            # a pipelined smoke keeps several windows in flight so the
-            # parity gate covers out-of-order answering on a real socket
-            pipeline=4 if args.pipeline else 1,
+            # several windows in flight: the parity gate covers
+            # out-of-order answering on a real socket
+            pipeline=4,
             backend_kwargs={
                 "remote": {
                     "backend": args.backend,
@@ -119,7 +121,6 @@ def _serve(args) -> int:
         port=args.port,
         rate=args.rate,
         burst=args.burst,
-        pipeline=args.pipeline,
         pipeline_workers=args.pipeline_workers,
         max_inflight=args.max_in_flight,
     )
@@ -179,15 +180,6 @@ def main(argv: list[str] | None = None) -> int:
         "--rate", type=float, default=None, help="token-bucket admission rate"
     )
     parser.add_argument("--burst", type=int, default=256)
-    parser.add_argument(
-        "--pipeline",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=(
-            "shard-aware pipelined dispatch (--no-pipeline serves the "
-            "strictly serial gateway; smoke then streams serial windows)"
-        ),
-    )
     parser.add_argument(
         "--pipeline-workers",
         type=int,

@@ -2,9 +2,9 @@
 
 :class:`RemoteBackend` satisfies the :class:`~repro.api.backends.Backend`
 contract over a TCP connection, so an unmodified
-:class:`~repro.api.client.AssignmentClient` — sync calls, batches,
-streaming windows, middleware and all — gains network access just by
-being handed one. ``open()`` connects and handshakes (schema-version
+:class:`~repro.api.client.AssignmentClient` — sync calls, streaming
+windows, middleware and all — gains network access just by being
+handed one. ``open()`` connects and handshakes (schema-version
 negotiation included), ``handle()`` writes one frame and blocks for one
 response frame, ``close()`` says goodbye. The hello and welcome travel
 as JSON; every frame after the welcome is bin1 — a
@@ -13,15 +13,15 @@ as JSON; every frame after the welcome is bin1 — a
 :class:`~repro.api.messages.WindowResult` as rows), anything else as a
 generic document.
 
-The handshake also offers the ``pipeline`` feature: when the server
-accepts it (:attr:`RemoteBackend.supports_pipeline` turns true), the
-transport additionally exposes the split :meth:`RemoteBackend
-.send_request` / :meth:`RemoteBackend.recv_response` pair, letting the
-client keep several stream windows in flight and accept their responses
-in whatever order the gateway finished them (each window's or
-envelope's ``seq`` restores stream order client-side). Against a
-pre-feature server the attribute stays false and everything degrades
-to strict request/response.
+The handshake always offers the ``pipeline`` feature: when the server
+grants it (:attr:`RemoteBackend.supports_pipeline` turns true), the
+client may use the split :meth:`RemoteBackend.send_request` /
+:meth:`RemoteBackend.recv_response` pair to keep several stream windows
+in flight and accept their responses in whatever order the gateway
+finished them (each window's or envelope's ``seq`` restores stream
+order client-side). Against a server that does not grant it the
+attribute stays false and everything degrades to strict
+request/response.
 
 Error discipline: a structured error answered by the server (the api
 ``error`` kind) is re-raised locally as the matching
@@ -85,11 +85,6 @@ class RemoteBackend(BackendBase):
         Socket deadlines for connecting and for each request round trip.
         A mesh-served flush barrier can legitimately take a while, so
         the call deadline is generous by default.
-    pipeline:
-        Whether to *offer* the ``pipeline`` feature in the handshake.
-        The negotiated outcome lands in :attr:`supports_pipeline`; the
-        offer itself is harmless against any server (pre-feature servers
-        ignore unknown body fields).
     trace:
         Whether to *offer* the ``trace`` feature (on by default — the
         offer is free, and only a tracing-enabled server grants it).
@@ -108,7 +103,6 @@ class RemoteBackend(BackendBase):
         call_timeout: float = 300.0,
         client_name: str = "repro.gateway.remote",
         max_frame_bytes: int = MAX_FRAME_BYTES,
-        pipeline: bool = True,
         trace: bool = True,
     ) -> None:
         super().__init__(spec)
@@ -117,7 +111,6 @@ class RemoteBackend(BackendBase):
         self.call_timeout = float(call_timeout)
         self.client_name = str(client_name)
         self.max_frame_bytes = int(max_frame_bytes)
-        self.pipeline = bool(pipeline)
         self.trace = bool(trace)
         self.api_version: int | None = None
         self.session: int | None = None
@@ -157,14 +150,8 @@ class RemoteBackend(BackendBase):
                     hello_doc(
                         api_versions=range(1, WIRE_VERSION + 1),
                         client=self.client_name,
-                        features=tuple(
-                            feature
-                            for feature, on in (
-                                (PIPELINE_FEATURE, self.pipeline),
-                                (TRACE_FEATURE, self.trace),
-                            )
-                            if on
-                        ),
+                        features=(PIPELINE_FEATURE,)
+                        + ((TRACE_FEATURE,) if self.trace else ()),
                     ),
                     max_frame_bytes=self.max_frame_bytes,
                 )
@@ -221,12 +208,12 @@ class RemoteBackend(BackendBase):
     def handle(self, request):
         """One request frame out, one response frame back.
 
-        Overrides the verb-method dispatch of :class:`BackendBase`
-        wholesale: every request — windows, batches and stream envelopes
-        included — is one frame on the socket (a stream window as rows,
-        anything else as a document), and the server's backend applies
-        its own batching (a mesh-served window still gets chunked
-        dispatch).
+        Overrides the dispatch of :class:`BackendBase` wholesale: every
+        request — windows and stream envelopes included — is one frame
+        on the socket (a stream window as rows, anything else as a
+        document), and the server's backend serves it (a single
+        register/submit as a window of one row; a mesh-served window
+        still gets chunked dispatch).
 
         Once the connection has been lost (reset, drain, frame damage)
         every further call fails with the same retryable

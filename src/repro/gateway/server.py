@@ -13,20 +13,19 @@ points:
   requests for different shards execute concurrently on a bounded pool,
   same-shard requests stay FIFO, and barrier verbs (``Flush``/
   ``GetReport``) quiesce the world — which is exactly why assignments
-  stay bit-identical to the serial dispatch loop this replaced. A
-  backend may end a request's hold early
-  (:func:`~repro.runtime.release_order`): the mesh does once a window
-  is journaled, so the next window, barrier or not, journals while this
-  one's outcomes are in flight. Setting ``pipeline=False`` in the config
-  keys everything as a barrier on a one-thread pool, i.e. the strict
-  serial gateway, byte for byte;
-* **per-connection pipelining, opt-in** — a client that offered the
-  ``pipeline`` feature in its hello may have many frames in flight; the
-  gateway reads ahead and answers in *completion* order (stream windows
-  and envelopes carry the ``seq`` that lets the client re-sequence).
-  Clients that didn't opt in keep protocol v1's strict
-  request/response discipline: one frame in, its answer out, regardless
-  of how the backend is scheduled underneath;
+  stay bit-identical to serial dispatch. A backend may end a request's
+  hold early (:func:`~repro.runtime.release_order`): the mesh does once
+  a window is journaled, so the next window, barrier or not, journals
+  while this one's outcomes are in flight;
+* **one session loop, per-connection pipelining opt-in** — every
+  session reads ahead up to a per-connection cap and answers each frame
+  as the scheduler finishes it. A client that offered the ``pipeline``
+  feature in its hello gets ``max_inflight`` frames in flight, answered
+  in *completion* order (stream windows and envelopes carry the ``seq``
+  that lets the client re-sequence). A client that didn't opt in gets a
+  cap of one, i.e. protocol v1's strict request/response discipline:
+  one frame in, its answer out, regardless of how the backend is
+  scheduled underneath;
 * **bounded in-flight work** — an :class:`asyncio.Semaphore` caps
   requests queued for the scheduler across all connections (and bounds
   each pipelined connection's read-ahead); a connection over the cap
@@ -41,8 +40,8 @@ points:
   connection, because a byte stream behind a broken frame cannot be
   resynchronized;
 * **graceful drain** — :meth:`GatewayServer.stop` stops accepting,
-  lets every in-flight request finish — pipelined connections get all
-  outstanding responses flushed to them first — then sends ``goodbye``
+  lets every in-flight request finish — every connection gets its
+  outstanding responses flushed to it first — then sends ``goodbye``
   and closes the backend last.
 
 :func:`serve_gateway` runs the whole thing on a daemon thread with its
@@ -110,15 +109,12 @@ class GatewayConfig:
     set. ``port=0`` binds an ephemeral port, published as
     :attr:`GatewayServer.address` once the listener is up.
 
-    ``pipeline`` turns shard-aware pipelined dispatch on (the default):
-    requests execute concurrently per ordering key on
+    Requests execute concurrently per ordering key on
     ``pipeline_workers`` threads (``0`` sizes the pool automatically),
     and clients offering the ``pipeline`` feature get out-of-order
-    responses. ``pipeline=False`` reproduces the strictly serial
-    dispatch gateway: one worker thread, every request a barrier, no
-    session ever granted the feature. ``max_inflight`` bounds scheduled
-    work across all connections *and* each pipelined connection's
-    read-ahead window.
+    responses. ``max_inflight`` bounds scheduled work across all
+    connections *and* each pipelined connection's read-ahead window (a
+    session without the feature keeps one frame in flight).
 
     ``trace`` turns distributed tracing on (off by default — the traced
     path pays span bookkeeping per request): sessions offering the
@@ -142,7 +138,6 @@ class GatewayConfig:
     burst: int = 256
     handshake_timeout: float = 10.0
     drain_timeout: float = 30.0
-    pipeline: bool = True
     pipeline_workers: int = 0
     trace: bool = False
     trace_path: str | None = None
@@ -187,7 +182,6 @@ class GatewayConfig:
             "burst": self.burst,
             "handshake_timeout": self.handshake_timeout,
             "drain_timeout": self.drain_timeout,
-            "pipeline": self.pipeline,
             "pipeline_workers": self.pipeline_workers,
             "trace": self.trace,
             "trace_path": self.trace_path,
@@ -292,14 +286,9 @@ class GatewayServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._inflight: asyncio.Semaphore | None = None
         self._drain_event: asyncio.Event | None = None
-        # the execution core: pipelined dispatch schedules per ordering
-        # key; the serial config degrades to one worker + all barriers
+        # the execution core: every request is scheduled per ordering key
         self._scheduler = PipelineScheduler(
-            max_workers=(
-                (config.pipeline_workers or default_worker_count())
-                if config.pipeline
-                else 1
-            ),
+            max_workers=config.pipeline_workers or default_worker_count(),
             name="gateway-backend",
         )
         # live backlog gauge: sampled (not copied) at snapshot time
@@ -330,8 +319,8 @@ class GatewayServer:
     async def stop(self) -> None:
         """Graceful drain: finish in-flight work, close everything.
 
-        Pipelined connections flush every outstanding response before
-        their goodbye (see the session loops). Safe to call whether or
+        Every connection flushes its outstanding responses before its
+        goodbye (see :meth:`_request_loop`). Safe to call whether or
         not :meth:`start` completed — a server whose startup failed (or
         never ran) must still close its backend (a half-opened mesh
         holds worker processes) and reap the scheduler pool.
@@ -344,6 +333,10 @@ class GatewayServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+            # the closed server still holds _on_connection (and so this
+            # gateway) through its protocol factory: dropping it leaves
+            # the gateway free for reference counting, no collection
+            self._server = None
         tasks = list(self._conn_tasks)
         if tasks:
             done, pending = await asyncio.wait(
@@ -431,7 +424,7 @@ class GatewayServer:
             return
         # grant only what both sides speak: the feature set shrinks by
         # intersection, never errors on names from the future
-        session.pipelined = self.config.pipeline and PIPELINE_FEATURE in features
+        session.pipelined = PIPELINE_FEATURE in features
         session.traced = self.tracer is not None and TRACE_FEATURE in features
         granted = tuple(
             feature
@@ -459,10 +452,7 @@ class GatewayServer:
         # -- request loop ----------------------------------------------- #
         drain_wait = asyncio.ensure_future(self._drain_event.wait())
         try:
-            if session.pipelined:
-                await self._pipelined_loop(reader, writer, session, drain_wait)
-            else:
-                await self._serial_loop(reader, writer, session, drain_wait)
+            await self._request_loop(reader, writer, session, drain_wait)
         finally:
             drain_wait.cancel()
             with contextlib.suppress(asyncio.CancelledError):
@@ -474,7 +464,7 @@ class GatewayServer:
                 self.tracer.flush()
 
     async def _intake(self, reader, session, drain_wait):
-        """Read the next actionable frame; one error ladder for both loops.
+        """Read the next actionable frame, or learn the session is over.
 
         Returns a tagged outcome:
 
@@ -521,38 +511,21 @@ class GatewayServer:
             )
         return "doc", doc
 
-    async def _serial_loop(self, reader, writer, session, drain_wait) -> None:
-        """Protocol v1's strict request/response discipline.
+    async def _request_loop(self, reader, writer, session, drain_wait) -> None:
+        """The read-ahead loop every session runs.
 
-        One frame is read only after the previous frame's answer went
-        out. Requests still execute through the scheduler, so two
-        *different* serial connections overlap when their shards differ.
+        Frames are read as fast as the session's in-flight cap allows and
+        each one is answered by its own task the moment the scheduler
+        finishes it, writes serialized per connection. The cap is
+        ``max_inflight`` for a session that negotiated ``pipeline``
+        (answers then go out of order when shards allow it) and one for
+        any other, which therefore gets one answer per frame, in request
+        order. On drain (or client goodbye, or framing damage) the loop
+        first *flushes every in-flight response*, then closes the
+        conversation: a client is never left holding a frame the server
+        silently dropped.
         """
-        while True:
-            kind, payload = await self._intake(reader, session, drain_wait)
-            if kind == "doc":
-                await self._write(writer, await self._dispatch(payload, session))
-                if self._drain_event.is_set():
-                    await self._write(writer, goodbye_doc("gateway draining"))
-                    return
-            elif kind == "reject":
-                await self._write(writer, payload)
-            else:  # drain (idle: nothing in flight) or close
-                if payload is not None:
-                    await self._write(writer, payload)
-                return
-
-    async def _pipelined_loop(self, reader, writer, session, drain_wait) -> None:
-        """Read-ahead loop for sessions that negotiated ``pipeline``.
-
-        Frames are read as fast as the in-flight window allows and each
-        one is answered by its own task the moment the scheduler finishes
-        it — out of order when shards allow it, writes serialized per
-        connection. On drain (or client goodbye, or framing damage) the
-        loop first *flushes every in-flight response*, then closes the
-        conversation: a pipelined client is never left holding a window
-        the server silently dropped.
-        """
+        cap = self.config.max_inflight if session.pipelined else 1
         pending: set[asyncio.Task] = set()
         write_lock = asyncio.Lock()
         farewell_doc: dict | None = None
@@ -565,7 +538,7 @@ class GatewayServer:
 
         try:
             while True:
-                if len(pending) >= self.config.max_inflight:
+                if len(pending) >= cap:
                     # per-connection read-ahead cap: stop reading until a
                     # response drains (TCP pushes back on the client)
                     done, _ = await asyncio.wait(
@@ -625,9 +598,7 @@ class GatewayServer:
         start_perf = time.perf_counter() if timed else 0.0
         ok = False
         async with self._inflight:
-            key = (
-                self._ordering_key(request) if self.config.pipeline else None
-            )
+            key = self._ordering_key(request)
             try:
                 if gctx is not None:
                     response = await asyncio.wrap_future(

@@ -405,11 +405,12 @@ class MeshCoordinator:
         self._delta_bytes = self.registry.adopt_histogram(
             "mesh.checkpoint.delta_bytes", SampleReservoir()
         )
+        # the gauge closes over the dict (never rebound), not over self:
+        # the registry it lives in must not make the coordinator a cycle
+        checkpoints = self._checkpoints
         self.registry.gauge_fn(
             "mesh.checkpoint.chain_len",
-            lambda: max(
-                (len(c) for c in self._checkpoints.values()), default=0
-            ),
+            lambda: max((len(c) for c in checkpoints.values()), default=0),
         )
         self.registry.gauge_fn(
             "runtime.scheduler.key_depth", self._scheduler.key_depths
@@ -657,9 +658,10 @@ class MeshCoordinator:
 
         Returns as soon as everything is journaled and scheduled; results
         stream back through the peer readers (:meth:`result_of` blocks on
-        one). A worker id the mesh has seen before raises ``ValueError``
-        at its row: the rows before it stay journaled and neither it nor
-        any after it is, and the clock stays at the latest accepted row.
+        one). A worker or task id the mesh has seen before raises
+        ``ValueError`` at its row: the rows before it stay journaled and
+        neither it nor any after it is, and the clock stays at the latest
+        accepted row.
         Raises promptly if the mesh has already failed.
         """
         self.start()

@@ -44,7 +44,7 @@ is cancelled) therefore only abandons the *result* — the job still
 executes exactly once in its slot, the ordering chain never skips, and
 a barrier can never start while an abandoned predecessor is running.
 Accepted work always runs: the same discipline the gateway applies to
-a batch whose client vanished before reading the reply.
+a request whose client vanished before reading the reply.
 
 ``max_in_flight`` bounds accepted-but-unfinished jobs; :meth:`submit`
 blocks the producer beyond it, which is how backpressure propagates to

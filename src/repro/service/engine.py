@@ -7,7 +7,7 @@ its host holds one :class:`~repro.service.shard.ShardServer` per cell
 under the routing key ``"s<i>"``. Timed worker/task events arrive
 through one ingest path, :meth:`ShardedAssignmentEngine.ingest`. A chunk
 of events (an API stream window, a worker wave, or a single call) is
-admitted against the engine-wide worker-id registry
+admitted against the engine-wide worker-id and task-id registries
 (:func:`~repro.cluster.worker.admit`), routed with one vectorized
 :meth:`~repro.service.sharding.ShardMap.shard_of_many` pass and handed
 to one :meth:`~repro.cluster.worker.ShardHost.ingest` call, which
@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import threading
 
-from ..cluster.worker import ShardHost, admit, shard_spec
+from ..cluster.worker import ShardHost, admit, refusal, shard_spec
 from ..geometry.box import Box
 from ..geometry.points import as_points
 from ..utils import keyed_shard_seed
@@ -119,12 +119,14 @@ class ShardedAssignmentEngine:
                     seed=keyed_shard_seed(seed, key),
                 ),
             )
-        # engine-wide id registry: shards only see their own workers, so
+        # engine-wide id registries: shards only see their own workers, so
         # cross-shard duplicates must be caught here or one worker id
-        # could be assigned twice and budget-charged on two ledgers
+        # could be assigned twice and budget-charged on two ledgers; a
+        # task id names one decision, so it may arrive only once
         self._known_workers: set[int] = set()  # guarded-by: _shared_lock
+        self._known_tasks: set[int] = set()  # guarded-by: _shared_lock
         self._assignments: list[tuple[int, int]] = []  # guarded-by: _shared_lock
-        # guards the cross-shard state (registry, clock) when different
+        # guards the cross-shard state (registries, clock) when different
         # shards' requests run on different threads; see module docstring
         self._shared_lock = threading.Lock()
         self.now = 0.0  # guarded-by: _shared_lock
@@ -155,7 +157,7 @@ class ShardedAssignmentEngine:
         the latest event applied.
 
         Returns every task's decision (worker id or ``None``) in stream
-        order. A worker id the engine has seen before raises
+        order. A worker or task id the engine has seen before raises
         ``ValueError`` at its event: the events before it stay applied
         (clock included) and neither it nor any after it run, exactly as
         if each event had been its own call.
@@ -167,8 +169,10 @@ class ShardedAssignmentEngine:
         # the callers' own id objects
         ids = [int(i) for i in ids]
         with self._shared_lock:
-            accepted = admit(self._known_workers, ids, is_task)
-        refused = ids[accepted:]
+            accepted = admit(self._known_workers, self._known_tasks, ids, is_task)
+        refused = None
+        if accepted < len(ids):
+            refused = refusal(ids, is_task, accepted, "the engine")
         ids, is_task, locs = ids[:accepted], is_task[:accepted], locs[:accepted]
         keys = self.keys
         decisions = self.host.ingest(
@@ -188,10 +192,8 @@ class ShardedAssignmentEngine:
             # leave the clock where a serial replay would
             if times is not None and accepted:
                 self.now = max(self.now, float(max(times[:accepted])))
-        if refused:
-            raise ValueError(
-                f"worker id already registered with the engine: {refused[0]}"
-            )
+        if refused is not None:
+            raise refused
         return decisions
 
     def register_worker(self, worker_id: int, location) -> None:

@@ -9,8 +9,6 @@ import pytest
 from repro.api import (
     AdmissionRejected,
     AssignmentClient,
-    Batch,
-    BatchResult,
     ErrorInfo,
     ErrorMapper,
     Flush,
@@ -58,13 +56,11 @@ class TestWireFormat:
         SubmitTask(task_id=9, location=(4.0, 5.0), time=1.25),
         Flush(),
         GetReport(wall_seconds=2.5),
-        Batch(items=(Flush(), SubmitTask(task_id=1, location=(0.0, 0.0)))),
         StreamEnvelope(seq=7, item=RegisterWorker(worker_id=0, location=(1.0, 1.0))),
         WorkerRegistered(worker_id=3),
         TaskDecision(task_id=9, worker_id=None),
         TaskDecision(task_id=9, worker_id=4),
         Flushed(),
-        BatchResult(items=(Flushed(), TaskDecision(task_id=1, worker_id=2))),
         ErrorInfo(code="rejected", message="nope", retryable=True, detail="x"),
         StreamWindow.of(
             5,
@@ -84,10 +80,8 @@ class TestWireFormat:
         assert from_wire(doc) == message
 
     def test_wire_is_json_serializable(self):
-        doc = to_wire(Batch(items=tuple(self.MESSAGES[:4])))
-        assert from_wire(json.loads(json.dumps(doc))) == Batch(
-            items=tuple(self.MESSAGES[:4])
-        )
+        for message in self.MESSAGES:
+            assert from_wire(json.loads(json.dumps(to_wire(message)))) == message
 
     def test_report_round_trip(self):
         config = LoadConfig(n_workers=60, n_tasks=30, shards=(2, 1), grid_nx=6, seed=0)
@@ -111,10 +105,15 @@ class TestWireFormat:
             from_wire(doc)
 
     def test_unknown_kind_rejected(self):
-        doc = to_wire(Flush())
-        doc["kind"] = "teleport_worker"
-        with pytest.raises(ValidationFailed):
-            from_wire(doc)
+        # the retired batch kinds are as unknown as an invented one, even
+        # with the body they used to carry
+        for kind in ("teleport_worker", "batch", "batch_result"):
+            doc = to_wire(Flush())
+            doc["kind"] = kind
+            doc["body"] = {"items": []}
+            with pytest.raises(ValidationFailed) as info:
+                from_wire(doc)
+            assert info.value.code == "invalid-request"
 
     def test_malformed_body_rejected(self):
         doc = to_wire(SubmitTask(task_id=1, location=(0.0, 0.0)))
@@ -133,7 +132,6 @@ class TestRequestValidator:
 
     def test_accepts_good_requests(self):
         self.check(RegisterWorker(worker_id=0, location=(1.0, 1.0)))
-        self.check(Batch(items=(Flush(), GetReport())))
         self.check(StreamEnvelope(seq=0, item=Flush()))
 
     @pytest.mark.parametrize(
@@ -145,7 +143,7 @@ class TestRequestValidator:
             SubmitTask(task_id=0, location=(float("inf"), 0.0)),
             SubmitTask(task_id=0, location=(0.0, 0.0), time=-1.0),
             StreamEnvelope(seq=-1, item=Flush()),
-            Batch(items=(Batch(items=()),)),
+            StreamEnvelope(seq=0, item=StreamWindow.of(1, [])),
             StreamEnvelope(seq=0, item=StreamEnvelope(seq=1, item=Flush())),
         ],
     )
@@ -165,9 +163,9 @@ class TestRequestValidator:
         ],
         ids=["envelope", "window"],
     )
-    def test_batches_carry_plain_verbs_only(self, item):
+    def test_envelopes_carry_single_verbs_only(self, item):
         with pytest.raises(ValidationFailed) as info:
-            self.check(Batch(items=(Flush(), item)))
+            self.check(StreamEnvelope(seq=1, item=item))
         assert info.value.code == "invalid-request"
 
 
@@ -304,21 +302,15 @@ class TestTokenBucket:
 
     def test_batch_charged_per_item_and_barriers_free(self):
         bucket = TokenBucket(rate=1.0, burst=5, clock=lambda: 0.0)
-        batch = Batch(
-            items=(
-                RegisterWorker(worker_id=0, location=(0.0, 0.0)),
-                SubmitTask(task_id=0, location=(0.0, 0.0)),
-                Flush(),
-                GetReport(),
-            )
-        )
-        assert TokenBucket.cost_of(batch) == 2
-        assert bucket(batch, lambda r: "served") == "served"
         window = StreamWindow.of(0, _run()[:3])
         assert TokenBucket.cost_of(window) == 3  # one token per row
         assert TokenBucket.cost_of(StreamEnvelope(seq=3, item=Flush())) == 0
+        assert TokenBucket.cost_of(StreamEnvelope(seq=4, item=GetReport())) == 0
+        envelope = StreamEnvelope(seq=5, item=SubmitTask(task_id=0, location=(0.0, 0.0)))
+        assert TokenBucket.cost_of(envelope) == 1
         assert bucket(window, lambda r: "served") == "served"
-        assert bucket.admitted == 5
+        assert bucket(envelope, lambda r: "served") == "served"
+        assert bucket.admitted == 4
         # free verbs pass even with an empty bucket
         bucket2 = TokenBucket(rate=1e-9, burst=1, clock=lambda: 0.0)
         bucket2._tokens = 0.0
@@ -385,25 +377,6 @@ class TestClient:
             assert report.workers_registered == 5
             assert report.tasks_assigned == 1
             assert report.wall_seconds == 1.0
-
-    def test_batch_mode_preserves_order(self):
-        with AssignmentClient(InProcessBackend(small_spec())) as client:
-            responses = client.call_batch(
-                [
-                    RegisterWorker(worker_id=0, location=(20.0, 20.0)),
-                    RegisterWorker(worker_id=1, location=(80.0, 80.0)),
-                    SubmitTask(task_id=0, location=(20.0, 20.0)),
-                    SubmitTask(task_id=1, location=(80.0, 80.0)),
-                    Flush(),
-                ]
-            )
-            assert responses[0] == WorkerRegistered(worker_id=0)
-            assert responses[1] == WorkerRegistered(worker_id=1)
-            assert isinstance(responses[2], TaskDecision)
-            assert responses[2].task_id == 0
-            assert isinstance(responses[4], Flushed)
-            decided = {r.task_id for r in responses[2:4]}
-            assert decided == {0, 1}
 
     def test_stream_sends_windows_and_lone_barriers(self):
         metrics = LatencyMetrics()

@@ -18,6 +18,8 @@ from repro.api import (
     RegisterWorker,
     RequestRejected,
     ServiceSpec,
+    StreamWindow,
+    SubmitTask,
     make_backend,
 )
 from repro.api.conformance import (
@@ -45,7 +47,7 @@ def spec_for(shards) -> ServiceSpec:
         region=REGION, shards=shards, grid_nx=6, batch_size=8, seed=11
     )
 
-#: One batch whose third registration reuses worker 1's id. Every backend
+#: One window whose third registration reuses worker 1's id. Every backend
 #: must refuse it at that event: the two before it stay applied, and the
 #: refused event and the one after it (t=50) never move the clock.
 DUPLICATE_BATCH = (
@@ -55,16 +57,56 @@ DUPLICATE_BATCH = (
     RegisterWorker(worker_id=3, location=(40.0, 40.0), time=50.0),
 )
 
+#: Four workers, then tasks 7, 7 and 8: the second task 7 is refused at
+#: its row. The first task 7 stays decided and the clock stays at its
+#: time; the refused row and task 8 (t=50) never run.
+DUPLICATE_TASK = (
+    RegisterWorker(worker_id=0, location=(20.0, 20.0), time=0.0),
+    RegisterWorker(worker_id=1, location=(30.0, 20.0), time=1.0),
+    RegisterWorker(worker_id=2, location=(20.0, 30.0), time=2.0),
+    RegisterWorker(worker_id=3, location=(180.0, 180.0), time=3.0),
+    SubmitTask(task_id=7, location=(22.0, 22.0), time=4.0),
+    SubmitTask(task_id=7, location=(24.0, 24.0), time=5.0),
+    SubmitTask(task_id=8, location=(178.0, 178.0), time=50.0),
+)
 
-def _refuse_duplicate(backend) -> tuple[str, BackendRun]:
-    """Send :data:`DUPLICATE_BATCH`; the error code and the run after it."""
+
+def _refuse_duplicate(backend, requests=DUPLICATE_BATCH) -> tuple[str, BackendRun]:
+    """Send ``requests`` as one window; the error code and the run after it."""
     with AssignmentClient(backend) as client:
         with pytest.raises(ApiError) as refused:
-            client.call_batch(DUPLICATE_BATCH)
+            client.call(StreamWindow.of(0, requests))
         report = client.report()
     return refused.value.code, BackendRun(
         name=backend.name, assignments=(), unassigned=(), report=report
     )
+
+
+def _refusals(spec, kinds, requests) -> tuple[list, list]:
+    """:func:`_refuse_duplicate` on each backend kind (``remote`` over a
+    sharded gateway); the error codes and the runs after them."""
+    codes, runs = [], []
+    for kind in kinds:
+        if kind == "remote":
+            config = GatewayConfig(spec=spec, backend="sharded")
+            with serve_gateway(config) as server:
+                code, run = _refuse_duplicate(
+                    RemoteBackend(spec, address=server.address), requests
+                )
+        else:
+            code, run = _refuse_duplicate(
+                make_backend(kind, spec, **MESH_KWARGS.get(kind, {})), requests
+            )
+        codes.append(code)
+        runs.append(run)
+    return codes, runs
+
+
+#: Every backend kind that can serve a spec of this lattice shape.
+REFUSING_KINDS = [
+    ((1, 1), ("inprocess", "sharded", "remote", "mesh")),
+    ((2, 2), ("sharded", "remote", "mesh")),
+]
 
 
 class TestConformance:
@@ -118,36 +160,33 @@ class TestConformance:
         )
         assert check_parity([local, remote]) == [], "remote-over-mesh diverged"
 
-    @pytest.mark.parametrize(
-        "shards, kinds",
-        [
-            ((1, 1), ("inprocess", "sharded", "remote", "mesh")),
-            ((2, 2), ("sharded", "remote", "mesh")),
-        ],
-    )
+    @pytest.mark.parametrize("shards, kinds", REFUSING_KINDS)
     def test_rejected_duplicate_moves_every_clock_alike(self, shards, kinds):
         spec = ServiceSpec(
             region=REGION, shards=shards, grid_nx=4, batch_size=8, seed=1
         )
-        codes, runs = [], []
-        for kind in kinds:
-            if kind == "remote":
-                config = GatewayConfig(spec=spec, backend="sharded")
-                with serve_gateway(config) as server:
-                    code, run = _refuse_duplicate(
-                        RemoteBackend(spec, address=server.address)
-                    )
-            else:
-                code, run = _refuse_duplicate(
-                    make_backend(kind, spec, **MESH_KWARGS.get(kind, {}))
-                )
-            codes.append(code)
-            runs.append(run)
+        codes, runs = _refusals(spec, kinds, DUPLICATE_BATCH)
         assert codes == [RequestRejected.code] * len(kinds)
         assert check_parity(runs) == []
         report = runs[0].report
         assert report.sim_duration == 1.0
         assert report.workers_registered == 2
+
+    @pytest.mark.parametrize("shards, kinds", REFUSING_KINDS)
+    def test_repeated_task_id_is_refused_at_its_row(self, shards, kinds):
+        """A task id names one decision: its second submission is refused
+        at that row on every backend, the mesh included (whose outcome
+        table keeps one answer per task id)."""
+        spec = ServiceSpec(
+            region=REGION, shards=shards, grid_nx=4, batch_size=8, seed=1
+        )
+        codes, runs = _refusals(spec, kinds, DUPLICATE_TASK)
+        assert codes == [RequestRejected.code] * len(kinds)
+        assert check_parity(runs) == []
+        report = runs[0].report
+        assert report.sim_duration == 4.0
+        assert report.workers_registered == 4
+        assert report.tasks_assigned + report.tasks_unassigned == 1
 
     def test_inprocess_skipped_on_lattice_specs(self):
         result = run_conformance(

@@ -7,9 +7,11 @@ damage, version skew, half-dead clients, a SIGKILLed mesh worker
 and assignments must stay bit-identical to the in-process backends.
 """
 
+import gc
 import socket
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -17,12 +19,12 @@ from repro.api import (
     AdmissionRejected,
     AssignmentClient,
     BackendUnavailable,
-    Batch,
     MeshBackend,
     RegisterWorker,
     RequestRejected,
     ServiceSpec,
     StreamEnvelope,
+    StreamWindow,
     SubmitTask,
     TaskDecision,
     UnsupportedVersion,
@@ -418,21 +420,22 @@ class TestConnectionFaults:
                 assert client.report().workers_registered == 1
 
     def test_disconnect_after_batch_executes_it_exactly_once(self):
-        """A fully received batch executes even if the client vanishes
+        """A fully received window executes even if the client vanishes
         before reading the reply — and the next client sees exactly that
         state, no more, no less."""
         spec = small_spec()
         with serve_gateway(GatewayConfig(spec=spec)) as gw:
             sock = raw_handshake(gw.address)
-            batch = Batch(
-                items=tuple(
+            window = StreamWindow.of(
+                0,
+                [
                     RegisterWorker(worker_id=i, location=(10.0 * i + 5.0, 20.0))
                     for i in range(3)
-                )
+                ],
             )
-            send_frame(sock, to_wire(batch))
-            sock.close()  # gone before the BatchResult comes back
-            wait_until(lambda: gw.stats["responses"] == 1, what="batch completion")
+            send_frame(sock, to_wire(window))
+            sock.close()  # gone before the WindowResult comes back
+            wait_until(lambda: gw.stats["responses"] == 1, what="window completion")
             wait_until(lambda: not gw.sessions, what="session teardown")
             with AssignmentClient(RemoteBackend(spec, address=gw.address)) as client:
                 with pytest.raises(RequestRejected):
@@ -589,17 +592,6 @@ def slow_middleware(delay: float, only_kind: str | None = None):
 
 
 class TestPipelinedSessions:
-    def test_feature_not_granted_on_serial_config(self):
-        spec = small_spec()
-        with serve_gateway(GatewayConfig(spec=spec, pipeline=False)) as gw:
-            sock = socket.create_connection(gw.address, timeout=10.0)
-            sock.settimeout(10.0)
-            send_hello(sock, hello_doc(features=(PIPELINE_FEATURE,)))
-            welcome = recv_frame(sock)
-            assert welcome["body"]["features"] == []
-            sock.close()
-            assert gw.stats["pipelined_sessions"] == 0
-
     def test_old_client_keeps_request_response_order(self):
         """A hello without features gets protocol v1: answers in request
         order even when the first request is slower than the second."""
@@ -819,6 +811,32 @@ class TestPipelinedDrain:
         assert farewell["schema"] == GATEWAY_SCHEMA
         sock.close()
 
+    def test_drain_answers_a_plain_sessions_frame_before_goodbye(self):
+        """A session that did not offer ``pipeline`` keeps one frame in
+        flight; a drain that starts while it runs still answers it, and
+        only then says goodbye."""
+        spec = small_spec()
+        server_mw = [RequestValidator(), slow_middleware(0.3), ErrorMapper()]
+        from repro.gateway import GatewayServer
+
+        server = GatewayServer(
+            GatewayConfig(spec=spec, drain_timeout=20.0), middleware=server_mw
+        )
+        with serve_gateway(server=server) as gw:
+            sock = raw_handshake(gw.address)  # no features offered
+            send_frame(
+                sock, to_wire(RegisterWorker(worker_id=0, location=(1.0, 1.0)))
+            )
+            wait_until(lambda: gw.stats["frames"] >= 2, what="frame accepted")
+            assert gw.stats["pipelined_sessions"] == 0
+        answer = recv_frame(sock)
+        assert answer["kind"] == "worker_registered"
+        assert answer["body"]["worker_id"] == 0
+        farewell = recv_frame(sock)
+        assert farewell["kind"] == "goodbye"
+        assert farewell["schema"] == GATEWAY_SCHEMA
+        sock.close()
+
     def test_drain_mid_pipelined_stream_surfaces_unavailable(self):
         """A client streaming through the drain gets the structured
         BackendUnavailable (goodbye), never a hang or a stale frame."""
@@ -941,9 +959,9 @@ def _stream_per_shard(address, spec, substreams, *, depth: int) -> list:
 
 class TestPipelinedMeshDispatch:
     def test_serial_and_pipelined_gateways_decide_alike_per_shard(self):
-        """One connection per shard family over a 2-peer mesh: a serial
-        gateway (``pipeline=False``) and a pipelined one give equal
-        per-shard answers, and both equal the in-process replay —
+        """One connection per shard family over a 2-peer mesh: clients
+        that keep one window in flight and clients that keep four give
+        equal per-shard answers, and both equal the in-process replay —
         shard-aware scheduling changes when work runs, never what it
         decides."""
         from repro.api import make_backend
@@ -958,18 +976,17 @@ class TestPipelinedMeshDispatch:
                 _decisions(client.stream(sub, window=16)) for sub in substreams
             ]
         assert all(reference)  # every shard decided something
-        for pipeline in (False, True):
-            config = GatewayConfig(
-                spec=spec,
-                backend="mesh",
-                backend_kwargs={"n_peers": 2, "chunk_size": 16},
-                pipeline=pipeline,
-            )
+        config = GatewayConfig(
+            spec=spec,
+            backend="mesh",
+            backend_kwargs={"n_peers": 2, "chunk_size": 16},
+        )
+        for depth in (1, 4):
+            # a fresh gateway per depth: the substreams register each
+            # worker id once
             with serve_gateway(config) as gw:
-                answers = _stream_per_shard(
-                    gw.address, spec, substreams, depth=4 if pipeline else 1
-                )
-            assert answers == reference, f"pipeline={pipeline}"
+                answers = _stream_per_shard(gw.address, spec, substreams, depth=depth)
+            assert answers == reference, f"depth={depth}"
 
     def test_next_window_journals_while_outcomes_are_in_flight(self):
         """Two mixed-family windows (gateway barriers) in flight over a
@@ -982,7 +999,7 @@ class TestPipelinedMeshDispatch:
         windows = [stream[:16], stream[16:]]
         backend = MeshBackend(spec, n_peers=2, checkpoint_every=0)
         # both windows route to several families: each is a barrier
-        assert [backend.batch_key(Batch(items=tuple(w))) for w in windows] == [
+        assert [backend.ordering_key(StreamWindow.of(0, w)) for w in windows] == [
             None,
             None,
         ]
@@ -1080,6 +1097,31 @@ class TestMeshBehindGateway:
         assert report.tasks_assigned == ref_report.tasks_assigned
 
 
+class TestTeardown:
+    def test_mesh_gateway_is_freed_without_a_collection(self):
+        """Stopping a mesh-backed gateway leaves no reference cycle
+        through the gateway or the mesh coordinator: both are freed by
+        reference counting alone, with the collector switched off."""
+        spec = small_spec()
+        stream = build_conformance_stream(REGION, 60, 45, seed=7)
+        config = GatewayConfig(
+            spec=spec, backend="mesh", backend_kwargs={"n_peers": 2}
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            with serve_gateway(config) as gw:
+                with AssignmentClient(RemoteBackend(spec, address=gw.address)) as client:
+                    assert _decisions(client.stream(stream, window=16, pipeline=2))
+                gateway = weakref.ref(gw)
+                coordinator = weakref.ref(gw.backend.coordinator)
+            del gw, client
+            assert gateway() is None, "the stopped gateway is cyclic garbage"
+            assert coordinator() is None, "the closed coordinator is cyclic garbage"
+        finally:
+            gc.enable()
+
+
 class TestGatewayConfig:
     def test_json_round_trip(self):
         import json
@@ -1091,19 +1133,17 @@ class TestGatewayConfig:
             port=7713,
             rate=500.0,
             burst=64,
-            pipeline=False,
             pipeline_workers=3,
             max_inflight=17,
         )
         hydrated = GatewayConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert hydrated == config
-        assert hydrated.pipeline is False
         assert hydrated.pipeline_workers == 3
 
     def test_pipeline_knobs_default_on(self):
         config = GatewayConfig(spec=small_spec())
-        assert config.pipeline is True
         assert config.pipeline_workers == 0  # auto-sized pool
+        assert "pipeline" not in config.to_dict()  # every gateway pipelines
 
     def test_invalid_inflight_rejected(self):
         with pytest.raises(ValueError):

@@ -32,8 +32,6 @@ from hypothesis import strategies as st
 from repro.api import ServiceSpec
 from repro.api.errors import ApiError, UnsupportedVersion, ValidationFailed
 from repro.api.messages import (
-    Batch,
-    BatchResult,
     ErrorInfo,
     Flush,
     Flushed,
@@ -113,14 +111,12 @@ def _one_message_per_kind() -> list:
         SubmitTask(3, (0.0, 99.5), 1.0),
         Flush(),
         GetReport(wall_seconds=2.5),
-        Batch([verb, Flush()]),
         _window(),
         StreamEnvelope(4, verb),
         WorkerRegistered(7),
         TaskDecision(3, 7),
         Flushed(),
         ReportResult(report),
-        BatchResult([WorkerRegistered(7), TaskDecision(3, None)]),
         _window_result(),
         StreamItemResult(4, WorkerRegistered(7)),
         ErrorInfo(code="rejected", message="m", retryable=False, detail="d"),
@@ -198,7 +194,7 @@ class TestStreamEquivalence:
         "batch",
         [
             RegisterWorker(1, (0.0, 0.0)),  # not a window at all
-            Batch([RegisterWorker(1, (0.0, 0.0))]),  # a batch is no window
+            StreamEnvelope(0, RegisterWorker(1, (0.0, 0.0))),  # an envelope is no window
             StreamWindow.of(0, []),  # no row to carry the seq
             # id outside i64: the rows cannot carry it exactly
             StreamWindow.of(0, [RegisterWorker(2**70, (0.0, 0.0))]),
@@ -211,7 +207,7 @@ class TestStreamEquivalence:
         "result",
         [
             WorkerRegistered(1),  # not a window result
-            BatchResult([WorkerRegistered(1)]),
+            StreamItemResult(0, WorkerRegistered(1)),  # nor its answer
             WindowResult(0, [], [], []),  # no row to carry the seq
             WindowResult(0, [True], [1], [2**70]),
         ],

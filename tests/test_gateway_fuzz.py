@@ -19,8 +19,6 @@ import pytest
 
 from repro.api.errors import ApiError
 from repro.api.messages import (
-    Batch,
-    BatchResult,
     ErrorInfo,
     Flush,
     Flushed,
@@ -150,23 +148,15 @@ def random_window_result(rng) -> WindowResult:
 
 
 def random_message(rng):
-    roll = rng.integers(10)
-    if roll == 8:
+    roll = rng.integers(8)
+    if roll == 6:
         return random_window(rng)
-    if roll == 9:
+    if roll == 7:
         return random_window_result(rng)
     if roll <= 3:
         return random_verb(rng)
     if roll == 4:
         return StreamEnvelope(seq=int(rng.integers(100_000)), item=random_verb(rng))
-    if roll == 5:
-        return Batch(
-            items=tuple(random_verb(rng) for _ in range(int(rng.integers(0, 6))))
-        )
-    if roll == 6:
-        return BatchResult(
-            items=tuple(random_response(rng) for _ in range(int(rng.integers(0, 4))))
-        )
     return random_response(rng)
 
 

@@ -24,9 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import (
-    Batch,
     RegisterWorker,
     ServiceSpec,
+    StreamWindow,
     SubmitTask,
     make_backend,
     requests_from_events,
@@ -1005,11 +1005,12 @@ class TestMeshLifecycle:
         def serve():
             try:
                 backend.handle(
-                    Batch(
-                        items=(
+                    StreamWindow.of(
+                        0,
+                        [
                             RegisterWorker(worker_id=0, location=(10.0, 10.0)),
                             SubmitTask(task_id=0, location=(15.0, 15.0)),
-                        )
+                        ],
                     )
                 )
             except MeshError as exc:

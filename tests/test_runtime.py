@@ -16,7 +16,6 @@ import time
 import pytest
 
 from repro.api import (
-    Batch,
     Flush,
     GetReport,
     RegisterWorker,
@@ -431,24 +430,13 @@ class TestOrderingKeys:
         ]
         key = backend.ordering_key(StreamWindow.of(0, verbs))
         assert key is not None and key.startswith("s")
-        assert backend.ordering_key(Batch(items=tuple(verbs))) == key
+        # a window keys like its rows' one shard, whatever its seq
+        assert backend.ordering_key(StreamWindow.of(7, verbs)) == key
         far = StreamWindow.of(
             0, verbs[:1] + [SubmitTask(task_id=0, location=(199.0, 199.0))]
         )
         assert backend.ordering_key(far) is None  # rows span two shards
         assert backend.ordering_key(StreamWindow.of(0, [])) is None
-        mixed = Batch(
-            items=(
-                RegisterWorker(worker_id=0, location=(1.0, 1.0)),
-                RegisterWorker(worker_id=1, location=(199.0, 199.0)),
-            )
-        )
-        assert backend.ordering_key(mixed) is None
-        with_barrier = Batch(
-            items=(RegisterWorker(worker_id=0, location=(1.0, 1.0)), Flush())
-        )
-        assert backend.ordering_key(with_barrier) is None
-        assert backend.ordering_key(Batch(items=())) is None
 
     def test_sharded_ordering_key_matches_engine_routing(self):
         backend = make_backend("sharded", small_spec())
@@ -741,21 +729,22 @@ class TestMiddlewareHammer:
         bucket = TokenBucket(rate=1.0, burst=1000, clock=lambda: 0.0)
 
         def call(t, i):
-            batch = Batch(
-                items=tuple(
+            window = StreamWindow.of(
+                0,
+                [
                     RegisterWorker(worker_id=k, location=(1.0, 1.0))
                     for k in range(cost)
-                )
+                ],
             )
             try:
-                bucket(batch, lambda r: None)
+                bucket(window, lambda r: None)
             except AdmissionRejected:
                 pass
 
         _hammer(self.N_THREADS, 100, call)
         offered = self.N_THREADS * 100 * cost
         assert bucket.admitted + bucket.rejected == offered
-        assert bucket.admitted == 999  # 333 batches of 3 fit in 1000
+        assert bucket.admitted == 999  # 333 windows of 3 fit in 1000
         assert bucket.admitted % cost == 0  # never a partial charge
 
     def test_latency_metrics_exact_counts_under_contention(self):
