@@ -10,9 +10,9 @@ talks to it exactly the way an in-process caller would — the same
    structured error a duplicate registration earns *across the wire*;
 2. **Pipelined streaming replay** — a full timed workload streamed
    through the framed wire protocol with several windows in flight
-   (the session negotiated the ``pipeline`` capability, so the gateway
-   schedules shard-aware and may answer out of order; the client
-   re-sequences by each window's ``seq``), with the final report fetched
+   (the gateway reads them ahead, runs them in arrival order and
+   answers them in that order, so the client checks each answer
+   against its oldest window in flight), with the final report fetched
    remotely;
 3. **Parity** — the same stream replayed in-process and serially,
    asserting that neither the socket nor the pipelining changed
@@ -102,7 +102,6 @@ def main() -> int:
         GatewayConfig(spec=spec, backend=args.backend, backend_kwargs=backend_kwargs)
     ) as server:
         with AssignmentClient(RemoteBackend(spec, address=server.address)) as client:
-            assert client.backend.supports_pipeline
             remote_decisions, remote_report = replay(
                 client, events, pipeline=args.pipeline
             )

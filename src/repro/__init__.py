@@ -24,11 +24,12 @@ Public API tour:
   worker processes that dial a coordinator over sockets, with
   checkpoints, crash failover, hot-cell splitting and family migration
   (``python -m repro.mesh --smoke``).
-* :mod:`repro.runtime` — the execution core: the shard-aware
-  :class:`~repro.runtime.PipelineScheduler` (ordering keys from shard
-  routing, FIFO per key, global barriers) and stream-window
-  re-sequencing, shared by the gateway, the API client and the mesh
-  coordinator so pipelined serving stays bit-identical to serial replay.
+* :mod:`repro.runtime` — the execution core: the keyed
+  :class:`~repro.runtime.PipelineScheduler` (FIFO per key, global
+  barriers, early release), on which the gateway runs every request as
+  a barrier in arrival order and the mesh coordinator runs each shard
+  family under its own key, so pipelined serving stays bit-identical to
+  serial replay.
 * :mod:`repro.experiments` — per-figure sweeps; also a CLI
   (``python -m repro.experiments``).
 

@@ -10,21 +10,19 @@ over all of them:
 
 * **messages** — typed request/response dataclasses
   (:class:`RegisterWorker`, :class:`SubmitTask`, :class:`Flush`,
-  :class:`GetReport`, columnar stream windows and their results, stream
-  envelopes) with a schema-versioned dict wire form
-  (:func:`to_wire`/:func:`from_wire`);
+  :class:`GetReport`, columnar stream windows and their results) with a
+  schema-versioned dict wire form (:func:`to_wire`/:func:`from_wire`);
 * **backends** — a common contract with three adapters
   (:class:`InProcessBackend`, :class:`ShardedBackend`,
   :class:`MeshBackend`) that pass one conformance suite: same spec,
   same stream, bit-identical assignments. Every register or submit
   reaches a backend as a :class:`StreamWindow` (a single call is a
-  window of one row). Every backend also answers
-  :meth:`~repro.api.backends.BackendBase.ordering_key`, the shard-derived
-  scheduling contract the :mod:`repro.runtime` pipeline executes under;
+  window of one row), and a backend serves requests in the order it is
+  called;
 * **client** — the :class:`AssignmentClient` facade with sync and
-  iterator-streaming modes (including pipelined stream windows over
-  transports that negotiated the capability) plus context-manager
-  lifecycle;
+  iterator-streaming modes (including pipelined stream windows over a
+  gateway connection, whose answers come back in send order) plus
+  context-manager lifecycle;
 * **middleware** — a composable chain (request validation, token-bucket
   admission control, per-method latency metrics, structured error
   mapping) between client and backend.
@@ -47,7 +45,6 @@ CLI::
 
 from .backends import (
     BACKEND_KINDS,
-    GLOBAL_ORDERING_KEY,
     Backend,
     BackendBase,
     InProcessBackend,
@@ -77,8 +74,6 @@ from .messages import (
     GetReport,
     RegisterWorker,
     ReportResult,
-    StreamEnvelope,
-    StreamItemResult,
     StreamWindow,
     SubmitTask,
     TaskDecision,
@@ -104,7 +99,6 @@ __all__ = [
     "BackendBase",
     "BackendUnavailable",
     "ErrorInfo",
-    "GLOBAL_ORDERING_KEY",
     "ErrorMapper",
     "Flush",
     "Flushed",
@@ -119,8 +113,6 @@ __all__ = [
     "RequestValidator",
     "ServiceSpec",
     "ShardedBackend",
-    "StreamEnvelope",
-    "StreamItemResult",
     "StreamWindow",
     "SubmitTask",
     "TaskDecision",

@@ -61,8 +61,8 @@ def main(argv: list[str] | None = None) -> int:
         metavar="N",
         help=(
             "stream windows kept in flight on the remote run (the gateway "
-            "then schedules shard-aware and answers out of order; parity "
-            "must still hold bit for bit)"
+            "reads ahead and answers in arrival order; parity must still "
+            "hold bit for bit)"
         ),
     )
     parser.add_argument(

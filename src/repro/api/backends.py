@@ -37,28 +37,19 @@ and joins the same conformance matrix:
 :class:`~repro.gateway.RemoteBackend` (kind ``"remote"``) speaks the
 wire form over a TCP gateway.
 
-**Ordering keys.** Every backend answers
-:meth:`BackendBase.ordering_key`, the contract the
-:class:`~repro.runtime.PipelineScheduler` executes against: requests
-with different keys may run concurrently, requests with equal keys stay
-FIFO, and ``None`` is a global barrier. The key *is* the backend's shard
-routing — in-process serves one tree so everything shares one key; the
-sharded engine and the mesh key by lattice cell (mesh: shard *family*,
-the colocation unit) — which is what makes pipelined execution
-bit-identical to serial dispatch: a shard can never observe its own
-requests out of order, and barrier verbs (``Flush``/``GetReport``)
-still see a quiesced world. Backends that hand out concurrent keys are
-correspondingly safe to *call* concurrently under that discipline: the
-sharded engine guards its cross-shard registry/clock internally, and the
-mesh coordinator journals and schedules under its own locks.
+**Execution order.** A backend serves requests in the order it is
+called. The gateway calls it in arrival order, one request at a time,
+as barriers on its :class:`~repro.runtime.PipelineScheduler`; only the
+mesh ends a window's hold early (:func:`~repro.runtime.release_order`,
+once the window is journaled), so the next request may run while that
+window's outcomes are in flight. Backends need no ordering contract of
+their own, and assignments stay bit-identical to serial replay.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..geometry.box import Box
 from ..runtime import release_order
@@ -72,8 +63,6 @@ from .messages import (
     GetReport,
     RegisterWorker,
     ReportResult,
-    StreamEnvelope,
-    StreamItemResult,
     StreamWindow,
     SubmitTask,
     WindowResult,
@@ -84,18 +73,12 @@ __all__ = [
     "ServiceSpec",
     "Backend",
     "BackendBase",
-    "GLOBAL_ORDERING_KEY",
     "InProcessBackend",
     "ShardedBackend",
     "MeshBackend",
     "BACKEND_KINDS",
     "make_backend",
 ]
-
-#: Ordering key of backends with no internal partitioning: one key for
-#: every routable verb, so a scheduler serializes them — correct by
-#: default for any backend that never claims per-shard safety.
-GLOBAL_ORDERING_KEY = "global"
 
 _ROUTABLE = (RegisterWorker, SubmitTask)
 
@@ -174,10 +157,6 @@ class BackendBase:
 
     name = "abstract"
 
-    #: Routing lattice behind :meth:`request_key`; subclasses that shard
-    #: set one, everything else keeps the single global key.
-    _route_map: ShardMap | None = None
-
     #: Whether the transport can hold several requests in flight
     #: (``send_request``/``recv_response`` split). In-process backends
     #: answer synchronously, so only network transports override this.
@@ -187,49 +166,6 @@ class BackendBase:
         self.spec = spec
         self._opened = False
         self._closed = False
-
-    # -- ordering contract ---------------------------------------------- #
-
-    def ordering_key(self, request):
-        """The scheduler key this request executes under.
-
-        Contract (see :class:`repro.runtime.PipelineScheduler`): requests
-        whose keys differ may execute concurrently; equal keys execute
-        FIFO in submission order; ``None`` is a global barrier that
-        observes (and is observed by) everything. Keys derive from shard
-        routing, so same-key FIFO *is* per-shard stream order and the
-        pipelined schedule replays each shard's serial history exactly.
-        ``Flush``/``GetReport`` (and anything unrecognized) are barriers.
-        """
-        if isinstance(request, StreamEnvelope):
-            request = request.item
-        if isinstance(request, _ROUTABLE):
-            return self.request_key(request)
-        if isinstance(request, StreamWindow):
-            return self.points_key(request.xy)
-        return None
-
-    def request_key(self, request) -> str:
-        """Key of one routable verb (register/submit)."""
-        if self._route_map is None:
-            return GLOBAL_ORDERING_KEY
-        return f"s{self._route_map.shard_of(request.location)}"
-
-    def points_key(self, xy):
-        """Key of a window's locations: the single shard every row
-        routes to, or ``None`` (barrier) for a mixed or empty window.
-
-        One vectorized routing pass, so keying a stream window costs one
-        lattice snap, not one per row.
-        """
-        if not len(xy):
-            return None
-        if self._route_map is None:
-            return GLOBAL_ORDERING_KEY
-        owners = np.unique(self._route_map.shard_of_many(xy))
-        if len(owners) == 1:
-            return f"s{int(owners[0])}"
-        return None
 
     # -- lifecycle ----------------------------------------------------- #
 
@@ -272,8 +208,6 @@ class BackendBase:
             return self.get_report(request)
         if isinstance(request, StreamWindow):
             return self.batch(request)
-        if isinstance(request, StreamEnvelope):
-            return StreamItemResult(seq=request.seq, item=self.handle(request.item))
         raise ValidationFailed(f"unhandled request type: {request!r}")
 
     def batch(self, window: StreamWindow) -> WindowResult:
@@ -404,23 +338,9 @@ class ShardedBackend(BackendBase):
     rows in stream order under the per-event cut-point rule, so a
     window's decisions, reports and failures are exactly those of one
     call per request. A single call is a window of one row.
-
-    Hands out per-shard ordering keys: shards share nothing but the
-    engine's id registry and clock (both internally locked, both
-    commutative), so a scheduler may run different shards' requests on
-    different threads and every shard still consumes its exact serial
-    subsequence.
     """
 
     name = "sharded"
-
-    def __init__(self, spec: ServiceSpec) -> None:
-        super().__init__(spec)
-        # the same lattice arithmetic the engine builds at open(), so
-        # ordering keys and engine routing can never disagree; priming
-        # the router here keeps its lazy caches off concurrent paths
-        self._route_map = ShardMap(spec.region, *spec.shards)
-        self._route_map.shard_of((spec.region.xmin, spec.region.ymin))
 
     def _open(self) -> None:
         from ..service.engine import ShardedAssignmentEngine
@@ -435,9 +355,6 @@ class ShardedBackend(BackendBase):
             batch_size=spec.batch_size,
             seed=spec.seed,
         )
-        # from here on, ordering keys come from the engine's own router —
-        # agreement by identity, not by two constructors staying in sync
-        self._route_map = self.engine.shard_map
 
     def handle_run(self, window: StreamWindow) -> list:
         """One :meth:`~repro.service.engine.ShardedAssignmentEngine.ingest`
@@ -471,16 +388,16 @@ class MeshBackend(BackendBase):
     unbalanced one.
 
     There is no backend-side lock: the mesh coordinator is internally
-    thread-safe and dispatches per shard family on its own
-    :class:`~repro.runtime.PipelineScheduler`, so concurrent calls for
-    different families genuinely overlap and only barrier verbs quiesce
-    the mesh. Ordering keys are shard families (base lattice cells,
-    stable across hot-cell splits). Every register/submit goes through
-    :meth:`batch` (a single verb is a window of one row), which journals
-    a window as columns and then releases the caller's scheduler hold
+    thread-safe and dispatches per shard family (base lattice cells,
+    stable across hot-cell splits) on its own
+    :class:`~repro.runtime.PipelineScheduler`, so different families'
+    deliveries overlap and only its flush and report quiesce the mesh.
+    Every register/submit goes through :meth:`batch` (a single verb is
+    a window of one row), which journals a window as columns and then
+    releases the caller's scheduler hold
     (:func:`~repro.runtime.release_order`) before it waits for outcomes:
-    behind a pipelined gateway the next window, barrier or not, journals
-    while this one's outcomes are in flight.
+    behind a gateway the next request journals while this window's
+    outcomes are in flight.
     """
 
     name = "mesh"
@@ -512,8 +429,6 @@ class MeshBackend(BackendBase):
         self.host = host
         self.port = int(port)
         self.workers: list = []
-        self._route_map = ShardMap(spec.region, *spec.shards)
-        self._route_map.shard_of((spec.region.xmin, spec.region.ymin))
 
     def _open(self) -> None:
         from ..mesh.coordinator import MeshCoordinator
@@ -543,7 +458,6 @@ class MeshBackend(BackendBase):
             spawner = spawn_cli_worker if self.spawn == "cli" else spawn_local_worker
             for i in range(self.n_peers):
                 self.workers.append(spawner(address, name=f"mesh-w{i}"))
-            self._route_map = self.coordinator.shard_map
             self.coordinator.start()
         except BaseException:
             # close() only tears down what a finished open() built; a

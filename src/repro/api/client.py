@@ -17,30 +17,29 @@ examples, a future network frontend) program against. It owns:
   - *streaming*: :meth:`stream` — ships each run of up to ``window``
     register/submit requests of an arbitrary request iterable as one
     columnar :class:`~repro.api.messages.StreamWindow` (a ``Flush`` or
-    ``GetReport`` ends the run and travels alone in a
-    :class:`~repro.api.messages.StreamEnvelope`), and yields responses
-    lazily in stream order, built from the caller's own requests plus
-    the window's column of outcomes. Over a transport that supports it
-    (a pipelined gateway session), ``pipeline=N`` keeps up to ``N``
-    windows in flight at once: windows are sent without waiting for the
-    previous answer, answers are accepted in whatever order the server
-    finished them, and the :class:`~repro.runtime.window
-    .SequenceReorderer` restores stream order by each answer's first
-    seq before anything is yielded — so pipelining changes latency,
+    ``GetReport`` ends the run and is sent as itself), and yields
+    responses lazily in stream order, built from the caller's own
+    requests plus the window's column of outcomes. Over a transport
+    that splits send and receive (a gateway connection), ``pipeline=N``
+    keeps up to ``N`` units in flight at once: each is sent without
+    waiting for the previous answer, and since the gateway answers a
+    session's frames in the order they arrived, each answer is checked
+    against the oldest unit in flight — so pipelining changes latency,
     never results.
 """
 
 from __future__ import annotations
 
-from ..runtime.window import SequenceReorderer
+from collections import deque
+
 from .backends import BackendBase
 from .errors import BackendUnavailable, ValidationFailed
 from .messages import (
     Flush,
+    Flushed,
     GetReport,
     RegisterWorker,
-    StreamEnvelope,
-    StreamItemResult,
+    ReportResult,
     StreamWindow,
     SubmitTask,
     WindowResult,
@@ -56,37 +55,49 @@ __all__ = ["AssignmentClient", "DEFAULT_STREAM_WINDOW", "requests_from_events"]
 DEFAULT_STREAM_WINDOW = 256
 
 
+#: The barriers a stream may carry, each with the answer it must get.
+_BARRIER_ANSWERS = {Flush: Flushed, GetReport: ReportResult}
+
+
 def _stream_units(requests, window: int):
     """Cut a request stream into ``(unit, run)`` pairs, in stream order.
 
     Each run of up to ``window`` register/submit requests is one
-    :class:`StreamWindow` (``run`` is its requests); any other request
-    ends the run and travels alone as a :class:`StreamEnvelope`
-    (``run`` is ``None``). Lazy: holds one run at a time.
+    :class:`StreamWindow` (``run`` is its requests) whose seq is the
+    stream position of its first request; a ``Flush`` or ``GetReport``
+    ends the run and is its own unit (``run`` is ``None``), taking one
+    position. Anything else fails. Lazy: holds one run at a time.
     """
     seq = 0
     for unit in verb_runs(requests, window):
         if type(unit) is list:
             yield StreamWindow.of(seq, unit), unit
             seq += len(unit)
-        else:
-            yield StreamEnvelope(seq=seq, item=unit), None
+        elif type(unit) in _BARRIER_ANSWERS:
+            yield unit, None
             seq += 1
+        else:
+            raise ValidationFailed(
+                "a stream carries register/submit requests, Flush and "
+                f"GetReport, not {unit!r}"
+            )
 
 
 def _responses(unit, run, answer) -> list:
     """The responses to one stream unit, once its answer checks out.
 
-    A window's answer must carry the window's seq, length, row kinds
-    and ids, and one outcome per task row; the responses are then built
-    from the client's own requests and that column of outcomes.
+    A barrier's answer must be of its type (``Flushed``,
+    ``ReportResult``). A window's answer must carry the window's seq,
+    length, row kinds and ids, and one outcome per task row; the
+    responses are then built from the client's own requests and that
+    column of outcomes.
     """
     if run is None:
-        if type(answer) is not StreamItemResult or answer.seq != unit.seq:
+        if type(answer) is not _BARRIER_ANSWERS[type(unit)]:
             raise ValidationFailed(
-                f"stream answered seq {unit.seq} with {_describe(answer)}"
+                f"stream answered its {unit.kind} with {_describe(answer)}"
             )
-        return [answer.item]
+        return [answer]
     if (
         type(answer) is not WindowResult
         or answer.seq != unit.seq
@@ -198,26 +209,25 @@ class AssignmentClient:
         Each run of up to ``window`` register/submit requests ships as
         one columnar :class:`~repro.api.messages.StreamWindow` through
         the middleware chain, so backends see whole windows as columns,
-        not single calls; a ``Flush`` or ``GetReport`` ends the run and travels
-        alone in a :class:`~repro.api.messages.StreamEnvelope` carrying
-        its seq. Each answer is checked against the unit it answers
-        (seq, length, row kinds and ids) before the responses are built
-        from these requests and the answer's column of outcomes, and
-        they are yielded as each window completes — the stream needs
-        only ``O(window)`` memory.
+        not single calls; a ``Flush`` or ``GetReport`` ends the run and
+        is sent as itself. Each answer is checked against the unit it
+        answers (a window's seq, length, row kinds and ids; a barrier's
+        response type) before the responses are built from these
+        requests and the answer's column of outcomes, and they are
+        yielded as each unit completes — the stream needs only
+        ``O(window)`` memory.
 
-        ``pipeline`` is the number of windows kept in flight; ``1`` (the
+        ``pipeline`` is the number of units kept in flight; ``1`` (the
         default) is the send-then-wait discipline. Above ``1`` it engages
-        the pipelined path when the backend's transport supports it (a
-        :class:`~repro.gateway.RemoteBackend` whose session negotiated
-        the ``pipeline`` capability): windows go out back to back and the
-        stream holds ``O(pipeline x window)`` memory while the
-        :class:`~repro.runtime.SequenceReorderer` restores order. On
-        transports without the capability the value is ignored and the
-        stream degrades to the serial window discipline. One semantic
-        difference is inherent to pipelining: when a window fails, later
-        windows were already on the wire and the server executed them
-        even though this stream raises at the failure.
+        the pipelined path when the backend's transport splits send and
+        receive (a :class:`~repro.gateway.RemoteBackend`): units go out
+        back to back and the stream holds ``O(pipeline x window)``
+        memory. On other backends the value is ignored and the stream
+        keeps the serial discipline. One semantic difference is inherent
+        to pipelining: when a unit fails, the units after it were
+        already on the wire and the server executed them even though
+        this stream raises at the failure (after yielding every response
+        before it).
         """
         window = int(window)
         if window < 1:
@@ -226,70 +236,62 @@ class AssignmentClient:
         if depth < 1:
             raise ValueError(f"pipeline must be >= 1, got {depth}")
         units = _stream_units(requests, window)
-        if depth > 1:
-            # capability is negotiated at open (lazy transports handshake
-            # on first use): open now so asking for a pipelined window
-            # never silently degrades just because the stream came first
-            self.backend.open()
-            if getattr(self.backend, "supports_pipeline", False):
-                yield from self._stream_pipelined(units, depth)
-                return
+        if depth > 1 and getattr(self.backend, "supports_pipeline", False):
+            yield from self._stream_pipelined(units, depth)
+            return
         for unit, run in units:
             yield from _responses(unit, run, self.call(unit))
 
     def _stream_pipelined(self, units, depth: int):
-        """The in-flight-window stream loop over a pipelined transport.
+        """The in-flight stream loop over a split send/receive transport.
 
-        Every window still traverses the middleware chain (validation,
+        Every unit still traverses the middleware chain (validation,
         admission, metrics, error mapping) around the transport *send*
-        only — with windows decoupled from their answers there is no
+        only — with units decoupled from their answers there is no
         single call for response-side middleware to wrap, so latency
         metrics record send cost rather than round trips and
         recv failures surface as raised errors, not middleware failure
-        counts (the serial path keeps round-trip semantics). Answers
-        are matched to their units by first seq as they arrive and
-        re-sequenced. On any failure the transport's outstanding
-        answers are drained first, so the connection is not left
-        holding frames a later call would misread as its own.
+        counts (the serial path keeps round-trip semantics). The gateway
+        answers in arrival order, so each answer belongs to the oldest
+        unit in flight and is checked against it. A unit that fails on
+        this side (its request iterable or the send chain raises) comes
+        after every unit in flight, so those are answered first, as a
+        serial stream would have answered them. On any failure the
+        transport's outstanding answers are drained, so the connection
+        is not left holding frames a later call would misread as its
+        own.
         """
         backend = self.backend
         send = build_stack(self._send_window, self.middleware)
-        reorder = SequenceReorderer()
-        sent: dict = {}  # first seq -> (unit, run) awaiting its answer
-        in_flight = 0
-        end = 0
+        in_flight: deque = deque()  # (unit, run) sent, oldest first
 
-        def absorb_one():
-            nonlocal in_flight
-            in_flight -= 1
-            answer = backend.recv_response()
-            seq = getattr(answer, "seq", None)
-            if seq not in sent:
-                raise ValidationFailed(
-                    f"stream answered with {_describe(answer)}, which no "
-                    "window in flight expects"
-                )
-            unit, run = sent.pop(seq)
-            reorder.absorb(seq, _responses(unit, run, answer))
+        def answer_oldest() -> list:
+            return _responses(*in_flight.popleft(), backend.recv_response())
 
+        units = iter(units)
+        failure = None  # raised once every unit before it is answered
         try:
-            for unit, run in units:
-                if in_flight >= depth:
-                    absorb_one()
-                    yield from reorder.take_ready()
-                send(unit)
-                in_flight += 1
-                sent[unit.seq] = (unit, run)
-                end = unit.seq + (1 if run is None else len(run))
+            while True:
+                if len(in_flight) == depth:
+                    yield from answer_oldest()
+                try:
+                    unit, run = next(units)
+                    send(unit)
+                except StopIteration:
+                    break
+                except Exception as exc:
+                    failure = exc
+                    break
+                in_flight.append((unit, run))
             while in_flight:
-                absorb_one()
-                yield from reorder.take_ready()
-            reorder.finish(end)
+                yield from answer_oldest()
+            if failure is not None:
+                raise failure
         except BaseException:
-            # every outstanding window still owes the socket one frame; a
+            # every outstanding unit still owes the socket one frame; a
             # structured error *is* that frame (consumed — keep going),
             # only a dead transport means the frames will never come
-            for _ in range(in_flight):
+            for _ in range(len(in_flight)):
                 try:
                     backend.recv_response()
                 except BackendUnavailable:

@@ -90,9 +90,9 @@ def run_backend(
 ) -> BackendRun:
     """Drive one backend through the stream via a client; collect answers.
 
-    ``pipeline`` windows are kept in flight on transports that negotiated
-    the capability; backends without it fall back to serial windows, so
-    the same call drives every matrix cell. ``tracer`` passes through to
+    ``pipeline`` windows are kept in flight on transports that split
+    send and receive (a gateway connection); in-process backends keep
+    serial windows, so the same call drives every matrix cell. ``tracer`` passes through to
     the client: traced runs span every window (the obs smoke asserts the
     resulting cross-process trace while this same loop checks parity).
     """
@@ -132,9 +132,9 @@ def run_remote_backend(
     :func:`run_backend` loop the in-process backends get — so the
     parity check covers the full framed wire path: handshake, bin1
     round trips, stream windows as rows, report transport. With
-    ``pipeline > 1`` the client keeps that many windows in flight and
-    the gateway schedules them shard-aware and answers out of order —
-    the matrix then asserts that pipelining changed *nothing*.
+    ``pipeline > 1`` the client keeps that many windows in flight, the
+    gateway reads them ahead and answers them in arrival order — the
+    matrix then asserts that pipelining changed *nothing*.
     """
     from ..gateway import GatewayConfig, RemoteBackend, serve_gateway
 
@@ -351,9 +351,8 @@ def run_conformance(
     coordinator over loopback sockets — the full multi-host wire path.
     ``backend_kwargs`` maps any backend kind to its extras (e.g. mesh
     ``n_peers``/``chunk_size``).
-    ``pipeline`` applies to every run — only transports that negotiated
-    the capability actually pipeline (the remote cells), everything else
-    is its serial control.
+    ``pipeline`` applies to every run — only the remote cells actually
+    pipeline, everything else is its serial control.
     """
     if requests is None:
         requests = build_conformance_stream(spec.region)

@@ -2,13 +2,11 @@
 
 Every interaction with an assignment backend is one of four verbs —
 register a worker, submit a task, flush pending cohorts, fetch the
-report — plus two stream units: :class:`StreamWindow`, a stream window
-of register/submit events held as columns (answered by a columnar
-:class:`WindowResult`), and :class:`StreamEnvelope`, a single verb that
-carries its stream ``seq`` (the flushes and reports that end a window's
-run). Every register or submit reaches a backend as a window; a single
-call is a window of one row. Each message is a frozen dataclass with a
-dict wire form::
+report — plus :class:`StreamWindow`, a stream window of register/submit
+events held as columns (answered by a columnar :class:`WindowResult`).
+Every register or submit reaches a backend as a window; a single call is
+a window of one row, and a stream sends its flushes and reports as
+themselves. Each message is a frozen dataclass with a dict wire form::
 
     {"schema": "repro.api", "version": 1, "kind": "submit_task",
      "body": {"task_id": 7, "location": [12.0, 40.5], "time": 3.25}}
@@ -41,13 +39,11 @@ __all__ = [
     "Flush",
     "GetReport",
     "StreamWindow",
-    "StreamEnvelope",
     "WorkerRegistered",
     "TaskDecision",
     "Flushed",
     "ReportResult",
     "WindowResult",
-    "StreamItemResult",
     "ErrorInfo",
     "to_wire",
     "from_wire",
@@ -201,8 +197,8 @@ class StreamWindow:
     length ``n``. Answered by a :class:`WindowResult`.
 
     The streaming client builds one per window (:meth:`of`) and every
-    hop — validation, ordering keys, the bin1 row codec, the engine's and
-    the coordinator's ``ingest`` — reads its columns directly, so no
+    hop — validation, the bin1 row codec, the engine's and the
+    coordinator's ``ingest`` — reads its columns directly, so no
     per-event object exists between the caller's requests and the
     responses built from them (:func:`window_responses`). Built in
     process, ``ids`` and ``times`` are the requests' own objects
@@ -272,28 +268,6 @@ class StreamWindow:
             xy=body["xy"],
             times=[float(t) for t in body["times"]],
         )
-
-
-@dataclass(frozen=True)
-class StreamEnvelope:
-    """One sequence-numbered verb of a request stream.
-
-    The streaming client sends every ``Flush``/``GetReport`` of a stream
-    alone in an envelope (register/submit runs travel as
-    :class:`StreamWindow`\\ s) and matches the :class:`StreamItemResult`
-    back by ``seq``; a pipelined transport may answer out of order.
-    """
-
-    kind: ClassVar[str] = "envelope"
-    seq: int
-    item: "Request"
-
-    def _body(self) -> dict:
-        return {"seq": int(self.seq), "item": to_wire(self.item)}
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "StreamEnvelope":
-        return cls(seq=int(body["seq"]), item=from_wire(body["item"]))
 
 
 # --------------------------------------------------------------------- #
@@ -486,22 +460,6 @@ def window_responses(verbs, is_task, workers) -> list:
 
 
 @dataclass(frozen=True)
-class StreamItemResult:
-    """The response to the :class:`StreamEnvelope` with the same ``seq``."""
-
-    kind: ClassVar[str] = "envelope_result"
-    seq: int
-    item: "Response"
-
-    def _body(self) -> dict:
-        return {"seq": int(self.seq), "item": to_wire(self.item)}
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "StreamItemResult":
-        return cls(seq=int(body["seq"]), item=from_wire(body["item"]))
-
-
-@dataclass(frozen=True)
 class ErrorInfo:
     """A structured failure in transportable form (see :mod:`repro.api.errors`)."""
 
@@ -536,7 +494,6 @@ Request = (
     Flush,
     GetReport,
     StreamWindow,
-    StreamEnvelope,
 )
 Response = (
     WorkerRegistered,
@@ -544,7 +501,6 @@ Response = (
     Flushed,
     ReportResult,
     WindowResult,
-    StreamItemResult,
     ErrorInfo,
 )
 

@@ -8,7 +8,7 @@ a future network frontend can reuse the exact chain server-side.
 Provided middleware:
 
 * :class:`RequestValidator` — structural checks (ids, finite
-  coordinates and times, envelope nesting) before anything reaches a
+  coordinates and times, stream seqs) before anything reaches a
   backend, so malformed input fails fast with ``invalid-request``; a
   :class:`~repro.api.messages.StreamWindow` is checked in one vectorized
   pass over its columns;
@@ -23,13 +23,14 @@ Provided middleware:
   them as structured :class:`~repro.api.errors.ApiError`\\ s (see
   :func:`~repro.api.errors.map_exception`).
 
-Every middleware here is **thread-safe**: since the gateway runs its
-chain on the :class:`~repro.runtime.PipelineScheduler`'s pool, the
-stateful ones (bucket level, latency reservoirs) sit on a genuinely
-parallel path and guard their mutable state with a lock, keeping their
-count/total invariants exact under any interleaving. The handlers they
-wrap are *not* serialized — only the bookkeeping is — so the chain adds
-no head-of-line blocking.
+Every middleware here is **thread-safe**: the gateway runs its chain on
+the :class:`~repro.runtime.PipelineScheduler`'s pool, where a released
+mesh window still finishes while the next request runs, and a client
+may share one chain between threads. The stateful ones (bucket level,
+latency reservoirs) therefore guard their mutable state with a lock,
+keeping their count/total invariants exact under any interleaving. The
+handlers they wrap are *not* serialized — only the bookkeeping is — so
+the chain adds no head-of-line blocking.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .messages import (
     GetReport,
     RegisterWorker,
     Request,
-    StreamEnvelope,
     StreamWindow,
     SubmitTask,
 )
@@ -103,13 +103,6 @@ class RequestValidator:
             self._check_seq(request.seq)
             if not self._window_ok(request):
                 self._check_rows(request)
-        elif isinstance(request, StreamEnvelope):
-            self._check_seq(request.seq)
-            if isinstance(request.item, (StreamWindow, StreamEnvelope)):
-                raise ValidationFailed(
-                    "stream envelopes wrap single verbs, not groups"
-                )
-            self.validate(request.item)
         # Flush/GetReport carry nothing checkable beyond their type
 
     @staticmethod
@@ -200,8 +193,6 @@ class TokenBucket:
     def cost_of(request) -> int:
         if isinstance(request, StreamWindow):
             return len(request)
-        if isinstance(request, StreamEnvelope):
-            return TokenBucket.cost_of(request.item)
         if isinstance(request, (Flush, GetReport)):
             return 0
         return 1

@@ -10,29 +10,28 @@ in-process one.
 * **protocol** — sans-IO framing (4-byte big-endian length + payload,
   8 MiB ceiling), the ``hello``/``welcome``/``goodbye`` handshake (the
   hello and welcome travel as JSON) with api-version negotiation and
-  feature bits (``"pipeline"`` = the client accepts out-of-order
-  responses), and stable error codes for every kind of damage (junk,
-  truncation, oversize, version skew);
+  feature bits (``"trace"`` = trace-context propagation), and stable
+  error codes for every kind of damage (junk, truncation, oversize,
+  version skew);
 * **codec** — ``bin1``, the one payload codec after the welcome: stream
   windows as fixed-width rows, everything else (checkpoint snapshots
   included) as embedded JSON documents;
 * **server** — :class:`GatewayServer`: per-connection sessions behind a
-  handshake, backend calls scheduled on the shard-aware
-  :class:`~repro.runtime.PipelineScheduler` (different shards run
-  concurrently, same-shard requests stay FIFO, ``Flush``/``GetReport``
-  are global barriers — bit-identical to serial dispatch by
-  construction; a mesh window ends its hold once it is journaled, so
-  the next window journals while its outcomes are in flight),
-  out-of-order answers for sessions that negotiated
-  ``pipeline``, bounded in-flight work with TCP backpressure, optional
-  token-bucket admission, structured errors over the wire, graceful
-  drain that flushes pipelined windows before goodbye; plus
-  :func:`serve_gateway` to run one on a daemon thread from sync code;
+  handshake, every backend call a barrier on the
+  :class:`~repro.runtime.PipelineScheduler`, so requests run in arrival
+  order — bit-identical to serial replay by construction (a mesh window
+  ends its hold once it is journaled, so the next request journals
+  while its outcomes are in flight); each session's answers leave in
+  the order its frames arrived; bounded in-flight work with TCP
+  backpressure, optional token-bucket admission, structured errors over
+  the wire, graceful drain that answers every accepted frame before
+  goodbye; plus :func:`serve_gateway` to run one on a daemon thread
+  from sync code;
 * **remote** — :class:`RemoteBackend`: the gateway connection as a
   regular :class:`~repro.api.backends.Backend`, so an unmodified
   :class:`~repro.api.client.AssignmentClient` talks to a remote service
   — including pipelined stream windows (``client.stream(...,
-  pipeline=N)``) over sessions that negotiated the feature.
+  pipeline=N)``), each answer matched to the oldest window in flight.
 
 Quick start::
 
@@ -57,7 +56,6 @@ from .protocol import (
     GATEWAY_VERSION,
     MAX_FRAME_BYTES,
     MESH_WORKER_ROLE,
-    PIPELINE_FEATURE,
     FrameDecoder,
     advertised_families,
     encode_frame,
@@ -82,7 +80,6 @@ __all__ = [
     "GATEWAY_VERSION",
     "MAX_FRAME_BYTES",
     "MESH_WORKER_ROLE",
-    "PIPELINE_FEATURE",
     "FrameDecoder",
     "GatewayConfig",
     "GatewayServer",

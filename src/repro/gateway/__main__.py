@@ -5,9 +5,9 @@ loopback gateway, replays one deterministic stream through a
 :class:`~repro.gateway.RemoteBackend` *and* through the in-process
 backends, and requires bit-identical assignments and reports — the
 paper's guarantee, now enforced across a socket. The remote run keeps
-four stream windows in flight, so the gate covers out-of-order
-answering on a real socket. ``--serve`` runs a real server until
-interrupted.
+four stream windows in flight, so the gate covers read-ahead and
+in-order answering on a real socket. ``--serve`` runs a real server
+until interrupted.
 
 Examples::
 
@@ -64,8 +64,8 @@ def _smoke(args) -> int:
             spec,
             backend_kinds=("inprocess", "sharded", "remote"),
             requests=stream,
-            # several windows in flight: the parity gate covers
-            # out-of-order answering on a real socket
+            # several windows in flight: the parity gate covers read-ahead
+            # and in-order answering on a real socket
             pipeline=4,
             backend_kwargs={
                 "remote": {
@@ -121,7 +121,6 @@ def _serve(args) -> int:
         port=args.port,
         rate=args.rate,
         burst=args.burst,
-        pipeline_workers=args.pipeline_workers,
         max_inflight=args.max_in_flight,
     )
     server = GatewayServer(config)
@@ -181,17 +180,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--burst", type=int, default=256)
     parser.add_argument(
-        "--pipeline-workers",
-        type=int,
-        default=0,
-        help="scheduler pool threads (0 = auto)",
-    )
-    parser.add_argument(
         "--max-in-flight",
         type=int,
         default=32,
         dest="max_in_flight",
-        help="in-flight request cap (global and per pipelined connection)",
+        help="in-flight request cap (global and per connection)",
     )
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)

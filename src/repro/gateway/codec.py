@@ -15,8 +15,7 @@ bin1 keeps one layout per job:
   embedded JSON. It is *total* (any dict json can carry, bin1 carries)
   and decodes to exactly the document a JSON round trip produces, so the
   codec never changes what a backend sees. Verbs, reports, errors,
-  stream envelopes, stream windows on traced sessions, mesh ops and
-  their replies (checkpoint snapshots and ``load`` requests included)
+  stream windows on traced sessions, mesh ops and their replies (checkpoint snapshots and ``load`` requests included)
   and goodbyes all ride it;
 * :data:`~repro.gateway.protocol.STREAM_BATCH_TAG` /
   :data:`~repro.gateway.protocol.STREAM_RESULT_TAG` — a stream window

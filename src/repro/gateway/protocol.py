@@ -7,10 +7,11 @@ inside frames:
 
 * ``repro.gateway`` v1 — connection lifecycle: the client's ``hello``
   (advertising the :mod:`repro.api` wire versions it speaks, plus any
-  optional *features* it can handle — today ``"pipeline"``, the
-  capability bit for out-of-order responses), the server's ``welcome``
-  (the negotiated version, the accepted feature subset and a session
-  id), and ``goodbye`` in either direction;
+  optional *features* it can handle — today ``"trace"``, trace-context
+  propagation), the server's ``welcome`` (the negotiated version, the
+  accepted feature subset and a session id), and ``goodbye`` in either
+  direction. A session's answers always leave in the order its frames
+  arrived, so ordering needs no feature;
 * ``repro.api`` v1 — every request/response after the handshake is the
   unmodified :func:`repro.api.to_wire` document; failures come back as
   the api ``error`` kind (:class:`~repro.api.messages.ErrorInfo`), so
@@ -48,7 +49,6 @@ __all__ = [
     "GATEWAY_VERSION",
     "HEADER",
     "MAX_FRAME_BYTES",
-    "PIPELINE_FEATURE",
     "TRACE_FEATURE",
     "MESH_WORKER_ROLE",
     "BIN1_MAGIC",
@@ -79,13 +79,6 @@ __all__ = [
 
 GATEWAY_SCHEMA = "repro.gateway"
 GATEWAY_VERSION = 1
-
-#: Session feature: the client accepts responses in completion order
-#: (it matches them back by each window's or envelope's ``seq``), so
-#: the server may read ahead and answer frames out of order. Off means
-#: the strict request/response discipline of protocol v1 without
-#: features.
-PIPELINE_FEATURE = "pipeline"
 
 #: Session feature: request envelopes may carry a top-level ``trace``
 #: dict (``{"trace_id", "span_id"}``, see :mod:`repro.obs.trace`) and
@@ -121,8 +114,8 @@ BIN1_WIRE_VERSION = 1
 #: layout per job:
 #:
 #: ``GENERIC_TAG`` wraps the whole document as embedded JSON — the
-#: total layout that carries any document (verbs, reports, envelopes,
-#: windows on traced sessions, mesh ops, errors, goodbyes).
+#: total layout that carries any document (verbs, reports, windows on
+#: traced sessions, mesh ops, errors, goodbyes).
 GENERIC_TAG = 0x00
 #: Columnar stream window: a ``stream_window`` of register/submit
 #: events packed as fixed-width ``>Bqqddd`` rows (kind, seq, id, x, y,

@@ -13,15 +13,12 @@ as JSON; every frame after the welcome is bin1 — a
 :class:`~repro.api.messages.WindowResult` as rows), anything else as a
 generic document.
 
-The handshake always offers the ``pipeline`` feature: when the server
-grants it (:attr:`RemoteBackend.supports_pipeline` turns true), the
-client may use the split :meth:`RemoteBackend.send_request` /
-:meth:`RemoteBackend.recv_response` pair to keep several stream windows
-in flight and accept their responses in whatever order the gateway
-finished them (each window's or envelope's ``seq`` restores stream
-order client-side). Against a server that does not grant it the
-attribute stays false and everything degrades to strict
-request/response.
+The transport splits send and receive
+(:attr:`RemoteBackend.supports_pipeline` is true): a caller may use the
+:meth:`RemoteBackend.send_request` / :meth:`RemoteBackend.recv_response`
+pair to keep several requests in flight. The gateway answers a
+session's frames in the order they arrived, so the next response always
+belongs to the oldest request in flight.
 
 Error discipline: a structured error answered by the server (the api
 ``error`` kind) is re-raised locally as the matching
@@ -51,7 +48,6 @@ from .protocol import (
     BIN1_MAGIC,
     HEADER,
     MAX_FRAME_BYTES,
-    PIPELINE_FEATURE,
     STREAM_RESULT_TAG,
     TRACE_FEATURE,
     check_frame_length,
@@ -94,6 +90,10 @@ class RemoteBackend(BackendBase):
 
     name = "remote"
 
+    #: Sends and receives are separate calls, so several requests may
+    #: be in flight; their answers come back in send order.
+    supports_pipeline = True
+
     def __init__(
         self,
         spec: ServiceSpec | None = None,
@@ -122,11 +122,6 @@ class RemoteBackend(BackendBase):
         self._outstanding = 0
 
     @property
-    def supports_pipeline(self) -> bool:
-        """Whether this session negotiated out-of-order responses."""
-        return PIPELINE_FEATURE in self.server_features
-
-    @property
     def supports_trace(self) -> bool:
         """Whether this session negotiated trace-context propagation."""
         return TRACE_FEATURE in self.server_features
@@ -150,8 +145,7 @@ class RemoteBackend(BackendBase):
                     hello_doc(
                         api_versions=range(1, WIRE_VERSION + 1),
                         client=self.client_name,
-                        features=(PIPELINE_FEATURE,)
-                        + ((TRACE_FEATURE,) if self.trace else ()),
+                        features=(TRACE_FEATURE,) if self.trace else (),
                     ),
                     max_frame_bytes=self.max_frame_bytes,
                 )
@@ -209,8 +203,7 @@ class RemoteBackend(BackendBase):
         """One request frame out, one response frame back.
 
         Overrides the dispatch of :class:`BackendBase` wholesale: every
-        request — windows and stream envelopes included — is one frame
-        on the socket (a stream window as rows, anything else as a
+        request — windows included — is one frame on the socket (a stream window as rows, anything else as a
         document), and the server's backend serves it (a single
         register/submit as a window of one row; a mesh-served window
         still gets chunked dispatch).
@@ -221,8 +214,8 @@ class RemoteBackend(BackendBase):
         gone, so "retry" means a fresh ``RemoteBackend``, never a silent
         reconnect that would hide the discontinuity.
 
-        While a pipelined stream still has windows in flight the
-        connection's next frames belong to *those* windows, so a sync
+        While a pipelined stream still has units in flight the
+        connection's next frames belong to *those* units, so a sync
         call would steal one as its own answer; it is refused
         structurally instead (finish or drain the stream first).
         """
@@ -240,9 +233,8 @@ class RemoteBackend(BackendBase):
 
         Half of the pipelined transport: callers that keep several
         requests in flight owe the socket exactly one
-        :meth:`recv_response` per successful send, in any order they
-        like. :meth:`handle` is simply a send immediately followed by
-        its receive.
+        :meth:`recv_response` per successful send. :meth:`handle` is
+        simply a send immediately followed by its receive.
         """
         self._ensure_open()
         if self._sock is None:
@@ -282,9 +274,9 @@ class RemoteBackend(BackendBase):
     def recv_response(self):
         """Take the next response frame off the wire.
 
-        Responses arrive in the server's completion order when the
-        session is pipelined (match them by window or envelope ``seq``); a
-        structured error frame re-raises as its
+        Responses arrive in the order their requests were sent, so this
+        one answers the oldest request in flight; a structured error
+        frame re-raises as its
         :class:`~repro.api.errors.ApiError` class and *consumes* the
         response slot — the session itself survives request errors.
         Calling with no request in flight is a caller bug and fails

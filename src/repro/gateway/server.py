@@ -7,28 +7,21 @@ in-process, sharded or mesh — through the same middleware chain the
 in-process :class:`~repro.api.client.AssignmentClient` uses. Design
 points:
 
-* **shard-aware pipelined dispatch** — every backend call is scheduled
-  on the shared :class:`~repro.runtime.PipelineScheduler` under the
-  backend's :meth:`~repro.api.backends.BackendBase.ordering_key`:
-  requests for different shards execute concurrently on a bounded pool,
-  same-shard requests stay FIFO, and barrier verbs (``Flush``/
-  ``GetReport``) quiesce the world — which is exactly why assignments
-  stay bit-identical to serial dispatch. A backend may end a request's
+* **one execution order** — every backend call is submitted to the
+  :class:`~repro.runtime.PipelineScheduler` as a barrier, so requests
+  run one at a time in the order they arrived, which is why assignments
+  stay bit-identical to serial replay. A backend may end a request's
   hold early (:func:`~repro.runtime.release_order`): the mesh does once
-  a window is journaled, so the next window, barrier or not, journals
-  while this one's outcomes are in flight;
-* **one session loop, per-connection pipelining opt-in** — every
-  session reads ahead up to a per-connection cap and answers each frame
-  as the scheduler finishes it. A client that offered the ``pipeline``
-  feature in its hello gets ``max_inflight`` frames in flight, answered
-  in *completion* order (stream windows and envelopes carry the ``seq``
-  that lets the client re-sequence). A client that didn't opt in gets a
-  cap of one, i.e. protocol v1's strict request/response discipline:
-  one frame in, its answer out, regardless of how the backend is
-  scheduled underneath;
+  a window is journaled, so the next request journals while this
+  window's outcomes are in flight;
+* **one answer order** — every session reads ahead up to
+  ``max_inflight`` frames and starts each dispatch at once, but writes
+  the answers in the order the frames arrived: a frame's answer waits
+  for the answer of the frame before it. A client therefore matches
+  each answer to its oldest request in flight, pipelined or not;
 * **bounded in-flight work** — an :class:`asyncio.Semaphore` caps
-  requests queued for the scheduler across all connections (and bounds
-  each pipelined connection's read-ahead); a connection over the cap
+  requests queued for the scheduler across all connections (and each
+  connection's read-ahead is capped alike); a connection over the cap
   simply isn't read from, so backpressure propagates to the client
   through TCP. An optional server-side
   :class:`~repro.api.middleware.TokenBucket` adds admission control on
@@ -73,13 +66,12 @@ from ..api.middleware import (
 from ..obs.export import JsonlSink
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import Tracer, parse_trace_context
-from ..runtime import PipelineScheduler, default_worker_count
+from ..runtime import PipelineScheduler
 from .codec import decode_stream_batch, encode_stream_result
 from .protocol import (
     BIN1_MAGIC,
     HEADER,
     MAX_FRAME_BYTES,
-    PIPELINE_FEATURE,
     STREAM_BATCH_TAG,
     TRACE_FEATURE,
     check_frame_length,
@@ -109,16 +101,14 @@ class GatewayConfig:
     set. ``port=0`` binds an ephemeral port, published as
     :attr:`GatewayServer.address` once the listener is up.
 
-    Requests execute concurrently per ordering key on
-    ``pipeline_workers`` threads (``0`` sizes the pool automatically),
-    and clients offering the ``pipeline`` feature get out-of-order
-    responses. ``max_inflight`` bounds scheduled work across all
-    connections *and* each pipelined connection's read-ahead window (a
-    session without the feature keeps one frame in flight).
+    Requests run one at a time in arrival order, and each session's
+    answers leave in the order its frames arrived. ``max_inflight``
+    bounds scheduled work across all connections *and* each
+    connection's read-ahead.
 
     ``trace`` turns distributed tracing on (off by default — the traced
     path pays span bookkeeping per request): sessions offering the
-    ``trace`` feature get it granted, their envelopes' trace contexts
+    ``trace`` feature get it granted, their requests' trace contexts
     are honored, and spans land in ``trace_path`` (JSONL) when set.
     ``slow_request_s`` logs (and counts) any dispatch slower than the
     threshold, traced or not.
@@ -138,7 +128,6 @@ class GatewayConfig:
     burst: int = 256
     handshake_timeout: float = 10.0
     drain_timeout: float = 30.0
-    pipeline_workers: int = 0
     trace: bool = False
     trace_path: str | None = None
     slow_request_s: float | None = None
@@ -150,11 +139,6 @@ class GatewayConfig:
             )
         if self.max_frame_bytes < HEADER.size:
             raise ValueError("max_frame_bytes is too small to frame anything")
-        if self.pipeline_workers < 0:
-            raise ValueError(
-                f"pipeline_workers must be >= 0 (0 = auto), got "
-                f"{self.pipeline_workers}"
-            )
         if self.slow_request_s is not None and self.slow_request_s <= 0:
             raise ValueError(
                 f"slow_request_s must be > 0, got {self.slow_request_s}"
@@ -182,7 +166,6 @@ class GatewayConfig:
             "burst": self.burst,
             "handshake_timeout": self.handshake_timeout,
             "drain_timeout": self.drain_timeout,
-            "pipeline_workers": self.pipeline_workers,
             "trace": self.trace,
             "trace_path": self.trace_path,
             "slow_request_s": self.slow_request_s,
@@ -203,7 +186,6 @@ class Session:
     peer: tuple
     api_version: int = 0
     client: str = ""
-    pipelined: bool = False
     traced: bool = False
     requests: int = 0
     errors: int = 0
@@ -273,7 +255,6 @@ class GatewayServer:
             "errors": 0,
             "truncated": 0,
             "rejected_handshakes": 0,
-            "pipelined_sessions": 0,
             "traced_sessions": 0,
             "slow_requests": 0,
             "bytes_in": 0,
@@ -286,11 +267,10 @@ class GatewayServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._inflight: asyncio.Semaphore | None = None
         self._drain_event: asyncio.Event | None = None
-        # the execution core: every request is scheduled per ordering key
-        self._scheduler = PipelineScheduler(
-            max_workers=config.pipeline_workers or default_worker_count(),
-            name="gateway-backend",
-        )
+        # the execution core: every request runs as a barrier, in
+        # arrival order; the pool holds the running request plus any
+        # released mesh windows still awaiting their outcomes
+        self._scheduler = PipelineScheduler(name="gateway-backend")
         # live backlog gauge: sampled (not copied) at snapshot time
         self.registry.gauge_fn(
             "runtime.scheduler.key_depth", self._scheduler.key_depths
@@ -423,20 +403,10 @@ class GatewayServer:
             )
             return
         # grant only what both sides speak: the feature set shrinks by
-        # intersection, never errors on names from the future
-        session.pipelined = PIPELINE_FEATURE in features
+        # intersection, never errors on names it does not know
         session.traced = self.tracer is not None and TRACE_FEATURE in features
-        granted = tuple(
-            feature
-            for feature, on in (
-                (PIPELINE_FEATURE, session.pipelined),
-                (TRACE_FEATURE, session.traced),
-            )
-            if on
-        )
+        granted = (TRACE_FEATURE,) if session.traced else ()
         self.stats["sessions"] += 1
-        if session.pipelined:
-            self.stats["pipelined_sessions"] += 1
         if session.traced:
             self.stats["traced_sessions"] += 1
         self.sessions[session.id] = session
@@ -514,59 +484,55 @@ class GatewayServer:
     async def _request_loop(self, reader, writer, session, drain_wait) -> None:
         """The read-ahead loop every session runs.
 
-        Frames are read as fast as the session's in-flight cap allows and
-        each one is answered by its own task the moment the scheduler
-        finishes it, writes serialized per connection. The cap is
-        ``max_inflight`` for a session that negotiated ``pipeline``
-        (answers then go out of order when shards allow it) and one for
-        any other, which therefore gets one answer per frame, in request
-        order. On drain (or client goodbye, or framing damage) the loop
-        first *flushes every in-flight response*, then closes the
+        Frames are read as fast as the ``max_inflight`` cap allows, and
+        each one's dispatch starts at once (so the scheduler sees them
+        in arrival order), but each frame's task writes its answer only
+        after the previous frame's task has written: answers leave in
+        the order the frames arrived, a rejected frame's answer
+        included. On drain (or client goodbye, or framing damage) the
+        loop first *flushes every in-flight response*, then closes the
         conversation: a client is never left holding a frame the server
         silently dropped.
         """
-        cap = self.config.max_inflight if session.pipelined else 1
         pending: set[asyncio.Task] = set()
-        write_lock = asyncio.Lock()
+        previous: asyncio.Task | None = None  # the newest frame's task
         farewell_doc: dict | None = None
 
-        async def respond(doc: dict) -> None:
-            response = await self._dispatch(doc, session)
+        async def respond(kind: str, payload, before) -> None:
+            if kind == "doc":
+                payload = await self._dispatch(payload, session)
+            if before is not None:
+                await asyncio.wait((before,))
             with contextlib.suppress(ConnectionError):
-                async with write_lock:
-                    await self._write(writer, response)
+                await self._write(writer, payload)
 
         try:
             while True:
-                if len(pending) >= cap:
-                    # per-connection read-ahead cap: stop reading until a
-                    # response drains (TCP pushes back on the client)
+                if len(pending) >= self.config.max_inflight:
+                    # read-ahead cap: stop reading until the oldest answer
+                    # is written (TCP pushes back on the client)
                     done, _ = await asyncio.wait(
                         pending, return_when=asyncio.FIRST_COMPLETED
                     )
                     pending.difference_update(done)
                     continue
                 kind, payload = await self._intake(reader, session, drain_wait)
-                if kind == "doc":
-                    task = asyncio.create_task(respond(payload))
-                    pending.add(task)
-                    task.add_done_callback(pending.discard)
-                elif kind == "reject":
-                    async with write_lock:
-                        await self._write(writer, payload)
-                else:  # drain or close; farewell goes out after the flush
+                if kind not in ("doc", "reject"):
+                    # drain or close; the farewell goes out after the flush
                     farewell_doc = payload
                     return
+                previous = asyncio.create_task(respond(kind, payload, previous))
+                pending.add(previous)
+                previous.add_done_callback(pending.discard)
         finally:
-            # flush the in-flight window before any farewell: the drain
+            # flush the in-flight answers before any farewell: the drain
             # guarantee ("every accepted frame gets its answer") and the
             # framing-damage answer both depend on this barrier
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
             if farewell_doc is not None:
                 with contextlib.suppress(ConnectionError):
-                    async with write_lock:
-                        await self._write(writer, farewell_doc)
+                    await self._write(writer, farewell_doc)
 
     async def _dispatch(self, doc, session: Session):
         """Serve one api wire document (or a :class:`~repro.api.messages
@@ -584,7 +550,7 @@ class GatewayServer:
                 self.stats["errors"] += 1
                 session.errors += 1
                 return to_wire(exc.info())
-        # trace context off the envelope: malformed → None → untraced.
+        # trace context off the document: malformed → None → untraced.
         # gctx (the gateway.dispatch span) is minted HERE, on the event
         # loop, because span ids must be allocated before the job runs
         # but the loop can't use the thread-local span contextmanager
@@ -598,12 +564,12 @@ class GatewayServer:
         start_perf = time.perf_counter() if timed else 0.0
         ok = False
         async with self._inflight:
-            key = self._ordering_key(request)
             try:
+                # every request is a barrier: one execution order
                 if gctx is not None:
                     response = await asyncio.wrap_future(
                         self._scheduler.submit(
-                            key,
+                            None,
                             self._traced_job,
                             request,
                             gctx,
@@ -613,7 +579,7 @@ class GatewayServer:
                     )
                 else:
                     response = await asyncio.wrap_future(
-                        self._scheduler.submit(key, self._handler, request)
+                        self._scheduler.submit(None, self._handler, request)
                     )
                 ok = True
             except ApiError as exc:
@@ -678,13 +644,6 @@ class GatewayServer:
             "scheduler.execute", parent=gctx, attrs={"kind": kind}
         ):
             return self._handler(request)
-
-    def _ordering_key(self, request):
-        """The backend's key, or a barrier when routing itself fails."""
-        try:
-            return self.backend.ordering_key(request)
-        except Exception:
-            return None
 
     # ------------------------------------------------------------------ #
     # frame IO                                                            #

@@ -32,8 +32,6 @@ op             body                        reply body
                ``parent``]
 ``flush``      —                           ``{}``
 ``report``     —                           ``{"report": {key: row}}``
-``ping``       —                           ``{}``
-``crash``      —                           *process exits* (tests)
 =============  ==========================  ===============================
 
 An ``events`` body carries a delivery's journal rows as columns
@@ -81,7 +79,7 @@ __all__ = [
 MESH_SCHEMA = "repro.mesh"
 MESH_VERSION = 1
 
-#: Ops a worker serves, the wire-frozen v1 vocabulary.
+#: Ops a worker serves: the v1 vocabulary, each one sent by the coordinator.
 OP_KINDS = (
     "configure",
     "create",
@@ -91,8 +89,6 @@ OP_KINDS = (
     "snapshot",
     "flush",
     "report",
-    "ping",
-    "crash",
 )
 
 _REPLY_KINDS = ("reply", "fail")

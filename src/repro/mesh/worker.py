@@ -156,9 +156,6 @@ def serve_connection(
         seq = -1
         try:
             op, seq, body = parse_op(doc)
-            if op == "crash":
-                # test hook: die like a SIGKILLed container — no goodbye
-                os._exit(17)
             if op == "configure":
                 size = int(body["batch_size"])
                 if host is not None and host.batch_size != size:
@@ -169,8 +166,6 @@ def serve_connection(
                 if host is None:
                     host = ShardHost(size)
                 out: dict = {}
-            elif op == "ping":
-                out = {}
             elif host is None:
                 raise RuntimeError(f"op {op!r} before configure")
             elif op == "create":

@@ -1,4 +1,4 @@
-"""The shard-aware pipelined scheduler: the one execution core.
+"""The keyed pipelined scheduler: the one execution core.
 
 :class:`PipelineScheduler` executes submitted requests on a bounded
 thread pool under one ordering rule, chosen so that pipelined execution
@@ -17,17 +17,17 @@ is *bit-identical to serial execution by construction*:
   reaches its handle. A job that never releases keeps the two rules
   above exactly.
 
-For the assignment service the key is the backend's shard routing
-(:meth:`repro.api.backends.BackendBase.ordering_key`): shards share no
-state, so per-key FIFO means each shard server consumes exactly the
-per-shard subsequence it would have seen from a serial dispatch loop —
-same cohort buffers, same RNG draws, same assignments. Barrier verbs
-(``Flush``/``GetReport``, the mesh's flush and report) map to ``None``
-and keep their observe-everything semantics; a mesh checkpoint is one
-job per family key, so it never stalls the other families. The mesh
-backend releases a stream window's hold once the window is journaled:
-its journal order is fixed by then, so the next window may journal
-while this one waits for its outcomes.
+Two layers use it. The gateway submits every request as a barrier
+(``None``), so a backend runs requests one at a time in arrival order.
+The mesh backend releases a stream window's hold once the window is
+journaled: its journal order is fixed by then, so the next request may
+run while this window waits for its outcomes. The mesh coordinator is
+the one user of keys: it delivers and checkpoints each shard family as
+jobs keyed by the family (families share no state, so per-key FIFO
+means each family consumes exactly its serial subsequence — same cohort
+buffers, same RNG draws, same assignments), a checkpoint never stalls
+the other families, and its flush and report are barriers that keep
+their observe-everything semantics.
 
 Ordering is tracked with dependency chaining, not queue polling: each
 key remembers its tail job, a barrier collects every live tail, and a
@@ -68,9 +68,10 @@ _running = threading.local()
 
 def default_worker_count() -> int:
     """Pool size when the caller does not choose: enough threads that a
-    few shards' worth of work can overlap (mesh-served jobs spend
-    their time waiting on worker processes, so this may exceed the local
-    core count without oversubscribing anything)."""
+    few families' deliveries, or a gateway's running request plus the
+    released mesh windows awaiting outcomes, can overlap (mesh-served
+    jobs spend their time waiting on worker processes, so this may
+    exceed the local core count without oversubscribing anything)."""
     return min(8, max(4, os.cpu_count() or 1))
 
 

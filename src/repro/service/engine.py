@@ -39,18 +39,20 @@ lift, running the same shards across worker processes with snapshot
 checkpoints, crash failover and hot-shard balancing, on the shard-family
 core in :mod:`repro.cluster`.
 
-Concurrency contract: the engine itself never spawns threads, but it may
-be *driven* by several (the :mod:`repro.runtime` scheduler runs requests
-for different shards concurrently). That is safe iff callers serialize
-per shard — same-shard calls never overlap — which is exactly the
-scheduler's ordering-key guarantee. The state shared *across* shards —
-the worker-id registry, the simulation clock and the assignment log — is
-protected by an internal lock; registry and clock are commutative (set
-union, running max), so cross-shard interleaving cannot change any
-observable result, while the :attr:`ShardedAssignmentEngine.assignments`
-*log order* follows decision completion and may interleave differently
-than a serial replay (per-shard subsequences always match; callers that
-need stream order use the API layer's sequence-numbered responses).
+Concurrency contract: the engine itself never spawns threads, and
+nothing in the repo calls it from more than one at a time (the gateway
+runs requests one at a time, in arrival order). A caller may still
+drive it from several threads: that is safe iff the caller serializes
+per shard — same-shard calls never overlap
+(``tests/test_service.py::TestIngestThreads`` pins this). The state
+shared *across* shards — the worker-id registry, the simulation clock
+and the assignment log — is protected by an internal lock; registry and
+clock are commutative (set union, running max), so cross-shard
+interleaving cannot change any observable result, while the
+:attr:`ShardedAssignmentEngine.assignments` *log order* follows decision
+completion and may interleave differently than a serial replay
+(per-shard subsequences always match; callers that need stream order
+use the API layer's responses).
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from repro.api import (
     RequestRejected,
     RequestValidator,
     ServiceSpec,
-    StreamEnvelope,
     StreamWindow,
     SubmitTask,
     TaskDecision,
@@ -56,7 +55,6 @@ class TestWireFormat:
         SubmitTask(task_id=9, location=(4.0, 5.0), time=1.25),
         Flush(),
         GetReport(wall_seconds=2.5),
-        StreamEnvelope(seq=7, item=RegisterWorker(worker_id=0, location=(1.0, 1.0))),
         WorkerRegistered(worker_id=3),
         TaskDecision(task_id=9, worker_id=None),
         TaskDecision(task_id=9, worker_id=4),
@@ -105,15 +103,22 @@ class TestWireFormat:
             from_wire(doc)
 
     def test_unknown_kind_rejected(self):
-        # the retired batch kinds are as unknown as an invented one, even
-        # with the body they used to carry
-        for kind in ("teleport_worker", "batch", "batch_result"):
+        # the retired batch and envelope kinds are as unknown as an
+        # invented one, even with the body they used to carry
+        for kind, body in (
+            ("teleport_worker", {"items": []}),
+            ("batch", {"items": []}),
+            ("batch_result", {"items": []}),
+            ("envelope", {"seq": 0, "item": to_wire(Flush())}),
+            ("envelope_result", {"seq": 0, "item": to_wire(Flushed())}),
+        ):
             doc = to_wire(Flush())
             doc["kind"] = kind
-            doc["body"] = {"items": []}
+            doc["body"] = body
             with pytest.raises(ValidationFailed) as info:
                 from_wire(doc)
             assert info.value.code == "invalid-request"
+            assert "unknown message kind" in str(info.value)
 
     def test_malformed_body_rejected(self):
         doc = to_wire(SubmitTask(task_id=1, location=(0.0, 0.0)))
@@ -132,7 +137,7 @@ class TestRequestValidator:
 
     def test_accepts_good_requests(self):
         self.check(RegisterWorker(worker_id=0, location=(1.0, 1.0)))
-        self.check(StreamEnvelope(seq=0, item=Flush()))
+        self.check(Flush())
 
     @pytest.mark.parametrize(
         "bad",
@@ -142,9 +147,9 @@ class TestRequestValidator:
             RegisterWorker(worker_id=0, location=(float("nan"), 0.0)),
             SubmitTask(task_id=0, location=(float("inf"), 0.0)),
             SubmitTask(task_id=0, location=(0.0, 0.0), time=-1.0),
-            StreamEnvelope(seq=-1, item=Flush()),
-            StreamEnvelope(seq=0, item=StreamWindow.of(1, [])),
-            StreamEnvelope(seq=0, item=StreamEnvelope(seq=1, item=Flush())),
+            StreamWindow.of(-1, []),  # a stream seq is non-negative
+            StreamWindow.of(True, []),  # and an int, not a bool
+            WorkerRegistered(worker_id=0),  # a response is no request
         ],
     )
     def test_rejects_bad_requests(self, bad):
@@ -154,19 +159,6 @@ class TestRequestValidator:
     def test_location_must_be_a_pair(self):
         with pytest.raises(ValidationFailed):
             RegisterWorker(worker_id=0, location=(1.0, 2.0, 3.0))
-
-    @pytest.mark.parametrize(
-        "item",
-        [
-            StreamEnvelope(seq=0, item=Flush()),
-            StreamWindow.of(0, [RegisterWorker(worker_id=0, location=(1.0, 1.0))]),
-        ],
-        ids=["envelope", "window"],
-    )
-    def test_envelopes_carry_single_verbs_only(self, item):
-        with pytest.raises(ValidationFailed) as info:
-            self.check(StreamEnvelope(seq=1, item=item))
-        assert info.value.code == "invalid-request"
 
 
 def _run(bad_at=None, **bad) -> list:
@@ -304,12 +296,12 @@ class TestTokenBucket:
         bucket = TokenBucket(rate=1.0, burst=5, clock=lambda: 0.0)
         window = StreamWindow.of(0, _run()[:3])
         assert TokenBucket.cost_of(window) == 3  # one token per row
-        assert TokenBucket.cost_of(StreamEnvelope(seq=3, item=Flush())) == 0
-        assert TokenBucket.cost_of(StreamEnvelope(seq=4, item=GetReport())) == 0
-        envelope = StreamEnvelope(seq=5, item=SubmitTask(task_id=0, location=(0.0, 0.0)))
-        assert TokenBucket.cost_of(envelope) == 1
+        assert TokenBucket.cost_of(Flush()) == 0
+        assert TokenBucket.cost_of(GetReport()) == 0
+        verb = SubmitTask(task_id=0, location=(0.0, 0.0))
+        assert TokenBucket.cost_of(verb) == 1
         assert bucket(window, lambda r: "served") == "served"
-        assert bucket(envelope, lambda r: "served") == "served"
+        assert bucket(verb, lambda r: "served") == "served"
         assert bucket.admitted == 4
         # free verbs pass even with an empty bucket
         bucket2 = TokenBucket(rate=1e-9, burst=1, clock=lambda: 0.0)
@@ -387,7 +379,7 @@ class TestClient:
             responses = list(client.stream(requests, window=3))
         calls = metrics.registry.counters(LatencyMetrics.CALLS, label="kind")
         # runs of up to 3 rows; each barrier ends its run and goes alone
-        assert calls == {"stream_window": 3, "envelope": 2}
+        assert calls == {"stream_window": 3, "flush": 1, "get_report": 1}
         assert [type(r).__name__ for r in responses] == [
             "WorkerRegistered",
             "TaskDecision",
@@ -410,6 +402,23 @@ class TestClient:
         with AssignmentClient(Liar(small_spec())) as client:
             with pytest.raises(ValidationFailed):
                 list(client.stream(_run(), window=8))
+
+    def test_stream_refuses_a_barrier_answered_with_another_type(self):
+        class Liar(InProcessBackend):
+            def flush(self, request):
+                return self.get_report(GetReport())
+
+        with AssignmentClient(Liar(small_spec())) as client:
+            with pytest.raises(ValidationFailed):
+                list(client.stream(_run() + [Flush()], window=8))
+
+    def test_stream_refuses_items_that_are_neither_verbs_nor_barriers(self):
+        window = StreamWindow.of(0, _run())
+        with AssignmentClient(InProcessBackend(small_spec())) as client:
+            with pytest.raises(ValidationFailed) as info:
+                list(client.stream([window]))
+            assert info.value.code == "invalid-request"
+            assert client.report().workers_registered == 0  # never sent
 
     def test_stream_responses_reuse_the_request_ids(self):
         ids = [10**12 + i for i in range(4)]

@@ -23,7 +23,7 @@ from repro.api import (
     RegisterWorker,
     RequestRejected,
     ServiceSpec,
-    StreamEnvelope,
+    ShardedBackend,
     StreamWindow,
     SubmitTask,
     TaskDecision,
@@ -38,7 +38,6 @@ from repro.api.messages import ErrorInfo
 from repro.api.middleware import ErrorMapper, RequestValidator
 from repro.gateway import (
     GATEWAY_SCHEMA,
-    PIPELINE_FEATURE,
     FrameDecoder,
     GatewayConfig,
     RemoteBackend,
@@ -53,6 +52,7 @@ from repro.gateway import (
 )
 from repro.gateway.protocol import HEADER
 from repro.geometry import Box
+from repro.runtime import release_order
 from repro.service import ShardMap
 
 REGION = Box.square(200.0)
@@ -491,11 +491,7 @@ class TestConnectionFaults:
         with serve_gateway(GatewayConfig(spec=spec)) as gw:
             backend = RemoteBackend(spec, address=gw.address)
             backend.open()
-            backend.send_request(
-                StreamEnvelope(
-                    seq=0, item=RegisterWorker(worker_id=0, location=(1.0, 1.0))
-                )
-            )
+            backend.send_request(RegisterWorker(worker_id=0, location=(1.0, 1.0)))
             backend._drop()  # the transport dies with one response owed
             with pytest.raises(BackendUnavailable):
                 backend.handle(
@@ -568,27 +564,41 @@ class TestConnectionFaults:
             listener.close()
 
 
-def pipelined_handshake(address) -> socket.socket:
-    """Raw handshake that negotiates the ``pipeline`` feature bit."""
-    sock = socket.create_connection(address, timeout=10.0)
-    sock.settimeout(10.0)
-    send_hello(sock, hello_doc(features=(PIPELINE_FEATURE,)))
-    welcome = recv_frame(sock)
-    assert welcome["kind"] == "welcome"
-    assert PIPELINE_FEATURE in welcome["body"]["features"]
-    return sock
-
-
 def slow_middleware(delay: float, only_kind: str | None = None):
     """Middleware that stalls the handler — the adversarial scheduler."""
 
     def layer(request, call_next):
-        verb = request.item if isinstance(request, StreamEnvelope) else request
-        if only_kind is None or type(verb).kind == only_kind:
+        if only_kind is None or type(request).kind == only_kind:
             time.sleep(delay)
         return call_next(request)
 
     return layer
+
+
+def slow_window_holding(worker_id: int, delay: float):
+    """Middleware that stalls the stream window registering ``worker_id``."""
+
+    def layer(request, call_next):
+        if type(request) is StreamWindow and any(
+            not task and ident == worker_id
+            for task, ident in zip(request.is_task, request.ids)
+        ):
+            time.sleep(delay)
+        return call_next(request)
+
+    return layer
+
+
+class _SlowFirstWindow(ShardedBackend):
+    """Ends each window's scheduler hold at once, as the mesh does once a
+    window is journaled, then stalls the window at seq 0: a later
+    window finishes first."""
+
+    def handle_run(self, window):
+        release_order()
+        if window.seq == 0:
+            time.sleep(0.3)
+        return super().handle_run(window)
 
 
 class TestPipelinedSessions:
@@ -618,63 +628,63 @@ class TestPipelinedSessions:
             assert recv_frame(sock)["kind"] == "task_decision"
             sock.close()
 
-    def test_pipelined_session_answers_out_of_order_across_shards(self):
-        """Two envelopes for different shards, the first one slow: the
-        fast one's answer arrives first, matched by seq."""
+    def test_answers_leave_in_arrival_order_across_shards(self):
+        """Two windows for different shards in flight, the first one slow
+        and the second free to run beside it: the second finishes first,
+        but its answer still leaves after the first's."""
         spec = small_spec()
-        server_mw = [
-            RequestValidator(),
-            slow_middleware(0.3, only_kind="register_worker"),
-            ErrorMapper(),
-        ]
-        from repro.gateway import GatewayServer
+        with serve_gateway(
+            GatewayConfig(spec=spec), backend=_SlowFirstWindow(spec)
+        ) as gw:
+            backend = RemoteBackend(spec, address=gw.address)
+            backend.open()
+            try:
+                backend.send_request(
+                    StreamWindow.of(0, [RegisterWorker(0, (1.0, 1.0))])
+                )
+                backend.send_request(
+                    StreamWindow.of(1, [SubmitTask(0, (199.0, 199.0))])
+                )
+                first, second = backend.recv_response(), backend.recv_response()
+            finally:
+                backend.close()
+        assert (first.seq, second.seq) == (0, 1)
+        assert first.ids == [0] and second.ids == [0]
+        assert (first.is_task, second.is_task) == ([False], [True])
 
-        server = GatewayServer(GatewayConfig(spec=spec), middleware=server_mw)
-        with serve_gateway(server=server) as gw:
-            sock = pipelined_handshake(gw.address)
+    def test_hello_offering_pipeline_is_welcomed_and_ignored(self):
+        """``pipeline`` is no feature any more: a hello that still offers
+        it is welcomed like any hello naming an unknown feature, and the
+        welcome grants nothing."""
+        spec = small_spec()
+        with serve_gateway(GatewayConfig(spec=spec)) as gw:
+            sock = socket.create_connection(gw.address, timeout=10.0)
+            sock.settimeout(10.0)
+            send_hello(sock, hello_doc(features=("pipeline",)))
+            welcome = recv_frame(sock)
+            assert welcome["kind"] == "welcome"
+            assert welcome["body"]["features"] == []
             send_frame(
-                sock,
-                to_wire(
-                    StreamEnvelope(
-                        seq=0,
-                        item=RegisterWorker(worker_id=0, location=(1.0, 1.0)),
-                    )
-                ),
+                sock, to_wire(RegisterWorker(worker_id=0, location=(1.0, 1.0)))
             )
-            send_frame(
-                sock,
-                to_wire(
-                    StreamEnvelope(
-                        seq=1,
-                        item=SubmitTask(task_id=0, location=(199.0, 199.0)),
-                    )
-                ),
-            )
-            first, second = recv_frame(sock), recv_frame(sock)
-            assert first["body"]["seq"] == 1  # the fast one overtook
-            assert second["body"]["seq"] == 0
-            assert gw.stats["pipelined_sessions"] == 1
+            assert recv_frame(sock)["kind"] == "worker_registered"
             sock.close()
 
     def test_same_shard_envelopes_never_reorder(self):
-        """Same ordering key means FIFO even in a pipelined session."""
+        """Ten verbs read ahead on one session are answered in the order
+        they were sent."""
         spec = small_spec()
         with serve_gateway(GatewayConfig(spec=spec)) as gw:
-            sock = pipelined_handshake(gw.address)
+            sock = raw_handshake(gw.address)
             for i in range(10):
                 send_frame(
                     sock,
                     to_wire(
-                        StreamEnvelope(
-                            seq=i,
-                            item=RegisterWorker(
-                                worker_id=i, location=(1.0 + 0.1 * i, 1.0)
-                            ),
-                        )
+                        RegisterWorker(worker_id=i, location=(1.0 + 0.1 * i, 1.0))
                     ),
                 )
-            seqs = [recv_frame(sock)["body"]["seq"] for _ in range(10)]
-            assert seqs == list(range(10))
+            ids = [recv_frame(sock)["body"]["worker_id"] for _ in range(10)]
+            assert ids == list(range(10))
             sock.close()
 
     def test_pipelined_client_stream_is_bit_identical(self):
@@ -785,36 +795,28 @@ class TestPipelinedDrain:
         )
         n = 4
         with serve_gateway(server=server) as gw:
-            sock = pipelined_handshake(gw.address)
+            sock = raw_handshake(gw.address)
             for i in range(n):
                 send_frame(
                     sock,
-                    to_wire(
-                        StreamEnvelope(
-                            seq=i,
-                            item=RegisterWorker(
-                                worker_id=i, location=(1.0 + i, 2.0)
-                            ),
-                        )
-                    ),
+                    to_wire(RegisterWorker(worker_id=i, location=(1.0 + i, 2.0))),
                 )
             # give the reader a beat to accept the frames, then drain
             wait_until(
                 lambda: gw.stats["frames"] >= n + 1, what="frames accepted"
             )
         # serve_gateway's exit ran stop(): every accepted frame must have
-        # been answered, in some order, and only then the goodbye
-        seqs = sorted(recv_frame(sock)["body"]["seq"] for _ in range(n))
-        assert seqs == list(range(n))
+        # been answered, in send order, and only then the goodbye
+        ids = [recv_frame(sock)["body"]["worker_id"] for _ in range(n)]
+        assert ids == list(range(n))
         farewell = recv_frame(sock)
         assert farewell["kind"] == "goodbye"
         assert farewell["schema"] == GATEWAY_SCHEMA
         sock.close()
 
     def test_drain_answers_a_plain_sessions_frame_before_goodbye(self):
-        """A session that did not offer ``pipeline`` keeps one frame in
-        flight; a drain that starts while it runs still answers it, and
-        only then says goodbye."""
+        """A drain that starts while a session's one frame runs still
+        answers it, and only then says goodbye."""
         spec = small_spec()
         server_mw = [RequestValidator(), slow_middleware(0.3), ErrorMapper()]
         from repro.gateway import GatewayServer
@@ -828,7 +830,6 @@ class TestPipelinedDrain:
                 sock, to_wire(RegisterWorker(worker_id=0, location=(1.0, 1.0)))
             )
             wait_until(lambda: gw.stats["frames"] >= 2, what="frame accepted")
-            assert gw.stats["pipelined_sessions"] == 0
         answer = recv_frame(sock)
         assert answer["kind"] == "worker_registered"
         assert answer["body"]["worker_id"] == 0
@@ -962,8 +963,8 @@ class TestPipelinedMeshDispatch:
         """One connection per shard family over a 2-peer mesh: clients
         that keep one window in flight and clients that keep four give
         equal per-shard answers, and both equal the in-process replay —
-        shard-aware scheduling changes when work runs, never what it
-        decides."""
+        read-ahead and the mesh's per-family dispatch change when work
+        runs, never what it decides."""
         from repro.api import make_backend
 
         spec = small_spec()
@@ -989,20 +990,15 @@ class TestPipelinedMeshDispatch:
             assert answers == reference, f"depth={depth}"
 
     def test_next_window_journals_while_outcomes_are_in_flight(self):
-        """Two mixed-family windows (gateway barriers) in flight over a
-        2-peer mesh: window 2 is journaled while window 1's outcomes are
-        still held back, and the answers equal the in-process replay."""
+        """Two windows (gateway barriers) in flight over a 2-peer mesh:
+        window 2 is journaled while window 1's outcomes are still held
+        back, and the answers equal the in-process replay."""
         from repro.api import make_backend
 
         spec = small_spec()
         stream = build_conformance_stream(REGION, 20, 12, seed=1)
         windows = [stream[:16], stream[16:]]
         backend = MeshBackend(spec, n_peers=2, checkpoint_every=0)
-        # both windows route to several families: each is a barrier
-        assert [backend.ordering_key(StreamWindow.of(0, w)) for w in windows] == [
-            None,
-            None,
-        ]
         second = [r.task_id for r in windows[1] if isinstance(r, SubmitTask)]
         hold = threading.Event()
         received: list = []
@@ -1038,6 +1034,105 @@ class TestPipelinedMeshDispatch:
         with AssignmentClient(make_backend("sharded", spec)) as ref_client:
             reference = _decisions(ref_client.stream(stream, window=16))
         assert _decisions(received) == reference
+
+
+def _answers_before_error(
+    client, requests, *, window: int, pipeline: int, error=RequestRejected
+):
+    """Everything a stream yields before it raises ``error``."""
+    got: list = []
+    with pytest.raises(error):
+        for response in client.stream(requests, window=window, pipeline=pipeline):
+            got.append(response)
+    return got
+
+
+class TestErrorsKeepEarlierAnswers:
+    """A later unit's error never costs the caller an earlier unit's
+    answers: a pipelined stream yields exactly what a serial one yields
+    before it raises."""
+
+    def test_sharded_gateway(self):
+        spec = small_spec(shards=(2, 2))
+        requests = [
+            RegisterWorker(worker_id=1, location=(1.0, 1.0)),
+            RegisterWorker(worker_id=9, location=(199.0, 199.0)),  # repeated id
+        ]
+        from repro.gateway import GatewayServer
+
+        runs = {}
+        for pipeline in (1, 2):
+            server = GatewayServer(
+                GatewayConfig(spec=spec),
+                middleware=[
+                    RequestValidator(),
+                    slow_window_holding(1, 0.3),
+                    ErrorMapper(),
+                ],
+            )
+            with serve_gateway(server=server) as gw:
+                with AssignmentClient(RemoteBackend(spec, address=gw.address)) as client:
+                    client.register_worker(9, (199.0, 199.0))
+                    runs[pipeline] = _answers_before_error(
+                        client, requests, window=1, pipeline=pipeline
+                    )
+        assert runs[1] == [WorkerRegistered(worker_id=1)]
+        assert runs[2] == runs[1]
+
+    def test_mesh_gateway(self):
+        spec = small_spec(shards=(2, 2))
+        requests = [
+            RegisterWorker(worker_id=1, location=(1.0, 1.0)),
+            SubmitTask(task_id=0, location=(2.0, 2.0)),
+            RegisterWorker(worker_id=9, location=(199.0, 199.0)),  # repeated id
+            RegisterWorker(worker_id=10, location=(198.0, 198.0)),
+        ]
+        runs = {}
+        for pipeline in (1, 2):
+            backend = MeshBackend(spec, n_peers=2, checkpoint_every=0)
+            with serve_gateway(GatewayConfig(spec=spec), backend=backend) as gw:
+                with AssignmentClient(RemoteBackend(spec, address=gw.address)) as client:
+                    client.register_worker(9, (199.0, 199.0))
+                    coordinator = backend.coordinator
+                    deliver = coordinator._deliver
+
+                    def held_deliver(*args, **kwargs):
+                        time.sleep(0.5)  # window 1's outcomes arrive late
+                        return deliver(*args, **kwargs)
+
+                    coordinator._deliver = held_deliver
+                    runs[pipeline] = _answers_before_error(
+                        client, requests, window=2, pipeline=pipeline
+                    )
+        assert runs[1] == [
+            WorkerRegistered(worker_id=1),
+            TaskDecision(task_id=0, worker_id=1),
+        ]
+        assert runs[2] == runs[1]
+
+    def test_unit_refused_before_it_is_sent(self):
+        """The client's own chain refuses the second unit, so it never
+        reaches the wire; the first one is already in flight and its
+        answer is still yielded."""
+        spec = small_spec(shards=(2, 2))
+        requests = [
+            RegisterWorker(worker_id=1, location=(1.0, 1.0)),
+            RegisterWorker(worker_id=-5, location=(2.0, 2.0)),  # invalid id
+        ]
+        runs = {}
+        for pipeline in (1, 2):
+            with serve_gateway(GatewayConfig(spec=spec)) as gw:
+                with AssignmentClient(RemoteBackend(spec, address=gw.address)) as client:
+                    runs[pipeline] = _answers_before_error(
+                        client,
+                        requests,
+                        window=1,
+                        pipeline=pipeline,
+                        error=ValidationFailed,
+                    )
+                    assert client.report().workers_registered == 1
+        assert runs[1] == [WorkerRegistered(worker_id=1)]
+        assert runs[2] == runs[1]
 
 
 class TestMeshBehindGateway:
@@ -1133,23 +1228,23 @@ class TestGatewayConfig:
             port=7713,
             rate=500.0,
             burst=64,
-            pipeline_workers=3,
             max_inflight=17,
         )
         hydrated = GatewayConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert hydrated == config
-        assert hydrated.pipeline_workers == 3
+        assert hydrated.max_inflight == 17
 
     def test_pipeline_knobs_default_on(self):
-        config = GatewayConfig(spec=small_spec())
-        assert config.pipeline_workers == 0  # auto-sized pool
-        assert "pipeline" not in config.to_dict()  # every gateway pipelines
+        # every gateway pipelines, on a pool default_worker_count() sizes
+        doc = GatewayConfig(spec=small_spec()).to_dict()
+        assert "pipeline" not in doc
+        assert "pipeline_workers" not in doc
+        with pytest.raises(TypeError):
+            GatewayConfig(spec=small_spec(), pipeline_workers=3)
 
     def test_invalid_inflight_rejected(self):
         with pytest.raises(ValueError):
             GatewayConfig(spec=small_spec(), max_inflight=0)
-        with pytest.raises(ValueError):
-            GatewayConfig(spec=small_spec(), pipeline_workers=-1)
 
     def test_stop_before_start_still_closes_backend(self):
         """stop() on a never-started server must not crash and must

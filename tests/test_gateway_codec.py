@@ -40,8 +40,6 @@ from repro.api.messages import (
     ReportResult,
     Request,
     Response,
-    StreamEnvelope,
-    StreamItemResult,
     StreamWindow,
     SubmitTask,
     TaskDecision,
@@ -112,13 +110,11 @@ def _one_message_per_kind() -> list:
         Flush(),
         GetReport(wall_seconds=2.5),
         _window(),
-        StreamEnvelope(4, verb),
         WorkerRegistered(7),
         TaskDecision(3, 7),
         Flushed(),
         ReportResult(report),
         _window_result(),
-        StreamItemResult(4, WorkerRegistered(7)),
         ErrorInfo(code="rejected", message="m", retryable=False, detail="d"),
     ]
 
@@ -194,7 +190,7 @@ class TestStreamEquivalence:
         "batch",
         [
             RegisterWorker(1, (0.0, 0.0)),  # not a window at all
-            StreamEnvelope(0, RegisterWorker(1, (0.0, 0.0))),  # an envelope is no window
+            Flush(),  # a barrier is no window
             StreamWindow.of(0, []),  # no row to carry the seq
             # id outside i64: the rows cannot carry it exactly
             StreamWindow.of(0, [RegisterWorker(2**70, (0.0, 0.0))]),
@@ -207,7 +203,7 @@ class TestStreamEquivalence:
         "result",
         [
             WorkerRegistered(1),  # not a window result
-            StreamItemResult(0, WorkerRegistered(1)),  # nor its answer
+            Flushed(),  # nor is a barrier's answer
             WindowResult(0, [], [], []),  # no row to carry the seq
             WindowResult(0, [True], [1], [2**70]),
         ],

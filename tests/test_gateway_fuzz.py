@@ -25,8 +25,6 @@ from repro.api.messages import (
     GetReport,
     RegisterWorker,
     ReportResult,
-    StreamEnvelope,
-    StreamItemResult,
     StreamWindow,
     SubmitTask,
     TaskDecision,
@@ -90,7 +88,7 @@ def random_snapshot(rng, i: int) -> ShardSnapshot:
 
 
 def random_response(rng):
-    roll = rng.integers(6)
+    roll = rng.integers(5)
     if roll == 0:
         return WorkerRegistered(worker_id=int(rng.integers(1_000_000)))
     if roll == 1:
@@ -107,8 +105,6 @@ def random_response(rng):
             retryable=bool(rng.integers(2)),
             detail="d" * int(rng.integers(0, 20)),
         )
-    if roll == 4:
-        return StreamItemResult(seq=int(rng.integers(10_000)), item=random_response_leaf(rng))
     return ReportResult(
         report=ServiceReport(
             shards=tuple(
@@ -122,10 +118,6 @@ def random_response(rng):
             mean_true_distance=float(rng.uniform(0, 300)),
         )
     )
-
-
-def random_response_leaf(rng):
-    return WorkerRegistered(worker_id=int(rng.integers(1_000_000)))
 
 
 def random_window(rng) -> StreamWindow:
@@ -155,8 +147,6 @@ def random_message(rng):
         return random_window_result(rng)
     if roll <= 3:
         return random_verb(rng)
-    if roll == 4:
-        return StreamEnvelope(seq=int(rng.integers(100_000)), item=random_verb(rng))
     return random_response(rng)
 
 

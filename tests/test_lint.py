@@ -365,7 +365,7 @@ class TestWire:
 
     def test_rl403_near_miss_imported_constant(self):
         found = lint(
-            "from repro.gateway.protocol import PIPELINE_FEATURE\n",
+            "from repro.gateway.protocol import TRACE_FEATURE\n",
             module="repro.mesh.fixture",
         )
         assert found == []

@@ -107,24 +107,26 @@ class TestMeshProtocol:
         assert body == {"code": "rejected", "message": "nope", "detail": "why"}
 
     def test_unknown_op_is_refused_at_build_time(self):
-        with pytest.raises(ValueError):
-            op_doc("format-disk", 1)
+        # ping and crash were never sent by the coordinator; they are gone
+        for op in ("format-disk", "ping", "crash"):
+            with pytest.raises(ValueError):
+                op_doc(op, 1)
 
     def test_damaged_envelopes_map_to_stable_codes(self):
         cases = [
             "not a dict",
             {},
-            {"schema": "repro.gateway", "version": 1, "kind": "ping",
+            {"schema": "repro.gateway", "version": 1, "kind": "flush",
              "seq": 0, "body": {}},
-            {"schema": MESH_SCHEMA, "version": 99, "kind": "ping",
+            {"schema": MESH_SCHEMA, "version": 99, "kind": "flush",
              "seq": 0, "body": {}},
             {"schema": MESH_SCHEMA, "version": 1, "kind": "levitate",
              "seq": 0, "body": {}},
-            {"schema": MESH_SCHEMA, "version": 1, "kind": "ping",
+            {"schema": MESH_SCHEMA, "version": 1, "kind": "flush",
              "seq": -4, "body": {}},
-            {"schema": MESH_SCHEMA, "version": 1, "kind": "ping",
+            {"schema": MESH_SCHEMA, "version": 1, "kind": "flush",
              "seq": "zero", "body": {}},
-            {"schema": MESH_SCHEMA, "version": 1, "kind": "ping",
+            {"schema": MESH_SCHEMA, "version": 1, "kind": "flush",
              "seq": 0, "body": []},
         ]
         for doc in cases:
@@ -134,7 +136,7 @@ class TestMeshProtocol:
 
     def test_reply_parser_rejects_op_kinds(self):
         with pytest.raises(ApiError):
-            parse_reply(op_doc("ping", 0))
+            parse_reply(op_doc("flush", 0))
 
 
 def _exchange_ops(ops, *, goodbye=False) -> list[tuple[str, int, dict]]:

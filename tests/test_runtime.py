@@ -20,7 +20,6 @@ from repro.api import (
     GetReport,
     RegisterWorker,
     ServiceSpec,
-    StreamEnvelope,
     SubmitTask,
     TaskDecision,
     make_backend,
@@ -33,7 +32,8 @@ from repro.api.messages import (
     window_responses,
 )
 from repro.geometry import Box
-from repro.runtime import PipelineScheduler, SequenceReorderer, release_order
+from repro.runtime import PipelineScheduler, release_order
+from repro.service import ShardMap
 
 REGION = Box.square(200.0)
 
@@ -357,103 +357,6 @@ class TestPipelineScheduler:
 
 
 # --------------------------------------------------------------------- #
-# window plumbing                                                        #
-# --------------------------------------------------------------------- #
-
-
-class TestSequenceReorderer:
-    def test_out_of_order_windows_come_back_in_stream_order(self):
-        reorder = SequenceReorderer()
-        reorder.absorb(3, ["r3", "r4", "r5"])  # the later window finished first
-        assert reorder.take_ready() == []
-        assert reorder.pending == 1
-        reorder.absorb(0, ["r0", "r1", "r2"])
-        assert reorder.take_ready() == [f"r{s}" for s in range(6)]
-        reorder.absorb(6, ["r6"])  # an envelope's answer spans one seq
-        assert reorder.take_ready() == ["r6"]
-        reorder.finish(7)
-
-    def test_duplicate_seq_is_structural_damage(self):
-        from repro.api import ValidationFailed
-
-        reorder = SequenceReorderer()
-        reorder.absorb(0, ["x"])
-        with pytest.raises(ValidationFailed):
-            reorder.absorb(0, ["x"])
-        reorder.take_ready()
-        with pytest.raises(ValidationFailed):
-            reorder.absorb(0, ["x"])  # already released
-
-    def test_missing_seq_detected_at_finish(self):
-        from repro.api import ValidationFailed
-
-        reorder = SequenceReorderer()
-        reorder.absorb(0, ["x"])
-        reorder.take_ready()
-        with pytest.raises(ValidationFailed):
-            reorder.finish(3)
-        reorder.absorb(2, ["z"])  # seq 1 never answered: 2 stays held
-        with pytest.raises(ValidationFailed):
-            reorder.finish(3)
-
-
-# --------------------------------------------------------------------- #
-# ordering keys                                                          #
-# --------------------------------------------------------------------- #
-
-
-class TestOrderingKeys:
-    def test_inprocess_serializes_on_one_key(self):
-        backend = make_backend("inprocess", small_spec(shards=(1, 1)))
-        r = RegisterWorker(worker_id=0, location=(1.0, 1.0))
-        t = SubmitTask(task_id=0, location=(199.0, 199.0))
-        assert backend.ordering_key(r) == backend.ordering_key(t) == "global"
-        assert backend.ordering_key(Flush()) is None
-        assert backend.ordering_key(GetReport()) is None
-
-    @pytest.mark.parametrize("kind", ["sharded", "mesh"])
-    def test_routed_backends_key_by_shard(self, kind):
-        kwargs = {"n_peers": 1} if kind == "mesh" else {}
-        backend = make_backend(kind, small_spec(), **kwargs)
-        near = RegisterWorker(worker_id=0, location=(1.0, 1.0))
-        far = SubmitTask(task_id=0, location=(199.0, 199.0))
-        k_near, k_far = backend.ordering_key(near), backend.ordering_key(far)
-        assert k_near != k_far
-        assert k_near.startswith("s") and k_far.startswith("s")
-        # envelopes key like their payload
-        assert backend.ordering_key(StreamEnvelope(seq=0, item=near)) == k_near
-
-    def test_batch_key_collapses_single_shard_windows(self):
-        backend = make_backend("sharded", small_spec())
-        verbs = [
-            RegisterWorker(worker_id=i, location=(1.0 + i, 2.0)) for i in range(4)
-        ]
-        key = backend.ordering_key(StreamWindow.of(0, verbs))
-        assert key is not None and key.startswith("s")
-        # a window keys like its rows' one shard, whatever its seq
-        assert backend.ordering_key(StreamWindow.of(7, verbs)) == key
-        far = StreamWindow.of(
-            0, verbs[:1] + [SubmitTask(task_id=0, location=(199.0, 199.0))]
-        )
-        assert backend.ordering_key(far) is None  # rows span two shards
-        assert backend.ordering_key(StreamWindow.of(0, [])) is None
-
-    def test_sharded_ordering_key_matches_engine_routing(self):
-        backend = make_backend("sharded", small_spec())
-        backend.open()
-        try:
-            rng = random.Random(5)
-            for _ in range(50):
-                loc = (rng.uniform(0, 200), rng.uniform(0, 200))
-                req = SubmitTask(task_id=0, location=loc)
-                assert backend.ordering_key(req) == (
-                    f"s{backend.engine.shard_map.shard_of(loc)}"
-                )
-        finally:
-            backend.close()
-
-
-# --------------------------------------------------------------------- #
 # the determinism law (satellite: ordering-semantics property tests)     #
 # --------------------------------------------------------------------- #
 
@@ -508,11 +411,25 @@ def test_property_any_permitted_interleaving_replays_serial(seed):
     assert snapshots == want_snapshots
 
 
+def _cell_key(shard_map, request):
+    """The key these tests schedule a request under: the lattice cell of
+    a register/submit's location, ``None`` (a barrier) for anything else.
+    No serving layer calls a backend under per-cell keys any more (the
+    gateway runs every request as a barrier); driving backends this way
+    checks that the engine and the mesh stay bit-identical when called
+    concurrently, which the engine's shared lock and the mesh's released
+    windows still rely on."""
+    if isinstance(request, (RegisterWorker, SubmitTask)):
+        return f"s{shard_map.shard_of(request.location)}"
+    return None
+
+
 def _drive_scheduled(backend, requests, *, seed, barrier_every=25):
     """Drive a backend through the scheduler with adversarial jitter,
-    folding Flush/GetReport barriers into the window, exactly as a
-    pipelined gateway would schedule it."""
+    one key per lattice cell, folding Flush/GetReport barriers into the
+    window."""
     jitter = random.Random(seed)
+    shard_map = ShardMap(backend.spec.region, *backend.spec.shards)
 
     def jittered(request):
         time.sleep(jitter.random() * 0.002)
@@ -524,7 +441,7 @@ def _drive_scheduled(backend, requests, *, seed, barrier_every=25):
         with PipelineScheduler(max_workers=4) as sched:
             for i, request in enumerate(requests):
                 futures.append(
-                    sched.submit(backend.ordering_key(request), jittered, request)
+                    sched.submit(_cell_key(shard_map, request), jittered, request)
                 )
                 if (i + 1) % barrier_every == 0:
                     futures.append(sched.submit(None, jittered, Flush()))
@@ -600,8 +517,8 @@ def test_mesh_backend_scheduled_with_checkpoint_barriers_mid_window():
 
 
 def test_mesh_batched_windows_scheduled_by_batch_key():
-    """Single-shard windows (the pipelined client's fast path) scheduled
-    concurrently per batch key replay the serial per-shard history."""
+    """Single-cell windows scheduled concurrently, one key per cell,
+    replay the serial per-shard history."""
     spec = small_spec(seed=21)
     requests = build_conformance_stream(REGION, 60, 45, seed=23)
     # no mid-stream flush barriers here: the windowed run has none, and
@@ -611,13 +528,14 @@ def test_mesh_batched_windows_scheduled_by_batch_key():
     )
 
     backend = make_backend("mesh", spec, n_peers=2, chunk_size=5)
+    shard_map = ShardMap(spec.region, *spec.shards)
     backend.open()
     try:
-        # partition into per-shard substreams, then window each: every
-        # window collapses to one ordering key and they all overlap
+        # partition into per-cell substreams, then window each: every
+        # window has one cell's key and they all overlap
         by_key: dict[str, list] = {}
         for i, request in enumerate(requests):
-            by_key.setdefault(backend.ordering_key(request), []).append(
+            by_key.setdefault(_cell_key(shard_map, request), []).append(
                 (i, request)
             )
         futures = []
@@ -627,7 +545,6 @@ def test_mesh_batched_windows_scheduled_by_batch_key():
                     chunk = indexed[start : start + 16]
                     run = [request for _, request in chunk]
                     window = StreamWindow.of(chunk[0][0], run)
-                    assert backend.ordering_key(window) == key
                     future = sched.submit(key, backend.handle, window)
                     futures.append((chunk, window, future))
             report_future = sched.submit(
