@@ -117,6 +117,14 @@ class MatchingServer:
             raise ValueError(f"worker {already[0]} already registered")
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate worker ids within a cohort")
+        self._admit_cohort(ids, leaves)
+
+    def _admit_cohort(self, ids: list[int], leaves: list[int]) -> None:
+        """:meth:`register_cohort` on a cohort its caller already checked:
+        int ids, distinct and not registered, one valid leaf each, and
+        registration open (like
+        :meth:`~repro.service.shard.ShardServer.register_cohort`, whose
+        leaves come straight from the mechanism)."""
         self._leaves.update(zip(ids, leaves))
         if self._matcher is not None:
             self._matcher._admit(leaves)

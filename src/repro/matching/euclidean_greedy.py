@@ -15,7 +15,6 @@ k-nearest-neighbour probe that skips already-consumed workers; an optional
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ..geometry.points import as_point, as_points
 
@@ -40,9 +39,11 @@ class EuclideanGreedyMatcher:
         self._available = np.ones(len(self._locations), dtype=bool)
         self._n_available = len(self._locations)
         self._naive = naive
-        self._tree = None if naive or not len(self._locations) else cKDTree(
-            self._locations
-        )
+        self._tree = None
+        if not naive and len(self._locations):
+            from scipy.spatial import cKDTree
+
+            self._tree = cKDTree(self._locations)
 
     @property
     def available(self) -> int:

@@ -15,7 +15,6 @@ tests of the online matchers.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ..geometry.points import as_points
 from .types import MatchingResult
@@ -42,6 +41,8 @@ def optimal_matching(task_locations, worker_locations) -> MatchingResult:
         raise ValueError(
             f"instance too large for dense Hungarian: {n_t} x {n_w} cells"
         )
+    from scipy.optimize import linear_sum_assignment
+
     diff = tasks[:, None, :] - workers[None, :, :]
     cost = np.hypot(diff[..., 0], diff[..., 1])
     rows, cols = linear_sum_assignment(cost)

@@ -30,7 +30,6 @@ simulator, not here); see :mod:`repro.crowdsourcing.pipelines`.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ..geometry.points import as_point, as_points
 from ..privacy.laplace import PlanarLaplaceMechanism
@@ -126,7 +125,11 @@ class ProbMatcher:
         self._min_probability = float(min_probability)
         self._available = np.ones(len(self._locations), dtype=bool)
         self._n_available = len(self._locations)
-        self._tree = cKDTree(self._locations) if len(self._locations) else None
+        self._tree = None
+        if len(self._locations):
+            from scipy.spatial import cKDTree
+
+            self._tree = cKDTree(self._locations)
         self._candidate_radius = (
             float(self._radii.max(initial=0.0))
             + pool.magnitude_quantile(candidate_quantile)

@@ -13,10 +13,13 @@ invocations on the same datum — reporting twice with budgets ε1 and ε2 is
 exactly that sum per principal.
 
 Storage: balances live in a dense float64 array indexed by a
-principal→row dict, and history in parallel row/epsilon arrays — the
-cohort path (:meth:`PrivacyBudgetLedger.spend_batch`) charges thousands
-of principals with a handful of array operations, and the audit
-aggregates (:meth:`PrivacyBudgetLedger.total_spent`,
+principal→row dict, and history in parallel row/epsilon arrays. The
+cohort path (:meth:`PrivacyBudgetLedger.spend_batch`) reads and writes
+only the cohort's rows, so a charge costs O(cohort) however many
+principals the ledger holds: a serving cohort of a handful of workers is
+checked and applied in plain Python, a cohort of thousands with a few
+array operations. The audit aggregates
+(:meth:`PrivacyBudgetLedger.total_spent`,
 :meth:`PrivacyBudgetLedger.min_remaining`) are single reductions. The
 JSON wire shape of :meth:`PrivacyBudgetLedger.to_dict` is unchanged from
 the dict-backed ledger, so existing snapshots restore bit-identically.
@@ -28,7 +31,14 @@ import math
 
 import numpy as np
 
-__all__ = ["BudgetExceededError", "PrivacyBudgetLedger"]
+__all__ = ["BudgetExceededError", "PrivacyBudgetLedger", "CHARGE_PLAIN_MAX_ROWS"]
+
+#: :meth:`PrivacyBudgetLedger.spend_batch` checks and applies a cohort of
+#: at most this many principals in plain Python and a larger one with
+#: numpy. Set from the crossover ``benchmarks/bench_ablation_batch.py``
+#: prints (the plain form won through 48-56 rows in five sweeps on 2
+#: CPUs).
+CHARGE_PLAIN_MAX_ROWS = 48
 
 
 class BudgetExceededError(RuntimeError):
@@ -99,33 +109,30 @@ class PrivacyBudgetLedger:
     def spend_batch(self, principals, epsilon: float) -> None:
         """Record the same ``epsilon`` spend for a whole cohort at once.
 
-        The batched obfuscation path registers thousands of workers per
-        call; this is its accounting mirror. All-or-nothing: if *any*
-        principal would blow its cap the whole batch is rejected and
-        nothing is recorded, so the ledger can never drift out of sync
-        with a half-applied cohort.
+        The batched obfuscation path registers a cohort per call; this is
+        its accounting mirror. All-or-nothing: if *any* principal would
+        blow its cap the whole batch is rejected and nothing is recorded,
+        so the ledger can never drift out of sync with a half-applied
+        cohort. The check reads only the cohort's own rows. A cohort of
+        at most :data:`CHARGE_PLAIN_MAX_ROWS` principals is checked and
+        applied in plain Python, a larger one with numpy; both make the
+        same float additions in the same order.
         """
         _check_epsilon(epsilon)
         principals = list(principals)
         if not principals:
             return
         # resolve rows up front (allocating for new principals) so the
-        # cap check and the apply are both pure array passes
+        # cap check and the apply both read rows
         n_before = len(self._principals)
-        rows = np.fromiter(
-            (self._row_of(p) for p in principals),
-            dtype=np.intp,
-            count=len(principals),
-        )
-        # multiplicity-aware check: a principal repeated within the batch
-        # is charged against its *total* batch spend, not pre-batch state
-        counts = np.bincount(rows, minlength=len(self._principals))
-        would_be = self._balances[: len(self._principals)] + counts * epsilon
-        over = np.flatnonzero(would_be > self.capacity + 1e-12)
-        if over.size:
-            row = int(over[0])
+        rows = [self._row_of(p) for p in principals]
+        if len(rows) <= CHARGE_PLAIN_MAX_ROWS:
+            over = self._charge_plain(rows, epsilon)
+        else:
+            over = self._charge_array(rows, epsilon)
+        if over is not None:
+            row, k = over
             p = self._principals[row]
-            k = int(counts[row])
             # all-or-nothing includes the row table: principals first seen
             # in a rejected batch must not linger as zero-balance rows
             for stray in self._principals[n_before:]:
@@ -136,8 +143,42 @@ class PrivacyBudgetLedger:
                 f"{self.capacity} left; cannot spend {k} x "
                 f"{epsilon} (batch of {len(principals)} rejected)"
             )
-        np.add.at(self._balances, rows, epsilon)
         self._record_many(rows, epsilon)
+
+    def _charge_plain(self, rows: list[int], epsilon: float):
+        """Add ``epsilon`` to every row's balance, in plain Python, unless
+        the cohort would push a row past the cap.
+
+        Returns ``None`` once applied, else the lowest over-cap row and
+        the number of times the cohort charges it, with nothing applied.
+        Multiplicity-aware: a principal repeated within the cohort is
+        checked against its *total* cohort spend, not pre-cohort state.
+        """
+        counts: dict[int, int] = {}
+        for row in rows:
+            counts[row] = counts.get(row, 0) + 1
+        limit = self.capacity + 1e-12
+        balances = self._balances
+        over = [row for row, k in counts.items() if balances[row] + k * epsilon > limit]
+        if over:
+            row = min(over)
+            return row, counts[row]
+        # np.add.at's additions, one by one in cohort order
+        for row in rows:
+            balances[row] += epsilon
+        return None
+
+    def _charge_array(self, rows: list[int], epsilon: float):
+        """:meth:`_charge_plain` with numpy. The check reads only the
+        cohort's distinct rows (``np.unique`` sorts them, so the first
+        over the cap is the lowest)."""
+        distinct, counts = np.unique(rows, return_counts=True)
+        would_be = self._balances[distinct] + counts * epsilon
+        over = np.flatnonzero(would_be > self.capacity + 1e-12)
+        if over.size:
+            return int(distinct[over[0]]), int(counts[over[0]])
+        np.add.at(self._balances, rows, epsilon)
+        return None
 
     @property
     def history(self) -> list[tuple[object, float]]:

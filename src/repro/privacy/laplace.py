@@ -19,7 +19,6 @@ post-processing step that cannot weaken Geo-I.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import lambertw
 
 from ..geometry.box import Box
 from ..geometry.points import as_point, as_points, euclidean
@@ -82,6 +81,8 @@ class PlanarLaplaceMechanism:
         positive = p > 0.0
         out = np.zeros_like(p)
         if np.any(positive):
+            from scipy.special import lambertw
+
             w = lambertw((p[positive] - 1.0) / np.e, k=-1).real
             # Subnormal p can still round (p-1)/e onto the branch point,
             # where lambertw returns NaN; the limit there is W = -1 (r = 0).

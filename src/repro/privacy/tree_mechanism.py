@@ -22,7 +22,12 @@ path and the pipelines' bulk registration use the batch sampler
 (:meth:`TreeMechanism.obfuscate_points_batch`) instead: the level sampler
 over *leaf indices* (a path read as base-``c`` digits), which turns a leaf
 at level ``l`` by integer arithmetic and returns int64 leaf indices, the
-one form a report takes from here to the matcher and the snapshot.
+one form a report takes from here to the matcher and the snapshot. The
+batch sampler has two forms that make the same draws and return the same
+leaves: plain Python for a batch of at most :data:`TURN_PLAIN_MAX_ROWS`
+points (a task's batch of one and almost every serving cohort), where
+numpy's fixed cost per call would dominate, and numpy for larger batches
+(warm-start cohorts and the pipelines' bulk registration).
 """
 
 from __future__ import annotations
@@ -37,10 +42,16 @@ from ..hst.tree import HST
 from ..utils import ensure_rng
 from .weights import TreeWeights
 
-__all__ = ["TreeMechanism", "ENUMERATION_LEAF_LIMIT"]
+__all__ = ["TreeMechanism", "ENUMERATION_LEAF_LIMIT", "TURN_PLAIN_MAX_ROWS"]
 
 #: Refuse to run Algorithm 2 on complete trees with more leaves than this.
 ENUMERATION_LEAF_LIMIT = 2_000_000
+
+#: :meth:`TreeMechanism.obfuscate_points_batch` turns a batch of at most
+#: this many points in plain Python and a larger one with numpy. Set from
+#: the crossover ``benchmarks/bench_ablation_batch.py`` prints (the
+#: plain form won through 28-30 rows in five sweeps on 2 CPUs).
+TURN_PLAIN_MAX_ROWS = 28
 
 
 class TreeMechanism:
@@ -185,23 +196,40 @@ class TreeMechanism:
         The registration *and* serving entry point: looks up each point's
         leaf in :attr:`tree.leaf_index <repro.hst.tree.HST.leaf_index>`
         and turns it in the batch kernel, returning int64 leaf indices.
-        :class:`~repro.service.shard.ShardServer` sends every task through
-        here as a batch of one, which runs as plain Python from the index
-        lookup on (:meth:`_turn_one`).
+        A batch of at most :data:`TURN_PLAIN_MAX_ROWS` points — every
+        task's batch of one, and almost every serving cohort — runs the
+        kernel in plain Python (:meth:`_turn_plain`); a larger one runs
+        the numpy form (:meth:`_obfuscate_leaves`). Both make the same
+        draws and return the same leaves.
         """
-        rng = self._resolve_rng(rng)
-        if len(point_indices) == 1:
-            point = operator.index(point_indices[0])
-            if not 0 <= point < self.tree.n_points:
+        # _resolve_rng inline: a task pays this call's fixed cost per report
+        rng = self._rng if rng is None else ensure_rng(rng)
+        leaf_list = self._leaf_list  # one leaf per predefined point
+        n = len(point_indices)
+        if n > TURN_PLAIN_MAX_ROWS:
+            idx = self._index_column(point_indices)
+            if idx.size and (idx.min() < 0 or idx.max() >= len(leaf_list)):
                 raise IndexError("point index out of range")
-            leaf = self._turn_one(self._leaf_list[point], rng)
-            return np.array([leaf], dtype=np.int64)
+            return self._obfuscate_leaves(self.tree.leaf_index[idx], rng)
+        if n == 1:
+            point = operator.index(point_indices[0])
+            if not 0 <= point < len(leaf_list):
+                raise IndexError("point index out of range")
+            leaves = [leaf_list[point]]
+        else:
+            points = self._index_column(point_indices).tolist()
+            if points and (min(points) < 0 or max(points) >= len(leaf_list)):
+                raise IndexError("point index out of range")
+            leaves = [leaf_list[point] for point in points]
+        return np.array(self._turn_plain(leaves, rng), dtype=np.int64)
+
+    @staticmethod
+    def _index_column(point_indices) -> np.ndarray:
+        """A batch of two or more indices as a one-dimensional intp array."""
         idx = np.asarray(point_indices, dtype=np.intp)
         if idx.ndim != 1:
             raise ValueError(f"expected a 1-d index array, got shape {idx.shape}")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.tree.n_points):
-            raise IndexError("point index out of range")
-        return self._obfuscate_leaves(self.tree.leaf_index[idx], rng)
+        return idx
 
     def _obfuscate_leaves(self, leaves: np.ndarray, rng) -> np.ndarray:
         """The batch sampler proper, on validated int64 leaf indices.
@@ -252,30 +280,37 @@ class TreeMechanism:
         out[idx] = (x // above) * above + child * below + descent
         return out
 
-    def _turn_one(self, leaf: int, rng) -> int:
-        """:meth:`_obfuscate_leaves` for a batch of one, in plain Python.
+    def _turn_plain(self, leaves: list[int], rng) -> list[int]:
+        """:meth:`_obfuscate_leaves` in plain Python, for small batches;
+        turns ``leaves`` in place and returns it.
 
-        Bit for bit the array form: ``rng.random()`` is the double
-        ``rng.random(1)`` draws, ``bisect_right`` on the cdf list picks
-        the index ``np.searchsorted(..., "right")`` does,
-        ``rng.random(depth + 1)`` holds the values of
-        ``rng.random((1, depth + 1))``, and the integer turn is the same
-        arithmetic on Python ints, without numpy's fixed cost per call.
+        Bit for bit the array form: the level draws are ``rng.random(n)``
+        (for one leaf, ``rng.random()``, the same double), ``bisect_right``
+        on the cdf list picks the index ``np.searchsorted(..., "right")``
+        does, the ``k`` moving leaves then share one
+        ``rng.random(k * (depth + 1))`` block (the values of
+        ``rng.random((k, depth + 1))``, row by row), and each turn
+        (:func:`_turn`) is the same integer arithmetic on Python ints,
+        without numpy's fixed cost per call.
         """
-        level = bisect_right(self._level_cdf, rng.random())
-        if level == 0:
-            return leaf
-        depth, c = self.tree.depth, self.tree.branching
-        u = rng.random(depth + 1).tolist()
-        below = c ** (level - 1)
-        child = min(int(u[0] * (c - 1)), c - 2)
-        if child >= (leaf // below) % c:
-            child += 1
-        descent = 0
-        for j in range(depth - level + 1, depth):
-            descent = descent * c + min(int(u[j + 1] * c), c - 1)
-        above = below * c
-        return (leaf // above) * above + child * below + descent
+        cdf, tree = self._level_cdf, self.tree
+        if len(leaves) == 1:
+            # a task's report: one draw, one turn, no list work
+            level = bisect_right(cdf, rng.random())
+            if level:
+                width = tree.depth + 1
+                u = rng.random(width).tolist()
+                leaves[0] = _turn(leaves[0], level, u, 0, width, tree.branching)
+            return leaves
+        levels = [bisect_right(cdf, u) for u in rng.random(len(leaves)).tolist()]
+        turned = [i for i, level in enumerate(levels) if level]
+        if not turned:
+            return leaves
+        width, c = tree.depth + 1, tree.branching
+        u = rng.random(len(turned) * width).tolist()
+        for row, i in enumerate(turned):
+            leaves[i] = _turn(leaves[i], levels[i], u, row * width, width, c)
+        return leaves
 
     def obfuscate_walk(self, x: Path, rng=None) -> Path:
         """Paper Algorithm 3: the O(D) random-walk sampler."""
@@ -348,3 +383,21 @@ class TreeMechanism:
                 f"enumeration (Alg. 2) is limited to "
                 f"{ENUMERATION_LEAF_LIMIT} — use the 'walk' sampler"
             )
+
+
+def _turn(leaf: int, level: int, u: list[float], start: int, width: int, c: int) -> int:
+    """Turn one leaf at ``level`` with its row ``u[start:start + width]``
+    of the uniform block: the non-returning child from the row's first
+    draw, then the ``level - 1`` digits below the turn from its last
+    draws, read as base-``c`` from the top (one row of
+    :meth:`TreeMechanism._obfuscate_leaves`, on Python ints)."""
+    below = c ** (level - 1)
+    child = min(int(u[start] * (c - 1)), c - 2)
+    if child >= (leaf // below) % c:
+        child += 1
+    end = start + width
+    descent = 0
+    for j in range(end - level + 1, end):
+        descent = descent * c + min(int(u[j] * c), c - 1)
+    above = below * c
+    return (leaf // above) * above + child * below + descent

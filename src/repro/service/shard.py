@@ -7,7 +7,7 @@ serve traffic end to end:
   (:func:`~repro.crowdsourcing.server.publish_tree` over the shard's box);
 * the *client side* — a :class:`~repro.privacy.tree_mechanism.TreeMechanism`
   that obfuscates snapped leaves before anything crosses the trust
-  boundary, with worker cohorts going through the vectorized
+  boundary, with worker cohorts going through the batched
   :meth:`~repro.privacy.tree_mechanism.TreeMechanism.obfuscate_points_batch`
   path and every registration charged to a per-shard
   :class:`~repro.privacy.budget.PrivacyBudgetLedger`;
@@ -91,13 +91,15 @@ class ShardServer:
     # ------------------------------------------------------------------ #
 
     def register_cohort(self, worker_ids, locations) -> None:
-        """Register a worker cohort through the vectorized privacy path.
+        """Register a worker cohort through the batched privacy path.
 
         Snaps all true locations to predefined points in one query,
-        obfuscates all leaves in one batched mechanism call, spends
-        ``epsilon`` per worker on the shard ledger (all-or-nothing), and
-        registers the reports with the matching server as two columns
-        (worker ids, leaf indices).
+        obfuscates all leaves in one mechanism call, spends ``epsilon``
+        per worker on the shard ledger (all-or-nothing), and registers
+        the reports with the matching server as two columns (worker ids,
+        leaf indices). Each kernel picks its plain-Python or numpy form
+        from the cohort's size. The ids are checked once, here; the
+        server takes the checked cohort as it is.
         """
         # snap_many validates the locations: one conversion per cohort
         snapped = self.tree.snap_index.snap_many(locations)
@@ -115,7 +117,7 @@ class ShardServer:
             raise ValueError(f"workers already registered: {already[:5]}")
         leaves = self.mechanism.obfuscate_points_batch(snapped, self._rng)
         self.ledger.spend_batch(ids, self.epsilon)
-        self.server.register_cohort(ids, leaves.tolist())
+        self.server._admit_cohort(ids, leaves.tolist())
         self.metrics.record_cohort(len(ids))
 
     # ------------------------------------------------------------------ #
@@ -147,9 +149,9 @@ class ShardServer:
         The obfuscation goes through the *same* entry point as cohort
         registration — :meth:`~repro.privacy.tree_mechanism
         .TreeMechanism.obfuscate_points_batch` with a batch of one, which
-        runs the batch kernel's draws and arithmetic in plain Python — so
-        batch and single-event reports come from one stream with one draw
-        layout.
+        runs the batch kernel's plain-Python form, as small cohorts do —
+        so batch and single-event reports come from one stream with one
+        draw layout.
         """
         point = self.tree.snap_index.snap(location)
         leaf = self.mechanism.obfuscate_points_batch([point], self._rng)[0]

@@ -1,8 +1,13 @@
 """Tests for repro.privacy.budget: sequential composition accounting."""
 
-import pytest
+import math
+from unittest import mock
 
-from repro.privacy import BudgetExceededError, PrivacyBudgetLedger
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.privacy import BudgetExceededError, PrivacyBudgetLedger, budget
 
 
 class TestLedger:
@@ -142,3 +147,72 @@ class TestWithMechanism:
             reports += 1
         assert reports == 3  # floor(1.0 / 0.3)
         assert ledger.remaining("worker-7") == pytest.approx(0.1)
+
+
+def _charge(ledger, cohort, epsilon):
+    """spend_batch's outcome: ``None``, or the refusal's message."""
+    try:
+        ledger.spend_batch(cohort, epsilon)
+    except BudgetExceededError as err:
+        return str(err)
+    return None
+
+
+def _state(ledger):
+    return ledger.to_dict(), sorted(ledger._rows.items()), ledger.principals
+
+
+class TestChargeForms:
+    """A small cohort's plain-Python charge equals the numpy form: same
+    balances (bit for bit), history, refusal and message, and a refused
+    cohort's new principals unwound."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        capacity=st.sampled_from([1.0, 2.0, 2, math.inf]),
+        epsilon=st.sampled_from([0.1, 0.3, 0.5, 0.7, 1.0]),
+        prior=st.lists(st.integers(0, 7), max_size=12),
+        cohort=st.lists(st.integers(0, 11), max_size=budget.CHARGE_PLAIN_MAX_ROWS),
+    )
+    def test_plain_matches_numpy(self, capacity, epsilon, prior, cohort):
+        ledger = PrivacyBudgetLedger(capacity)
+        for principal in prior:
+            if ledger.can_spend(principal, epsilon):
+                ledger.spend(principal, epsilon)
+        plain = PrivacyBudgetLedger.from_dict(ledger.to_dict())
+        array = PrivacyBudgetLedger.from_dict(ledger.to_dict())
+        got = _charge(plain, cohort, epsilon)
+        with mock.patch.object(budget, "CHARGE_PLAIN_MAX_ROWS", -1):
+            want = _charge(array, cohort, epsilon)
+        assert got == want
+        assert _state(plain) == _state(array)
+        if got is not None:
+            assert _state(plain) == _state(ledger)
+
+    @pytest.mark.parametrize("cutoff", [-1, 10**6], ids=["numpy", "plain"])
+    def test_refusal_names_the_lowest_over_cap_row(self, cutoff):
+        ledger = PrivacyBudgetLedger(capacity=1.0)
+        for principal in ("a", "b", "c"):
+            ledger.spend(principal, 0.7)
+        with mock.patch.object(budget, "CHARGE_PLAIN_MAX_ROWS", cutoff):
+            with pytest.raises(BudgetExceededError) as err:
+                ledger.spend_batch(["new", "c", "b", "new", "new"], 0.5)
+        assert "principal 'b' has 0.300" in str(err.value)
+        assert "batch of 5 rejected" in str(err.value)
+        assert ledger.principals == 3 and ledger.spent("new") == 0.0
+        with mock.patch.object(budget, "CHARGE_PLAIN_MAX_ROWS", cutoff):
+            with pytest.raises(BudgetExceededError, match="'new' has 1.000.*3 x"):
+                ledger.spend_batch(["new", "new", "new"], 0.5)
+        assert ledger.principals == 3
+
+    @pytest.mark.parametrize("cutoff", [-1, 10**6], ids=["numpy", "plain"])
+    def test_check_reads_only_the_cohort(self, cutoff):
+        """A principal outside the cohort never blocks it: after the cap
+        drops below earlier spends, a fresh cohort still fits."""
+        ledger = PrivacyBudgetLedger(capacity=1.0)
+        ledger.spend_batch(range(100), 1.0)
+        ledger.capacity = 0.5
+        with mock.patch.object(budget, "CHARGE_PLAIN_MAX_ROWS", cutoff):
+            ledger.spend_batch(["fresh", "fresh"], 0.25)
+        assert ledger.spent("fresh") == 0.5
+        assert ledger.principals == 101

@@ -1,9 +1,21 @@
 """Tests for repro.geometry.grid."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.geometry import Box, SnapIndex, uniform_grid
+from repro.geometry import Box, SnapIndex, grid, uniform_grid
+
+#: The lattice index and a non-lattice one (three points, KD-tree).
+LATTICE = SnapIndex(uniform_grid(Box.square(20.0), 5))
+SCATTERED = SnapIndex([(0, 0), (10, 0), (0, 10)])
+
+#: Not two finite coordinates: each must raise ValueError.
+BAD_POINTS = [[math.inf, 1.0], [1.0], [1.0, 2.0, 3.0], [math.nan, 1.0]]
 
 
 class TestUniformGrid:
@@ -89,3 +101,73 @@ class TestSnapIndex:
         for q in queries:
             p = index.point(index.snap(q))
             assert np.hypot(*(p - q)) <= half_diag + 1e-9
+
+
+class TestSnapValidation:
+    """Every snap takes two finite coordinates and raises ValueError for
+    anything else, on a lattice index as on a KD-tree one."""
+
+    @pytest.mark.parametrize("index", [LATTICE, SCATTERED], ids=["lattice", "kdtree"])
+    @pytest.mark.parametrize("bad", BAD_POINTS, ids=["inf", "one", "three", "nan"])
+    def test_snap_rejects(self, index, bad):
+        with pytest.raises(ValueError):
+            index.snap(bad)
+        with pytest.raises(ValueError):
+            index.snap(np.array(bad))
+
+    @pytest.mark.parametrize("index", [LATTICE, SCATTERED], ids=["lattice", "kdtree"])
+    @pytest.mark.parametrize("bad", BAD_POINTS, ids=["inf", "one", "three", "nan"])
+    def test_snap_many_rejects(self, index, bad):
+        for rows in ([bad], [[5.0, 5.0], bad]):
+            with pytest.raises(ValueError):
+                index.snap_many(rows)
+        if len(bad) == 2:
+            with pytest.raises(ValueError):
+                index.snap_many(np.array([[5.0, 5.0], bad]))
+
+    def test_snap_many_takes_one_flat_point(self):
+        # as_points promotes a flat pair to one row, small or not
+        assert LATTICE.snap_many([3.0, 17.0]).tolist() == [LATTICE.snap((3.0, 17.0))]
+
+    def test_only_a_scattered_set_builds_a_kdtree(self):
+        assert LATTICE._tree is None
+        assert SCATTERED._tree is not None
+
+
+#: Coordinates around the 5 x 5 lattice over [0, 20]^2 (spacing 4, points
+#: at 2, 6, ..., 18): inside, on the cell midlines, outside the box and
+#: negative, as floats and ints.
+_MIDLINES = [4.0 * k for k in range(-1, 7)]
+_COORD = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.floats(-5.0, 25.0, allow_nan=False),
+    st.sampled_from(_MIDLINES),
+    st.integers(-30, 50),
+)
+_ROWS = st.lists(st.tuples(_COORD, _COORD), max_size=grid.SNAP_PLAIN_MAX_ROWS + 1)
+
+
+class TestSnapForms:
+    """The plain-Python snap of a small batch equals the numpy form."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=_ROWS, as_array=st.booleans())
+    def test_small_batch_matches_numpy_form(self, rows, as_array):
+        locations = np.array(rows, dtype=np.float64).reshape(-1, 2) if as_array else [
+            list(row) for row in rows
+        ]
+        got = LATTICE.snap_many(locations)
+        with mock.patch.object(grid, "SNAP_PLAIN_MAX_ROWS", -1):
+            want = LATTICE.snap_many(locations)
+        assert got.dtype == want.dtype == np.intp
+        assert got.tolist() == want.tolist()
+        assert got.tolist() == [LATTICE.snap(row) for row in rows]
+
+    def test_far_outside_the_box_snaps_to_the_nearest_edge(self):
+        # past 2**63 cells away the numpy cast used to wrap to column 0
+        far = [[1e300, 10.0], [-1e300, 10.0], [10.0, 1e300], [10.0, -1e300]]
+        want = [LATTICE.snap(row) for row in far]
+        assert want == [14, 10, 22, 2]
+        assert LATTICE.snap_many(far).tolist() == want
+        with mock.patch.object(grid, "SNAP_PLAIN_MAX_ROWS", -1):
+            assert LATTICE.snap_many(far).tolist() == want

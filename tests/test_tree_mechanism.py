@@ -1,5 +1,9 @@
 """Tests for repro.privacy.tree_mechanism: Algorithms 2 and 3."""
 
+import hashlib
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +12,8 @@ from hypothesis import strategies as st
 from repro.crowdsourcing import publish_tree
 from repro.geometry import Box
 from repro.hst import build_hst, lca_level, tree_distance
-from repro.privacy import ENUMERATION_LEAF_LIMIT, TreeMechanism
+from repro.privacy import ENUMERATION_LEAF_LIMIT, TreeMechanism, tree_mechanism
+from repro.privacy.tree_mechanism import TURN_PLAIN_MAX_ROWS
 
 from .conftest import random_point_set, random_tree
 
@@ -241,8 +246,9 @@ def test_property_level_marginals_match_theory(seed, eps, point):
 #: Reports of the batch kernel at fixed seeds, recorded from the (n, D)
 #: path-row kernel it replaced (rows read as base-c leaf indices), with
 #: the PCG64 state after each call: (grid, epsilon) -> (c, D, leaves
-#: per call, state after each call). Calls alternate batches of one
-#: (the per-task path) and larger batches; see _pinned_run.
+#: per call, state after each call) for the RECORDED_SIZES calls, which
+#: alternate batches of one (the per-task path) and larger batches; see
+#: _pinned_run.
 PINNED_REPORTS = {
     (6, 0.1): (
         10,
@@ -354,8 +360,23 @@ PINNED_REPORTS = {
     ),
 }
 
-#: batch sizes of the pinned call sequence
-PINNED_SIZES = [1, 1, 1, 9, 1, 1, 25, 1]
+#: sha256 of the JSON ``[leaves, states]`` of the sweep calls (every
+#: batch size from 1 to SWEEP_MAX, after the recorded calls), recorded
+#: from the numpy form before the plain-Python turn served more than a
+#: batch of one.
+PINNED_SWEEP = {
+    (6, 0.1): "557d34d1e5606e4188a58d48c3f45d324b69ca01dee85e86638f7114800e4e14",
+    (6, 2.0): "6c874769de841b63ef3b9d3333b4ab0c9d6b99a8070bd81375d96b3aec8b305c",
+    (16, 0.1): "947d1aba3d490d6b14d5e89435009ee76e99bc89673c4afebc004fbd7ea43d7f",
+    (16, 2.0): "191437279b7495dad5f63fdff8f8f3a4f6e7071b9d4d7f824045c055b67e567b",
+}
+
+#: batch sizes of the pinned call sequence: the recorded calls, then every
+#: size from 1 to SWEEP_MAX, which covers every size the plain-Python turn
+#: serves and the first the numpy form does
+RECORDED_SIZES = [1, 1, 1, 9, 1, 1, 25, 1]
+SWEEP_MAX = 40
+PINNED_SIZES = [*RECORDED_SIZES, *range(1, SWEEP_MAX + 1)]
 
 
 def _pinned_run(grid, eps, entry):
@@ -376,33 +397,57 @@ def _pinned_run(grid, eps, entry):
     return tree, leaves, states
 
 
+def _assert_pinned(grid, eps, leaves, states):
+    _, _, pinned_leaves, pinned_states = PINNED_REPORTS[(grid, eps)]
+    k = len(RECORDED_SIZES)
+    assert leaves[:k] == pinned_leaves
+    assert states[:k] == pinned_states
+    sweep = json.dumps([leaves[k:], states[k:]]).encode()
+    assert hashlib.sha256(sweep).hexdigest() == PINNED_SWEEP[(grid, eps)]
+
+
+def _entry(m, idx, rng):
+    return m.obfuscate_points_batch(idx, rng)
+
+
+def _array_form(m, idx, rng):
+    return m._obfuscate_leaves(m.tree.leaf_index[idx], rng)
+
+
 class TestPinnedReports:
     """The leaf-index kernel reproduces the path-row kernel bit for bit:
     same reports and the same RNG state after every call, for batches of
-    one (the per-task path) and of many."""
+    one (the per-task path) and of every size up to past the plain-Python
+    cutoff, in either form."""
+
+    def test_sweep_passes_the_cutoff(self):
+        assert TURN_PLAIN_MAX_ROWS + 1 <= SWEEP_MAX
 
     @pytest.mark.parametrize("grid, eps", sorted(PINNED_REPORTS))
     def test_points_batch(self, grid, eps):
-        c, depth, leaves, states = PINNED_REPORTS[(grid, eps)]
-        tree, got, got_states = _pinned_run(
-            grid, eps, lambda m, idx, rng: m.obfuscate_points_batch(idx, rng)
-        )
+        c, depth, _, _ = PINNED_REPORTS[(grid, eps)]
+        tree, got, got_states = _pinned_run(grid, eps, _entry)
         assert (tree.branching, tree.depth) == (c, depth)
-        assert got == leaves
-        assert got_states == states
+        _assert_pinned(grid, eps, got, got_states)
 
     @pytest.mark.parametrize("grid, eps", sorted(PINNED_REPORTS))
     def test_array_kernel_for_every_batch(self, grid, eps):
         """The numpy kernel reproduces the pins for batches of one too, so
-        the plain-Python batch of one and the array form agree."""
-        _, _, leaves, states = PINNED_REPORTS[(grid, eps)]
-        _, got, got_states = _pinned_run(
-            grid,
-            eps,
-            lambda m, idx, rng: m._obfuscate_leaves(m.tree.leaf_index[idx], rng),
-        )
-        assert got == leaves
-        assert got_states == states
+        the plain-Python turn and the array form agree."""
+        _, got, got_states = _pinned_run(grid, eps, _array_form)
+        _assert_pinned(grid, eps, got, got_states)
+
+    @pytest.mark.parametrize("cutoff", [-1, 10**6], ids=["numpy", "plain"])
+    @pytest.mark.parametrize("grid, eps", sorted(PINNED_REPORTS))
+    def test_either_form_at_every_size(self, grid, eps, cutoff):
+        """The entry point reproduces the pins with every batch on one
+        form, and matches the array kernel call by call."""
+        with mock.patch.object(tree_mechanism, "TURN_PLAIN_MAX_ROWS", cutoff):
+            _, got, got_states = _pinned_run(grid, eps, _entry)
+        _, want, want_states = _pinned_run(grid, eps, _array_form)
+        for i in range(len(PINNED_SIZES)):
+            assert (got[i], got_states[i]) == (want[i], want_states[i]), i
+        _assert_pinned(grid, eps, got, got_states)
 
     def test_batch_of_one_rejects_bad_points(self):
         tree = publish_tree(Box.square(100.0), grid_nx=6, seed=0)
