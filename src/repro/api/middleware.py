@@ -61,6 +61,11 @@ __all__ = [
 ]
 
 
+#: The largest id any backend serves: ids travel as int64 on the wire
+#: (stream rows, mesh journal rows), so every backend refuses a larger one.
+_ID_MAX = 2**63 - 1
+
+
 def build_stack(handler, middleware):
     """Fold ``middleware`` (outermost first) around a backend handler."""
     for layer in reversed(list(middleware)):
@@ -116,6 +121,7 @@ class RequestValidator:
                 set(map(type, window.is_task)) == {bool}
                 and set(map(type, ids)) == {int}
                 and min(ids) >= 0
+                and max(ids) <= _ID_MAX
                 and bool(np.isfinite(window.xy).all())
                 and set(map(type, times)) <= {float, int}
                 and min(times) >= 0
@@ -146,8 +152,14 @@ class RequestValidator:
 
     @staticmethod
     def _check_id(name: str, value) -> None:
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ValidationFailed(f"{name} must be a non-negative int, got {value!r}")
+        if (
+            not isinstance(value, int)
+            or isinstance(value, bool)
+            or not 0 <= value <= _ID_MAX
+        ):
+            raise ValidationFailed(
+                f"{name} must be a non-negative int64, got {value!r}"
+            )
 
     @staticmethod
     def _check_point(location) -> None:

@@ -11,9 +11,11 @@ pieces:
   cohort buffer), as base + delta chains with a bit-exact replay
   guarantee;
 * :class:`~repro.cluster.dispatch.FamilyJournal` — routes chunks of
-  arrival columns into per-family row journals (one row per event, keyed
-  by its shard) with absolute cursors for delivery, replay and
-  per-family truncation at each checkpoint cut;
+  arrival columns into per-family row journals (one fixed-width
+  :data:`~repro.cluster.dispatch.EVENT_ROW_DTYPE` row per event, its
+  shard key an index into the family's key table — the mesh wire's own
+  row layout) with absolute cursors for delivery, replay and per-family
+  truncation at each checkpoint cut;
 * :class:`ShardHost` — the one shard container: the single-process
   engine and every mesh worker hold, buffer, cut and report their
   shards through it, and rows reach it only through

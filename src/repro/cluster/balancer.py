@@ -128,25 +128,22 @@ class ClusterRouter:
     # routing                                                             #
     # ------------------------------------------------------------------ #
 
-    def keys_of_many(self, locations) -> list[str]:
-        """Vectorized routing: one shard key per row of ``(n, 2)`` points.
+    def route_many(self, locations) -> tuple[np.ndarray, np.ndarray]:
+        """Columnar routing of ``(n, 2)`` points: each row's family (its
+        base cell) and its key's index in :meth:`family_keys` of that
+        family.
 
-        Unsplit cells produce ``"s<i>"``; split cells produce the
-        sub-shard ``"s<i>/<j>"`` (its :func:`fallback_chain` adds the
-        draining parent). Rows routed to one shard share its key object.
+        Index 0 is the base cell ``"s<i>"``; in a split cell, index
+        ``j + 1`` is the sub-shard ``"s<i>/<j>"`` (its
+        :func:`fallback_chain` adds the draining parent).
         """
-        owners = self.base.shard_of_many(locations)
-        names = [_base_key(i) for i in range(self.base.n_shards)]
-        keys = [names[b] for b in owners.tolist()]
+        families = self.base.shard_of_many(locations)
+        index = np.zeros(len(families), dtype=np.intp)
         for base_id, sub in self.splits.items():
-            rows = np.flatnonzero(owners == base_id)
-            if not len(rows):
-                continue
-            sub_ids = sub.shard_of_many(np.asarray(locations)[rows])
-            names = [_sub_key(base_id, j) for j in range(sub.n_shards)]
-            for row, j in zip(rows.tolist(), sub_ids.tolist()):
-                keys[row] = names[j]
-        return keys
+            rows = np.flatnonzero(families == base_id)
+            if len(rows):
+                index[rows] = sub.shard_of_many(np.asarray(locations)[rows]) + 1
+        return families, index
 
 
 @dataclass(frozen=True)

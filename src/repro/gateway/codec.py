@@ -15,8 +15,9 @@ bin1 keeps one layout per job:
   embedded JSON. It is *total* (any dict json can carry, bin1 carries)
   and decodes to exactly the document a JSON round trip produces, so the
   codec never changes what a backend sees. Verbs, reports, errors,
-  stream windows on traced sessions, mesh ops and their replies (checkpoint snapshots and ``load`` requests included)
-  and goodbyes all ride it;
+  stream windows on traced sessions, every mesh op and reply but the
+  two below (checkpoint snapshots and ``load`` requests included) and
+  goodbyes all ride it;
 * :data:`~repro.gateway.protocol.STREAM_BATCH_TAG` /
   :data:`~repro.gateway.protocol.STREAM_RESULT_TAG` — a stream window
   of register/submit events (:class:`~repro.api.messages.StreamWindow`),
@@ -24,18 +25,30 @@ bin1 keeps one layout per job:
   fixed-width rows with consecutive seqs. :func:`encode_stream_batch`
   and friends go straight between the messages' columns and the rows,
   through one numpy structured dtype per layout, without building
-  documents or per-row objects.
+  documents or per-row objects;
+* :data:`~repro.gateway.protocol.MESH_EVENTS_TAG` /
+  :data:`~repro.gateway.protocol.MESH_EVENTS_REPLY_TAG` — a mesh
+  ``events`` op (a slice of the coordinator's journal, written as its
+  :data:`~repro.cluster.dispatch.EVENT_ROW_DTYPE` bytes behind the
+  family's key table) and its ``events_reply`` (an assigned flag and a
+  worker per task row), each with a JSON tail for the op's trace
+  context or the reply's spans, empty when untraced. They are
+  documents too: :func:`encode_bin1` picks them from a document's
+  schema and kind, and :func:`decode_bin1` gives the documents back,
+  the op's rows as a structured array.
 
-:func:`decode_bin1` reads the generic layout and one more document
-layout, :data:`~repro.gateway.protocol.PACKED_DOC_TAG` (a packed value
-tree, :func:`encode_packed`), which no mesh op or gateway frame
-produces; the row layouts have their own decoders. Decoding is
-zero-copy: the caller may hand in the ``memoryview`` slice straight out
-of the receive buffer; fields are unpacked in place and strings decoded
-directly from the view. Every malformed input — bad magic, foreign
-layout version, a tag the decoder does not read, truncation at any
-boundary, lying inner lengths, trailing garbage, stream rows whose seqs
-are not consecutive — raises a structured
+:func:`decode_bin1` reads the generic and mesh row layouts and one more
+document layout, :data:`~repro.gateway.protocol.PACKED_DOC_TAG` (a
+packed value tree, :func:`encode_packed`), which no mesh op or gateway
+frame produces; the stream row layouts have their own decoders.
+Decoding is zero-copy: the caller may hand in the ``memoryview`` slice
+straight out of the receive buffer; fields are unpacked in place and
+strings decoded directly from the view (only a mesh op's rows are
+copied out, as they outlive the buffer). Every malformed input — bad
+magic, foreign layout version, a tag the decoder does not read,
+truncation at any boundary, lying inner lengths and counts, trailing
+garbage, stream rows whose seqs are not consecutive — raises a
+structured
 :mod:`repro.api.errors` code, never a bare ``struct.error``; the fuzz
 suite drives this promise.
 
@@ -52,10 +65,14 @@ import numpy as np
 
 from ..api.errors import UnsupportedVersion, ValidationFailed
 from ..api.messages import StreamWindow, WindowResult
+from ..cluster.dispatch import EVENT_ROW_DTYPE
+from ..mesh.protocol import MESH_SCHEMA, MESH_VERSION
 from .protocol import (
     BIN1_MAGIC,
     BIN1_WIRE_VERSION,
     GENERIC_TAG,
+    MESH_EVENTS_REPLY_TAG,
+    MESH_EVENTS_TAG,
     PACKED_DOC_TAG,
     STREAM_BATCH_TAG,
     STREAM_RESULT_TAG,
@@ -74,6 +91,8 @@ __all__ = [
 _PREFIX = struct.Struct(">BBB")  # magic, layout version, tag
 _F64 = struct.Struct(">d")
 _U32 = struct.Struct(">I")
+_EVENTS_HEAD = struct.Struct(">QII")  # seq, row count, key count
+_EVENTS_REPLY_HEAD = struct.Struct(">QI")  # seq, row count
 
 # columnar stream rows (see STREAM_BATCH_TAG / STREAM_RESULT_TAG):
 # fixed width, packed big-endian, no per-row nesting — a whole window
@@ -86,6 +105,11 @@ _RESULT_DTYPE = np.dtype(  # >Bqqq, 25 bytes: worker is 0 unless kind 1
     [("kind", "u1"), ("seq", ">i8"), ("id", ">i8"), ("worker", ">i8")]
 )
 
+# the mesh events reply: one row per task row of the op
+_EVENTS_REPLY_DTYPE = np.dtype(  # >Bq, 9 bytes: worker is 0 unless assigned
+    [("assigned", "u1"), ("worker", ">i8")]
+)
+
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
 
@@ -96,11 +120,24 @@ _I64_MAX = 2**63 - 1
 
 
 def encode_bin1(doc: dict) -> bytes:
-    """One document -> one GENERIC_TAG payload (no length prefix)."""
+    """One document -> one payload (no length prefix).
+
+    A mesh ``events`` op and its ``events_reply`` answer take their row
+    layouts (:data:`~repro.gateway.protocol.MESH_EVENTS_TAG`,
+    :data:`~repro.gateway.protocol.MESH_EVENTS_REPLY_TAG`); every other
+    document rides GENERIC_TAG. The layout follows from the document's
+    schema and kind alone.
+    """
     if not isinstance(doc, dict):
         raise ValidationFailed(
             f"frame document must be an object, got {type(doc).__name__}"
         )
+    if doc.get("schema") == MESH_SCHEMA:
+        kind = doc.get("kind")
+        if kind == "events":
+            return _encode_events(doc)
+        if kind == "events_reply":
+            return _encode_events_reply(doc)
     body = json.dumps(doc, separators=(",", ":")).encode("utf-8")
     return _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, GENERIC_TAG) + body
 
@@ -156,9 +193,14 @@ def _open(payload) -> tuple[_Reader, int]:
 
 
 def decode_bin1(payload) -> dict:
-    """One GENERIC_TAG or PACKED_DOC_TAG payload (bytes or memoryview)
-    -> the document. Any other tag is ``invalid-request``."""
+    """One document payload (bytes or memoryview) -> the document: the
+    GENERIC_TAG, PACKED_DOC_TAG and mesh events layouts. Any other tag
+    is ``invalid-request``."""
     r, tag = _open(payload)
+    if tag == MESH_EVENTS_TAG:
+        return _decode_events(r)
+    if tag == MESH_EVENTS_REPLY_TAG:
+        return _decode_events_reply(r)
     if tag == GENERIC_TAG:
         try:
             doc = json.loads(str(r.view[r.pos : r.end], "utf-8"))
@@ -347,6 +389,152 @@ def decode_stream_result(payload) -> WindowResult:
             for k, w in zip(kinds[is_task].tolist(), worker[is_task].tolist())
         ],
     )
+
+
+# --------------------------------------------------------------------- #
+# mesh events rows                                                       #
+# --------------------------------------------------------------------- #
+#
+# A mesh delivery is a slice of the coordinator's journal, already in
+# EVENT_ROW_DTYPE rows: the op writes those bytes as they are, and the
+# worker reads them back as one array. Only the key table, the seqs and
+# the JSON tail (trace context one way, spans the other; empty when
+# untraced) are framed around them. The decoder checks the frame's
+# shape; the rows' own values (kinds, key indices) are the op
+# handler's to check, so damage there answers ``fail`` for its seq.
+
+_EVENTS_FIELDS = ("keys", "rows")
+
+
+def _mesh_head(doc: dict, tag: int) -> tuple[bytes, dict]:
+    """The bin1 prefix of a mesh row document, checked; and its body."""
+    if doc.get("version") != MESH_VERSION:
+        raise ValidationFailed(
+            f"mesh {doc.get('kind')!r} rows are mesh version {MESH_VERSION}, "
+            f"got {doc.get('version')!r}"
+        )
+    body = doc.get("body")
+    if not isinstance(body, dict):
+        raise ValidationFailed("mesh document body must be an object")
+    return _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, tag), body
+
+
+def _tail(body: dict, fields) -> bytes:
+    """The u32-length-prefixed JSON tail: every body field but the rows'."""
+    extra = {k: v for k, v in body.items() if k not in fields}
+    if not extra:
+        return _U32.pack(0)
+    raw = json.dumps(extra, separators=(",", ":")).encode("utf-8")
+    return _U32.pack(len(raw)) + raw
+
+
+def _read_tail(r: _Reader) -> dict:
+    """The JSON tail's fields (``{}`` when empty), at the payload's end."""
+    (size,) = r.unpack(_U32)
+    start = r.need(size)
+    r.done()
+    if not size:
+        return {}
+    try:
+        extra = json.loads(str(r.view[start : start + size], "utf-8"))
+    except (UnicodeDecodeError, ValueError) as exc:
+        raise ValidationFailed(
+            f"mesh rows tail is not valid JSON: {type(exc).__name__}: {exc}"
+        ) from exc
+    if not isinstance(extra, dict):
+        raise ValidationFailed(
+            f"mesh rows tail must encode an object, got {type(extra).__name__}"
+        )
+    return extra
+
+
+def _encode_events(doc: dict) -> bytes:
+    prefix, body = _mesh_head(doc, MESH_EVENTS_TAG)
+    keys, rows = body.get("keys"), body.get("rows")
+    if not (type(rows) is np.ndarray and rows.dtype == EVENT_ROW_DTYPE):
+        raise ValidationFailed("mesh events rows must be an EVENT_ROW_DTYPE array")
+    try:
+        names = [key.encode("ascii") for key in keys]
+        head = _EVENTS_HEAD.pack(doc["seq"], len(rows), len(names))
+        table = b"".join(bytes((len(name),)) + name for name in names)
+    except (AttributeError, TypeError, ValueError, struct.error) as exc:
+        raise ValidationFailed(
+            f"mesh events op does not fit its rows: {type(exc).__name__}: {exc}"
+        ) from exc
+    return b"".join((prefix, head, table, rows.tobytes(), _tail(body, _EVENTS_FIELDS)))
+
+
+def _decode_events(r: _Reader) -> dict:
+    seq, count, n_keys = r.unpack(_EVENTS_HEAD)
+    # every name costs at least its length byte: a lying count fails here
+    if n_keys > r.end - r.pos:
+        raise ValidationFailed(
+            f"mesh events key count {n_keys} exceeds the "
+            f"{r.end - r.pos} payload bytes that remain"
+        )
+    view, keys = r.view, []
+    for _ in range(n_keys):
+        size = view[r.need(1)]
+        start = r.need(size)
+        try:
+            keys.append(str(view[start : start + size], "ascii"))
+        except UnicodeDecodeError as exc:
+            raise ValidationFailed(
+                f"mesh events key name is not ASCII: {exc}"
+            ) from exc
+    start = r.need(count * EVENT_ROW_DTYPE.itemsize)
+    # a copy: the rows outlive the receive buffer they arrived in
+    rows = np.frombuffer(view, EVENT_ROW_DTYPE, count, start).copy()
+    extra = _read_tail(r)
+    return {
+        "schema": MESH_SCHEMA,
+        "version": MESH_VERSION,
+        "kind": "events",
+        "seq": seq,
+        "body": {**extra, "keys": keys, "rows": rows},
+    }
+
+
+def _encode_events_reply(doc: dict) -> bytes:
+    prefix, body = _mesh_head(doc, MESH_EVENTS_REPLY_TAG)
+    workers = body.get("workers")
+    if type(workers) is not list:
+        raise ValidationFailed("mesh events reply workers must be a list")
+    rows = np.zeros(len(workers), dtype=_EVENTS_REPLY_DTYPE)
+    try:
+        head = _EVENTS_REPLY_HEAD.pack(doc["seq"], len(rows))
+        rows["assigned"] = [w is not None for w in workers]
+        rows["worker"] = [0 if w is None else w for w in workers]
+    except (OverflowError, TypeError, ValueError, struct.error) as exc:
+        raise ValidationFailed(
+            f"mesh events reply does not fit its rows: {type(exc).__name__}: {exc}"
+        ) from exc
+    return b"".join((prefix, head, rows.tobytes(), _tail(body, ("workers",))))
+
+
+def _decode_events_reply(r: _Reader) -> dict:
+    seq, count = r.unpack(_EVENTS_REPLY_HEAD)
+    start = r.need(count * _EVENTS_REPLY_DTYPE.itemsize)
+    rows = np.frombuffer(r.view, _EVENTS_REPLY_DTYPE, count, start)
+    assigned, worker = rows["assigned"], rows["worker"]
+    # one canonical byte string per answer: a flag is 0 or 1, and an
+    # unassigned row's worker field is zero
+    if len(rows) and (assigned.max() > 1 or worker[assigned == 0].any()):
+        raise ValidationFailed(
+            "mesh events reply rows must be (1, worker) or (0, 0)"
+        )
+    workers = [
+        w if a else None for a, w in zip(assigned.tolist(), worker.tolist())
+    ]
+    del rows, assigned, worker  # release the receive buffer before the tail
+    extra = _read_tail(r)
+    return {
+        "schema": MESH_SCHEMA,
+        "version": MESH_VERSION,
+        "kind": "events_reply",
+        "seq": seq,
+        "body": {**extra, "workers": workers},
+    }
 
 
 # --------------------------------------------------------------------- #

@@ -57,6 +57,8 @@ __all__ = [
     "STREAM_BATCH_TAG",
     "STREAM_RESULT_TAG",
     "PACKED_DOC_TAG",
+    "MESH_EVENTS_TAG",
+    "MESH_EVENTS_REPLY_TAG",
     "check_frame_length",
     "encode_frame",
     "handshake_frame",
@@ -115,7 +117,8 @@ BIN1_WIRE_VERSION = 1
 #:
 #: ``GENERIC_TAG`` wraps the whole document as embedded JSON — the
 #: total layout that carries any document (verbs, reports, windows on
-#: traced sessions, mesh ops, errors, goodbyes).
+#: traced sessions, every mesh op and reply but ``events`` and its
+#: answer, errors, goodbyes).
 GENERIC_TAG = 0x00
 #: Columnar stream window: a ``stream_window`` of register/submit
 #: events packed as fixed-width ``>Bqqddd`` rows (kind, seq, id, x, y,
@@ -134,6 +137,17 @@ STREAM_RESULT_TAG = 0x18
 #: produced in it: checkpoint snapshots and ``load`` requests ride
 #: :data:`GENERIC_TAG`, whose C ``json`` codec is faster.
 PACKED_DOC_TAG = 0x19
+#: A mesh ``events`` op as rows: seq, row count, the delivery's key
+#: table as length-prefixed ASCII names, then fixed-width ``>IBqdd``
+#: rows (key index, kind, id, x, y;
+#: :data:`~repro.cluster.dispatch.EVENT_ROW_DTYPE`), then a
+#: u32-length-prefixed JSON tail holding the op's trace context (empty
+#: when untraced). Traced or not, an ``events`` op rides only this tag.
+MESH_EVENTS_TAG = 0x1A
+#: The answer to :data:`MESH_EVENTS_TAG`: seq, row count, one ``>Bq``
+#: row per task row of the op (assigned flag, worker; 0 unless
+#: assigned), then the same JSON tail, holding the worker's spans.
+MESH_EVENTS_REPLY_TAG = 0x1B
 
 #: Frame header: one big-endian u32 payload length.
 HEADER = struct.Struct(">I")
@@ -159,7 +173,8 @@ def check_frame_length(length: int, *, max_frame_bytes: int = MAX_FRAME_BYTES) -
 
 def encode_frame(doc: dict, *, max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
     """Serialize one post-handshake document to a length-prefixed bin1
-    :data:`GENERIC_TAG` frame.
+    frame, in the layout :func:`~repro.gateway.codec.encode_bin1` picks
+    for it.
 
     The outbound frame ceiling is enforced here exactly like the inbound
     one (:func:`check_frame_length`), so an oversize response surfaces
@@ -264,8 +279,13 @@ class FrameDecoder:
         intermediate ``bytes`` object (bin1 fields are unpacked in
         place; json is decoded to ``str`` directly from the view).
         """
+        return [doc for doc, _ in self.feed_sized(data)]
+
+    def feed_sized(self, data: bytes) -> list[tuple[dict, int]]:
+        """:meth:`feed`, pairing each document with its payload length
+        in bytes."""
         self._buf += data
-        frames: list[dict] = []
+        frames: list[tuple[dict, int]] = []
         consumed = 0
         clean = False
         view = memoryview(self._buf)
@@ -280,7 +300,7 @@ class FrameDecoder:
                 # consume first (matching the pre-zero-copy decoder: a
                 # frame whose payload fails decode is still drained)
                 consumed = start + length
-                frames.append(decode_payload(view[start:consumed]))
+                frames.append((decode_payload(view[start:consumed]), length))
             clean = True
         finally:
             # Exports must go before the bytearray can shrink. On the

@@ -13,8 +13,10 @@ The pieces:
 
 * :mod:`~repro.mesh.protocol` — the sans-IO op/reply vocabulary
   (``repro.mesh`` v1 documents in gateway frames, seq-matched so ops
-  pipeline per connection); an ``events`` op carries a delivery's
-  journal rows as columns (:func:`~repro.mesh.protocol.events_body`);
+  pipeline per connection); an ``events`` op carries a slice of the
+  coordinator's journal as fixed-width rows, and its ``events_reply``
+  one worker per task row (:func:`~repro.mesh.protocol.event_columns`
+  checks the rows on the worker);
 * :mod:`~repro.mesh.worker` — one process: a
   :class:`~repro.cluster.worker.ShardHost` serving ops FIFO off a
   socket (``events`` rows through
@@ -46,7 +48,7 @@ from .protocol import (
     MESH_VERSION,
     OP_KINDS,
     event_columns,
-    events_body,
+    events_reply_doc,
     fail_doc,
     op_doc,
     parse_op,
@@ -70,7 +72,7 @@ __all__ = [
     "PeerLost",
     "connect_worker",
     "event_columns",
-    "events_body",
+    "events_reply_doc",
     "fail_doc",
     "op_doc",
     "parse_op",

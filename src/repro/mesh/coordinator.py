@@ -16,9 +16,11 @@ How it works:
   :class:`~repro.runtime.PipelineScheduler` — the same keyed-FIFO/
   barrier core the gateway schedules requests on — deliver them.
   Different families flow to their peers concurrently; only flush and
-  report are global barriers. Each delivery is one ``events`` op: the
-  family's next journal rows as columns, which the worker applies
-  through :meth:`~repro.cluster.worker.ShardHost.ingest`. Per-family
+  report are global barriers. Each delivery is one ``events`` op: a
+  slice of the family's journal, whose rows are already fixed-width
+  records in the op's wire layout (no per-row object, no JSON), which
+  the worker applies through
+  :meth:`~repro.cluster.worker.ShardHost.ingest`. Per-family
   FIFO plus the journal's contiguous-segment delivery keeps per-shard
   row order exactly the serial order, which is what the bit-exactness
   guarantee needs;
@@ -57,19 +59,21 @@ How it works:
 
 Telemetry rides the existing reservoir machinery
 (:class:`~repro.service.metrics.SampleReservoir`): per-peer dispatch
-depth sampled at every op send, checkpoint snapshot sizes in encoded
-bytes, and checkpoint wall-times, all summarized by :meth:`telemetry`
-together with the scheduler's live per-family queue depths.
+depth sampled at every op send, checkpoint snapshot sizes (each
+snapshot reply's frame payload, in bytes), and checkpoint wall-times,
+all summarized by :meth:`telemetry` together with the scheduler's live
+per-family queue depths.
 """
 
 from __future__ import annotations
 
-import json
 import socket
 import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
+
+import numpy as np
 
 from ..api.errors import ValidationFailed, map_exception
 from ..api.messages import to_wire
@@ -107,7 +111,7 @@ from ..service.metrics import (
     summarize_reservoir,
 )
 from ..utils import keyed_shard_seed
-from .protocol import events_body, op_doc, parse_reply
+from .protocol import op_doc, parse_reply
 
 __all__ = ["MeshCoordinator", "MeshError", "PeerLost"]
 
@@ -178,14 +182,14 @@ class MeshPeer:
                 data = self.sock.recv(65536)
                 if not data:
                     return
-                for doc in decoder.feed(data):
+                for doc, size in decoder.feed_sized(data):
                     if is_gateway_doc(doc):
                         return  # the worker said goodbye
                     kind, seq, body = parse_reply(doc)
                     with self._lock:
                         fut = self._pending.pop(seq, None)
                     if fut is not None and not fut.done():
-                        fut.set_result((kind, body))
+                        fut.set_result((kind, body, size))
         except Exception:
             # a peer whose stream cannot be parsed is as gone as one
             # whose socket died — there is no resynchronizing a framed
@@ -219,6 +223,11 @@ class MeshPeer:
 
     def call(self, op: str, body: dict) -> dict:
         """Send one op, block for its reply; the reply body on success."""
+        return self.exchange(op, body)[0]
+
+    def exchange(self, op: str, body: dict) -> tuple[dict, int]:
+        """:meth:`call`, also returning the reply frame's payload size in
+        bytes."""
         with self._lock:
             if self.dead:
                 raise PeerLost(self.name)
@@ -247,13 +256,13 @@ class MeshPeer:
                 ) from None
             if answer is None:
                 raise PeerLost(self.name)
-            kind, reply = answer
+            kind, reply, size = answer
             if kind == "fail":
                 raise MeshError(
                     f"mesh worker {self.name!r} failed {op!r}: "
                     f"[{reply.get('code')}] {reply.get('message')}"
                 )
-            return reply
+            return reply, size
         finally:
             with self._lock:
                 self._pending.pop(seq, None)
@@ -396,6 +405,8 @@ class MeshCoordinator:
         # is untouched while snapshot() reads everything in one place
         self.tracer = tracer
         self.registry = MetricsRegistry()
+        # checkpoint sizes are each snapshot reply's whole frame payload
+        # (the reply envelope around the snapshot included), as read
         self._snapshot_bytes = self.registry.adopt_histogram(
             "mesh.checkpoint.snapshot_bytes", SampleReservoir()
         )
@@ -652,16 +663,17 @@ class MeshCoordinator:
         Row ``i`` is a task arrival when ``is_task[i]`` is true (``ids[i]``
         is then its task id), else a worker arrival; ``times`` is
         parallel. The run is journaled in chunks of ``chunk_size`` rows,
-        each validated once (:func:`~repro.geometry.points.as_points`,
-        ``int`` ids, ``float`` times) and routed in one pass, and each
+        each validated once as whole columns
+        (:func:`~repro.geometry.points.as_points`, ids that are ints,
+        finite times) and routed and packed in one pass, and each
         scheduled on its families before the next is absorbed.
 
         Returns as soon as everything is journaled and scheduled; results
         stream back through the peer readers (:meth:`result_of` blocks on
-        one). A worker or task id the mesh has seen before raises
-        ``ValueError`` at its row: the rows before it stay journaled and
-        neither it nor any after it is, and the clock stays at the latest
-        accepted row.
+        one). A worker or task id the mesh has seen before, or an id
+        outside int64, raises ``ValueError`` at its row: the rows before
+        it stay journaled and neither it nor any after it is, and the
+        clock stays at the latest accepted row.
         Raises promptly if the mesh has already failed.
         """
         self.start()
@@ -670,12 +682,15 @@ class MeshCoordinator:
         size = self.chunk_size
         for lo in range(0, len(ids), size):
             hi = lo + size
-            self._dispatch(
-                [int(i) for i in ids[lo:hi]],
-                as_points(locations[lo:hi]),
-                [bool(t) for t in is_task[lo:hi]],
-                [float(t) for t in times[lo:hi]],
-            )
+            chunk = ids[lo:hi]
+            if not all(
+                t is int or issubclass(t, np.integer) for t in set(map(type, chunk))
+            ):
+                raise ValueError("mesh event ids must be ints")
+            at = np.asarray(times[lo:hi], dtype=np.float64)
+            if not np.isfinite(at).all():
+                raise ValueError("mesh event times must be finite")
+            self._dispatch(chunk, as_points(locations[lo:hi]), is_task[lo:hi], at)
 
     def _dispatch(self, ids, locs, is_task, times) -> None:
         self._check_failure()
@@ -829,14 +844,14 @@ class MeshCoordinator:
         self._ensure_configured(peer)
         self._ensure_installed(fam, peer)
         with self._state:
-            rows = self._journal.take(fam, upto)
-        if not rows:
+            keys, rows = self._journal.take(fam, upto)
+        if not len(rows):
             return
-        body = events_body(rows)
+        body = {"keys": keys, "rows": rows}
         if self.tracer is not None and ctx is not None:
             # the dispatch span crosses the socket: its context rides the
-            # events body (trace-unaware workers ignore the key) and the
-            # worker hands its execute span back in the reply
+            # events op's JSON tail and the worker hands its execute span
+            # back in the reply's
             attrs = {"family": fam, "peer": peer.name, "n_rows": len(rows)}
             if queued_perf:
                 attrs["queue_wait_s"] = time.perf_counter() - queued_perf
@@ -852,7 +867,7 @@ class MeshCoordinator:
             if isinstance(spans, list):
                 for record in spans:
                     self.tracer.adopt(record)
-        tasks = [i for i, task in zip(body["ids"], body["is_task"]) if task]
+        tasks = rows["id"][rows["kind"] == 1].tolist()
         workers = reply.get("workers")
         if not isinstance(workers, list) or len(workers) != len(tasks):
             raise MeshError(
@@ -974,8 +989,8 @@ class MeshCoordinator:
         return reqs
 
     def _absorb_snapshot(self, key: str, doc: dict, size: float) -> None:  # guarded-by: _state
-        """Chain one snapshot reply of ``size`` bytes (its compact JSON
-        length); the caller holds ``_state``.
+        """Chain one snapshot whose reply frame carried ``size`` payload
+        bytes; the caller holds ``_state``.
 
         A delta appends to the chain (its parent must equal the tip — a
         mismatch means lineage diverged and restoring would be silently
@@ -998,14 +1013,14 @@ class MeshCoordinator:
             self._snapshot_bytes.record(size)
 
     def _snapshot(self, peer: MeshPeer, key: str, req: dict) -> tuple[dict, float]:
-        """One shard's snapshot and its compact JSON length, measured
-        here so that :meth:`_absorb_snapshot` holds ``_state`` only to
-        chain it."""
-        reply = peer.call("snapshot", {"key": key, **req})
+        """One shard's snapshot and its reply frame's payload size in
+        bytes, as the peer reader decoded it (the reply's envelope
+        included; nothing is encoded again to measure it)."""
+        reply, size = peer.exchange("snapshot", {"key": key, **req})
         snap = reply.get("snapshot")
         if not isinstance(snap, dict):
             raise MeshError(f"malformed snapshot reply from {peer.name!r}")
-        return snap, float(len(json.dumps(snap, separators=(",", ":"))))
+        return snap, float(size)
 
     def _cut(self, fam: int, peer: MeshPeer, upto: int) -> None:
         """Checkpoint one family on its owner ``peer`` (a family step).
@@ -1177,7 +1192,8 @@ class MeshCoordinator:
         """Coordinator health as one JSON-ready dict.
 
         Per-peer dispatch depth (outstanding ops sampled at every send),
-        checkpoint snapshot sizes and wall-times from the reservoirs,
+        checkpoint snapshot sizes (reply payload bytes) and wall-times
+        from the reservoirs,
         plus the scheduler's live per-family queue depths.
         """
         with self._state:

@@ -13,20 +13,22 @@ gateway's framing, handshake and error taxonomy wholesale instead of
 inventing a second wire layer.
 
 Coordinator → worker *ops* drive a
-:class:`~repro.cluster.worker.ShardHost`, with every payload JSON-pure —
-shard snapshots already are (:mod:`repro.cluster.snapshot`), which is
-what lets checkpoints cross host boundaries unchanged:
+:class:`~repro.cluster.worker.ShardHost`. Every op but ``events`` has a
+JSON-pure body and rides bin1's generic layout — shard snapshots
+already are JSON-pure (:mod:`repro.cluster.snapshot`), which is what
+lets checkpoints cross host boundaries unchanged:
 
 =============  ==========================  ===============================
-op             body                        reply body
+op             body                        reply
 =============  ==========================  ===============================
 ``configure``  ``batch_size``              ``{}``
 ``create``     ``key``, ``spec``           ``{"key": ...}``
 ``load``       ``key``, ``snapshots``      ``{"key": ...}``
                (a base+delta chain)
 ``drop``       ``key``                     ``{"key": ...}``
-``events``     ``keys``, ``key``, ``ids``, ``{"workers": [wid, ...]}``
-               ``xy``, ``is_task``
+``events``     ``keys``, ``rows``          an ``events_reply`` document:
+               [, ``trace``]               ``{"workers": [wid, ...]}``
+                                           [, ``spans``]
 ``snapshot``   ``key`` [, ``mode``,        ``{"key": ..., "snapshot": ...}``
                ``checkpoint``,
                ``parent``]
@@ -34,12 +36,18 @@ op             body                        reply body
 ``report``     —                           ``{"report": {key: row}}``
 =============  ==========================  ===============================
 
-An ``events`` body carries a delivery's journal rows as columns
-(:func:`events_body`): ``keys`` is the frame's table of shard keys,
-``key`` one index into it per row, and ``ids``, ``xy`` (``[x, y]``
-pairs) and ``is_task`` the rows' ids, locations and kinds. The reply's
-``workers`` holds one entry per task row, in row order: the assigned
-worker id or ``null``. The worker checks the columns
+An ``events`` body is a delivery's journal rows as they sit in the
+coordinator's :class:`~repro.cluster.dispatch.FamilyJournal`: ``keys``
+is the family's table of shard keys and ``rows`` a structured array of
+:data:`~repro.cluster.dispatch.EVENT_ROW_DTYPE` rows (key index, kind,
+id, x, y). Its answer is an ``events_reply`` document
+(:func:`events_reply_doc`) whose ``workers`` holds one entry per task
+row, in row order: the assigned worker id or ``null``. Both ride
+fixed-width row layouts of their own
+(:data:`~repro.gateway.protocol.MESH_EVENTS_TAG`,
+:data:`~repro.gateway.protocol.MESH_EVENTS_REPLY_TAG`), traced or not:
+the op's ``trace`` context and the reply's ``spans`` ride a JSON tail.
+The bin1 decoder checks the frame's shape; the worker checks the rows
 (:func:`event_columns`), because they come from another process.
 
 The ``snapshot`` extras are the delta-checkpoint protocol: ``mode``
@@ -61,14 +69,17 @@ stable codes. Malformed documents raise
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..api.errors import UnsupportedVersion, ValidationFailed
+from ..cluster.dispatch import EVENT_ROW_DTYPE
 
 __all__ = [
     "MESH_SCHEMA",
     "MESH_VERSION",
     "OP_KINDS",
     "event_columns",
-    "events_body",
+    "events_reply_doc",
     "op_doc",
     "reply_doc",
     "fail_doc",
@@ -91,7 +102,7 @@ OP_KINDS = (
     "report",
 )
 
-_REPLY_KINDS = ("reply", "fail")
+_REPLY_KINDS = ("reply", "events_reply", "fail")
 
 
 def op_doc(op: str, seq: int, body: dict | None = None) -> dict:
@@ -113,6 +124,18 @@ def reply_doc(seq: int, body: dict | None = None) -> dict:
         "schema": MESH_SCHEMA,
         "version": MESH_VERSION,
         "kind": "reply",
+        "seq": int(seq),
+        "body": dict(body or {}),
+    }
+
+
+def events_reply_doc(seq: int, body: dict | None = None) -> dict:
+    """A worker's success answer to the ``events`` op carrying ``seq``:
+    ``workers``, one per task row (plus ``spans`` when traced)."""
+    return {
+        "schema": MESH_SCHEMA,
+        "version": MESH_VERSION,
+        "kind": "events_reply",
         "seq": int(seq),
         "body": dict(body or {}),
     }
@@ -172,48 +195,37 @@ def parse_reply(doc) -> tuple[str, int, dict]:
     return _check_envelope(doc, _REPLY_KINDS)
 
 
-def events_body(rows) -> dict:
-    """The ``events`` op body for (at least one) journal rows ``(key,
-    id, [x, y], is_task)``: the rows transposed into columns, keys as
-    indices into a per-frame table."""
-    keys, ids, xy, is_task = zip(*rows)
-    table: dict[str, int] = {}
-    index = [table.setdefault(key, len(table)) for key in keys]
-    return {
-        "keys": list(table),
-        "key": index,
-        "ids": list(ids),
-        "xy": list(xy),
-        "is_task": list(is_task),
-    }
-
-
 def event_columns(body: dict) -> tuple[list, list, list, list]:
-    """Check an ``events`` body; returns ``(keys, ids, xy, is_task)``
-    with one shard key per row.
+    """Check an ``events`` body's rows; returns ``(keys, ids, xy,
+    is_task)`` with one shard key, int id, ``[x, y]`` float pair and
+    bool per row — the columns :meth:`~repro.cluster.worker.ShardHost
+    .ingest` takes, exactly as a JSON decode of them would read.
 
-    Raises ``ValueError`` for columns that are not lists or differ in
-    length, a key index outside the table, a kind that is not a bool or
-    an id that is not an int — a silent ``zip`` would drop rows instead.
+    Raises ``ValueError`` for a body without its key table and rows, a
+    row kind other than 0 (worker) or 1 (task), or a key index outside
+    the table.
     """
-    table, index, ids, xy, is_task = (
-        body.get(name) for name in ("keys", "key", "ids", "xy", "is_task")
-    )
-    if not all(type(col) is list for col in (table, index, ids, xy, is_task)):
-        raise ValueError("events columns must be lists")
-    if not len(index) == len(ids) == len(xy) == len(is_task):
-        raise ValueError(
-            f"events columns differ in length: key {len(index)}, ids "
-            f"{len(ids)}, xy {len(xy)}, is_task {len(is_task)}"
-        )
-    if not set(map(type, index)) <= {int} or (
-        index and not 0 <= min(index) <= max(index) < len(table)
+    table, rows = body.get("keys"), body.get("rows")
+    if type(table) is not list or not (
+        type(rows) is np.ndarray and rows.dtype == EVENT_ROW_DTYPE
     ):
+        raise ValueError("events body must carry a key table and event rows")
+    kinds, index = rows["kind"], rows["key"]
+    if len(rows) and kinds.max() > 1:
         raise ValueError(
-            f"events key indices must index the {len(table)}-key table"
+            f"events row kinds must be 0 or 1, got {int(kinds.max())}"
         )
-    if not set(map(type, is_task)) <= {bool}:
-        raise ValueError("events kinds must be bools")
-    if not set(map(type, ids)) <= {int}:
-        raise ValueError("events ids must be ints")
-    return [table[i] for i in index], ids, xy, is_task
+    if len(rows) and index.max() >= len(table):
+        raise ValueError(
+            f"events key indices must index the {len(table)}-key table, "
+            f"got {int(index.max())}"
+        )
+    xy = np.empty((len(rows), 2), dtype=np.float64)
+    xy[:, 0] = rows["x"]
+    xy[:, 1] = rows["y"]
+    return (
+        [table[k] for k in index.tolist()],
+        rows["id"].tolist(),
+        xy.tolist(),
+        (kinds == 1).tolist(),
+    )

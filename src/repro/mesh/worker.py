@@ -7,9 +7,11 @@ then serves :mod:`repro.mesh.protocol` ops over the same length-prefixed
 frames the gateway uses: a JSON hello and welcome, then bin1 both ways.
 The serving core is a :class:`~repro.cluster.worker.ShardHost`, the same
 shard container the single-process engine drives: an ``events`` op's
-rows go through :meth:`~repro.cluster.worker.ShardHost.ingest`, the
-engine's own apply path — one cohort rule and one row path is what keeps
-mesh assignments bit-identical to the engine's.
+fixed-width rows are checked (:func:`~repro.mesh.protocol.event_columns`)
+and go through :meth:`~repro.cluster.worker.ShardHost.ingest` as the
+same Python columns the engine passes, the engine's own apply path —
+one cohort rule and one row path is what keeps mesh assignments
+bit-identical to the engine's.
 
 The loop is single-threaded and strictly FIFO over the socket: ops are
 applied in arrival order and replies carry the op's ``seq`` back. That
@@ -49,7 +51,13 @@ from ..gateway.protocol import (
     role_feature,
 )
 from ..obs.trace import parse_trace_context, span_record
-from .protocol import event_columns, fail_doc, parse_op, reply_doc
+from .protocol import (
+    event_columns,
+    events_reply_doc,
+    fail_doc,
+    parse_op,
+    reply_doc,
+)
 
 __all__ = [
     "connect_worker",
@@ -154,6 +162,7 @@ def serve_connection(
         if is_gateway_doc(doc):
             return  # goodbye (any lifecycle frame ends the service loop)
         seq = -1
+        answer = reply_doc
         try:
             op, seq, body = parse_op(doc)
             if op == "configure":
@@ -178,6 +187,7 @@ def serve_connection(
                 host.drop(str(body["key"]))
                 out = {"key": body["key"]}
             elif op == "events":
+                answer = events_reply_doc
                 # tracing: a valid context on the op gets the execution
                 # timed and the span handed back in the reply (the
                 # coordinator's tracer adopts it — the worker has no
@@ -189,6 +199,7 @@ def serve_connection(
                     # labels the trace record and nothing replays it
                     start_wall = time.time()  # lint: ok RL103
                     start_perf = time.perf_counter()
+                # the rows' own checks: a damaged op answers fail below
                 keys, ids, xy, is_task = event_columns(body)
                 out = {"workers": host.ingest(keys, ids, xy, is_task)}
                 if ctx is not None:
@@ -226,7 +237,7 @@ def serve_connection(
                 raise ValueError(f"unhandled mesh op {op!r}")
             # encoded inside the try: a reply over the frame ceiling
             # answers ``fail`` like any other failed op
-            frame = encode_frame(reply_doc(seq, out))
+            frame = encode_frame(answer(seq, out))
         except Exception as exc:
             info = map_exception(exc).info()
             try:

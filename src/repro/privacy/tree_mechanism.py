@@ -53,6 +53,8 @@ ENUMERATION_LEAF_LIMIT = 2_000_000
 #: plain form won through 28-30 rows in five sweeps on 2 CPUs).
 TURN_PLAIN_MAX_ROWS = 28
 
+_INTP = np.dtype(np.intp)
+
 
 class TreeMechanism:
     """ε-Geo-I obfuscation of HST leaves (paper Sec. III-C/D).
@@ -225,8 +227,19 @@ class TreeMechanism:
 
     @staticmethod
     def _index_column(point_indices) -> np.ndarray:
-        """A batch of two or more indices as a one-dimensional intp array."""
-        idx = np.asarray(point_indices, dtype=np.intp)
+        """A batch of two or more indices as a one-dimensional intp array.
+
+        Indices must be integers (or bools), as ``operator.index`` wants
+        for a batch of one: a float index is a ``TypeError``, never
+        truncated. An empty batch is valid whatever its dtype.
+        """
+        idx = np.asarray(point_indices)
+        if idx.dtype is not _INTP:  # the serving path's snaps already are
+            if idx.size and idx.dtype.kind not in "biu":
+                raise TypeError(
+                    f"point indices must be integers, got {idx.dtype} values"
+                )
+            idx = idx.astype(np.intp)
         if idx.ndim != 1:
             raise ValueError(f"expected a 1-d index array, got shape {idx.shape}")
         return idx

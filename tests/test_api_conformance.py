@@ -188,6 +188,30 @@ class TestConformance:
         assert report.workers_registered == 4
         assert report.tasks_assigned + report.tasks_unassigned == 1
 
+    def test_ids_outside_int64_are_invalid_on_every_backend(self):
+        """Ids travel as int64 on the wire, so an id of 2**63 is refused
+        as ``invalid-request`` by every backend — including a gateway
+        whose client sent it unchecked — and nothing of its window runs."""
+        spec = ServiceSpec(
+            region=REGION, shards=(1, 1), grid_nx=4, batch_size=8, seed=1
+        )
+        for verb in (
+            RegisterWorker(worker_id=2**63, location=(20.0, 20.0), time=1.0),
+            SubmitTask(task_id=2**63, location=(20.0, 20.0), time=1.0),
+        ):
+            requests = (RegisterWorker(worker_id=1, location=(30.0, 30.0), time=0.0), verb)
+            kinds = ("inprocess", "sharded", "remote", "mesh")
+            codes, runs = _refusals(spec, kinds, requests)
+            assert codes == ["invalid-request"] * len(kinds)
+            assert check_parity(runs) == []
+            assert runs[0].report.workers_registered == 0
+            with serve_gateway(GatewayConfig(spec=spec, backend="sharded")) as server:
+                remote = RemoteBackend(spec, address=server.address)
+                with AssignmentClient(remote, middleware=[]) as client:
+                    with pytest.raises(ApiError) as refused:
+                        client.call(StreamWindow.of(0, requests))
+            assert refused.value.code == "invalid-request"
+
     def test_inprocess_skipped_on_lattice_specs(self):
         result = run_conformance(
             spec_for((2, 1)),

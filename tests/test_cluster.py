@@ -239,8 +239,9 @@ class TestClusterRouter:
         smap = ShardMap(REGION, 2, 2)
         router = ClusterRouter(smap)
         pts = np.random.default_rng(0).uniform(0, 200, size=(50, 2))
-        owners = smap.shard_of_many(pts)
-        assert router.keys_of_many(pts) == [f"s{int(o)}" for o in owners]
+        families, index = router.route_many(pts)
+        assert families.tolist() == smap.shard_of_many(pts).tolist()
+        assert not index.any()  # an unsplit cell's only key is its own
 
     def test_split_adds_fallback_chain(self):
         router = ClusterRouter(ShardMap(REGION, 2, 2))
@@ -249,8 +250,12 @@ class TestClusterRouter:
         # a point in the split cell routes to its sub-shard, whose chain
         # falls back to the parent; other cells are untouched
         pts = np.random.default_rng(1).uniform(0, 200, size=(60, 2))
-        for (x, y), key in zip(pts, router.keys_of_many(pts)):
+        families, index = router.route_many(pts)
+        assert router.family_keys(0) == ["s0", *children]
+        for (x, y), fam, k in zip(pts, families.tolist(), index.tolist()):
+            key = router.family_keys(fam)[k]
             if x < 100 and y < 100:
+                assert (fam, k) != (0, 0)  # never the draining parent
                 assert key in children
                 assert fallback_chain(key) == (key, "s0")
             else:

@@ -2,14 +2,16 @@
 
 Three layers of guarantees:
 
-* **one layout per job** — every api message kind rides
-  :data:`~repro.gateway.protocol.GENERIC_TAG`, and :func:`decode_bin1`
-  refuses every other layout (old per-kind tags and stream rows alike)
-  with a structured ``invalid-request``;
-* **frame fidelity** — the columnar stream rows write exactly the
-  bytes of a per-row ``struct`` packer, round-trip a window's and a
-  window result's columns exactly, and opt out to ``None`` for any
-  shape they cannot carry exactly;
+* **one layout per job** — every api message kind, and every mesh op
+  and reply but ``events`` and its ``events_reply``, rides
+  :data:`~repro.gateway.protocol.GENERIC_TAG`; those two ride their own
+  row layouts, traced or not; and :func:`decode_bin1` refuses every
+  other layout (old per-kind tags and stream rows alike) with a
+  structured ``invalid-request``;
+* **frame fidelity** — the columnar stream rows and the mesh events
+  rows write exactly the bytes of a per-row ``struct`` packer,
+  round-trip their columns exactly, and the stream rows opt out to
+  ``None`` for any shape they cannot carry exactly;
 * **hostile bytes** — truncation at every boundary, single-byte
   mutations, junk tags, bad row kinds and version skew always surface
   as structured :class:`~repro.api.errors.ApiError`, never a raw
@@ -29,7 +31,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import ServiceSpec
+from repro.api import ServiceSpec, make_backend
+from repro.api.conformance import build_conformance_stream, run_backend
 from repro.api.errors import ApiError, UnsupportedVersion, ValidationFailed
 from repro.api.messages import (
     ErrorInfo,
@@ -47,7 +50,8 @@ from repro.api.messages import (
     WorkerRegistered,
     to_wire,
 )
-from repro.gateway import GatewayConfig, RemoteBackend, serve_gateway
+from repro.cluster.dispatch import EVENT_ROW_DTYPE
+from repro.gateway import GatewayConfig, RemoteBackend, codec, serve_gateway
 from repro.gateway.codec import (
     decode_bin1,
     decode_stream_batch,
@@ -60,10 +64,22 @@ from repro.gateway.protocol import (
     BIN1_MAGIC,
     BIN1_WIRE_VERSION,
     GENERIC_TAG,
+    MESH_EVENTS_REPLY_TAG,
+    MESH_EVENTS_TAG,
     STREAM_BATCH_TAG,
     STREAM_RESULT_TAG,
 )
 from repro.geometry import Box
+from repro.mesh.protocol import (
+    MESH_SCHEMA,
+    OP_KINDS,
+    event_columns,
+    events_reply_doc,
+    fail_doc,
+    op_doc,
+    reply_doc,
+)
+from repro.obs.trace import Tracer
 from repro.service.metrics import ServiceReport
 
 #: The error codes a hostile peer may surface — nothing else escapes.
@@ -152,6 +168,55 @@ class TestOneLayoutPerJob:
             decode_bin1(payload)
         assert info.value.code == "invalid-request"
 
+    def test_every_other_mesh_doc_rides_the_generic_tag(self):
+        docs = [op_doc(op, 1, {"key": "s0"}) for op in OP_KINDS if op != "events"]
+        docs += [reply_doc(1, {"key": "s0"}), fail_doc(1, "rejected", "m")]
+        for doc in docs:
+            payload = encode_bin1(doc)
+            assert payload[2] == GENERIC_TAG, doc["kind"]
+            assert decode_bin1(payload) == doc
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_a_live_mesh_sends_events_only_as_rows(self, traced, monkeypatch):
+        """Every frame a coordinator writes or reads over a run with
+        checkpoint cuts: ``events`` ops and their replies never ride
+        GENERIC_TAG, traced or not, and every other mesh frame does."""
+        seen = []
+        encode, decode = codec.encode_bin1, codec.decode_bin1
+
+        def encoding(doc):
+            payload = encode(doc)
+            seen.append((doc.get("schema"), doc.get("kind"), payload[2]))
+            return payload
+
+        def decoding(payload):
+            doc = decode(payload)
+            seen.append((doc.get("schema"), doc.get("kind"), payload[2]))
+            return doc
+
+        monkeypatch.setattr(codec, "encode_bin1", encoding)
+        monkeypatch.setattr(codec, "decode_bin1", decoding)
+        tracer = Tracer() if traced else None
+        spec = ServiceSpec(
+            region=Box.square(200.0), shards=(2, 2), grid_nx=6, batch_size=8, seed=11
+        )
+        backend = make_backend(
+            "mesh", spec, n_peers=2, chunk_size=7, checkpoint_every=16, tracer=tracer
+        )
+        run_backend(
+            backend, build_conformance_stream(spec.region, 30, 20, seed=3),
+            window=16, tracer=tracer,
+        )
+        mesh = [(kind, tag) for schema, kind, tag in seen if schema == MESH_SCHEMA]
+        kinds = {kind for kind, _ in mesh}
+        assert {"events", "events_reply", "snapshot", "reply"} <= kinds
+        for kind, tag in mesh:
+            want = {"events": MESH_EVENTS_TAG, "events_reply": MESH_EVENTS_REPLY_TAG}
+            assert tag == want.get(kind, GENERIC_TAG), kind
+        if traced:
+            names = {record["name"] for record in tracer.spans}
+            assert {"mesh.dispatch", "worker.execute"} <= names
+
 
 # --------------------------------------------------------------------- #
 # stream rows: column round trips                                        #
@@ -171,6 +236,15 @@ def _window() -> StreamWindow:
 
 def _window_result() -> WindowResult:
     return WindowResult(4, [False, True, True], [7, 3, 4], [7, None])
+
+
+def _events_op() -> dict:
+    """An ``events`` body over a split cell's key table."""
+    rows = [(0, 0, 7, 1.5, -2.25), (2, 1, 3, 0.0, 99.5), (1, 0, 8, -4.0, 4.0)]
+    return {
+        "keys": ["s3", "s3/0", "s3/1"],
+        "rows": np.array(rows, dtype=EVENT_ROW_DTYPE),
+    }
 
 
 class TestStreamEquivalence:
@@ -228,7 +302,12 @@ class TestStreamEquivalence:
 _WINDOW_ROW = struct.Struct(">Bqqddd")  # kind, seq, id, x, y, time
 _RESULT_ROW = struct.Struct(">Bqqq")  # kind, seq, id, worker (or 0)
 
+_EVENT_ROW = struct.Struct(">IBqdd")  # key index, kind, id, x, y
+_EVENTS_REPLY_ROW = struct.Struct(">Bq")  # assigned, worker (or 0)
+
 _IDS = st.integers(0, 2**63 - 1)
+_I64 = st.integers(-(2**63), 2**63 - 1)
+_MESH_SEQS = st.integers(0, 2**64 - 1)
 _FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308]),
@@ -249,6 +328,19 @@ def _windows(draw) -> StreamWindow:
         ),
         draw(st.lists(_FLOATS, min_size=n, max_size=n)),
     )
+
+
+@st.composite
+def _event_ops(draw) -> tuple[list, list]:
+    """A family's key table (split into 0, 4 or 9 sub-shards) and rows
+    whose key indices fall inside it."""
+    base = draw(st.integers(0, 99))
+    n_sub = draw(st.sampled_from([0, 4, 9]))
+    keys = [f"s{base}", *(f"s{base}/{j}" for j in range(n_sub))]
+    row = st.tuples(
+        st.integers(0, len(keys) - 1), st.integers(0, 1), _I64, _FLOATS, _FLOATS
+    )
+    return keys, draw(st.lists(row, max_size=24))
 
 
 @st.composite
@@ -288,6 +380,28 @@ def _bits(values) -> list:
     return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
 
 
+def _packed_events(seq: int, keys, rows, tail: bytes = b"") -> bytes:
+    table = b"".join(bytes([len(key)]) + key.encode("ascii") for key in keys)
+    return _prefixed(
+        MESH_EVENTS_TAG,
+        struct.pack(">QII", seq, len(rows), len(keys))
+        + table
+        + b"".join(_EVENT_ROW.pack(*row) for row in rows)
+        + struct.pack(">I", len(tail))
+        + tail,
+    )
+
+
+def _packed_events_reply(seq: int, workers, tail: bytes = b"") -> bytes:
+    return _prefixed(
+        MESH_EVENTS_REPLY_TAG,
+        struct.pack(">QI", seq, len(workers))
+        + b"".join(_EVENTS_REPLY_ROW.pack(w is not None, w or 0) for w in workers)
+        + struct.pack(">I", len(tail))
+        + tail,
+    )
+
+
 class TestColumnarBytes:
     @settings(max_examples=150, deadline=None)
     @given(_windows())
@@ -311,6 +425,73 @@ class TestColumnarBytes:
         decoded = decode_stream_result(payload)
         assert decoded == result
         assert decoded.workers == list(result.workers)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_event_ops(), _MESH_SEQS)
+    def test_events_write_the_per_row_bytes(self, op, seq):
+        keys, rows = op
+        packed = np.array(rows, dtype=EVENT_ROW_DTYPE)
+        payload = encode_bin1(op_doc("events", seq, {"keys": keys, "rows": packed}))
+        assert payload == _packed_events(seq, keys, rows)
+        doc = decode_bin1(payload)
+        assert (doc["kind"], doc["seq"]) == ("events", seq)
+        assert doc["body"]["keys"] == keys
+        assert doc["body"]["rows"].dtype == EVENT_ROW_DTYPE
+        assert doc["body"]["rows"].tobytes() == packed.tobytes()
+        # the worker's columns read exactly as a JSON decode of them would
+        table, ids, xy, is_task = event_columns(doc["body"])
+        assert table == [keys[row[0]] for row in rows]
+        assert ids == [row[2] for row in rows]
+        assert all(type(i) is int for i in ids)
+        assert is_task == [row[1] == 1 for row in rows]
+        assert all(type(t) is bool for t in is_task)
+        assert all(type(p) is list and list(map(type, p)) == [float, float] for p in xy)
+        assert _bits([v for p in xy for v in p]) == _bits(
+            [v for row in rows for v in row[3:]]
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(st.none(), _I64), max_size=24), _MESH_SEQS)
+    def test_events_replies_write_the_per_row_bytes(self, workers, seq):
+        payload = encode_bin1(events_reply_doc(seq, {"workers": workers}))
+        assert payload == _packed_events_reply(seq, workers)
+        doc = decode_bin1(payload)
+        assert (doc["kind"], doc["seq"]) == ("events_reply", seq)
+        assert doc["body"] == {"workers": workers}
+
+    def test_extra_body_fields_ride_the_json_tail(self):
+        trace = {"trace_id": "a" * 32, "span_id": "b" * 16}
+        op = {**_events_op(), "trace": trace}
+        payload = encode_bin1(op_doc("events", 9, op))
+        rows = op["rows"].tolist()
+        tail = b'{"trace":{"trace_id":"' + b"a" * 32 + b'","span_id":"' + b"b" * 16 + b'"}}'
+        assert payload == _packed_events(9, op["keys"], rows, tail)
+        assert decode_bin1(payload)["body"]["trace"] == trace
+        spans = [{"type": "span", "name": "worker.execute"}]
+        reply = encode_bin1(events_reply_doc(9, {"workers": [4], "spans": spans}))
+        tail = b'{"spans":[{"type":"span","name":"worker.execute"}]}'
+        assert reply == _packed_events_reply(9, [4], tail)
+        assert decode_bin1(reply)["body"] == {"workers": [4], "spans": spans}
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"keys": ["s0"], "rows": [(0, 0, 1, 0.0, 0.0)]},  # not an array
+            {"keys": ["s0"], "rows": np.zeros(1, dtype=[("id", "<i8")])},
+            {"keys": ["s\u00e9"], "rows": np.zeros(1, dtype=EVENT_ROW_DTYPE)},
+            {"keys": ["s" * 256], "rows": np.zeros(1, dtype=EVENT_ROW_DTYPE)},
+            {"rows": np.zeros(1, dtype=EVENT_ROW_DTYPE)},  # no key table
+        ],
+        ids=["list-rows", "foreign-dtype", "non-ascii-key", "long-key", "no-keys"],
+    )
+    def test_events_that_do_not_fit_the_rows_fail_structured(self, body):
+        with pytest.raises(ValidationFailed):
+            encode_bin1(op_doc("events", 1, body))
+
+    def test_events_replies_that_do_not_fit_the_rows_fail_structured(self):
+        for workers in ([2**63], [1.5j], "7"):
+            with pytest.raises(ValidationFailed):
+                encode_bin1(events_reply_doc(1, {"workers": workers}))
 
     def test_all_three_result_kinds_appear(self):
         payload = encode_stream_result(_window_result())

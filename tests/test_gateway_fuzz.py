@@ -14,10 +14,12 @@ Two invariants, checked over hundreds of randomized cases:
    a server loop.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
-from repro.api.errors import ApiError
+from repro.api.errors import ApiError, map_exception
 from repro.api.messages import (
     ErrorInfo,
     Flush,
@@ -33,8 +35,11 @@ from repro.api.messages import (
     from_wire,
     to_wire,
 )
+from repro.cluster.dispatch import EVENT_ROW_DTYPE
 from repro.gateway import FrameDecoder, encode_frame, handshake_frame
+from repro.gateway.codec import decode_bin1, encode_bin1
 from repro.gateway.protocol import HEADER
+from repro.mesh.protocol import event_columns, events_reply_doc, op_doc, parse_op
 from repro.service.metrics import ServiceReport, ShardSnapshot
 
 STABLE_CODES = {
@@ -471,3 +476,169 @@ class TestTraceFuzz:
                 for rec in new
             )
             sock.close()
+
+
+# --------------------------------------------------------------------- #
+# the mesh events rows                                                   #
+# --------------------------------------------------------------------- #
+
+#: Byte offsets in an events payload: the bin1 prefix, then the seq,
+#: row-count and key-count fields, then the key table.
+_ROWS_AT = 3 + 8
+_KEYS_AT = 3 + 12
+_TABLE_AT = 3 + 16
+
+
+def _events_payload(traced: bool = True) -> bytes:
+    """A split family's ``events`` op, three rows over a three-key
+    table, with a trace context in its tail."""
+    rows = np.array(
+        [(0, 0, 7, 1.5, -2.25), (2, 1, 3, 0.0, 99.5), (1, 0, 8, -4.0, 4.0)],
+        dtype=EVENT_ROW_DTYPE,
+    )
+    body = {"keys": ["s3", "s3/0", "s3/1"], "rows": rows}
+    if traced:
+        body["trace"] = {"trace_id": "ab" * 16, "span_id": "cd" * 8}
+    return encode_bin1(op_doc("events", 41, body))
+
+
+def _events_reply_payload() -> bytes:
+    spans = [{"type": "span", "name": "worker.execute"}]
+    return encode_bin1(events_reply_doc(41, {"workers": [7, None], "spans": spans}))
+
+
+def _row_at(payload: bytes, row: int) -> int:
+    """Offset of an events payload's row ``row``."""
+    (n_keys,) = struct.unpack_from(">I", payload, _KEYS_AT)
+    at = _TABLE_AT
+    for _ in range(n_keys):
+        at += 1 + payload[at]
+    return at + row * EVENT_ROW_DTYPE.itemsize
+
+
+def _serve(payload: bytes) -> dict:
+    """What a mesh worker does with a payload: decode the frame (damage
+    there is ``invalid-request`` and poisons the connection), then check
+    an ``events`` op's rows where they are applied (damage there is the
+    op's ``rejected`` answer). Either way the failure is structured."""
+    doc = decode_bin1(payload)
+    if doc.get("kind") == "events":
+        try:
+            event_columns(parse_op(doc)[2])
+        except ValueError as exc:
+            raise map_exception(exc) from exc
+    return doc
+
+
+class TestMeshEventsFuzz:
+    """The events op and its reply: every kind of damage fails inside the
+    taxonomy, never as a ``struct.error`` or ``IndexError``."""
+
+    def test_clean_payloads_serve(self):
+        assert _serve(_events_payload())["body"]["trace"]["span_id"] == "cd" * 8
+        assert _serve(_events_reply_payload())["body"]["workers"] == [7, None]
+
+    @pytest.mark.parametrize("make", [_events_payload, _events_reply_payload])
+    def test_truncation_at_every_boundary(self, make):
+        payload = make()
+        for cut in range(len(payload)):
+            with pytest.raises(ApiError) as err:
+                _serve(payload[:cut])
+            assert err.value.code in STABLE_CODES
+
+    @pytest.mark.parametrize("make", [_events_payload, _events_reply_payload])
+    def test_trailing_bytes_are_rejected(self, make):
+        with pytest.raises(ApiError) as err:
+            _serve(make() + b"\x00")
+        assert err.value.code == "invalid-request"
+
+    @pytest.mark.parametrize("make", [_events_payload, _events_reply_payload])
+    def test_lying_row_counts(self, make):
+        base = make()
+        (count,) = struct.unpack_from(">I", base, _ROWS_AT)
+        for lie in (0, count - 1, count + 1, 1000, 2**32 - 1):
+            payload = bytearray(base)
+            struct.pack_into(">I", payload, _ROWS_AT, lie)
+            with pytest.raises(ApiError) as err:
+                _serve(bytes(payload))
+            assert err.value.code == "invalid-request", lie
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 4, 100, 2**32 - 1])
+    def test_lying_key_counts(self, count):
+        payload = bytearray(_events_payload())
+        struct.pack_into(">I", payload, _KEYS_AT, count)
+        with pytest.raises(ApiError) as err:
+            _serve(bytes(payload))
+        assert err.value.code in STABLE_CODES
+
+    def test_non_ascii_key_names_are_invalid(self):
+        payload = bytearray(_events_payload())
+        payload[_TABLE_AT + 1] = 0xE9
+        with pytest.raises(ApiError) as err:
+            _serve(bytes(payload))
+        assert err.value.code == "invalid-request"
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("key", 3, "key table"), ("key", 2**32 - 1, "key table"), ("kind", 2, "0 or 1")],
+        ids=["index-past-table", "index-max", "kind-2"],
+    )
+    def test_damaged_rows_decode_and_are_rejected_where_applied(
+        self, field, value, message
+    ):
+        payload = bytearray(_events_payload())
+        at = _row_at(bytes(payload), 1)
+        if field == "key":
+            struct.pack_into(">I", payload, at, value)
+        else:
+            payload[at + 4] = value
+        decode_bin1(bytes(payload))  # the frame itself is sound
+        with pytest.raises(ApiError) as err:
+            _serve(bytes(payload))
+        assert err.value.code == "rejected"
+        assert message in err.value.message
+
+    @pytest.mark.parametrize(
+        "tail",
+        [b"{", b"[1, 2]", b"\xff\xfe", b'"trace"', b"null"],
+        ids=["cut-json", "array", "not-utf8", "string", "null"],
+    )
+    def test_damaged_tails_are_invalid(self, tail):
+        payload = _events_payload(traced=False)
+        damaged = payload[:-4] + struct.pack(">I", len(tail)) + tail
+        with pytest.raises(ApiError) as err:
+            _serve(damaged)
+        assert err.value.code == "invalid-request"
+
+    @pytest.mark.parametrize("size", [1, 10**6, 2**32 - 1])
+    def test_lying_tail_lengths_are_invalid(self, size):
+        payload = bytearray(_events_payload())
+        at = _row_at(bytes(payload), 3)
+        struct.pack_into(">I", payload, at, size)
+        with pytest.raises(ApiError) as err:
+            _serve(bytes(payload))
+        assert err.value.code == "invalid-request"
+
+    @pytest.mark.parametrize(
+        "assigned, worker", [(2, 7), (0, 7), (255, 0)],
+        ids=["flag-2", "unassigned-with-worker", "flag-255"],
+    )
+    def test_non_canonical_reply_rows_are_invalid(self, assigned, worker):
+        payload = bytearray(_events_reply_payload())
+        struct.pack_into(">Bq", payload, 3 + 12, assigned, worker)
+        with pytest.raises(ApiError) as err:
+            _serve(bytes(payload))
+        assert err.value.code == "invalid-request"
+
+    @pytest.mark.parametrize("make", [_events_payload, _events_reply_payload])
+    def test_single_byte_mutations_never_escape_the_taxonomy(self, make):
+        rng = np.random.default_rng(26)
+        base = make()
+        for _ in range(600):
+            mutated = bytearray(base)
+            pos = int(rng.integers(len(mutated)))
+            mutated[pos] = int(rng.integers(256))
+            try:
+                _serve(bytes(mutated))
+            except ApiError as exc:
+                assert exc.code in STABLE_CODES

@@ -14,6 +14,7 @@ import json
 import os
 import signal
 import socket
+import struct
 import sys
 import threading
 import time
@@ -39,10 +40,13 @@ from repro.api.conformance import (
 )
 from repro.api.errors import ApiError
 from repro.cluster.balancer import BalancerConfig, ClusterRouter, family_of
-from repro.cluster.dispatch import FamilyJournal
+from repro.cluster.dispatch import EVENT_ROW_DTYPE, FamilyJournal
 from repro.cluster.worker import ShardHost, shard_spec
 from repro.gateway import codec
 from repro.gateway.protocol import (
+    BIN1_MAGIC,
+    BIN1_WIRE_VERSION,
+    GENERIC_TAG,
     HEADER,
     MESH_WORKER_ROLE,
     PACKED_DOC_TAG,
@@ -61,7 +65,7 @@ from repro.mesh import (
     MeshError,
     OP_KINDS,
     event_columns,
-    events_body,
+    events_reply_doc,
     fail_doc,
     op_doc,
     parse_op,
@@ -99,8 +103,10 @@ class TestMeshProtocol:
             assert parse_op(doc) == (op, 7, {"key": "s0"})
 
     def test_reply_and_fail_round_trip(self):
-        kind, seq, body = parse_reply(reply_doc(3, {"workers": []}))
-        assert (kind, seq, body) == ("reply", 3, {"workers": []})
+        kind, seq, body = parse_reply(reply_doc(3, {"key": "s0"}))
+        assert (kind, seq, body) == ("reply", 3, {"key": "s0"})
+        kind, seq, body = parse_reply(events_reply_doc(4, {"workers": []}))
+        assert (kind, seq, body) == ("events_reply", 4, {"workers": []})
         kind, seq, body = parse_reply(fail_doc(9, "rejected", "nope", "why"))
         assert kind == "fail"
         assert seq == 9
@@ -140,9 +146,10 @@ class TestMeshProtocol:
 
 
 def _exchange_ops(ops, *, goodbye=False) -> list[tuple[str, int, dict]]:
-    """Serve ``(op, body)`` pairs on a worker op loop over a socketpair;
-    every answer, parsed, once the loop has ended (after a ``fail``, or
-    at the goodbye sent behind the ops when ``goodbye``)."""
+    """Serve ``(op, body)`` pairs (or whole frames, as bytes, numbered in
+    turn) on a worker op loop over a socketpair; every answer, parsed,
+    once the loop has ended (after a ``fail``, or at the goodbye sent
+    behind the ops when ``goodbye``)."""
     ours, theirs = socket.socketpair()
     ours.settimeout(10.0)
 
@@ -155,8 +162,10 @@ def _exchange_ops(ops, *, goodbye=False) -> list[tuple[str, int, dict]]:
     server = threading.Thread(target=serve, daemon=True)
     server.start()
     try:
-        for seq, (op, body) in enumerate(ops, start=1):
-            ours.sendall(encode_frame(op_doc(op, seq, body)))
+        for seq, op in enumerate(ops, start=1):
+            if not isinstance(op, bytes):
+                op = encode_frame(op_doc(op[0], seq, op[1]))
+            ours.sendall(op)
         if goodbye:
             ours.sendall(encode_frame(goodbye_doc("done")))
         decoder, replies = FrameDecoder(), []
@@ -180,25 +189,43 @@ _ROWS = [
     ("s0", 1, [12.0, 12.0], True),
 ]
 
-
-def _lose_an_id(body):
-    body["ids"].pop()
-
-
-def _index_past_the_table(body):
-    body["key"][0] = len(body["keys"])
+#: One packed event row (key index, kind, id, x, y): the oracle for the
+#: journal's and the codec's EVENT_ROW_DTYPE bytes.
+_EVENT_ROW = struct.Struct(">IBqdd")
 
 
-def _negative_index(body):
-    body["key"][0] = -1
+def _events_body(rows) -> dict:
+    """The ``events`` body of ``(key, id, [x, y], is_task)`` rows: the
+    key table in first-use order and the rows as event records."""
+    table: list[str] = []
+    packed = np.zeros(len(rows), dtype=EVENT_ROW_DTYPE)
+    for i, (key, ident, (x, y), task) in enumerate(rows):
+        if key not in table:
+            table.append(key)
+        packed[i] = (table.index(key), int(task), ident, x, y)
+    return {"keys": table, "rows": packed}
 
 
-def _int_kind(body):
-    body["is_task"][1] = 1
+def _damaged_events_frame(seq: int, field: str, value: int) -> bytes:
+    """The ``events`` frame of :data:`_ROWS` with one field of its first
+    row overwritten in the frame's bytes: what arrives when the row, not
+    the frame around it, is damaged."""
+    frame = bytearray(encode_frame(op_doc("events", seq, _events_body(_ROWS))))
+    # length header, bin1 prefix, seq/count/key-count head, table ("s0")
+    row = HEADER.size + 3 + 16 + 3
+    offset = {"key": 0, "kind": 4}[field]
+    struct.pack_into(">I" if field == "key" else ">B", frame, row + offset, value)
+    return bytes(frame)
 
 
-def _float_id(body):
-    body["ids"][1] = 0.5
+def _json_events_frame(seq: int) -> bytes:
+    """An ``events`` op in the generic (embedded-JSON) layout, the way a
+    peer that predates the row layout would send it."""
+    doc = op_doc("events", seq, {"keys": ["s0"], "key": [0], "ids": [1],
+                                 "xy": [[1.0, 1.0]], "is_task": [False]})
+    payload = struct.pack(">BBB", BIN1_MAGIC, BIN1_WIRE_VERSION, GENERIC_TAG)
+    payload += json.dumps(doc).encode("utf-8")
+    return HEADER.pack(len(payload)) + payload
 
 
 class TestWorkerOpLoop:
@@ -221,29 +248,29 @@ class TestWorkerOpLoop:
         assert "frame limit" in answers[-1][2]["message"]
 
     def test_events_answer_one_worker_per_task_row(self):
-        answers = _exchange_ops([*_SETUP, ("events", events_body(_ROWS))], goodbye=True)
+        answers = _exchange_ops([*_SETUP, ("events", _events_body(_ROWS))], goodbye=True)
         assert [(kind, seq) for kind, seq, _ in answers] == [
-            ("reply", 1), ("reply", 2), ("reply", 3),
+            ("reply", 1), ("reply", 2), ("events_reply", 3),
         ]
         # the first task takes the only worker; the second finds none
         assert answers[-1][2] == {"workers": [7, None]}
 
     @pytest.mark.parametrize(
-        "damage, message",
+        "frame, message",
         [
-            (_lose_an_id, "differ in length"),
-            (_index_past_the_table, "key table"),
-            (_negative_index, "key table"),
-            (_int_kind, "bools"),
-            (_float_id, "ints"),
+            # the key index of row 0 is the table's length, one past it
+            (_damaged_events_frame(3, "key", 1), "key table"),
+            (_damaged_events_frame(3, "key", 2**32 - 1), "key table"),
+            (_damaged_events_frame(3, "kind", 2), "0 or 1"),
+            (_json_events_frame(3), "event rows"),
         ],
+        ids=["index-past-table", "index-max", "kind-2", "json-columns"],
     )
-    def test_damaged_events_answer_fail_for_their_seq(self, damage, message):
-        """Columns from another process are checked: a damaged body
-        answers a structured ``fail``, never a silently shorter reply."""
-        body = events_body(_ROWS)
-        damage(body)
-        answers = _exchange_ops([*_SETUP, ("events", body)])
+    def test_damaged_events_answer_fail_for_their_seq(self, frame, message):
+        """Rows from another process are checked where they are applied:
+        a frame whose rows are damaged decodes, and its op answers a
+        structured ``fail`` for its seq, never a silently wrong reply."""
+        answers = _exchange_ops([*_SETUP, frame])
         assert [(kind, seq) for kind, seq, _ in answers] == [
             ("reply", 1), ("reply", 2), ("fail", 3),
         ]
@@ -262,7 +289,7 @@ class TestWorkerOpLoop:
             while not docs:
                 docs = decoder.feed(theirs.recv(65536))
             _, seq, _ = parse_op(docs[0])
-            theirs.sendall(encode_frame(reply_doc(seq, {"workers": []})))
+            theirs.sendall(encode_frame(events_reply_doc(seq, {"workers": []})))
 
         server = threading.Thread(target=short_worker, daemon=True)
         server.start()
@@ -324,6 +351,16 @@ def _absorb(journal, *rows):
     )
 
 
+def _rows_of(taken) -> list[tuple]:
+    """A :meth:`FamilyJournal.take` result as ``(key, id, [x, y],
+    is_task)`` tuples, each row's key read off the table."""
+    keys, rows = taken
+    return [
+        (keys[k], i, [x, y], bool(kind))
+        for k, kind, i, x, y in rows.tolist()
+    ]
+
+
 class TestFamilyJournal:
     def test_rows_keep_stream_order(self):
         j = _journal()
@@ -331,13 +368,28 @@ class TestFamilyJournal:
         # row in another family lands on in between
         _absorb(j, ("w", 0, 10, 100), ("w", 1, 20, 100), ("w", 5, 150, 100),
                 ("t", 0, 15, 100), ("w", 2, 30, 100))
-        assert j.take(0) == [
+        assert _rows_of(j.take(0)) == [
             ("s0", 0, [10.0, 100.0], False),
             ("s0", 1, [20.0, 100.0], False),
             ("s0", 0, [15.0, 100.0], True),
             ("s0", 2, [30.0, 100.0], False),
         ]
-        assert j.take(1) == [("s1", 5, [150.0, 100.0], False)]
+        assert _rows_of(j.take(1)) == [("s1", 5, [150.0, 100.0], False)]
+        # tasks in stream order across families
+        assert j.task_order == [0]
+
+    def test_take_is_the_wire_rows(self):
+        """A take is the events op's row bytes as they are: big-endian
+        records, byte for byte a per-row ``struct`` packing."""
+        j = _journal()
+        _absorb(j, ("w", 2**62, 10.5, -0.0), ("t", -(2**63), 99.25, 5e-324))
+        keys, rows = j.take(0)
+        assert keys == ["s0"]
+        assert rows.dtype == EVENT_ROW_DTYPE
+        assert not rows.flags.writeable
+        assert rows.tobytes() == _EVENT_ROW.pack(
+            0, 0, 2**62, 10.5, -0.0
+        ) + _EVENT_ROW.pack(0, 1, -(2**63), 99.25, 5e-324)
 
     def test_take_honours_absolute_upto_and_rewind(self):
         j = _journal()
@@ -345,15 +397,17 @@ class TestFamilyJournal:
         _absorb(j, ("t", 0, 15, 100))
         mark = j.end(0)
         _absorb(j, ("t", 1, 12, 100))
-        first = j.take(0, mark)
+        first = _rows_of(j.take(0, mark))
         assert len(first) == 4
         assert j.sent(0) == mark
-        assert j.take(0, mark) == []  # cursor moved past the mark
-        rest = j.take(0)
+        keys, rows = j.take(0, mark)
+        assert keys == ["s0"] and len(rows) == 0  # cursor moved past the mark
+        assert j.sent(0) == mark
+        rest = _rows_of(j.take(0))
         assert [(row[1], row[3]) for row in rest] == [(1, True)]
         j.rewind(0)
         assert j.sent(0) == 0
-        replay = j.take(0)
+        replay = _rows_of(j.take(0))
         assert replay == first + rest  # base never truncated: full replay
 
     def test_truncate_keeps_positions_absolute(self):
@@ -365,8 +419,9 @@ class TestFamilyJournal:
         _absorb(j, ("t", 1, 12, 100))
         assert j.end(0) == mark + 1  # positions grow past the old mark
         j.rewind(0)
+        assert j.sent(0) == mark
         # replay serves only the retained suffix, not the truncated rows
-        assert [(row[1], row[3]) for row in j.take(0)] == [(1, True)]
+        assert [(row[1], row[3]) for row in _rows_of(j.take(0))] == [(1, True)]
 
     def test_truncate_counts_what_it_drops(self):
         j = _journal()
@@ -376,12 +431,113 @@ class TestFamilyJournal:
         assert j.truncate(0, 2) == 0  # already gone
         assert j.truncate(0, 99) == 1  # clipped at the journal's end
         assert j.truncate(1, 5) == 0  # an untouched family
+        assert j.end(0) == 3
+
+    def test_taken_rows_survive_growth_and_truncation(self):
+        """A delivery encodes its rows outside the journal's lock: later
+        appends, buffer growth and truncation must leave them intact."""
+        j = _journal()
+        _absorb(j, *[("w", i, 10, 100) for i in range(5)])
+        keys, rows = j.take(0)
+        before = rows.tobytes()
+        for lo in range(5, 400, 50):  # grows the buffer several times
+            _absorb(j, *[("w", i, 20, 100) for i in range(lo, lo + 50)])
+        j.truncate(0, j.end(0) - 3)
+        _absorb(j, *[("t", i, 10, 100) for i in range(60)])
+        assert rows.tobytes() == before
+        assert j.end(0) == 465
+        _, kept = j.take(0)
+        assert kept["id"].tolist()[:3] == [402, 403, 404]  # the kept suffix
+
+    def test_deliveries_read_rows_while_the_journal_moves(self):
+        """The coordinator takes a slice under its lock and encodes it
+        outside: with appends, growth and truncation racing on another
+        thread, every slice still reads the ids absorbed into it, and the
+        slices add up to the stream."""
+        j, lock = _journal(shards=(1, 1)), threading.Lock()
+        chunks, size = 200, 37
+        delivered: list[int] = []
+        done = threading.Event()
+
+        def absorb():
+            for c in range(chunks):
+                with lock:
+                    _absorb(j, *[("w", i, 10, 10) for i in range(c * size, (c + 1) * size)])
+            done.set()
+
+        def deliver():
+            while True:
+                finished = done.is_set()
+                with lock:
+                    _, rows = j.take(0)
+                    cut = j.sent(0)
+                ids = rows["id"].tolist()  # read outside the lock
+                time.sleep(0)
+                assert rows["id"].tolist() == ids
+                delivered.extend(ids)
+                with lock:
+                    j.truncate(0, cut)
+                if finished and not ids:
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=f) for f in (absorb, deliver)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert delivered == list(range(chunks * size))
+
+    def test_split_rows_index_the_family_table(self):
+        router = ClusterRouter(ShardMap(REGION, 2, 1))
+        j = FamilyJournal(router)
+        _absorb(j, ("w", 0, 10, 10))  # journaled before the split
+        router.split(0, 2)
+        _absorb(j, ("w", 1, 10, 10), ("w", 2, 90, 190), ("w", 3, 150, 10))
+        keys, rows = j.take(0)
+        assert keys == ["s0", "s0/0", "s0/1", "s0/2", "s0/3"]
+        # index 0 is the base cell, j + 1 is sub-shard j
+        assert rows["key"].tolist() == [0, 1, 4]
+        assert [keys[k] for k in rows["key"].tolist()] == ["s0", "s0/0", "s0/3"]
+        assert _rows_of(j.take(1)) == [("s1", 3, [150.0, 10.0], False)]
 
     def test_duplicate_worker_ids_are_refused(self):
         j = _journal()
         _absorb(j, ("w", 0, 10, 100))
         with pytest.raises(ValueError):
             _absorb(j, ("w", 0, 99, 100))
+
+    def test_ids_outside_int64_are_refused_at_their_row(self):
+        """An id the rows cannot carry is refused like a repeated one:
+        the rows before it are journaled, it and the rows after are not,
+        and nothing wraps."""
+        for bad in (2**63, -(2**63) - 1, 2**70):
+            j = _journal()
+            with pytest.raises(ValueError, match="outside int64"):
+                _absorb(
+                    j,
+                    ("w", 1, 10, 100, 3.0),
+                    ("t", 2**63 - 1, 10, 100, 4.0),
+                    ("t", bad, 10, 100, 5.0),
+                    ("w", 5, 10, 100, 9.0),
+                )
+            assert j.end(0) == 2
+            assert _rows_of(j.take(0))[1] == ("s0", 2**63 - 1, [10.0, 100.0], True)
+            assert j.known_workers == {1}
+            assert j.known_tasks == {2**63 - 1}
+            assert j.task_order == [2**63 - 1]
+            assert j.now == 4.0
+
+    def test_a_duplicate_before_an_outside_id_is_what_is_refused(self):
+        j = _journal()
+        with pytest.raises(ValueError, match="already registered"):
+            _absorb(j, ("w", 1, 10, 100), ("w", 1, 10, 100), ("w", 2**63, 10, 100))
+        assert j.end(0) == 1
 
     def test_clock_is_the_latest_accepted_event(self):
         j = _journal()
@@ -428,8 +584,9 @@ def _shard_states(host):
 class TestOneRowPath:
     """Three arms, one answer: the engine fed one row per call (the
     reference, which can defer nothing), the engine fed random windows,
-    and the mesh path — journal rows per family, the ``events`` columns
-    through a JSON round trip, ``ShardHost.ingest`` on a second host."""
+    and the mesh path — journal rows per family, the ``events`` op and
+    its reply through the bin1 row codec, ``ShardHost.ingest`` on a
+    second host."""
 
     SEED = 7
 
@@ -480,11 +637,18 @@ class TestOneRowPath:
                 ids[lo:hi], np.array(xy[lo:hi]), kinds[lo:hi], times[lo:hi]
             )
             for fam in sorted(touched):
-                body = json.loads(json.dumps(events_body(journal.take(fam))))
+                table, rows = journal.take(fam)
+                op = {"keys": table, "rows": rows}
+                _, seq, body = parse_op(codec.decode_bin1(
+                    codec.encode_bin1(op_doc("events", fam + 1, op))
+                ))
                 keys, row_ids, row_xy, row_kinds = event_columns(body)
                 workers = host.ingest(keys, row_ids, row_xy, row_kinds)
-                tasks = [i for i, task in zip(row_ids, row_kinds) if task]
-                outcomes.update(zip(tasks, workers))
+                _, _, reply = parse_reply(codec.decode_bin1(
+                    codec.encode_bin1(events_reply_doc(seq, {"workers": workers}))
+                ))
+                tasks = rows["id"][rows["kind"] == 1].tolist()
+                outcomes.update(zip(tasks, reply["workers"]))
         mesh = [outcomes[tid] for tid, task in zip(ids, kinds) if task]
 
         assert decisions == reference

@@ -449,6 +449,24 @@ class TestPinnedReports:
             assert (got[i], got_states[i]) == (want[i], want_states[i]), i
         _assert_pinned(grid, eps, got, got_states)
 
+    @pytest.mark.parametrize("n", [1, 2, TURN_PLAIN_MAX_ROWS + 1])
+    def test_non_integer_indices_are_refused_at_every_size(self, n):
+        """A float index is a ``TypeError`` in a batch of any size, as a
+        list or as an array, never truncated to a point."""
+        tree = publish_tree(Box.square(100.0), grid_nx=6, seed=0)
+        mech = TreeMechanism(tree, 0.5, seed=0)
+        for values in ([1.5] + [2.0] * (n - 1), [2.0] * n):
+            for batch in (values, np.array(values)):
+                with pytest.raises(TypeError):
+                    mech.obfuscate_points_batch(batch)
+
+    def test_empty_batches_stay_valid(self):
+        tree = publish_tree(Box.square(100.0), grid_nx=6, seed=0)
+        mech = TreeMechanism(tree, 0.5, seed=0)
+        for batch in ([], np.array([]), np.array([], dtype=np.int64)):
+            out = mech.obfuscate_points_batch(batch)
+            assert out.dtype == np.int64 and out.size == 0
+
     def test_batch_of_one_rejects_bad_points(self):
         tree = publish_tree(Box.square(100.0), grid_nx=6, seed=0)
         mech = TreeMechanism(tree, 0.5, seed=0)
