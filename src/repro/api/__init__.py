@@ -10,8 +10,10 @@ over all of them:
 
 * **messages** — typed request/response dataclasses
   (:class:`RegisterWorker`, :class:`SubmitTask`, :class:`Flush`,
-  :class:`GetReport`, columnar stream windows and their results) with a
-  schema-versioned dict wire form (:func:`to_wire`/:func:`from_wire`);
+  :class:`GetReport`, columnar stream windows and their results), the
+  verbs, barriers and their answers with a schema-versioned dict wire
+  form (:func:`to_wire`/:func:`from_wire`; a window and its result
+  travel as rows);
 * **backends** — a common contract with three adapters
   (:class:`InProcessBackend`, :class:`ShardedBackend`,
   :class:`MeshBackend`) that pass one conformance suite: same spec,

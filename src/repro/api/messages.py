@@ -6,17 +6,22 @@ report — plus :class:`StreamWindow`, a stream window of register/submit
 events held as columns (answered by a columnar :class:`WindowResult`).
 Every register or submit reaches a backend as a window; a single call is
 a window of one row, and a stream sends its flushes and reports as
-themselves. Each message is a frozen dataclass with a dict wire form::
+themselves. Each message is a frozen dataclass; all but the window pair
+have a dict wire form::
 
     {"schema": "repro.api", "version": 1, "kind": "submit_task",
      "body": {"task_id": 7, "location": [12.0, 40.5], "time": 3.25}}
 
-:func:`to_wire`/:func:`from_wire` round-trip every message; ``from_wire``
-checks the schema name and version before touching the body, so a
-payload from a future (or foreign) producer fails with a structured
-:class:`~repro.api.errors.UnsupportedVersion` instead of a ``KeyError``
-deep in a backend. The wire form is what a network frontend would put on
-the socket; in-process callers normally pass the dataclasses themselves.
+:func:`to_wire`/:func:`from_wire` round-trip every such message;
+``from_wire`` checks the schema name and version before touching the
+body, so a payload from a future (or foreign) producer fails with a
+structured :class:`~repro.api.errors.UnsupportedVersion` instead of a
+``KeyError`` deep in a backend. A :class:`StreamWindow` and its
+:class:`WindowResult` have no document form: on a socket they travel
+only as fixed-width rows (:mod:`repro.gateway.codec`), so ``from_wire``
+refuses their kinds as unknown. The wire form is what a network
+frontend puts on the socket; in-process callers normally pass the
+dataclasses themselves.
 """
 
 from __future__ import annotations
@@ -67,13 +72,6 @@ def _xy(xy) -> np.ndarray:
             f"stream window xy must be an (n, 2) array, got shape {xy.shape}"
         )
     return xy
-
-
-def _flag(value) -> bool:
-    """A row kind off the document form: a JSON bool, nothing else."""
-    if type(value) is not bool:
-        raise ValueError(f"row kind must be a bool, got {value!r}")
-    return value
 
 
 def _point(location) -> tuple[float, float]:
@@ -250,25 +248,6 @@ class StreamWindow:
             [v.time for v in verbs],
         )
 
-    def _body(self) -> dict:
-        return {
-            "seq": int(self.seq),
-            "is_task": [bool(t) for t in self.is_task],
-            "ids": [int(i) for i in self.ids],
-            "xy": self.xy.tolist(),
-            "times": [float(t) for t in self.times],
-        }
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "StreamWindow":
-        return cls(
-            seq=int(body["seq"]),
-            is_task=[_flag(t) for t in body["is_task"]],
-            ids=[int(i) for i in body["ids"]],
-            xy=body["xy"],
-            times=[float(t) for t in body["times"]],
-        )
-
 
 # --------------------------------------------------------------------- #
 # responses                                                              #
@@ -409,23 +388,6 @@ class WindowResult:
             and list(self.workers) == list(other.workers)
         )
 
-    def _body(self) -> dict:
-        return {
-            "seq": int(self.seq),
-            "is_task": [bool(t) for t in self.is_task],
-            "ids": [int(i) for i in self.ids],
-            "workers": [None if w is None else int(w) for w in self.workers],
-        }
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "WindowResult":
-        return cls(
-            seq=int(body["seq"]),
-            is_task=[_flag(t) for t in body["is_task"]],
-            ids=[int(i) for i in body["ids"]],
-            workers=[None if w is None else int(w) for w in body["workers"]],
-        )
-
 
 def verb_runs(items, limit: int | None = None):
     """Cut requests into serving units, lazily: each run of up to
@@ -504,7 +466,12 @@ Response = (
     ErrorInfo,
 )
 
-_KINDS = {cls.kind: cls for cls in (*Request, *Response)}
+#: The kinds with a document form (a window and its answer have none).
+_KINDS = {
+    cls.kind: cls
+    for cls in (*Request, *Response)
+    if cls not in (StreamWindow, WindowResult)
+}
 
 
 # --------------------------------------------------------------------- #
@@ -513,10 +480,12 @@ _KINDS = {cls.kind: cls for cls in (*Request, *Response)}
 
 
 def to_wire(message) -> dict:
-    """Serialize any API message to its versioned dict wire form."""
+    """Serialize an API message to its versioned dict wire form."""
     body = getattr(message, "_body", None)
     if body is None or type(message).kind not in _KINDS:
-        raise ValidationFailed(f"not an API message: {message!r}")
+        raise ValidationFailed(
+            f"{type(message).__name__} has no wire document form"
+        )
     return {
         "schema": WIRE_SCHEMA,
         "version": WIRE_VERSION,

@@ -62,7 +62,8 @@ __all__ = [
 
 
 #: The largest id any backend serves: ids travel as int64 on the wire
-#: (stream rows, mesh journal rows), so every backend refuses a larger one.
+#: (stream rows, mesh journal rows), so every backend refuses a larger
+#: one. A window's seq is held to the same range.
 _ID_MAX = 2**63 - 1
 
 
@@ -105,7 +106,7 @@ class RequestValidator:
             self._check_point(request.location)
             self._check_time(request.time)
         elif isinstance(request, StreamWindow):
-            self._check_seq(request.seq)
+            self._check_id("stream seq", request.seq)
             if not self._window_ok(request):
                 self._check_rows(request)
         # Flush/GetReport carry nothing checkable beyond their type
@@ -142,13 +143,6 @@ class RequestValidator:
             self._check_id("task_id" if task else "worker_id", ident)
             self._check_point(tuple(location))
             self._check_time(at)
-
-    @staticmethod
-    def _check_seq(seq) -> None:
-        if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:
-            raise ValidationFailed(
-                f"stream seq must be a non-negative int, got {seq!r}"
-            )
 
     @staticmethod
     def _check_id(name: str, value) -> None:

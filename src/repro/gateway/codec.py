@@ -14,28 +14,30 @@ bin1 keeps one layout per job:
 * :data:`~repro.gateway.protocol.GENERIC_TAG` — the whole document as
   embedded JSON. It is *total* (any dict json can carry, bin1 carries)
   and decodes to exactly the document a JSON round trip produces, so the
-  codec never changes what a backend sees. Verbs, reports, errors,
-  stream windows on traced sessions, every mesh op and reply but the
-  two below (checkpoint snapshots and ``load`` requests included) and
-  goodbyes all ride it;
+  codec never changes what a backend sees. Verbs, reports, errors, every
+  mesh op and reply but the two below (checkpoint snapshots and
+  ``load`` requests included) and goodbyes all ride it;
 * :data:`~repro.gateway.protocol.STREAM_BATCH_TAG` /
   :data:`~repro.gateway.protocol.STREAM_RESULT_TAG` — a stream window
   of register/submit events (:class:`~repro.api.messages.StreamWindow`),
-  and its answer (:class:`~repro.api.messages.WindowResult`), as
-  fixed-width rows with consecutive seqs. :func:`encode_stream_batch`
-  and friends go straight between the messages' columns and the rows,
-  through one numpy structured dtype per layout, without building
-  documents or per-row objects;
+  and its answer (:class:`~repro.api.messages.WindowResult`): a seq and
+  row-count head, then fixed-width rows, and behind a window's rows a
+  JSON tail holding its trace context, empty when untraced. Traced or
+  not, a window and its answer ride only these tags (neither has a
+  document form). :func:`encode_stream_batch` and friends go straight
+  between the messages' columns and the rows, through one numpy
+  structured dtype per layout, without building documents or per-row
+  objects;
 * :data:`~repro.gateway.protocol.MESH_EVENTS_TAG` /
   :data:`~repro.gateway.protocol.MESH_EVENTS_REPLY_TAG` — a mesh
   ``events`` op (a slice of the coordinator's journal, written as its
   :data:`~repro.cluster.dispatch.EVENT_ROW_DTYPE` bytes behind the
   family's key table) and its ``events_reply`` (an assigned flag and a
-  worker per task row), each with a JSON tail for the op's trace
-  context or the reply's spans, empty when untraced. They are
-  documents too: :func:`encode_bin1` picks them from a document's
-  schema and kind, and :func:`decode_bin1` gives the documents back,
-  the op's rows as a structured array.
+  worker per task row), each with the same JSON tail for the op's trace
+  context or the reply's spans. They are documents too:
+  :func:`encode_bin1` picks them from a document's schema and kind, and
+  :func:`decode_bin1` gives the documents back, the op's rows as a
+  structured array.
 
 :func:`decode_bin1` reads the generic and mesh row layouts and one more
 document layout, :data:`~repro.gateway.protocol.PACKED_DOC_TAG` (a
@@ -46,9 +48,8 @@ straight out of the receive buffer; fields are unpacked in place and
 strings decoded directly from the view (only a mesh op's rows are
 copied out, as they outlive the buffer). Every malformed input — bad
 magic, foreign layout version, a tag the decoder does not read,
-truncation at any boundary, lying inner lengths and counts, trailing
-garbage, stream rows whose seqs are not consecutive — raises a
-structured
+truncation at any boundary, lying inner lengths and counts, a tail that
+is not a JSON object, trailing garbage — raises a structured
 :mod:`repro.api.errors` code, never a bare ``struct.error``; the fuzz
 suite drives this promise.
 
@@ -64,7 +65,7 @@ import struct
 import numpy as np
 
 from ..api.errors import UnsupportedVersion, ValidationFailed
-from ..api.messages import StreamWindow, WindowResult
+from ..api.messages import StreamWindow, WindowResult, wire_trace
 from ..cluster.dispatch import EVENT_ROW_DTYPE
 from ..mesh.protocol import MESH_SCHEMA, MESH_VERSION
 from .protocol import (
@@ -92,17 +93,16 @@ _PREFIX = struct.Struct(">BBB")  # magic, layout version, tag
 _F64 = struct.Struct(">d")
 _U32 = struct.Struct(">I")
 _EVENTS_HEAD = struct.Struct(">QII")  # seq, row count, key count
-_EVENTS_REPLY_HEAD = struct.Struct(">QI")  # seq, row count
+_ROWS_HEAD = struct.Struct(">QI")  # seq, row count
 
 # columnar stream rows (see STREAM_BATCH_TAG / STREAM_RESULT_TAG):
 # fixed width, packed big-endian, no per-row nesting — a whole window
-# is one array copy each way
-_WINDOW_DTYPE = np.dtype(  # >Bqqddd, 41 bytes
-    [("kind", "u1"), ("seq", ">i8"), ("id", ">i8"),
-     ("x", ">f8"), ("y", ">f8"), ("t", ">f8")]
+# is one array copy each way; row i has the head's seq + i
+_WINDOW_DTYPE = np.dtype(  # >Bqddd, 33 bytes
+    [("kind", "u1"), ("id", ">i8"), ("x", ">f8"), ("y", ">f8"), ("t", ">f8")]
 )
-_RESULT_DTYPE = np.dtype(  # >Bqqq, 25 bytes: worker is 0 unless kind 1
-    [("kind", "u1"), ("seq", ">i8"), ("id", ">i8"), ("worker", ">i8")]
+_RESULT_DTYPE = np.dtype(  # >Bqq, 17 bytes: worker is 0 unless kind 1
+    [("kind", "u1"), ("id", ">i8"), ("worker", ">i8")]
 )
 
 # the mesh events reply: one row per task row of the op
@@ -228,141 +228,131 @@ def decode_bin1(payload) -> dict:
 # columnar stream rows                                                   #
 # --------------------------------------------------------------------- #
 #
-# The document path costs ~35us per streamed event once both directions
-# of to_wire/encode/decode/from_wire are summed; the row layouts copy a
-# window's columns straight into fixed-width rows (and back) without
-# ever building documents or per-row objects. These four functions are
-# the only readers and writers of STREAM_BATCH / STREAM_RESULT.
+# A window's columns copy straight into fixed-width rows (and back)
+# without ever building documents or per-row objects, on traced and
+# untraced sessions alike: the trace context rides the window's JSON
+# tail. These four functions are the only readers and writers of
+# STREAM_BATCH / STREAM_RESULT.
 
 
-def _stream_rows(payload, expect_tag: int, dtype: np.dtype) -> np.ndarray:
-    """Validate a stream payload and view its rows (no copy): the bin1
-    prefix, the tag, the u32 count, the row bytes and nothing after."""
+def _stream_rows(payload, expect_tag: int, dtype: np.dtype):
+    """Validate a stream payload's prefix, tag and head; a cursor past
+    its rows, the seq, the row count and the rows' offset."""
     r, tag = _open(payload)
     if tag != expect_tag:
         raise ValidationFailed(
             f"expected bin1 stream tag {expect_tag:#04x}, got {tag:#04x}"
         )
-    (count,) = r.unpack(_U32)
+    seq, count = r.unpack(_ROWS_HEAD)
     start = r.need(count * dtype.itemsize)
-    r.done()
-    return np.frombuffer(r.view, dtype=dtype, count=count, offset=start)
+    return r, seq, count, start
 
 
-def _first_seq(rows: np.ndarray) -> int:
-    """The seq of row 0, once every row's seq is one more than the last."""
-    if not len(rows):
-        return 0
-    seqs = rows["seq"]
-    first, last = int(seqs[0]), int(seqs[-1])
-    # diff alone wraps at the i64 edge; the exact span rules that out
-    if last - first != len(rows) - 1 or not (np.diff(seqs) == 1).all():
-        raise ValidationFailed("bin1 stream rows must carry consecutive seqs")
-    return first
-
-
-def _fill_seqs(rows: np.ndarray, seq: int) -> bool:
-    """Number the rows from ``seq``; False when a seq falls outside i64."""
-    n = len(rows)
-    if not _I64_MIN <= seq <= _I64_MAX - n + 1:
-        return False
-    rows["seq"] = np.arange(seq, seq + n, dtype=np.int64)
-    return True
-
-
-def encode_stream_batch(window) -> bytes | None:
+def encode_stream_batch(window, trace: dict | None = None) -> bytes:
     """A :class:`~repro.api.messages.StreamWindow` -> one STREAM_BATCH
-    payload, or ``None`` when it falls outside the fixed-width row shape
-    (the caller takes the document path).
+    payload: the head, one row per event, then the JSON tail holding
+    ``trace`` (a trace context dict; empty when ``None``).
 
-    Fidelity rule: for a window the validator passed, a row carries
-    exactly what ``to_wire`` would have serialized — seqs and ids as
-    int64 (one outside int64 is refused: ``None``, document path),
-    coordinates and times as float64, widened the way ``float()`` does
-    — so the far side sees equal columns on either path. An empty window
-    has no row to carry its seq, so it takes the document path too.
+    Fidelity rule: a row carries exactly what the window holds — ids as
+    int64, coordinates and times as float64, widened the way ``float()``
+    does — so the far side sees equal columns. A window the rows cannot
+    carry (a seq outside the head's u64, an id outside int64, a column
+    that is not numeric) is ``invalid-request``; the validator refuses
+    the same windows on every backend. An empty window is zero rows.
     """
-    if type(window) is not StreamWindow or not len(window):
-        return None
+    if type(window) is not StreamWindow:
+        raise ValidationFailed(
+            f"stream rows carry a StreamWindow, not {type(window).__name__}"
+        )
     rows = np.empty(len(window), dtype=_WINDOW_DTYPE)
     try:
-        if not _fill_seqs(rows, int(window.seq)):
-            return None
+        head = _ROWS_HEAD.pack(window.seq, len(rows))
         rows["kind"] = window.is_task
         rows["id"] = window.ids
         rows["x"] = window.xy[:, 0]
         rows["y"] = window.xy[:, 1]
         rows["t"] = window.times
-    except (OverflowError, TypeError, ValueError):
-        return None
-    return (
-        _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, STREAM_BATCH_TAG)
-        + _U32.pack(len(rows))
-        + rows.tobytes()
-    )
+    except (OverflowError, TypeError, ValueError, struct.error) as exc:
+        raise ValidationFailed(
+            f"stream window does not fit its rows: {type(exc).__name__}: {exc}"
+        ) from exc
+    return b"".join((
+        _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, STREAM_BATCH_TAG),
+        head,
+        rows.tobytes(),
+        _tail({"trace": trace} if trace else {}, ()),
+    ))
 
 
-def decode_stream_batch(payload) -> StreamWindow:
+def decode_stream_batch(payload) -> tuple[StreamWindow, dict | None]:
     """One STREAM_BATCH payload -> its :class:`~repro.api.messages
-    .StreamWindow`, columns straight off the rows.
+    .StreamWindow`, columns straight off the rows, and the trace context
+    dict its tail carries (``None`` when there is none).
 
     Malformed bytes raise the same structured errors as
-    :func:`decode_bin1`: truncation, bad row kinds, non-consecutive seqs
-    and trailing garbage are all ``invalid-request``, a foreign layout
-    version is ``unsupported-version``.
+    :func:`decode_bin1`: truncation, a lying row count, bad row kinds, a
+    tail that is not a JSON object and trailing garbage are all
+    ``invalid-request``, a foreign layout version is
+    ``unsupported-version``.
     """
-    rows = _stream_rows(payload, STREAM_BATCH_TAG, _WINDOW_DTYPE)
+    r, seq, count, start = _stream_rows(payload, STREAM_BATCH_TAG, _WINDOW_DTYPE)
+    trace = wire_trace(_read_tail(r))
+    rows = np.frombuffer(r.view, _WINDOW_DTYPE, count, start)
     kinds = rows["kind"]
     bad = np.flatnonzero(kinds > 1)
     if len(bad):
         raise ValidationFailed(
             f"bin1 stream row kind must be 0 or 1, got {kinds[bad[0]]}"
         )
-    xy = np.empty((len(rows), 2), dtype=np.float64)
+    xy = np.empty((count, 2), dtype=np.float64)
     xy[:, 0] = rows["x"]
     xy[:, 1] = rows["y"]
-    return StreamWindow(
-        _first_seq(rows),
-        (kinds == 1).tolist(),
-        rows["id"].tolist(),
-        xy,
-        rows["t"].tolist(),
+    window = StreamWindow(
+        seq, (kinds == 1).tolist(), rows["id"].tolist(), xy, rows["t"].tolist()
     )
+    return window, trace
 
 
-def encode_stream_result(result) -> bytes | None:
+def encode_stream_result(result) -> bytes:
     """A :class:`~repro.api.messages.WindowResult` -> one STREAM_RESULT
-    payload, or ``None`` for the document path. Row kinds: 0 a
+    payload: the head, then one row per window row. Row kinds: 0 a
     registered worker, 1 an assigned task (its worker in the last
-    field), 2 an unassigned task."""
-    if type(result) is not WindowResult or not len(result):
-        return None
+    field), 2 an unassigned task. A result the rows cannot carry is
+    ``invalid-request``."""
+    if type(result) is not WindowResult:
+        raise ValidationFailed(
+            f"stream rows carry a WindowResult, not {type(result).__name__}"
+        )
     rows = np.zeros(len(result), dtype=_RESULT_DTYPE)
     try:
-        if not _fill_seqs(rows, int(result.seq)):
-            return None
+        head = _ROWS_HEAD.pack(result.seq, len(rows))
         kinds = np.asarray(result.is_task, dtype=np.uint8)
         tasks = np.flatnonzero(kinds)
         if len(tasks) != len(result.workers):
-            return None
-        assigned = [w is not None for w in result.workers]
-        kinds[tasks] = np.where(assigned, 1, 2)
+            raise ValueError(
+                f"{len(result.workers)} outcomes for {len(tasks)} task rows"
+            )
+        kinds[tasks] = [1 if w is not None else 2 for w in result.workers]
         rows["kind"] = kinds
         rows["id"] = result.ids
         rows["worker"][tasks] = [0 if w is None else w for w in result.workers]
-    except (OverflowError, TypeError, ValueError):
-        return None
-    return (
-        _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, STREAM_RESULT_TAG)
-        + _U32.pack(len(rows))
-        + rows.tobytes()
-    )
+    except (OverflowError, TypeError, ValueError, struct.error) as exc:
+        raise ValidationFailed(
+            f"window result does not fit its rows: {type(exc).__name__}: {exc}"
+        ) from exc
+    return b"".join((
+        _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, STREAM_RESULT_TAG),
+        head,
+        rows.tobytes(),
+    ))
 
 
 def decode_stream_result(payload) -> WindowResult:
     """One STREAM_RESULT payload -> its :class:`~repro.api.messages
     .WindowResult`."""
-    rows = _stream_rows(payload, STREAM_RESULT_TAG, _RESULT_DTYPE)
+    r, seq, count, start = _stream_rows(payload, STREAM_RESULT_TAG, _RESULT_DTYPE)
+    r.done()
+    rows = np.frombuffer(r.view, _RESULT_DTYPE, count, start)
     kinds = rows["kind"]
     worker = rows["worker"]
     bad = np.flatnonzero(kinds > 2)
@@ -381,7 +371,7 @@ def decode_stream_result(payload) -> WindowResult:
         )
     is_task = kinds != 0
     return WindowResult(
-        _first_seq(rows),
+        seq,
         is_task.tolist(),
         rows["id"].tolist(),
         [
@@ -399,7 +389,7 @@ def decode_stream_result(payload) -> WindowResult:
 # EVENT_ROW_DTYPE rows: the op writes those bytes as they are, and the
 # worker reads them back as one array. Only the key table, the seqs and
 # the JSON tail (trace context one way, spans the other; empty when
-# untraced) are framed around them. The decoder checks the frame's
+# untraced; a stream window's tail is the same) are framed around them. The decoder checks the frame's
 # shape; the rows' own values (kinds, key indices) are the op
 # handler's to check, so damage there answers ``fail`` for its seq.
 
@@ -420,7 +410,8 @@ def _mesh_head(doc: dict, tag: int) -> tuple[bytes, dict]:
 
 
 def _tail(body: dict, fields) -> bytes:
-    """The u32-length-prefixed JSON tail: every body field but the rows'."""
+    """The u32-length-prefixed JSON tail of a row payload: every body
+    field but the rows'."""
     extra = {k: v for k, v in body.items() if k not in fields}
     if not extra:
         return _U32.pack(0)
@@ -439,11 +430,11 @@ def _read_tail(r: _Reader) -> dict:
         extra = json.loads(str(r.view[start : start + size], "utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise ValidationFailed(
-            f"mesh rows tail is not valid JSON: {type(exc).__name__}: {exc}"
+            f"bin1 rows tail is not valid JSON: {type(exc).__name__}: {exc}"
         ) from exc
     if not isinstance(extra, dict):
         raise ValidationFailed(
-            f"mesh rows tail must encode an object, got {type(extra).__name__}"
+            f"bin1 rows tail must encode an object, got {type(extra).__name__}"
         )
     return extra
 
@@ -502,7 +493,7 @@ def _encode_events_reply(doc: dict) -> bytes:
         raise ValidationFailed("mesh events reply workers must be a list")
     rows = np.zeros(len(workers), dtype=_EVENTS_REPLY_DTYPE)
     try:
-        head = _EVENTS_REPLY_HEAD.pack(doc["seq"], len(rows))
+        head = _ROWS_HEAD.pack(doc["seq"], len(rows))
         rows["assigned"] = [w is not None for w in workers]
         rows["worker"] = [0 if w is None else w for w in workers]
     except (OverflowError, TypeError, ValueError, struct.error) as exc:
@@ -513,7 +504,7 @@ def _encode_events_reply(doc: dict) -> bytes:
 
 
 def _decode_events_reply(r: _Reader) -> dict:
-    seq, count = r.unpack(_EVENTS_REPLY_HEAD)
+    seq, count = r.unpack(_ROWS_HEAD)
     start = r.need(count * _EVENTS_REPLY_DTYPE.itemsize)
     rows = np.frombuffer(r.view, _EVENTS_REPLY_DTYPE, count, start)
     assigned, worker = rows["assigned"], rows["worker"]

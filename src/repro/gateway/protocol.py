@@ -13,9 +13,11 @@ inside frames:
   direction. A session's answers always leave in the order its frames
   arrived, so ordering needs no feature;
 * ``repro.api`` v1 — every request/response after the handshake is the
-  unmodified :func:`repro.api.to_wire` document; failures come back as
-  the api ``error`` kind (:class:`~repro.api.messages.ErrorInfo`), so
-  the error envelope *is* the existing structured error taxonomy.
+  unmodified :func:`repro.api.to_wire` document, except a stream window
+  and its answer, which travel only as rows
+  (:data:`STREAM_BATCH_TAG`, :data:`STREAM_RESULT_TAG`); failures come
+  back as the api ``error`` kind (:class:`~repro.api.messages.ErrorInfo`),
+  so the error envelope *is* the existing structured error taxonomy.
 
 Payloads come in one codec per stage of a connection. The ``hello``,
 the ``welcome`` and a handshake rejection are UTF-8 JSON text
@@ -83,11 +85,12 @@ GATEWAY_SCHEMA = "repro.gateway"
 GATEWAY_VERSION = 1
 
 #: Session feature: request envelopes may carry a top-level ``trace``
-#: dict (``{"trace_id", "span_id"}``, see :mod:`repro.obs.trace`) and
-#: the server links its dispatch spans under it. Granted only when the
-#: client offers it AND the server has tracing enabled; pre-feature
-#: peers never see the key (api ``from_wire`` ignores unknown top-level
-#: keys anyway), and malformed contexts degrade to untraced requests.
+#: dict (``{"trace_id", "span_id"}``, see :mod:`repro.obs.trace`), and a
+#: stream window its rows' JSON tail, and the server links its dispatch
+#: spans under it. Granted only when the client offers it AND the server
+#: has tracing enabled; pre-feature peers never see the key (api
+#: ``from_wire`` ignores unknown top-level keys anyway), and malformed
+#: contexts degrade to untraced requests.
 TRACE_FEATURE = "trace"
 
 #: Peer role advertised by a mesh worker's hello: the connection is not
@@ -116,19 +119,20 @@ BIN1_WIRE_VERSION = 1
 #: layout per job:
 #:
 #: ``GENERIC_TAG`` wraps the whole document as embedded JSON — the
-#: total layout that carries any document (verbs, reports, windows on
-#: traced sessions, every mesh op and reply but ``events`` and its
-#: answer, errors, goodbyes).
+#: total layout that carries any document (verbs, reports, every mesh
+#: op and reply but ``events`` and its answer, errors, goodbyes).
 GENERIC_TAG = 0x00
-#: Columnar stream window: a ``stream_window`` of register/submit
-#: events packed as fixed-width ``>Bqqddd`` rows (kind, seq, id, x, y,
-#: time; one row per event, consecutive seqs). Produced and read only
+#: Columnar stream window: a ``>QI`` head (the window's seq, row count),
+#: one fixed-width ``>Bqddd`` row per register/submit event (kind, id,
+#: x, y, time; row ``i`` has seq + ``i``), then a u32-length-prefixed
+#: JSON tail holding the window's trace context (empty when untraced).
+#: Traced or not, a window rides only this tag. Produced and read only
 #: by :func:`repro.gateway.codec.encode_stream_batch` /
 #: ``decode_stream_batch``.
 STREAM_BATCH_TAG = 0x07
 #: Columnar mirror of :data:`STREAM_BATCH_TAG` for the response
-#: direction: a ``window_result`` as ``>Bqqq`` rows (kind — registered,
-#: assigned or unassigned — seq, id, worker).
+#: direction: a ``window_result`` as the same head plus ``>Bqq`` rows
+#: (kind — registered, assigned or unassigned — id, worker), no tail.
 STREAM_RESULT_TAG = 0x18
 #: Whole document as a self-describing packed value tree (varint ints,
 #: raw f64s, homogeneous f64 arrays) instead of embedded JSON text.
@@ -205,8 +209,8 @@ def payload_frame(
     """Prefix an already-encoded payload with its length header.
 
     The outbound twin of :func:`check_frame_length` — every producer of
-    a frame (doc encoding above, the object-level stream fast path)
-    funnels through here so the outbound ceiling cannot drift either.
+    a frame (doc encoding above, the stream rows) funnels through here
+    so the outbound ceiling cannot drift either.
     """
     if len(payload) > max_frame_bytes:
         raise ValidationFailed(

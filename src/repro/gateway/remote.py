@@ -8,10 +8,12 @@ handed one. ``open()`` connects and handshakes (schema-version
 negotiation included), ``handle()`` writes one frame and blocks for one
 response frame, ``close()`` says goodbye. The hello and welcome travel
 as JSON; every frame after the welcome is bin1 — a
-:class:`~repro.api.messages.StreamWindow` as rows
+:class:`~repro.api.messages.StreamWindow` as rows on every session
 (:func:`~repro.gateway.codec.encode_stream_batch`, answered by a
 :class:`~repro.api.messages.WindowResult` as rows), anything else as a
-generic document.
+generic document. On a session that negotiated ``trace``, the caller's
+current span context crosses with each request: in a document's
+``trace`` key, or in a window's JSON tail.
 
 The transport splits send and receive
 (:attr:`RemoteBackend.supports_pipeline` is true): a caller may use the
@@ -203,10 +205,10 @@ class RemoteBackend(BackendBase):
         """One request frame out, one response frame back.
 
         Overrides the dispatch of :class:`BackendBase` wholesale: every
-        request — windows included — is one frame on the socket (a stream window as rows, anything else as a
-        document), and the server's backend serves it (a single
-        register/submit as a window of one row; a mesh-served window
-        still gets chunked dispatch).
+        request — windows included — is one frame on the socket (a
+        stream window as rows, anything else as a document), and the
+        server's backend serves it (a single register/submit as a window
+        of one row; a mesh-served window still gets chunked dispatch).
 
         Once the connection has been lost (reset, drain, frame damage)
         every further call fails with the same retryable
@@ -241,29 +243,24 @@ class RemoteBackend(BackendBase):
             raise BackendUnavailable(
                 "gateway connection was lost; open a new RemoteBackend"
             )
-        payload = None
-        if type(request) is StreamWindow and not self.supports_trace:
-            # row fast path: a stream window's columns pack straight into
-            # fixed-width rows, skipping the document layer on both ends.
-            # None means the window falls outside the row shape — take
-            # the document path below. A traced session stays on
-            # documents: rows have nowhere to carry the trace context.
-            payload = encode_stream_batch(request)
+        # the thread's current span (the client middleware opens one
+        # around each call) crosses the socket as a plain dict; an
+        # untraced thread or session sends nothing
+        ctx = current_context() if self.supports_trace else None
+        trace = ctx.to_dict() if ctx is not None else None
+        limit = self.max_frame_bytes
+        if type(request) is StreamWindow:
+            # a window's columns pack straight into fixed-width rows on
+            # every session, the trace context riding their tail
+            frame = payload_frame(
+                encode_stream_batch(request, trace), max_frame_bytes=limit
+            )
+        else:
+            frame = encode_frame(
+                attach_trace(to_wire(request), trace), max_frame_bytes=limit
+            )
         try:
-            if payload is not None:
-                self._send_frame(
-                    payload_frame(payload, max_frame_bytes=self.max_frame_bytes)
-                )
-            else:
-                doc = to_wire(request)
-                if self.supports_trace:
-                    # the thread's current span (the client middleware
-                    # opens one around each call) crosses the socket as a
-                    # plain dict; an untraced thread sends nothing
-                    ctx = current_context()
-                    if ctx is not None:
-                        attach_trace(doc, ctx.to_dict())
-                self._send_doc(doc)
+            self._send_frame(frame)
         except OSError as exc:
             self._drop()
             raise BackendUnavailable(
@@ -307,8 +304,7 @@ class RemoteBackend(BackendBase):
             and payload[0] == BIN1_MAGIC
             and payload[2] == STREAM_RESULT_TAG
         ):
-            # mirror of the send-side fast path: the window's answer
-            # comes back as rows and never touches from_wire
+            # a window's answer comes back as rows, never as a document
             return decode_stream_result(payload)
         doc = decode_payload(payload, welcomed=True)
         if is_gateway_doc(doc):

@@ -14,6 +14,11 @@ points:
   hold early (:func:`~repro.runtime.release_order`): the mesh does once
   a window is journaled, so the next request journals while this
   window's outcomes are in flight;
+* **one wire layout per message** — a stream window arrives as rows on
+  every session, traced or not (its trace context rides the rows'
+  tail), and its :class:`~repro.api.messages.WindowResult` leaves as
+  rows; every other request and answer is a document. Either decodes to
+  a request and its trace context before it is dispatched;
 * **one answer order** — every session reads ahead up to
   ``max_inflight`` frames and starts each dispatch at once, but writes
   the answers in the order the frames arrived: a frame's answer waits
@@ -55,7 +60,7 @@ from dataclasses import dataclass, field
 
 from ..api.backends import ServiceSpec, make_backend
 from ..api.errors import ApiError, map_exception
-from ..api.messages import from_wire, to_wire, wire_trace
+from ..api.messages import WindowResult, from_wire, to_wire, wire_trace
 from ..api.middleware import (
     ErrorMapper,
     LatencyMetrics,
@@ -382,10 +387,14 @@ class GatewayServer:
         )
         # -- handshake -------------------------------------------------- #
         try:
-            doc = await asyncio.wait_for(
+            payload = await asyncio.wait_for(
                 self._read_frame(reader), self.config.handshake_timeout
             )
-            session.api_version, session.client, features = parse_hello(doc)
+            # sniffed: a hello must parse to be *rejected* structured even
+            # when a confused peer leads with the wrong codec
+            session.api_version, session.client, features = parse_hello(
+                decode_payload(payload)
+            )
         except (_Disconnect, asyncio.TimeoutError):
             self.stats["rejected_handshakes"] += 1
             return
@@ -434,19 +443,23 @@ class GatewayServer:
                 self.tracer.flush()
 
     async def _intake(self, reader, session, drain_wait):
-        """Read the next actionable frame, or learn the session is over.
+        """Read and decode the next actionable frame, or learn the
+        session is over.
 
         Returns a tagged outcome:
 
-        * ``("doc", doc)`` — an api document to dispatch;
+        * ``("request", (request, trace))`` — an api request to dispatch,
+          with the trace context dict it carried (a document's ``trace``
+          key, a stream window's tail; ``None`` when there is none);
         * ``("reject", error_doc)`` — answer this and keep reading (a
-          gateway doc where an api doc belongs);
+          gateway doc where an api doc belongs, or an api document that
+          does not parse to a request);
         * ``("drain", goodbye_doc)`` — the server is draining;
         * ``("close", error_doc | None)`` — end the session, after the
           farewell payload if any (framing damage gets its structured
           answer; disconnects and client goodbyes get silence).
         """
-        read = asyncio.ensure_future(self._read_frame(reader, welcomed=True))
+        read = asyncio.ensure_future(self._read_frame(reader))
         await asyncio.wait(
             {read, drain_wait}, return_when=asyncio.FIRST_COMPLETED
         )
@@ -456,15 +469,24 @@ class GatewayServer:
                 await read
             return "drain", goodbye_doc("gateway draining")
         try:
-            doc = read.result()
+            payload = read.result()
+            if (
+                len(payload) >= 3
+                and payload[0] == BIN1_MAGIC
+                and payload[2] == STREAM_BATCH_TAG
+            ):
+                # a stream window decodes straight to its columns, and
+                # its trace context off the rows' tail
+                return "request", decode_stream_batch(payload)
+            doc = decode_payload(payload, welcomed=True)
         except _Disconnect as exc:
             if not exc.clean:
                 self.stats["truncated"] += 1
             return "close", None
         except ApiError as exc:
-            # framing damage (a JSON frame after the welcome included):
-            # answer with the structured error, then close — the stream
-            # cannot be resynchronized
+            # framing damage (malformed rows and a JSON frame after the
+            # welcome included): answer with the structured error, then
+            # close — the stream cannot be resynchronized
             self.stats["errors"] += 1
             session.errors += 1
             return "close", to_wire(exc.info())
@@ -479,7 +501,12 @@ class GatewayServer:
                     )
                 ).info()
             )
-        return "doc", doc
+        try:
+            return "request", (from_wire(doc), wire_trace(doc))
+        except ApiError as exc:
+            self.stats["errors"] += 1
+            session.errors += 1
+            return "reject", to_wire(exc.info())
 
     async def _request_loop(self, reader, writer, session, drain_wait) -> None:
         """The read-ahead loop every session runs.
@@ -499,8 +526,8 @@ class GatewayServer:
         farewell_doc: dict | None = None
 
         async def respond(kind: str, payload, before) -> None:
-            if kind == "doc":
-                payload = await self._dispatch(payload, session)
+            if kind == "request":
+                payload = await self._dispatch(*payload, session)
             if before is not None:
                 await asyncio.wait((before,))
             with contextlib.suppress(ConnectionError):
@@ -517,7 +544,7 @@ class GatewayServer:
                     pending.difference_update(done)
                     continue
                 kind, payload = await self._intake(reader, session, drain_wait)
-                if kind not in ("doc", "reject"):
+                if kind not in ("request", "reject"):
                     # drain or close; the farewell goes out after the flush
                     farewell_doc = payload
                     return
@@ -534,30 +561,15 @@ class GatewayServer:
                 with contextlib.suppress(ConnectionError):
                     await self._write(writer, farewell_doc)
 
-    async def _dispatch(self, doc, session: Session):
-        """Serve one api wire document (or a :class:`~repro.api.messages
-        .StreamWindow` off the row fast path); returns a response doc —
-        or, on the fast path, the raw response (a
-        :class:`~repro.api.messages.WindowResult` unless the window
-        failed), which ``_write`` packs as rows."""
-        fast = not isinstance(doc, dict)
-        if fast:
-            request = doc
-        else:
-            try:
-                request = from_wire(doc)
-            except ApiError as exc:
-                self.stats["errors"] += 1
-                session.errors += 1
-                return to_wire(exc.info())
-        # trace context off the document: malformed → None → untraced.
+    async def _dispatch(self, request, trace, session: Session):
+        """Serve one decoded request; returns its response message, or
+        the error document it failed with (``_write`` frames either)."""
+        # the trace context it carried: malformed → None → untraced.
         # gctx (the gateway.dispatch span) is minted HERE, on the event
         # loop, because span ids must be allocated before the job runs
         # but the loop can't use the thread-local span contextmanager
         # (interleaved tasks would corrupt the restore discipline).
-        ctx = (
-            parse_trace_context(wire_trace(doc)) if session.traced else None
-        )
+        ctx = parse_trace_context(trace) if session.traced else None
         gctx = ctx.child() if ctx is not None else None
         timed = gctx is not None or self.config.slow_request_s is not None
         start_wall = time.time() if timed else 0.0
@@ -593,10 +605,10 @@ class GatewayServer:
         if ok:
             session.requests += 1
             self.stats["responses"] += 1
-            out = response if fast else to_wire(response)
+            out = response
         if timed:
             elapsed = time.perf_counter() - start_perf
-            kind = doc.get("kind") if not fast else type(doc).kind
+            kind = type(request).kind
             if gctx is not None:
                 self.tracer.record(
                     "gateway.dispatch",
@@ -649,14 +661,8 @@ class GatewayServer:
     # frame IO                                                            #
     # ------------------------------------------------------------------ #
 
-    async def _read_frame(self, reader, *, welcomed: bool = False):
-        """One inbound frame: a wire document, or a
-        :class:`~repro.api.messages.StreamWindow` when the client sent a
-        stream window as rows.
-        ``welcomed`` marks the frames after the welcome, which must be
-        bin1; the hello itself reads sniffed because it must parse to
-        *reject* structured even when a confused peer leads with the
-        wrong codec."""
+    async def _read_frame(self, reader) -> bytes:
+        """One inbound frame's payload, its length prefix checked."""
         try:
             header = await reader.readexactly(HEADER.size)
         except (asyncio.IncompleteReadError, ConnectionError) as exc:
@@ -670,37 +676,24 @@ class GatewayServer:
             raise _Disconnect(clean=False) from None
         self.stats["frames"] += 1
         self.stats["bytes_in"] += HEADER.size + length
-        if (
-            welcomed
-            and length >= 3
-            and payload[0] == BIN1_MAGIC
-            and payload[2] == STREAM_BATCH_TAG
-        ):
-            # row fast path: the window decodes straight to its columns
-            # and skips from_wire in _dispatch. Malformed rows raise the
-            # same structured codes decode_payload would.
-            return decode_stream_batch(payload)
-        return decode_payload(payload, welcomed=welcomed)
+        return payload
 
-    async def _write(self, writer, doc, *, handshake: bool = False) -> None:
-        """Frame one response: a wire document, or (fast path) a
-        :class:`~repro.api.messages.WindowResult` packed as rows when
-        its shape allows.
+    async def _write(self, writer, out, *, handshake: bool = False) -> None:
+        """Frame one outbound message: a
+        :class:`~repro.api.messages.WindowResult` as rows, any other api
+        message as its document, or a document as it is.
         ``handshake`` frames the welcome or a handshake rejection as
         JSON; everything else is bin1."""
         limit = self.config.max_frame_bytes
         frame_doc = handshake_frame if handshake else encode_frame
         try:
-            if isinstance(doc, dict):
-                frame = frame_doc(doc, max_frame_bytes=limit)
+            if type(out) is WindowResult:
+                frame = payload_frame(
+                    encode_stream_result(out), max_frame_bytes=limit
+                )
             else:
-                payload = encode_stream_result(doc)
-                if payload is not None:
-                    frame = payload_frame(payload, max_frame_bytes=limit)
-                else:
-                    # anything outside the row shape (an empty window,
-                    # an id outside int64) takes the document path
-                    frame = encode_frame(to_wire(doc), max_frame_bytes=limit)
+                doc = out if isinstance(out, dict) else to_wire(out)
+                frame = frame_doc(doc, max_frame_bytes=limit)
         except ApiError as exc:
             # an oversize *response* is this request's failure, not the
             # connection's: answer the structured frame-too-large error

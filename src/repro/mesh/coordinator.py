@@ -223,11 +223,11 @@ class MeshPeer:
 
     def call(self, op: str, body: dict) -> dict:
         """Send one op, block for its reply; the reply body on success."""
-        return self.exchange(op, body)[0]
+        return self.exchange(op, body)[1]
 
-    def exchange(self, op: str, body: dict) -> tuple[dict, int]:
-        """:meth:`call`, also returning the reply frame's payload size in
-        bytes."""
+    def exchange(self, op: str, body: dict) -> tuple[str, dict, int]:
+        """:meth:`call`, returning the reply's kind, its body and its
+        frame's payload size in bytes."""
         with self._lock:
             if self.dead:
                 raise PeerLost(self.name)
@@ -262,7 +262,7 @@ class MeshPeer:
                     f"mesh worker {self.name!r} failed {op!r}: "
                     f"[{reply.get('code')}] {reply.get('message')}"
                 )
-            return reply, size
+            return kind, reply, size
         finally:
             with self._lock:
                 self._pending.pop(seq, None)
@@ -635,16 +635,6 @@ class MeshCoordinator:
     # ------------------------------------------------------------------ #
 
     @property
-    def assignments(self) -> list[tuple[int, int]]:
-        """All ``(task_id, worker_id)`` pairs decided so far, stream order."""
-        with self._state:
-            return [
-                (tid, self._results[tid])
-                for tid in self._journal.task_order
-                if self._results.get(tid) is not None
-            ]
-
-    @property
     def now(self) -> float:
         """The simulation clock: the latest event the journal accepted."""
         with self._state:
@@ -859,9 +849,14 @@ class MeshCoordinator:
                 "mesh.dispatch", parent=ctx, attrs=attrs
             ) as span:
                 body["trace"] = span.context.to_dict()
-                reply = peer.call("events", body)
+                kind, reply, _ = peer.exchange("events", body)
         else:
-            reply = peer.call("events", body)
+            kind, reply, _ = peer.exchange("events", body)
+        if kind != "events_reply":
+            raise MeshError(
+                f"mesh worker {peer.name!r} answered an events op with a "
+                f"{kind!r}, not an events_reply"
+            )
         if self.tracer is not None:
             spans = reply.get("spans")
             if isinstance(spans, list):
@@ -1016,7 +1011,7 @@ class MeshCoordinator:
         """One shard's snapshot and its reply frame's payload size in
         bytes, as the peer reader decoded it (the reply's envelope
         included; nothing is encoded again to measure it)."""
-        reply, size = peer.exchange("snapshot", {"key": key, **req})
+        _, reply, size = peer.exchange("snapshot", {"key": key, **req})
         snap = reply.get("snapshot")
         if not isinstance(snap, dict):
             raise MeshError(f"malformed snapshot reply from {peer.name!r}")

@@ -191,7 +191,7 @@ def parse_op(doc) -> tuple[str, int, dict]:
 
 def parse_reply(doc) -> tuple[str, int, dict]:
     """Validate one reply document; returns ``(kind, seq, body)`` where
-    ``kind`` is ``"reply"`` or ``"fail"``."""
+    ``kind`` is ``"reply"``, ``"events_reply"`` or ``"fail"``."""
     return _check_envelope(doc, _REPLY_KINDS)
 
 

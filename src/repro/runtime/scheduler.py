@@ -45,12 +45,6 @@ executes exactly once in its slot, the ordering chain never skips, and
 a barrier can never start while an abandoned predecessor is running.
 Accepted work always runs: the same discipline the gateway applies to
 a request whose client vanished before reading the reply.
-
-``max_in_flight`` bounds accepted-but-unfinished jobs; :meth:`submit`
-blocks the producer beyond it, which is how backpressure propagates to
-whatever feeds the scheduler (the gateway additionally bounds in-flight
-work with its own asyncio semaphore so its event loop never blocks
-here).
 """
 
 from __future__ import annotations
@@ -106,9 +100,6 @@ class PipelineScheduler:
         Pool threads. ``None`` picks :func:`default_worker_count`; ``1``
         reproduces a strict serial dispatch loop (one thread, and the
         ordering rule is vacuous).
-    max_in_flight:
-        Cap on submitted-but-unfinished jobs; :meth:`submit` blocks when
-        the cap is reached. ``None`` leaves admission to the caller.
     name:
         Thread-name prefix (debugging/profiling).
     """
@@ -117,17 +108,12 @@ class PipelineScheduler:
         self,
         max_workers: int | None = None,
         *,
-        max_in_flight: int | None = None,
         name: str = "repro-runtime",
     ) -> None:
         if max_workers is None:
             max_workers = default_worker_count()
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if max_in_flight is not None and max_in_flight < 1:
-            raise ValueError(
-                f"max_in_flight must be >= 1 (or None), got {max_in_flight}"
-            )
         self.max_workers = int(max_workers)
         self._executor = ThreadPoolExecutor(
             max_workers=self.max_workers, thread_name_prefix=name
@@ -137,11 +123,6 @@ class PipelineScheduler:
         self._tails: dict[object, Future] = {}  # guarded-by: _lock, _idle
         self._barrier: Future | None = None  # guarded-by: _lock, _idle
         self._in_flight = 0  # guarded-by: _lock, _idle
-        self._slots = (
-            threading.BoundedSemaphore(int(max_in_flight))
-            if max_in_flight is not None
-            else None
-        )
         self._shutdown = False  # guarded-by: _lock, _idle
         self._depths: dict[object, int] = {}  # guarded-by: _lock, _idle
         self.submitted = 0  # guarded-by: _lock, _idle
@@ -157,36 +138,28 @@ class PipelineScheduler:
         Returns a :class:`~concurrent.futures.Future` resolving to the
         call's result (or exception). Cancelling it abandons the result
         only — the job still executes in order (see module docstring).
-        ``key=None`` is a global barrier. Blocks while ``max_in_flight``
-        jobs are already pending.
+        ``key=None`` is a global barrier.
         """
-        if self._slots is not None:
-            self._slots.acquire()
         done: Future = Future()  # the caller's result handle
         gate: Future = Future()  # internal chain marker; scheduler-owned
-        try:
-            with self._lock:
-                if self._shutdown:
-                    raise RuntimeError("scheduler has been shut down")
-                self._in_flight += 1
-                self.submitted += 1
-                self._depths[key] = self._depths.get(key, 0) + 1
-                if key is None:
-                    self.barriers += 1
-                    deps = list(self._tails.values())
-                    if self._barrier is not None:
-                        deps.append(self._barrier)
-                    # everything after the barrier chains on the barrier
-                    self._tails.clear()
-                    self._barrier = gate
-                else:
-                    prev = self._tails.get(key, self._barrier)
-                    deps = [] if prev is None else [prev]
-                    self._tails[key] = gate
-        except BaseException:
-            if self._slots is not None:
-                self._slots.release()
-            raise
+        with self._lock:
+            if self._shutdown:
+                raise RuntimeError("scheduler has been shut down")
+            self._in_flight += 1
+            self.submitted += 1
+            self._depths[key] = self._depths.get(key, 0) + 1
+            if key is None:
+                self.barriers += 1
+                deps = list(self._tails.values())
+                if self._barrier is not None:
+                    deps.append(self._barrier)
+                # everything after the barrier chains on the barrier
+                self._tails.clear()
+                self._barrier = gate
+            else:
+                prev = self._tails.get(key, self._barrier)
+                deps = [] if prev is None else [prev]
+                self._tails[key] = gate
         self._when_ready(deps, done, gate, fn, args, kwargs, key)
         return done
 
@@ -240,8 +213,6 @@ class PipelineScheduler:
         # resolves the gate, so the check cannot race the release.
         if not gate.done():
             gate.set_result(None)
-        if self._slots is not None:
-            self._slots.release()
         with self._idle:
             self._in_flight -= 1
             depth = self._depths.get(key, 0) - 1

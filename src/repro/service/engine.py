@@ -32,32 +32,16 @@ callers of :meth:`ingest`.
 Shard RNG streams are keyed (:func:`~repro.utils.keyed_shard_seed` on
 ``"s<i>"``), the convention every backend shares.
 
-The engine is deliberately synchronous and single-process: shards share
-nothing, so lifting them onto threads/processes/hosts is a transport
-problem, not an algorithmic one — :mod:`repro.mesh` is exactly that
-lift, running the same shards across worker processes with snapshot
-checkpoints, crash failover and hot-shard balancing, on the shard-family
-core in :mod:`repro.cluster`.
-
-Concurrency contract: the engine itself never spawns threads, and
-nothing in the repo calls it from more than one at a time (the gateway
-runs requests one at a time, in arrival order). A caller may still
-drive it from several threads: that is safe iff the caller serializes
-per shard — same-shard calls never overlap
-(``tests/test_service.py::TestIngestThreads`` pins this). The state
-shared *across* shards — the worker-id registry, the simulation clock
-and the assignment log — is protected by an internal lock; registry and
-clock are commutative (set union, running max), so cross-shard
-interleaving cannot change any observable result, while the
-:attr:`ShardedAssignmentEngine.assignments` *log order* follows decision
-completion and may interleave differently than a serial replay
-(per-shard subsequences always match; callers that need stream order
-use the API layer's responses).
+The engine is deliberately synchronous and single-process, and serves
+one caller at a time (the gateway runs requests one at a time, in
+arrival order): shards share nothing, so lifting them onto
+threads/processes/hosts is a transport problem, not an algorithmic one —
+:mod:`repro.mesh` is exactly that lift, running the same shards across
+worker processes with snapshot checkpoints, crash failover and
+hot-shard balancing, on the shard-family core in :mod:`repro.cluster`.
 """
 
 from __future__ import annotations
-
-import threading
 
 from ..cluster.worker import ShardHost, admit, refusal, shard_spec
 from ..geometry.box import Box
@@ -125,22 +109,13 @@ class ShardedAssignmentEngine:
         # cross-shard duplicates must be caught here or one worker id
         # could be assigned twice and budget-charged on two ledgers; a
         # task id names one decision, so it may arrive only once
-        self._known_workers: set[int] = set()  # guarded-by: _shared_lock
-        self._known_tasks: set[int] = set()  # guarded-by: _shared_lock
-        self._assignments: list[tuple[int, int]] = []  # guarded-by: _shared_lock
-        # guards the cross-shard state (registries, clock) when different
-        # shards' requests run on different threads; see module docstring
-        self._shared_lock = threading.Lock()
-        self.now = 0.0  # guarded-by: _shared_lock
+        self._known_workers: set[int] = set()
+        self._known_tasks: set[int] = set()
+        self.now = 0.0
 
     @property
     def n_shards(self) -> int:
         return len(self.keys)
-
-    @property
-    def assignments(self) -> list[tuple[int, int]]:
-        """All ``(task_id, worker_id)`` pairs decided so far."""
-        return list(self._assignments)
 
     # ------------------------------------------------------------------ #
     # ingestion                                                           #
@@ -151,10 +126,11 @@ class ShardedAssignmentEngine:
 
         Row ``i`` is a task arrival when ``is_task[i]`` is true (``ids[i]``
         is then its task id), else a worker arrival (``ids[i]`` is its
-        worker id). The chunk is admitted under the shared lock, routed
-        with one :meth:`~repro.service.sharding.ShardMap.shard_of_many`
-        pass and applied by one
-        :meth:`~repro.cluster.worker.ShardHost.ingest` call. ``times``, a
+        worker id). The chunk is admitted against the id registries,
+        routed with one
+        :meth:`~repro.service.sharding.ShardMap.shard_of_many` pass and
+        applied by one :meth:`~repro.cluster.worker.ShardHost.ingest`
+        call. ``times``, a
         sequence parallel to ``ids``, advances the simulation clock to
         the latest event applied.
 
@@ -170,8 +146,7 @@ class ShardedAssignmentEngine:
         # int() hands an int back as itself: the matcher keeps and returns
         # the callers' own id objects
         ids = [int(i) for i in ids]
-        with self._shared_lock:
-            accepted = admit(self._known_workers, self._known_tasks, ids, is_task)
+        accepted = admit(self._known_workers, self._known_tasks, ids, is_task)
         refused = None
         if accepted < len(ids):
             refused = refusal(ids, is_task, accepted, "the engine")
@@ -183,17 +158,8 @@ class ShardedAssignmentEngine:
             locs.tolist(),
             is_task,
         )
-        tasks = [i for i, task in zip(ids, is_task) if task]
-        with self._shared_lock:
-            self._assignments.extend(
-                (task, worker)
-                for task, worker in zip(tasks, decisions)
-                if worker is not None
-            )
-            # max commutes, so shards ingesting on different threads
-            # leave the clock where a serial replay would
-            if times is not None and accepted:
-                self.now = max(self.now, float(max(times[:accepted])))
+        if times is not None and accepted:
+            self.now = max(self.now, float(max(times[:accepted])))
         if refused is not None:
             raise refused
         return decisions

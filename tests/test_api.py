@@ -35,6 +35,12 @@ from repro.api import (
     make_backend,
     to_wire,
 )
+from repro.gateway.codec import (
+    decode_stream_batch,
+    decode_stream_result,
+    encode_stream_batch,
+    encode_stream_result,
+)
 from repro.geometry import Box
 from repro.service import LoadConfig, LoadGenerator
 from repro.service.metrics import percentile
@@ -50,7 +56,7 @@ def small_spec(**kw) -> ServiceSpec:
 
 
 class TestWireFormat:
-    MESSAGES = [
+    DOCUMENTS = [
         RegisterWorker(worker_id=3, location=(1.0, 2.0), time=0.5),
         SubmitTask(task_id=9, location=(4.0, 5.0), time=1.25),
         Flush(),
@@ -60,6 +66,13 @@ class TestWireFormat:
         TaskDecision(task_id=9, worker_id=4),
         Flushed(),
         ErrorInfo(code="rejected", message="nope", retryable=True, detail="x"),
+    ]
+    #: A window and its answer have no document form: they travel as rows.
+    ROWS = {
+        StreamWindow: (encode_stream_batch, lambda p: decode_stream_batch(p)[0]),
+        WindowResult: (encode_stream_result, decode_stream_result),
+    }
+    WINDOWS = [
         StreamWindow.of(
             5,
             [
@@ -70,16 +83,28 @@ class TestWireFormat:
         WindowResult(seq=5, is_task=[False, True, True], ids=[2, 4, 6], workers=[2, None]),
     ]
 
-    @pytest.mark.parametrize("message", MESSAGES, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize(
+        "message", DOCUMENTS + WINDOWS, ids=lambda m: type(m).__name__
+    )
     def test_round_trip(self, message):
+        """Every message survives its one wire form."""
+        if type(message) in self.ROWS:
+            encode, decode = self.ROWS[type(message)]
+            assert decode(encode(message)) == message
+            return
         doc = to_wire(message)
         assert doc["schema"] == WIRE_SCHEMA
         assert doc["version"] == WIRE_VERSION
         assert from_wire(doc) == message
 
     def test_wire_is_json_serializable(self):
-        for message in self.MESSAGES:
+        for message in self.DOCUMENTS:
             assert from_wire(json.loads(json.dumps(to_wire(message)))) == message
+
+    def test_windows_have_no_document_form(self):
+        for message in self.WINDOWS:
+            with pytest.raises(ValidationFailed):
+                to_wire(message)
 
     def test_report_round_trip(self):
         config = LoadConfig(n_workers=60, n_tasks=30, shards=(2, 1), grid_nx=6, seed=0)
@@ -103,14 +128,18 @@ class TestWireFormat:
             from_wire(doc)
 
     def test_unknown_kind_rejected(self):
-        # the retired batch and envelope kinds are as unknown as an
-        # invented one, even with the body they used to carry
+        # the retired batch, envelope and window document kinds are as
+        # unknown as an invented one, even with the body they used to
+        # carry (a window and its answer travel only as rows)
+        window = {"seq": 0, "is_task": [True], "ids": [1]}
         for kind, body in (
             ("teleport_worker", {"items": []}),
             ("batch", {"items": []}),
             ("batch_result", {"items": []}),
             ("envelope", {"seq": 0, "item": to_wire(Flush())}),
             ("envelope_result", {"seq": 0, "item": to_wire(Flushed())}),
+            ("stream_window", {**window, "xy": [[0.0, 0.0]], "times": [0.0]}),
+            ("window_result", {**window, "workers": [None]}),
         ):
             doc = to_wire(Flush())
             doc["kind"] = kind
@@ -216,6 +245,12 @@ class TestWindowValidation:
     def test_negative_window_seq_is_refused(self):
         with pytest.raises(ValidationFailed):
             RequestValidator().validate(StreamWindow.of(-1, _run()))
+
+    def test_window_seq_past_int64_is_refused(self):
+        RequestValidator().validate(StreamWindow.of(2**63 - 1, []))
+        with pytest.raises(ValidationFailed) as info:
+            RequestValidator().validate(StreamWindow.of(2**63, _run()))
+        assert "int64" in info.value.message
 
     def test_columns_must_agree_in_length(self):
         with pytest.raises(ValidationFailed):

@@ -71,18 +71,21 @@ DUPLICATE_TASK = (
 )
 
 
-def _refuse_duplicate(backend, requests=DUPLICATE_BATCH) -> tuple[str, BackendRun]:
-    """Send ``requests`` as one window; the error code and the run after it."""
+def _refuse_duplicate(
+    backend, requests=DUPLICATE_BATCH, seq: int = 0
+) -> tuple[str, BackendRun]:
+    """Send ``requests`` as one window at ``seq``; the error code and the
+    run after it."""
     with AssignmentClient(backend) as client:
         with pytest.raises(ApiError) as refused:
-            client.call(StreamWindow.of(0, requests))
+            client.call(StreamWindow.of(seq, requests))
         report = client.report()
     return refused.value.code, BackendRun(
         name=backend.name, assignments=(), unassigned=(), report=report
     )
 
 
-def _refusals(spec, kinds, requests) -> tuple[list, list]:
+def _refusals(spec, kinds, requests, seq: int = 0) -> tuple[list, list]:
     """:func:`_refuse_duplicate` on each backend kind (``remote`` over a
     sharded gateway); the error codes and the runs after them."""
     codes, runs = [], []
@@ -91,11 +94,11 @@ def _refusals(spec, kinds, requests) -> tuple[list, list]:
             config = GatewayConfig(spec=spec, backend="sharded")
             with serve_gateway(config) as server:
                 code, run = _refuse_duplicate(
-                    RemoteBackend(spec, address=server.address), requests
+                    RemoteBackend(spec, address=server.address), requests, seq
                 )
         else:
             code, run = _refuse_duplicate(
-                make_backend(kind, spec, **MESH_KWARGS.get(kind, {})), requests
+                make_backend(kind, spec, **MESH_KWARGS.get(kind, {})), requests, seq
             )
         codes.append(code)
         runs.append(run)
@@ -211,6 +214,29 @@ class TestConformance:
                     with pytest.raises(ApiError) as refused:
                         client.call(StreamWindow.of(0, requests))
             assert refused.value.code == "invalid-request"
+
+    def test_window_seq_past_int64_is_invalid_on_every_backend(self):
+        """A window's seq is held to int64 like an id: a seq of 2**63 is
+        refused as ``invalid-request`` by every backend — including a
+        gateway whose client sent it unchecked (the u64 head carries it,
+        the server's validator refuses it) — and nothing of its window
+        runs."""
+        spec = ServiceSpec(
+            region=REGION, shards=(1, 1), grid_nx=4, batch_size=8, seed=1
+        )
+        requests = (RegisterWorker(worker_id=1, location=(30.0, 30.0), time=0.0),)
+        kinds = ("inprocess", "sharded", "remote", "mesh")
+        codes, runs = _refusals(spec, kinds, requests, seq=2**63)
+        assert codes == ["invalid-request"] * len(kinds)
+        assert check_parity(runs) == []
+        assert runs[0].report.workers_registered == 0
+        with serve_gateway(GatewayConfig(spec=spec, backend="sharded")) as server:
+            remote = RemoteBackend(spec, address=server.address)
+            with AssignmentClient(remote, middleware=[]) as client:
+                with pytest.raises(ApiError) as refused:
+                    client.call(StreamWindow.of(2**63, requests))
+                assert client.report().workers_registered == 0
+        assert refused.value.code == "invalid-request"
 
     def test_inprocess_skipped_on_lattice_specs(self):
         result = run_conformance(

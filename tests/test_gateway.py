@@ -50,7 +50,14 @@ from repro.gateway import (
     serve_gateway,
     welcome_doc,
 )
-from repro.gateway.protocol import HEADER
+from repro.gateway.codec import decode_stream_batch, encode_stream_batch
+from repro.gateway.protocol import (
+    GENERIC_TAG,
+    HEADER,
+    STREAM_BATCH_TAG,
+    STREAM_RESULT_TAG,
+    payload_frame,
+)
 from repro.geometry import Box
 from repro.runtime import release_order
 from repro.service import ShardMap
@@ -433,7 +440,7 @@ class TestConnectionFaults:
                     for i in range(3)
                 ],
             )
-            send_frame(sock, to_wire(window))
+            sock.sendall(payload_frame(encode_stream_batch(window)))
             sock.close()  # gone before the WindowResult comes back
             wait_until(lambda: gw.stats["responses"] == 1, what="window completion")
             wait_until(lambda: not gw.sessions, what="session teardown")
@@ -897,11 +904,14 @@ class TestWireAccounting:
         assert stats["frames"] <= windows + 8
         assert stats["frames"] < len(requests) / 4
 
-    def test_traced_session_sends_windows_as_documents(self):
-        """Rows have nowhere to carry a trace context, so a traced
-        session sends each window's document form: the gateway still
-        dispatches one ``stream_window`` per window, traced under the
-        client's span, and the answers equal the in-process replay's."""
+    def test_traced_and_untraced_sessions_send_windows_as_rows(self):
+        """A window and its answer have one layout on every session: on
+        a traced and an untraced session alike every window frame is
+        tag 0x07 and every answer tag 0x18, the two sessions' window
+        frames are byte-identical up to their tails (the traced one's
+        holds the client's span context), the traced session's
+        ``gateway.dispatch`` spans parent under the client's spans, and
+        both sessions answer as the in-process replay."""
         from repro.api import make_backend
         from repro.obs.trace import Tracer
 
@@ -909,18 +919,70 @@ class TestWireAccounting:
         requests = build_conformance_stream(REGION, 60, 40, seed=5)
         with AssignmentClient(make_backend("sharded", spec)) as client:
             reference = _decisions(client.stream(requests, window=16))
-        with serve_gateway(GatewayConfig(spec=spec, trace=True)) as gw:
-            backend = RemoteBackend(spec, address=gw.address)
-            with AssignmentClient(backend, tracer=Tracer()) as client:
-                answers = _decisions(client.stream(requests, window=16))
-                assert backend.supports_trace
-            kinds = [
-                span["attrs"]["kind"]
-                for span in gw.tracer.spans
-                if span["name"] == "gateway.dispatch"
-            ]
-        assert answers == reference
-        assert kinds == ["stream_window"] * -(-len(requests) // 16)
+        n_windows = -(-len(requests) // 16)
+        frames = {}
+        for traced in (False, True):
+            tracer = Tracer() if traced else None
+            with serve_gateway(GatewayConfig(spec=spec, trace=True)) as gw:
+                backend = RemoteBackend(spec, address=gw.address, trace=traced)
+                with AssignmentClient(backend, tracer=tracer) as client:
+                    assert backend.supports_trace is traced
+                    sent, received = _spy_frames(backend)
+                    answers = _decisions(client.stream(requests, window=16))
+                    frames[traced] = list(sent)
+                    assert [p[2] for p in sent] == [STREAM_BATCH_TAG] * n_windows
+                    assert [p[2] for p in received] == [STREAM_RESULT_TAG] * n_windows
+                    client.flush()
+                    assert sent[-1][2] == GENERIC_TAG  # a flush stays a document
+                dispatches = [
+                    span for span in gw.tracer.spans
+                    if span["name"] == "gateway.dispatch"
+                ]
+            assert answers == reference
+            if traced:
+                client_spans = {span["span"]: span for span in tracer.spans}
+                windows = [s for s in dispatches if s["attrs"]["kind"] == "stream_window"]
+                assert len(windows) == n_windows
+                for span in windows:
+                    parent = client_spans[span["parent"]]
+                    assert parent["name"] == "client.request"
+                    assert span["trace"] == parent["trace"]
+            else:
+                assert dispatches == []
+        for plain, traced in zip(frames[False], frames[True], strict=True):
+            assert plain[-4:] == b"\0\0\0\0"  # an empty tail
+            assert traced[: len(plain) - 4] == plain[:-4]
+            window, trace = decode_stream_batch(traced)
+            assert trace is not None and decode_stream_batch(plain) == (window, None)
+
+
+    def test_an_empty_window_round_trips(self):
+        """An empty window is zero rows: it crosses the gateway and
+        comes back as an empty answer with its seq."""
+        spec = small_spec()
+        with serve_gateway(GatewayConfig(spec=spec)) as gw:
+            with AssignmentClient(RemoteBackend(spec, address=gw.address)) as client:
+                answer = client.call(StreamWindow.of(7, []))
+                assert (answer.seq, answer.ids, answer.workers) == (7, [], [])
+                assert client.report().workers_registered == 0
+
+
+def _spy_frames(backend) -> tuple[list, list]:
+    """Record every payload an open ``backend`` sends and receives from
+    here on, as it crosses the socket."""
+    sent, received = [], []
+    send, recv = backend._send_frame, backend._recv_payload
+
+    def spy_send(frame: bytes) -> None:
+        sent.append(frame[HEADER.size :])
+        send(frame)
+
+    def spy_recv() -> bytes:
+        received.append(recv())
+        return received[-1]
+
+    backend._send_frame, backend._recv_payload = spy_send, spy_recv
+    return sent, received
 
 
 def _decisions(responses) -> list:

@@ -2,16 +2,16 @@
 
 Three layers of guarantees:
 
-* **one layout per job** — every api message kind, and every mesh op
-  and reply but ``events`` and its ``events_reply``, rides
-  :data:`~repro.gateway.protocol.GENERIC_TAG`; those two ride their own
-  row layouts, traced or not; and :func:`decode_bin1` refuses every
-  other layout (old per-kind tags and stream rows alike) with a
-  structured ``invalid-request``;
+* **one layout per job** — every api message kind with a document form,
+  and every mesh op and reply but ``events`` and its ``events_reply``,
+  rides :data:`~repro.gateway.protocol.GENERIC_TAG`; a stream window,
+  its answer and the mesh pair ride their own row layouts, traced or
+  not; and :func:`decode_bin1` refuses every other layout (old per-kind
+  tags and stream rows alike) with a structured ``invalid-request``;
 * **frame fidelity** — the columnar stream rows and the mesh events
-  rows write exactly the bytes of a per-row ``struct`` packer,
-  round-trip their columns exactly, and the stream rows opt out to
-  ``None`` for any shape they cannot carry exactly;
+  rows write exactly the bytes of a per-row ``struct`` packer (head,
+  rows, tail), round-trip their columns exactly, and the stream rows
+  refuse (``invalid-request``) any shape they cannot carry exactly;
 * **hostile bytes** — truncation at every boundary, single-byte
   mutations, junk tags, bad row kinds and version skew always surface
   as structured :class:`~repro.api.errors.ApiError`, never a raw
@@ -24,6 +24,7 @@ inbound ``check_frame_length``).
 
 from __future__ import annotations
 
+import json
 import struct
 
 import numpy as np
@@ -50,6 +51,7 @@ from repro.api.messages import (
     WorkerRegistered,
     to_wire,
 )
+from repro.api.middleware import RequestValidator
 from repro.cluster.dispatch import EVENT_ROW_DTYPE
 from repro.gateway import GatewayConfig, RemoteBackend, codec, serve_gateway
 from repro.gateway.codec import (
@@ -125,12 +127,10 @@ def _one_message_per_kind() -> list:
         SubmitTask(3, (0.0, 99.5), 1.0),
         Flush(),
         GetReport(wall_seconds=2.5),
-        _window(),
         WorkerRegistered(7),
         TaskDecision(3, 7),
         Flushed(),
         ReportResult(report),
-        _window_result(),
         ErrorInfo(code="rejected", message="m", retryable=False, detail="d"),
     ]
 
@@ -141,9 +141,11 @@ def _prefixed(tag: int, body: bytes = b"") -> bytes:
 
 class TestOneLayoutPerJob:
     def test_every_api_message_kind_rides_the_generic_tag(self):
+        """Every kind but the window pair, which has no document form."""
         messages = _one_message_per_kind()
         kinds = {type(m).kind for m in messages}
-        assert kinds == {cls.kind for cls in (*Request, *Response)}
+        rows = {StreamWindow.kind, WindowResult.kind}
+        assert kinds == {cls.kind for cls in (*Request, *Response)} - rows
         for message in messages:
             doc = to_wire(message)
             payload = encode_bin1(doc)
@@ -158,8 +160,8 @@ class TestOneLayoutPerJob:
             _prefixed(0x03),  # the old flush tag: no body at all
             # stream rows, well formed, zero rows: their own decoders
             # read them, decode_bin1 does not
-            _prefixed(STREAM_BATCH_TAG, struct.pack(">I", 0)),
-            _prefixed(STREAM_RESULT_TAG, struct.pack(">I", 0)),
+            _prefixed(STREAM_BATCH_TAG, struct.pack(">QII", 0, 0, 0)),
+            _prefixed(STREAM_RESULT_TAG, struct.pack(">QI", 0, 0)),
         ],
         ids=["register_worker", "flush", "stream_batch", "stream_result"],
     )
@@ -248,16 +250,31 @@ def _events_op() -> dict:
 
 
 class TestStreamEquivalence:
+    """A window and its answer have one layout, rows, on every session:
+    there is no document to fall back to, so a shape the rows cannot
+    carry opts out of the wire by failing ``invalid-request``."""
+
     def test_batch_round_trips_identically(self):
         window = _window()
-        payload = encode_stream_batch(window)
-        assert payload is not None
-        assert decode_stream_batch(payload) == window
+        assert decode_stream_batch(encode_stream_batch(window)) == (window, None)
+        trace = {"trace_id": "ab" * 16, "span_id": "cd" * 8}
+        assert decode_stream_batch(encode_stream_batch(window, trace)) == (
+            window,
+            trace,
+        )
 
     def test_result_round_trips_identically(self):
         result = _window_result()
+        assert decode_stream_result(encode_stream_result(result)) == result
+
+    def test_empty_windows_are_zero_rows(self):
+        window = StreamWindow.of(9, [])
+        payload = encode_stream_batch(window)
+        assert payload == _prefixed(STREAM_BATCH_TAG, struct.pack(">QII", 9, 0, 0))
+        assert decode_stream_batch(payload) == (window, None)
+        result = WindowResult(9, [], [], [])
         payload = encode_stream_result(result)
-        assert payload is not None
+        assert payload == _prefixed(STREAM_RESULT_TAG, struct.pack(">QI", 9, 0))
         assert decode_stream_result(payload) == result
 
     @pytest.mark.parametrize(
@@ -265,32 +282,44 @@ class TestStreamEquivalence:
         [
             RegisterWorker(1, (0.0, 0.0)),  # not a window at all
             Flush(),  # a barrier is no window
-            StreamWindow.of(0, []),  # no row to carry the seq
+            StreamWindow(0, [False], ["x"], [(0.0, 0.0)], [0.0]),  # no int id
             # id outside i64: the rows cannot carry it exactly
             StreamWindow.of(0, [RegisterWorker(2**70, (0.0, 0.0))]),
         ],
     )
     def test_unsupported_batch_shapes_opt_out(self, batch):
-        assert encode_stream_batch(batch) is None
+        with pytest.raises(ValidationFailed) as info:
+            encode_stream_batch(batch)
+        assert info.value.code == "invalid-request"
 
     @pytest.mark.parametrize(
         "result",
         [
             WorkerRegistered(1),  # not a window result
             Flushed(),  # nor is a barrier's answer
-            WindowResult(0, [], [], []),  # no row to carry the seq
+            WindowResult(0, [True], [1], []),  # no outcome for its task row
             WindowResult(0, [True], [1], [2**70]),
         ],
     )
     def test_unsupported_result_shapes_opt_out(self, result):
-        assert encode_stream_result(result) is None
+        with pytest.raises(ValidationFailed) as info:
+            encode_stream_result(result)
+        assert info.value.code == "invalid-request"
 
     def test_seqs_outside_i64_opt_out(self):
-        window = StreamWindow.of(
-            2**63 - 1, [RegisterWorker(1, (0.0, 0.0)), RegisterWorker(2, (0.0, 0.0))]
-        )
-        assert encode_stream_batch(window) is None
-        assert encode_stream_result(WindowResult(2**63, [False], [1], [])) is None
+        """The head's u64 carries no negative seq and none past 2**64;
+        a seq in between but past int64 rides the head, and the
+        validator refuses it on every backend."""
+        for seq in (-1, 2**64):
+            with pytest.raises(ValidationFailed):
+                encode_stream_batch(StreamWindow.of(seq, [RegisterWorker(1, (0.0, 0.0))]))
+            with pytest.raises(ValidationFailed):
+                encode_stream_result(WindowResult(seq, [False], [1], []))
+        window, _ = decode_stream_batch(encode_stream_batch(StreamWindow.of(2**63, [])))
+        assert window.seq == 2**63
+        with pytest.raises(ValidationFailed) as info:
+            RequestValidator().validate(window)
+        assert info.value.code == "invalid-request"
 
 
 # --------------------------------------------------------------------- #
@@ -299,15 +328,21 @@ class TestStreamEquivalence:
 
 #: The per-row oracle: what the rows looked like when each was packed
 #: by its own ``struct`` call.
-_WINDOW_ROW = struct.Struct(">Bqqddd")  # kind, seq, id, x, y, time
-_RESULT_ROW = struct.Struct(">Bqqq")  # kind, seq, id, worker (or 0)
+_WINDOW_ROW = struct.Struct(">Bqddd")  # kind, id, x, y, time
+_RESULT_ROW = struct.Struct(">Bqq")  # kind, id, worker (or 0)
 
 _EVENT_ROW = struct.Struct(">IBqdd")  # key index, kind, id, x, y
 _EVENTS_REPLY_ROW = struct.Struct(">Bq")  # assigned, worker (or 0)
 
 _IDS = st.integers(0, 2**63 - 1)
 _I64 = st.integers(-(2**63), 2**63 - 1)
-_MESH_SEQS = st.integers(0, 2**64 - 1)
+_SEQS = st.integers(0, 2**64 - 1)  # the u64 head of every row payload
+_TRACES = st.one_of(
+    st.none(),
+    st.fixed_dictionaries(
+        {"trace_id": st.text(max_size=32), "span_id": st.text(max_size=16)}
+    ),
+)
 _FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308]),
@@ -316,10 +351,9 @@ _FLOATS = st.one_of(
 
 @st.composite
 def _windows(draw) -> StreamWindow:
-    n = draw(st.integers(1, 24))
-    seq = draw(st.integers(0, 2**63 - n))
+    n = draw(st.integers(0, 24))
     return StreamWindow(
-        seq,
+        draw(_SEQS),
         draw(st.lists(st.booleans(), min_size=n, max_size=n)),
         draw(st.lists(_IDS, min_size=n, max_size=n)),
         np.array(
@@ -345,34 +379,43 @@ def _event_ops(draw) -> tuple[list, list]:
 
 @st.composite
 def _results(draw) -> WindowResult:
-    n = draw(st.integers(1, 24))
+    n = draw(st.integers(0, 24))
     is_task = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     return WindowResult(
-        draw(st.integers(0, 2**63 - n)),
+        draw(_SEQS),
         is_task,
         draw(st.lists(_IDS, min_size=n, max_size=n)),
         [draw(st.one_of(st.none(), _IDS)) for _ in range(sum(is_task))],
     )
 
 
-def _packed_window(window: StreamWindow) -> bytes:
+def _packed_window(window: StreamWindow, tail: bytes = b"") -> bytes:
     rows = [
-        _WINDOW_ROW.pack(int(task), window.seq + i, ident, x, y, at)
-        for i, (task, ident, (x, y), at) in enumerate(
-            zip(window.is_task, window.ids, window.xy.tolist(), window.times)
+        _WINDOW_ROW.pack(int(task), ident, x, y, at)
+        for task, ident, (x, y), at in zip(
+            window.is_task, window.ids, window.xy.tolist(), window.times
         )
     ]
-    return _prefixed(STREAM_BATCH_TAG, struct.pack(">I", len(rows)) + b"".join(rows))
+    return _prefixed(
+        STREAM_BATCH_TAG,
+        struct.pack(">QI", window.seq, len(rows))
+        + b"".join(rows)
+        + struct.pack(">I", len(tail))
+        + tail,
+    )
 
 
 def _packed_result(result: WindowResult) -> bytes:
     workers = iter(result.workers)
     rows = []
-    for i, (task, ident) in enumerate(zip(result.is_task, result.ids)):
+    for task, ident in zip(result.is_task, result.ids):
         worker = next(workers) if task else None
         kind = 0 if not task else (2 if worker is None else 1)
-        rows.append(_RESULT_ROW.pack(kind, result.seq + i, ident, worker or 0))
-    return _prefixed(STREAM_RESULT_TAG, struct.pack(">I", len(rows)) + b"".join(rows))
+        rows.append(_RESULT_ROW.pack(kind, ident, worker or 0))
+    return _prefixed(
+        STREAM_RESULT_TAG,
+        struct.pack(">QI", result.seq, len(rows)) + b"".join(rows),
+    )
 
 
 def _bits(values) -> list:
@@ -404,11 +447,13 @@ def _packed_events_reply(seq: int, workers, tail: bytes = b"") -> bytes:
 
 class TestColumnarBytes:
     @settings(max_examples=150, deadline=None)
-    @given(_windows())
-    def test_windows_write_the_per_row_bytes(self, window):
-        payload = encode_stream_batch(window)
-        assert payload == _packed_window(window)
-        decoded = decode_stream_batch(payload)
+    @given(_windows(), _TRACES)
+    def test_windows_write_the_per_row_bytes(self, window, trace):
+        payload = encode_stream_batch(window, trace)
+        tail = json.dumps({"trace": trace}, separators=(",", ":")) if trace else ""
+        assert payload == _packed_window(window, tail.encode("utf-8"))
+        decoded, read_trace = decode_stream_batch(payload)
+        assert read_trace == trace
         assert decoded == window
         assert decoded.seq == window.seq
         assert decoded.ids == window.ids
@@ -427,7 +472,7 @@ class TestColumnarBytes:
         assert decoded.workers == list(result.workers)
 
     @settings(max_examples=150, deadline=None)
-    @given(_event_ops(), _MESH_SEQS)
+    @given(_event_ops(), _SEQS)
     def test_events_write_the_per_row_bytes(self, op, seq):
         keys, rows = op
         packed = np.array(rows, dtype=EVENT_ROW_DTYPE)
@@ -451,7 +496,7 @@ class TestColumnarBytes:
         )
 
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.one_of(st.none(), _I64), max_size=24), _MESH_SEQS)
+    @given(st.lists(st.one_of(st.none(), _I64), max_size=24), _SEQS)
     def test_events_replies_write_the_per_row_bytes(self, workers, seq):
         payload = encode_bin1(events_reply_doc(seq, {"workers": workers}))
         assert payload == _packed_events_reply(seq, workers)
@@ -495,30 +540,8 @@ class TestColumnarBytes:
 
     def test_all_three_result_kinds_appear(self):
         payload = encode_stream_result(_window_result())
-        kinds = [payload[7 + 25 * i] for i in range(3)]
+        kinds = [payload[3 + 12 + 17 * i] for i in range(3)]
         assert kinds == [0, 1, 2]
-
-    @pytest.mark.parametrize("layout", ["window", "result"])
-    def test_non_consecutive_seqs_are_invalid_requests(self, layout):
-        if layout == "window":
-            rows = [_WINDOW_ROW.pack(0, seq, 1, 0.0, 0.0, 0.0) for seq in (5, 7)]
-            tag, decode = STREAM_BATCH_TAG, decode_stream_batch
-        else:
-            rows = [_RESULT_ROW.pack(0, seq, 1, 0) for seq in (5, 7)]
-            tag, decode = STREAM_RESULT_TAG, decode_stream_result
-        payload = _prefixed(tag, struct.pack(">I", 2) + b"".join(rows))
-        with pytest.raises(ValidationFailed) as info:
-            decode(payload)
-        assert info.value.code == "invalid-request"
-        assert "consecutive" in info.value.message
-
-    def test_seqs_wrapping_the_i64_edge_are_not_consecutive(self):
-        rows = [
-            _WINDOW_ROW.pack(0, seq, 1, 0.0, 0.0, 0.0) for seq in (2**63 - 1, -(2**63))
-        ]
-        payload = _prefixed(STREAM_BATCH_TAG, struct.pack(">I", 2) + b"".join(rows))
-        with pytest.raises(ValidationFailed):
-            decode_stream_batch(payload)
 
 
 # --------------------------------------------------------------------- #
@@ -536,9 +559,12 @@ def _structured(decode, payload) -> None:
 
 
 def _stream_payloads():
-    """Each row layout's payload, paired with its one decoder."""
+    """Each row layout's payload (a window untraced and traced), paired
+    with its one decoder."""
+    trace = {"trace_id": "ab" * 16, "span_id": "cd" * 8}
     return (
         (encode_stream_batch(_window()), decode_stream_batch),
+        (encode_stream_batch(_window(), trace), decode_stream_batch),
         (encode_stream_result(_window_result()), decode_stream_result),
     )
 
@@ -580,13 +606,9 @@ class TestStreamFuzz:
                 decode(bytes(payload))
 
     def test_bad_stream_row_kind_is_invalid(self):
-        row = struct.Struct(">Bqqddd").pack(2, 0, 1, 0.0, 0.0, 0.0)
-        payload = (
-            struct.Struct(">BBB").pack(
-                BIN1_MAGIC, BIN1_WIRE_VERSION, STREAM_BATCH_TAG
-            )
-            + struct.Struct(">I").pack(1)
-            + row
+        row = _WINDOW_ROW.pack(2, 1, 0.0, 0.0, 0.0)
+        payload = _prefixed(
+            STREAM_BATCH_TAG, struct.pack(">QI", 0, 1) + row + struct.pack(">I", 0)
         )
         with pytest.raises(ValidationFailed):
             decode_stream_batch(payload)
@@ -595,20 +617,14 @@ class TestStreamFuzz:
     def test_nonzero_worker_pad_is_invalid(self, kind):
         # kinds 0 (registered) and 2 (unassigned) carry no worker — a
         # nonzero field there is damage, not data
-        row = struct.Struct(">Bqqq").pack(kind, 0, 1, 5)
-        payload = (
-            struct.Struct(">BBB").pack(
-                BIN1_MAGIC, BIN1_WIRE_VERSION, STREAM_RESULT_TAG
-            )
-            + struct.Struct(">I").pack(1)
-            + row
-        )
+        row = _RESULT_ROW.pack(kind, 1, 5)
+        payload = _prefixed(STREAM_RESULT_TAG, struct.pack(">QI", 0, 1) + row)
         with pytest.raises(ValidationFailed):
             decode_stream_result(payload)
 
     def test_overstated_row_count_is_a_structured_truncation(self):
         payload = bytearray(encode_stream_batch(_window()))
-        struct.Struct(">I").pack_into(payload, 3, 1000)
+        struct.pack_into(">I", payload, 3 + 8, 1000)
         with pytest.raises(ValidationFailed):
             decode_stream_batch(bytes(payload))
 

@@ -2,10 +2,11 @@
 
 Two invariants, checked over hundreds of randomized cases:
 
-1. **Lossless transport** — any valid API message survives
-   ``to_wire`` → frame bytes (bin1, and the handshake's JSON) →
+1. **Lossless transport** — any valid API message with a document form
+   survives ``to_wire`` → frame bytes (bin1, and the handshake's JSON) →
    arbitrary chunking → ``FrameDecoder`` → ``from_wire`` bit-exactly
-   (dataclass equality, which for frozen messages is field-exact);
+   (dataclass equality, which for frozen messages is field-exact), and
+   any stream window or window result survives its rows;
 2. **Total error mapping** — whatever damage the bytes or documents
    carry (junk, truncation, oversize, mutated envelopes, foreign
    versions), the wire layer answers with a structured
@@ -37,7 +38,14 @@ from repro.api.messages import (
 )
 from repro.cluster.dispatch import EVENT_ROW_DTYPE
 from repro.gateway import FrameDecoder, encode_frame, handshake_frame
-from repro.gateway.codec import decode_bin1, encode_bin1
+from repro.gateway.codec import (
+    decode_bin1,
+    decode_stream_batch,
+    decode_stream_result,
+    encode_bin1,
+    encode_stream_batch,
+    encode_stream_result,
+)
 from repro.gateway.protocol import HEADER
 from repro.mesh.protocol import event_columns, events_reply_doc, op_doc, parse_op
 from repro.service.metrics import ServiceReport, ShardSnapshot
@@ -145,14 +153,20 @@ def random_window_result(rng) -> WindowResult:
 
 
 def random_message(rng):
-    roll = rng.integers(8)
-    if roll == 6:
-        return random_window(rng)
-    if roll == 7:
-        return random_window_result(rng)
-    if roll <= 3:
+    """A random message with a document form (a window and its answer
+    have none: they travel as rows)."""
+    if rng.integers(6) <= 3:
         return random_verb(rng)
     return random_response(rng)
+
+
+def random_trace(rng) -> dict | None:
+    if rng.integers(2):
+        return None
+    return {
+        "trace_id": f"{int(rng.integers(2**62)):032x}",
+        "span_id": f"{int(rng.integers(2**62)):016x}",
+    }
 
 
 def chunked(blob: bytes, rng) -> list[bytes]:
@@ -189,6 +203,17 @@ class TestLosslessRoundTrip:
             frames += decoder.feed(piece)
         decoder.check_eof()
         assert [from_wire(f) for f in frames] == messages
+
+    def test_random_windows_survive_their_rows(self):
+        rng = np.random.default_rng(4321)
+        for _ in range(300):
+            window, trace = random_window(rng), random_trace(rng)
+            assert decode_stream_batch(encode_stream_batch(window, trace)) == (
+                window,
+                trace,
+            )
+            result = random_window_result(rng)
+            assert decode_stream_result(encode_stream_result(result)) == result
 
     def test_wire_form_is_json_pure(self):
         """The wire dict of any message survives a JSON round trip
@@ -642,3 +667,102 @@ class TestMeshEventsFuzz:
                 _serve(bytes(mutated))
             except ApiError as exc:
                 assert exc.code in STABLE_CODES
+
+
+# --------------------------------------------------------------------- #
+# the stream window rows                                                 #
+# --------------------------------------------------------------------- #
+
+#: Byte offset of a stream payload's row count: the bin1 prefix, then
+#: the head's u64 seq.
+_STREAM_ROWS_AT = 3 + 8
+
+
+def _window_payload(traced: bool = True) -> bytes:
+    """A three-row window, with a trace context in its tail."""
+    window = StreamWindow.of(
+        40,
+        [
+            RegisterWorker(7, (1.5, -2.25), 0.5),
+            SubmitTask(3, (0.0, 99.5), 1.0),
+            RegisterWorker(8, (-4.0, 4.0), 1.5),
+        ],
+    )
+    trace = {"trace_id": "ab" * 16, "span_id": "cd" * 8} if traced else None
+    return encode_stream_batch(window, trace)
+
+
+def _result_payload() -> bytes:
+    return encode_stream_result(
+        WindowResult(40, [False, True, True], [7, 3, 4], [7, None])
+    )
+
+
+def _tail_at(payload: bytes) -> int:
+    """Offset of a window payload's u32 tail length (33 B per row)."""
+    (count,) = struct.unpack_from(">I", payload, _STREAM_ROWS_AT)
+    return _STREAM_ROWS_AT + 4 + 33 * count
+
+
+class TestStreamRowsFuzz:
+    """A stream window's head, rows and JSON tail, and its answer's head
+    and rows: every kind of damage is ``invalid-request``."""
+
+    def test_clean_payloads_decode(self):
+        window, trace = decode_stream_batch(_window_payload())
+        assert len(window) == 3 and trace["span_id"] == "cd" * 8
+        assert decode_stream_batch(_window_payload(traced=False))[1] is None
+        assert decode_stream_result(_result_payload()).workers == [7, None]
+
+    @pytest.mark.parametrize(
+        "make, decode",
+        [
+            (_window_payload, decode_stream_batch),
+            (_result_payload, decode_stream_result),
+        ],
+        ids=["window", "result"],
+    )
+    def test_lying_row_counts(self, make, decode):
+        base = make()
+        (count,) = struct.unpack_from(">I", base, _STREAM_ROWS_AT)
+        for lie in (0, count - 1, count + 1, 1000, 2**32 - 1):
+            payload = bytearray(base)
+            struct.pack_into(">I", payload, _STREAM_ROWS_AT, lie)
+            with pytest.raises(ApiError) as err:
+                decode(bytes(payload))
+            assert err.value.code == "invalid-request", lie
+
+    def test_truncated_tails_are_invalid(self):
+        payload = _window_payload()
+        for cut in range(_tail_at(payload), len(payload)):
+            with pytest.raises(ApiError) as err:
+                decode_stream_batch(payload[:cut])
+            assert err.value.code == "invalid-request"
+
+    @pytest.mark.parametrize("size", [1, 10**6, 2**32 - 1])
+    def test_lying_tail_lengths_are_invalid(self, size):
+        payload = bytearray(_window_payload())
+        struct.pack_into(">I", payload, _tail_at(bytes(payload)), size)
+        with pytest.raises(ApiError) as err:
+            decode_stream_batch(bytes(payload))
+        assert err.value.code == "invalid-request"
+
+    @pytest.mark.parametrize(
+        "tail",
+        [b"{", b"[1, 2]", b"\xff\xfe", b'"trace"', b"null"],
+        ids=["cut-json", "array", "not-utf8", "string", "null"],
+    )
+    def test_damaged_tails_are_invalid(self, tail):
+        payload = _window_payload(traced=False)
+        damaged = payload[:-4] + struct.pack(">I", len(tail)) + tail
+        with pytest.raises(ApiError) as err:
+            decode_stream_batch(damaged)
+        assert err.value.code == "invalid-request"
+
+    def test_a_tail_without_a_trace_object_is_untraced(self):
+        """A tail that parses but holds no trace object degrades the
+        window to untraced, as a malformed document ``trace`` does."""
+        payload = _window_payload(traced=False)
+        for tail in (b"{}", b'{"trace":"x"}', b'{"other":1}'):
+            intact = payload[:-4] + struct.pack(">I", len(tail)) + tail
+            assert decode_stream_batch(intact)[1] is None

@@ -277,21 +277,23 @@ class TestWorkerOpLoop:
         assert answers[-1][2]["code"] == "rejected"
         assert message in answers[-1][2]["message"]
 
-    def test_coordinator_refuses_a_short_workers_reply(self):
-        """A reply with fewer workers than task rows fails the delivery
-        at once; recording nothing would leave result_of waiting out
-        the liveness timeout."""
+    @staticmethod
+    def _deliver_against(answer, match: str) -> None:
+        """Deliver one worker row and one task row to a stand-in worker
+        that answers the ``events`` op with ``answer(seq)``: the delivery
+        must raise a :class:`MeshError` matching ``match`` and record no
+        outcome."""
         ours, theirs = socket.socketpair()
         theirs.settimeout(10.0)
 
-        def short_worker():
+        def stand_in():
             decoder, docs = FrameDecoder(), []
             while not docs:
                 docs = decoder.feed(theirs.recv(65536))
             _, seq, _ = parse_op(docs[0])
-            theirs.sendall(encode_frame(events_reply_doc(seq, {"workers": []})))
+            theirs.sendall(encode_frame(answer(seq)))
 
-        server = threading.Thread(target=short_worker, daemon=True)
+        server = threading.Thread(target=stand_in, daemon=True)
         server.start()
         coordinator = MeshCoordinator(REGION, shards=(1, 1), expected_workers=1)
         peer = mesh_coordinator.MeshPeer("w0", ours, ())
@@ -301,7 +303,7 @@ class TestWorkerOpLoop:
         coordinator._installed["s0"] = peer.name
         try:
             _absorb(coordinator._journal, ("w", 0, 10, 10), ("t", 0, 15, 15))
-            with pytest.raises(MeshError, match="malformed events reply"):
+            with pytest.raises(MeshError, match=match):
                 coordinator._deliver(0, peer, coordinator._journal.end(0))
             assert coordinator._results == {}
         finally:
@@ -309,6 +311,23 @@ class TestWorkerOpLoop:
             coordinator.close()
             server.join(timeout=10.0)
             theirs.close()
+
+    def test_coordinator_refuses_a_short_workers_reply(self):
+        """A reply with fewer workers than task rows fails the delivery
+        at once; recording nothing would leave result_of waiting out
+        the liveness timeout."""
+        self._deliver_against(
+            lambda seq: events_reply_doc(seq, {"workers": []}),
+            "malformed events reply",
+        )
+
+    def test_coordinator_refuses_a_generic_reply_to_events(self):
+        """Only an ``events_reply`` answers an ``events`` op: a generic
+        ``reply`` carrying a right-length ``workers`` list is a confused
+        peer, not outcomes."""
+        self._deliver_against(
+            lambda seq: reply_doc(seq, {"workers": [0]}), "not an events_reply"
+        )
 
 
 # --------------------------------------------------------------------- #
