@@ -41,9 +41,11 @@ wire form over a TCP gateway.
 called. The gateway calls it in arrival order, one request at a time,
 as barriers on its :class:`~repro.runtime.PipelineScheduler`; only the
 mesh ends a window's hold early (:func:`~repro.runtime.release_order`,
-once the window is journaled), so the next request may run while that
-window's outcomes are in flight. Backends need no ordering contract of
-their own, and assignments stay bit-identical to serial replay.
+once the window is journaled and its slices are sent), so the next
+request may run while that window's outcomes are in flight; the window
+then waits once, until each family it touched is acknowledged up to
+its mark. Backends need no ordering contract of their own, and
+assignments stay bit-identical to serial replay.
 """
 
 from __future__ import annotations
@@ -388,16 +390,16 @@ class MeshBackend(BackendBase):
     unbalanced one.
 
     There is no backend-side lock: the mesh coordinator is internally
-    thread-safe and dispatches per shard family (base lattice cells,
-    stable across hot-cell splits) on its own
-    :class:`~repro.runtime.PipelineScheduler`, so different families'
-    deliveries overlap and only its flush and report quiesce the mesh.
-    Every register/submit goes through :meth:`batch` (a single verb is
-    a window of one row), which journals a window as columns and then
-    releases the caller's scheduler hold
-    (:func:`~repro.runtime.release_order`) before it waits for outcomes:
-    behind a gateway the next request journals while this window's
-    outcomes are in flight.
+    thread-safe. The thread that journals a window sends each touched
+    shard family's slice itself (families are base lattice cells,
+    stable across hot-cell splits), without waiting for the reply, so
+    several slices of one family may be in flight and only its flush
+    and report quiesce the mesh. Every register/submit goes through
+    :meth:`batch` (a single verb is a window of one row), which journals
+    a window as columns and then releases the caller's scheduler hold
+    (:func:`~repro.runtime.release_order`) before it waits, once, for
+    the window's outcomes: behind a gateway the next request journals
+    while this window's outcomes are in flight.
     """
 
     name = "mesh"
@@ -515,24 +517,22 @@ class MeshBackend(BackendBase):
 
         The window is one
         :meth:`~repro.mesh.coordinator.MeshCoordinator.ingest` call on its
-        columns. Once it is journaled its place in every family's journal
-        is fixed, so :func:`~repro.runtime.release_order` ends the
-        caller's scheduler hold: a gateway journals the next window while
-        this one's outcomes are in flight. Only then does it block on
-        each task's outcome
+        columns, which journals it, sends it and returns its marks. Once
+        it is journaled its place in every family's journal is fixed, so
+        :func:`~repro.runtime.release_order` ends the caller's scheduler
+        hold: a gateway journals the next window while this one's
+        outcomes are in flight. Only then does it wait, once, until every
+        family the window touched is acknowledged up to its mark
         (:meth:`~repro.mesh.coordinator.MeshCoordinator.result_of`, on a
         condition the peer readers signal). A failure while journaling
         raises before the release, so later windows still wait for it.
         """
         coordinator = self.coordinator
-        coordinator.ingest(window.ids, window.xy, window.is_task, window.times)
+        marks = coordinator.ingest(window.ids, window.xy, window.is_task, window.times)
         release_order()
-        result_of = coordinator.result_of
+        tasks = [i for i, t in zip(window.ids, window.is_task) if t]
         return WindowResult(
-            window.seq,
-            window.is_task,
-            window.ids,
-            [result_of(i) for i, t in zip(window.ids, window.is_task) if t],
+            window.seq, window.is_task, window.ids, coordinator.result_of(marks, tasks)
         )
 
 

@@ -94,8 +94,6 @@ class FamilyJournal:
         self._base: dict[int, int] = {fam: 0 for fam in range(n)}
         #: absolute position of the next row to send
         self._sent: dict[int, int] = {fam: 0 for fam in range(n)}
-        #: every task id ever absorbed, stream order
-        self.task_order: list[int] = []
         #: worker and task ids seen, for duplicate rejection
         self.known_workers: set[int] = set()
         self.known_tasks: set[int] = set()
@@ -161,7 +159,6 @@ class FamilyJournal:
                 if fam not in tables:
                     tables[fam] = self.router.family_keys(fam)
                 observe(tables[fam][k], task)
-        self.task_order.extend(ids[kinds].tolist())
         # one stable sort groups the rows by family, stream order kept
         order = np.argsort(families, kind="stable")
         rows = np.empty(len(order), EVENT_ROW_DTYPE)
@@ -201,11 +198,6 @@ class FamilyJournal:
         """Absolute position of the next row of ``fam`` to send: once its
         deliveries have returned, everything before it is applied."""
         return self._sent[fam]
-
-    def ends(self) -> dict[int, int]:
-        """Every family's :meth:`end` — the high-water marks a barrier,
-        or a round of checkpoint cuts, captures."""
-        return {fam: self.end(fam) for fam in self._rows}
 
     def take(self, fam: int, upto: int | None = None) -> tuple[list[str], np.ndarray]:
         """``fam``'s key table and its pending rows up to ``upto``

@@ -23,14 +23,16 @@ The pieces:
   :meth:`~repro.cluster.worker.ShardHost.ingest`, the engine's own row
   path), failing loudly then exiting;
 * :mod:`~repro.mesh.coordinator` — :class:`MeshCoordinator`: accepts
-  peers, places shard families across them, dispatches per-family
-  through the :class:`~repro.runtime.PipelineScheduler` (no global
-  dispatch lock; only flush and report are barriers, and a checkpoint
-  is one cut per family, keyed by it), splits hot cells and migrates
-  hot families when given a balancer, and on a dead connection
-  restores the lost families onto survivors from checkpoint snapshots
-  plus journal replay — bit-identical to the single-process engine by
-  construction.
+  peers, places shard families across them, sends each family's
+  journal slices from the journaling thread without waiting (several in
+  flight per family, in journal order; replies advance acknowledged
+  cursors, and a window waits once for its marks), runs checkpoint
+  cuts (one per family, keyed by it), migrations and failover replays
+  on a :class:`~repro.runtime.PipelineScheduler` with flush and report
+  as its only barriers, splits hot cells and migrates hot families
+  when given a balancer, and on a dead connection restores the lost
+  families onto survivors from checkpoint snapshots plus journal
+  replay — bit-identical to the single-process engine by construction.
 
 The serving adapter is :class:`repro.api.backends.MeshBackend`
 (``make_backend("mesh", spec)``), which joins the cross-backend

@@ -1,4 +1,4 @@
-"""The mesh coordinator: worker peers on sockets, dispatch on keys.
+"""The mesh coordinator: worker peers on sockets, slices sent in line.
 
 :class:`MeshCoordinator` is the repo's distributed coordinator. It keeps
 the engine's ingest contract (``ingest``/``flush``/``report``) but its
@@ -12,66 +12,82 @@ How it works:
   run of arrivals as columns (ids, locations, kinds, times — the
   engine's ingest shape), cuts it into ``chunk_size`` chunks and absorbs
   each into the :class:`~repro.cluster.dispatch.FamilyJournal` with no
-  per-event object. Per-family jobs on a
-  :class:`~repro.runtime.PipelineScheduler` — the same keyed-FIFO/
-  barrier core the gateway schedules requests on — deliver them.
-  Different families flow to their peers concurrently; only flush and
-  report are global barriers. Each delivery is one ``events`` op: a
-  slice of the family's journal, whose rows are already fixed-width
-  records in the op's wire layout (no per-row object, no JSON), which
-  the worker applies through
-  :meth:`~repro.cluster.worker.ShardHost.ingest`. Per-family
-  FIFO plus the journal's contiguous-segment delivery keeps per-shard
-  row order exactly the serial order, which is what the bit-exactness
-  guarantee needs;
+  per-event object. The journaling thread then sends each touched
+  family's new rows itself, as one ``events`` op: a slice of the
+  family's journal, whose rows are already fixed-width records in the
+  op's wire layout (no per-row object, no JSON), which the worker
+  applies through :meth:`~repro.cluster.worker.ShardHost.ingest`. The
+  send does not wait for the reply. A per-family send lock makes taking
+  a slice and writing it one step, so a family's slices reach its owner
+  in journal order whichever thread journaled them, with several in
+  flight; the socket and the worker's op loop are both FIFO, so
+  per-shard row order is exactly the serial order, which is what the
+  bit-exactness guarantee needs. Different families flow to their
+  peers concurrently;
+* **replies advance acknowledged cursors.** Each ``events`` reply is
+  handled on the peer's reader thread as it lands: it records the
+  outcomes of the slice's task rows (first write wins) and advances the
+  family's acknowledged cursor past the slice. ``ingest`` returns the
+  run's marks (each touched family's journal end), and
+  :meth:`~MeshCoordinator.result_of` waits once per window, until every
+  family it touched is acknowledged up to its mark, then takes the
+  window's outcomes out of the table;
 * **per-family checkpoint cuts.** Every ``checkpoint_every`` events the
-  coordinator schedules one *cut* per family, keyed by that family: it
-  settles the family, snapshots its shards, chains the replies and
-  truncates its journal. Families share nothing, so a cut stalls only
-  its own family's queue and the rest of the mesh keeps serving;
-* **submit-time high-water marks.** ``ingest()`` keeps appending to the
-  journal while earlier jobs are still in flight (the mesh backend
-  journals the next stream window while this one's outcomes are out),
-  so every family job carries the journal position captured when it
-  was submitted and never delivers past it — a later flush cannot have
-  its cohort cut points dragged forward by rows that arrived after it
-  was requested. Barrier jobs take their marks when they *execute* (the
-  scheduler has already drained everything submitted before them, so
-  execution-time marks are exactly the pre-barrier stream);
+  coordinator schedules one *cut* per family, keyed by that family, on a
+  :class:`~repro.runtime.PipelineScheduler`. Under the family's send
+  lock a cut reads the send cursor and posts one snapshot op per shard;
+  it waits for the replies off the lock, chains them and truncates the
+  journal at exactly that position. Slices sent meanwhile queue behind
+  the snapshot ops on the peer, so a cut holds back no family's
+  deliveries. The scheduler runs only cuts, migrations, failover
+  replays and the flush and report barriers;
+* **no reply lock across a send.** Reply handling takes only the
+  coordinator's state lock, and no send is made while holding it (nor
+  while holding any lock reply handling takes): a peer that is blocked
+  writing replies can always drain, so it never deadlocks the
+  journaling thread;
 * **failover is reassignment, not respawn.** The coordinator does not
   own worker processes; when a connection dies mid-stream the dead
   peer's families are handed to the surviving peer with the lightest
-  load, restored from their last checkpoint snapshots (JSON-pure, they
-  cross the wire unchanged) and replayed from the journal — snapshot
-  restore plus replay is bit-deterministic. Duplicate task results from
-  the dead peer deduplicate (first write wins). A second death during
-  recovery just repeats the handling on the next survivor; only losing
-  *every* peer is fatal;
+  load. Under the state lock each family's send and acknowledged
+  cursors are rewound to its checkpoint base, and a replay job restores
+  it on the new owner from its last checkpoint snapshots (JSON-pure,
+  they cross the wire unchanged) and replays the journal from the base.
+  Taking a slice reads the owner and plans any restore in the same
+  step, so the new owner gets the restore and the replay before any
+  newer slice. Snapshot restore plus replay is bit-deterministic, and a
+  replayed task's outcome is dropped: only the first answer for a
+  journal position is recorded. A second death during recovery just
+  repeats the handling on the next survivor; only losing *every* peer
+  is fatal;
 * **hot-shard balancing** (``balancer=``). A
   :class:`~repro.cluster.balancer.HotShardBalancer` counts routed tasks
   per family and decides at the chunk end where its window fills. A
   *split* re-lattices a hot cell on the spot (later events route to its
-  sub-shards, created lazily by the next delivery; the parent drains its
+  sub-shards, created lazily by the next send; the parent drains its
   old pool). A *migration* is that family's cut plus an ownership flip
-  and a drop of the shards on the old peer; the next delivery restores
-  them on the new peer from the chain, exactly as failover does. Only
-  that family's queue waits.
+  under its send lock, with the cursors rewound as on failover: the new
+  owner restores the family from the chain and replays from the cut,
+  and its shards are dropped on the old owner.
 
 Telemetry rides the existing reservoir machinery
 (:class:`~repro.service.metrics.SampleReservoir`): per-peer dispatch
-depth sampled at every op send, checkpoint snapshot sizes (each
-snapshot reply's frame payload, in bytes), and checkpoint wall-times,
-all summarized by :meth:`telemetry` together with the scheduler's live
-per-family queue depths.
+depth (ops in flight) sampled at every op send — with several slices
+per family in flight it may exceed the peer's family count —
+checkpoint snapshot sizes (each snapshot reply's frame payload, in
+bytes), and checkpoint wall-times, all summarized by :meth:`telemetry`
+together with the scheduler's live per-family queue depths.
 """
 
 from __future__ import annotations
 
+import functools
 import socket
 import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,14 +144,24 @@ class PeerLost(MeshError):
         self.peer = peer
 
 
-class MeshPeer:
-    """One connected worker: a socket, a reader thread, seq-matched calls.
+def _failed(peer: str, op: str, reply: dict) -> MeshError:
+    """The error for a ``fail`` answer to an ``op`` op."""
+    return MeshError(
+        f"mesh worker {peer!r} failed {op!r}: "
+        f"[{reply.get('code')}] {reply.get('message')}"
+    )
 
-    ``call`` is thread-safe and may be issued from several family jobs at
-    once — ops pipeline over the one socket (the worker serves them FIFO)
-    and the reader thread matches replies back by ``seq``. Death, however
-    it manifests (EOF, reset, a frame that fails to parse), resolves
-    every in-flight call to :class:`PeerLost`.
+
+class MeshPeer:
+    """One connected worker: a socket, a reader thread, seq-matched ops.
+
+    :meth:`send` is thread-safe and does not wait: it writes one op and
+    returns the future its reply resolves, so any number of ops may be
+    in flight on the one socket (the worker serves them FIFO). The
+    reader thread matches replies back by ``seq`` and runs each future's
+    callbacks as it resolves it. Death, however it manifests (EOF,
+    reset, a frame that fails to parse), resolves every in-flight future
+    to ``None``, which :meth:`await_reply` turns into :class:`PeerLost`.
     """
 
     def __init__(
@@ -188,6 +214,8 @@ class MeshPeer:
                     kind, seq, body = parse_reply(doc)
                     with self._lock:
                         fut = self._pending.pop(seq, None)
+                        if fut is not None:
+                            self.outstanding -= 1
                     if fut is not None and not fut.done():
                         fut.set_result((kind, body, size))
         except Exception:
@@ -201,72 +229,86 @@ class MeshPeer:
     def mark_dead(self) -> None:
         """Flip ``dead`` under the peer lock.
 
-        New :meth:`call` attempts fail fast from here on; in-flight
-        calls are untouched (that is :meth:`abandon`'s job).
+        New :meth:`send` attempts fail fast from here on; in-flight ops
+        are untouched (that is :meth:`abandon`'s job).
         """
         with self._lock:
             self.dead = True
 
     def abandon(self) -> None:
-        """Mark dead and fail every in-flight call with :class:`PeerLost`."""
+        """Mark dead and resolve every in-flight op's future to ``None``."""
         with self._lock:
             self.dead = True
             pending = list(self._pending.values())
             self._pending.clear()
+            self.outstanding = 0
         for fut in pending:
             if not fut.done():
                 fut.set_result(None)  # None -> PeerLost at the call site
 
     # ------------------------------------------------------------------ #
-    # calls                                                               #
+    # ops                                                                 #
     # ------------------------------------------------------------------ #
 
-    def call(self, op: str, body: dict) -> dict:
-        """Send one op, block for its reply; the reply body on success."""
-        return self.exchange(op, body)[1]
+    def send(self, op: str, body: dict, on_reply=None) -> Future:
+        """Write one op without waiting; the future of its reply.
 
-    def exchange(self, op: str, body: dict) -> tuple[str, dict, int]:
-        """:meth:`call`, returning the reply's kind, its body and its
-        frame's payload size in bytes."""
+        The future resolves to the reply's ``(kind, body, frame payload
+        bytes)``, or to ``None`` if the peer is lost first.
+        ``on_reply(future)`` is attached before the op is written, so it
+        runs on the thread that resolves the future: the reader, as the
+        reply lands. Raises :class:`PeerLost` if the peer is already gone
+        or the write fails.
+        """
+        fut: Future = Future()
+        if on_reply is not None:
+            fut.add_done_callback(on_reply)
         with self._lock:
             if self.dead:
                 raise PeerLost(self.name)
             self._seq += 1
             seq = self._seq
-            fut: Future = Future()
+        frame = encode_frame(op_doc(op, seq, body))
+        with self._lock:
+            if self.dead:
+                raise PeerLost(self.name)
             self._pending[seq] = fut
             self.calls += 1
             self.outstanding += 1
             self.depth.record(float(self.outstanding))
         try:
-            frame = encode_frame(op_doc(op, seq, body))
-            try:
-                with self._wlock:
-                    self.sock.sendall(frame)
-            except OSError:
-                self.abandon()
-                raise PeerLost(self.name) from None
-            try:
-                answer = fut.result(timeout=self.liveness_timeout)
-            except FutureTimeout:
-                # alive but wedged: a dead peer would have EOFed the
-                # reader; surface the stall instead of hanging forever
-                raise MeshError(
-                    f"mesh worker {self.name!r} stopped answering {op!r}"
-                ) from None
-            if answer is None:
-                raise PeerLost(self.name)
-            kind, reply, size = answer
-            if kind == "fail":
-                raise MeshError(
-                    f"mesh worker {self.name!r} failed {op!r}: "
-                    f"[{reply.get('code')}] {reply.get('message')}"
-                )
-            return kind, reply, size
-        finally:
-            with self._lock:
-                self._pending.pop(seq, None)
-                self.outstanding -= 1
+            with self._wlock:
+                self.sock.sendall(frame)
+        except OSError:
+            self.abandon()
+            raise PeerLost(self.name) from None
+        return fut
+
+    def await_reply(self, fut: Future, op: str) -> tuple[str, dict, int]:
+        """Block for the reply ``fut`` stands for (an ``op`` op): its
+        kind, its body and its frame's payload size in bytes."""
+        try:
+            answer = fut.result(timeout=self.liveness_timeout)
+        except FutureTimeout:
+            # alive but wedged: a dead peer would have EOFed the reader;
+            # surface the stall instead of hanging forever
+            raise MeshError(
+                f"mesh worker {self.name!r} stopped answering {op!r}"
+            ) from None
+        if answer is None:
+            raise PeerLost(self.name)
+        if answer[0] == "fail":
+            raise _failed(self.name, op, answer[1])
+        return answer
+
+    def exchange(self, op: str, body: dict) -> tuple[str, dict, int]:
+        """Send a control op and block for its reply (see
+        :meth:`await_reply`)."""
+        return self.await_reply(self.send(op, body), op)
+
+    def call(self, op: str, body: dict) -> dict:
+        """:meth:`exchange`, returning only the reply body."""
+        return self.exchange(op, body)[1]
 
     def shutdown(self) -> None:
         """Polite goodbye if possible, then tear the connection down."""
@@ -286,8 +328,25 @@ class MeshPeer:
         self.abandon()
 
 
+class _Slice(NamedTuple):
+    """One :meth:`MeshCoordinator._send`: what it read in one step under
+    the state lock, and the ops it wrote."""
+
+    #: the family's owner, which every op went to
+    peer: MeshPeer
+    #: the family's key table; every key is installed on ``peer``
+    keys: list
+    #: the send cursor after the slice: every row before it is on its
+    #: way to ``peer`` (or was sent before)
+    stop: int
+    #: the family's failover epoch when the slice was taken
+    epoch: int
+    #: ``(op, future)`` for each op written
+    posted: list
+
+
 class MeshCoordinator:
-    """Shard families on socket peers behind a pipelined dispatch core.
+    """Shard families on socket peers, each family's slices sent in line.
 
     Parameters
     ----------
@@ -368,6 +427,23 @@ class MeshCoordinator:
         self._state = threading.RLock()
         self._wake = threading.Condition(self._state)
         self._journal = FamilyJournal(self.router)
+        families = range(self.shard_map.n_shards)
+        #: per family: taking a slice and writing it are one step, so
+        #: the family's slices reach its owner in journal order
+        self._send_locks = {fam: threading.Lock() for fam in families}
+        #: family -> journal position before which the current owner has
+        #: answered every row (rewound with the send cursor on failover)
+        self._acked = dict.fromkeys(families, 0)  # guarded-by: _state, _wake
+        #: family -> journal position before which every task row's
+        #: outcome has been recorded (never rewound)
+        self._answered = dict.fromkeys(families, 0)  # guarded-by: _state, _wake
+        #: family -> how often it was rewound onto a new owner: a reply to
+        #: a slice taken before the last rewind acknowledges nothing
+        self._epochs = dict.fromkeys(families, 0)  # guarded-by: _state, _wake
+        #: task id -> its worker (or None) until its window takes it
+        self._results: dict[int, int | None] = {}  # guarded-by: _state, _wake
+        #: distinct tasks whose outcome has come back
+        self.tasks_answered = 0  # guarded-by: _state, _wake
         #: family id -> peer name
         self.ownership: dict[int, str] = {}  # guarded-by: _state, _wake
         #: shard key -> the peer it is created or restored on
@@ -376,7 +452,6 @@ class MeshCoordinator:
         #: key -> [base doc, delta doc, ...] chain (see cluster.snapshot)
         self._checkpoints: dict[str, list[dict]] = {}  # guarded-by: _state, _wake
         self._ckpt_seq = 0  # guarded-by: _state, _wake
-        self._results: dict[int, int | None] = {}  # guarded-by: _state, _wake
         self._peers: dict[str, MeshPeer] = {}  # guarded-by: _state, _wake
         self._join_order: list[str] = []  # guarded-by: _state, _wake
         self._alive: set[str] = set()  # guarded-by: _state, _wake
@@ -427,9 +502,11 @@ class MeshCoordinator:
             "runtime.scheduler.key_depth", self._scheduler.key_depths
         )
 
-        # test hooks: called with the lost peer's name / with each key a
-        # cut is about to snapshot, outside coordinator locks — failover
-        # tests SIGKILL from here
+        # test hooks, called outside coordinator locks: with the lost
+        # peer's name once its families are reassigned, and with each key
+        # of a cut once its snapshot op is posted, before its reply is
+        # read (off the family's send lock, on the scheduler thread
+        # running the cut) — failover tests SIGKILL from here
         self._test_on_failover = None
         self._test_mid_checkpoint = None
 
@@ -486,8 +563,14 @@ class MeshCoordinator:
             for key in self.router.keys():
                 self._specs[key] = self._spec_for(key)
             self._started = True
+        # every peer builds its families at once; then wait for them all
+        builds = []
         for fam in sorted(self.ownership):
-            self._scheduler.submit(fam, self._family_job, self._deliver, fam, 0)
+            with self._send_locks[fam]:
+                builds.append(self._send(fam))
+        for sent in builds:
+            self._await_posted(sent)
+        # a peer lost meanwhile left replay jobs behind this barrier
         self._await(self._scheduler.submit(None, lambda: None), "shard builds")
         self._check_failure()
 
@@ -640,35 +723,31 @@ class MeshCoordinator:
         with self._state:
             return self._journal.now
 
-    @property
-    def tasks_answered(self) -> int:
-        with self._state:
-            return sum(
-                1 for tid in self._journal.task_order if tid in self._results
-            )
-
-    def ingest(self, ids, locations, is_task, times) -> None:
-        """Journal a run of arrivals and fan it out to the peers.
+    def ingest(self, ids, locations, is_task, times) -> dict[int, int]:
+        """Journal a run of arrivals and send it to the peers; its marks.
 
         Row ``i`` is a task arrival when ``is_task[i]`` is true (``ids[i]``
         is then its task id), else a worker arrival; ``times`` is
         parallel. The run is journaled in chunks of ``chunk_size`` rows,
         each validated once as whole columns
         (:func:`~repro.geometry.points.as_points`, ids that are ints,
-        finite times) and routed and packed in one pass, and each
-        scheduled on its families before the next is absorbed.
+        finite times) and routed and packed in one pass, and each sent
+        to its families' owners before the next is absorbed.
 
-        Returns as soon as everything is journaled and scheduled; results
-        stream back through the peer readers (:meth:`result_of` blocks on
-        one). A worker or task id the mesh has seen before, or an id
-        outside int64, raises ``ValueError`` at its row: the rows before
-        it stay journaled and neither it nor any after it is, and the
-        clock stays at the latest accepted row.
+        Returns as soon as everything is journaled and sent, with the
+        run's marks: each family it touched, mapped to the journal
+        position one past its last row there. Outcomes stream back
+        through the peer readers; :meth:`result_of` waits for them. A
+        worker or task id the mesh has seen before, or an id outside
+        int64, raises ``ValueError`` at its row: the rows before it stay
+        journaled and neither it nor any after it is, and the clock
+        stays at the latest accepted row.
         Raises promptly if the mesh has already failed.
         """
         self.start()
         if not len(ids) == len(locations) == len(is_task) == len(times):
             raise ValueError("need one id, location, kind and time per row")
+        marks: dict[int, int] = {}
         size = self.chunk_size
         for lo in range(0, len(ids), size):
             hi = lo + size
@@ -680,57 +759,54 @@ class MeshCoordinator:
             at = np.asarray(times[lo:hi], dtype=np.float64)
             if not np.isfinite(at).all():
                 raise ValueError("mesh event times must be finite")
-            self._dispatch(chunk, as_points(locations[lo:hi]), is_task[lo:hi], at)
+            marks.update(
+                self._dispatch(chunk, as_points(locations[lo:hi]), is_task[lo:hi], at)
+            )
+        return marks
 
-    def _dispatch(self, ids, locs, is_task, times) -> None:
+    def _dispatch(self, ids, locs, is_task, times) -> dict[int, int]:
         self._check_failure()
-        # capture the caller's span (e.g. the gateway's scheduler.execute,
-        # live on this thread) at submit time: the family jobs run later,
-        # on scheduler threads, but must parent under the request that
-        # journaled their rows
+        # the caller's span (e.g. the gateway's scheduler.execute, live on
+        # this thread) parents the dispatch span of every slice it sends
         ctx = current_context() if self.tracer is not None else None
-        queued_perf = time.perf_counter() if ctx is not None else 0.0
         with self._state:
             balancer = self._balancer
             touched = self._journal.absorb(
                 ids, locs, is_task, times,
                 observe=balancer.observe if balancer else None,
             )
-            # submit-time high-water marks: a family job never delivers
-            # rows journaled after it was scheduled
             marks = {fam: self._journal.end(fam) for fam in touched}
             self._events_since_checkpoint += len(ids)
-            cuts: dict[int, int] = {}
-            if (
+            cut = bool(
                 self.checkpoint_every
                 and self._events_since_checkpoint >= self.checkpoint_every
-            ):
-                # one cut per family, keyed by it: a cut waits only
-                # behind its own family's deliveries
+            )
+            if cut:
                 self._events_since_checkpoint = 0
-                cuts = self._journal.ends()
             # the balancer decides at the chunk end where its window
             # fills, so a seeded stream splits at the same event
             moves = self._rebalance() if balancer and balancer.window_full else []
         for fam in sorted(touched):
-            self._scheduler.submit(
-                fam, self._family_job, self._deliver, fam, marks[fam],
-                ctx, queued_perf,
-            )
-        for fam in sorted(cuts):
-            self._scheduler.submit(fam, self._family_job, self._cut, fam, cuts[fam])
-        for fam, dst, upto in moves:
-            self._scheduler.submit(fam, self._survive, self._migrate, fam, dst, upto)
+            with self._send_locks[fam]:
+                self._send(fam, ctx)
+        if cut:
+            # one cut per family, keyed by it: a cut waits only behind
+            # its own family's cuts and migrations, never a delivery
+            for fam in range(self.shard_map.n_shards):
+                self._scheduler.submit(fam, self._job, self._cut, fam)
+        for fam, dst in moves:
+            self._scheduler.submit(fam, self._job, self._migrate, fam, dst)
+        return marks
 
-    def _rebalance(self) -> list[tuple[int, str, int]]:  # guarded-by: _state
+    def _rebalance(self) -> list[tuple[int, str]]:  # guarded-by: _state
         """Apply the balancer's verdict on the window that just closed.
 
         The caller holds ``_state``. A split re-lattices the cell at once:
-        later events route to its sub-shards, which the next delivery to
-        the family creates. A migration comes back as ``(family,
-        destination, journal mark)`` for the caller to schedule; the
-        balancer sees it as done, so its next verdict does not depend on
-        how far the job has got.
+        later events route to its sub-shards, which the next send to the
+        family creates. A migration comes back as ``(family,
+        destination)`` for the caller to schedule; the balancer sees it
+        as done, so its next verdict does not depend on how far the job
+        has got.
         """
         owners = [n for n in self._join_order if n in self._alive]
         placement = {**self.ownership, **self._moving}
@@ -744,23 +820,32 @@ class MeshCoordinator:
             else:
                 _, fam, dst = action
                 self._moving[fam] = dst
-                moves.append((fam, dst, self._journal.end(fam)))
+                moves.append((fam, dst))
         return moves
 
-    def result_of(self, task_id: int) -> int | None:
-        """Block until ``task_id`` has an outcome; the worker id or None."""
-        task_id = int(task_id)
+    def result_of(self, marks: dict[int, int], task_ids) -> list[int | None]:
+        """Block until a window is answered; its tasks' outcomes, in order.
+
+        ``marks`` is what :meth:`ingest` returned for the window and
+        ``task_ids`` are its task ids. One wait, until every family in
+        ``marks`` is acknowledged up to its mark; then the outcomes are
+        taken out of the table: each task's worker id, or None.
+        """
+        acked = self._acked
+
+        def answered() -> bool:
+            return all(acked[fam] >= mark for fam, mark in marks.items())
+
         with self._wake:
-            self._wake.wait_for(
-                lambda: task_id in self._results
-                or self._failure is not None
-                or self._closed,
+            if not self._wake.wait_for(
+                lambda: answered() or self._failure is not None or self._closed,
                 timeout=self.liveness_timeout,
-            )
-            if task_id in self._results:
-                return self._results[task_id]
-            self._check_failure_locked()
-        raise MeshError(f"timed out waiting for the result of task {task_id}")
+            ):
+                raise MeshError("timed out waiting for a window's outcomes")
+            if not answered():
+                self._check_failure_locked()
+            results = self._results
+            return [results.pop(tid) for tid in task_ids]
 
     def flush(self) -> None:
         """Deliver everything journaled so far and flush every cohort."""
@@ -788,108 +873,26 @@ class MeshCoordinator:
         )
 
     # ------------------------------------------------------------------ #
-    # dispatch jobs                                                       #
+    # sending slices                                                      #
     # ------------------------------------------------------------------ #
 
-    def _family_job(self, step, fam: int, *args) -> None:
-        """Run ``step(fam, owner, *args)`` on the family's owner; after a
-        failover cuts it short, run it again on the new owner."""
-        while True:
-            with self._state:
-                if self._failure is not None or self._closed:
-                    return
-                peer = self._peers[self.ownership[fam]]
-            if self._survive(step, fam, peer, *args):
-                return
+    def _send(self, fam: int, ctx=None) -> _Slice:
+        """Send ``fam``'s pending rows to its owner as one ``events`` op;
+        the caller holds the family's send lock.
 
-    def _survive(self, fn, *args) -> bool:
-        """Run one family-keyed step; False if a peer loss cut it short.
-
-        A lost peer is failed over before returning, so the caller may
-        retry on the family's new owner. Any other error (or losing the
-        last peer) poisons the coordinator.
-        """
-        try:
-            fn(*args)
-        except PeerLost as lost:
-            try:
-                self._handle_peer_loss(lost.peer)
-                return False
-            except Exception as exc:
-                self._fail(exc)
-        except Exception as exc:
-            self._fail(exc)
-        return True
-
-    def _deliver(
-        self,
-        fam: int,
-        peer: MeshPeer,
-        upto: int,
-        ctx=None,
-        queued_perf: float = 0.0,
-    ) -> None:
-        if peer.dead:
-            raise PeerLost(peer.name)
-        self._ensure_configured(peer)
-        self._ensure_installed(fam, peer)
-        with self._state:
-            keys, rows = self._journal.take(fam, upto)
-        if not len(rows):
-            return
-        body = {"keys": keys, "rows": rows}
-        if self.tracer is not None and ctx is not None:
-            # the dispatch span crosses the socket: its context rides the
-            # events op's JSON tail and the worker hands its execute span
-            # back in the reply's
-            attrs = {"family": fam, "peer": peer.name, "n_rows": len(rows)}
-            if queued_perf:
-                attrs["queue_wait_s"] = time.perf_counter() - queued_perf
-            with self.tracer.span(
-                "mesh.dispatch", parent=ctx, attrs=attrs
-            ) as span:
-                body["trace"] = span.context.to_dict()
-                kind, reply, _ = peer.exchange("events", body)
-        else:
-            kind, reply, _ = peer.exchange("events", body)
-        if kind != "events_reply":
-            raise MeshError(
-                f"mesh worker {peer.name!r} answered an events op with a "
-                f"{kind!r}, not an events_reply"
-            )
-        if self.tracer is not None:
-            spans = reply.get("spans")
-            if isinstance(spans, list):
-                for record in spans:
-                    self.tracer.adopt(record)
-        tasks = rows["id"][rows["kind"] == 1].tolist()
-        workers = reply.get("workers")
-        if not isinstance(workers, list) or len(workers) != len(tasks):
-            raise MeshError(
-                f"malformed events reply from {peer.name!r}: expected "
-                f"{len(tasks)} workers for its task rows"
-            )
-        with self._wake:
-            for tid, wid in zip(tasks, workers):
-                # first write wins: replayed duplicates deduplicate
-                self._results.setdefault(tid, None if wid is None else int(wid))
-            self._wake.notify_all()
-
-    def _ensure_configured(self, peer: MeshPeer) -> None:
-        with peer.config_lock:
-            if peer.configured:
-                return
-            peer.call("configure", {"batch_size": self.batch_size})
-            peer.configured = True
-
-    def _ensure_installed(self, fam: int, peer: MeshPeer) -> None:
-        """Create or restore the family's shards that ``peer`` lacks.
-
-        That is every shard after a failover or a migration (restored
-        from its chain, or built from spec if it has none) and the new
-        sub-shards after a split.
+        In one step under the state lock it reads the owner, plans the
+        shards the owner lacks (restored from their chains, or built from
+        spec: after a failover, a migration or a split) and takes the
+        rows, so a new owner gets its restore, and the replay from the
+        checkpoint base, before any newer slice. The ops are written in
+        that order and not waited for: :meth:`_acknowledge` handles the
+        ``events`` reply on the peer's reader thread. A peer found dead
+        is failed over and its rows are left to the replay. Raises
+        :class:`MeshError` if the mesh has failed or closed.
         """
         with self._state:
+            self._check_failure_locked()
+            peer = self._peers[self.ownership[fam]]
             plan = [
                 ("load", {"key": key, "snapshots": list(self._checkpoints[key])})
                 if key in self._checkpoints
@@ -897,31 +900,148 @@ class MeshCoordinator:
                 for key in self.router.family_keys(fam)
                 if self._installed.get(key) != peer.name
             ]
-        for op, body in plan:
-            peer.call(op, body)
-        with self._state:
-            if self.ownership[fam] == peer.name and not peer.dead:
-                for _op, body in plan:
-                    self._installed[body["key"]] = peer.name
+            for _op, body in plan:
+                self._installed[body["key"]] = peer.name
+            keys, rows = self._journal.take(fam)
+            stop = self._journal.sent(fam)
+            epoch = self._epochs[fam]
+        posted: list[tuple[str, Future]] = []
+        try:
+            with peer.config_lock:
+                if not peer.configured:
+                    body = {"batch_size": self.batch_size}
+                    posted.append(("configure", peer.send(
+                        "configure", body,
+                        functools.partial(self._checked, peer.name, "configure"),
+                    )))
+                    peer.configured = True
+            for op, body in plan:
+                posted.append((op, peer.send(
+                    op, body, functools.partial(self._checked, peer.name, op)
+                )))
+            if len(rows):
+                body = {"keys": keys, "rows": rows}
+                trace = None
+                if ctx is not None:
+                    # the dispatch span runs from this send to the reply:
+                    # its context rides the op's JSON tail and the worker
+                    # hands its execute span back in the reply's
+                    span = ctx.child()
+                    body["trace"] = span.to_dict()
+                    # a span timestamp, never decision logic
+                    trace = (ctx, span, time.time(), time.perf_counter())  # lint: ok RL103
+                posted.append(("events", peer.send("events", body, functools.partial(
+                    self._acknowledge, fam, epoch, stop - len(rows), rows,
+                    peer.name, trace,
+                ))))
+        except PeerLost:
+            self._peer_lost(peer.name)
+        return _Slice(peer, keys, stop, epoch, posted)
+
+    def _acknowledge(self, fam, epoch, start, rows, peer, trace, fut) -> None:
+        """Handle the reply to one ``events`` slice, on the peer's reader.
+
+        Records the outcome of each task row at or past the family's
+        answered position (first write wins: a replayed row's outcome is
+        dropped) and, unless the family was rewound since the slice was
+        taken, advances its acknowledged cursor past the slice. Takes
+        only the state lock, under which nothing is ever sent.
+        """
+        try:
+            answer = fut.result()
+            if answer is None:
+                self._peer_lost(peer)  # the replay answers these rows
+                return
+            kind, reply, _ = answer
+            if kind == "fail":
+                raise _failed(peer, "events", reply)
+            if kind != "events_reply":
+                raise MeshError(
+                    f"mesh worker {peer!r} answered an events op with a "
+                    f"{kind!r}, not an events_reply"
+                )
+            tasks = rows["id"][rows["kind"] == 1]
+            workers = reply.get("workers")
+            if not isinstance(workers, list) or len(workers) != len(tasks):
+                raise MeshError(
+                    f"malformed events reply from {peer!r}: expected "
+                    f"{len(tasks)} workers for its task rows"
+                )
+            if trace is not None:
+                parent, span, start_wall, start_perf = trace
+                self.tracer.record(
+                    "mesh.dispatch",
+                    parent,
+                    start_s=start_wall,
+                    duration_s=time.perf_counter() - start_perf,
+                    attrs={"family": fam, "peer": peer, "n_rows": len(rows)},
+                    context=span,
+                )
+                spans = reply.get("spans")
+                if isinstance(spans, list):
+                    for record in spans:
+                        self.tracer.adopt(record)
+            stop = start + len(rows)
+            with self._wake:
+                answered = self._answered[fam]
+                if stop > answered:
+                    # rows before the answered position are a replay
+                    seen = int(np.count_nonzero(rows["kind"][: max(answered - start, 0)]))
+                    fresh = tasks[seen:].tolist()
+                    results = self._results
+                    for tid, wid in zip(fresh, workers[seen:]):
+                        results[tid] = None if wid is None else int(wid)
+                    self.tasks_answered += len(fresh)
+                    self._answered[fam] = stop
+                if self._epochs[fam] == epoch:
+                    self._acked[fam] = max(self._acked[fam], stop)
+                self._wake.notify_all()
+        except Exception as exc:
+            self._fail(exc)
+
+    def _checked(self, peer: str, op: str, fut: Future) -> None:
+        """Reply handler for an op nobody waits on (``configure``,
+        ``create``, ``load``): a failed one fails the mesh, a lost peer
+        is failed over."""
+        answer = fut.result()
+        if answer is None:
+            self._peer_lost(peer)
+        elif answer[0] == "fail":
+            self._fail(_failed(peer, op, answer[1]))
+
+    def _await_posted(self, sent: _Slice) -> None:
+        """Wait for the answer to every op ``sent`` posted. A lost peer
+        is failed over; the replay answers for its ops."""
+        try:
+            for op, fut in sent.posted:
+                sent.peer.await_reply(fut, op)
+        except PeerLost:
+            self._peer_lost(sent.peer.name)
+
+    def _replay(self, fam: int) -> None:
+        """Restore ``fam`` on its new owner and replay its journal from
+        the checkpoint base (a family job after a failover), then wait
+        for the answers. Nothing is sent when another thread's send got
+        there first."""
+        with self._send_locks[fam]:
+            sent = self._send(fam)
+        self._await_posted(sent)
 
     # ------------------------------------------------------------------ #
     # barriers                                                            #
     # ------------------------------------------------------------------ #
 
-    def _settle(self, marks: dict[int, int]) -> None:
-        """Deliver every family's journal up to its mark (barrier prelude)."""
-        for fam in sorted(marks):
-            with self._state:
-                peer = self._peers[self.ownership[fam]]
-            self._deliver(fam, peer, marks[fam])
+    def _settle(self) -> None:
+        """Send every family's pending rows (barrier prelude): the
+        barrier's ops then queue behind them on every peer."""
+        for fam in range(self.shard_map.n_shards):
+            with self._send_locks[fam]:
+                self._send(fam)
 
     def _flush_job(self) -> None:
-        with self._state:
-            marks = self._journal.ends()
         while True:
-            self._check_failure()
+            self._settle()
             try:
-                self._settle(marks)
                 # post-settle every family owner is configured; a peer
                 # still unconfigured owns nothing and has nothing to flush
                 for peer in self._alive_peers():
@@ -929,15 +1049,12 @@ class MeshCoordinator:
                         peer.call("flush", {})
                 return
             except PeerLost as lost:
-                self._handle_peer_loss(lost.peer)
+                self._peer_lost(lost.peer)
 
     def _report_job(self) -> dict[str, dict]:
-        with self._state:
-            marks = self._journal.ends()
         while True:
-            self._check_failure()
+            self._settle()
             try:
-                self._settle(marks)
                 # unconfigured peers own no families (see _flush_job)
                 peers = [p for p in self._alive_peers() if p.configured]
                 for peer in peers:
@@ -953,7 +1070,7 @@ class MeshCoordinator:
                     merged.update(rows)
                 return merged
             except PeerLost as lost:
-                self._handle_peer_loss(lost.peer)
+                self._peer_lost(lost.peer)
 
     # ------------------------------------------------------------------ #
     # checkpoint cuts                                                     #
@@ -1007,139 +1124,178 @@ class MeshCoordinator:
             self._checkpoints[key] = [doc]
             self._snapshot_bytes.record(size)
 
-    def _snapshot(self, peer: MeshPeer, key: str, req: dict) -> tuple[dict, float]:
+    def _snapshot(self, peer: MeshPeer, fut: Future) -> tuple[dict, float]:
         """One shard's snapshot and its reply frame's payload size in
         bytes, as the peer reader decoded it (the reply's envelope
         included; nothing is encoded again to measure it)."""
-        _, reply, size = peer.exchange("snapshot", {"key": key, **req})
+        _, reply, size = peer.await_reply(fut, "snapshot")
         snap = reply.get("snapshot")
         if not isinstance(snap, dict):
             raise MeshError(f"malformed snapshot reply from {peer.name!r}")
         return snap, float(size)
 
-    def _cut(self, fam: int, peer: MeshPeer, upto: int) -> None:
-        """Checkpoint one family on its owner ``peer`` (a family step).
+    def _cut(self, fam: int) -> str:
+        """Checkpoint one family on its owner (a family job); the name of
+        the peer the cut committed on.
 
-        Delivers the family's journal up to ``upto``, snapshots its
-        shards, chains the replies and truncates the journal at the send
-        cursor. A peer loss before the last snapshot commits nothing:
-        :meth:`_family_job` fails over and runs the cut again on the new
-        owner, which first restores the previous chain and replays.
+        Under the family's send lock it sends what is pending (a replay
+        after a failover), reads the send cursor and posts one snapshot
+        op per shard, so the snapshots cover exactly the rows sent
+        before them. It waits for the replies off the lock — slices sent
+        meanwhile queue behind the snapshot ops — then chains them and
+        truncates the journal at that position. A peer loss before the
+        replies are in, or a failover of the family before the commit,
+        commits nothing, and the cut runs again on the new owner, which
+        first restores the previous chain and replays.
         """
         t0 = time.perf_counter()
-        with self._state:
-            # captured before delivery, which installs at least these: a
-            # split made while the cut runs must not add a shard its
-            # owner has not created yet
-            keys = self.router.family_keys(fam)
-        self._deliver(fam, peer, upto)
-        with self._state:
-            reqs = self._checkpoint_reqs(keys)
-            # the snapshots hold every row sent, which runs past upto when
-            # a barrier on another thread delivered first
-            cut = self._journal.sent(fam)
-        snaps: dict[str, tuple[dict, float]] = {}
-        for key in keys:
-            hook = self._test_mid_checkpoint
-            if hook is not None:
-                hook(key)
-            snaps[key] = self._snapshot(peer, key, reqs[key])
-        with self._state:
-            for key in keys:
-                self._absorb_snapshot(key, *snaps[key])
-            dropped = self._journal.truncate(fam, cut)
-        # counts journal rows: one per event
-        self.registry.counter("mesh.journal.compacted_ops", dropped)
-        self._checkpoint_s.record(time.perf_counter() - t0)
+        while True:
+            with self._send_locks[fam]:
+                sent = self._send(fam)
+                with self._state:
+                    reqs = self._checkpoint_reqs(sent.keys)
+                try:
+                    posted = [
+                        (key, sent.peer.send("snapshot", {"key": key, **reqs[key]}))
+                        for key in sent.keys
+                    ]
+                except PeerLost:
+                    self._peer_lost(sent.peer.name)
+                    continue
+            try:
+                snaps: dict[str, tuple[dict, float]] = {}
+                for key, fut in posted:
+                    hook = self._test_mid_checkpoint
+                    if hook is not None:
+                        hook(key)
+                    snaps[key] = self._snapshot(sent.peer, fut)
+            except PeerLost:
+                self._peer_lost(sent.peer.name)
+                continue
+            with self._state:
+                if self._epochs[fam] != sent.epoch:
+                    continue  # failed over since the snapshot ops
+                for key in sent.keys:
+                    self._absorb_snapshot(key, *snaps[key])
+                dropped = self._journal.truncate(fam, sent.stop)
+            # counts journal rows: one per event
+            self.registry.counter("mesh.journal.compacted_ops", dropped)
+            self._checkpoint_s.record(time.perf_counter() - t0)
+            return sent.peer.name
 
-    def _migrate(self, fam: int, dst: str, upto: int) -> None:
-        """Move one family to peer ``dst`` (a job keyed by the family).
+    def _migrate(self, fam: int, dst: str) -> None:
+        """Move one family to peer ``dst`` (a family job).
 
-        A :meth:`_cut` on the current owner, then an ownership flip and a
-        drop of the family's shards there; the next delivery installs
-        them on ``dst`` from the cut's chains, exactly as failover does.
-        A failover that moved the family first (or took ``dst``) wins:
-        the move is dropped, and a cut that completed stands as an
-        ordinary checkpoint.
+        A :meth:`_cut` on the current owner; then, under the family's
+        send lock, an ownership flip with the cursors rewound as on
+        failover, and the restore and replay on ``dst``; then a drop of
+        the family's shards on the old owner, whose ops for the family
+        all went out before the flip. A failover that moved the family
+        first (or took ``dst``) wins: the move is dropped, and a cut that
+        completed stands as an ordinary checkpoint.
         """
         try:
             with self._state:
                 src = self.ownership[fam]
-                if self._failure is not None or self._closed:
-                    return
                 if src == dst or dst not in self._alive:
                     return
-                peer = self._peers[src]
-            self._cut(fam, peer, upto)
-            with self._state:
-                if self.ownership[fam] != src or dst not in self._alive:
-                    return
-                keys = [
-                    key
-                    for key in self.router.family_keys(fam)
-                    if self._installed.get(key) == src
-                ]
-                for key in keys:
-                    del self._installed[key]  # dropped on src below
-                self.ownership[fam] = dst
-                self.migrations += 1
+            if self._cut(fam) != src:
+                return
+            with self._send_locks[fam]:
+                with self._state:
+                    if self.ownership[fam] != src or dst not in self._alive:
+                        return
+                    old = self._peers[src]
+                    keys = [
+                        key
+                        for key in self.router.family_keys(fam)
+                        if self._installed.get(key) == src
+                    ]
+                    for key in keys:
+                        del self._installed[key]  # dropped on src below
+                    self.ownership[fam] = dst
+                    self.migrations += 1
+                    self._rewind(fam)
+                sent = self._send(fam)
         finally:
             with self._state:
                 if self._moving.get(fam) == dst:
                     del self._moving[fam]
-        for key in keys:
-            peer.call("drop", {"key": key})
+        try:
+            for key in keys:
+                old.call("drop", {"key": key})
+        except PeerLost:
+            self._peer_lost(src)
+        self._await_posted(sent)
 
     # ------------------------------------------------------------------ #
     # failover                                                            #
     # ------------------------------------------------------------------ #
 
-    def _handle_peer_loss(self, name: str) -> None:
+    def _rewind(self, fam: int) -> None:  # guarded-by: _state
+        """Point ``fam`` at its checkpoint base for a new owner; the
+        caller holds ``_state``. The send and acknowledged cursors go
+        back to the base, and replies to slices taken before acknowledge
+        nothing."""
+        self._journal.rewind(fam)
+        self._acked[fam] = self._journal.sent(fam)
+        self._epochs[fam] += 1
+
+    def _peer_lost(self, name: str) -> None:
         """Reassign a dead peer's families; idempotent per peer.
 
         Each family goes to the surviving peer with the fewest families
-        (ties break by join order) and has its journal cursor rewound:
-        the next delivery reinstalls its shards there from their last
-        checkpoint and replays everything since. Raises
-        :class:`MeshError` when no peer survives.
+        (ties break by join order) and is rewound to its checkpoint base
+        (:meth:`_rewind`); a replay job on the family's key restores it
+        there and replays everything since. Losing every peer fails the
+        mesh. Whoever sees a peer lost calls this, on any thread, with no
+        coordinator lock held.
         """
+        moved: list[int] = []
         hook = None
-        with self._state:
+        with self._wake:
             peer = self._peers.get(name)
             if peer is not None:
-                # under the *peer's* lock, not just _state: call() checks
+                # under the *peer's* lock, not just _state: send() checks
                 # dead under peer._lock and must not race this flip
                 peer.mark_dead()
-            if name in self._alive:
+            if (
+                name in self._alive
+                and self._failure is None
+                and not self._closed
+            ):
                 self._alive.discard(name)
                 self.failovers += 1
                 survivors = [n for n in self._join_order if n in self._alive]
                 if not survivors:
-                    raise MeshError(
-                        "every mesh worker is gone; nothing to fail over to"
+                    self._fail(
+                        MeshError("every mesh worker is gone; nothing to fail over to")
                     )
-                load = {s: 0 for s in survivors}
-                for owner in self.ownership.values():
-                    if owner in load:
-                        load[owner] += 1
-                rank = {n: i for i, n in enumerate(self._join_order)}
-                for fam in sorted(
-                    f for f, o in self.ownership.items() if o == name
-                ):
-                    dst = min(survivors, key=lambda s: (load[s], rank[s]))
-                    load[dst] += 1
-                    self.ownership[fam] = dst
-                    self._journal.rewind(fam)
-                hook = self._test_on_failover
-            elif not self._alive:
-                raise MeshError(
-                    "every mesh worker is gone; nothing to fail over to"
-                )
-            self._wake.notify_all()
+                else:
+                    load = {s: 0 for s in survivors}
+                    for owner in self.ownership.values():
+                        if owner in load:
+                            load[owner] += 1
+                    rank = {n: i for i, n in enumerate(self._join_order)}
+                    for fam in sorted(
+                        f for f, o in self.ownership.items() if o == name
+                    ):
+                        dst = min(survivors, key=lambda s: (load[s], rank[s]))
+                        load[dst] += 1
+                        self.ownership[fam] = dst
+                        self._rewind(fam)
+                        moved.append(fam)
+                    hook = self._test_on_failover
+                self._wake.notify_all()
         if peer is not None:
             peer.abandon()
         if hook is not None:
             hook(name)
+        try:
+            for fam in moved:
+                self._scheduler.submit(fam, self._job, self._replay, fam)
+        except RuntimeError:
+            pass  # closing: the scheduler takes no more work
 
     # ------------------------------------------------------------------ #
     # plumbing                                                            #
@@ -1148,6 +1304,13 @@ class MeshCoordinator:
     def _alive_peers(self) -> list[MeshPeer]:
         with self._state:
             return [self._peers[n] for n in self._join_order if n in self._alive]
+
+    def _job(self, fn, *args) -> None:
+        """Family-job wrapper: an error fails the coordinator."""
+        try:
+            fn(*args)
+        except Exception as exc:
+            self._fail(exc)
 
     def _guard(self, fn, *args):
         """Barrier wrapper: a failed barrier poisons the coordinator."""
@@ -1169,7 +1332,7 @@ class MeshCoordinator:
 
     def _check_failure_locked(self) -> None:
         if self._failure is not None:
-            raise MeshError("the mesh has failed") from self._failure
+            raise MeshError(f"the mesh has failed: {self._failure}") from self._failure
         if self._closed:
             raise MeshError("the mesh coordinator is closed")
 

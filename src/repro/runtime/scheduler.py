@@ -22,12 +22,11 @@ Two layers use it. The gateway submits every request as a barrier
 The mesh backend releases a stream window's hold once the window is
 journaled: its journal order is fixed by then, so the next request may
 run while this window waits for its outcomes. The mesh coordinator is
-the one user of keys: it delivers and checkpoints each shard family as
-jobs keyed by the family (families share no state, so per-key FIFO
-means each family consumes exactly its serial subsequence — same cohort
-buffers, same RNG draws, same assignments), a checkpoint never stalls
-the other families, and its flush and report are barriers that keep
-their observe-everything semantics.
+the one user of keys: it runs each shard family's checkpoint cuts,
+migrations and failover replays as jobs keyed by the family (its
+deliveries are not jobs: the journaling thread sends them), so a cut
+never stalls the other families, and its flush and report are barriers
+that keep their observe-everything semantics.
 
 Ordering is tracked with dependency chaining, not queue polling: each
 key remembers its tail job, a barrier collects every live tail, and a
@@ -62,8 +61,8 @@ _running = threading.local()
 
 def default_worker_count() -> int:
     """Pool size when the caller does not choose: enough threads that a
-    few families' deliveries, or a gateway's running request plus the
-    released mesh windows awaiting outcomes, can overlap (mesh-served
+    few families' checkpoint cuts, or a gateway's running request plus
+    the released mesh windows awaiting outcomes, can overlap (mesh-served
     jobs spend their time waiting on worker processes, so this may
     exceed the local core count without oversubscribing anything)."""
     return min(8, max(4, os.cpu_count() or 1))

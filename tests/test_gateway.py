@@ -1059,20 +1059,18 @@ class TestPipelinedMeshDispatch:
 
         spec = small_spec()
         stream = build_conformance_stream(REGION, 20, 12, seed=1)
-        windows = [stream[:16], stream[16:]]
         backend = MeshBackend(spec, n_peers=2, checkpoint_every=0)
-        second = [r.task_id for r in windows[1] if isinstance(r, SubmitTask)]
         hold = threading.Event()
         received: list = []
         with serve_gateway(GatewayConfig(spec=spec), backend=backend) as gw:
             coordinator = backend.coordinator
-            deliver = coordinator._deliver
+            acknowledge = coordinator._acknowledge
 
-            def held_deliver(*args, **kwargs):
+            def held_acknowledge(*args):
                 hold.wait(30.0)
-                return deliver(*args, **kwargs)
+                return acknowledge(*args)
 
-            coordinator._deliver = held_deliver
+            coordinator._acknowledge = held_acknowledge
             client = AssignmentClient(RemoteBackend(spec, address=gw.address))
             client.open()
             streamer = threading.Thread(
@@ -1084,7 +1082,7 @@ class TestPipelinedMeshDispatch:
             try:
                 streamer.start()
                 wait_until(
-                    lambda: set(second) <= set(coordinator._journal.task_order),
+                    lambda: sum(map(coordinator._journal.end, range(4))) == len(stream),
                     timeout=5.0,
                     what="window 2 journaled behind window 1",
                 )
@@ -1156,13 +1154,13 @@ class TestErrorsKeepEarlierAnswers:
                 with AssignmentClient(RemoteBackend(spec, address=gw.address)) as client:
                     client.register_worker(9, (199.0, 199.0))
                     coordinator = backend.coordinator
-                    deliver = coordinator._deliver
+                    acknowledge = coordinator._acknowledge
 
-                    def held_deliver(*args, **kwargs):
+                    def held_acknowledge(*args):
                         time.sleep(0.5)  # window 1's outcomes arrive late
-                        return deliver(*args, **kwargs)
+                        return acknowledge(*args)
 
-                    coordinator._deliver = held_deliver
+                    coordinator._acknowledge = held_acknowledge
                     runs[pipeline] = _answers_before_error(
                         client, requests, window=2, pipeline=pipeline
                     )

@@ -32,13 +32,16 @@ from repro.api import (
     make_backend,
     requests_from_events,
 )
+from repro.api.client import AssignmentClient
 from repro.api.conformance import (
+    BackendRun,
     build_conformance_stream,
     check_parity,
     run_backend,
     run_mesh_failover,
 )
 from repro.api.errors import ApiError
+from repro.api.messages import TaskDecision
 from repro.cluster.balancer import BalancerConfig, ClusterRouter, family_of
 from repro.cluster.dispatch import EVENT_ROW_DTYPE, FamilyJournal
 from repro.cluster.worker import ShardHost, shard_spec
@@ -279,10 +282,10 @@ class TestWorkerOpLoop:
 
     @staticmethod
     def _deliver_against(answer, match: str) -> None:
-        """Deliver one worker row and one task row to a stand-in worker
-        that answers the ``events`` op with ``answer(seq)``: the delivery
-        must raise a :class:`MeshError` matching ``match`` and record no
-        outcome."""
+        """Send one worker row and one task row to a stand-in worker that
+        answers the ``events`` op with ``answer(seq)``: the window's wait
+        must raise a :class:`MeshError` matching ``match`` and no outcome
+        may be recorded."""
         ours, theirs = socket.socketpair()
         theirs.settimeout(10.0)
 
@@ -296,15 +299,13 @@ class TestWorkerOpLoop:
         server = threading.Thread(target=stand_in, daemon=True)
         server.start()
         coordinator = MeshCoordinator(REGION, shards=(1, 1), expected_workers=1)
-        peer = mesh_coordinator.MeshPeer("w0", ours, ())
-        peer.start()
+        peer = _stand_in_peer(coordinator, ours)
         peer.configured = True
-        coordinator.ownership[0] = peer.name
         coordinator._installed["s0"] = peer.name
         try:
-            _absorb(coordinator._journal, ("w", 0, 10, 10), ("t", 0, 15, 15))
+            marks = _ingest(coordinator, [_worker(0, 10, 10), _task(0, 15, 15)])
             with pytest.raises(MeshError, match=match):
-                coordinator._deliver(0, peer, coordinator._journal.end(0))
+                coordinator.result_of(marks, [0])
             assert coordinator._results == {}
         finally:
             peer.shutdown()
@@ -313,9 +314,9 @@ class TestWorkerOpLoop:
             theirs.close()
 
     def test_coordinator_refuses_a_short_workers_reply(self):
-        """A reply with fewer workers than task rows fails the delivery
-        at once; recording nothing would leave result_of waiting out
-        the liveness timeout."""
+        """A reply with fewer workers than task rows fails the mesh at
+        once; recording nothing would leave the window waiting out the
+        liveness timeout."""
         self._deliver_against(
             lambda seq: events_reply_doc(seq, {"workers": []}),
             "malformed events reply",
@@ -328,6 +329,81 @@ class TestWorkerOpLoop:
         self._deliver_against(
             lambda seq: reply_doc(seq, {"workers": [0]}), "not an events_reply"
         )
+
+    def test_one_family_keeps_two_slices_in_flight(self):
+        """Two windows of one family are sent before the worker reads a
+        byte: both ``events`` ops are in flight on the one socket at
+        once, and once both are answered the decisions equal the
+        engine's serial replay of the same windows."""
+        ours, theirs = socket.socketpair()
+        coordinator = MeshCoordinator(
+            REGION, shards=(1, 1), expected_workers=1, grid_nx=6, batch_size=4,
+            seed=11,
+        )
+        peer = _stand_in_peer(coordinator, ours)
+        sent_ops = []
+        send = peer.send
+
+        def spy(op, body, on_reply=None):
+            sent_ops.append(op)
+            return send(op, body, on_reply)
+
+        peer.send = spy
+        windows = [
+            [_worker(i, 10 + 7 * i, 20 + 5 * i) for i in range(6)]
+            + [_task(0, 40, 40), _task(1, 12, 30)],
+            [_worker(6, 90, 90), _task(2, 30, 30), _worker(7, 60, 20),
+             _task(3, 80, 85), _task(4, 15, 15)],
+        ]
+        server = threading.Thread(
+            target=lambda: mesh_worker.serve_connection(theirs, FrameDecoder()),
+            daemon=True,
+        )
+        try:
+            marks = [_ingest(coordinator, window) for window in windows]
+            assert sent_ops == ["configure", "create", "events", "events"]
+            assert peer.outstanding == 4  # nothing answered yet
+            assert coordinator._acked[0] == 0 < marks[0][0] < marks[1][0]
+            server.start()
+            decisions = [
+                coordinator.result_of(
+                    m, [e.task_id for e in w if isinstance(e, TaskArrival)]
+                )
+                for m, w in zip(marks, windows)
+            ]
+        finally:
+            peer.shutdown()
+            coordinator.close()
+            server.join(timeout=10.0)
+            theirs.close()
+        engine = ShardedAssignmentEngine(
+            REGION, shards=(1, 1), grid_nx=6, batch_size=4, seed=11
+        )
+        serial = []
+        for window in windows:
+            for event in window:
+                is_task = isinstance(event, TaskArrival)
+                ident = event.task_id if is_task else event.worker_id
+                serial += engine.ingest([ident], [event.location], [is_task], [event.time])
+        assert [w for window in decisions for w in window] == serial
+        assert coordinator.tasks_answered == 5
+        assert coordinator._results == {}
+
+
+def _stand_in_peer(coordinator, sock):
+    """Make a socket the only peer of a coordinator that was never
+    started: every family is placed on it, no shard is built yet."""
+    peer = mesh_coordinator.MeshPeer("w0", sock, ())
+    peer.start()
+    coordinator._peers[peer.name] = peer
+    coordinator._join_order.append(peer.name)
+    coordinator._alive.add(peer.name)
+    for fam in range(coordinator.shard_map.n_shards):
+        coordinator.ownership[fam] = peer.name
+    for key in coordinator.router.keys():
+        coordinator._specs[key] = coordinator._spec_for(key)
+    coordinator._started = True
+    return peer
 
 
 # --------------------------------------------------------------------- #
@@ -348,9 +424,10 @@ def _task(tid, x, y):
 
 
 def _ingest(coordinator, events):
-    """Journal service events through the coordinator's columnar ingest."""
+    """Journal service events through the coordinator's columnar ingest;
+    the marks it returns."""
     is_task = [isinstance(e, TaskArrival) for e in events]
-    coordinator.ingest(
+    return coordinator.ingest(
         [e.task_id if t else e.worker_id for e, t in zip(events, is_task)],
         [e.location for e in events],
         is_task,
@@ -394,8 +471,7 @@ class TestFamilyJournal:
             ("s0", 2, [30.0, 100.0], False),
         ]
         assert _rows_of(j.take(1)) == [("s1", 5, [150.0, 100.0], False)]
-        # tasks in stream order across families
-        assert j.task_order == [0]
+        assert (j.end(0), j.end(1)) == (4, 1)
 
     def test_take_is_the_wire_rows(self):
         """A take is the events op's row bytes as they are: big-endian
@@ -549,7 +625,7 @@ class TestFamilyJournal:
             assert _rows_of(j.take(0))[1] == ("s0", 2**63 - 1, [10.0, 100.0], True)
             assert j.known_workers == {1}
             assert j.known_tasks == {2**63 - 1}
-            assert j.task_order == [2**63 - 1]
+            assert (j.end(0), j.end(1)) == (2, 0)
             assert j.now == 4.0
 
     def test_a_duplicate_before_an_outside_id_is_what_is_refused(self):
@@ -700,6 +776,74 @@ class TestMeshParity:
         )
         assert check_parity([reference, mesh]) == []
 
+    def test_journaling_threads_keep_each_family_in_journal_order(self):
+        """Four threads journal windows that span every family at once,
+        with the interpreter switching threads often: whatever order the
+        journal took, each family's slices reach its owner in that order,
+        so the answers equal a serial replay of each family's journal."""
+        spec = spec_for((2, 2))
+        rng = np.random.default_rng(4)
+        n_threads, n_windows, size = 4, 6, 12
+        backend = make_backend("mesh", spec, n_peers=2, chunk_size=5, checkpoint_every=0)
+        answers: dict[int, int | None] = {}
+        errors: list[BaseException] = []
+
+        def journal(t):
+            try:
+                for w in range(n_windows):
+                    base = (t * n_windows + w) * size
+                    kinds = rng_kinds[t][w]
+                    xy = rng_xy[t][w]
+                    ids = [base + i for i in range(size)]
+                    marks = backend.coordinator.ingest(ids, xy, kinds, [0.0] * size)
+                    tasks = [i for i, k in zip(ids, kinds) if k]
+                    answers.update(zip(tasks, backend.coordinator.result_of(marks, tasks)))
+            except BaseException as exc:
+                errors.append(exc)
+
+        rng_kinds = [[(rng.random(size) < 0.4).tolist() for _ in range(n_windows)]
+                     for _ in range(n_threads)]
+        rng_xy = [[rng.uniform(0, 200, (size, 2)) for _ in range(n_windows)]
+                  for _ in range(n_threads)]
+        backend.open()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=journal, args=(t,)) for t in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            journal_rows = backend.coordinator._journal
+            per_family = [
+                journal_rows._rows[fam][: journal_rows._count[fam]].tolist()
+                for fam in journal_rows.families
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+            backend.close()
+        reference = make_backend("sharded", spec)
+        reference.open()
+        want: dict[int, int | None] = {}
+        for seq, rows in enumerate(per_family):
+            window = StreamWindow.of(
+                seq,
+                [
+                    SubmitTask(task_id=i, location=(x, y)) if kind
+                    else RegisterWorker(worker_id=i, location=(x, y))
+                    for _key, kind, i, x, y in rows
+                ],
+            )
+            result = reference.handle(window)
+            want.update(
+                zip([i for _k, kind, i, _x, _y in rows if kind], result.workers)
+            )
+        reference.close()
+        assert len(answers) == sum(sum(kinds) for per in rng_kinds for kinds in per)
+        assert answers == want
+
     def test_telemetry_shape_after_a_run(self):
         spec = spec_for((2, 2))
         stream = build_conformance_stream(REGION, 30, 20, seed=5)
@@ -730,13 +874,14 @@ class TestMeshParity:
 
 
 class TestCheckpointCuts:
-    def test_a_held_cut_stalls_only_its_family(self):
-        """While one family's cut is held mid-snapshot, a task in another
-        family is answered; a task in the held family waits its turn."""
+    def test_a_held_cut_stalls_no_delivery(self):
+        """While one family's cut is held between posting its snapshot
+        ops and reading their replies, tasks in that family and in
+        another are both answered: a cut holds back no delivery."""
         backend = make_backend(
             "mesh", spec_for((2, 2)), n_peers=2, chunk_size=4, checkpoint_every=4
         )
-        held, release, answered = (threading.Event() for _ in range(3))
+        held, release = threading.Event(), threading.Event()
 
         def hold(key):
             if family_of(key) == 0 and not held.is_set():
@@ -754,23 +899,76 @@ class TestCheckpointCuts:
                  _worker(2, 30, 30)],
             )
             assert held.wait(timeout=10.0), "no cut reached family 0"
-            _ingest(
+            marks = _ingest(
                 coordinator,
                 [_worker(3, 190, 190), _task(1, 185, 185), _task(2, 12, 12)],
             )
-            threading.Thread(
-                target=lambda: (coordinator.result_of(1), answered.set()),
+            assert sorted(marks) == [0, 3]
+            answered = []
+            waiter = threading.Thread(
+                target=lambda: answered.extend(coordinator.result_of(marks, [1, 2])),
                 daemon=True,
-            ).start()
-            assert answered.wait(timeout=5.0), (
-                "a task in another family waited behind the held cut"
             )
-            assert coordinator.tasks_answered == 2  # task 2 is behind the cut
-            release.set()
-            assert coordinator.result_of(2) is not None
+            waiter.start()
+            waiter.join(timeout=5.0)
+            assert answered == [3, 1], "a task waited behind the held cut"
+            assert not release.is_set() and coordinator._scheduler.in_flight
         finally:
             release.set()
             backend.close()
+
+    def test_a_cut_covers_exactly_the_rows_sent_before_it(self):
+        """Hold a cut's snapshot replies while the next window's slice of
+        its family goes out to the same owner, let the cut commit, then
+        SIGKILL that owner: restoring the chain and replaying the journal
+        from the cut gives serial parity, so the chain tip holds exactly
+        the rows sent before the snapshot ops."""
+        spec = spec_for((2, 2))
+        stream = build_conformance_stream(REGION, 60, 40, seed=7)
+        windows = [StreamWindow.of(i, stream[i : i + 16]) for i in range(0, len(stream), 16)]
+        reference = make_backend("sharded", spec)
+        reference.open()
+        want = [reference.handle(window).workers for window in windows]
+        reference.close()
+        backend = make_backend(
+            "mesh", spec, n_peers=2, chunk_size=16, checkpoint_every=0
+        )
+        held, release = threading.Event(), threading.Event()
+
+        def hold(key):
+            if family_of(key) == 0 and not held.is_set():
+                held.set()
+                release.wait(timeout=30.0)
+
+        got = []
+        backend.open()
+        try:
+            coordinator = backend.coordinator
+            journal = coordinator._journal
+            got += [backend.handle(window).workers for window in windows[:2]]
+            coordinator._test_mid_checkpoint = hold
+            coordinator._scheduler.submit(0, coordinator._job, coordinator._cut, 0)
+            assert held.wait(timeout=10.0)
+            cut_at = journal.sent(0)
+            assert cut_at > 0
+            rest = iter(windows[2:])
+            for window in rest:
+                got.append(backend.handle(window).workers)  # answered while held
+                if journal.sent(0) > cut_at:
+                    break
+            assert journal.sent(0) > cut_at, "no later slice of family 0 went out"
+            release.set()
+            assert coordinator._scheduler.drain(timeout=30.0)
+            assert journal._base[0] == cut_at  # truncated at the cut, no further
+            owner = coordinator._peers[coordinator.ownership[0]]
+            backend.kill_worker(int(owner.label.rsplit("mesh-w", 1)[1]))
+            got += [backend.handle(window).workers for window in rest]
+            assert coordinator.failovers == 1
+            assert coordinator._results == {}
+        finally:
+            release.set()
+            backend.close()
+        assert got == want
 
     @pytest.mark.parametrize(
         "rebase_every, deltas, bases, rebases", [(0, 0, 48, 44), (1, 24, 24, 20)]
@@ -872,9 +1070,11 @@ class TestMeshFailover:
         killed = []
 
         def kill_during_checkpoint(key):
-            # fires before each snapshot op of a cut: kill the peer that
-            # holds the cut, once the family has a chain to restore. The
-            # interrupted cut must commit nothing and rerun on the survivor
+            # fires once each snapshot op of a cut is posted, before its
+            # reply is read: kill the peer that holds the cut, once the
+            # family has a chain to restore. The cut commits only a
+            # snapshot the owner answered before it died; otherwise it
+            # commits nothing and reruns on the survivor
             coordinator = backend.coordinator
             if killed or key not in coordinator._checkpoints:
                 return
@@ -891,6 +1091,47 @@ class TestMeshFailover:
         assert killed, "checkpoint cadence never fired; test is vacuous"
         assert backend_failovers(backend) >= 1
         assert check_parity([reference, mesh]) == []
+
+    def test_sigkill_with_two_slices_of_one_family_in_flight(self):
+        """Stop the owner of a family, send it two slices of that family,
+        SIGKILL it: both replay on the survivor, the decisions are
+        bit-identical, every task is answered once and the outcome table
+        ends empty."""
+        spec = spec_for((2, 2))
+        stream = build_conformance_stream(REGION, 40, 30, seed=3)
+        windows = [StreamWindow.of(i, stream[i : i + 8]) for i in range(0, len(stream), 8)]
+        reference = make_backend("sharded", spec)
+        reference.open()
+        want = [reference.handle(window).workers for window in windows]
+        reference.close()
+        backend = make_backend("mesh", spec, n_peers=2, chunk_size=8, checkpoint_every=0)
+        backend.open()
+        try:
+            coordinator = backend.coordinator
+            got = [backend.handle(window).workers for window in windows[:2]]
+            owner = coordinator._peers[coordinator.ownership[0]]
+            pid = backend_pid(backend, int(owner.label.rsplit("mesh-w", 1)[1]))
+            os.kill(pid, signal.SIGSTOP)
+            in_flight = []
+            rest = iter(windows[2:])
+            for window in rest:
+                marks = coordinator.ingest(window.ids, window.xy, window.is_task, window.times)
+                tasks = [i for i, t in zip(window.ids, window.is_task) if t]
+                in_flight.append((marks, tasks))
+                if sum(0 in marks for marks, _ in in_flight) == 2:
+                    break
+            assert sum(0 in marks for marks, _ in in_flight) == 2
+            assert coordinator._acked[0] < in_flight[-1][0][0]
+            assert owner.outstanding >= 2  # both slices unanswered
+            os.kill(pid, signal.SIGKILL)
+            got += [coordinator.result_of(marks, tasks) for marks, tasks in in_flight]
+            got += [backend.handle(window).workers for window in rest]
+            assert coordinator.failovers == 1
+            assert coordinator.tasks_answered == 30
+            assert coordinator._results == {}
+        finally:
+            backend.close()
+        assert got == want
 
     def test_second_kill_during_recovery_still_converges(self):
         spec = spec_for((2, 2))
@@ -1053,10 +1294,6 @@ class TestMeshBalancer:
         """SIGKILL the peer a family just migrated onto: failover must
         restore that family from the chain its migration cut and replay
         the journal from there, not from before the move."""
-        from repro.api.client import AssignmentClient
-        from repro.api.conformance import BackendRun
-        from repro.api.messages import TaskDecision
-
         requests = _west_stream()
         backend = make_backend(
             "mesh",
@@ -1109,8 +1346,8 @@ class TestMeshBalancer:
         def arm(coordinator):
             migrate = coordinator._migrate
 
-            def migrate_then_kill_destination(fam, dst, upto):
-                migrate(fam, dst, upto)
+            def migrate_then_kill_destination(fam, dst):
+                migrate(fam, dst)
                 if coordinator.migrations and not killed:
                     label = coordinator._peers[dst].label
                     proc = backend.workers[int(label.rsplit("mesh-w", 1)[1])]
@@ -1142,6 +1379,75 @@ class TestMeshLifecycle:
         assigned = [w for _, w in run.assignments]
         assert len(set(assigned)) == len(assigned)
 
+    @pytest.mark.parametrize("kill", [False, True], ids=["steady", "failover"])
+    def test_outcome_table_empties_as_windows_are_answered(self, kill):
+        """The coordinator keeps a task's outcome only until its window
+        takes it: once a stream's windows are answered the table is
+        empty, and a failover's replayed outcomes are dropped, not kept
+        for a task no window awaits. Draining the scheduler then leaves
+        no op in flight, which is what a settle relies on."""
+        stream = build_conformance_stream(REGION, 60, 40, seed=5)
+        backend = make_backend(
+            "mesh", spec_for((2, 2)), n_peers=2, chunk_size=16, checkpoint_every=32
+        )
+        with AssignmentClient(backend) as client:
+            for answered, _ in enumerate(client.stream(stream, window=16), 1):
+                if kill and answered == len(stream) // 2:
+                    backend.kill_worker(0)
+            coordinator = backend.coordinator
+            # once the windows are answered, draining the scheduler (cuts,
+            # replays) leaves no op unanswered on any peer
+            assert coordinator._scheduler.drain(timeout=30.0)
+            assert [p.outstanding for p in coordinator._peers.values()] == [0, 0]
+            assert coordinator.failovers == int(kill)
+            assert coordinator.tasks_answered == 40
+            assert coordinator._results == {}
+
+    def test_no_reply_lock_is_held_across_a_send(self):
+        """Every frame the coordinator writes — slices, restores, cuts,
+        barriers, a failover's replay — goes out with the state lock
+        that reply handling takes released: a peer blocked writing
+        replies can always be drained."""
+        spec = spec_for((2, 2))
+        stream = build_conformance_stream(REGION, 60, 40, seed=9)
+        backend = make_backend(
+            "mesh", spec, n_peers=2, chunk_size=8, checkpoint_every=16
+        )
+        held: list[str] = []
+
+        class Probe:
+            def __init__(self, sock, state):
+                self._sock, self._state = sock, state
+
+            def sendall(self, data):
+                if self._state._is_owned():
+                    held.append(threading.current_thread().name)
+                return self._sock.sendall(data)
+
+            def __getattr__(self, name):
+                return getattr(self._sock, name)
+
+        pairs, misses = [], []
+        with AssignmentClient(backend) as client:
+            coordinator = backend.coordinator
+            for peer in coordinator._peers.values():
+                peer.sock = Probe(peer.sock, coordinator._state)
+            for answered, response in enumerate(client.stream(stream, window=16), 1):
+                if isinstance(response, TaskDecision):
+                    if response.worker_id is None:
+                        misses.append(response.task_id)
+                    else:
+                        pairs.append((response.task_id, response.worker_id))
+                if answered == len(stream) // 2:
+                    backend.kill_worker(1)
+            client.flush()
+            report = client.report()
+        assert held == []
+        assert backend.coordinator.failovers == 1
+        reference = run_backend(make_backend("sharded", spec), stream)
+        run = BackendRun("mesh", tuple(pairs), tuple(misses), report)
+        assert check_parity([reference, run]) == []
+
     def test_duplicate_worker_ids_rejected_mesh_wide(self):
         backend = make_backend("mesh", spec_for((2, 2)), n_peers=1)
         backend.open()
@@ -1165,8 +1471,10 @@ class TestMeshLifecycle:
                 backend.kill_worker(index)
                 backend.workers[index].join(timeout=10.0)
             with pytest.raises(MeshError):
-                _ingest(coordinator, [_worker(0, 10.0, 10.0), _task(0, 15.0, 15.0)])
-                coordinator.result_of(0)
+                marks = _ingest(
+                    coordinator, [_worker(0, 10.0, 10.0), _task(0, 15.0, 15.0)]
+                )
+                coordinator.result_of(marks, [0])
         finally:
             backend.close()
 
@@ -1178,13 +1486,13 @@ class TestMeshLifecycle:
         coordinator = backend.coordinator
         coordinator.liveness_timeout = 30.0
         hold = threading.Event()
-        deliver = coordinator._deliver
+        acknowledge = coordinator._acknowledge
 
-        def held_deliver(*args, **kwargs):
+        def held_acknowledge(*args):
             hold.wait(60.0)
-            return deliver(*args, **kwargs)
+            return acknowledge(*args)
 
-        coordinator._deliver = held_deliver
+        coordinator._acknowledge = held_acknowledge
         outcome: dict = {}
 
         def serve():
@@ -1205,18 +1513,16 @@ class TestMeshLifecycle:
         caller = threading.Thread(target=serve, daemon=True)
         caller.start()
         deadline = time.monotonic() + 10.0
-        while not coordinator._journal.task_order and time.monotonic() < deadline:
+        while coordinator._journal.end(0) < 2 and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert coordinator._journal.task_order == [0]
+        assert [coordinator._journal.end(fam) for fam in range(4)] == [2, 0, 0, 0]
         closing = threading.Thread(target=backend.close, daemon=True)
         began = time.monotonic()
         closing.start()
-        while not coordinator._closed and time.monotonic() < deadline:
-            time.sleep(0.01)
-        # close() drains the coordinator's scheduler: let the held
-        # delivery go once close has begun
-        hold.set()
         caller.join(timeout=10.0)
+        # close() joins each peer's reader: let the held reply go once the
+        # caller has its answer (a reply that lands first would answer it)
+        hold.set()
         closing.join(timeout=30.0)
         assert "closed" in str(outcome.get("error"))
         assert outcome["at"] - began < 5.0
@@ -1265,10 +1571,6 @@ def backend_pid(backend, index: int) -> int:
 def _run_with_hook(backend, requests, arm, kill_first=None):
     """run_backend with a coordinator hook armed after open, plus an
     optional mid-stream first kill."""
-    from repro.api.client import AssignmentClient
-    from repro.api.conformance import BackendRun
-    from repro.api.messages import TaskDecision
-
     pairs, misses = [], []
     with AssignmentClient(backend) as client:
         arm(backend.coordinator)
