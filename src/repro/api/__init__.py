@@ -11,20 +11,19 @@ over all of them:
 * **messages** — typed request/response dataclasses
   (:class:`RegisterWorker`, :class:`SubmitTask`, :class:`Flush`,
   :class:`GetReport`, columnar stream windows and their results), the
-  verbs, barriers and their answers with a schema-versioned dict wire
-  form (:func:`to_wire`/:func:`from_wire`; a window and its result
-  travel as rows);
+  barriers and their answers with a schema-versioned dict wire form
+  (:func:`to_wire`/:func:`from_wire`; a window and its result travel
+  as rows, and a register or submit only as a window's row);
 * **backends** — a common contract with three adapters
   (:class:`InProcessBackend`, :class:`ShardedBackend`,
   :class:`MeshBackend`) that pass one conformance suite: same spec,
   same stream, bit-identical assignments. Every register or submit
-  reaches a backend as a :class:`StreamWindow` (a single call is a
-  window of one row), and a backend serves requests in the order it is
-  called;
+  reaches a backend as a :class:`StreamWindow`, and a backend serves
+  requests in the order it is called;
 * **client** — the :class:`AssignmentClient` facade with sync and
-  iterator-streaming modes (including pipelined stream windows over a
-  gateway connection, whose answers come back in send order) plus
-  context-manager lifecycle;
+  iterator-streaming modes (a sync register or submit is a window of
+  one row; pipelined stream windows over a gateway connection get
+  their answers back in send order) plus context-manager lifecycle;
 * **middleware** — a composable chain (request validation, token-bucket
   admission control, per-method latency metrics, structured error
   mapping) between client and backend.

@@ -1,8 +1,8 @@
 """The ``Backend`` contract and its three adapters.
 
-A *backend* is anything that can serve the four API verbs behind
-:meth:`BackendBase.handle`. The three adapters cover every runtime the
-repo has grown, behind one seeding convention
+A *backend* is anything that can serve stream windows, flushes and
+report fetches behind :meth:`BackendBase.handle`. The three adapters
+cover every runtime the repo has grown, behind one seeding convention
 (:func:`~repro.utils.keyed_shard_seed`) so that, given the same
 :class:`ServiceSpec` and the same request stream, all of them produce
 **bit-identical assignments** — the property the conformance suite
@@ -25,10 +25,10 @@ repo has grown, behind one seeding convention
 A stream window (:class:`~repro.api.messages.StreamWindow`) is the
 only way a register or submit reaches a backend: it arrives as columns
 at :meth:`BackendBase.batch` and is answered as columns
-(:class:`~repro.api.messages.WindowResult`). A single
+(:class:`~repro.api.messages.WindowResult`). The client sends a single
 :class:`~repro.api.messages.RegisterWorker` or
-:class:`~repro.api.messages.SubmitTask` is served as a window of one
-row, so every backend serves one run shape.
+:class:`~repro.api.messages.SubmitTask` as a window of one row, so a
+backend never sees a verb and every backend serves one run shape.
 
 Backends are cheap to construct and expensive to ``open()`` (HST builds,
 process spawns) — the :class:`~repro.api.client.AssignmentClient` context
@@ -63,12 +63,9 @@ from .messages import (
     Flush,
     Flushed,
     GetReport,
-    RegisterWorker,
     ReportResult,
     StreamWindow,
-    SubmitTask,
     WindowResult,
-    window_responses,
 )
 
 __all__ = [
@@ -81,8 +78,6 @@ __all__ = [
     "BACKEND_KINDS",
     "make_backend",
 ]
-
-_ROUTABLE = (RegisterWorker, SubmitTask)
 
 
 @dataclass(frozen=True)
@@ -151,10 +146,11 @@ class BackendBase:
 
     Subclasses implement :meth:`handle_run`, which serves one
     :class:`~repro.api.messages.StreamWindow` from its columns, plus
-    ``flush`` and ``get_report``. :meth:`batch` hands ``handle_run``
-    every window, and :meth:`handle` turns a single register/submit into
-    a window of one row. ``open()``/``close()`` bracket the expensive
-    state.
+    ``flush`` and ``get_report``. :meth:`handle` takes a window, a
+    :class:`~repro.api.messages.Flush` or a
+    :class:`~repro.api.messages.GetReport`, and :meth:`batch` hands
+    ``handle_run`` every window. ``open()``/``close()`` bracket the
+    expensive state.
     """
 
     name = "abstract"
@@ -198,18 +194,15 @@ class BackendBase:
     # -- dispatch ------------------------------------------------------ #
 
     def handle(self, request):
-        """Serve one request; the single entry point middleware wraps."""
+        """Serve one window, flush or report request; the single entry
+        point middleware wraps."""
         self._ensure_open()
-        if isinstance(request, _ROUTABLE):
-            result = self.batch(StreamWindow.of(0, [request]))
-            (response,) = window_responses([request], result.is_task, result.workers)
-            return response
+        if isinstance(request, StreamWindow):
+            return self.batch(request)
         if isinstance(request, Flush):
             return self.flush(request)
         if isinstance(request, GetReport):
             return self.get_report(request)
-        if isinstance(request, StreamWindow):
-            return self.batch(request)
         raise ValidationFailed(f"unhandled request type: {request!r}")
 
     def batch(self, window: StreamWindow) -> WindowResult:
@@ -339,7 +332,7 @@ class ShardedBackend(BackendBase):
     one vectorized routing pass for the window. The engine applies the
     rows in stream order under the per-event cut-point rule, so a
     window's decisions, reports and failures are exactly those of one
-    call per request. A single call is a window of one row.
+    call per request.
     """
 
     name = "sharded"
@@ -395,11 +388,11 @@ class MeshBackend(BackendBase):
     stable across hot-cell splits), without waiting for the reply, so
     several slices of one family may be in flight and only its flush
     and report quiesce the mesh. Every register/submit goes through
-    :meth:`batch` (a single verb is a window of one row), which journals
-    a window as columns and then releases the caller's scheduler hold
-    (:func:`~repro.runtime.release_order`) before it waits, once, for
-    the window's outcomes: behind a gateway the next request journals
-    while this window's outcomes are in flight.
+    :meth:`batch` (a sync call arrives as a window of one row), which
+    journals a window as columns and then releases the caller's
+    scheduler hold (:func:`~repro.runtime.release_order`) before it
+    waits, once, for the window's outcomes: behind a gateway the next
+    request journals while this window's outcomes are in flight.
     """
 
     name = "mesh"
@@ -525,7 +518,8 @@ class MeshBackend(BackendBase):
         family the window touched is acknowledged up to its mark
         (:meth:`~repro.mesh.coordinator.MeshCoordinator.result_of`, on a
         condition the peer readers signal). A failure while journaling
-        raises before the release, so later windows still wait for it.
+        raises before the release (a refused row once the rows before it
+        are answered), so later windows still wait for it.
         """
         coordinator = self.coordinator
         marks = coordinator.ingest(window.ids, window.xy, window.is_task, window.times)

@@ -13,7 +13,7 @@ examples, a future network frontend) program against. It owns:
 
   - *sync*: :meth:`register_worker` / :meth:`submit_task` /
     :meth:`flush` / :meth:`report` — one request, one response (a
-    backend serves a single register/submit as a window of one row);
+    register or submit leaves as a window of one row);
   - *streaming*: :meth:`stream` — ships each run of up to ``window``
     register/submit requests of an arbitrary request iterable as one
     columnar :class:`~repro.api.messages.StreamWindow` (a ``Flush`` or
@@ -170,13 +170,22 @@ class AssignmentClient:
 
     def call(self, request):
         """Send one request through the middleware chain; returns the
-        response or raises a structured :class:`~repro.api.errors.ApiError`."""
+        response or raises a structured :class:`~repro.api.errors.ApiError`.
+        A register or submit is sent as a window of one row, its answer
+        checked as a stream window's is."""
+        if isinstance(request, (RegisterWorker, SubmitTask)):
+            window = StreamWindow.of(0, [request])
+            (response,) = _responses(window, [request], self._round_trip(window))
+            return response
+        return self._round_trip(request)
+
+    def _round_trip(self, unit):
+        """One unit through the middleware chain, in a ``client.request``
+        span when traced; its raw answer."""
         if self.tracer is not None:
-            with self.tracer.span(
-                "client.request", attrs={"kind": type(request).kind}
-            ):
-                return self._handler(request)
-        return self._handler(request)
+            with self.tracer.span("client.request", attrs={"kind": type(unit).kind}):
+                return self._handler(unit)
+        return self._handler(unit)
 
     def register_worker(self, worker_id: int, location, *, time: float = 0.0):
         """Register one worker; returns its acknowledgement."""

@@ -4,24 +4,24 @@ Every interaction with an assignment backend is one of four verbs —
 register a worker, submit a task, flush pending cohorts, fetch the
 report — plus :class:`StreamWindow`, a stream window of register/submit
 events held as columns (answered by a columnar :class:`WindowResult`).
-Every register or submit reaches a backend as a window; a single call is
-a window of one row, and a stream sends its flushes and reports as
-themselves. Each message is a frozen dataclass; all but the window pair
-have a dict wire form::
+Each message is a frozen dataclass. Past the client a register or
+submit exists only as a window's row (a sync call is a window of one
+row), so the verbs and their answers are the client's own types; the
+barriers, their answers and errors have a dict wire form::
 
-    {"schema": "repro.api", "version": 1, "kind": "submit_task",
-     "body": {"task_id": 7, "location": [12.0, 40.5], "time": 3.25}}
+    {"schema": "repro.api", "version": 1, "kind": "get_report",
+     "body": {"wall_seconds": 2.5}}
 
 :func:`to_wire`/:func:`from_wire` round-trip every such message;
 ``from_wire`` checks the schema name and version before touching the
 body, so a payload from a future (or foreign) producer fails with a
 structured :class:`~repro.api.errors.UnsupportedVersion` instead of a
-``KeyError`` deep in a backend. A :class:`StreamWindow` and its
-:class:`WindowResult` have no document form: on a socket they travel
-only as fixed-width rows (:mod:`repro.gateway.codec`), so ``from_wire``
-refuses their kinds as unknown. The wire form is what a network
-frontend puts on the socket; in-process callers normally pass the
-dataclasses themselves.
+``KeyError`` deep in a backend. The verbs, a window and their answers
+have no document form (a window travels as fixed-width rows,
+:mod:`repro.gateway.codec`): ``to_wire`` raises for them and
+``from_wire`` refuses their kinds as unknown. The wire form is what a
+network frontend puts on the socket; in-process callers normally pass
+the dataclasses themselves.
 """
 
 from __future__ import annotations
@@ -106,21 +106,6 @@ class RegisterWorker:
     def __post_init__(self) -> None:
         object.__setattr__(self, "location", _point(self.location))
 
-    def _body(self) -> dict:
-        return {
-            "worker_id": int(self.worker_id),
-            "location": list(self.location),
-            "time": float(self.time),
-        }
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "RegisterWorker":
-        return cls(
-            worker_id=int(body["worker_id"]),
-            location=tuple(body["location"]),
-            time=float(body.get("time", 0.0)),
-        )
-
 
 @dataclass(frozen=True)
 class SubmitTask:
@@ -133,21 +118,6 @@ class SubmitTask:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "location", _point(self.location))
-
-    def _body(self) -> dict:
-        return {
-            "task_id": int(self.task_id),
-            "location": list(self.location),
-            "time": float(self.time),
-        }
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "SubmitTask":
-        return cls(
-            task_id=int(body["task_id"]),
-            location=tuple(body["location"]),
-            time=float(body.get("time", 0.0)),
-        )
 
 
 @dataclass(frozen=True)
@@ -194,12 +164,12 @@ class StreamWindow:
     locations; ``is_task``, ``ids`` and ``times`` are sequences of
     length ``n``. Answered by a :class:`WindowResult`.
 
-    The streaming client builds one per window (:meth:`of`) and every
-    hop — validation, the bin1 row codec, the engine's and the
-    coordinator's ``ingest`` — reads its columns directly, so no
-    per-event object exists between the caller's requests and the
-    responses built from them (:func:`window_responses`). Built in
-    process, ``ids`` and ``times`` are the requests' own objects
+    The client builds one per window, a sync call's of one row
+    (:meth:`of`), and every hop — validation, the bin1 row codec, the
+    engine's and the coordinator's ``ingest`` — reads its columns
+    directly, so no per-event object exists between the caller's
+    requests and the responses built from them (:func:`window_responses`).
+    Built in process, ``ids`` and ``times`` are the requests' own objects
     (the matcher keeps and returns the very id objects it is given).
     """
 
@@ -261,13 +231,6 @@ class WorkerRegistered:
     kind: ClassVar[str] = "worker_registered"
     worker_id: int
 
-    def _body(self) -> dict:
-        return {"worker_id": int(self.worker_id)}
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "WorkerRegistered":
-        return cls(worker_id=int(body["worker_id"]))
-
 
 @dataclass(frozen=True)
 class TaskDecision:
@@ -281,20 +244,6 @@ class TaskDecision:
     @property
     def assigned(self) -> bool:
         return self.worker_id is not None
-
-    def _body(self) -> dict:
-        return {
-            "task_id": int(self.task_id),
-            "worker_id": None if self.worker_id is None else int(self.worker_id),
-        }
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "TaskDecision":
-        wid = body["worker_id"]
-        return cls(
-            task_id=int(body["task_id"]),
-            worker_id=None if wid is None else int(wid),
-        )
 
 
 @dataclass(frozen=True)
@@ -466,12 +415,9 @@ Response = (
     ErrorInfo,
 )
 
-#: The kinds with a document form (a window and its answer have none).
-_KINDS = {
-    cls.kind: cls
-    for cls in (*Request, *Response)
-    if cls not in (StreamWindow, WindowResult)
-}
+#: The messages with a document form (a register or submit is a row).
+_DOCUMENTS = (Flush, GetReport, Flushed, ReportResult, ErrorInfo)
+_KINDS = {cls.kind: cls for cls in _DOCUMENTS}
 
 
 # --------------------------------------------------------------------- #
@@ -481,16 +427,15 @@ _KINDS = {
 
 def to_wire(message) -> dict:
     """Serialize an API message to its versioned dict wire form."""
-    body = getattr(message, "_body", None)
-    if body is None or type(message).kind not in _KINDS:
+    if type(message) not in _DOCUMENTS:
         raise ValidationFailed(
             f"{type(message).__name__} has no wire document form"
         )
     return {
         "schema": WIRE_SCHEMA,
         "version": WIRE_VERSION,
-        "kind": type(message).kind,
-        "body": body(),
+        "kind": message.kind,
+        "body": message._body(),
     }
 
 

@@ -42,15 +42,8 @@ import time
 import numpy as np
 
 from ..obs.registry import MetricsRegistry
-from .errors import AdmissionRejected, ValidationFailed, map_exception
-from .messages import (
-    Flush,
-    GetReport,
-    RegisterWorker,
-    Request,
-    StreamWindow,
-    SubmitTask,
-)
+from .errors import AdmissionRejected, RequestRejected, ValidationFailed, map_exception
+from .messages import Request, StreamWindow
 
 __all__ = [
     "build_stack",
@@ -87,7 +80,8 @@ class RequestValidator:
     A :class:`~repro.api.messages.StreamWindow` is checked in one
     vectorized pass over its columns; only when that pass finds damage
     are its rows checked one by one, so the first bad row fails with the
-    same code and message the per-verb check gives that verb.
+    message its field gets in a sync call of that verb (a window of one
+    row).
     """
 
     def __call__(self, request, call_next):
@@ -97,15 +91,7 @@ class RequestValidator:
     def validate(self, request) -> None:
         if not isinstance(request, Request):
             raise ValidationFailed(f"not an API request: {request!r}")
-        if isinstance(request, RegisterWorker):
-            self._check_id("worker_id", request.worker_id)
-            self._check_point(request.location)
-            self._check_time(request.time)
-        elif isinstance(request, SubmitTask):
-            self._check_id("task_id", request.task_id)
-            self._check_point(request.location)
-            self._check_time(request.time)
-        elif isinstance(request, StreamWindow):
+        if isinstance(request, StreamWindow):
             self._check_id("stream seq", request.seq)
             if not self._window_ok(request):
                 self._check_rows(request)
@@ -132,7 +118,7 @@ class RequestValidator:
             return False
 
     def _check_rows(self, window: StreamWindow) -> None:
-        """Raise the per-verb failure of the first bad row, if any."""
+        """Raise the failure of the first bad row, if any."""
         for task, ident, location, at in zip(
             window.is_task, window.ids, window.xy.tolist(), window.times
         ):
@@ -174,11 +160,12 @@ class RequestValidator:
 class TokenBucket:
     """Token-bucket admission control.
 
-    ``rate`` tokens refill per second up to ``burst``; each request costs
-    one token (a stream window one per row — flushes and report fetches
-    ride free, they relieve pressure rather than add it). When the
-    bucket runs dry the request fails with a retryable
-    ``rate-limited`` error carrying the earliest useful retry delay.
+    ``rate`` tokens refill per second up to ``burst``; a stream window
+    costs one token per row (flushes and report fetches ride free, they
+    relieve pressure rather than add it). When the bucket runs dry the
+    request fails with a retryable ``rate-limited`` error carrying the
+    earliest useful retry delay; one costing more than ``burst`` never
+    fits, so it fails at once, uncharged, as a non-retryable ``rejected``.
     """
 
     def __init__(self, rate: float, burst: int, clock=time.monotonic) -> None:
@@ -197,11 +184,7 @@ class TokenBucket:
 
     @staticmethod
     def cost_of(request) -> int:
-        if isinstance(request, StreamWindow):
-            return len(request)
-        if isinstance(request, (Flush, GetReport)):
-            return 0
-        return 1
+        return len(request) if isinstance(request, StreamWindow) else 0
 
     def _refill(self) -> None:  # guarded-by: _lock
         now = float(self._clock())
@@ -215,6 +198,12 @@ class TokenBucket:
             # requests racing it could both spend the same tokens and
             # break the admitted+rejected == offered-cost invariant
             with self._lock:
+                if cost > self.burst:
+                    self.rejected += cost
+                    raise RequestRejected(
+                        f"admission control: request costs {cost} tokens, more "
+                        f"than the bucket's burst of {self.burst} can ever hold"
+                    )
                 self._refill()
                 if self._tokens < cost:
                     self.rejected += cost
@@ -236,7 +225,8 @@ class LatencyMetrics:
     series ``api.requests.calls``/``.failures`` (counters) and
     ``api.requests.latency_s`` (reservoir histograms), labeled by
     request ``kind`` (a stream window is one ``stream_window`` call,
-    whatever its row count). Read them there, e.g.
+    whatever its row count, a sync register or submit's one row too).
+    Read them there, e.g.
     ``registry.counters(LatencyMetrics.CALLS, label="kind")``. Pass a
     shared ``registry`` to co-locate these with a server's other series;
     by default each instance owns one.

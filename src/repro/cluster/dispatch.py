@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .worker import admit, refusal
+from .worker import RefusedRow, admit, refusal
 
 __all__ = ["EVENT_ROW_DTYPE", "FamilyJournal"]
 
@@ -110,9 +110,11 @@ class FamilyJournal:
     # absorption                                                          #
     # ------------------------------------------------------------------ #
 
-    def absorb(self, ids, locations, is_task, times, observe=None) -> set[int]:
+    def absorb(
+        self, ids, locations, is_task, times, observe=None
+    ) -> tuple[set[int], RefusedRow | None]:
         """Route one chunk of arrivals into per-family rows; returns the
-        touched family ids.
+        touched family ids and the chunk's refused row, if any.
 
         Row ``i`` is a task when ``is_task[i]`` is true (``ids[i]`` is
         then its task id), else a worker. The columns come validated:
@@ -120,8 +122,9 @@ class FamilyJournal:
         ``times`` floats. ``observe(key, is_task)`` is the optional
         balancer tap, called per accepted row. The accepted rows advance
         :attr:`now`. A repeated worker or task id, or an id outside
-        int64, raises ``ValueError`` at its row, with the rows before it
-        absorbed.
+        int64, is refused at its row, with the rows before it absorbed:
+        the caller raises the :class:`~repro.cluster.worker.RefusedRow`
+        once it has sent them.
         """
         n = len(ids)
         id_col, fits = _int64_ids(ids)
@@ -140,14 +143,15 @@ class FamilyJournal:
                 observe,
             )
             self.now = max(self.now, float(np.max(times[:accepted])))
+        refused = None
         if accepted < fits:
-            raise refusal(ids, is_task, accepted, "the mesh")
-        if fits < n:
+            refused = refusal(ids, is_task, accepted, "the mesh")
+        elif fits < n:
             kind = "task" if is_task[fits] else "worker"
-            raise ValueError(
-                f"{kind} id outside int64 refused by the mesh: {ids[fits]}"
+            refused = RefusedRow(
+                f"{kind} id outside int64 refused by the mesh: {ids[fits]}", fits
             )
-        return touched
+        return touched, refused
 
     def _append_chunk(self, ids, locations, kinds, observe) -> set[int]:
         """Pack admitted columns into rows and append each family's rows,

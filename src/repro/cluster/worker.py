@@ -28,7 +28,7 @@ from ..service.shard import ShardServer
 from .balancer import fallback_chain
 from .snapshot import delta_snapshot, restore_chain, snapshot_shard
 
-__all__ = ["ShardHost", "admit", "refusal", "shard_spec"]
+__all__ = ["RefusedRow", "ShardHost", "admit", "refusal", "shard_spec"]
 
 
 def admit(workers: set, tasks: set, ids, is_task) -> int:
@@ -50,12 +50,20 @@ def admit(workers: set, tasks: set, ids, is_task) -> int:
     return accepted
 
 
-def refusal(ids, is_task, row: int, where: str) -> ValueError:
-    """The ``ValueError`` for the row :func:`admit` refused, naming its
-    kind (a task or worker id seen before by ``where``)."""
+class RefusedRow(ValueError):
+    """A refused row; the chunk's rows before index ``row`` applied."""
+
+    def __init__(self, message: str, row: int) -> None:
+        super().__init__(message)
+        self.row = row
+
+
+def refusal(ids, is_task, row: int, where: str) -> RefusedRow:
+    """The error for the row :func:`admit` refused, naming its kind (a
+    task or worker id seen before by ``where``)."""
     if is_task[row]:
-        return ValueError(f"task id already submitted to {where}: {ids[row]}")
-    return ValueError(f"worker id already registered with {where}: {ids[row]}")
+        return RefusedRow(f"task id already submitted to {where}: {ids[row]}", row)
+    return RefusedRow(f"worker id already registered with {where}: {ids[row]}", row)
 
 
 def shard_spec(

@@ -14,9 +14,10 @@ in-process one.
   error codes for every kind of damage (junk, truncation, oversize,
   version skew);
 * **codec** — ``bin1``, the one payload codec after the welcome: stream
-  windows and their answers as fixed-width rows on every session (a
-  window's trace context in its JSON tail), everything else (checkpoint
-  snapshots included) as embedded JSON documents;
+  windows (a sync register or submit's one row included) and their
+  answers as fixed-width rows on every session (a window's trace
+  context in its JSON tail), everything else (checkpoint snapshots
+  included) as embedded JSON documents;
 * **server** — :class:`GatewayServer`: per-connection sessions behind a
   handshake, every backend call a barrier on the
   :class:`~repro.runtime.PipelineScheduler`, so requests run in arrival

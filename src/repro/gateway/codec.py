@@ -14,17 +14,18 @@ bin1 keeps one layout per job:
 * :data:`~repro.gateway.protocol.GENERIC_TAG` — the whole document as
   embedded JSON. It is *total* (any dict json can carry, bin1 carries)
   and decodes to exactly the document a JSON round trip produces, so the
-  codec never changes what a backend sees. Verbs, reports, errors, every
-  mesh op and reply but the two below (checkpoint snapshots and
+  codec never changes what a backend sees. Flushes, reports, errors,
+  every mesh op and reply but the two below (checkpoint snapshots and
   ``load`` requests included) and goodbyes all ride it;
 * :data:`~repro.gateway.protocol.STREAM_BATCH_TAG` /
   :data:`~repro.gateway.protocol.STREAM_RESULT_TAG` — a stream window
-  of register/submit events (:class:`~repro.api.messages.StreamWindow`),
-  and its answer (:class:`~repro.api.messages.WindowResult`): a seq and
-  row-count head, then fixed-width rows, and behind a window's rows a
-  JSON tail holding its trace context, empty when untraced. Traced or
-  not, a window and its answer ride only these tags (neither has a
-  document form). :func:`encode_stream_batch` and friends go straight
+  of register/submit events (:class:`~repro.api.messages.StreamWindow`,
+  a sync call's of one row), and its answer
+  (:class:`~repro.api.messages.WindowResult`): a seq and row-count
+  head, then fixed-width rows, and behind a window's rows a JSON tail
+  holding its trace context, empty when untraced. Traced or not, a
+  window and its answer ride only these tags (neither has a document
+  form). :func:`encode_stream_batch` and friends go straight
   between the messages' columns and the rows, through one numpy
   structured dtype per layout, without building documents or per-row
   objects;

@@ -15,7 +15,8 @@ inside frames:
 * ``repro.api`` v1 — every request/response after the handshake is the
   unmodified :func:`repro.api.to_wire` document, except a stream window
   and its answer, which travel only as rows
-  (:data:`STREAM_BATCH_TAG`, :data:`STREAM_RESULT_TAG`); failures come
+  (:data:`STREAM_BATCH_TAG`, :data:`STREAM_RESULT_TAG`), as does every
+  register or submit (a sync call is a window of one row); failures come
   back as the api ``error`` kind (:class:`~repro.api.messages.ErrorInfo`),
   so the error envelope *is* the existing structured error taxonomy.
 
@@ -119,15 +120,16 @@ BIN1_WIRE_VERSION = 1
 #: layout per job:
 #:
 #: ``GENERIC_TAG`` wraps the whole document as embedded JSON — the
-#: total layout that carries any document (verbs, reports, every mesh
+#: total layout that carries any document (flushes, reports, every mesh
 #: op and reply but ``events`` and its answer, errors, goodbyes).
 GENERIC_TAG = 0x00
 #: Columnar stream window: a ``>QI`` head (the window's seq, row count),
 #: one fixed-width ``>Bqddd`` row per register/submit event (kind, id,
 #: x, y, time; row ``i`` has seq + ``i``), then a u32-length-prefixed
 #: JSON tail holding the window's trace context (empty when untraced).
-#: Traced or not, a window rides only this tag. Produced and read only
-#: by :func:`repro.gateway.codec.encode_stream_batch` /
+#: Traced or not, a window rides only this tag, and so does every
+#: register or submit (a sync call is a window of one row). Produced
+#: and read only by :func:`repro.gateway.codec.encode_stream_batch` /
 #: ``decode_stream_batch``.
 STREAM_BATCH_TAG = 0x07
 #: Columnar mirror of :data:`STREAM_BATCH_TAG` for the response

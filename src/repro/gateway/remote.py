@@ -10,10 +10,11 @@ response frame, ``close()`` says goodbye. The hello and welcome travel
 as JSON; every frame after the welcome is bin1 — a
 :class:`~repro.api.messages.StreamWindow` as rows on every session
 (:func:`~repro.gateway.codec.encode_stream_batch`, answered by a
-:class:`~repro.api.messages.WindowResult` as rows), anything else as a
-generic document. On a session that negotiated ``trace``, the caller's
-current span context crosses with each request: in a document's
-``trace`` key, or in a window's JSON tail.
+:class:`~repro.api.messages.WindowResult` as rows; a sync register or
+submit is a window of one row), a flush or report as a generic
+document. On a session that negotiated ``trace``, the caller's current
+span context crosses with each request: in a document's ``trace`` key,
+or in a window's JSON tail.
 
 The transport splits send and receive
 (:attr:`RemoteBackend.supports_pipeline` is true): a caller may use the
@@ -205,10 +206,10 @@ class RemoteBackend(BackendBase):
         """One request frame out, one response frame back.
 
         Overrides the dispatch of :class:`BackendBase` wholesale: every
-        request — windows included — is one frame on the socket (a
-        stream window as rows, anything else as a document), and the
-        server's backend serves it (a single register/submit as a window
-        of one row; a mesh-served window still gets chunked dispatch).
+        request is one frame on the socket (a stream window as rows, a
+        flush or report as a document; anything else is
+        ``invalid-request`` before a byte is sent), and the server's
+        backend serves it (a mesh-served window gets chunked dispatch).
 
         Once the connection has been lost (reset, drain, frame damage)
         every further call fails with the same retryable

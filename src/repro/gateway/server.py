@@ -17,8 +17,9 @@ points:
 * **one wire layout per message** — a stream window arrives as rows on
   every session, traced or not (its trace context rides the rows'
   tail), and its :class:`~repro.api.messages.WindowResult` leaves as
-  rows; every other request and answer is a document. Either decodes to
-  a request and its trace context before it is dispatched;
+  rows (a sync register or submit is a window of one row); a flush or
+  report and its answer is a document. Either decodes to a request and
+  its trace context before it is dispatched;
 * **one answer order** — every session reads ahead up to
   ``max_inflight`` frames and starts each dispatch at once, but writes
   the answers in the order the frames arrived: a frame's answer waits

@@ -100,7 +100,7 @@ from ..cluster.balancer import (
     key_order,
 )
 from ..cluster.dispatch import FamilyJournal
-from ..cluster.worker import shard_spec
+from ..cluster.worker import RefusedRow, shard_spec
 from ..gateway.protocol import (
     MESH_WORKER_ROLE,
     FrameDecoder,
@@ -728,11 +728,11 @@ class MeshCoordinator:
 
         Row ``i`` is a task arrival when ``is_task[i]`` is true (``ids[i]``
         is then its task id), else a worker arrival; ``times`` is
-        parallel. The run is journaled in chunks of ``chunk_size`` rows,
-        each validated once as whole columns
+        parallel. The run is validated once as whole columns
         (:func:`~repro.geometry.points.as_points`, ids that are ints,
-        finite times) and routed and packed in one pass, and each sent
-        to its families' owners before the next is absorbed.
+        finite times), then journaled in chunks of ``chunk_size`` rows,
+        each routed and packed in one pass and sent to its families'
+        owners before the next is absorbed.
 
         Returns as soon as everything is journaled and sent, with the
         run's marks: each family it touched, mapped to the journal
@@ -741,41 +741,46 @@ class MeshCoordinator:
         worker or task id the mesh has seen before, or an id outside
         int64, raises ``ValueError`` at its row: the rows before it stay
         journaled and neither it nor any after it is, and the clock
-        stays at the latest accepted row.
+        stays at the latest accepted row; it raises once the rows before
+        it are answered, their outcomes dropped as the engine's are.
         Raises promptly if the mesh has already failed.
         """
         self.start()
         if not len(ids) == len(locations) == len(is_task) == len(times):
             raise ValueError("need one id, location, kind and time per row")
+        if not all(t is int or issubclass(t, np.integer) for t in set(map(type, ids))):
+            raise ValueError("mesh event ids must be ints")
+        times = np.asarray(times, dtype=np.float64)
+        if not np.isfinite(times).all():
+            raise ValueError("mesh event times must be finite")
+        locations = as_points(locations)
         marks: dict[int, int] = {}
         size = self.chunk_size
         for lo in range(0, len(ids), size):
             hi = lo + size
-            chunk = ids[lo:hi]
-            if not all(
-                t is int or issubclass(t, np.integer) for t in set(map(type, chunk))
-            ):
-                raise ValueError("mesh event ids must be ints")
-            at = np.asarray(times[lo:hi], dtype=np.float64)
-            if not np.isfinite(at).all():
-                raise ValueError("mesh event times must be finite")
-            marks.update(
-                self._dispatch(chunk, as_points(locations[lo:hi]), is_task[lo:hi], at)
+            refused = self._dispatch(
+                ids[lo:hi], locations[lo:hi], is_task[lo:hi], times[lo:hi], marks
             )
+            if refused is not None:
+                stop = lo + refused.row
+                self.result_of(marks, [i for i, t in zip(ids[:stop], is_task[:stop]) if t])
+                raise refused
         return marks
 
-    def _dispatch(self, ids, locs, is_task, times) -> dict[int, int]:
+    def _dispatch(self, ids, locs, is_task, times, marks) -> RefusedRow | None:
+        """Journal one chunk, add its families' ends to ``marks`` and
+        send their slices; the chunk's refused row, if any."""
         self._check_failure()
         # the caller's span (e.g. the gateway's scheduler.execute, live on
         # this thread) parents the dispatch span of every slice it sends
         ctx = current_context() if self.tracer is not None else None
         with self._state:
             balancer = self._balancer
-            touched = self._journal.absorb(
+            touched, refused = self._journal.absorb(
                 ids, locs, is_task, times,
                 observe=balancer.observe if balancer else None,
             )
-            marks = {fam: self._journal.end(fam) for fam in touched}
+            marks.update((fam, self._journal.end(fam)) for fam in touched)
             self._events_since_checkpoint += len(ids)
             cut = bool(
                 self.checkpoint_every
@@ -796,7 +801,7 @@ class MeshCoordinator:
                 self._scheduler.submit(fam, self._job, self._cut, fam)
         for fam, dst in moves:
             self._scheduler.submit(fam, self._job, self._migrate, fam, dst)
-        return marks
+        return refused
 
     def _rebalance(self) -> list[tuple[int, str]]:  # guarded-by: _state
         """Apply the balancer's verdict on the window that just closed.

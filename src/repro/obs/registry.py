@@ -5,7 +5,7 @@ flattens to ``name{label=value,...}`` (labels sorted) in snapshots —
 the convention the README documents and ``repro.obs summarize``
 groups by.  Naming follows ``layer.subject.metric``:
 
-- ``api.requests.calls{kind=submit_task}`` — counter
+- ``api.requests.calls{kind=stream_window}`` — counter
 - ``gateway.sessions.open`` — gauge
 - ``mesh.peer.dispatch_depth{peer=w0}`` — histogram
 

@@ -55,15 +55,29 @@ def small_spec(**kw) -> ServiceSpec:
     return ServiceSpec(**defaults)
 
 
+def _one_row(message):
+    """The rows a register or submit travels as (a window of one row),
+    or those its answer travels as (that window's result)."""
+    if isinstance(message, (RegisterWorker, SubmitTask)):
+        return StreamWindow.of(0, [message])
+    if isinstance(message, TaskDecision):
+        return WindowResult(0, [True], [message.task_id], [message.worker_id])
+    return WindowResult(0, [False], [message.worker_id], [])
+
+
 class TestWireFormat:
-    DOCUMENTS = [
+    #: A register or submit and its answer have no document form either:
+    #: past the client they travel as one window row and its result row.
+    VERBS = [
         RegisterWorker(worker_id=3, location=(1.0, 2.0), time=0.5),
         SubmitTask(task_id=9, location=(4.0, 5.0), time=1.25),
-        Flush(),
-        GetReport(wall_seconds=2.5),
         WorkerRegistered(worker_id=3),
         TaskDecision(task_id=9, worker_id=None),
         TaskDecision(task_id=9, worker_id=4),
+    ]
+    DOCUMENTS = [
+        Flush(),
+        GetReport(wall_seconds=2.5),
         Flushed(),
         ErrorInfo(code="rejected", message="nope", retryable=True, detail="x"),
     ]
@@ -84,10 +98,12 @@ class TestWireFormat:
     ]
 
     @pytest.mark.parametrize(
-        "message", DOCUMENTS + WINDOWS, ids=lambda m: type(m).__name__
+        "message", VERBS + DOCUMENTS + WINDOWS, ids=lambda m: type(m).__name__
     )
     def test_round_trip(self, message):
         """Every message survives its one wire form."""
+        if message in self.VERBS:
+            message = _one_row(message)
         if type(message) in self.ROWS:
             encode, decode = self.ROWS[type(message)]
             assert decode(encode(message)) == message
@@ -105,6 +121,12 @@ class TestWireFormat:
         for message in self.WINDOWS:
             with pytest.raises(ValidationFailed):
                 to_wire(message)
+
+    def test_verbs_have_no_document_form(self):
+        for message in self.VERBS:
+            with pytest.raises(ValidationFailed) as info:
+                to_wire(message)
+            assert "no wire document form" in info.value.message
 
     def test_report_round_trip(self):
         config = LoadConfig(n_workers=60, n_tasks=30, shards=(2, 1), grid_nx=6, seed=0)
@@ -140,6 +162,10 @@ class TestWireFormat:
             ("envelope_result", {"seq": 0, "item": to_wire(Flushed())}),
             ("stream_window", {**window, "xy": [[0.0, 0.0]], "times": [0.0]}),
             ("window_result", {**window, "workers": [None]}),
+            ("register_worker", {"worker_id": 1, "location": [0.0, 0.0], "time": 0.0}),
+            ("submit_task", {"task_id": 1, "location": [0.0, 0.0], "time": 0.0}),
+            ("worker_registered", {"worker_id": 1}),
+            ("task_decision", {"task_id": 1, "worker_id": None}),
         ):
             doc = to_wire(Flush())
             doc["kind"] = kind
@@ -150,8 +176,8 @@ class TestWireFormat:
             assert "unknown message kind" in str(info.value)
 
     def test_malformed_body_rejected(self):
-        doc = to_wire(SubmitTask(task_id=1, location=(0.0, 0.0)))
-        del doc["body"]["task_id"]
+        doc = to_wire(ErrorInfo(code="rejected", message="nope"))
+        del doc["body"]["code"]
         with pytest.raises(ValidationFailed):
             from_wire(doc)
 
@@ -165,17 +191,18 @@ class TestRequestValidator:
         RequestValidator().validate(request)
 
     def test_accepts_good_requests(self):
-        self.check(RegisterWorker(worker_id=0, location=(1.0, 1.0)))
+        self.check(StreamWindow.of(0, [RegisterWorker(worker_id=0, location=(1.0, 1.0))]))
         self.check(Flush())
 
     @pytest.mark.parametrize(
         "bad",
         [
-            RegisterWorker(worker_id=-1, location=(0.0, 0.0)),
-            RegisterWorker(worker_id=True, location=(0.0, 0.0)),
-            RegisterWorker(worker_id=0, location=(float("nan"), 0.0)),
-            SubmitTask(task_id=0, location=(float("inf"), 0.0)),
-            SubmitTask(task_id=0, location=(0.0, 0.0), time=-1.0),
+            # a sync register or submit is validated as a window of one row
+            StreamWindow.of(0, [RegisterWorker(worker_id=-1, location=(0.0, 0.0))]),
+            StreamWindow.of(0, [RegisterWorker(worker_id=True, location=(0.0, 0.0))]),
+            StreamWindow.of(0, [RegisterWorker(worker_id=0, location=(float("nan"), 0.0))]),
+            StreamWindow.of(0, [SubmitTask(task_id=0, location=(float("inf"), 0.0))]),
+            StreamWindow.of(0, [SubmitTask(task_id=0, location=(0.0, 0.0), time=-1.0)]),
             StreamWindow.of(-1, []),  # a stream seq is non-negative
             StreamWindow.of(True, []),  # and an int, not a bool
             WorkerRegistered(worker_id=0),  # a response is no request
@@ -206,41 +233,46 @@ def _run(bad_at=None, **bad) -> list:
 
 
 class TestWindowValidation:
-    """A window is checked in one pass; its first bad row fails exactly
-    as the per-verb check fails that verb."""
+    """A window is checked in one pass; its first bad row fails with the
+    code and message its verb's own sync call gets."""
 
     def test_accepts_a_good_window(self):
         RequestValidator().validate(StreamWindow.of(0, _run()))
         RequestValidator().validate(StreamWindow.of(3, []))
 
+    _TIME = "event time must be finite and >= 0, got "
+
     @pytest.mark.parametrize(
         "bad_at, bad",
         [
-            (0, {"worker_id": -1}),
-            (2, {"worker_id": True}),
-            (1, {"task_id": 2.0}),
-            (3, {"location": (float("nan"), 0.0)}),
-            (4, {"location": (0.0, float("inf"))}),
-            (1, {"time": -1.0}),
-            (3, {"time": float("inf")}),
-            (2, {"time": "x"}),
-            (4, {"time": None}),
-            (0, {"time": 10**400}),
+            # each bad row's fields, and the message its failure pins
+            (0, ({"worker_id": -1}, "worker_id must be a non-negative int64, got -1")),
+            (2, ({"worker_id": True}, "worker_id must be a non-negative int64, got True")),
+            (1, ({"task_id": 2.0}, "task_id must be a non-negative int64, got 2.0")),
+            (3, ({"location": (float("nan"), 0.0)}, "location must be finite, got (nan, 0.0)")),
+            (4, ({"location": (0.0, float("inf"))}, "location must be finite, got (0.0, inf)")),
+            (1, ({"time": -1.0}, _TIME + "-1.0")),
+            (3, ({"time": float("inf")}, _TIME + "inf")),
+            (2, ({"time": "x"}, _TIME + "'x'")),
+            (4, ({"time": None}, _TIME + "None")),
+            (0, ({"time": 10**400}, _TIME + repr(10**400))),
         ],
     )
     def test_first_bad_row_fails_like_its_verb(self, bad_at, bad):
+        bad, message = bad
         ids = {k: v for k, v in bad.items() if k.endswith("_id")}
         verbs = _run(bad_at, **{k: v for k, v in bad.items() if k not in ids})
         if ids:
             cls = type(verbs[bad_at])
             fields = dict(location=verbs[bad_at].location, time=verbs[bad_at].time)
             verbs[bad_at] = cls(**ids, **fields)
-        with pytest.raises(ValidationFailed) as per_verb:
-            RequestValidator().validate(verbs[bad_at])
+        # the verb's own sync call is a window of that one row
+        with pytest.raises(ValidationFailed) as alone:
+            RequestValidator().validate(StreamWindow.of(0, [verbs[bad_at]]))
         with pytest.raises(ValidationFailed) as windowed:
             RequestValidator().validate(StreamWindow.of(0, verbs))
-        assert windowed.value.code == per_verb.value.code == "invalid-request"
-        assert windowed.value.message == per_verb.value.message
+        assert windowed.value.code == alone.value.code == "invalid-request"
+        assert windowed.value.message == alone.value.message == message
 
     def test_negative_window_seq_is_refused(self):
         with pytest.raises(ValidationFailed):
@@ -311,19 +343,24 @@ class TestNonNumericTime:
             assert repr(when) in info.value.message
 
 
+def _submit(task_id: int) -> StreamWindow:
+    """A sync submit as the chain sees it: a window of one row."""
+    return StreamWindow.of(task_id, [SubmitTask(task_id=task_id, location=(0.0, 0.0))])
+
+
 class TestTokenBucket:
     def test_admits_then_rejects_then_refills(self):
         clock = {"t": 0.0}
         bucket = TokenBucket(rate=1.0, burst=2, clock=lambda: clock["t"])
         ok = lambda req: bucket(req, lambda r: "served")
-        assert ok(SubmitTask(task_id=0, location=(0.0, 0.0))) == "served"
-        assert ok(SubmitTask(task_id=1, location=(0.0, 0.0))) == "served"
+        assert ok(_submit(0)) == "served"
+        assert ok(_submit(1)) == "served"
         with pytest.raises(AdmissionRejected) as excinfo:
-            ok(SubmitTask(task_id=2, location=(0.0, 0.0)))
+            ok(_submit(2))
         assert excinfo.value.retryable
         assert excinfo.value.retry_after_s > 0
         clock["t"] = 1.5  # refill 1.5 tokens
-        assert ok(SubmitTask(task_id=2, location=(0.0, 0.0))) == "served"
+        assert ok(_submit(2)) == "served"
         assert bucket.admitted == 3
         assert bucket.rejected == 1
 
@@ -333,15 +370,34 @@ class TestTokenBucket:
         assert TokenBucket.cost_of(window) == 3  # one token per row
         assert TokenBucket.cost_of(Flush()) == 0
         assert TokenBucket.cost_of(GetReport()) == 0
-        verb = SubmitTask(task_id=0, location=(0.0, 0.0))
-        assert TokenBucket.cost_of(verb) == 1
+        single = _submit(0)  # a sync call is a window of one row
+        assert TokenBucket.cost_of(single) == 1
         assert bucket(window, lambda r: "served") == "served"
-        assert bucket(verb, lambda r: "served") == "served"
+        assert bucket(single, lambda r: "served") == "served"
         assert bucket.admitted == 4
-        # free verbs pass even with an empty bucket
+        # free barriers pass even with an empty bucket
         bucket2 = TokenBucket(rate=1e-9, burst=1, clock=lambda: 0.0)
         bucket2._tokens = 0.0
         assert bucket2(Flush(), lambda r: "served") == "served"
+
+    def test_a_window_past_the_burst_is_refused_for_good(self):
+        """A window costing more tokens than the bucket can ever hold is
+        refused at once, not rate-limited: no wait would let it in. It
+        is charged nothing, and every offered token is still counted."""
+        clock = {"t": 0.0}
+        bucket = TokenBucket(rate=1.0, burst=4, clock=lambda: clock["t"])
+        window = StreamWindow.of(0, _run())  # five rows
+        for _ in range(3):
+            with pytest.raises(RequestRejected) as info:
+                bucket(window, lambda r: "served")
+            assert info.value.code == "rejected"
+            assert not info.value.retryable
+            assert "burst of 4" in info.value.message
+            clock["t"] += 10.0
+        assert (bucket.admitted, bucket.rejected) == (0, 15)
+        # nothing was charged: a window that fits is admitted whole
+        assert bucket(StreamWindow.of(5, _run()[:4]), lambda r: "served") == "served"
+        assert (bucket.admitted, bucket.rejected) == (4, 15)
 
 
 class TestLatencyMetrics:
@@ -502,7 +558,8 @@ class TestClient:
             client.register_worker(0, (10.0, 10.0))
             client.flush()
         calls = metrics.registry.counters(LatencyMetrics.CALLS, label="kind")
-        assert calls["register_worker"] == 1
+        # a sync register reaches the chain as a window of one row
+        assert calls == {"stream_window": 1, "flush": 1}
         assert bucket.admitted == 1
 
 

@@ -10,6 +10,8 @@ in over loopback (including across mesh checkpoint cuts and odd
 dispatch-chunk boundaries).
 """
 
+from contextlib import ExitStack
+
 import pytest
 
 from repro.api import (
@@ -20,6 +22,9 @@ from repro.api import (
     ServiceSpec,
     StreamWindow,
     SubmitTask,
+    TaskDecision,
+    ValidationFailed,
+    WorkerRegistered,
     make_backend,
 )
 from repro.api.conformance import (
@@ -31,6 +36,13 @@ from repro.api.conformance import (
     run_remote_backend,
 )
 from repro.gateway import GatewayConfig, RemoteBackend, serve_gateway
+from repro.gateway.protocol import (
+    BIN1_MAGIC,
+    GENERIC_TAG,
+    HEADER,
+    STREAM_BATCH_TAG,
+    STREAM_RESULT_TAG,
+)
 from repro.geometry import Box
 
 REGION = Box.square(200.0)
@@ -112,7 +124,125 @@ REFUSING_KINDS = [
 ]
 
 
+def _sync_run(backend, requests) -> BackendRun:
+    """:func:`~repro.api.conformance.run_backend` with one sync
+    ``client.call`` per request instead of a stream."""
+    with AssignmentClient(backend) as client:
+        pairs, misses = [], []
+        for request in requests:
+            response = client.call(request)
+            if isinstance(response, TaskDecision):
+                if response.worker_id is None:
+                    misses.append(response.task_id)
+                else:
+                    pairs.append((response.task_id, response.worker_id))
+        client.flush()
+        report = client.report()
+    return BackendRun(backend.name, tuple(pairs), tuple(misses), report)
+
+
+class _TagRecorder(RemoteBackend):
+    """A gateway connection that records the bin1 tag of every frame it
+    writes and reads (the JSON handshake frames carry none)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.sent: list[int] = []
+        self.received: list[int] = []
+
+    def _send_frame(self, frame: bytes) -> None:
+        if frame[HEADER.size] == BIN1_MAGIC:
+            self.sent.append(frame[HEADER.size + 2])
+        super()._send_frame(frame)
+
+    def _recv_payload(self) -> bytes:
+        payload = super()._recv_payload()
+        if payload[0] == BIN1_MAGIC:
+            self.received.append(payload[2])
+        return payload
+
+
+def _backend(stack: ExitStack, kind: str, spec, served_by=None):
+    """A fresh backend of ``kind``; a ``remote`` one connects to a
+    gateway over a ``served_by`` backend, which ``stack`` stops."""
+    if kind != "remote":
+        return make_backend(kind, spec, **MESH_KWARGS.get(kind, {}))
+    config = GatewayConfig(
+        spec=spec, backend=served_by, backend_kwargs=MESH_KWARGS.get(served_by, {})
+    )
+    return RemoteBackend(spec, address=stack.enter_context(serve_gateway(config)).address)
+
+
+#: (backend kind, lattice, server-side backend behind a gateway)
+SYNC_CASES = pytest.mark.parametrize(
+    "kind, shards, served_by",
+    [
+        ("inprocess", (1, 1), None),
+        ("sharded", (2, 2), None),
+        ("mesh", (2, 2), None),
+        ("remote", (2, 2), "sharded"),
+        ("remote", (2, 2), "mesh"),
+    ],
+    ids=["inprocess", "sharded", "mesh", "remote-sharded", "remote-mesh"],
+)
+
+
 class TestConformance:
+    @SYNC_CASES
+    def test_sync_calls_decide_as_the_stream(self, kind, shards, served_by):
+        """One ``client.call`` per request — each register or submit a
+        window of one row — gives the streamed run's decisions and
+        report on every backend, across a socket too."""
+        spec = spec_for(shards)
+        stream = build_conformance_stream(REGION, 60, 45, seed=7)
+        with ExitStack() as stack:
+            streamed = run_backend(_backend(stack, kind, spec, served_by), stream, window=16)
+        with ExitStack() as stack:
+            synced = _sync_run(_backend(stack, kind, spec, served_by), stream)
+        assert check_parity([streamed, synced]) == []
+        assert synced.assignments
+        assert len(synced.assignments) + len(synced.unassigned) == 45
+
+    @SYNC_CASES
+    def test_sync_calls_keep_their_types_and_codes(self, kind, shards, served_by):
+        """A sync register answers a ``WorkerRegistered`` and a submit a
+        ``TaskDecision``; a repeated worker or task id is ``rejected``,
+        and a negative id is ``invalid-request`` with its message."""
+        with ExitStack() as stack:
+            backend = _backend(stack, kind, spec_for(shards), served_by)
+            client = stack.enter_context(AssignmentClient(backend))
+            assert client.register_worker(1, (20.0, 20.0)) == WorkerRegistered(1)
+            assert client.call(SubmitTask(5, (21.0, 20.0))) == TaskDecision(5, 1)
+            for again in (RegisterWorker(1, (30.0, 30.0)), SubmitTask(5, (30.0, 30.0))):
+                with pytest.raises(RequestRejected) as info:
+                    client.call(again)
+                assert info.value.code == "rejected"
+            with pytest.raises(ValidationFailed) as info:
+                client.submit_task(-1, (0.0, 0.0))
+            assert info.value.code == "invalid-request"
+            assert info.value.message == "task_id must be a non-negative int64, got -1"
+            assert client.report().workers_registered == 1
+
+    @pytest.mark.parametrize("pipeline", [1, 4])
+    def test_register_and_submit_frames_ride_rows(self, pipeline):
+        """Every frame a gateway connection writes for a register or
+        submit, sync or streamed, is a window's rows (tag 0x07), and
+        every answer to one is result rows (tag 0x18); only the flush,
+        the report and the goodbye are documents."""
+        spec = spec_for((2, 2))
+        stream = build_conformance_stream(REGION, 30, 20, seed=5)
+        with serve_gateway(GatewayConfig(spec=spec, backend="sharded")) as server:
+            backend = _TagRecorder(spec, address=server.address)
+            with AssignmentClient(backend) as client:
+                for request in stream[:10]:
+                    client.call(request)
+                list(client.stream(stream[10:], window=8, pipeline=pipeline))
+                client.flush()
+                client.report()
+        units = 10 + 40 // 8  # ten sync calls, five stream windows
+        assert backend.sent == [STREAM_BATCH_TAG] * units + [GENERIC_TAG] * 3
+        assert backend.received == [STREAM_RESULT_TAG] * units + [GENERIC_TAG] * 2
+
     def test_all_backends_agree_unsharded(self):
         result = run_conformance(
             spec_for((1, 1)),

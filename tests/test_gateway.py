@@ -19,6 +19,8 @@ from repro.api import (
     AdmissionRejected,
     AssignmentClient,
     BackendUnavailable,
+    Flush,
+    GetReport,
     MeshBackend,
     RegisterWorker,
     RequestRejected,
@@ -29,6 +31,7 @@ from repro.api import (
     TaskDecision,
     UnsupportedVersion,
     ValidationFailed,
+    WindowResult,
     WorkerRegistered,
     to_wire,
 )
@@ -50,7 +53,12 @@ from repro.gateway import (
     serve_gateway,
     welcome_doc,
 )
-from repro.gateway.codec import decode_stream_batch, encode_stream_batch
+from repro.gateway.codec import (
+    decode_stream_batch,
+    decode_stream_result,
+    encode_stream_batch,
+    encode_stream_result,
+)
 from repro.gateway.protocol import (
     GENERIC_TAG,
     HEADER,
@@ -85,9 +93,17 @@ def send_frame(sock: socket.socket, doc: dict) -> None:
     sock.sendall(encode_frame(doc))
 
 
-def recv_frame(sock: socket.socket) -> dict:
-    from repro.gateway import decode_payload
+def send_window(sock: socket.socket, seq: int, verbs) -> None:
+    """Send register/submit verbs as one window's rows, as a client
+    sends a stream window (or, with one verb, a sync call)."""
+    sock.sendall(window_frame(seq, verbs))
 
+
+def window_frame(seq: int, verbs) -> bytes:
+    return payload_frame(encode_stream_batch(StreamWindow.of(seq, verbs)))
+
+
+def recv_payload(sock: socket.socket) -> bytes:
     def read_exact(n: int) -> bytes:
         buf = bytearray()
         while len(buf) < n:
@@ -97,7 +113,18 @@ def recv_frame(sock: socket.socket) -> dict:
         return bytes(buf)
 
     (length,) = HEADER.unpack(read_exact(HEADER.size))
-    return decode_payload(read_exact(length))
+    return read_exact(length)
+
+
+def recv_frame(sock: socket.socket) -> dict:
+    from repro.gateway import decode_payload
+
+    return decode_payload(recv_payload(sock))
+
+
+def recv_result(sock: socket.socket) -> WindowResult:
+    """The next frame, which must be a window's answer rows."""
+    return decode_stream_result(recv_payload(sock))
 
 
 def raw_handshake(address) -> socket.socket:
@@ -124,7 +151,7 @@ def wait_until(predicate, timeout: float = 10.0, what: str = "condition"):
 
 class TestFraming:
     def test_frame_round_trip_through_decoder(self):
-        docs = [to_wire(RegisterWorker(worker_id=i, location=(1.0, 2.0))) for i in range(3)]
+        docs = [to_wire(GetReport(wall_seconds=float(i))) for i in range(3)]
         blob = b"".join(encode_frame(d) for d in docs)
         decoder = FrameDecoder()
         assert decoder.feed(blob) == docs
@@ -132,7 +159,7 @@ class TestFraming:
         decoder.check_eof()  # boundary: no complaint
 
     def test_byte_at_a_time_feeding(self):
-        doc = to_wire(SubmitTask(task_id=9, location=(3.0, 4.0), time=1.5))
+        doc = to_wire(GetReport(wall_seconds=1.5))
         frames = []
         decoder = FrameDecoder()
         for byte in encode_frame(doc):
@@ -296,15 +323,45 @@ class TestGatewayServing:
         spec = small_spec()
         with serve_gateway(GatewayConfig(spec=spec)) as gw:
             sock = raw_handshake(gw.address)
-            doc = to_wire(RegisterWorker(worker_id=1, location=(1.0, 1.0)))
+            doc = to_wire(Flush())
             doc["version"] = 99  # a future producer
             send_frame(sock, doc)
             reply = recv_frame(sock)
             assert reply["kind"] == "error"
             assert reply["body"]["code"] == "unsupported-version"
             # connection still serves properly-versioned requests
-            send_frame(sock, to_wire(RegisterWorker(worker_id=1, location=(1.0, 1.0))))
-            assert recv_frame(sock)["kind"] == "worker_registered"
+            send_frame(sock, to_wire(Flush()))
+            assert recv_frame(sock)["kind"] == "flushed"
+            sock.close()
+
+    @pytest.mark.parametrize(
+        "kind, body",
+        [
+            ("register_worker", {"worker_id": 1, "location": [1.0, 1.0], "time": 0.0}),
+            ("submit_task", {"task_id": 1, "location": [1.0, 1.0], "time": 0.0}),
+            ("worker_registered", {"worker_id": 1}),
+            ("task_decision", {"task_id": 1, "worker_id": None}),
+        ],
+    )
+    def test_verb_documents_are_unknown_kinds(self, kind, body):
+        """A register or submit crosses the wire only as window rows: the
+        document forms it and its answers once had are unknown kinds,
+        answered with ``invalid-request`` on a session that lives on."""
+        spec = small_spec()
+        with serve_gateway(GatewayConfig(spec=spec)) as gw:
+            sock = raw_handshake(gw.address)
+            doc = to_wire(Flush())
+            doc["kind"], doc["body"] = kind, body
+            send_frame(sock, doc)
+            reply = recv_frame(sock)
+            assert reply["kind"] == "error"
+            assert reply["body"]["code"] == "invalid-request"
+            assert "unknown message kind" in reply["body"]["message"]
+            # the session lives on, and nothing of the document ran
+            send_window(sock, 0, [RegisterWorker(worker_id=1, location=(1.0, 1.0))])
+            assert recv_result(sock) == WindowResult(0, [False], [1], [])
+            send_frame(sock, to_wire(GetReport()))
+            assert recv_frame(sock)["body"]["workers_registered"] == 1
             sock.close()
 
     def test_junk_frame_answers_error_then_closes(self):
@@ -325,8 +382,7 @@ class TestGatewayServing:
         spec = small_spec()
         with serve_gateway(GatewayConfig(spec=spec)) as gw:
             sock = raw_handshake(gw.address)
-            doc = to_wire(RegisterWorker(worker_id=1, location=(1.0, 1.0)))
-            sock.sendall(handshake_frame(doc))
+            sock.sendall(handshake_frame(to_wire(Flush())))
             reply = recv_frame(sock)
             assert reply["kind"] == "error"
             assert reply["body"]["code"] == "invalid-request"
@@ -359,7 +415,7 @@ class TestGatewayServing:
         with serve_gateway(GatewayConfig(spec=spec)) as gw:
             sock = socket.create_connection(gw.address, timeout=10.0)
             sock.settimeout(10.0)
-            send_frame(sock, to_wire(RegisterWorker(worker_id=1, location=(1.0, 1.0))))
+            send_frame(sock, to_wire(Flush()))
             reply = recv_frame(sock)
             assert reply["kind"] == "error"
             sock.close()
@@ -376,6 +432,26 @@ class TestGatewayServing:
                 assert err.value.code == "rate-limited"
                 assert err.value.retryable
                 client.flush()  # flushes ride free: the session still works
+
+    def test_a_window_past_the_burst_is_refused_for_good_over_the_wire(self):
+        """A window larger than the gateway bucket's burst could never be
+        admitted, so it is refused with the non-retryable ``rejected``
+        code instead of a ``rate-limited`` hint a client would retry
+        forever; the bucket charges it nothing."""
+        spec = small_spec()
+        config = GatewayConfig(spec=spec, rate=1e-3, burst=4)
+        requests = [
+            RegisterWorker(worker_id=i, location=(1.0 + i, 1.0)) for i in range(5)
+        ]
+        with serve_gateway(config) as gw:
+            with AssignmentClient(RemoteBackend(spec, address=gw.address)) as client:
+                with pytest.raises(RequestRejected) as err:
+                    list(client.stream(requests, window=5))
+                assert err.value.code == "rejected"
+                assert not err.value.retryable
+                assert "burst of 4" in err.value.message
+                assert len(list(client.stream(requests[:4], window=4))) == 4
+                assert client.report().workers_registered == 4
 
     def test_two_clients_multiplex_one_backend(self):
         spec = small_spec()
@@ -417,7 +493,7 @@ class TestConnectionFaults:
         with serve_gateway(GatewayConfig(spec=spec)) as gw:
             sock = raw_handshake(gw.address)
             # half a register frame: header promises more than is sent
-            frame = encode_frame(to_wire(RegisterWorker(worker_id=0, location=(1.0, 1.0))))
+            frame = window_frame(0, [RegisterWorker(worker_id=0, location=(1.0, 1.0))])
             sock.sendall(frame[: len(frame) // 2])
             sock.close()
             wait_until(lambda: gw.stats["truncated"] == 1, what="truncation count")
@@ -461,7 +537,7 @@ class TestConnectionFaults:
         # the context exit drained the server: the idle connection was
         # told goodbye, so the next call fails unavailable, not by hang
         with pytest.raises(BackendUnavailable):
-            remote.handle(RegisterWorker(worker_id=0, location=(1.0, 1.0)))
+            remote.handle(StreamWindow.of(0, [RegisterWorker(worker_id=0, location=(1.0, 1.0))]))
         remote.close()
         with pytest.raises(BackendUnavailable):
             RemoteBackend(spec, address=remote_addr, connect_timeout=2.0).open()
@@ -483,7 +559,7 @@ class TestConnectionFaults:
         with serve_gateway(GatewayConfig(spec=spec)) as gw:
             remote = RemoteBackend(spec, address=gw.address)
             remote.open()
-        req = RegisterWorker(worker_id=0, location=(1.0, 1.0))
+        req = StreamWindow.of(0, [RegisterWorker(worker_id=0, location=(1.0, 1.0))])
         for _ in range(3):
             with pytest.raises(BackendUnavailable):
                 remote.handle(req)
@@ -498,11 +574,13 @@ class TestConnectionFaults:
         with serve_gateway(GatewayConfig(spec=spec)) as gw:
             backend = RemoteBackend(spec, address=gw.address)
             backend.open()
-            backend.send_request(RegisterWorker(worker_id=0, location=(1.0, 1.0)))
+            backend.send_request(
+                StreamWindow.of(0, [RegisterWorker(worker_id=0, location=(1.0, 1.0))])
+            )
             backend._drop()  # the transport dies with one response owed
             with pytest.raises(BackendUnavailable):
                 backend.handle(
-                    RegisterWorker(worker_id=1, location=(2.0, 2.0))
+                    StreamWindow.of(1, [RegisterWorker(worker_id=1, location=(2.0, 2.0))])
                 )
             backend.close()
 
@@ -547,11 +625,11 @@ class TestConnectionFaults:
             with conn:
                 recv_frame(conn)  # the hello
                 conn.sendall(handshake_frame(welcome_doc(1, "sharded", 1)))
-                recv_frame(conn)  # first request: answered with junk
+                recv_payload(conn)  # first request: answered with junk
                 conn.sendall(HEADER.pack(len(junk)) + junk)
-                request = recv_frame(conn)  # second request: answered
-                worker = request["body"]["worker_id"]
-                send_frame(conn, to_wire(WorkerRegistered(worker_id=worker)))
+                window, _ = decode_stream_batch(recv_payload(conn))  # answered
+                result = WindowResult(window.seq, window.is_task, window.ids, [])
+                conn.sendall(payload_frame(encode_stream_result(result)))
                 recv_frame(conn)  # the client's goodbye
 
         thread = threading.Thread(target=fake_gateway, daemon=True)
@@ -560,11 +638,13 @@ class TestConnectionFaults:
         backend.open()
         try:
             with pytest.raises(ValidationFailed) as err:
-                backend.handle(RegisterWorker(worker_id=1, location=(1.0, 1.0)))
+                backend.handle(
+                    StreamWindow.of(0, [RegisterWorker(worker_id=1, location=(1.0, 1.0))])
+                )
             assert err.value.code == "invalid-request"
             assert backend.handle(
-                RegisterWorker(worker_id=2, location=(2.0, 2.0))
-            ) == WorkerRegistered(worker_id=2)
+                StreamWindow.of(1, [RegisterWorker(worker_id=2, location=(2.0, 2.0))])
+            ) == WindowResult(1, [False], [2], [])
         finally:
             backend.close()
             thread.join(timeout=5.0)
@@ -615,7 +695,7 @@ class TestPipelinedSessions:
         spec = small_spec()
         server_mw = [
             RequestValidator(),
-            slow_middleware(0.2, only_kind="register_worker"),
+            slow_window_holding(0, 0.2),
             ErrorMapper(),
         ]
         from repro.gateway import GatewayServer
@@ -623,16 +703,13 @@ class TestPipelinedSessions:
         server = GatewayServer(GatewayConfig(spec=spec), middleware=server_mw)
         with serve_gateway(server=server) as gw:
             sock = raw_handshake(gw.address)  # no features offered
-            # slow register (shard s0), fast submit (other shard)
-            send_frame(
-                sock,
-                to_wire(RegisterWorker(worker_id=0, location=(1.0, 1.0))),
-            )
-            send_frame(
-                sock, to_wire(SubmitTask(task_id=0, location=(199.0, 199.0)))
-            )
-            assert recv_frame(sock)["kind"] == "worker_registered"
-            assert recv_frame(sock)["kind"] == "task_decision"
+            # slow register (shard s0), fast submit (other shard), each
+            # a sync call's window of one row
+            send_window(sock, 0, [RegisterWorker(worker_id=0, location=(1.0, 1.0))])
+            send_window(sock, 1, [SubmitTask(task_id=0, location=(199.0, 199.0))])
+            first, second = recv_result(sock), recv_result(sock)
+            assert (first.seq, first.is_task) == (0, [False])
+            assert (second.seq, second.is_task) == (1, [True])
             sock.close()
 
     def test_answers_leave_in_arrival_order_across_shards(self):
@@ -671,26 +748,21 @@ class TestPipelinedSessions:
             welcome = recv_frame(sock)
             assert welcome["kind"] == "welcome"
             assert welcome["body"]["features"] == []
-            send_frame(
-                sock, to_wire(RegisterWorker(worker_id=0, location=(1.0, 1.0)))
-            )
-            assert recv_frame(sock)["kind"] == "worker_registered"
+            send_window(sock, 0, [RegisterWorker(worker_id=0, location=(1.0, 1.0))])
+            assert recv_result(sock) == WindowResult(0, [False], [0], [])
             sock.close()
 
     def test_same_shard_envelopes_never_reorder(self):
-        """Ten verbs read ahead on one session are answered in the order
-        they were sent."""
+        """Ten sync registers (windows of one row) read ahead on one
+        session are answered in the order they were sent."""
         spec = small_spec()
         with serve_gateway(GatewayConfig(spec=spec)) as gw:
             sock = raw_handshake(gw.address)
             for i in range(10):
-                send_frame(
-                    sock,
-                    to_wire(
-                        RegisterWorker(worker_id=i, location=(1.0 + 0.1 * i, 1.0))
-                    ),
+                send_window(
+                    sock, i, [RegisterWorker(worker_id=i, location=(1.0 + 0.1 * i, 1.0))]
                 )
-            ids = [recv_frame(sock)["body"]["worker_id"] for _ in range(10)]
+            ids = [recv_result(sock).ids[0] for _ in range(10)]
             assert ids == list(range(10))
             sock.close()
 
@@ -764,9 +836,9 @@ class TestPipelinedSessions:
                     backend.recv_response()
                 # the session is untouched by the refused receive
                 backend.send_request(
-                    RegisterWorker(worker_id=0, location=(1.0, 1.0))
+                    StreamWindow.of(0, [RegisterWorker(worker_id=0, location=(1.0, 1.0))])
                 )
-                assert backend.recv_response().worker_id == 0
+                assert backend.recv_response().ids == [0]
             finally:
                 backend.close()
 
@@ -804,17 +876,14 @@ class TestPipelinedDrain:
         with serve_gateway(server=server) as gw:
             sock = raw_handshake(gw.address)
             for i in range(n):
-                send_frame(
-                    sock,
-                    to_wire(RegisterWorker(worker_id=i, location=(1.0 + i, 2.0))),
-                )
+                send_window(sock, i, [RegisterWorker(worker_id=i, location=(1.0 + i, 2.0))])
             # give the reader a beat to accept the frames, then drain
             wait_until(
                 lambda: gw.stats["frames"] >= n + 1, what="frames accepted"
             )
         # serve_gateway's exit ran stop(): every accepted frame must have
         # been answered, in send order, and only then the goodbye
-        ids = [recv_frame(sock)["body"]["worker_id"] for _ in range(n)]
+        ids = [recv_result(sock).ids[0] for _ in range(n)]
         assert ids == list(range(n))
         farewell = recv_frame(sock)
         assert farewell["kind"] == "goodbye"
@@ -833,13 +902,10 @@ class TestPipelinedDrain:
         )
         with serve_gateway(server=server) as gw:
             sock = raw_handshake(gw.address)  # no features offered
-            send_frame(
-                sock, to_wire(RegisterWorker(worker_id=0, location=(1.0, 1.0)))
-            )
+            send_window(sock, 0, [RegisterWorker(worker_id=0, location=(1.0, 1.0))])
             wait_until(lambda: gw.stats["frames"] >= 2, what="frame accepted")
-        answer = recv_frame(sock)
-        assert answer["kind"] == "worker_registered"
-        assert answer["body"]["worker_id"] == 0
+        answer = recv_result(sock)
+        assert (answer.is_task, answer.ids) == ([False], [0])
         farewell = recv_frame(sock)
         assert farewell["kind"] == "goodbye"
         assert farewell["schema"] == GATEWAY_SCHEMA

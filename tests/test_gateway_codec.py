@@ -112,7 +112,7 @@ def _spec(shards=(2, 2)) -> ServiceSpec:
 
 
 def _one_message_per_kind() -> list:
-    verb = RegisterWorker(7, (1.5, -2.25), 0.5)
+    """One message of every kind with a document form."""
     report = ServiceReport(
         shards=(),
         wall_seconds=1.0,
@@ -123,12 +123,8 @@ def _one_message_per_kind() -> list:
         mean_true_distance=2.5,
     )
     return [
-        verb,
-        SubmitTask(3, (0.0, 99.5), 1.0),
         Flush(),
         GetReport(wall_seconds=2.5),
-        WorkerRegistered(7),
-        TaskDecision(3, 7),
         Flushed(),
         ReportResult(report),
         ErrorInfo(code="rejected", message="m", retryable=False, detail="d"),
@@ -141,10 +137,22 @@ def _prefixed(tag: int, body: bytes = b"") -> bytes:
 
 class TestOneLayoutPerJob:
     def test_every_api_message_kind_rides_the_generic_tag(self):
-        """Every kind but the window pair, which has no document form."""
+        """Every kind but the window pair and the register/submit verbs
+        with their answers: a window and its answer have no document
+        form, and a verb travels only as a window's row."""
         messages = _one_message_per_kind()
         kinds = {type(m).kind for m in messages}
-        rows = {StreamWindow.kind, WindowResult.kind}
+        rows = {
+            cls.kind
+            for cls in (
+                StreamWindow,
+                WindowResult,
+                RegisterWorker,
+                SubmitTask,
+                WorkerRegistered,
+                TaskDecision,
+            )
+        }
         assert kinds == {cls.kind for cls in (*Request, *Response)} - rows
         for message in messages:
             doc = to_wire(message)
@@ -647,15 +655,15 @@ class TestOversizeResponse:
             backend.open()
             try:
                 assert backend.handle(
-                    RegisterWorker(0, (1.0, 1.0), 0.0)
-                ) == WorkerRegistered(0)
+                    StreamWindow.of(0, [RegisterWorker(0, (1.0, 1.0), 0.0)])
+                ) == WindowResult(0, [False], [0], [])
                 # the (2,2) report is far past 512 bytes
                 with pytest.raises(ApiError) as info:
                     backend.handle(GetReport())
                 assert info.value.code in STABLE_CODES
                 # same session, next request: alive and answering
                 assert backend.handle(
-                    RegisterWorker(1, (2.0, 2.0), 0.1)
-                ) == WorkerRegistered(1)
+                    StreamWindow.of(1, [RegisterWorker(1, (2.0, 2.0), 0.1)])
+                ) == WindowResult(1, [False], [1], [])
             finally:
                 backend.close()

@@ -3,10 +3,12 @@
 Two invariants, checked over hundreds of randomized cases:
 
 1. **Lossless transport** — any valid API message with a document form
-   survives ``to_wire`` → frame bytes (bin1, and the handshake's JSON) →
+   (a flush or report request, their answers, an error) survives
+   ``to_wire`` → frame bytes (bin1, and the handshake's JSON) →
    arbitrary chunking → ``FrameDecoder`` → ``from_wire`` bit-exactly
    (dataclass equality, which for frozen messages is field-exact), and
-   any stream window or window result survives its rows;
+   any stream window or window result — registers and submits, sync or
+   streamed, and their answers — survives its rows;
 2. **Total error mapping** — whatever damage the bytes or documents
    carry (junk, truncation, oversize, mutated envelopes, foreign
    versions), the wire layer answers with a structured
@@ -30,9 +32,7 @@ from repro.api.messages import (
     ReportResult,
     StreamWindow,
     SubmitTask,
-    TaskDecision,
     WindowResult,
-    WorkerRegistered,
     from_wire,
     to_wire,
 )
@@ -65,20 +65,22 @@ def random_point(rng) -> tuple[float, float]:
 
 
 def random_verb(rng):
-    roll = rng.integers(4)
-    if roll == 0:
+    """A random register or submit: a request that travels as a row."""
+    if rng.integers(2):
         return RegisterWorker(
             worker_id=int(rng.integers(1_000_000)),
             location=random_point(rng),
             time=float(rng.uniform(0, 1e4)),
         )
-    if roll == 1:
-        return SubmitTask(
-            task_id=int(rng.integers(1_000_000)),
-            location=random_point(rng),
-            time=float(rng.uniform(0, 1e4)),
-        )
-    if roll == 2:
+    return SubmitTask(
+        task_id=int(rng.integers(1_000_000)),
+        location=random_point(rng),
+        time=float(rng.uniform(0, 1e4)),
+    )
+
+
+def random_barrier(rng):
+    if rng.integers(2):
         return Flush()
     return GetReport(wall_seconds=float(rng.uniform(0, 1e3)))
 
@@ -101,17 +103,12 @@ def random_snapshot(rng, i: int) -> ShardSnapshot:
 
 
 def random_response(rng):
-    roll = rng.integers(5)
+    """A random answer with a document form (a window's answer, the
+    register and submit answers included, travels as rows)."""
+    roll = rng.integers(3)
     if roll == 0:
-        return WorkerRegistered(worker_id=int(rng.integers(1_000_000)))
-    if roll == 1:
-        return TaskDecision(
-            task_id=int(rng.integers(1_000_000)),
-            worker_id=None if rng.integers(4) == 0 else int(rng.integers(1_000_000)),
-        )
-    if roll == 2:
         return Flushed()
-    if roll == 3:
+    if roll == 1:
         return ErrorInfo(
             code=str(rng.choice(sorted(STABLE_CODES))),
             message="m" * int(rng.integers(1, 40)),
@@ -135,7 +132,6 @@ def random_response(rng):
 
 def random_window(rng) -> StreamWindow:
     run = [random_verb(rng) for _ in range(int(rng.integers(0, 6)))]
-    run = [v for v in run if isinstance(v, (RegisterWorker, SubmitTask))]
     return StreamWindow.of(int(rng.integers(100_000)), run)
 
 
@@ -153,10 +149,10 @@ def random_window_result(rng) -> WindowResult:
 
 
 def random_message(rng):
-    """A random message with a document form (a window and its answer
-    have none: they travel as rows)."""
-    if rng.integers(6) <= 3:
-        return random_verb(rng)
+    """A random message with a document form (a window, a register or
+    submit and their answers have none: they travel as rows)."""
+    if rng.integers(2):
+        return random_barrier(rng)
     return random_response(rng)
 
 
@@ -449,11 +445,11 @@ class TestTraceFuzz:
                 assert (TRACE_FEATURE in granted) is expect
                 # a trace key on the request is harmless either way:
                 # untraced sessions ignore unknown top-level keys
-                doc = to_wire(RegisterWorker(worker_id=1, location=(1.0, 2.0)))
+                doc = to_wire(Flush())
                 doc["trace"] = {"trace_id": "aa", "span_id": "bb"}
                 sock.sendall(encode_frame(doc))
                 reply = from_wire(recv())
-                assert isinstance(reply, WorkerRegistered)
+                assert isinstance(reply, Flushed)
                 sock.close()
 
     def test_mutated_trace_contexts_never_error_a_traced_session(self):
@@ -472,7 +468,7 @@ class TestTraceFuzz:
             )
             assert TRACE_FEATURE in granted
             for i in range(60):
-                doc = to_wire(RegisterWorker(worker_id=i, location=(1.0, 2.0)))
+                doc = to_wire(Flush())
                 roll = rng.integers(3)
                 if roll == 0:
                     doc["trace"] = atoms[int(rng.integers(len(atoms)))]
@@ -486,13 +482,13 @@ class TestTraceFuzz:
                 reply = from_wire(recv())
                 # malformed contexts degrade to untraced; the request
                 # itself is valid and must answer normally
-                assert isinstance(reply, WorkerRegistered), doc["trace"]
+                assert isinstance(reply, Flushed), doc["trace"]
             # the session still traces properly-formed contexts
             before = len(gw.tracer.spans)
-            doc = to_wire(SubmitTask(task_id=0, location=(3.0, 4.0)))
+            doc = to_wire(GetReport())
             doc["trace"] = {"trace_id": "feed" * 4, "span_id": "beef" * 4}
             sock.sendall(encode_frame(doc))
-            assert isinstance(from_wire(recv()), TaskDecision)
+            assert isinstance(from_wire(recv()), ReportResult)
             new = list(gw.tracer.spans)[before:]
             assert any(
                 rec["name"] == "gateway.dispatch"

@@ -437,14 +437,18 @@ def _ingest(coordinator, events):
 
 def _absorb(journal, *rows):
     """Feed ``(kind, id, x, y)`` rows (kind ``"w"`` or ``"t"``) to the
-    journal as its columns. Workers arrive at time 0.0 and tasks at 1.0
-    unless a row carries its time as a fifth field."""
-    return journal.absorb(
+    journal as its columns and raise its refusal, as the coordinator
+    does once the accepted rows are sent. Workers arrive at time 0.0 and
+    tasks at 1.0 unless a row carries its time as a fifth field."""
+    touched, refused = journal.absorb(
         [row[1] for row in rows],
         np.array([row[2:4] for row in rows], dtype=np.float64),
         [row[0] == "t" for row in rows],
         [row[4] if len(row) > 4 else float(row[0] == "t") for row in rows],
     )
+    if refused is not None:
+        raise refused
+    return touched
 
 
 def _rows_of(taken) -> list[tuple]:
@@ -728,7 +732,7 @@ class TestOneRowPath:
             )
         outcomes = {}
         for lo, hi in windows:
-            touched = journal.absorb(
+            touched, _ = journal.absorb(
                 ids[lo:hi], np.array(xy[lo:hi]), kinds[lo:hi], times[lo:hi]
             )
             for fam in sorted(touched):
@@ -1402,6 +1406,63 @@ class TestMeshLifecycle:
             assert coordinator.failovers == int(kill)
             assert coordinator.tasks_answered == 40
             assert coordinator._results == {}
+
+    @pytest.mark.parametrize(
+        "chunk_size, refused",
+        [
+            # worker 0, task 0, then worker 0 again: refused in chunk one
+            (256, [(0, False), (0, True), (0, False)]),
+            # the repeat lands in the third chunk, two chunks already out
+            (2, [(0, False), (0, True), (1, False), (1, True), (0, False)]),
+        ],
+        ids=["first-chunk", "third-chunk"],
+    )
+    def test_a_refused_window_leaves_no_outcome_behind(self, chunk_size, refused):
+        """A window refused at a row behaves as it does on the engine:
+        the rows before it are sent and their outcomes taken out of the
+        table before the error is raised, so the table stays empty,
+        every family is sent up to its journal end, and later windows
+        still decide as the engine does."""
+        spec = spec_for((2, 2))
+        window = [
+            SubmitTask(i, (10.0, 10.0 + i)) if task else RegisterWorker(i, (10.0, 10.0 + i))
+            for i, task in refused
+        ]
+        later = [
+            SubmitTask(r.task_id + 10, r.location, r.time)
+            if isinstance(r, SubmitTask)
+            else RegisterWorker(r.worker_id + 10, r.location, r.time)
+            for r in build_conformance_stream(REGION, 40, 30, seed=4)
+        ]
+        runs = []
+        for kind, kwargs in (
+            ("sharded", {}),
+            ("mesh", {"n_peers": 2, "chunk_size": chunk_size}),
+        ):
+            backend = make_backend(kind, spec, **kwargs)
+            with AssignmentClient(backend) as client:
+                with pytest.raises(ApiError) as info:
+                    client.call(StreamWindow.of(0, window))
+                assert info.value.code == "rejected"
+                if kind == "mesh":
+                    coordinator = backend.coordinator
+                    assert coordinator._results == {}
+                    with coordinator._state:
+                        journal = coordinator._journal
+                        ends = [journal.end(fam) for fam in journal.families]
+                        sent = [journal.sent(fam) for fam in journal.families]
+                    assert sent == ends and sum(ends) == len(window) - 1
+                decisions = tuple(
+                    (r.task_id, r.worker_id)
+                    for r in client.stream(later, window=16)
+                    if isinstance(r, TaskDecision)
+                )
+                if kind == "mesh":
+                    assert coordinator._results == {}
+                report = client.report()
+            runs.append(BackendRun(kind, decisions, (), report))
+        assert check_parity(runs) == []
+        assert runs[0].report.tasks_total == 30 + sum(t for _, t in refused[:-1])
 
     def test_no_reply_lock_is_held_across_a_send(self):
         """Every frame the coordinator writes — slices, restores, cuts,

@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.api import (
+    AssignmentClient,
     Flush,
     GetReport,
     RegisterWorker,
@@ -406,10 +407,12 @@ def _drive_scheduled(backend, requests, *, seed, barrier_every=25):
     window."""
     jitter = random.Random(seed)
     shard_map = ShardMap(backend.spec.region, *backend.spec.shards)
+    # a bare client sends each register/submit as a window of one row
+    call = AssignmentClient(backend, middleware=[]).call
 
     def jittered(request):
         time.sleep(jitter.random() * 0.002)
-        return backend.handle(request)
+        return call(request)
 
     futures = []
     backend.open()
@@ -435,10 +438,11 @@ def _drive_scheduled(backend, requests, *, seed, barrier_every=25):
 
 def _drive_serial(backend, requests, *, barrier_every=25):
     responses = []
+    call = AssignmentClient(backend, middleware=[]).call
     backend.open()
     try:
         for i, request in enumerate(requests):
-            responses.append(backend.handle(request))
+            responses.append(call(request))
             if barrier_every and (i + 1) % barrier_every == 0:
                 backend.handle(Flush())
         report = backend.handle(GetReport()).report
@@ -582,8 +586,10 @@ class TestMiddlewareHammer:
         lock = threading.Lock()
 
         def call(t, i):
-            req = RegisterWorker(
-                worker_id=t * self.PER_THREAD + i, location=(1.0, 1.0)
+            # a sync register, as the chain sees it: one row, one token
+            req = StreamWindow.of(
+                0,
+                [RegisterWorker(worker_id=t * self.PER_THREAD + i, location=(1.0, 1.0))],
             )
             try:
                 bucket(req, lambda r: None)
