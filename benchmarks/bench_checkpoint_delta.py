@@ -1,26 +1,32 @@
-"""Delta-checkpoint benchmark: O(delta) barriers vs O(state) snapshots.
+"""Delta-checkpoint benchmark: O(delta) cuts vs O(state) snapshots.
 
-The v3 snapshot format lets a coordinator checkpoint a shard by
-shipping only the cells changed since the previous barrier
+Delta documents let the mesh coordinator checkpoint a shard by asking
+only for the cells changed since the shard's previous checkpoint cut
 (:func:`repro.cluster.snapshot.delta_snapshot`) instead of re-exporting
-the whole shard every time. This benchmark quantifies that trade on one
-shard driven to several population sizes:
+the whole shard at every cut. This benchmark quantifies that trade on
+one shard driven to several population sizes:
 
-* **bytes** — encoded size of a full base document vs a steady-state
-  delta at the same stream position, as the registered-worker count
-  grows (the base grows with the population; the delta tracks only the
-  per-barrier churn);
+* **bytes** — the length of a full base document's text vs a
+  steady-state delta's at the same stream position
+  (:func:`repro.cluster.snapshot.snapshot_text`, the text a mesh worker
+  answers a cut with), as the registered-worker count grows (the base
+  grows with the population; the delta tracks only the churn between
+  two cuts);
 * **wall time** — export cost of ``snapshot_shard`` vs
-  ``delta_snapshot`` at the same positions;
-* **failover restore latency** — ``restore_shard(base)`` vs
-  ``restore_chain([base] + deltas)``: what a coordinator actually pays
-  to rebuild a shard from its last rebase point after a SIGKILL.
+  ``delta_snapshot`` at the same positions, which the worker that takes
+  the snapshot pays;
+* **failover restore latency** — parsing a full base text
+  (:func:`repro.cluster.snapshot.parse_snapshot`) and ``restore_shard``
+  vs parsing a base + delta chain's texts and ``restore_chain``: what
+  the worker that restores a shard from its last rebase point pays
+  after a SIGKILL (the coordinator only forwards the chain's texts).
 
 The emitted ``BENCH`` JSON records ``cpu_count`` alongside the results
 (export cost is single-threaded; restore happens once per failed shard)
 and the headline ``delta_shrink`` ratio — steady-state full/delta bytes
 at each population. The acceptance gate for the delta-checkpoint work
-is ``delta_shrink >= 5`` at the 10k-worker point.
+is ``delta_shrink >= 5`` at the 10k-worker point. (The JSON keeps its
+``barriers`` field name for the per-cut rows.)
 
 Run:  PYTHONPATH=src python benchmarks/bench_checkpoint_delta.py
 Also collectable by pytest (correctness + shrink gates):
@@ -31,16 +37,17 @@ from __future__ import annotations
 
 import json
 import os
-import time
 
 import numpy as np
 
 from repro.cluster.snapshot import (
     compose_chain,
     delta_snapshot,
+    parse_snapshot,
     restore_chain,
     restore_shard,
     snapshot_shard,
+    snapshot_text,
 )
 from repro.geometry import Box
 from repro.service.shard import ShardServer
@@ -51,18 +58,18 @@ except ImportError:
     from _common import best_of, emit_bench
 
 WORKER_COUNTS = (1_000, 10_000, 20_000)
-#: Per-barrier churn while at steady state: registrations + tasks that
-#: land between two checkpoints (the mesh default is one barrier per
-#: few thousand events; 64+32 keeps the delta honest, not degenerate).
+#: Churn per cut while at steady state: registrations + tasks that
+#: land between two checkpoints (the mesh cuts every few thousand events;
+#: 64+32 keeps the delta honest, not degenerate).
 CHURN_WORKERS = 64
 CHURN_TASKS = 32
-#: Steady-state barriers measured per population (the reported delta
-#: numbers are means over these, after one warm-up barrier).
-N_BARRIERS = 4
+#: Steady-state cuts measured per population (the reported delta
+#: numbers are means over these).
+N_CUTS = 4
 
 
 def _doc_bytes(doc: dict) -> int:
-    return len(json.dumps(doc, separators=(",", ":")).encode("utf-8"))
+    return len(snapshot_text(doc).encode("utf-8"))
 
 
 def _build_shard(n_workers: int, seed: int = 0):
@@ -85,7 +92,7 @@ def _build_shard(n_workers: int, seed: int = 0):
 
 
 def _churn(shard, rng, next_id: int, task_id: int) -> tuple[int, int]:
-    """One inter-barrier window of traffic: registrations + tasks."""
+    """The traffic between two cuts: registrations + tasks."""
     ids = list(range(next_id, next_id + CHURN_WORKERS))
     locs = [rng.uniform(0.0, 200.0, 2) for _ in ids]
     shard.register_cohort(ids, locs)
@@ -100,29 +107,29 @@ def bench_population(n_workers: int, seed: int = 0) -> dict:
     shard, rng, next_id = _build_shard(n_workers, seed)
     task_id = 1_000_000
 
-    # barrier 0: the rebase point every delta chains from
+    # cut 0: the rebase point every delta chains from
     base = snapshot_shard(shard, checkpoint=0)
     cursor = shard.checkpoint_cursor()
     chain = [base]
 
     rows = []
-    for barrier in range(1, N_BARRIERS + 1):
+    for cut in range(1, N_CUTS + 1):
         next_id, task_id = _churn(shard, rng, next_id, task_id)
-        full_s = best_of(lambda: snapshot_shard(shard, checkpoint=barrier))
+        full_s = best_of(lambda: snapshot_shard(shard, checkpoint=cut))
         delta_s = best_of(
-            lambda b=barrier: delta_snapshot(
+            lambda b=cut: delta_snapshot(
                 shard, None, cursor, checkpoint=b, parent=b - 1
             )
         )
-        full = snapshot_shard(shard, checkpoint=barrier)
+        full = snapshot_shard(shard, checkpoint=cut)
         delta = delta_snapshot(
-            shard, None, cursor, checkpoint=barrier, parent=barrier - 1
+            shard, None, cursor, checkpoint=cut, parent=cut - 1
         )
         chain.append(delta)
         cursor = shard.checkpoint_cursor()
         rows.append(
             {
-                "stream_position": barrier,
+                "stream_position": cut,
                 "full_bytes": _doc_bytes(full),
                 "delta_bytes": _doc_bytes(delta),
                 "full_seconds": full_s,
@@ -138,8 +145,13 @@ def bench_population(n_workers: int, seed: int = 0) -> dict:
     ):
         raise AssertionError("chain compose diverged from the full export")
 
-    restore_full_s = best_of(lambda: restore_shard(full))
-    restore_chain_s = best_of(lambda: restore_chain(chain))
+    # a restoring worker parses the texts the coordinator forwards
+    full_text = snapshot_text(full)
+    chain_texts = [snapshot_text(doc) for doc in chain]
+    restore_full_s = best_of(lambda: restore_shard(parse_snapshot(full_text)))
+    restore_chain_s = best_of(
+        lambda: restore_chain([parse_snapshot(text) for text in chain_texts])
+    )
 
     full_bytes = rows[-1]["full_bytes"]
     mean_delta = sum(r["delta_bytes"] for r in rows) / len(rows)

@@ -9,7 +9,8 @@ pieces:
 * :mod:`repro.cluster.snapshot` — versioned JSON snapshots of a shard's
   full state (HST, privacy ledger, matcher, metrics, RNG stream, pending
   cohort buffer), as base + delta chains with a bit-exact replay
-  guarantee;
+  guarantee, and their one text codec (:func:`snapshot_text`,
+  :func:`parse_snapshot`);
 * :class:`~repro.cluster.dispatch.FamilyJournal` — routes chunks of
   arrival columns into per-family row journals (one fixed-width
   :data:`~repro.cluster.dispatch.EVENT_ROW_DTYPE` row per event, its
@@ -36,11 +37,11 @@ from .snapshot import (
     SnapshotError,
     compose_chain,
     delta_snapshot,
+    parse_snapshot,
     restore_chain,
     restore_shard,
-    snapshot_from_json,
     snapshot_shard,
-    snapshot_to_json,
+    snapshot_text,
 )
 from .worker import ShardHost, shard_spec
 
@@ -54,10 +55,10 @@ __all__ = [
     "SnapshotError",
     "compose_chain",
     "delta_snapshot",
+    "parse_snapshot",
     "restore_chain",
     "restore_shard",
     "shard_spec",
-    "snapshot_from_json",
     "snapshot_shard",
-    "snapshot_to_json",
+    "snapshot_text",
 ]

@@ -48,6 +48,15 @@ coordinator checkpoint shards in O(delta), restart a crashed worker from
 its last chain, and migrate a family between workers: a checkpoint cut
 on the old owner, an ownership flip and a drop, after which the new
 owner restores the family from the cut's chains.
+
+Both kinds share one text codec. :func:`snapshot_text` makes a document
+into its JSON text once, on the mesh worker that takes the snapshot;
+:func:`parse_snapshot` parses it once, on the worker that restores the
+chain (a truncated text is ``snapshot-bad-format``, a foreign version
+``snapshot-unsupported-version``). In between the mesh coordinator
+keeps and forwards the text as it came and never parses it: a JSON
+round trip is exact, so a chain restored from texts equals one restored
+from the documents.
 """
 
 from __future__ import annotations
@@ -67,8 +76,8 @@ __all__ = [
     "restore_shard",
     "compose_chain",
     "restore_chain",
-    "snapshot_to_json",
-    "snapshot_from_json",
+    "snapshot_text",
+    "parse_snapshot",
 ]
 
 SNAPSHOT_FORMAT = "repro-shard-snapshot"
@@ -273,11 +282,20 @@ def restore_chain(docs) -> tuple[ShardServer, tuple[list[int], list]]:
     return restore_shard(compose_chain(docs))
 
 
-def snapshot_to_json(shard: ShardServer, pending=None, indent=None) -> str:
-    """Serialize a shard snapshot to a JSON string."""
-    return json.dumps(snapshot_shard(shard, pending), indent=indent)
+def snapshot_text(doc: dict) -> str:
+    """A base or delta document as its JSON text (the mesh wire's
+    compact separators)."""
+    return json.dumps(doc, separators=(",", ":"))
 
 
-def snapshot_from_json(text: str) -> tuple[ShardServer, tuple[list[int], list]]:
-    """Restore ``(shard, pending)`` from a JSON snapshot string."""
-    return restore_shard(json.loads(text))
+def parse_snapshot(text: str) -> dict:
+    """The document :func:`snapshot_text` made, format and version
+    checked; :class:`SnapshotError` for a text that is not one."""
+    try:
+        doc = json.loads(text)
+    except (TypeError, ValueError) as err:
+        raise SnapshotError(
+            "snapshot-bad-format", f"snapshot text is not JSON: {err}"
+        ) from err
+    _kind_of(doc)
+    return doc

@@ -51,8 +51,11 @@ How it works:
   peer's families are handed to the surviving peer with the lightest
   load. Under the state lock each family's send and acknowledged
   cursors are rewound to its checkpoint base, and a replay job restores
-  it on the new owner from its last checkpoint snapshots (JSON-pure,
-  they cross the wire unchanged) and replays the journal from the base.
+  it on the new owner from its last checkpoint chains and replays the
+  journal from the base. A chain is the snapshot replies' texts as they
+  came, each beside its checked head: the coordinator never parses a
+  snapshot, and a ``load`` hands the texts back for the new owner to
+  parse.
   Taking a slice reads the owner and plans any restore in the same
   step, so the new owner gets the restore and the replay before any
   newer slice. Snapshot restore plus replay is bit-deterministic, and a
@@ -75,8 +78,9 @@ Telemetry rides the existing reservoir machinery
 depth (ops in flight) sampled at every op send — with several slices
 per family in flight it may exceed the peer's family count —
 checkpoint snapshot sizes (each snapshot reply's frame payload, in
-bytes), and checkpoint wall-times, all summarized by :meth:`telemetry`
-together with the scheduler's live per-family queue depths.
+bytes, bases and deltas apart), and checkpoint wall-times, all
+summarized by :meth:`telemetry` together with the scheduler's live
+per-family queue depths.
 """
 
 from __future__ import annotations
@@ -328,6 +332,18 @@ class MeshPeer:
         self.abandon()
 
 
+class _Link(NamedTuple):
+    """One checkpoint of a shard's chain as the coordinator keeps it:
+    the head of its snapshot reply, checked, and the document's text."""
+
+    #: the checkpoint id the cut drew, which the head carried
+    checkpoint: int
+    #: the checkpoint a delta chains onto; None for a base
+    parent: int | None
+    #: the document's JSON text as the worker made it, never parsed here
+    text: str
+
+
 class _Slice(NamedTuple):
     """One :meth:`MeshCoordinator._send`: what it read in one step under
     the state lock, and the ops it wrote."""
@@ -449,8 +465,9 @@ class MeshCoordinator:
         #: shard key -> the peer it is created or restored on
         self._installed: dict[str, str] = {}  # guarded-by: _state, _wake
         self._specs: dict[str, dict] = {}  # guarded-by: _state, _wake
-        #: key -> [base doc, delta doc, ...] chain (see cluster.snapshot)
-        self._checkpoints: dict[str, list[dict]] = {}  # guarded-by: _state, _wake
+        #: key -> [base, delta, ...] chain of snapshot texts (see
+        #: cluster.snapshot), each beside the checkpoint id it carries
+        self._checkpoints: dict[str, list[_Link]] = {}  # guarded-by: _state, _wake
         self._ckpt_seq = 0  # guarded-by: _state, _wake
         self._peers: dict[str, MeshPeer] = {}  # guarded-by: _state, _wake
         self._join_order: list[str] = []  # guarded-by: _state, _wake
@@ -481,7 +498,7 @@ class MeshCoordinator:
         self.tracer = tracer
         self.registry = MetricsRegistry()
         # checkpoint sizes are each snapshot reply's whole frame payload
-        # (the reply envelope around the snapshot included), as read
+        # (the head and the escaped text included), as read
         self._snapshot_bytes = self.registry.adopt_histogram(
             "mesh.checkpoint.snapshot_bytes", SampleReservoir()
         )
@@ -898,9 +915,10 @@ class MeshCoordinator:
         with self._state:
             self._check_failure_locked()
             peer = self._peers[self.ownership[fam]]
+            chains = self._checkpoints
             plan = [
-                ("load", {"key": key, "snapshots": list(self._checkpoints[key])})
-                if key in self._checkpoints
+                ("load", {"key": key, "chain": [link.text for link in chains[key]]})
+                if key in chains
                 else ("create", {"key": key, "spec": self._specs[key]})
                 for key in self.router.family_keys(fam)
                 if self._installed.get(key) != peer.name
@@ -1099,13 +1117,13 @@ class MeshCoordinator:
                 reqs[key] = {
                     "mode": "delta",
                     "checkpoint": self._ckpt_seq,
-                    "parent": chain[-1]["checkpoint"],
+                    "parent": chain[-1].checkpoint,
                 }
             else:
                 reqs[key] = {"mode": "base", "checkpoint": self._ckpt_seq}
         return reqs
 
-    def _absorb_snapshot(self, key: str, doc: dict, size: float) -> None:  # guarded-by: _state
+    def _absorb_snapshot(self, key: str, link: _Link, size: float) -> None:  # guarded-by: _state
         """Chain one snapshot whose reply frame carried ``size`` payload
         bytes; the caller holds ``_state``.
 
@@ -1116,28 +1134,54 @@ class MeshCoordinator:
         parent cursor); that is just an early rebase.
         """
         chain = self._checkpoints.get(key)
-        if doc.get("kind") == "delta":
-            if not chain or chain[-1].get("checkpoint") != doc.get("parent"):
+        if link.parent is not None:
+            if not chain or chain[-1].checkpoint != link.parent:
                 raise MeshError(
                     f"checkpoint lineage diverged for shard {key!r}"
                 )
-            chain.append(doc)
+            chain.append(link)
             self._delta_bytes.record(size)
         else:
             if chain is not None:
                 self.registry.counter("mesh.checkpoint.rebase_total")
-            self._checkpoints[key] = [doc]
+            self._checkpoints[key] = [link]
             self._snapshot_bytes.record(size)
 
-    def _snapshot(self, peer: MeshPeer, fut: Future) -> tuple[dict, float]:
-        """One shard's snapshot and its reply frame's payload size in
-        bytes, as the peer reader decoded it (the reply's envelope
-        included; nothing is encoded again to measure it)."""
+    @staticmethod
+    def _snapshot(peer: MeshPeer, fut: Future, key: str, req: dict) -> tuple[_Link, float]:
+        """One shard's snapshot reply as a chain link, its head checked
+        against the request ``req``, and the reply frame's payload size
+        in bytes, as the peer reader decoded it (nothing is parsed or
+        encoded again to measure it).
+
+        The head must name the shard, the checkpoint id the cut drew and
+        the kind of its text; a delta must answer a delta request and
+        chain onto the parent it named. Raises :class:`MeshError`
+        otherwise.
+        """
         _, reply, size = peer.await_reply(fut, "snapshot")
-        snap = reply.get("snapshot")
-        if not isinstance(snap, dict):
-            raise MeshError(f"malformed snapshot reply from {peer.name!r}")
-        return snap, float(size)
+        kind, text = reply.get("kind"), reply.get("text")
+        if (
+            reply.get("key") != key
+            or reply.get("checkpoint") != req["checkpoint"]
+            or kind not in ("base", "delta")
+            or type(text) is not str
+        ):
+            raise MeshError(
+                f"malformed snapshot reply from {peer.name!r} for shard "
+                f"{key!r}: expected the head and text of checkpoint "
+                f"{req['checkpoint']!r}"
+            )
+        parent = None
+        if kind == "delta":
+            parent = req.get("parent")
+            if parent is None or reply.get("parent") != parent:
+                raise MeshError(
+                    f"snapshot reply from {peer.name!r} for shard {key!r} "
+                    f"chains onto {reply.get('parent')!r}, not the "
+                    f"requested parent {parent!r}"
+                )
+        return _Link(req["checkpoint"], parent, text), float(size)
 
     def _cut(self, fam: int) -> str:
         """Checkpoint one family on its owner (a family job); the name of
@@ -1168,12 +1212,12 @@ class MeshCoordinator:
                     self._peer_lost(sent.peer.name)
                     continue
             try:
-                snaps: dict[str, tuple[dict, float]] = {}
+                snaps: dict[str, tuple[_Link, float]] = {}
                 for key, fut in posted:
                     hook = self._test_mid_checkpoint
                     if hook is not None:
                         hook(key)
-                    snaps[key] = self._snapshot(sent.peer, fut)
+                    snaps[key] = self._snapshot(sent.peer, fut, key, reqs[key])
             except PeerLost:
                 self._peer_lost(sent.peer.name)
                 continue
@@ -1355,9 +1399,10 @@ class MeshCoordinator:
         """Coordinator health as one JSON-ready dict.
 
         Per-peer dispatch depth (outstanding ops sampled at every send),
-        checkpoint snapshot sizes (reply payload bytes) and wall-times
-        from the reservoirs,
-        plus the scheduler's live per-family queue depths.
+        checkpoint sizes (reply payload bytes: ``snapshot_bytes`` for
+        bases, ``delta_bytes`` for deltas, one sample per shard cut) and
+        cut wall-times (``checkpoint_seconds``, one per family cut) from
+        the reservoirs, plus the scheduler's live per-family queue depths.
         """
         with self._state:
             peers = {}
@@ -1378,6 +1423,7 @@ class MeshCoordinator:
                 "rejected_handshakes": self.rejected_handshakes,
                 "peers": peers,
                 "snapshot_bytes": summarize_reservoir(self._snapshot_bytes),
+                "delta_bytes": summarize_reservoir(self._delta_bytes),
                 "checkpoint_seconds": summarize_reservoir(self._checkpoint_s),
                 "scheduler": {
                     "submitted": self._scheduler.submitted,

@@ -14,27 +14,37 @@ inventing a second wire layer.
 
 Coordinator → worker *ops* drive a
 :class:`~repro.cluster.worker.ShardHost`. Every op but ``events`` has a
-JSON-pure body and rides bin1's generic layout — shard snapshots
-already are JSON-pure (:mod:`repro.cluster.snapshot`), which is what
-lets checkpoints cross host boundaries unchanged:
+JSON-pure body and rides bin1's generic layout:
 
 =============  ==========================  ===============================
 op             body                        reply
 =============  ==========================  ===============================
 ``configure``  ``batch_size``              ``{}``
 ``create``     ``key``, ``spec``           ``{"key": ...}``
-``load``       ``key``, ``snapshots``      ``{"key": ...}``
-               (a base+delta chain)
+``load``       ``key``, ``chain`` (the     ``{"key": ...}``
+               base+delta chain's texts)
 ``drop``       ``key``                     ``{"key": ...}``
 ``events``     ``keys``, ``rows``          an ``events_reply`` document:
                [, ``trace``]               ``{"workers": [wid, ...]}``
                                            [, ``spans``]
-``snapshot``   ``key`` [, ``mode``,        ``{"key": ..., "snapshot": ...}``
-               ``checkpoint``,
-               ``parent``]
+``snapshot``   ``key`` [, ``mode``,        the head ``{"key", "kind",
+               ``checkpoint``,             "checkpoint", "parent"}``
+               ``parent``]                 and ``"text"``
 ``flush``      —                           ``{}``
 ``report``     —                           ``{"report": {key: row}}``
 =============  ==========================  ===============================
+
+A checkpoint crosses the wire as text. The worker that takes a
+snapshot makes the document into its JSON text once
+(:func:`~repro.cluster.snapshot.snapshot_text`) and answers it beside a
+head: the shard ``key``, the document's ``kind`` (``"base"`` or
+``"delta"``), its ``checkpoint`` id and, for a delta, the ``parent`` it
+chains onto. The coordinator checks the head against its request and
+its chain tip and keeps the text without parsing it; a ``load`` sends a
+shard's chain of texts back unchanged, and the restoring worker parses
+each one (:func:`~repro.cluster.snapshot.parse_snapshot`). A text that
+does not parse, or carries another snapshot version, answers ``fail``
+with its :class:`~repro.cluster.snapshot.SnapshotError` code.
 
 An ``events`` body is a delivery's journal rows as they sit in the
 coordinator's :class:`~repro.cluster.dispatch.FamilyJournal`: ``keys``
@@ -54,16 +64,17 @@ The ``snapshot`` extras are the delta-checkpoint protocol: ``mode``
 ``"delta"`` asks for only the cells changed since ``parent`` (the
 worker falls back to a base document when it no longer has that
 cursor), and ``checkpoint`` is the id the produced document carries so
-later deltas can chain onto it. Old coordinators that omit the extras
-get plain base snapshots; old workers that ignore them answer bases the
-coordinator absorbs as rebases — the fields are additive, not a wire
-version bump.
+later deltas can chain onto it. A request without the extras gets a
+base snapshot with no checkpoint id; the coordinator always sends them,
+and refuses a head that names another checkpoint id, or a delta it did
+not ask for.
 
 Every op carries a ``seq`` the worker echoes in its reply, so a
 coordinator may keep several ops in flight per peer (different shard
 families pipeline over one socket) and still match answers. Failures
 come back as a ``fail`` document bearing the api error taxonomy's
-stable codes. Malformed documents raise
+stable codes (a chain that will not restore, its snapshot code).
+Malformed documents raise
 :class:`~repro.api.errors.ValidationFailed` — never a raw ``KeyError``.
 """
 

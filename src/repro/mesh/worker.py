@@ -11,7 +11,11 @@ fixed-width rows are checked (:func:`~repro.mesh.protocol.event_columns`)
 and go through :meth:`~repro.cluster.worker.ShardHost.ingest` as the
 same Python columns the engine passes, the engine's own apply path —
 one cohort rule and one row path is what keeps mesh assignments
-bit-identical to the engine's.
+bit-identical to the engine's. Checkpoints are made into text here and
+parsed here: a ``snapshot`` op answers the document's JSON text beside
+its head, and a ``load`` op's chain of texts is parsed and restored
+(:func:`~repro.cluster.snapshot.restore_chain`) on the worker that
+receives it, never on the coordinator.
 
 The loop is single-threaded and strictly FIFO over the socket: ops are
 applied in arrival order and replies carry the op's ``seq`` back. That
@@ -21,10 +25,12 @@ coordinator's cut and barrier ordering holds on the worker without any
 worker-side locking.
 
 Failure discipline: any exception while serving an op answers a
-structured ``fail`` document (stable api error codes) and then the
-process exits — a broken worker is indistinguishable from a dead one on
-purpose, so the coordinator has exactly one recovery path (snapshot
-restore + journal replay onto a surviving peer).
+structured ``fail`` document (stable api error codes; a chain that will
+not restore answers its :class:`~repro.cluster.snapshot.SnapshotError`
+code) and then the process exits — a broken worker is
+indistinguishable from a dead one on purpose, so the coordinator has
+exactly one recovery path (snapshot restore + journal replay onto a
+surviving peer).
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ import sys
 import time
 
 from ..api.errors import map_exception
+from ..cluster.snapshot import SnapshotError, parse_snapshot, snapshot_text
 from ..cluster.worker import ShardHost
 from ..gateway.protocol import (
     MESH_WORKER_ROLE,
@@ -181,7 +188,10 @@ def serve_connection(
                 host.create(str(body["key"]), body["spec"])
                 out = {"key": body["key"]}
             elif op == "load":
-                host.load(str(body["key"]), body["snapshots"])
+                # the chain's texts as the snapshot replies carried them:
+                # parsed here, never by the coordinator
+                chain = [parse_snapshot(text) for text in body["chain"]]
+                host.load(str(body["key"]), chain)
                 out = {"key": body["key"]}
             elif op == "drop":
                 host.drop(str(body["key"]))
@@ -214,14 +224,20 @@ def serve_connection(
                         )
                     ]
             elif op == "snapshot":
+                doc = host.snapshot(
+                    str(body["key"]),
+                    mode=str(body.get("mode", "base")),
+                    checkpoint=body.get("checkpoint"),
+                    parent=body.get("parent"),
+                )
+                # the head the coordinator checks; the document itself
+                # is made into text once, here, and kept as it is
                 out = {
                     "key": body["key"],
-                    "snapshot": host.snapshot(
-                        str(body["key"]),
-                        mode=str(body.get("mode", "base")),
-                        checkpoint=body.get("checkpoint"),
-                        parent=body.get("parent"),
-                    ),
+                    "kind": doc["kind"],
+                    "checkpoint": doc["checkpoint"],
+                    "parent": doc.get("parent"),
+                    "text": snapshot_text(doc),
                 }
             elif op == "flush":
                 host.flush()
@@ -240,11 +256,11 @@ def serve_connection(
             frame = encode_frame(answer(seq, out))
         except Exception as exc:
             info = map_exception(exc).info()
+            # a chain that will not restore answers its own stable code
+            code = exc.code if isinstance(exc, SnapshotError) else info.code
             try:
                 sock.sendall(
-                    encode_frame(
-                        fail_doc(seq, info.code, info.message, info.detail)
-                    )
+                    encode_frame(fail_doc(seq, code, info.message, info.detail))
                 )
             except OSError:
                 pass

@@ -15,11 +15,14 @@ from repro.cluster import (
     HotShardBalancer,
     ShardHost,
     SnapshotError,
+    compose_chain,
+    delta_snapshot,
+    parse_snapshot,
+    restore_chain,
     restore_shard,
     shard_spec,
-    snapshot_from_json,
     snapshot_shard,
-    snapshot_to_json,
+    snapshot_text,
 )
 from repro.cluster.balancer import fallback_chain
 from repro.geometry import Box
@@ -57,8 +60,8 @@ class TestSnapshotRoundTrip:
 
         interrupted = _fresh_shard()
         drive_prefix(interrupted)
-        # wire-format round trip, exactly what failover ships
-        payload = json.loads(json.dumps(snapshot_shard(interrupted)))
+        # the text round trip, exactly what failover ships
+        payload = parse_snapshot(snapshot_text(snapshot_shard(interrupted)))
         restored, pending = restore_shard(payload)
         assert pending == ([], [])
         drive_suffix(restored)
@@ -78,11 +81,99 @@ class TestSnapshotRoundTrip:
     def test_pending_buffer_survives(self):
         shard = _fresh_shard()
         pending = ([7, 8], [np.array([1.0, 2.0]), np.array([3.0, 4.0])])
-        restored, out = snapshot_from_json(snapshot_to_json(shard, pending))
+        text = snapshot_text(snapshot_shard(shard, pending))
+        restored, out = restore_shard(parse_snapshot(text))
         assert out[0] == [7, 8]
         assert [list(p) for p in out[1]] == [[1.0, 2.0], [3.0, 4.0]]
         restored.register_cohort(out[0], out[1])
         assert restored.server.registered_workers == 2
+
+    def test_delta_chain_restores_from_text_and_replays_identically(self):
+        """The text round trip of a base and a delta cut mid-stream, with
+        a worker left in the pending buffer: restoring the parsed chain
+        and replaying the rest gives the uninterrupted run's assignments
+        and end state."""
+        rng = np.random.default_rng(5)
+        locs = rng.uniform(0, 100, size=(45, 2))
+        tasks = rng.uniform(0, 100, size=(30, 2))
+
+        def drive(shard, lo, hi):
+            # three workers for every two tasks
+            workers = range(lo * 3 // 2, hi * 3 // 2)
+            shard.register_cohort(workers, locs[workers.start : workers.stop])
+            for i in range(lo, hi):
+                shard.submit_task(i, tasks[i])
+
+        uninterrupted = _fresh_shard()
+        for lo, hi in ((0, 10), (10, 20), (20, 30)):
+            drive(uninterrupted, lo, hi)
+
+        interrupted = _fresh_shard()
+        drive(interrupted, 0, 10)
+        base = snapshot_text(snapshot_shard(interrupted, checkpoint=1))
+        cursor = interrupted.checkpoint_cursor()
+        drive(interrupted, 10, 20)
+        pending = ([99], [np.array([50.0, 50.0])])
+        delta = snapshot_text(
+            delta_snapshot(interrupted, pending, cursor, checkpoint=2, parent=1)
+        )
+        restored, out = restore_chain([parse_snapshot(base), parse_snapshot(delta)])
+        assert out[0] == [99] and [list(p) for p in out[1]] == [[50.0, 50.0]]
+        drive(restored, 20, 30)
+
+        assert (
+            restored.server.result.assignments
+            == uninterrupted.server.result.assignments
+        )
+        a = uninterrupted.export_state()
+        b = restored.export_state()
+        a.pop("metrics")
+        b.pop("metrics")
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    def test_text_chain_composes_to_the_full_export_at_its_tip(self):
+        """A base and four deltas made into text and parsed back compose
+        into exactly the base document a full export at the tip writes,
+        float for float, pending buffer and checkpoint id included."""
+        shard = _fresh_shard()
+        rng = np.random.default_rng(6)
+        pending = ([], [])
+        texts = [snapshot_text(snapshot_shard(shard, pending, checkpoint=1))]
+        cursor = shard.checkpoint_cursor()
+        for ckpt in range(2, 6):
+            ids = range(ckpt * 10, ckpt * 10 + 7)
+            shard.register_cohort(ids, rng.uniform(0, 100, (7, 2)))
+            for task in range(ckpt * 10, ckpt * 10 + 3):
+                shard.submit_task(task, rng.uniform(0, 100, 2))
+            pending = ([ckpt], [rng.uniform(0, 100, 2)])
+            texts.append(
+                snapshot_text(
+                    delta_snapshot(
+                        shard, pending, cursor, checkpoint=ckpt, parent=ckpt - 1
+                    )
+                )
+            )
+            cursor = shard.checkpoint_cursor()
+        composed = compose_chain([parse_snapshot(text) for text in texts])
+        full = snapshot_shard(shard, pending, checkpoint=5)
+        assert json.dumps(composed, sort_keys=True) == json.dumps(full, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "damage, code",
+        [
+            (lambda text: text[: len(text) // 2], "snapshot-bad-format"),
+            (lambda text: text.replace('"version":4', '"version":5', 1),
+             "snapshot-unsupported-version"),
+            (lambda text: json.loads(text), "snapshot-bad-format"),
+        ],
+        ids=["truncated", "foreign-version", "not-text"],
+    )
+    def test_damaged_text_is_refused_with_its_code(self, damage, code):
+        text = snapshot_text(snapshot_shard(_fresh_shard(), checkpoint=1))
+        assert '"version":4' in text
+        with pytest.raises(SnapshotError) as err:
+            parse_snapshot(damage(text))
+        assert err.value.code == code
 
     def test_ledger_and_metrics_survive(self):
         shard = _fresh_shard()
@@ -175,7 +266,7 @@ class TestShardHost:
 
     def test_load_takes_only_a_chain(self):
         host = self._host_with_family()
-        doc = host.snapshot("s0/0")
+        doc = parse_snapshot(snapshot_text(host.snapshot("s0/0")))
         fresh = ShardHost(batch_size=4)
         with pytest.raises(SnapshotError):
             fresh.load("s0/0", doc)  # a lone document is not a chain
@@ -220,8 +311,8 @@ class TestShardHost:
         original, donor = build(), build()
         clone = ShardHost(batch_size=16)
         for key in donor.shards:
-            # wire-format round trip, exactly what failover ships
-            clone.load(key, [json.loads(json.dumps(donor.snapshot(key)))])
+            # the text round trip, exactly what failover ships
+            clone.load(key, [parse_snapshot(snapshot_text(donor.snapshot(key)))])
         assert clone.pending["s0"][0] == [99]
         for i in range(10, 20):
             row = ([task_keys[i]], [i], [tasks[i]], [True])

@@ -9,6 +9,7 @@ hot-shard balancer on, a migration changes no answer, and a run with hot
 cells split gives the same answers whatever the transport does.
 """
 
+import contextlib
 import functools
 import json
 import os
@@ -44,6 +45,7 @@ from repro.api.errors import ApiError
 from repro.api.messages import TaskDecision
 from repro.cluster.balancer import BalancerConfig, ClusterRouter, family_of
 from repro.cluster.dispatch import EVENT_ROW_DTYPE, FamilyJournal
+from repro.cluster.snapshot import parse_snapshot, snapshot_text
 from repro.cluster.worker import ShardHost, shard_spec
 from repro.gateway import codec
 from repro.gateway.protocol import (
@@ -231,6 +233,19 @@ def _json_events_frame(seq: int) -> bytes:
     return HEADER.pack(len(payload)) + payload
 
 
+#: A snapshot text damaged on its way to the restoring worker, and the
+#: SnapshotError code that worker answers for it.
+_DAMAGED_TEXTS = pytest.mark.parametrize(
+    "damage, code",
+    [
+        (lambda text: text[: len(text) // 2], "snapshot-bad-format"),
+        (lambda text: text.replace('"version":4', '"version":9', 1),
+         "snapshot-unsupported-version"),
+    ],
+    ids=["truncated", "foreign-version"],
+)
+
+
 class TestWorkerOpLoop:
     def test_an_oversize_reply_answers_fail_for_its_op(self, monkeypatch):
         """A reply over the frame ceiling is a failed op: the worker
@@ -249,6 +264,44 @@ class TestWorkerOpLoop:
         ]
         assert answers[-1][2]["code"] == "invalid-request"
         assert "frame limit" in answers[-1][2]["message"]
+
+    def test_a_snapshot_answers_its_head_and_text_and_loads_back(self):
+        """A ``snapshot`` reply is the document's text beside its head;
+        a ``load`` of that text on a fresh worker restores the shard."""
+        answers = _exchange_ops(
+            [*_SETUP, ("events", _events_body(_ROWS[:1])),
+             ("snapshot", {"key": "s0", "mode": "delta", "checkpoint": 3, "parent": 2})],
+            goodbye=True,
+        )
+        kind, seq, body = answers[-1]
+        assert (kind, seq) == ("reply", 4)
+        # no cursor for parent 2 on this worker: the delta falls back to a base
+        assert {k: v for k, v in body.items() if k != "text"} == {
+            "key": "s0", "kind": "base", "checkpoint": 3, "parent": None,
+        }
+        doc = parse_snapshot(body["text"])
+        assert (doc["kind"], doc["checkpoint"]) == ("base", 3)
+        assert doc["pending"]["worker_ids"] == [7]  # batch_size 8: still buffered
+        loaded = _exchange_ops(
+            [_SETUP[0], ("load", {"key": "s0", "chain": [body["text"]]}),
+             ("events", _events_body(_ROWS[1:]))],
+            goodbye=True,
+        )
+        assert loaded[-1][2] == {"workers": [7, None]}
+
+    @_DAMAGED_TEXTS
+    def test_a_damaged_chain_answers_fail_with_its_snapshot_code(self, damage, code):
+        """A chain text the restoring worker cannot parse answers a
+        ``fail`` for the ``load`` carrying its :class:`SnapshotError`
+        code, and the worker stops serving."""
+        host = ShardHost(batch_size=8)
+        host.create("s0", _SHARD_SPEC)
+        text = snapshot_text(host.snapshot("s0", checkpoint=1))
+        answers = _exchange_ops(
+            [_SETUP[0], ("load", {"key": "s0", "chain": [damage(text)]})]
+        )
+        assert [(kind, seq) for kind, seq, _ in answers] == [("reply", 1), ("fail", 2)]
+        assert answers[-1][2]["code"] == code
 
     def test_events_answer_one_worker_per_task_row(self):
         answers = _exchange_ops([*_SETUP, ("events", _events_body(_ROWS))], goodbye=True)
@@ -283,42 +336,21 @@ class TestWorkerOpLoop:
     @staticmethod
     def _deliver_against(answer, match: str) -> None:
         """Send one worker row and one task row to a stand-in worker that
-        answers the ``events`` op with ``answer(seq)``: the window's wait
-        must raise a :class:`MeshError` matching ``match`` and no outcome
-        may be recorded."""
-        ours, theirs = socket.socketpair()
-        theirs.settimeout(10.0)
-
-        def stand_in():
-            decoder, docs = FrameDecoder(), []
-            while not docs:
-                docs = decoder.feed(theirs.recv(65536))
-            _, seq, _ = parse_op(docs[0])
-            theirs.sendall(encode_frame(answer(seq)))
-
-        server = threading.Thread(target=stand_in, daemon=True)
-        server.start()
-        coordinator = MeshCoordinator(REGION, shards=(1, 1), expected_workers=1)
-        peer = _stand_in_peer(coordinator, ours)
-        peer.configured = True
-        coordinator._installed["s0"] = peer.name
-        try:
+        answers the ``events`` op with ``answer(seq, body)``: the window's
+        wait must raise a :class:`MeshError` matching ``match`` and no
+        outcome may be recorded."""
+        with _answered_by(answer) as coordinator:
             marks = _ingest(coordinator, [_worker(0, 10, 10), _task(0, 15, 15)])
             with pytest.raises(MeshError, match=match):
                 coordinator.result_of(marks, [0])
             assert coordinator._results == {}
-        finally:
-            peer.shutdown()
-            coordinator.close()
-            server.join(timeout=10.0)
-            theirs.close()
 
     def test_coordinator_refuses_a_short_workers_reply(self):
         """A reply with fewer workers than task rows fails the mesh at
         once; recording nothing would leave the window waiting out the
         liveness timeout."""
         self._deliver_against(
-            lambda seq: events_reply_doc(seq, {"workers": []}),
+            lambda seq, body: events_reply_doc(seq, {"workers": []}),
             "malformed events reply",
         )
 
@@ -327,7 +359,7 @@ class TestWorkerOpLoop:
         ``reply`` carrying a right-length ``workers`` list is a confused
         peer, not outcomes."""
         self._deliver_against(
-            lambda seq: reply_doc(seq, {"workers": [0]}), "not an events_reply"
+            lambda seq, body: reply_doc(seq, {"workers": [0]}), "not an events_reply"
         )
 
     def test_one_family_keeps_two_slices_in_flight(self):
@@ -388,6 +420,36 @@ class TestWorkerOpLoop:
         assert [w for window in decisions for w in window] == serial
         assert coordinator.tasks_answered == 5
         assert coordinator._results == {}
+
+
+@contextlib.contextmanager
+def _answered_by(answer):
+    """A (1, 1) coordinator whose one peer is a stand-in worker over a
+    socketpair, its shard counted as built: the stand-in answers the
+    first op it reads with ``answer(seq, body)``."""
+    ours, theirs = socket.socketpair()
+    theirs.settimeout(10.0)
+
+    def stand_in():
+        decoder, docs = FrameDecoder(), []
+        while not docs:
+            docs = decoder.feed(theirs.recv(65536))
+        _, seq, body = parse_op(docs[0])
+        theirs.sendall(encode_frame(answer(seq, body)))
+
+    server = threading.Thread(target=stand_in, daemon=True)
+    server.start()
+    coordinator = MeshCoordinator(REGION, shards=(1, 1), expected_workers=1)
+    peer = _stand_in_peer(coordinator, ours)
+    peer.configured = True
+    coordinator._installed["s0"] = peer.name
+    try:
+        yield coordinator
+    finally:
+        peer.shutdown()
+        coordinator.close()
+        server.join(timeout=10.0)
+        theirs.close()
 
 
 def _stand_in_peer(coordinator, sock):
@@ -851,8 +913,9 @@ class TestMeshParity:
     def test_telemetry_shape_after_a_run(self):
         spec = spec_for((2, 2))
         stream = build_conformance_stream(REGION, 30, 20, seed=5)
+        # cut often enough for deltas to chain onto the first bases
         backend = make_backend(
-            "mesh", spec, n_peers=2, chunk_size=13, checkpoint_every=24
+            "mesh", spec, n_peers=2, chunk_size=13, checkpoint_every=12
         )
         run_backend(backend, stream, window=16)
         telemetry = backend.coordinator.telemetry()
@@ -867,7 +930,13 @@ class TestMeshParity:
             owned += peer["families"]
         assert sorted(owned) == [0, 1, 2, 3]  # every family placed once
         assert telemetry["snapshot_bytes"]["count"] > 0  # checkpoints ran
-        assert telemetry["checkpoint_seconds"]["count"] > 0
+        assert telemetry["delta_bytes"]["count"] > 0
+        # one size per shard cut (a base or a delta), one time per family
+        # cut; no cell is split, so every family is one shard
+        assert (
+            telemetry["snapshot_bytes"]["count"] + telemetry["delta_bytes"]["count"]
+            == telemetry["checkpoint_seconds"]["count"]
+        )
         assert telemetry["scheduler"]["submitted"] > 0
         assert telemetry["scheduler"]["barriers"] > 0
 
@@ -995,19 +1064,30 @@ class TestCheckpointCuts:
         assert stats["max_chain_len"] == rebase_every + 1
 
     def test_snapshots_and_loads_ride_the_generic_layout(self, monkeypatch):
-        """Snapshot replies and the ``load`` ops of a failover travel as
-        embedded JSON like every other mesh op: no payload the
-        coordinator decodes, and no frame it sends, is packed."""
-        decoded_tags, sent = [], []
+        """Snapshot replies carry each document as one JSON text beside
+        its head, and the coordinator keeps the texts as they came: every
+        chain entry it holds is a text a snapshot reply carried, and a
+        failover's ``load`` sends exactly such texts back, a base and the
+        deltas chained onto it. Both travel as embedded JSON like every
+        other mesh op (nothing is packed), and the answers equal the
+        sharded engine's."""
+        replied: dict[str, list[str]] = {}
+        decoded_tags, sent, loads = [], [], []
         decode_bin1, encode = codec.decode_bin1, mesh_coordinator.encode_frame
 
         def spy_decode(payload):
+            doc = decode_bin1(payload)
             decoded_tags.append(payload[2])
-            return decode_bin1(payload)
+            body = doc.get("body", {})
+            if doc.get("kind") == "reply" and "text" in body:
+                replied.setdefault(body["key"], []).append(body["text"])
+            return doc
 
         def spy_encode(doc, **kwargs):
             frame = encode(doc, **kwargs)
             sent.append((doc.get("kind"), frame[HEADER.size + 2]))
+            if doc.get("kind") == "load":
+                loads.append((doc["body"]["key"], doc["body"]["chain"]))
             return frame
 
         monkeypatch.setattr(codec, "decode_bin1", spy_decode)
@@ -1015,17 +1095,110 @@ class TestCheckpointCuts:
         spec = spec_for((2, 2))
         stream = build_conformance_stream(REGION, 40, 30, seed=3)
         reference = run_backend(make_backend("sharded", spec), stream, window=16)
-        stats: dict = {}
-        mesh, failovers = run_mesh_failover(
-            spec, stream, n_peers=2, chunk_size=13, checkpoint_every=16,
-            window=16, stats=stats,
+        backend = make_backend("mesh", spec, n_peers=2, chunk_size=13, checkpoint_every=16)
+        mesh = _run_with_hook(
+            backend, stream, lambda coordinator: None,
+            kill_first=lambda: backend.kill_worker(0),
         )
         assert check_parity([reference, mesh]) == []
-        assert failovers >= 1
-        assert stats["base_checkpoints"] + stats["delta_checkpoints"] > 0
-        assert "load" in {kind for kind, _ in sent}, "no chain was restored"
+        coordinator = backend.coordinator
+        assert coordinator.failovers >= 1
+        chains = coordinator._checkpoints
+        assert sorted(chains) == ["s0", "s1", "s2", "s3"]
+        for key, chain in chains.items():
+            assert all(type(link.text) is str for link in chain)
+            assert all(link.text in replied[key] for link in chain)
+        assert loads, "no chain was restored"
+        for key, texts in loads:
+            assert texts and all(text in replied[key] for text in texts)
+            docs = [json.loads(text) for text in texts]
+            assert [doc["kind"] for doc in docs] == ["base"] + ["delta"] * (len(docs) - 1)
+            assert [doc["parent"] for doc in docs[1:]] == [
+                doc["checkpoint"] for doc in docs[:-1]
+            ]
         assert PACKED_DOC_TAG not in decoded_tags
-        assert PACKED_DOC_TAG not in {tag for _, tag in sent}
+        assert {tag for kind, tag in sent if kind in ("snapshot", "load")} == {GENERIC_TAG}
+
+    @staticmethod
+    def _head(body: dict) -> dict:
+        """The reply body a worker owes a ``snapshot`` op: its head, and a
+        text the coordinator never parses."""
+        return {
+            "key": body["key"], "kind": "base", "checkpoint": body["checkpoint"],
+            "parent": None, "text": "never parsed by the coordinator",
+        }
+
+    def test_a_matching_head_chains_the_text_unparsed(self):
+        with _answered_by(lambda seq, body: reply_doc(seq, self._head(body))) as coordinator:
+            assert coordinator._cut(0) == "w0"
+            assert [tuple(link) for link in coordinator._checkpoints["s0"]] == [
+                (1, None, "never parsed by the coordinator"),
+            ]
+
+    @pytest.mark.parametrize(
+        "head, match",
+        [
+            (lambda body: {"checkpoint": body["checkpoint"] + 1}, "malformed snapshot reply"),
+            (lambda body: {"key": "s1"}, "malformed snapshot reply"),
+            (lambda body: {"kind": "delta", "parent": 7}, "not the requested parent"),
+            (lambda body: {"text": {}}, "malformed snapshot reply"),
+        ],
+        ids=["another-checkpoint", "another-key", "unasked-delta", "text-not-a-string"],
+    )
+    def test_a_reply_whose_head_disagrees_fails_the_cut(self, head, match):
+        """A snapshot reply whose head names another checkpoint id or
+        shard, or a delta the cut did not ask for, raises at the cut and
+        chains nothing."""
+        with _answered_by(
+            lambda seq, body: reply_doc(seq, {**self._head(body), **head(body)})
+        ) as coordinator:
+            with pytest.raises(MeshError, match=match):
+                coordinator._cut(0)
+            assert coordinator._checkpoints == {}
+
+    def test_an_old_workers_document_reply_fails_the_cut(self):
+        """A worker that answers the whole document, ``{"snapshot":
+        {...}}``, instead of a head and a text is refused at the cut."""
+
+        def document(seq, body):
+            return reply_doc(seq, {"key": body["key"], "snapshot": {
+                "format": "repro-shard-snapshot", "version": 4, "kind": "base",
+                "checkpoint": body["checkpoint"], "state": {}, "pending": {},
+            }})
+
+        with _answered_by(document) as coordinator:
+            with pytest.raises(MeshError, match="malformed snapshot reply"):
+                coordinator._cut(0)
+            assert coordinator._checkpoints == {}
+
+    @_DAMAGED_TEXTS
+    def test_a_damaged_chain_fails_the_mesh_with_its_code(self, damage, code):
+        """Damage every chain's base text at the coordinator, then SIGKILL
+        a worker: the survivor's ``load`` answers ``fail`` with the
+        :class:`SnapshotError` code, and the mesh fails naming it instead
+        of serving from a wrong shard."""
+        spec = spec_for((2, 2))
+        stream = build_conformance_stream(REGION, 40, 30, seed=3)
+        windows = [StreamWindow.of(i, stream[i : i + 16]) for i in range(0, len(stream), 16)]
+        backend = make_backend("mesh", spec, n_peers=2, chunk_size=16, checkpoint_every=0)
+        backend.open()
+        try:
+            coordinator = backend.coordinator
+            for window in windows[:2]:
+                backend.handle(window)
+            for fam in range(4):
+                coordinator._scheduler.submit(fam, coordinator._job, coordinator._cut, fam)
+            assert coordinator._scheduler.drain(timeout=30.0)
+            with coordinator._state:
+                for chain in coordinator._checkpoints.values():
+                    chain[0] = chain[0]._replace(text=damage(chain[0].text))
+            owner = coordinator._peers[coordinator.ownership[0]]
+            backend.kill_worker(int(owner.label.rsplit("mesh-w", 1)[1]))
+            with pytest.raises(MeshError, match=rf"failed 'load': \[{code}\]"):
+                coordinator.flush()
+            assert coordinator.failovers == 1
+        finally:
+            backend.close()
 
     def test_concurrent_cuts_survive_a_kill_under_fast_thread_switching(self):
         """Every family cut at every chunk, on more scheduler threads than
