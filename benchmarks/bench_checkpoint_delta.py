@@ -21,6 +21,12 @@ one shard driven to several population sizes:
   the worker that restores a shard from its last rebase point pays
   after a SIGKILL (the coordinator only forwards the chain's texts).
 
+* **sections** — the bytes of each section of the last base and of the
+  mean delta (:func:`section_bytes`: tree, ledger, registrations,
+  consumed slots, latency series, distance total, pending buffer, RNG,
+  and the rest), printed as a markdown table before the ``BENCH`` line,
+  so a format change shows where the bytes went.
+
 The emitted ``BENCH`` JSON records ``cpu_count`` alongside the results
 (export cost is single-threaded; restore happens once per failed shard)
 and the headline ``delta_shrink`` ratio — steady-state full/delta bytes
@@ -68,8 +74,30 @@ CHURN_TASKS = 32
 N_CUTS = 4
 
 
-def _doc_bytes(doc: dict) -> int:
-    return len(snapshot_text(doc).encode("utf-8"))
+def _text_bytes(value) -> int:
+    return len(snapshot_text(value).encode("utf-8"))
+
+
+def section_bytes(doc: dict) -> dict:
+    """Text bytes of each section of a base or delta document; ``other``
+    (head, counters, keys and punctuation) makes them sum to the whole
+    text. A delta carries no tree."""
+    body = doc["state"] if doc["kind"] == "base" else doc["delta"]
+    server, metrics = body["server"], body["metrics"]
+    consumed = server["consumed_slots" if doc["kind"] == "base" else "consumed"]
+    sizes = {
+        "tree": _text_bytes(body["tree"]) if "tree" in body else 0,
+        "ledger": _text_bytes(body["ledger"]),
+        "registrations": _text_bytes(server["worker_ids"])
+        + _text_bytes(server["leaves"]),
+        "consumed slots": _text_bytes(consumed),
+        "latency series": _text_bytes(metrics["latencies_s"]),
+        "distance total": _text_bytes(metrics["reported_distance_total"]),
+        "pending buffer": _text_bytes(doc["pending"]),
+        "rng": _text_bytes(body["rng_state"]),
+    }
+    sizes["other"] = _text_bytes(doc) - sum(sizes.values())
+    return sizes
 
 
 def _build_shard(n_workers: int, seed: int = 0):
@@ -112,7 +140,7 @@ def bench_population(n_workers: int, seed: int = 0) -> dict:
     cursor = shard.checkpoint_cursor()
     chain = [base]
 
-    rows = []
+    rows, delta_sections = [], []
     for cut in range(1, N_CUTS + 1):
         next_id, task_id = _churn(shard, rng, next_id, task_id)
         full_s = best_of(lambda: snapshot_shard(shard, checkpoint=cut))
@@ -126,12 +154,13 @@ def bench_population(n_workers: int, seed: int = 0) -> dict:
             shard, None, cursor, checkpoint=cut, parent=cut - 1
         )
         chain.append(delta)
+        delta_sections.append(section_bytes(delta))
         cursor = shard.checkpoint_cursor()
         rows.append(
             {
                 "stream_position": cut,
-                "full_bytes": _doc_bytes(full),
-                "delta_bytes": _doc_bytes(delta),
+                "full_bytes": _text_bytes(full),
+                "delta_bytes": _text_bytes(delta),
                 "full_seconds": full_s,
                 "delta_seconds": delta_s,
             }
@@ -164,6 +193,13 @@ def bench_population(n_workers: int, seed: int = 0) -> dict:
         "delta_shrink": full_bytes / mean_delta,
         "restore_full_seconds": restore_full_s,
         "restore_chain_seconds": restore_chain_s,
+        "sections": {
+            "base": section_bytes(full),
+            "mean_delta": {
+                name: sum(s[name] for s in delta_sections) / len(delta_sections)
+                for name in delta_sections[0]
+            },
+        },
     }
 
 
@@ -200,8 +236,33 @@ def test_delta_tracks_churn_not_population():
     assert big["full_bytes"] > 5.0 * small["full_bytes"]
 
 
+def print_sections(result: dict) -> None:
+    """The section bytes of every population as one markdown table."""
+    populations = result["populations"]
+    print("### Checkpoint sections: bytes of the last base and the mean delta\n")
+    print(
+        "| section | "
+        + " | ".join(
+            f"{row['n_workers']:,} base | {row['n_workers']:,} delta"
+            for row in populations
+        )
+        + " |"
+    )
+    print("|---|" + "---:|" * (2 * len(populations)))
+    for name in populations[0]["sections"]["base"]:
+        cells = [
+            f"{row['sections']['base'][name]:,} | "
+            f"{row['sections']['mean_delta'][name]:,.0f}"
+            for row in populations
+        ]
+        print(f"| {name} | " + " | ".join(cells) + " |")
+    print()
+
+
 def main() -> int:
-    emit_bench(run_benchmark())
+    result = run_benchmark()
+    print_sections(result)
+    emit_bench(result)
     return 0
 
 

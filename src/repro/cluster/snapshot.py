@@ -1,6 +1,8 @@
 """Versioned shard-state snapshots: the mesh's checkpoint wire format.
 
-A v4 snapshot document comes in two kinds:
+A v5 snapshot document comes in two kinds, and each states every fact
+once — what serving and restore read, nothing else (no decision log: a
+shard's decisions go back to its caller):
 
 * a **base** — one JSON document capturing *everything* a shard is at a
   point in the event stream:
@@ -10,21 +12,25 @@ A v4 snapshot document comes in two kinds:
   - the per-worker privacy ledger balances
     (:meth:`~repro.privacy.budget.PrivacyBudgetLedger.to_dict`);
   - the matcher state — registrations as two int columns
-    (``worker_ids`` and their obfuscated ``leaves``, leaf indices), slot
-    table, consumed slots, and the accumulated result
+    (``worker_ids`` and their obfuscated ``leaves``, leaf indices),
+    ``built_at`` (the registration count when the matcher trie was
+    built; the slot table is derived from it) and consumed slots
     (:meth:`~repro.crowdsourcing.server.MatchingServer.export_state`);
-  - the metrics recorder and the client-side RNG state
+  - the metrics recorder (counters, the latency reservoir, the exact
+    reported-distance total) and the client-side RNG state
     (:meth:`~repro.service.shard.ShardServer.export_state`);
   - the *pending cohort buffer* — worker arrivals batched but not yet
     obfuscated. The buffer holds true locations that have not crossed
     the privacy boundary, so it lives in the snapshot, never in a log a
     server component could read.
 
+  A base grows with the registered population, not with the task count.
+
 * a **delta** — only the cells changed since the *parent* checkpoint:
   the ledger history suffix, new registrations (suffixes of the two
-  columns), assignments and consumed matcher slots, reservoir suffixes
-  and overwrites, the RNG state, and the (small, bounded) pending
-  buffer. Deltas chain by checkpoint id:
+  columns), consumed matcher slots, the latency reservoir's suffix and
+  overwrites, the counters and distance total, the RNG state, and the
+  (small, bounded) pending buffer. Deltas chain by checkpoint id:
   ``doc["parent"]`` names the checkpoint the delta builds on, and
   :func:`compose_chain` folds ``[base, delta, delta, ...]`` back into a
   single base document *bit-identically* — the composed ``state`` dict
@@ -35,9 +41,10 @@ A v4 snapshot document comes in two kinds:
 Malformed documents and broken chains raise :class:`SnapshotError`, a
 ``ValueError`` with a stable ``code`` string for programmatic handling;
 a shard state that fails its own checks on restore (a leaf that is not
-an int or lies outside the tree, a slot table that is not a permutation
-of the registrations, a consumed slot listed twice or outside the table)
-is ``snapshot-bad-format``.
+an int or lies outside the tree, ``built_at`` outside the registrations,
+a consumed slot listed twice or outside the slot table) and a delta that
+cannot be folded (a missing or mistyped section, a reservoir overwrite
+outside the held samples) are ``snapshot-bad-format``.
 
 Round-trip guarantee (mirrors ``hst_to_dict``/``hst_from_dict``):
 restoring a snapshot taken mid-stream — from a base document or composed
@@ -82,10 +89,11 @@ __all__ = [
 
 SNAPSHOT_FORMAT = "repro-shard-snapshot"
 #: The one version this runtime writes and restores: base/delta document
-#: kinds chained by checkpoint id, registrations as int columns. Snapshots
-#: live only in coordinator memory, never on disk, so no older document
-#: exists to read.
-SNAPSHOT_VERSION = 4
+#: kinds chained by checkpoint id, registrations as int columns, the
+#: matcher's ``built_at`` in place of its slot table, and no decision
+#: log. Snapshots live only in coordinator memory, never on disk, so no
+#: older document exists to read.
+SNAPSHOT_VERSION = 5
 
 #: A shard with no buffered worker arrivals.
 _EMPTY_PENDING: tuple[list, list] = ([], [])
@@ -220,8 +228,9 @@ def compose_chain(docs) -> dict:
 
     Validates the chain shape — the first document must be a base, every
     later one a delta whose ``parent`` equals its predecessor's
-    ``checkpoint`` — then applies the deltas in order at the dict level.
-    The composed ``state`` is bit-identical to a full export taken at the
+    ``checkpoint`` — then applies the deltas in order at the dict level
+    (a delta the fold cannot apply is ``snapshot-bad-format``). The
+    composed ``state`` is bit-identical to a full export taken at the
     final checkpoint; the composed document carries that checkpoint id.
     """
     docs = list(docs)
@@ -264,7 +273,15 @@ def compose_chain(docs) -> dict:
                 f"delta {doc['checkpoint']!r} chains onto parent "
                 f"{doc['parent']!r} but the chain tip is {tip!r}",
             )
-        state = ShardServer.compose_state(state, doc["delta"])
+        try:
+            state = ShardServer.compose_state(state, doc["delta"])
+        except (KeyError, IndexError, TypeError, ValueError) as err:
+            # a missing section, a list where a dict belongs, a junk
+            # suffix: damage the fold meets before restore can check it
+            raise SnapshotError(
+                "snapshot-bad-format",
+                f"delta {doc['checkpoint']!r} does not fold: {err!r}",
+            ) from err
         pending = doc["pending"]
         tip = doc["checkpoint"]
     return {

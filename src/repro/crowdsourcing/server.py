@@ -59,10 +59,13 @@ class MatchingServer:
     """Online assignment over obfuscated HST reports.
 
     Workers register up front; tasks arrive one by one through
-    :meth:`submit_task` and are matched immediately (Algorithm 4). The
-    accumulated matching is exposed as :attr:`result` with *reported* leaf
-    distances only — converting to true travel distances requires the true
-    coordinates, which the server never has (pipelines do that outside).
+    :meth:`submit_task` and are matched immediately (Algorithm 4).
+    :meth:`submit_task` also appends each decision to :attr:`result`
+    (the examples read the accumulated matching there, with *reported*
+    leaf distances only — converting to true travel distances requires
+    the true coordinates, which the server never has). The serving layer
+    calls :meth:`submit_task_detailed`, which keeps no log: a serving
+    shard's state is only what serving and restore read.
 
     A report's leaf is a leaf index (one int, see
     :attr:`~repro.hst.tree.HST.leaf_index`). Registrations are kept in
@@ -86,7 +89,7 @@ class MatchingServer:
         self._ids: list[int] = []
         self._matcher: HSTGreedyMatcher | None = None
         # append-only consumption log (slot per assignment) and the
-        # registration count at lazy matcher build — the two facts delta
+        # registration count at lazy matcher build — the two facts
         # checkpoints need that the trie itself doesn't keep
         self._consumed: list[int] = []
         self._built_at: int | None = None
@@ -158,18 +161,25 @@ class MatchingServer:
         """Match an arriving task to the nearest available worker's report.
 
         Returns the assigned worker id (or ``None`` if the pool is empty)
-        and records the pair in :attr:`result`. A thin wrapper: the whole
-        matching path — validation, lazy matcher build, assignment and
-        result bookkeeping — lives in :meth:`submit_task_detailed`, which
-        is the single implementation.
+        and records the decision in :attr:`result`. A thin wrapper: the
+        whole matching path — validation, lazy matcher build and
+        assignment — lives in :meth:`submit_task_detailed`, which is the
+        single implementation.
         """
         found = self.submit_task_detailed(report)
-        return None if found is None else found[0]
+        if found is None:
+            self.result.unassigned_tasks.append(report.task_id)
+            return None
+        self.result.assignments.append(
+            Assignment(task=report.task_id, worker=found[0])
+        )
+        return found[0]
 
     def submit_task_detailed(self, report: TaskReport) -> tuple[int, int] | None:
-        """Like :meth:`submit_task`, but returns ``(worker_id, lca_level)``.
+        """Like :meth:`submit_task`, but returns ``(worker_id, lca_level)``
+        and leaves :attr:`result` alone.
 
-        The one and only submission path (:meth:`submit_task` delegates
+        The one and only matching path (:meth:`submit_task` delegates
         here). The LCA level of the matched pair determines the *reported*
         tree distance — the only distance signal the server legitimately
         has — which the serving layer converts to metric units for its
@@ -180,27 +190,25 @@ class MatchingServer:
         if report.leaf is None:
             raise ValueError("the HST server needs leaf-encoded reports")
         if self._matcher is None:
-            # slots follow worker-id order at the build, then registration
-            self._build_matcher(sorted(self._leaves))
-            self._built_at = len(self._ids)
+            self._build_matcher(len(self._leaves))
         found = self._matcher.assign(report.leaf)
         if found is None:
-            self.result.unassigned_tasks.append(report.task_id)
             return None
         slot, level = found
         self._consumed.append(slot)
-        worker_id = self._ids[slot]
-        self.result.assignments.append(
-            Assignment(task=report.task_id, worker=worker_id)
-        )
-        return worker_id, level
+        return self._ids[slot], level
 
-    def _build_matcher(self, slot_ids: list[int]) -> None:
-        """Build the matcher trie with one slot per worker id, in order,
-        from registrations already checked on the way in."""
-        self._ids = slot_ids
+    def _build_matcher(self, built_at: int) -> None:
+        """Build the matcher trie from registrations already checked on
+        the way in, as a build at the ``built_at``-th registration left
+        it: one slot per worker, the first ``built_at`` in worker-id
+        order, then the later ones in registration order (each was
+        appended as it arrived)."""
+        ids = list(self._leaves)
+        self._ids = sorted(ids[:built_at]) + ids[built_at:]
+        self._built_at = built_at
         self._matcher = HSTGreedyMatcher(self.tree.depth, self.tree.branching, ())
-        self._matcher._admit([self._leaves[i] for i in slot_ids])
+        self._matcher._admit([self._leaves[i] for i in self._ids])
 
     # ------------------------------------------------------------------ #
     # checkpointing                                                       #
@@ -210,50 +218,43 @@ class MatchingServer:
         """JSON-ready matcher state for shard snapshots.
 
         Captures registrations as two int columns (``worker_ids`` and
-        ``leaves``, registration order), the slot-id table and consumed
-        slots of the live matcher trie, and the accumulated result —
-        everything :meth:`from_state` needs to resume serving with
-        identical assignment decisions (the trie's tie-breaking is
-        insertion-ordered, and slots are inserted in increasing order, so
-        rebuilding all slots and removing the consumed ones reproduces the
-        exact structure).
+        ``leaves``, registration order), ``built_at`` — the registration
+        count when the matcher trie was built, ``None`` before the first
+        task — and the consumed slots of the live trie: everything
+        :meth:`from_state` needs to resume serving with identical
+        assignment decisions. The slot table is not stored: it is always
+        the sorted first ``built_at`` worker ids followed by the rest in
+        registration order, and the trie's tie-breaking is
+        insertion-ordered with slots inserted in increasing order, so
+        rebuilding all slots and removing the consumed ones reproduces
+        the exact structure.
         """
         # every unavailable slot got there via exactly one assignment (the
         # serving path never releases), so the consumption log *is* the
-        # consumed set — sorted to keep the historical export shape
-        consumed = sorted(self._consumed)
+        # consumed set — sorted to keep one export shape
         return {
-            "allow_late_registration": self.allow_late_registration,
             "worker_ids": list(self._leaves),
             "leaves": list(self._leaves.values()),
-            "slot_ids": None if self._matcher is None else list(self._ids),
-            "consumed_slots": consumed,
-            "assignments": [
-                [a.task, a.worker] for a in self.result.assignments
-            ],
-            "unassigned_tasks": list(self.result.unassigned_tasks),
+            "built_at": self._built_at,
+            "consumed_slots": sorted(self._consumed),
         }
 
     def cursor(self) -> dict:
-        """Pure-value checkpoint cursor: counts of the append-only logs
+        """Pure-value checkpoint cursor: lengths of the append-only logs
         plus whether the matcher trie existed at cursor time."""
         return {
             "workers": len(self._leaves),
             "consumed": len(self._consumed),
-            "assignments": len(self.result.assignments),
-            "unassigned": len(self.result.unassigned_tasks),
             "matcher": self._matcher is not None,
         }
 
     def export_delta(self, cursor: dict) -> dict:
         """Changes since ``cursor`` (non-destructive).
 
-        Registrations (both columns), assignments, unassigned tasks and
-        the consumption log are all append-only, so each travels as a
-        suffix. ``built_at`` is the registration count at lazy matcher
-        build when the build happened inside this window (the composer
-        needs it to reproduce the sorted-then-appended slot table), else
-        ``None``.
+        Registrations (both columns) and the consumption log are
+        append-only, so each travels as a suffix. ``built_at`` is the
+        registration count at lazy matcher build when the build happened
+        inside this window, else ``None``.
         """
         start = int(cursor["workers"])
         built_at = None
@@ -264,13 +265,6 @@ class MatchingServer:
             "leaves": list(islice(self._leaves.values(), start, None)),
             "built_at": built_at,
             "consumed": list(self._consumed[int(cursor["consumed"]) :]),
-            "assignments": [
-                [a.task, a.worker]
-                for a in self.result.assignments[int(cursor["assignments"]) :]
-            ],
-            "unassigned_tasks": list(
-                self.result.unassigned_tasks[int(cursor["unassigned"]) :]
-            ),
         }
 
     @staticmethod
@@ -279,62 +273,43 @@ class MatchingServer:
         :meth:`export_state` payload, returning the child checkpoint's
         :meth:`export_state` form.
 
-        The registration columns concatenate. Slot-table rule: if the
-        parent already had a matcher, every new registration was appended
-        to the table in registration order; if the matcher was built
-        inside the window, the table is the sorted prefix of the first
-        ``built_at`` worker ids followed by the rest in registration
-        order — exactly the live build's layout.
+        The registration columns concatenate, the consumed slots merge,
+        and ``built_at`` is the parent's, or the delta's when the matcher
+        was built inside the window.
         """
-        worker_ids = list(base["worker_ids"]) + list(delta["worker_ids"])
-        if base["slot_ids"] is not None:
-            slot_ids = list(base["slot_ids"]) + list(delta["worker_ids"])
-        elif delta["built_at"] is not None:
-            built_at = int(delta["built_at"])
-            slot_ids = sorted(worker_ids[:built_at]) + worker_ids[built_at:]
-        else:
-            slot_ids = None
+        built_at = base["built_at"]
+        if built_at is None:
+            built_at = delta["built_at"]
         consumed = sorted(
             {int(s) for s in base["consumed_slots"]}
             | {int(s) for s in delta["consumed"]}
         )
         return {
-            "allow_late_registration": base["allow_late_registration"],
-            "worker_ids": worker_ids,
+            "worker_ids": list(base["worker_ids"]) + list(delta["worker_ids"]),
             "leaves": list(base["leaves"]) + list(delta["leaves"]),
-            "slot_ids": slot_ids,
+            "built_at": built_at,
             "consumed_slots": consumed,
-            "assignments": [list(entry) for entry in base["assignments"]]
-            + [list(entry) for entry in delta["assignments"]],
-            "unassigned_tasks": list(base["unassigned_tasks"])
-            + list(delta["unassigned_tasks"]),
         }
 
     @classmethod
-    def from_state(cls, tree: HST, payload: dict) -> "MatchingServer":
+    def from_state(
+        cls, tree: HST, payload: dict, *, allow_late_registration: bool = False
+    ) -> "MatchingServer":
         """Rebuild a server exported by :meth:`export_state` over ``tree``.
 
         Restore is where leaves come back from outside, so it checks the
         section once: every leaf in ``[0, c**D)``, registrations unique,
-        the slot table a permutation of them, consumed slots unique and
-        inside the table, and no consumed slot without a table. Raises
-        ``ValueError`` otherwise.
+        ``built_at`` inside ``[0, registrations]``, consumed slots unique
+        and inside the slot table, and no consumed slot before the build.
+        Raises ``ValueError`` otherwise. ``allow_late_registration`` is
+        the constructor's.
         """
-        missing = {
-            "allow_late_registration",
-            "worker_ids",
-            "leaves",
-            "slot_ids",
-            "consumed_slots",
-            "assignments",
-            "unassigned_tasks",
-        } - set(payload)
+        missing = {"worker_ids", "leaves", "built_at", "consumed_slots"} - set(
+            payload
+        )
         if missing:
             raise ValueError(f"server payload missing fields: {sorted(missing)}")
-        server = cls(
-            tree,
-            allow_late_registration=bool(payload["allow_late_registration"]),
-        )
+        server = cls(tree, allow_late_registration=allow_late_registration)
         worker_ids = [int(w) for w in payload["worker_ids"]]
         leaves = check_leaves(payload["leaves"], tree.depth, tree.branching)
         if len(worker_ids) != len(leaves):
@@ -343,27 +318,22 @@ class MatchingServer:
         if len(server._leaves) != len(worker_ids):
             raise ValueError("a worker is registered twice")
         consumed = [int(s) for s in payload["consumed_slots"]]
-        slot_ids = payload["slot_ids"]
-        if slot_ids is None:
+        built_at = payload["built_at"]
+        if built_at is None:
             if consumed:
-                raise ValueError("consumed slots without a slot table")
+                raise ValueError("consumed slots without a matcher")
         else:
-            ids = [int(i) for i in slot_ids]
-            if len(ids) != len(worker_ids) or set(ids) != server._leaves.keys():
-                raise ValueError("slot table is not a permutation of the registrations")
+            built_at = operator.index(built_at)
+            if not 0 <= built_at <= len(worker_ids):
+                raise ValueError(
+                    f"built_at {built_at} outside the {len(worker_ids)} registrations"
+                )
             if len(set(consumed)) != len(consumed):
                 raise ValueError("a consumed slot is listed twice")
-            if any(not 0 <= s < len(ids) for s in consumed):
+            if any(not 0 <= s < len(worker_ids) for s in consumed):
                 raise ValueError("a consumed slot lies outside the slot table")
-            server._build_matcher(ids)
+            server._build_matcher(built_at)
             for slot in consumed:
                 server._matcher.remove_worker(slot)
         server._consumed = consumed
-        server.result = MatchingResult(
-            assignments=[
-                Assignment(task=int(t), worker=int(w))
-                for t, w in payload["assignments"]
-            ],
-            unassigned_tasks=[int(t) for t in payload["unassigned_tasks"]],
-        )
         return server

@@ -53,7 +53,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import itertools
-import logging
 import socket
 import threading
 import time
@@ -93,8 +92,6 @@ from .protocol import (
 
 __all__ = ["GatewayConfig", "GatewayServer", "Session", "serve_gateway"]
 
-_log = logging.getLogger("repro.gateway")
-
 
 @dataclass(frozen=True)
 class GatewayConfig:
@@ -116,8 +113,6 @@ class GatewayConfig:
     path pays span bookkeeping per request): sessions offering the
     ``trace`` feature get it granted, their requests' trace contexts
     are honored, and spans land in ``trace_path`` (JSONL) when set.
-    ``slow_request_s`` logs (and counts) any dispatch slower than the
-    threshold, traced or not.
 
     Every session answers the client's JSON hello with a JSON welcome
     and speaks bin1 from then on, in both directions.
@@ -136,7 +131,6 @@ class GatewayConfig:
     drain_timeout: float = 30.0
     trace: bool = False
     trace_path: str | None = None
-    slow_request_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_inflight < 1:
@@ -145,10 +139,6 @@ class GatewayConfig:
             )
         if self.max_frame_bytes < HEADER.size:
             raise ValueError("max_frame_bytes is too small to frame anything")
-        if self.slow_request_s is not None and self.slow_request_s <= 0:
-            raise ValueError(
-                f"slow_request_s must be > 0, got {self.slow_request_s}"
-            )
 
     def build_backend(self):
         return make_backend(self.backend, self.spec, **self.backend_kwargs)
@@ -174,7 +164,6 @@ class GatewayConfig:
             "drain_timeout": self.drain_timeout,
             "trace": self.trace,
             "trace_path": self.trace_path,
-            "slow_request_s": self.slow_request_s,
         }
 
     @classmethod
@@ -262,7 +251,6 @@ class GatewayServer:
             "truncated": 0,
             "rejected_handshakes": 0,
             "traced_sessions": 0,
-            "slow_requests": 0,
             "bytes_in": 0,
             "bytes_out": 0,
         }
@@ -572,9 +560,8 @@ class GatewayServer:
         # (interleaved tasks would corrupt the restore discipline).
         ctx = parse_trace_context(trace) if session.traced else None
         gctx = ctx.child() if ctx is not None else None
-        timed = gctx is not None or self.config.slow_request_s is not None
-        start_wall = time.time() if timed else 0.0
-        start_perf = time.perf_counter() if timed else 0.0
+        start_wall = time.time() if gctx is not None else 0.0
+        start_perf = time.perf_counter() if gctx is not None else 0.0
         ok = False
         async with self._inflight:
             try:
@@ -607,32 +594,19 @@ class GatewayServer:
             session.requests += 1
             self.stats["responses"] += 1
             out = response
-        if timed:
-            elapsed = time.perf_counter() - start_perf
-            kind = type(request).kind
-            if gctx is not None:
-                self.tracer.record(
-                    "gateway.dispatch",
-                    ctx,
-                    start_s=start_wall,
-                    duration_s=elapsed,
-                    attrs={
-                        "kind": kind,
-                        "session": session.id,
-                        "ok": ok,
-                    },
-                    context=gctx,
-                )
-            slow = self.config.slow_request_s
-            if slow is not None and elapsed >= slow:
-                self.stats["slow_requests"] += 1
-                _log.warning(
-                    "slow request: kind=%s session=%d %.1f ms%s",
-                    kind,
-                    session.id,
-                    elapsed * 1e3,
-                    f" trace={ctx.trace_id}" if ctx is not None else "",
-                )
+        if gctx is not None:
+            self.tracer.record(
+                "gateway.dispatch",
+                ctx,
+                start_s=start_wall,
+                duration_s=time.perf_counter() - start_perf,
+                attrs={
+                    "kind": type(request).kind,
+                    "session": session.id,
+                    "ok": ok,
+                },
+                context=gctx,
+            )
         return out
 
     def _traced_job(self, request, gctx, submit_wall, submit_perf):

@@ -284,6 +284,12 @@ class MeshPeer:
             with self._wlock:
                 self.sock.sendall(frame)
         except OSError:
+            # a worker that answers ``fail`` then closes can refuse this
+            # write before the reader has read that ``fail``: the reader
+            # handles what the peer sent before it went, then the ops
+            # still in flight are lost
+            if self._reader.is_alive() and threading.current_thread() is not self._reader:
+                self._reader.join(self.liveness_timeout)
             self.abandon()
             raise PeerLost(self.name) from None
         return fut

@@ -181,7 +181,13 @@ class SampleReservoir:
         values = [float(v) for v in base["values"]]
         values.extend(float(v) for v in delta["appended"])
         for slot, value in delta["set"]:
-            values[int(slot)] = float(value)
+            slot = int(slot)
+            if not 0 <= slot < len(values):
+                raise ValueError(
+                    f"reservoir overwrite of slot {slot} outside the "
+                    f"{len(values)} held samples"
+                )
+            values[slot] = float(value)
         return {
             "capacity": base["capacity"],
             "count": int(delta["count"]),
@@ -240,11 +246,13 @@ class ShardMetrics:
     ``shard_id`` is the shard's routing key: ``"s<i>"`` for lattice cell
     ``i``, or a sub-shard key such as ``"s3/1"`` after a hot-cell split.
 
-    Raw latency/distance samples live in bounded
-    :class:`SampleReservoir` series (seeded from the shard id, so a
-    reseeded rerun keeps the same retained sample set), which caps
-    checkpoint size and reply payloads on unbounded streams. Counters and
-    means stay exact regardless of stream length.
+    Raw latency samples live in a bounded :class:`SampleReservoir`
+    series (seeded from the shard id, so a reseeded rerun keeps the same
+    retained sample set), which caps checkpoint size and reply payloads
+    on unbounded streams: quantiles need samples. Reported distances are
+    only ever averaged, so they are kept as one exact float total, with
+    one distance per assigned task. Counters and means stay exact
+    regardless of stream length.
     """
 
     shard_id: str
@@ -253,16 +261,12 @@ class ShardMetrics:
     tasks_assigned: int = 0
     tasks_unassigned: int = 0
     latencies_s: SampleReservoir = None
-    reported_distances: SampleReservoir = None
+    reported_distance_total: float = 0.0
 
     def __post_init__(self) -> None:
         if self.latencies_s is None:
             self.latencies_s = SampleReservoir(
                 seed=zlib.crc32(f"lat:{self.shard_id}".encode())
-            )
-        if self.reported_distances is None:
-            self.reported_distances = SampleReservoir(
-                seed=zlib.crc32(f"dist:{self.shard_id}".encode())
             )
 
     def record_cohort(self, size: int) -> None:
@@ -272,7 +276,7 @@ class ShardMetrics:
     def record_assignment(self, latency_s: float, reported_distance: float) -> None:
         self.tasks_assigned += 1
         self.latencies_s.record(latency_s)
-        self.reported_distances.record(reported_distance)
+        self.reported_distance_total += float(reported_distance)
 
     def record_unassigned(self, latency_s: float) -> None:
         self.tasks_unassigned += 1
@@ -287,7 +291,7 @@ class ShardMetrics:
             "tasks_assigned": self.tasks_assigned,
             "tasks_unassigned": self.tasks_unassigned,
             "latencies_s": self.latencies_s.to_dict(),
-            "reported_distances": self.reported_distances.to_dict(),
+            "reported_distance_total": float(self.reported_distance_total),
         }
 
     @classmethod
@@ -300,7 +304,7 @@ class ShardMetrics:
             "tasks_assigned",
             "tasks_unassigned",
             "latencies_s",
-            "reported_distances",
+            "reported_distance_total",
         } - set(payload)
         if missing:
             raise ValueError(f"metrics payload missing fields: {sorted(missing)}")
@@ -311,28 +315,24 @@ class ShardMetrics:
             tasks_assigned=int(payload["tasks_assigned"]),
             tasks_unassigned=int(payload["tasks_unassigned"]),
             latencies_s=SampleReservoir.from_dict(payload["latencies_s"]),
-            reported_distances=SampleReservoir.from_dict(payload["reported_distances"]),
+            reported_distance_total=float(payload["reported_distance_total"]),
         )
 
     def cursor(self) -> dict:
         """Pure-value checkpoint cursor for delta export."""
-        return {
-            "latencies_s": self.latencies_s.cursor(),
-            "reported_distances": self.reported_distances.cursor(),
-        }
+        return {"latencies_s": self.latencies_s.cursor()}
 
     def export_delta(self, cursor: dict) -> dict:
-        """Changes since ``cursor``. Counters are tiny, so they travel as
-        absolute values; only the reservoirs get true deltas."""
+        """Changes since ``cursor``. Counters and the distance total are
+        tiny, so they travel as absolute values; only the latency
+        reservoir gets a true delta."""
         return {
             "workers_registered": self.workers_registered,
             "cohorts_flushed": self.cohorts_flushed,
             "tasks_assigned": self.tasks_assigned,
             "tasks_unassigned": self.tasks_unassigned,
             "latencies_s": self.latencies_s.export_delta(cursor["latencies_s"]),
-            "reported_distances": self.reported_distances.export_delta(
-                cursor["reported_distances"]
-            ),
+            "reported_distance_total": float(self.reported_distance_total),
         }
 
     @staticmethod
@@ -348,9 +348,7 @@ class ShardMetrics:
             "latencies_s": SampleReservoir.compose_dict(
                 base["latencies_s"], delta["latencies_s"]
             ),
-            "reported_distances": SampleReservoir.compose_dict(
-                base["reported_distances"], delta["reported_distances"]
-            ),
+            "reported_distance_total": float(delta["reported_distance_total"]),
         }
 
     def snapshot(self, *, epsilon: float, ledger) -> "ShardSnapshot":
@@ -364,7 +362,11 @@ class ShardMetrics:
             tasks_unassigned=self.tasks_unassigned,
             latency_p50_ms=percentile(self.latencies_s, 50) * 1e3,
             latency_p95_ms=percentile(self.latencies_s, 95) * 1e3,
-            mean_reported_distance=self.reported_distances.mean,
+            mean_reported_distance=(
+                self.reported_distance_total / self.tasks_assigned
+                if self.tasks_assigned
+                else float("nan")
+            ),
             budget_capacity=ledger.capacity,
             budget_min_remaining=ledger.min_remaining(),
             budget_mean_remaining=ledger.mean_remaining(),
@@ -519,8 +521,7 @@ def build_report(
     quantile semantics. Each row is a
     :meth:`~repro.service.shard.ShardServer.report_row`: latency
     quantiles come from the pooled raw samples, and the mean reported
-    distance from the exact totals, so it stays exact past the
-    reservoirs' retention cap.
+    distance from the exact totals and counts.
     """
     rows = list(rows)
     total = sum(row["distance_total"] for row in rows)

@@ -179,15 +179,15 @@ class ShardServer:
 
         The frozen :meth:`snapshot` plus what the service-wide aggregates
         pool across shards: the raw latency samples (quantiles don't
-        average) and the exact reported-distance total and count (the
-        mean stays exact past the reservoir's retention cap).
+        average) and the exact reported-distance total and count (one
+        distance per assigned task).
         """
-        distances = self.metrics.reported_distances
+        metrics = self.metrics
         return {
             "snapshot": self.snapshot(),
-            "latencies_s": list(self.metrics.latencies_s),
-            "distance_total": distances.total,
-            "distance_count": distances.count,
+            "latencies_s": list(metrics.latencies_s),
+            "distance_total": metrics.reported_distance_total,
+            "distance_count": metrics.tasks_assigned,
         }
 
     # ------------------------------------------------------------------ #
@@ -200,8 +200,11 @@ class ShardServer:
         The raw parts behind the versioned snapshot wire format
         (:mod:`repro.cluster.snapshot`): the published tree (via
         :func:`~repro.hst.serialize.hst_to_dict`), the privacy ledger, the
-        matcher state, the metrics recorder, and the client-side RNG
-        state. Restoring via :meth:`from_state` and replaying the same
+        matcher state (registrations, ``built_at`` and consumed slots —
+        no decision log: the shard's callers keep the decisions it
+        returns), the metrics recorder, and the client-side RNG state.
+        It grows with the registered population, not with the task
+        count. Restoring via :meth:`from_state` and replaying the same
         event suffix reproduces the exact assignments of an uninterrupted
         run — the RNG state makes the obfuscation draws bit-identical.
         """
@@ -231,11 +234,11 @@ class ShardServer:
         }
 
     def export_delta(self, cursor: dict) -> dict:
-        """Changes since ``cursor`` — the delta half of a v4 snapshot.
+        """Changes since ``cursor`` — the delta half of a v5 snapshot.
 
         Everything mutable on the serving path is append-only or
-        dirty-tracked (ledger history, registrations, assignments,
-        consumed matcher slots, reservoir suffixes), so the export is
+        dirty-tracked (ledger history, registrations, consumed matcher
+        slots, latency reservoir suffixes), so the export is
         O(changes), not O(shard). The published tree, box and epsilon are
         immutable and never travel in a delta; the RNG state is a few
         integers and travels whole.
@@ -305,6 +308,8 @@ class ShardServer:
             shard.tree, float(payload["epsilon"]), seed=rng
         )
         shard.ledger = PrivacyBudgetLedger.from_dict(payload["ledger"])
-        shard.server = MatchingServer.from_state(shard.tree, payload["server"])
+        shard.server = MatchingServer.from_state(
+            shard.tree, payload["server"], allow_late_registration=True
+        )
         shard.metrics = ShardMetrics.from_dict(payload["metrics"])
         return shard

@@ -47,3 +47,23 @@ def random_point_set(
 def random_tree(n: int = 12, seed: int = 0) -> HST:
     """A small random HST for property-style tests."""
     return build_hst(random_point_set(n, seed), seed=seed + 1)
+
+
+def _set_slot(slot: int):
+    def damage(doc: dict) -> None:
+        doc["delta"]["metrics"]["latencies_s"]["set"].append([slot, 1.0])
+
+    return damage
+
+
+#: Damage inside a delta document's body, which only the fold reaches,
+#: by id: each edits a parsed delta in place, and each must be refused as
+#: ``snapshot-bad-format`` rather than raise a bare error or restore
+#: silently (a negative reservoir slot would overwrite the last sample).
+DAMAGED_DELTAS = {
+    "consumed-missing": lambda doc: doc["delta"]["server"].pop("consumed"),
+    "reservoir-slot-past-end": _set_slot(99999),
+    "reservoir-slot-negative": _set_slot(-1),
+    "body-a-list": lambda doc: doc.update(delta=[]),
+    "junk-ledger-suffix": lambda doc: doc["delta"].update(ledger="junk"),
+}

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import (
+    SNAPSHOT_VERSION,
     BalancerConfig,
     ClusterRouter,
     HotShardBalancer,
@@ -46,30 +47,24 @@ class TestSnapshotRoundTrip:
 
         def drive_prefix(shard):
             shard.register_cohort(range(30), locs[:30])
-            for i in range(20):
-                shard.submit_task(i, tasks[i])
+            return [shard.submit_task(i, tasks[i]) for i in range(20)]
 
         def drive_suffix(shard):
             shard.register_cohort(range(30, 60), locs[30:])
-            for i in range(20, 40):
-                shard.submit_task(i, tasks[i])
+            return [shard.submit_task(i, tasks[i]) for i in range(20, 40)]
 
         uninterrupted = _fresh_shard()
-        drive_prefix(uninterrupted)
-        drive_suffix(uninterrupted)
+        expected = drive_prefix(uninterrupted) + drive_suffix(uninterrupted)
 
         interrupted = _fresh_shard()
-        drive_prefix(interrupted)
+        decisions = drive_prefix(interrupted)
         # the text round trip, exactly what failover ships
         payload = parse_snapshot(snapshot_text(snapshot_shard(interrupted)))
         restored, pending = restore_shard(payload)
         assert pending == ([], [])
-        drive_suffix(restored)
+        decisions += drive_suffix(restored)
 
-        assert (
-            restored.server.result.assignments
-            == uninterrupted.server.result.assignments
-        )
+        assert decisions == expected
         a = uninterrupted.export_state()
         b = restored.export_state()
         # metrics carry measured wall-clock latencies, which legitimately
@@ -101,30 +96,29 @@ class TestSnapshotRoundTrip:
             # three workers for every two tasks
             workers = range(lo * 3 // 2, hi * 3 // 2)
             shard.register_cohort(workers, locs[workers.start : workers.stop])
-            for i in range(lo, hi):
-                shard.submit_task(i, tasks[i])
+            return [shard.submit_task(i, tasks[i]) for i in range(lo, hi)]
 
         uninterrupted = _fresh_shard()
-        for lo, hi in ((0, 10), (10, 20), (20, 30)):
-            drive(uninterrupted, lo, hi)
+        expected = [
+            worker
+            for lo, hi in ((0, 10), (10, 20), (20, 30))
+            for worker in drive(uninterrupted, lo, hi)
+        ]
 
         interrupted = _fresh_shard()
-        drive(interrupted, 0, 10)
+        decisions = drive(interrupted, 0, 10)
         base = snapshot_text(snapshot_shard(interrupted, checkpoint=1))
         cursor = interrupted.checkpoint_cursor()
-        drive(interrupted, 10, 20)
+        decisions += drive(interrupted, 10, 20)
         pending = ([99], [np.array([50.0, 50.0])])
         delta = snapshot_text(
             delta_snapshot(interrupted, pending, cursor, checkpoint=2, parent=1)
         )
         restored, out = restore_chain([parse_snapshot(base), parse_snapshot(delta)])
         assert out[0] == [99] and [list(p) for p in out[1]] == [[50.0, 50.0]]
-        drive(restored, 20, 30)
+        decisions += drive(restored, 20, 30)
 
-        assert (
-            restored.server.result.assignments
-            == uninterrupted.server.result.assignments
-        )
+        assert decisions == expected
         a = uninterrupted.export_state()
         b = restored.export_state()
         a.pop("metrics")
@@ -162,15 +156,16 @@ class TestSnapshotRoundTrip:
         "damage, code",
         [
             (lambda text: text[: len(text) // 2], "snapshot-bad-format"),
-            (lambda text: text.replace('"version":4', '"version":5', 1),
-             "snapshot-unsupported-version"),
+            (lambda text: text.replace(
+                f'"version":{SNAPSHOT_VERSION}', f'"version":{SNAPSHOT_VERSION + 1}', 1
+            ), "snapshot-unsupported-version"),
             (lambda text: json.loads(text), "snapshot-bad-format"),
         ],
         ids=["truncated", "foreign-version", "not-text"],
     )
     def test_damaged_text_is_refused_with_its_code(self, damage, code):
         text = snapshot_text(snapshot_shard(_fresh_shard(), checkpoint=1))
-        assert '"version":4' in text
+        assert f'"version":{SNAPSHOT_VERSION}' in text
         with pytest.raises(SnapshotError) as err:
             parse_snapshot(damage(text))
         assert err.value.code == code
@@ -314,13 +309,17 @@ class TestShardHost:
             # the text round trip, exactly what failover ships
             clone.load(key, [parse_snapshot(snapshot_text(donor.snapshot(key)))])
         assert clone.pending["s0"][0] == [99]
+        decisions = {"original": [], "clone": []}
         for i in range(10, 20):
             row = ([task_keys[i]], [i], [tasks[i]], [True])
-            assert original.ingest(*row) == clone.ingest(*row)
+            decisions["original"] += original.ingest(*row)
+            decisions["clone"] += clone.ingest(*row)
+        assert decisions["clone"] == decisions["original"]
+        assert any(worker is not None for worker in decisions["clone"])
         assert list(clone.shards) == list(original.shards)
         for key, a in original.shards.items():
             b = clone.shards[key]
-            assert a.server.result.assignments == b.server.result.assignments
+            assert a.server.export_state() == b.server.export_state()
             assert a.ledger.to_dict() == b.ledger.to_dict()
             assert a.available_workers == b.available_workers
 

@@ -45,7 +45,7 @@ from repro.api.errors import ApiError
 from repro.api.messages import TaskDecision
 from repro.cluster.balancer import BalancerConfig, ClusterRouter, family_of
 from repro.cluster.dispatch import EVENT_ROW_DTYPE, FamilyJournal
-from repro.cluster.snapshot import parse_snapshot, snapshot_text
+from repro.cluster.snapshot import SNAPSHOT_VERSION, parse_snapshot, snapshot_text
 from repro.cluster.worker import ShardHost, shard_spec
 from repro.gateway import codec
 from repro.gateway.protocol import (
@@ -83,6 +83,8 @@ from repro.service import ShardedAssignmentEngine
 from repro.service.events import TaskArrival, WorkerArrival, merge_event_streams
 from repro.service.sharding import ShardMap
 from repro.utils import keyed_shard_seed
+
+from .conftest import DAMAGED_DELTAS
 
 REGION = Box.square(200.0)
 
@@ -235,15 +237,28 @@ def _json_events_frame(seq: int) -> bytes:
 
 #: A snapshot text damaged on its way to the restoring worker, and the
 #: SnapshotError code that worker answers for it.
+_TEXT_DAMAGE = {
+    "truncated": (lambda text: text[: len(text) // 2], "snapshot-bad-format"),
+    "foreign-version": (
+        lambda text: text.replace(f'"version":{SNAPSHOT_VERSION}', '"version":9', 1),
+        "snapshot-unsupported-version",
+    ),
+}
 _DAMAGED_TEXTS = pytest.mark.parametrize(
-    "damage, code",
-    [
-        (lambda text: text[: len(text) // 2], "snapshot-bad-format"),
-        (lambda text: text.replace('"version":4', '"version":9', 1),
-         "snapshot-unsupported-version"),
-    ],
-    ids=["truncated", "foreign-version"],
+    "damage, code", _TEXT_DAMAGE.values(), ids=_TEXT_DAMAGE
 )
+
+
+def _in_document(change):
+    """A text damage that parses the document, applies ``change`` to it
+    and writes it back: damage the text codec lets through."""
+
+    def damage(text: str) -> str:
+        doc = json.loads(text)
+        change(doc)
+        return snapshot_text(doc)
+
+    return damage
 
 
 class TestWorkerOpLoop:
@@ -289,16 +304,30 @@ class TestWorkerOpLoop:
         )
         assert loaded[-1][2] == {"workers": [7, None]}
 
-    @_DAMAGED_TEXTS
+    @pytest.mark.parametrize(
+        "damage, code",
+        [
+            *_TEXT_DAMAGE.values(),
+            *((_in_document(change), "snapshot-bad-format")
+              for change in DAMAGED_DELTAS.values()),
+        ],
+        ids=[*_TEXT_DAMAGE, *DAMAGED_DELTAS],
+    )
     def test_a_damaged_chain_answers_fail_with_its_snapshot_code(self, damage, code):
-        """A chain text the restoring worker cannot parse answers a
-        ``fail`` for the ``load`` carrying its :class:`SnapshotError`
-        code, and the worker stops serving."""
-        host = ShardHost(batch_size=8)
+        """A chain whose delta text the restoring worker cannot parse or
+        fold answers a ``fail`` for the ``load`` carrying its
+        :class:`SnapshotError` code, and the worker stops serving."""
+        host = ShardHost(batch_size=1)
         host.create("s0", _SHARD_SPEC)
-        text = snapshot_text(host.snapshot("s0", checkpoint=1))
+        host.ingest(["s0"] * 2, [7, 0], [[10.0, 10.0], [12.0, 12.0]], [False, True])
+        base = snapshot_text(host.snapshot("s0", checkpoint=1))
+        host.ingest(["s0"] * 2, [8, 1], [[20.0, 20.0], [22.0, 22.0]], [False, True])
+        delta = snapshot_text(
+            host.snapshot("s0", mode="delta", checkpoint=2, parent=1)
+        )
+        assert parse_snapshot(delta)["kind"] == "delta"
         answers = _exchange_ops(
-            [_SETUP[0], ("load", {"key": "s0", "chain": [damage(text)]})]
+            [_SETUP[0], ("load", {"key": "s0", "chain": [base, damage(delta)]})]
         )
         assert [(kind, seq) for kind, seq, _ in answers] == [("reply", 1), ("fail", 2)]
         assert answers[-1][2]["code"] == code
@@ -1544,6 +1573,48 @@ class TestMeshBalancer:
 
 
 class TestMeshLifecycle:
+    def test_a_fail_sent_before_hanging_up_is_read_before_the_peer_is_lost(self):
+        """A worker answers an op with ``fail`` and closes its socket; a
+        later write the closed socket refuses still leaves that op failed
+        with its code, not lost (which would fail over instead of failing
+        the mesh with the worker's reason). The reader is held until that
+        write fails, so the ``fail`` is still unread when it does."""
+        ours, theirs = socket.socketpair()
+        write_failed = threading.Event()
+
+        class HeldReader:
+            def __init__(self, sock):
+                self._sock = sock
+
+            def recv(self, size):
+                write_failed.wait(10.0)
+                return self._sock.recv(size)
+
+            def sendall(self, data):
+                try:
+                    return self._sock.sendall(data)
+                except OSError:
+                    write_failed.set()
+                    raise
+
+            def __getattr__(self, name):
+                return getattr(self._sock, name)
+
+        peer = mesh_coordinator.MeshPeer("w0", HeldReader(ours), ())
+        peer.start()
+        try:
+            load = peer.send("load", {"key": "s0", "chain": []})
+            theirs.sendall(encode_frame(fail_doc(1, "snapshot-bad-format", "bad chain")))
+            theirs.close()
+            with pytest.raises(mesh_coordinator.PeerLost):
+                for _ in range(100):
+                    peer.send("flush", {})
+            kind, body, _ = load.result(timeout=10.0)
+            assert (kind, body["code"]) == ("fail", "snapshot-bad-format")
+        finally:
+            write_failed.set()
+            ours.close()
+
     def test_end_to_end_accounts_for_every_event(self):
         requests = build_conformance_stream(REGION, 600, 300, seed=3)
         backend = make_backend("mesh", spec_for((2, 2)), n_peers=2)

@@ -119,8 +119,7 @@ class TestShardMetricsRetention:
             metrics.record_assignment(0.001, float(i % 17))
         assert metrics.tasks_assigned == RESERVOIR_CAPACITY + 500
         assert len(metrics.latencies_s) == RESERVOIR_CAPACITY
-        assert len(metrics.reported_distances) == RESERVOIR_CAPACITY
-        # the snapshot mean is exact even though retention is capped
+        # distances are only averaged: one exact total, no samples
         snap = metrics.snapshot(epsilon=0.5, ledger=_StubLedger())
         expected = np.mean([float(i % 17) for i in range(RESERVOIR_CAPACITY + 500)])
         assert snap.mean_reported_distance == pytest.approx(expected)
@@ -146,18 +145,22 @@ class TestShardMetricsRetention:
         assert long_doc < short_doc * 1.1
 
     def test_build_report_uses_exact_distance_stats(self):
-        metrics = ShardMetrics("s0", reported_distances=SampleReservoir(capacity=2))
+        metrics = ShardMetrics("s0", latencies_s=SampleReservoir(capacity=2))
         for distance in (1.0, 2.0, 3.0, 4.0, 10.0):
             metrics.record_assignment(0.001, distance)
+        metrics.record_unassigned(0.001)
         row = {
             "snapshot": metrics.snapshot(epsilon=0.5, ledger=_StubLedger()),
             "latencies_s": list(metrics.latencies_s),
-            "distance_total": metrics.reported_distances.total,
-            "distance_count": metrics.reported_distances.count,
+            "distance_total": metrics.reported_distance_total,
+            "distance_count": metrics.tasks_assigned,
         }
         report = build_report([row, row])
-        # the reservoir retains 2 of the 5 distances; the mean stays exact
-        assert len(metrics.reported_distances) == 2
+        # the reservoir retains 2 of the 6 latencies; an unassigned task
+        # has no distance, so the mean is over the 5 assigned ones
+        assert len(metrics.latencies_s) == 2
+        assert metrics.reported_distance_total == 20.0
+        assert row["snapshot"].mean_reported_distance == 4.0
         assert report.mean_reported_distance == pytest.approx(4.0)
         assert report.shards == (row["snapshot"], row["snapshot"])
         assert report.latency_p50_ms == pytest.approx(1.0)

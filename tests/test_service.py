@@ -317,7 +317,7 @@ class TestShardServer:
         assert worker in range(5)
         assert shard.metrics.tasks_assigned == 1
         assert len(shard.metrics.latencies_s) == 1
-        assert shard.metrics.reported_distances[0] >= 0.0
+        assert shard.metrics.reported_distance_total >= 0.0
 
     def test_pool_exhaustion_counts_unassigned(self, shard):
         shard.register_cohort([0], [(10.0, 10.0)])

@@ -1,10 +1,11 @@
-"""v4 delta-snapshot format: one version, structured errors, chain property.
+"""v5 delta-snapshot format: one version, structured errors, chain property.
 
 Three guarantees pinned here:
 
-* **one version** — only v4 documents restore; v3 documents (registrations
-  as ``[id, [path]]`` pairs) and v1/v2 documents (written before the
-  base/delta split existed) are refused;
+* **one version** — only v5 documents restore; v4 documents (a slot
+  table, a decision log and a distance reservoir), v3 documents
+  (registrations as ``[id, [path]]`` pairs) and v1/v2 documents (written
+  before the base/delta split existed) are refused;
 * **structured failure** — every malformed document or broken chain
   raises :class:`~repro.cluster.snapshot.SnapshotError` with a *stable*
   machine-readable ``code`` (the message text is allowed to change, the
@@ -37,10 +38,14 @@ from repro.cluster.snapshot import (
     restore_shard,
     snapshot_shard,
 )
+from repro.crowdsourcing import MatchingServer
+from repro.crowdsourcing.entities import TaskReport
 from repro.geometry import Box
 from repro.obs import MetricsRegistry
 from repro.service.metrics import SampleReservoir
 from repro.service.shard import ShardServer
+
+from .conftest import DAMAGED_DELTAS
 
 
 def _build_shard(n_workers: int = 48, seed: int = 3):
@@ -61,10 +66,36 @@ def _state_json(state: dict) -> str:
     return json.dumps(state, sort_keys=True)
 
 
-def _as_v3(doc: dict) -> dict:
-    """Downgrade a v4 base to the document a v3 runtime would have written:
-    registrations as ``[id, [path digits]]`` pairs."""
+def _as_v4(doc: dict) -> dict:
+    """Downgrade a v5 base to the document a v4 runtime would have written:
+    the slot table in place of ``built_at``, a decision log, the
+    always-true late-registration flag and a reservoir of distances in
+    place of their total."""
     down = copy.deepcopy(doc)
+    down["version"] = 4
+    server = down["state"]["server"]
+    built_at, ids = server.pop("built_at"), server["worker_ids"]
+    server["slot_ids"] = (
+        None if built_at is None else sorted(ids[:built_at]) + ids[built_at:]
+    )
+    server["allow_late_registration"] = True
+    server["assignments"] = []
+    server["unassigned_tasks"] = []
+    metrics = down["state"]["metrics"]
+    metrics["reported_distances"] = {
+        "capacity": 4096,
+        "count": metrics["tasks_assigned"],
+        "total": metrics.pop("reported_distance_total"),
+        "values": [],
+        "state": 0,
+    }
+    return down
+
+
+def _as_v3(doc: dict) -> dict:
+    """Downgrade further: v3 wrote registrations as ``[id, [path
+    digits]]`` pairs."""
+    down = _as_v4(doc)
     down["version"] = 3
     server = down["state"]["server"]
     c = down["state"]["tree"]["branching"]
@@ -97,7 +128,15 @@ def _as_v1(doc: dict) -> dict:
 
 class TestCompat:
     # snapshots never outlive the coordinator that chained them, so no
-    # pre-v4 document exists to read: only v4 restores
+    # pre-v5 document exists to read: only v5 restores
+
+    def test_v4_document_is_refused(self):
+        shard, _ = _build_shard()
+        doc = _as_v4(snapshot_shard(shard, checkpoint=0))
+        for restore in (restore_shard, lambda d: restore_chain([d])):
+            with pytest.raises(SnapshotError) as err:
+                restore(doc)
+            assert err.value.code == "snapshot-unsupported-version"
 
     def test_v3_document_is_refused(self):
         shard, _ = _build_shard()
@@ -228,6 +267,19 @@ class TestStructuredErrors:
             compose_chain([self._base(), broken])
         assert err.value.code == "snapshot-missing-fields"
 
+    @pytest.mark.parametrize("damage", DAMAGED_DELTAS.values(), ids=DAMAGED_DELTAS)
+    def test_a_damaged_delta_body_is_bad_format(self, damage):
+        shard, rng = _build_shard(n_workers=8)
+        base = snapshot_shard(shard, checkpoint=0)
+        cursor = shard.checkpoint_cursor()
+        shard.submit_task(50, rng.uniform(0.0, 100.0, 2))
+        delta = delta_snapshot(shard, None, cursor, checkpoint=1, parent=0)
+        restore_chain([base, copy.deepcopy(delta)])  # undamaged it restores
+        damage(delta)
+        with pytest.raises(SnapshotError) as err:
+            restore_chain([base, delta])
+        assert err.value.code == "snapshot-bad-format"
+
     def test_snapshot_error_is_a_value_error(self):
         # older callers catch ValueError (and match on the message);
         # the subclassing is part of the compat contract
@@ -244,7 +296,7 @@ class TestMalformedMatcherSection:
         shard, _ = _build_shard(n_workers=6)
         doc = snapshot_shard(shard, checkpoint=0)
         server = doc["state"]["server"]
-        assert server["slot_ids"] is not None and server["consumed_slots"]
+        assert server["built_at"] is not None and server["consumed_slots"]
         return doc, server
 
     def _refused(self, doc):
@@ -269,13 +321,12 @@ class TestMalformedMatcherSection:
         server["leaves"] = None
         self._refused(doc)
 
-    def test_slot_table_not_a_permutation(self):
-        doc, server = self._doc()
-        server["slot_ids"][1] = server["slot_ids"][0]
-        self._refused(doc)
-        doc, server = self._doc()
-        server["slot_ids"].pop()
-        self._refused(doc)
+    def test_built_at_outside_the_registrations(self):
+        for bad in (-1, 7, 1.5, "3"):
+            doc, server = self._doc()
+            assert len(server["worker_ids"]) == 6
+            server["built_at"] = bad
+            self._refused(doc)
 
     def test_consumed_slot_listed_twice(self):
         doc, server = self._doc()
@@ -284,7 +335,7 @@ class TestMalformedMatcherSection:
 
     def test_consumed_slot_outside_the_table(self):
         doc, server = self._doc()
-        server["consumed_slots"].append(len(server["slot_ids"]))
+        server["consumed_slots"].append(len(server["worker_ids"]))
         self._refused(doc)
 
     def test_consumed_slots_without_a_table(self):
@@ -294,7 +345,7 @@ class TestMalformedMatcherSection:
         )
         fresh.register_cohort([0, 1, 2, 3], np.full((4, 2), 50.0))
         doc = snapshot_shard(fresh)
-        assert doc["state"]["server"]["slot_ids"] is None
+        assert doc["state"]["server"]["built_at"] is None
         doc["state"]["server"]["consumed_slots"] = [0]
         self._refused(doc)
 
@@ -384,6 +435,103 @@ class TestChainProperty:
             second, sort_keys=True
         )
         compose_chain([base, first])
+
+
+class TestNoDecisionLog:
+    """A serving shard keeps no decision log: its callers keep the
+    decisions it returns, and its checkpoints carry none."""
+
+    def test_tasks_that_find_no_worker_leave_the_matcher_state_alone(self):
+        shard, rng = _build_shard(n_workers=2)
+        for task in range(10, 12):
+            shard.submit_task(task, rng.uniform(0.0, 100.0, 2))
+        assert shard.available_workers == 0
+        before = shard.export_state()["server"]
+        for task in range(20, 25):
+            assert shard.submit_task(task, rng.uniform(0.0, 100.0, 2)) is None
+        assert shard.export_state()["server"] == before
+
+    def test_only_the_paper_facing_submit_fills_the_result(self):
+        shard, _ = _build_shard()
+        assert shard.metrics.tasks_assigned == 4
+        assert shard.server.result.size == 0
+        assert shard.server.result.unassigned_tasks == []
+        server = MatchingServer(shard.tree)
+        leaf = int(shard.tree.leaf_index[0])
+        server.register_cohort([5], [leaf])
+        assert server.submit_task(TaskReport(task_id=1, leaf=leaf)) == 5
+        assert server.submit_task(TaskReport(task_id=2, leaf=leaf)) is None
+        assert [(a.task, a.worker) for a in server.result.assignments] == [(1, 5)]
+        assert server.result.unassigned_tasks == [2]
+
+
+class TestBuiltAt:
+    """A base carries ``built_at`` and restore derives the slot table
+    from it: sorted ids up to the build, then registration order."""
+
+    TAIL = range(500, 512)
+
+    @staticmethod
+    def _stages():
+        """Each stage's rows: before the first task, the build, and
+        registrations after it (ids out of order, so the sort shows)."""
+        return [
+            ([9, 3, 7, 1], []),
+            ([], [100]),
+            ([8, 2, 6, 0, 5], [101, 102]),
+        ]
+
+    def _drive(self, shard, rng, registrations, tasks):
+        if registrations:
+            shard.register_cohort(
+                registrations,
+                [rng.uniform(0.0, 100.0, 2) for _ in registrations],
+            )
+        return [shard.submit_task(t, rng.uniform(0.0, 100.0, 2)) for t in tasks]
+
+    def _shard(self):
+        shard = ShardServer(
+            "s0", Box.square(100.0), grid_nx=8, epsilon=0.5,
+            budget_capacity=4.0, seed=5,
+        )
+        return shard, np.random.default_rng(6)
+
+    def test_built_at_round_trips_through_every_base(self):
+        uninterrupted, rng = self._shard()
+        for stage in self._stages():
+            self._drive(uninterrupted, rng, *stage)
+        tail_locations = rng.uniform(0.0, 100.0, (len(self.TAIL), 2))
+        expected = [
+            uninterrupted.submit_task(t, loc)
+            for t, loc in zip(self.TAIL, tail_locations)
+        ]
+        assert uninterrupted.available_workers == 0  # the tail drains the pool
+
+        shard, rng = self._shard()
+        bases, deltas = [], []
+        for ckpt, stage in enumerate(self._stages()):
+            self._drive(shard, rng, *stage)
+            if ckpt:
+                deltas.append(
+                    delta_snapshot(shard, None, cursor, checkpoint=ckpt, parent=ckpt - 1)
+                )
+            bases.append(snapshot_shard(shard, checkpoint=ckpt))
+            cursor = shard.checkpoint_cursor()
+        assert [b["state"]["server"]["built_at"] for b in bases] == [None, 4, 4]
+        full = snapshot_shard(shard, checkpoint=len(bases) - 1)
+        for k, base in enumerate(bases):
+            # the base taken at stage k and every delta after it
+            chain = [base, *deltas[k:]]
+            assert _state_json(compose_chain(chain)["state"]) == _state_json(
+                full["state"]
+            ), f"chain from base {k} diverged from the full export"
+            restored, _ = restore_chain(json.loads(json.dumps(chain)))
+            assert restored.export_state()["server"] == full["state"]["server"]
+            assert restored.server._ids == [1, 3, 7, 9, 8, 2, 6, 0, 5]
+            assert [
+                restored.submit_task(t, loc)
+                for t, loc in zip(self.TAIL, tail_locations)
+            ] == expected
 
 
 class TestTelemetryCost:
