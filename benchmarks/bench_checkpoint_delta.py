@@ -12,9 +12,11 @@ one shard driven to several population sizes:
   answers a cut with), as the registered-worker count grows (the base
   grows with the population; the delta tracks only the churn between
   two cuts);
-* **wall time** — export cost of ``snapshot_shard`` vs
-  ``delta_snapshot`` at the same positions, which the worker that takes
-  the snapshot pays;
+* **wall time** — what the worker that takes a snapshot pays per cut:
+  the export (``snapshot_shard`` vs ``delta_snapshot`` at the same
+  positions) and the text encode of that document
+  (:func:`repro.cluster.snapshot.snapshot_text`), timed apart and
+  printed per population as a markdown table;
 * **failover restore latency** — parsing a full base text
   (:func:`repro.cluster.snapshot.parse_snapshot`) and ``restore_shard``
   vs parsing a base + delta chain's texts and ``restore_chain``: what
@@ -22,10 +24,10 @@ one shard driven to several population sizes:
   after a SIGKILL (the coordinator only forwards the chain's texts).
 
 * **sections** — the bytes of each section of the last base and of the
-  mean delta (:func:`section_bytes`: tree, ledger, registrations,
-  consumed slots, latency series, distance total, pending buffer, RNG,
-  and the rest), printed as a markdown table before the ``BENCH`` line,
-  so a format change shows where the bytes went.
+  mean delta (:func:`section_bytes`: tree, registrations, consumed
+  slots, latency series, distance total, pending buffer, RNG, and the
+  rest), printed as a markdown table before the ``BENCH`` line, so a
+  format change shows where the bytes went.
 
 The emitted ``BENCH`` JSON records ``cpu_count`` alongside the results
 (export cost is single-threaded; restore happens once per failed shard)
@@ -35,18 +37,21 @@ is ``delta_shrink >= 5`` at the 10k-worker point. (The JSON keeps its
 ``barriers`` field name for the per-cut rows.)
 
 Run:  PYTHONPATH=src python benchmarks/bench_checkpoint_delta.py
-Also collectable by pytest (correctness + shrink gates):
+Also collectable by pytest (correctness, shrink and format gates):
       PYTHONPATH=src python -m pytest benchmarks/bench_checkpoint_delta.py -q
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 
 import numpy as np
+import pytest
 
 from repro.cluster.snapshot import (
+    SnapshotError,
     compose_chain,
     delta_snapshot,
     parse_snapshot,
@@ -56,6 +61,7 @@ from repro.cluster.snapshot import (
     snapshot_text,
 )
 from repro.geometry import Box
+from repro.service.metrics import unpack_floats
 from repro.service.shard import ShardServer
 
 try:  # package import under pytest, plain import as a script
@@ -87,7 +93,6 @@ def section_bytes(doc: dict) -> dict:
     consumed = server["consumed_slots" if doc["kind"] == "base" else "consumed"]
     sizes = {
         "tree": _text_bytes(body["tree"]) if "tree" in body else 0,
-        "ledger": _text_bytes(body["ledger"]),
         "registrations": _text_bytes(server["worker_ids"])
         + _text_bytes(server["leaves"]),
         "consumed slots": _text_bytes(consumed),
@@ -153,6 +158,8 @@ def bench_population(n_workers: int, seed: int = 0) -> dict:
         delta = delta_snapshot(
             shard, None, cursor, checkpoint=cut, parent=cut - 1
         )
+        full_encode_s = best_of(lambda: snapshot_text(full))
+        delta_encode_s = best_of(lambda: snapshot_text(delta))
         chain.append(delta)
         delta_sections.append(section_bytes(delta))
         cursor = shard.checkpoint_cursor()
@@ -163,6 +170,8 @@ def bench_population(n_workers: int, seed: int = 0) -> dict:
                 "delta_bytes": _text_bytes(delta),
                 "full_seconds": full_s,
                 "delta_seconds": delta_s,
+                "full_encode_seconds": full_encode_s,
+                "delta_encode_seconds": delta_encode_s,
             }
         )
 
@@ -182,8 +191,11 @@ def bench_population(n_workers: int, seed: int = 0) -> dict:
         lambda: restore_chain([parse_snapshot(text) for text in chain_texts])
     )
 
+    def mean(name: str) -> float:
+        return sum(r[name] for r in rows) / len(rows)
+
     full_bytes = rows[-1]["full_bytes"]
-    mean_delta = sum(r["delta_bytes"] for r in rows) / len(rows)
+    mean_delta = mean("delta_bytes")
     return {
         "n_workers": n_workers,
         "barriers": rows,
@@ -191,6 +203,12 @@ def bench_population(n_workers: int, seed: int = 0) -> dict:
         "full_bytes": full_bytes,
         "mean_delta_bytes": mean_delta,
         "delta_shrink": full_bytes / mean_delta,
+        "cut_seconds": {
+            "base_export": mean("full_seconds"),
+            "base_encode": mean("full_encode_seconds"),
+            "delta_export": mean("delta_seconds"),
+            "delta_encode": mean("delta_encode_seconds"),
+        },
         "restore_full_seconds": restore_full_s,
         "restore_chain_seconds": restore_chain_s,
         "sections": {
@@ -236,6 +254,72 @@ def test_delta_tracks_churn_not_population():
     assert big["full_bytes"] > 5.0 * small["full_bytes"]
 
 
+def _as_v5(doc: dict, epsilon: float) -> dict:
+    """A v6 delta as a v5 runtime wrote it: the ledger's new
+    ``[worker, epsilon]`` spends beside the registrations, and every
+    float column as a JSON number list."""
+    down = copy.deepcopy(doc)
+    down["version"] = 5
+    body = down["delta"]
+    body["ledger"] = [[w, epsilon] for w in body["server"]["worker_ids"]]
+    latencies = body["metrics"]["latencies_s"]
+    latencies["appended"] = unpack_floats(latencies["appended"]).tolist()
+    latencies["set"] = [
+        [slot, value]
+        for slot, value in zip(
+            latencies.pop("set_slots"),
+            unpack_floats(latencies.pop("set_values")).tolist(),
+        )
+    ]
+    pending = down["pending"]
+    pending["locations"] = unpack_floats(pending["locations"]).reshape(-1, 2).tolist()
+    return down
+
+
+def test_float_columns_are_text_and_v5_is_refused():
+    """A v6 delta carries its float columns as base64 float64 strings
+    and no ledger; a v5 text (number lists, a ledger suffix) is refused
+    with its version code."""
+    shard, rng, next_id = _build_shard(1_000)
+    base = snapshot_shard(shard, checkpoint=0)
+    cursor = shard.checkpoint_cursor()
+    _churn(shard, rng, next_id, 1_000_000)
+    pending = ([next_id + CHURN_WORKERS], [rng.uniform(0.0, 200.0, 2)])
+    delta = delta_snapshot(shard, pending, cursor, checkpoint=1, parent=0)
+    latencies = delta["delta"]["metrics"]["latencies_s"]
+    for column in (
+        latencies["appended"],
+        latencies["set_values"],
+        delta["pending"]["locations"],
+        base["state"]["metrics"]["latencies_s"]["values"],
+    ):
+        assert isinstance(column, str)
+    assert len(unpack_floats(latencies["appended"])) == CHURN_TASKS
+    assert len(unpack_floats(delta["pending"]["locations"])) == 2
+    assert "ledger" not in delta["delta"] and "ledger" not in base["state"]
+    restore_chain([parse_snapshot(snapshot_text(d)) for d in (base, delta)])
+    with pytest.raises(SnapshotError) as err:
+        parse_snapshot(snapshot_text(_as_v5(delta, shard.epsilon)))
+    assert err.value.code == "snapshot-unsupported-version"
+
+
+def print_costs(result: dict) -> None:
+    """What a worker pays per cut, by population: export and text
+    encode of the last base and of the mean delta."""
+    print("### Checkpoint cost per cut: export + text encode (ms)\n")
+    print("| workers | base export | base encode | delta export | delta encode |")
+    print("|---:|---:|---:|---:|---:|")
+    for row in result["populations"]:
+        cost = row["cut_seconds"]
+        print(
+            f"| {row['n_workers']:,} | {cost['base_export'] * 1e3:.3f} | "
+            f"{cost['base_encode'] * 1e3:.3f} | "
+            f"{cost['delta_export'] * 1e3:.3f} | "
+            f"{cost['delta_encode'] * 1e3:.3f} |"
+        )
+    print()
+
+
 def print_sections(result: dict) -> None:
     """The section bytes of every population as one markdown table."""
     populations = result["populations"]
@@ -261,6 +345,7 @@ def print_sections(result: dict) -> None:
 
 def main() -> int:
     result = run_benchmark()
+    print_costs(result)
     print_sections(result)
     emit_bench(result)
     return 0

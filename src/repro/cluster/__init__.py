@@ -7,8 +7,9 @@ checkpointing and migration. The distributed coordinator
 pieces:
 
 * :mod:`repro.cluster.snapshot` — versioned JSON snapshots of a shard's
-  full state (HST, privacy ledger, matcher, metrics, RNG stream, pending
-  cohort buffer), as base + delta chains with a bit-exact replay
+  full state (HST, budget cap, matcher, metrics, RNG stream, pending
+  cohort buffer; the privacy ledger is rebuilt from the registrations),
+  as base + delta chains with a bit-exact replay
   guarantee, and their one text codec (:func:`snapshot_text`,
   :func:`parse_snapshot`);
 * :class:`~repro.cluster.dispatch.FamilyJournal` — routes chunks of

@@ -1,16 +1,22 @@
 """Versioned shard-state snapshots: the mesh's checkpoint wire format.
 
-A v5 snapshot document comes in two kinds, and each states every fact
+A v6 snapshot document comes in two kinds, and each states every fact
 once — what serving and restore read, nothing else (no decision log: a
-shard's decisions go back to its caller):
+shard's decisions go back to its caller; no privacy ledger: a restore
+rebuilds it):
 
 * a **base** — one JSON document capturing *everything* a shard is at a
   point in the event stream:
 
   - the published HST (via :func:`~repro.hst.serialize.hst_to_dict` — the
     same round-trip-guaranteed format clients consume);
-  - the per-worker privacy ledger balances
-    (:meth:`~repro.privacy.budget.PrivacyBudgetLedger.to_dict`);
+  - ``epsilon`` and ``budget_capacity``, the shard's per-report budget
+    and per-worker cap. The ledger is not carried:
+    :meth:`~repro.service.shard.ShardServer.register_cohort` is its only
+    charger, one ε per registration, so restore rebuilds it with one
+    spend per registered worker in registration order (the same float
+    additions), and an export refuses (``RuntimeError``) a ledger that
+    holds anything else;
   - the matcher state — registrations as two int columns
     (``worker_ids`` and their obfuscated ``leaves``, leaf indices),
     ``built_at`` (the registration count when the matcher trie was
@@ -20,31 +26,45 @@ shard's decisions go back to its caller):
     reported-distance total) and the client-side RNG state
     (:meth:`~repro.service.shard.ShardServer.export_state`);
   - the *pending cohort buffer* — worker arrivals batched but not yet
-    obfuscated. The buffer holds true locations that have not crossed
-    the privacy boundary, so it lives in the snapshot, never in a log a
+    obfuscated, as ``worker_ids`` and a ``locations`` column of ``x, y``
+    pairs. The buffer holds true locations that have not crossed the
+    privacy boundary, so it lives in the snapshot, never in a log a
     server component could read.
 
   A base grows with the registered population, not with the task count.
 
 * a **delta** — only the cells changed since the *parent* checkpoint:
-  the ledger history suffix, new registrations (suffixes of the two
-  columns), consumed matcher slots, the latency reservoir's suffix and
-  overwrites, the counters and distance total, the RNG state, and the
-  (small, bounded) pending buffer. Deltas chain by checkpoint id:
-  ``doc["parent"]`` names the checkpoint the delta builds on, and
-  :func:`compose_chain` folds ``[base, delta, delta, ...]`` back into a
-  single base document *bit-identically* — the composed ``state`` dict
-  equals a full export taken at the same moment, float for float.
-  Coordinators rebase periodically (request a fresh base) so chains stay
-  bounded; every restore cost is then O(base + bounded deltas).
+  new registrations (suffixes of the two columns), consumed matcher
+  slots, the latency reservoir's suffix (``appended``) and overwrites
+  (``set_slots``/``set_values``), the counters and distance total, the
+  RNG state, and the (small, bounded) pending buffer. Deltas chain by
+  checkpoint id: ``doc["parent"]`` names the checkpoint the delta builds
+  on, and :func:`compose_chain` folds ``[base, delta, delta, ...]`` back
+  into a single base document *bit-identically* — the composed
+  ``state`` dict equals a full export taken at the same moment, float
+  for float. Coordinators rebase periodically (request a fresh base) so
+  chains stay bounded; every restore cost is then O(base + bounded
+  deltas).
+
+Every float column — the reservoir's ``values``, ``appended`` and
+``set_values`` and the pending ``locations`` — is one string, the base64
+of its little-endian float64 bytes
+(:func:`~repro.service.metrics.pack_floats`), so it crosses as its exact
+bits with no decimal formatting or parsing. Int columns stay JSON int
+lists, scalars stay JSON numbers, and the tree keeps its
+``hst_to_dict`` form.
 
 Malformed documents and broken chains raise :class:`SnapshotError`, a
 ``ValueError`` with a stable ``code`` string for programmatic handling;
 a shard state that fails its own checks on restore (a leaf that is not
 an int or lies outside the tree, ``built_at`` outside the registrations,
-a consumed slot listed twice or outside the slot table) and a delta that
-cannot be folded (a missing or mistyped section, a reservoir overwrite
-outside the held samples) are ``snapshot-bad-format``.
+a consumed slot listed twice or outside the slot table, registrations
+that overspend the cap), a pending buffer that is not one finite
+``x, y`` pair per int worker id, a float column that is not whole
+float64s in base64, a reservoir holding more samples than its capacity
+or count allows, and a delta that cannot be folded (a missing or
+mistyped section, a reservoir overwrite outside the held samples) are
+``snapshot-bad-format``.
 
 Round-trip guarantee (mirrors ``hst_to_dict``/``hst_from_dict``):
 restoring a snapshot taken mid-stream — from a base document or composed
@@ -69,9 +89,11 @@ from the documents.
 from __future__ import annotations
 
 import json
+import operator
 
 import numpy as np
 
+from ..service.metrics import pack_floats, unpack_floats
 from ..service.shard import ShardServer
 
 __all__ = [
@@ -90,10 +112,11 @@ __all__ = [
 SNAPSHOT_FORMAT = "repro-shard-snapshot"
 #: The one version this runtime writes and restores: base/delta document
 #: kinds chained by checkpoint id, registrations as int columns, the
-#: matcher's ``built_at`` in place of its slot table, and no decision
-#: log. Snapshots live only in coordinator memory, never on disk, so no
-#: older document exists to read.
-SNAPSHOT_VERSION = 5
+#: matcher's ``built_at`` in place of its slot table, no decision log, no
+#: ledger section and float columns as base64 float64 text. Snapshots
+#: live only in coordinator memory, never on disk, so no older document
+#: exists to read.
+SNAPSHOT_VERSION = 6
 
 #: A shard with no buffered worker arrivals.
 _EMPTY_PENDING: tuple[list, list] = ([], [])
@@ -119,10 +142,25 @@ def _pending_doc(pending) -> dict:
     ids = [int(w) for w in ids]
     if len(ids) != len(locs):
         raise ValueError("pending buffer needs one worker id per location")
-    return {
-        "worker_ids": ids,
-        "locations": [[float(p[0]), float(p[1])] for p in locs],
-    }
+    xy = np.asarray(locs, dtype=np.float64).reshape(len(ids), 2)
+    return {"worker_ids": ids, "locations": pack_floats(xy)}
+
+
+def _pending_of(buf) -> tuple[list[int], list]:
+    """A document's pending buffer, checked: int worker ids and one
+    finite ``(x, y)`` pair each."""
+    if not isinstance(buf, dict):
+        raise ValueError("pending buffer must be a dict")
+    ids = [operator.index(w) for w in buf["worker_ids"]]
+    xy = unpack_floats(buf["locations"])
+    if len(xy) != 2 * len(ids):
+        raise ValueError(
+            f"pending buffer holds {len(xy)} coordinates for {len(ids)} "
+            "worker ids, not one (x, y) pair each"
+        )
+    if not np.isfinite(xy).all():
+        raise ValueError("pending buffer holds a location that is not finite")
+    return ids, xy.reshape(-1, 2).tolist()
 
 
 def snapshot_shard(shard: ShardServer, pending=None, *, checkpoint=None) -> dict:
@@ -205,21 +243,20 @@ def restore_shard(payload: dict) -> tuple[ShardServer, tuple[list[int], list]]:
             "snapshot-missing-fields",
             f"snapshot missing fields: {sorted(missing)}",
         )
+    # a missing column or a wrong type (a null column, a leaf that is
+    # not an int) is as malformed as a wrong value
+    try:
+        pending = _pending_of(payload["pending"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise SnapshotError(
+            "snapshot-bad-format", f"malformed pending buffer: {err}"
+        ) from err
     try:
         shard = ShardServer.from_state(payload["state"])
-    except (TypeError, ValueError) as err:
-        # a wrong type (a null column, a leaf that is not an int) is as
-        # malformed as a wrong value
+    except (KeyError, TypeError, ValueError) as err:
         raise SnapshotError(
             "snapshot-bad-format", f"malformed shard state: {err}"
         ) from err
-    buf = payload["pending"]
-    pending = (
-        [int(w) for w in buf["worker_ids"]],
-        [np.asarray(p, dtype=np.float64) for p in buf["locations"]],
-    )
-    if len(pending[0]) != len(pending[1]):
-        raise ValueError("pending buffer needs one worker id per location")
     return shard, pending
 
 
@@ -276,8 +313,8 @@ def compose_chain(docs) -> dict:
         try:
             state = ShardServer.compose_state(state, doc["delta"])
         except (KeyError, IndexError, TypeError, ValueError) as err:
-            # a missing section, a list where a dict belongs, a junk
-            # suffix: damage the fold meets before restore can check it
+            # a missing section, a list where a dict belongs, a damaged
+            # float column: damage the fold meets before restore checks it
             raise SnapshotError(
                 "snapshot-bad-format",
                 f"delta {doc['checkpoint']!r} does not fold: {err!r}",

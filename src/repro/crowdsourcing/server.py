@@ -256,13 +256,15 @@ class MatchingServer:
         registration count at lazy matcher build when the build happened
         inside this window, else ``None``.
         """
-        start = int(cursor["workers"])
+        # the suffix read from the end: O(new registrations), however
+        # many came before the cursor
+        new = len(self._leaves) - int(cursor["workers"])
         built_at = None
         if not cursor["matcher"] and self._matcher is not None:
             built_at = self._built_at
         return {
-            "worker_ids": list(islice(self._leaves, start, None)),
-            "leaves": list(islice(self._leaves.values(), start, None)),
+            "worker_ids": list(islice(reversed(self._leaves), new))[::-1],
+            "leaves": list(islice(reversed(self._leaves.values()), new))[::-1],
             "built_at": built_at,
             "consumed": list(self._consumed[int(cursor["consumed"]) :]),
         }

@@ -20,9 +20,10 @@ principals the ledger holds: a serving cohort of a handful of workers is
 checked and applied in plain Python, a cohort of thousands with a few
 array operations. The audit aggregates
 (:meth:`PrivacyBudgetLedger.total_spent`,
-:meth:`PrivacyBudgetLedger.min_remaining`) are single reductions. The
-JSON wire shape of :meth:`PrivacyBudgetLedger.to_dict` is unchanged from
-the dict-backed ledger, so existing snapshots restore bit-identically.
+:meth:`PrivacyBudgetLedger.min_remaining`) are single reductions. Shard
+snapshots do not carry a ledger: a serving shard charges one ε per
+registration and nothing else, so a restore rebuilds its ledger with one
+:meth:`PrivacyBudgetLedger.spend_batch` over the registered workers.
 """
 
 from __future__ import annotations
@@ -259,49 +260,12 @@ class PrivacyBudgetLedger:
     # ------------------------------------------------------------------ #
 
     def history_len(self) -> int:
-        """Checkpoint cursor: number of spends recorded so far."""
+        """Number of spends recorded so far (O(1); a shard checks it
+        against its registrations before every snapshot)."""
         return self._n_hist
 
-    def export_delta(self, start: int) -> list:
-        """Spends recorded since cursor ``start``, as ``[principal, eps]``.
-
-        The history is append-only, so a suffix plus the parent
-        checkpoint's balances reproduces the current ledger bit-for-bit:
-        balances are ordered float sums of the history, and replaying the
-        suffix performs the exact additions the live ledger performed.
-        """
-        return [
-            [self._principals[self._hist_rows[i]], float(self._hist_eps[i])]
-            for i in range(int(start), self._n_hist)
-        ]
-
-    @staticmethod
-    def compose_dict(base: dict, suffix: list) -> dict:
-        """Fold an :meth:`export_delta` suffix into a :meth:`to_dict`
-        payload, returning the child checkpoint's :meth:`to_dict` form.
-
-        Balances are advanced by replaying the suffix in order — the same
-        IEEE additions the live ledger applied — so the composed ``spent``
-        floats are bit-identical to a full export at the child.
-        """
-        spent = [[p, float(balance)] for p, balance in base["spent"]]
-        rows = {p: i for i, (p, _) in enumerate(spent)}
-        for principal, epsilon in suffix:
-            row = rows.get(principal)
-            if row is None:
-                rows[principal] = len(spent)
-                spent.append([principal, float(epsilon)])
-            else:
-                spent[row][1] += float(epsilon)
-        return {
-            "capacity": base["capacity"],
-            "spent": spent,
-            "history": [list(entry) for entry in base["history"]]
-            + [[p, float(e)] for p, e in suffix],
-        }
-
     def to_dict(self) -> dict:
-        """JSON-ready export of the full ledger (audits, shard snapshots).
+        """JSON-ready export of the full ledger (audits and tests).
 
         Balances and history are emitted as ``[principal, epsilon]`` pairs
         rather than a mapping so integer principals survive a JSON

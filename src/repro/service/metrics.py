@@ -14,6 +14,7 @@ simulated clock (the offered rate the run replayed).
 
 from __future__ import annotations
 
+import base64
 import math
 import zlib
 from dataclasses import dataclass
@@ -27,13 +28,38 @@ __all__ = [
     "ShardSnapshot",
     "ServiceReport",
     "build_report",
+    "pack_floats",
     "percentile",
     "summarize_reservoir",
+    "unpack_floats",
 ]
 
 #: Default per-series sample cap. Below this many recordings a reservoir
 #: holds every sample (quantiles are exact); beyond it, a uniform sample.
 RESERVOIR_CAPACITY = 4096
+
+
+def pack_floats(values) -> str:
+    """A float column as a checkpoint carries it: base64 of its
+    little-endian float64 bytes (exact, with no decimal formatting)."""
+    raw = np.asarray(values, dtype="<f8").tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def unpack_floats(text) -> np.ndarray:
+    """The float64 column :func:`pack_floats` wrote (read-only).
+
+    ``ValueError`` for anything else: a value that is not a string, text
+    that is not base64, or bytes that are not whole float64s.
+    """
+    if not isinstance(text, str):
+        raise ValueError(
+            f"a float column is a base64 string, not {type(text).__name__}"
+        )
+    raw = base64.b64decode(text, validate=True)
+    if len(raw) % 8:
+        raise ValueError(f"a float column of {len(raw)} bytes is not whole float64s")
+    return np.frombuffer(raw, dtype="<f8")
 
 
 class SampleReservoir:
@@ -133,12 +159,13 @@ class SampleReservoir:
         )
 
     def to_dict(self) -> dict:
-        """JSON-ready state (part of a shard's checkpoint snapshot)."""
+        """JSON-ready state (part of a shard's checkpoint snapshot); the
+        held samples travel as one :func:`pack_floats` column."""
         return {
             "capacity": self.capacity,
             "count": self.count,
             "total": float(self.total),
-            "values": [float(v) for v in self.values],
+            "values": pack_floats(self.values),
             "state": self._state,
         }
 
@@ -156,43 +183,61 @@ class SampleReservoir:
         """Changes since ``cursor`` (non-destructive; absolute aggregates).
 
         ``appended`` carries the value suffix past the cursor's clean
-        length; ``set`` carries ``[slot, value]`` overwrites of slots the
-        parent already held. Together with the parent's value list they
-        reproduce the current list bit-for-bit.
+        length; ``set_slots`` and ``set_values`` carry the overwrites of
+        slots the parent already held, in slot order. Together with the
+        parent's values they reproduce the current samples bit-for-bit.
+        Both value columns are :func:`pack_floats` text.
         """
         clean_len = int(cursor["len"])
         clean_mut = int(cursor["mut"])
+        slots = [
+            slot
+            for slot, gen in sorted(self._gen.items())
+            if gen > clean_mut and slot < clean_len
+        ]
         return {
             "count": self.count,
             "total": float(self.total),
             "state": self._state,
-            "appended": [float(v) for v in self.values[clean_len:]],
-            "set": [
-                [slot, float(self.values[slot])]
-                for slot, gen in sorted(self._gen.items())
-                if gen > clean_mut and slot < clean_len
-            ],
+            "appended": pack_floats(self.values[clean_len:]),
+            "set_slots": slots,
+            "set_values": pack_floats([self.values[slot] for slot in slots]),
         }
 
     @staticmethod
     def compose_dict(base: dict, delta: dict) -> dict:
         """Fold an :meth:`export_delta` payload into a :meth:`to_dict`
-        payload, returning the child checkpoint's :meth:`to_dict` form."""
-        values = [float(v) for v in base["values"]]
-        values.extend(float(v) for v in delta["appended"])
-        for slot, value in delta["set"]:
-            slot = int(slot)
+        payload, returning the child checkpoint's :meth:`to_dict` form.
+
+        ``ValueError`` for a delta the fold cannot apply: a damaged value
+        column, an overwrite outside the held samples, or more samples
+        than the capacity or the count allows.
+        """
+        values = np.concatenate(
+            [unpack_floats(base["values"]), unpack_floats(delta["appended"])]
+        )
+        slots = [int(s) for s in delta["set_slots"]]
+        set_values = unpack_floats(delta["set_values"])
+        if len(slots) != len(set_values):
+            raise ValueError(
+                f"{len(slots)} reservoir overwrite slots for "
+                f"{len(set_values)} values"
+            )
+        for slot, value in zip(slots, set_values):
             if not 0 <= slot < len(values):
                 raise ValueError(
                     f"reservoir overwrite of slot {slot} outside the "
                     f"{len(values)} held samples"
                 )
-            values[slot] = float(value)
+            values[slot] = value
+        count = int(delta["count"])
+        if len(values) > base["capacity"] or len(values) > count:
+            raise ValueError("reservoir delta holds more samples than allowed")
         return {
             "capacity": base["capacity"],
-            "count": int(delta["count"]),
+            "count": count,
             "total": float(delta["total"]),
-            "values": values,
+            "values": pack_floats(values),
             "state": int(delta["state"]),
         }
 
@@ -205,7 +250,7 @@ class SampleReservoir:
         res = cls(capacity=int(payload["capacity"]))
         res.count = int(payload["count"])
         res.total = float(payload["total"])
-        res.values = [float(v) for v in payload["values"]]
+        res.values = unpack_floats(payload["values"]).tolist()
         res._state = int(payload["state"]) & cls._MASK
         if len(res.values) > res.capacity or len(res.values) > res.count:
             raise ValueError("reservoir payload holds more samples than allowed")

@@ -32,7 +32,7 @@ from ..crowdsourcing.server import MatchingServer, publish_tree
 from ..geometry.box import Box
 from ..hst.paths import tree_distance_for_level
 from ..hst.serialize import hst_from_dict, hst_to_dict
-from ..privacy.budget import PrivacyBudgetLedger
+from ..privacy.budget import BudgetExceededError, PrivacyBudgetLedger
 from ..privacy.tree_mechanism import TreeMechanism
 from ..utils import ensure_rng
 from .metrics import ShardMetrics, ShardSnapshot
@@ -199,25 +199,42 @@ class ShardServer:
 
         The raw parts behind the versioned snapshot wire format
         (:mod:`repro.cluster.snapshot`): the published tree (via
-        :func:`~repro.hst.serialize.hst_to_dict`), the privacy ledger, the
-        matcher state (registrations, ``built_at`` and consumed slots —
-        no decision log: the shard's callers keep the decisions it
-        returns), the metrics recorder, and the client-side RNG state.
-        It grows with the registered population, not with the task
-        count. Restoring via :meth:`from_state` and replaying the same
-        event suffix reproduces the exact assignments of an uninterrupted
-        run — the RNG state makes the obfuscation draws bit-identical.
+        :func:`~repro.hst.serialize.hst_to_dict`), the ledger's cap
+        (``budget_capacity``), the matcher state (registrations,
+        ``built_at`` and consumed slots — no decision log: the shard's
+        callers keep the decisions it returns), the metrics recorder, and
+        the client-side RNG state. The ledger itself does not travel:
+        :meth:`register_cohort` is its only charger, one ``epsilon`` per
+        registration, so :meth:`from_state` rebuilds it from the
+        registrations. It grows with the registered population, not with
+        the task count. Restoring via :meth:`from_state` and replaying
+        the same event suffix reproduces the exact assignments of an
+        uninterrupted run — the RNG state makes the obfuscation draws
+        bit-identical.
         """
+        self._check_ledger()
         return {
             "shard_id": self.shard_id,
             "box": [self.box.xmin, self.box.ymin, self.box.xmax, self.box.ymax],
             "epsilon": self.epsilon,
+            "budget_capacity": self.ledger.capacity,
             "tree": hst_to_dict(self.tree),
-            "ledger": self.ledger.to_dict(),
             "server": self.server.export_state(),
             "metrics": self.metrics.to_dict(),
             "rng_state": self._rng.bit_generator.state,
         }
+
+    def _check_ledger(self) -> None:
+        """Refuse to export a ledger the restore would not rebuild: it
+        must hold exactly one spend per registration (O(1) counts)."""
+        n = self.server.registered_workers
+        spends = self.ledger.history_len()
+        if spends != n or self.ledger.principals != n:
+            raise RuntimeError(
+                f"shard {self.shard_id!r} ledger holds {spends} spends over "
+                f"{self.ledger.principals} principals for {n} registrations; "
+                "a snapshot rebuilds it as one spend per registration"
+            )
 
     def checkpoint_cursor(self) -> dict:
         """Pure-value cursor marking this shard's position for delta export.
@@ -228,24 +245,24 @@ class ShardServer:
         checkpoint N" without having retained checkpoint N itself.
         """
         return {
-            "ledger_hist": self.ledger.history_len(),
             "server": self.server.cursor(),
             "metrics": self.metrics.cursor(),
         }
 
     def export_delta(self, cursor: dict) -> dict:
-        """Changes since ``cursor`` — the delta half of a v5 snapshot.
+        """Changes since ``cursor`` — the delta half of a v6 snapshot.
 
         Everything mutable on the serving path is append-only or
-        dirty-tracked (ledger history, registrations, consumed matcher
-        slots, latency reservoir suffixes), so the export is
-        O(changes), not O(shard). The published tree, box and epsilon are
-        immutable and never travel in a delta; the RNG state is a few
-        integers and travels whole.
+        dirty-tracked (registrations, consumed matcher slots, latency
+        reservoir suffixes), so the export is O(changes), not O(shard).
+        The published tree, box, epsilon and budget cap are immutable and
+        never travel in a delta; the ledger is rebuilt on restore (see
+        :meth:`export_state`); the RNG state is a few integers and
+        travels whole.
         """
+        self._check_ledger()
         return {
             "rng_state": self._rng.bit_generator.state,
-            "ledger": self.ledger.export_delta(cursor["ledger_hist"]),
             "server": self.server.export_delta(cursor["server"]),
             "metrics": self.metrics.export_delta(cursor["metrics"]),
         }
@@ -259,10 +276,8 @@ class ShardServer:
             "shard_id": base["shard_id"],
             "box": base["box"],
             "epsilon": base["epsilon"],
+            "budget_capacity": base["budget_capacity"],
             "tree": base["tree"],
-            "ledger": PrivacyBudgetLedger.compose_dict(
-                base["ledger"], delta["ledger"]
-            ),
             "server": MatchingServer.compose_dict(base["server"], delta["server"]),
             "metrics": ShardMetrics.compose_dict(base["metrics"], delta["metrics"]),
             "rng_state": delta["rng_state"],
@@ -274,14 +289,17 @@ class ShardServer:
 
         Unlike the constructor this never rebuilds the HST — the published
         tree is part of the state — so a restore is cheap enough for the
-        failover hot path.
+        failover hot path. The ledger is rebuilt with one spend per
+        registration, in registration order: the additions
+        :meth:`register_cohort` made, so its balances, history and every
+        report field come back bit-identical.
         """
         missing = {
             "shard_id",
             "box",
             "epsilon",
+            "budget_capacity",
             "tree",
-            "ledger",
             "server",
             "metrics",
             "rng_state",
@@ -307,9 +325,13 @@ class ShardServer:
         shard.mechanism = TreeMechanism(
             shard.tree, float(payload["epsilon"]), seed=rng
         )
-        shard.ledger = PrivacyBudgetLedger.from_dict(payload["ledger"])
         shard.server = MatchingServer.from_state(
             shard.tree, payload["server"], allow_late_registration=True
         )
+        shard.ledger = PrivacyBudgetLedger(float(payload["budget_capacity"]))
+        try:
+            shard.ledger.spend_batch(shard.server.registered_ids, shard.epsilon)
+        except BudgetExceededError as err:
+            raise ValueError(f"registrations overspend the budget cap: {err}") from err
         shard.metrics = ShardMetrics.from_dict(payload["metrics"])
         return shard

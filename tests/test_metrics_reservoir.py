@@ -1,5 +1,6 @@
 """Tests for bounded telemetry retention (SampleReservoir + ShardMetrics)."""
 
+import base64
 import json
 
 import numpy as np
@@ -10,8 +11,32 @@ from repro.service.metrics import (
     SampleReservoir,
     ShardMetrics,
     build_report,
+    pack_floats,
     percentile,
+    unpack_floats,
 )
+
+
+class TestFloatColumns:
+    """A checkpoint's float columns: base64 of little-endian float64."""
+
+    def test_round_trip_is_bit_exact(self):
+        values = [0.1, 1 / 3, -0.0, 5e-324, 1.7976931348623157e308, 2.5e-7]
+        text = pack_floats(values)
+        assert isinstance(text, str)
+        back = unpack_floats(json.loads(json.dumps(text)))
+        assert back.tobytes() == np.asarray(values, dtype="<f8").tobytes()
+        assert base64.b64decode(text) == np.asarray(values, dtype="<f8").tobytes()
+        assert pack_floats([]) == "" and len(unpack_floats("")) == 0
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[0.5], None, 3.0, "not base64!", base64.b64encode(bytes(12)).decode()],
+        ids=["a-list", "null", "a-number", "not-base64", "not-whole-float64s"],
+    )
+    def test_refuses_what_is_not_a_column(self, bad):
+        with pytest.raises(ValueError):
+            unpack_floats(bad)
 
 
 class TestSampleReservoir:

@@ -1,8 +1,9 @@
-"""v5 delta-snapshot format: one version, structured errors, chain property.
+"""v6 delta-snapshot format: one version, structured errors, chain property.
 
 Three guarantees pinned here:
 
-* **one version** — only v5 documents restore; v4 documents (a slot
+* **one version** — only v6 documents restore; v5 documents (a ledger
+  section, float columns as JSON number lists), v4 documents (a slot
   table, a decision log and a distance reservoir), v3 documents
   (registrations as ``[id, [path]]`` pairs) and v1/v2 documents (written
   before the base/delta split existed) are refused;
@@ -12,8 +13,9 @@ Three guarantees pinned here:
   code is not), and stays a ``ValueError`` for older callers;
 * **bit-identical composition** — at every checkpoint index ``k`` along
   a churning stream, ``compose_chain(base + deltas[:k])`` equals a full
-  export taken at the same instant, float for float, and the restored
-  shard's future draws match the original's.
+  export taken at the same instant, float for float, the ledger rebuilt
+  from the registrations equals the live one, and the restored shard's
+  future draws match the original's.
 
 Plus the telemetry-cost assertions the checkpoint metrics rely on: a
 below-capacity reservoir keeps no overwrite bookkeeping, and ``gauge_fn``
@@ -42,10 +44,10 @@ from repro.crowdsourcing import MatchingServer
 from repro.crowdsourcing.entities import TaskReport
 from repro.geometry import Box
 from repro.obs import MetricsRegistry
-from repro.service.metrics import SampleReservoir
+from repro.service.metrics import SampleReservoir, unpack_floats
 from repro.service.shard import ShardServer
 
-from .conftest import DAMAGED_DELTAS
+from .conftest import DAMAGED_BASES, DAMAGED_DELTAS, DAMAGED_FLOAT_COLUMNS
 
 
 def _build_shard(n_workers: int = 48, seed: int = 3):
@@ -66,12 +68,34 @@ def _state_json(state: dict) -> str:
     return json.dumps(state, sort_keys=True)
 
 
-def _as_v4(doc: dict) -> dict:
-    """Downgrade a v5 base to the document a v4 runtime would have written:
-    the slot table in place of ``built_at``, a decision log, the
-    always-true late-registration flag and a reservoir of distances in
-    place of their total."""
+def _as_v5(doc: dict) -> dict:
+    """Downgrade a v6 base to the document a v5 runtime would have written:
+    a ledger section (balances and history as ``[worker, epsilon]`` pairs,
+    one per registration) in place of ``budget_capacity``, and the float
+    columns as JSON number lists."""
     down = copy.deepcopy(doc)
+    down["version"] = 5
+    state = down["state"]
+    pairs = [[w, state["epsilon"]] for w in state["server"]["worker_ids"]]
+    state["ledger"] = {
+        "capacity": state.pop("budget_capacity"),
+        "spent": pairs,
+        "history": copy.deepcopy(pairs),
+    }
+    latencies = state["metrics"]["latencies_s"]
+    latencies["values"] = unpack_floats(latencies["values"]).tolist()
+    pending = down["pending"]
+    pending["locations"] = (
+        unpack_floats(pending["locations"]).reshape(-1, 2).tolist()
+    )
+    return down
+
+
+def _as_v4(doc: dict) -> dict:
+    """Downgrade further: v4 wrote the slot table in place of
+    ``built_at``, a decision log, the always-true late-registration flag
+    and a reservoir of distances in place of their total."""
+    down = _as_v5(doc)
     down["version"] = 4
     server = down["state"]["server"]
     built_at, ids = server.pop("built_at"), server["worker_ids"]
@@ -128,7 +152,15 @@ def _as_v1(doc: dict) -> dict:
 
 class TestCompat:
     # snapshots never outlive the coordinator that chained them, so no
-    # pre-v5 document exists to read: only v5 restores
+    # pre-v6 document exists to read: only v6 restores
+
+    def test_v5_document_is_refused(self):
+        shard, _ = _build_shard()
+        doc = _as_v5(snapshot_shard(shard, checkpoint=0))
+        for restore in (restore_shard, lambda d: restore_chain([d])):
+            with pytest.raises(SnapshotError) as err:
+                restore(doc)
+            assert err.value.code == "snapshot-unsupported-version"
 
     def test_v4_document_is_refused(self):
         shard, _ = _build_shard()
@@ -280,6 +312,34 @@ class TestStructuredErrors:
             restore_chain([base, delta])
         assert err.value.code == "snapshot-bad-format"
 
+    @pytest.mark.parametrize("damage", DAMAGED_BASES.values(), ids=DAMAGED_BASES)
+    def test_a_damaged_base_is_bad_format(self, damage):
+        shard, rng = _build_shard(n_workers=8)
+        buffered = ([70, 71], [rng.uniform(0.0, 100.0, 2) for _ in "ab"])
+        base = snapshot_shard(shard, buffered, checkpoint=0)
+        restore_shard(copy.deepcopy(base))  # undamaged it restores
+        damage(base)
+        for restore in (restore_shard, lambda d: restore_chain([d])):
+            with pytest.raises(SnapshotError) as err:
+                restore(base)
+            assert err.value.code == "snapshot-bad-format"
+
+    @pytest.mark.parametrize(
+        "damage", DAMAGED_FLOAT_COLUMNS.values(), ids=DAMAGED_FLOAT_COLUMNS
+    )
+    @pytest.mark.parametrize("position", [0, 1], ids=["in-the-base", "in-the-delta"])
+    def test_a_damaged_float_column_fails_the_fold(self, damage, position):
+        # compose_chain alone, before any restore, refuses it
+        shard, rng = _build_shard(n_workers=8)
+        base = snapshot_shard(shard, checkpoint=0)
+        cursor = shard.checkpoint_cursor()
+        shard.submit_task(50, rng.uniform(0.0, 100.0, 2))
+        chain = [base, delta_snapshot(shard, None, cursor, checkpoint=1, parent=0)]
+        damage(chain[position])
+        with pytest.raises(SnapshotError) as err:
+            compose_chain(chain)
+        assert err.value.code == "snapshot-bad-format"
+
     def test_snapshot_error_is_a_value_error(self):
         # older callers catch ValueError (and match on the message);
         # the subclassing is part of the compat contract
@@ -360,11 +420,17 @@ class TestChainProperty:
 
     N_CHECKPOINTS = 5
 
+    @staticmethod
+    def _ledger(shard):
+        ledger = shard.ledger
+        return ledger.to_dict(), ledger.min_remaining(), ledger.mean_remaining()
+
     def _grow_chain(self):
         shard, rng = _build_shard()
         chain = [snapshot_shard(shard, checkpoint=0)]
         cursor = shard.checkpoint_cursor()
         fulls = [snapshot_shard(shard)]
+        ledgers = [self._ledger(shard)]
         next_id, task = 1000, 100
         for ckpt in range(1, self.N_CHECKPOINTS + 1):
             ids = list(range(next_id, next_id + 6))
@@ -382,20 +448,27 @@ class TestChainProperty:
             )
             cursor = shard.checkpoint_cursor()
             fulls.append(snapshot_shard(shard))
-        return shard, rng, chain, fulls
+            ledgers.append(self._ledger(shard))
+        return shard, rng, chain, fulls, ledgers
 
     def test_composed_state_matches_full_export_at_every_index(self):
-        _, _, chain, fulls = self._grow_chain()
+        _, _, chain, fulls, ledgers = self._grow_chain()
         for k in range(len(chain)):
             composed = compose_chain(chain[: k + 1])
             assert _state_json(composed["state"]) == _state_json(
                 fulls[k]["state"]
             ), f"chain diverged from the full export at checkpoint {k}"
+            # no export carries the ledger: the one rebuilt from the
+            # registrations must equal the live one
+            restored, _ = restore_chain(chain[: k + 1])
+            assert self._ledger(restored) == ledgers[k], (
+                f"rebuilt ledger diverged at checkpoint {k}"
+            )
 
     def test_restored_shard_draws_identically(self):
         # the composed RNG state must make the next obfuscation draw —
         # and therefore every future assignment — identical
-        shard, rng, chain, _ = self._grow_chain()
+        shard, rng, chain, _, _ = self._grow_chain()
         restored, pending = restore_chain(chain)
         assert pending == ([], [])
         assert _state_json(restored.export_state()) == _state_json(
@@ -435,6 +508,37 @@ class TestChainProperty:
             second, sort_keys=True
         )
         compose_chain([base, first])
+
+
+class TestLedgerRebuild:
+    """A snapshot carries no ledger: restore rebuilds it as one spend per
+    registration, so an export refuses a ledger holding anything else."""
+
+    @pytest.mark.parametrize(
+        "principal", [3, 999], ids=["registered-worker", "unregistered"]
+    )
+    def test_a_charge_outside_register_cohort_fails_the_next_snapshot(
+        self, principal
+    ):
+        shard, rng = _build_shard(n_workers=8)
+        base = snapshot_shard(shard, checkpoint=0)
+        cursor = shard.checkpoint_cursor()
+        shard.ledger.spend(principal, shard.epsilon)
+        with pytest.raises(RuntimeError, match="one spend per registration"):
+            snapshot_shard(shard, checkpoint=1)
+        with pytest.raises(RuntimeError, match="one spend per registration"):
+            delta_snapshot(shard, None, cursor, checkpoint=1, parent=0)
+        # the earlier cut, taken before the charge, still restores
+        restored, _ = restore_shard(base)
+        assert restored.ledger.history_len() == 8
+
+    def test_registrations_past_the_cap_are_bad_format(self):
+        shard, _ = _build_shard(n_workers=8)
+        doc = snapshot_shard(shard, checkpoint=0)
+        doc["state"]["budget_capacity"] = shard.epsilon / 2
+        with pytest.raises(SnapshotError) as err:
+            restore_shard(doc)
+        assert err.value.code == "snapshot-bad-format"
 
 
 class TestNoDecisionLog:
@@ -545,8 +649,10 @@ class TestTelemetryCost:
         assert res._gen == {}
         assert res._mutseq == 0
         delta = res.export_delta({"len": 0, "mut": 0})
-        assert delta["appended"] == [float(i) for i in range(64)]
-        assert delta["set"] == []
+        assert unpack_floats(delta["appended"]).tolist() == [
+            float(i) for i in range(64)
+        ]
+        assert (delta["set_slots"], delta["set_values"]) == ([], "")
 
     def test_gauge_fn_is_only_sampled_at_snapshot_time(self):
         registry = MetricsRegistry()
